@@ -93,18 +93,11 @@ pub fn record_section(key: &str, json: &str) {
     record_section_in("BENCH_mining", key, json);
 }
 
-/// Escapes a string for inclusion in JSON.
+/// Escapes a string for inclusion in JSON (the body of
+/// [`lagalyzer_model::json_string`], without the surrounding quotes).
 pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+    let quoted = lagalyzer_model::json_string(s);
+    quoted[1..quoted.len() - 1].to_owned()
 }
 
 /// The per-bench time budget (`CRITERION_BUDGET_MS`, default 500 ms) —
@@ -171,13 +164,6 @@ pub fn time_best_ns<O, R: FnMut() -> O>(budget: Duration, mut routine: R) -> f64
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape(r#"a"b\c"#), r#"a\"b\\c"#);
-        assert_eq!(escape("tab\there"), "tab\\u0009here");
-        assert_eq!(escape("plain"), "plain");
-    }
 
     #[test]
     fn time_mean_ns_measures() {

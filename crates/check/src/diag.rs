@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-use lagalyzer_model::EpisodeId;
+use lagalyzer_model::{json_string, EpisodeId};
 
 /// How serious a diagnostic is. Ordered: `Note < Warning < Error`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -192,7 +192,7 @@ impl CheckReport {
     pub fn render_json(&self, source: &str) -> String {
         let mut out = String::with_capacity(128 + self.diagnostics.len() * 96);
         out.push_str("{\"file\":");
-        json_string(&mut out, source);
+        out.push_str(&json_string(source));
         out.push_str(&format!(
             ",\"verdict\":\"{}\",\"summary\":{{\"errors\":{},\"warnings\":{},\"notes\":{}}}",
             self.verdict(),
@@ -239,7 +239,7 @@ pub(crate) fn render_diagnostic_json(out: &mut String, d: &Diagnostic) {
         "{{\"code\":\"{}\",\"severity\":\"{}\",\"message\":",
         d.code, d.severity
     ));
-    json_string(out, &d.message);
+    out.push_str(&json_string(&d.message));
     out.push_str(",\"episode\":");
     match d.episode_id {
         Some(id) => out.push_str(&id.as_raw().to_string()),
@@ -253,7 +253,7 @@ pub(crate) fn render_diagnostic_json(out: &mut String, d: &Diagnostic) {
             out.push(',');
         }
         out.push_str("{\"message\":");
-        json_string(out, &rel.message);
+        out.push_str(&json_string(&rel.message));
         out.push_str(",\"span\":");
         json_span(out, rel.byte_span);
         out.push('}');
@@ -266,23 +266,6 @@ fn json_span(out: &mut String, span: Option<ByteSpan>) {
         Some(s) => out.push_str(&format!("{{\"start\":{},\"end\":{}}}", s.start, s.end)),
         None => out.push_str("null"),
     }
-}
-
-/// Appends `s` as a JSON string literal with full escaping.
-pub(crate) fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

@@ -38,12 +38,11 @@
 use std::collections::BTreeSet;
 
 use lagalyzer_model::lockgraph::{extract_waits, ContendedWait, LockGraph};
-use lagalyzer_model::{EpisodeId, MethodRef, SessionTrace, SymbolTable, WaitKind};
+use lagalyzer_model::{json_string, EpisodeId, MethodRef, SessionTrace, SymbolTable, WaitKind};
 use lagalyzer_trace::EpisodeExtent;
 
 use crate::diag::{
-    json_string, render_diagnostic_json, render_diagnostic_text, ByteSpan, Diagnostic, Related,
-    Severity,
+    render_diagnostic_json, render_diagnostic_text, ByteSpan, Diagnostic, Related, Severity,
 };
 use crate::engine::{CheckSubject, EpisodeCtx, Finding, Rule, Sink};
 
@@ -732,7 +731,7 @@ impl HazardReport {
     pub fn render_json(&self, source: &str) -> String {
         let mut out = String::with_capacity(192 + self.findings.len() * 96);
         out.push_str("{\"tool\":\"lagalyzer-hazards\",\"version\":1,\"file\":");
-        json_string(&mut out, source);
+        out.push_str(&json_string(source));
         out.push_str(",\"verdict\":\"");
         out.push_str(self.verdict());
         out.push_str("\",\"sessions\":");

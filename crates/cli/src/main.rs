@@ -18,6 +18,10 @@
 //!   one's excess to a cause (lock wait, GC, slow I/O, self time);
 //! * `experiments` — regenerate every table and figure of the paper.
 //!
+//! Every analysis subcommand loads its trace through one [`Input`]: the
+//! file is read once, classified once (corpus, binary or text) and opened
+//! once, and its provenance and exit code come from one damage verdict.
+//!
 //! Exit codes: `0` success on a clean trace, `1` usage or I/O error,
 //! `2` the trace was damaged but salvageable (for `check`: semantic
 //! errors were found), `3` the trace is unrecoverable. `check` exits `1`
@@ -30,14 +34,19 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use lagalyzer_check::{check_bytes, HazardConfig, HazardReport, RuleSet, Severity};
-use lagalyzer_core::browser::{PatternBrowser, SortBy};
+use lagalyzer_check::{check_bytes, Diagnostic, HazardConfig, HazardReport, RuleSet, Severity};
+use lagalyzer_core::browser::SortBy;
 use lagalyzer_core::prelude::*;
-use lagalyzer_model::{DurationNs, Episode, SymbolTable, TimeNs};
+use lagalyzer_model::{
+    json_string, DurationNs, Episode, EpisodeId, SessionTrace, SymbolTable, TimeNs,
+};
 use lagalyzer_report::{figures, table3, Study};
 use lagalyzer_sim::{apps, runner};
 use lagalyzer_trace::corpus::{self, CorpusReader, PackOptions};
-use lagalyzer_trace::{DamageVerdict, EpisodeFilter, IndexedTrace};
+use lagalyzer_trace::{
+    DamageVerdict, EpisodeExtent, EpisodeFilter, IndexedTrace, SalvageReport, SessionSource,
+    SessionView, TraceError,
+};
 use lagalyzer_viz::ascii::ascii_sketch;
 use lagalyzer_viz::sketch::{render_pattern_gallery, render_sketch, SketchOptions};
 use lagalyzer_viz::timeline::{render_timeline, TimelineOptions};
@@ -46,6 +55,9 @@ use lagalyzer_viz::timeline::{render_timeline, TimelineOptions};
 const EXIT_SALVAGED: u8 = 2;
 /// Exit code for a trace that could not be decoded at all.
 const EXIT_UNRECOVERABLE: u8 = 3;
+
+/// The binary `.lgz` signature (the byte after it is the version).
+const BINARY_MAGIC: &[u8] = b"LGLZTRC";
 
 /// A command failure: the message printed to stderr plus the process
 /// exit code it maps to (plain errors exit `1`).
@@ -170,6 +182,9 @@ fn print_usage() {
            experiments [--out-dir DIR] [--sessions N] [--seed S] [--jobs N]\n\
                                               regenerate the paper's tables and figures\n\
          \n\
+         FILE may come anywhere among the options. A .lgzc corpus FILE\n\
+         takes --session K to select one member session.\n\
+         \n\
          --jobs N shards trace decoding and analysis work across N worker\n\
          threads (0 or omitted: all cores; 1: serial). Results are\n\
          byte-identical for any N.\n\
@@ -180,13 +195,16 @@ fn print_usage() {
          \n\
          --salvage decodes a damaged trace leniently, dropping corrupt\n\
          records and reporting every skip. Exit codes: 0 clean, 1 usage or\n\
-         I/O error, 2 damaged but salvaged, 3 unrecoverable.\n\
+         I/O error, 2 damaged but salvaged, 3 unrecoverable; every command\n\
+         that loads a trace takes its code from the same damage verdict.\n\
          \n\
          analyze, patterns and outliers answer from a persisted rollup\n\
-         section when the trace (or every corpus session) carries a valid\n\
-         one — zero episode decoding, byte-identical output, a `rollup:\n\
-         cache hit` note on stderr. --no-cache forces the cold decode\n\
-         path; stale or missing rollups fall back to it automatically.\n\
+         section when the trace, the --session K corpus member, or (corpus-\n\
+         wide) every corpus session carries a valid one — zero episode\n\
+         decoding, byte-identical output, a `rollup: cache hit` note on\n\
+         stderr. --no-cache and --check force the cold decode path, and\n\
+         salvaged sessions always take it; stale or missing rollups fall\n\
+         back to it automatically.\n\
          \n\
          check exits 0 when clean (notes allowed), 1 on warnings, 2 on\n\
          errors, 3 when the trace is unrecoverable. analyze --check runs\n\
@@ -194,16 +212,34 @@ fn print_usage() {
     );
 }
 
-/// Every value-taking flag shared by the trace-loading commands, so
-/// positional-argument scanning can skip their values.
+/// Every value-taking flag of every subcommand, so positional-argument
+/// scanning skips their values wherever the flags appear.
 const VALUE_FLAGS: &[&str] = &[
-    "--threshold-ms",
-    "--jobs",
-    "--min-lag",
-    "--since-ms",
-    "--until-ms",
-    "--session",
+    "--allow",
+    "--app",
+    "--deny",
+    "--episode",
+    "--explain",
+    "--fix-report",
     "--format",
+    "--jobs",
+    "--level",
+    "--mad-k",
+    "--min-count",
+    "--min-excess-ms",
+    "--min-lag",
+    "--min-samples",
+    "--out",
+    "--out-dir",
+    "--pattern",
+    "--seed",
+    "--session",
+    "--sessions",
+    "--since-ms",
+    "--sort",
+    "--starvation-streak",
+    "--threshold-ms",
+    "--until-ms",
 ];
 
 /// Fetches the value following a `--flag`.
@@ -235,19 +271,27 @@ fn opt_values<'a>(args: &'a [String], flag: &str) -> Vec<&'a str> {
 
 /// Positional (non-flag) arguments, skipping the values of value-taking
 /// flags so `stable a.lgz b.lgz --jobs 4` does not try to load "4".
-fn positional_args<'a>(args: &'a [String], value_flags: &[&str]) -> Vec<&'a String> {
+fn positional_args(args: &[String]) -> Vec<&str> {
     let mut out = Vec::new();
     let mut skip_value = false;
     for arg in args {
         if skip_value {
             skip_value = false;
         } else if arg.starts_with("--") {
-            skip_value = value_flags.contains(&arg.as_str());
+            skip_value = VALUE_FLAGS.contains(&arg.as_str());
         } else {
-            out.push(arg);
+            out.push(arg.as_str());
         }
     }
     out
+}
+
+/// The input file of a one-input command: its first positional argument.
+fn first_path<'a>(args: &'a [String], command: &str) -> Result<&'a str, Failure> {
+    positional_args(args)
+        .first()
+        .copied()
+        .ok_or_else(|| format!("{command} requires an input file").into())
 }
 
 fn parse_u64(args: &[String], flag: &str, default: u64) -> Result<u64, String> {
@@ -272,6 +316,39 @@ fn parse_jobs(args: &[String]) -> Result<usize, String> {
             Ok(lagalyzer_core::parallel::resolve_jobs(Some(n)))
         }
     }
+}
+
+/// `--format text|json`, text by default.
+fn parse_format(args: &[String]) -> Result<&str, Failure> {
+    match opt_value(args, "--format").unwrap_or("text") {
+        format @ ("text" | "json") => Ok(format),
+        other => Err(format!("unknown format {other:?}; expected text or json").into()),
+    }
+}
+
+/// `--sort count|total|max|perceptible`, count by default.
+fn parse_sort(args: &[String]) -> Result<SortBy, Failure> {
+    Ok(match opt_value(args, "--sort").unwrap_or("count") {
+        "count" => SortBy::Count,
+        "total" => SortBy::TotalLag,
+        "max" => SortBy::MaxLag,
+        "perceptible" => SortBy::PerceptibleCount,
+        other => return Err(format!("unknown sort order {other:?}").into()),
+    })
+}
+
+/// The finding `--explain N` names, if the flag is given.
+fn explained<'a, T>(args: &[String], findings: &'a [T]) -> Result<Option<&'a T>, Failure> {
+    let Some(v) = opt_value(args, "--explain") else {
+        return Ok(None);
+    };
+    let index: usize = v
+        .parse()
+        .map_err(|_| format!("--explain expects a finding index, got {v:?}"))?;
+    findings
+        .get(index)
+        .map(Some)
+        .ok_or_else(|| format!("report has {} finding(s), no index {index}", findings.len()).into())
 }
 
 fn cmd_apps() -> Result<ExitCode, Failure> {
@@ -353,12 +430,9 @@ fn cmd_simulate(args: &[String]) -> Result<ExitCode, Failure> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Value-taking flags of the `pack` subcommand.
-const PACK_VALUE_FLAGS: &[&str] = &["--out", "--jobs"];
-
 fn cmd_pack(args: &[String]) -> Result<ExitCode, Failure> {
     let out = opt_value(args, "--out").ok_or("pack requires --out FILE.lgzc")?;
-    let inputs = positional_args(args, PACK_VALUE_FLAGS);
+    let inputs = positional_args(args);
     if inputs.is_empty() {
         return Err("pack requires at least one input .lgz trace".into());
     }
@@ -367,9 +441,9 @@ fn cmd_pack(args: &[String]) -> Result<ExitCode, Failure> {
         compress: opt_flag(args, "--compress"),
     };
     let mut opened = Vec::with_capacity(inputs.len());
-    for path in &inputs {
-        let bytes = fs::read(path.as_str()).map_err(|e| format!("cannot read {path}: {e}"))?;
-        if !bytes.starts_with(b"LGLZTRC") {
+    for path in inputs {
+        let bytes = read_input(path)?;
+        if !bytes.starts_with(BINARY_MAGIC) {
             return Err(format!("{path} is not a binary .lgz trace").into());
         }
         let trace = if salvage {
@@ -379,16 +453,7 @@ fn cmd_pack(args: &[String]) -> Result<ExitCode, Failure> {
             IndexedTrace::open(bytes)
                 .map_err(|e| format!("cannot load {path}: {e} (retry with --salvage)"))?
         };
-        if let Some(report) = trace.salvage_report() {
-            if !report.is_clean() {
-                eprintln!(
-                    "salvage: {path}: recovered {} episode(s), lost {}, {} skip(s)",
-                    report.episodes_recovered,
-                    report.episodes_lost,
-                    report.skips.len()
-                );
-            }
-        }
+        Damage::of_report(trace.salvage_report()).note(path);
         opened.push(trace);
     }
     let per_file_symbols: usize = opened.iter().map(|t| t.symbols().len()).sum();
@@ -436,20 +501,14 @@ fn cmd_pack(args: &[String]) -> Result<ExitCode, Failure> {
     }
 }
 
-/// Value-taking flags of the `compact` subcommand.
-const COMPACT_VALUE_FLAGS: &[&str] = &["--out", "--jobs"];
-
 fn cmd_compact(args: &[String]) -> Result<ExitCode, Failure> {
-    let positionals = positional_args(args, COMPACT_VALUE_FLAGS);
-    let path = positionals
-        .first()
-        .ok_or("compact requires a corpus file")?;
+    let path = first_path(args, "compact")?;
     let out = opt_value(args, "--out").ok_or("compact requires --out FILE.lgzc")?;
     let jobs = parse_jobs(args)?;
     let options = PackOptions {
         compress: opt_flag(args, "--compress"),
     };
-    let bytes = fs::read(path.as_str()).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let bytes = read_input(path)?;
     if !corpus::is_corpus(&bytes) {
         return Err(format!("{path} is not a .lgzc corpus (pack traces first)").into());
     }
@@ -458,7 +517,7 @@ fn cmd_compact(args: &[String]) -> Result<ExitCode, Failure> {
         .map_err(|e| Failure::unrecoverable(format!("cannot load {path}: {e}")))?;
     // Sessions keep their valid rollups through compaction; sessions
     // without one get theirs built from the re-encoded payload.
-    let build = |trace: &lagalyzer_model::SessionTrace| lagalyzer_core::rollup::build(trace);
+    let build = |trace: &SessionTrace| lagalyzer_core::rollup::build(trace);
     let compacted = corpus::compact_with_rollups(&reader, jobs, options, Some(&build))
         .map_err(|e| e.to_string())?;
     let after = compacted.len();
@@ -505,229 +564,426 @@ fn parse_filter(args: &[String]) -> Result<EpisodeFilter, String> {
     Ok(filter)
 }
 
-/// Prints the salvage summary to stderr and builds the matching
-/// provenance; clean reports stay silent.
-fn salvage_provenance(path: &str, report: &lagalyzer_trace::SalvageReport) -> Provenance {
-    if report.is_clean() {
-        return Provenance::Clean;
-    }
-    eprintln!(
-        "salvage: {path}: recovered {} episode(s), lost {}, {} skip(s)",
-        report.episodes_recovered,
-        report.episodes_lost,
-        report.skips.len(),
-    );
-    Provenance::Salvaged {
-        skips: report.skips.len() as u64,
-        episodes_lost: report.episodes_lost,
-    }
+/// Reads a trace input from disk — the one place any subcommand does.
+fn read_input(path: &str) -> Result<Vec<u8>, Failure> {
+    fs::read(path).map_err(|e| format!("cannot read {path}: {e}").into())
 }
 
-fn session_from(args: &[String], path: &str) -> Result<AnalysisSession, Failure> {
-    let threshold = parse_u64(args, "--threshold-ms", 100)?;
-    let config = AnalysisConfig {
-        perceptible_threshold: DurationNs::from_millis(threshold),
-    };
-    let filter = parse_filter(args)?;
-    let jobs = parse_jobs(args)?;
-    let salvage = opt_flag(args, "--salvage");
+/// What salvage found in one input, whichever codec or container
+/// reported it: the single source of provenance and exit codes.
+struct Damage {
+    verdict: DamageVerdict,
+    recovered: u64,
+    episodes_lost: u64,
+    skips: u64,
+}
 
-    let bytes = match fs::read(path) {
-        Ok(bytes) => bytes,
-        Err(e) if salvage => {
-            return Err(Failure::unrecoverable(format!(
-                "cannot salvage {path}: {e}"
-            )))
-        }
-        Err(e) => return Err(format!("cannot load {path}: {e}").into()),
+impl Damage {
+    const CLEAN: Damage = Damage {
+        verdict: DamageVerdict::Clean,
+        recovered: 0,
+        episodes_lost: 0,
+        skips: 0,
     };
 
-    if corpus::is_corpus(&bytes) {
-        // Corpus file: --session K selects one member session; the filter
-        // rides the corpus extent index exactly as it does for a single
-        // indexed trace.
-        let reader = CorpusReader::open(bytes)
-            .map_err(|e| Failure::unrecoverable(format!("cannot load {path}: {e}")))?;
-        let k = match opt_value(args, "--session") {
-            Some(v) => v
-                .parse::<usize>()
-                .map_err(|_| format!("--session expects a session index, got {v:?}"))?,
-            None => {
-                return Err(format!(
-                    "{path} is a corpus of {} sessions; select one with --session K",
-                    reader.len()
-                )
-                .into())
-            }
-        };
-        if k >= reader.len() {
-            return Err(format!("{path} has {} sessions, no index {k}", reader.len()).into());
-        }
-        let view = reader.session(k);
-        let excluded = view.excluded_by(&filter) as u64;
-        let provenance = if view.is_damaged() {
+    /// Classifies a salvage report; a strict open (no report) is clean.
+    fn of_report(report: Option<&SalvageReport>) -> Damage {
+        report.map_or(Damage::CLEAN, |r| Damage {
+            verdict: DamageVerdict::of_report(r),
+            recovered: r.episodes_recovered,
+            episodes_lost: r.episodes_lost,
+            skips: r.skips.len() as u64,
+        })
+    }
+
+    /// Prints the salvage summary of a damaged input to stderr; clean
+    /// inputs stay silent.
+    fn note(&self, label: &str) {
+        if self.verdict != DamageVerdict::Clean {
             eprintln!(
-                "salvage: {path} session {k}: {} skip(s), {} episode(s) lost at pack time",
-                view.skips(),
-                view.episodes_lost()
+                "salvage: {label}: recovered {} episode(s), lost {}, {} skip(s)",
+                self.recovered, self.episodes_lost, self.skips
             );
-            Provenance::Salvaged {
-                skips: view.skips(),
-                episodes_lost: view.episodes_lost(),
-            }
-        } else {
-            Provenance::Clean
-        };
-        let trace = view
-            .decode_filtered(jobs, &filter)
-            .map_err(|e| format!("cannot load {path}: {e}"))?;
-        return Ok(AnalysisSession::with_exclusions(
-            trace, config, provenance, excluded,
-        ));
-    }
-
-    if bytes.starts_with(b"LGLZTRC") {
-        // Binary trace: open through the episode extent index. The filter
-        // prunes episodes against index entries before any record is
-        // decoded, and decoding fans the surviving extents over --jobs
-        // worker threads.
-        let indexed = if salvage {
-            IndexedTrace::open_salvage(bytes)
-                .map_err(|e| Failure::unrecoverable(format!("cannot salvage {path}: {e}")))?
-        } else {
-            IndexedTrace::open(bytes).map_err(|e| format!("cannot load {path}: {e}"))?
-        };
-        let admitted = indexed
-            .extents()
-            .iter()
-            .filter(|e| filter.admits_extent(e))
-            .count();
-        let excluded = (indexed.len() - admitted) as u64;
-        let provenance = match indexed.salvage_report() {
-            Some(report) => salvage_provenance(path, report),
-            None => Provenance::Clean,
-        };
-        let trace = indexed
-            .par_decode_filtered(jobs, &filter)
-            .map_err(|e| format!("cannot load {path}: {e}"))?;
-        return Ok(AnalysisSession::with_exclusions(
-            trace, config, provenance, excluded,
-        ));
-    }
-
-    // Text trace (or unrecognized bytes): serial decode, then drop the
-    // episodes the filter rejects.
-    let (trace, provenance) = if salvage {
-        let salvaged = lagalyzer_trace::read_bytes_salvage(&bytes)
-            .map_err(|e| Failure::unrecoverable(format!("cannot salvage {path}: {e}")))?;
-        let provenance = salvage_provenance(path, &salvaged.report);
-        (salvaged.trace, provenance)
-    } else {
-        let trace =
-            lagalyzer_trace::read_bytes(&bytes).map_err(|e| format!("cannot load {path}: {e}"))?;
-        (trace, Provenance::Clean)
-    };
-    let before = trace.episodes().len();
-    let trace = filter.retain(trace);
-    let excluded = (before - trace.episodes().len()) as u64;
-    Ok(AnalysisSession::with_exclusions(
-        trace, config, provenance, excluded,
-    ))
-}
-
-/// The exit code for a command that analyzed `session` successfully:
-/// clean traces exit `0`; salvaged traces exit [`EXIT_SALVAGED`] so
-/// scripts can tell the results may rest on an incomplete trace.
-fn exit_for(session: &AnalysisSession) -> ExitCode {
-    if session.is_salvaged() {
-        ExitCode::from(EXIT_SALVAGED)
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-/// `true` when `path` starts with the `.lgzc` corpus signature.
-fn sniff_corpus(path: &str) -> bool {
-    use std::io::Read as _;
-    let mut magic = [0u8; 8];
-    fs::File::open(path)
-        .and_then(|mut f| f.read_exact(&mut magic))
-        .is_ok_and(|()| corpus::is_corpus(&magic))
-}
-
-/// Minimal JSON string escaping for the corpus `--format json` output.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
         }
     }
-    out.push('"');
-    out
+}
+
+/// How an input's bytes were opened.
+enum Opened {
+    /// A `.lgzc` corpus; `--session K` selects one member.
+    Corpus(CorpusReader),
+    /// A binary `.lgz` trace, opened through its extent index.
+    Binary(Box<IndexedTrace>),
+    /// A text trace (it has no extent index, so it decodes serially).
+    Text(SessionTrace),
+}
+
+/// One trace input of an analysis subcommand: read once, classified once
+/// (corpus, binary or text) and opened once — strictly, or leniently
+/// under `--salvage` — together with the shared analysis options. The
+/// warm attempt, the cold decode, byte spans and `--explain` re-decodes
+/// all come from this one load.
+struct Input {
+    path: String,
+    opened: Opened,
+    /// The `--session K` member of a corpus input.
+    session: Option<usize>,
+    damage: Damage,
+    jobs: usize,
+    config: AnalysisConfig,
+    filter: EpisodeFilter,
+    /// `false` under `--no-cache` or `--check`: always decode cold.
+    cache: bool,
+}
+
+impl Input {
+    /// Reads and opens a command's input file (its first positional).
+    fn load(args: &[String], command: &str) -> Result<Input, Failure> {
+        Input::load_path(args, first_path(args, command)?)
+    }
+
+    fn load_path(args: &[String], path: &str) -> Result<Input, Failure> {
+        Input::open(args, path, read_input(path)?)
+    }
+
+    /// Classifies and opens the bytes read from `path`, applying
+    /// `--salvage` and `--session K`.
+    fn open(args: &[String], path: &str, bytes: Vec<u8>) -> Result<Input, Failure> {
+        let salvage = opt_flag(args, "--salvage");
+        let failed = |e: TraceError| -> Failure {
+            if salvage {
+                Failure::unrecoverable(format!("cannot salvage {path}: {e}"))
+            } else {
+                format!("cannot load {path}: {e}").into()
+            }
+        };
+        let (opened, damage, session) = if corpus::is_corpus(&bytes) {
+            let reader = CorpusReader::open(bytes)
+                .map_err(|e| Failure::unrecoverable(format!("cannot load {path}: {e}")))?;
+            let session = opt_value(args, "--session")
+                .map(|v| {
+                    v.parse::<usize>()
+                        .map_err(|_| format!("--session expects a session index, got {v:?}"))
+                })
+                .transpose()?;
+            let damage = match session {
+                Some(k) if k >= reader.len() => {
+                    return Err(
+                        format!("{path} has {} sessions, no index {k}", reader.len()).into(),
+                    )
+                }
+                Some(k) => {
+                    let view = reader.session(k);
+                    let damage = Damage {
+                        verdict: view.damage_verdict(),
+                        recovered: view.source().len() as u64,
+                        episodes_lost: view.episodes_lost(),
+                        skips: view.skips(),
+                    };
+                    damage.note(&format!("{path} session {k}"));
+                    damage
+                }
+                None => Damage {
+                    verdict: reader.damage_verdict(),
+                    ..Damage::CLEAN
+                },
+            };
+            (Opened::Corpus(reader), damage, session)
+        } else {
+            let (opened, damage) = if bytes.starts_with(BINARY_MAGIC) {
+                let indexed = if salvage {
+                    IndexedTrace::open_salvage(bytes)
+                } else {
+                    IndexedTrace::open(bytes)
+                }
+                .map_err(failed)?;
+                let damage = Damage::of_report(indexed.salvage_report());
+                (Opened::Binary(Box::new(indexed)), damage)
+            } else if salvage {
+                let salvaged = lagalyzer_trace::read_bytes_salvage(&bytes).map_err(failed)?;
+                let damage = Damage::of_report(Some(&salvaged.report));
+                (Opened::Text(salvaged.trace), damage)
+            } else {
+                let trace = lagalyzer_trace::read_bytes(&bytes).map_err(failed)?;
+                (Opened::Text(trace), Damage::CLEAN)
+            };
+            damage.note(path);
+            (opened, damage, None)
+        };
+        Ok(Input {
+            path: path.to_owned(),
+            opened,
+            session,
+            damage,
+            jobs: parse_jobs(args)?,
+            config: AnalysisConfig {
+                perceptible_threshold: DurationNs::from_millis(parse_u64(
+                    args,
+                    "--threshold-ms",
+                    100,
+                )?),
+            },
+            filter: parse_filter(args)?,
+            cache: !opt_flag(args, "--no-cache") && !opt_flag(args, "--check"),
+        })
+    }
+
+    /// The whole corpus, when the input is one and `--session K` did not
+    /// pick a member.
+    fn corpus_wide(&self) -> Option<&CorpusReader> {
+        match (&self.opened, self.session) {
+            (Opened::Corpus(reader), None) => Some(reader),
+            _ => None,
+        }
+    }
+
+    /// The one indexed session this input names: a `.lgz` trace or a
+    /// `--session K` corpus member. `None` for text traces and whole
+    /// corpora.
+    fn source(&self) -> Option<SessionSource<'_>> {
+        match (&self.opened, self.session) {
+            (Opened::Binary(indexed), _) => Some(indexed.source()),
+            (Opened::Corpus(reader), Some(k)) => Some(reader.session(k).source()),
+            _ => None,
+        }
+    }
+
+    /// Extents whose offsets are byte positions in the input file: only a
+    /// `.lgz` trace's (corpus extents index a session payload).
+    fn file_extents(&self) -> Option<&[EpisodeExtent]> {
+        match &self.opened {
+            Opened::Binary(indexed) => Some(indexed.extents()),
+            _ => None,
+        }
+    }
+
+    /// The byte span of episode `id`'s records in the input file.
+    fn span_of(&self, id: EpisodeId) -> Option<(u64, u64)> {
+        self.file_extents()?
+            .iter()
+            .find(|e| e.id == id)
+            .map(|e| (e.offset, e.offset + e.len))
+    }
+
+    /// `0` for a clean input, `2` for a damaged one (see [`DamageVerdict`]).
+    fn exit_code(&self) -> ExitCode {
+        ExitCode::from(self.damage.verdict.exit_code())
+    }
+
+    fn provenance(&self) -> Provenance {
+        match self.damage.verdict {
+            DamageVerdict::Clean => Provenance::Clean,
+            _ => Provenance::Salvaged {
+                skips: self.damage.skips,
+                episodes_lost: self.damage.episodes_lost,
+            },
+        }
+    }
+
+    /// The warm path: the session answered from its validated rollup.
+    fn warm(&self) -> Option<WarmSession<'_>> {
+        if !self.cache {
+            return None;
+        }
+        WarmSession::of_source(self.source()?, self.config, &self.filter)
+    }
+
+    /// Warm sessions for every member of a whole corpus; `None` when any
+    /// member has to decode cold.
+    fn warm_corpus(&self) -> Option<Vec<WarmSession<'_>>> {
+        if !self.cache {
+            return None;
+        }
+        self.corpus_wide()?
+            .sessions()
+            .map(|view| WarmSession::of_source(view.source(), self.config, &self.filter))
+            .collect()
+    }
+
+    /// The cold path: the filtered session, decoded, and how many
+    /// episodes the filter excluded.
+    fn decode(&self) -> Result<(SessionTrace, u64), Failure> {
+        if let Opened::Text(trace) = &self.opened {
+            let kept = self.filter.retain(trace.clone());
+            let excluded = trace.episodes().len() - kept.episodes().len();
+            return Ok((kept, excluded as u64));
+        }
+        let Some(source) = self.source() else {
+            let sessions = self.corpus_wide().map_or(0, CorpusReader::len);
+            return Err(format!(
+                "{} is a corpus of {sessions} sessions; select one with --session K",
+                self.path
+            )
+            .into());
+        };
+        let trace = source
+            .decode_filtered(self.jobs, &self.filter)
+            .map_err(|e| format!("cannot load {}: {e}", self.path))?;
+        Ok((trace, source.excluded_by(&self.filter) as u64))
+    }
+
+    /// [`Input::decode`], wrapped for analysis with its provenance.
+    fn session(&self) -> Result<AnalysisSession, Failure> {
+        let (trace, excluded) = self.decode()?;
+        Ok(AnalysisSession::with_exclusions(
+            trace,
+            self.config,
+            self.provenance(),
+            excluded,
+        ))
+    }
+
+    /// Every member of a whole corpus, decoded cold through the corpus
+    /// extent index.
+    fn decode_corpus(&self, reader: &CorpusReader) -> Result<Vec<SessionTrace>, Failure> {
+        let decoded = if self.filter.is_unrestricted() {
+            reader.par_decode(self.jobs)
+        } else {
+            reader
+                .sessions()
+                .map(|view| view.decode_filtered(self.jobs, &self.filter))
+                .collect()
+        };
+        decoded.map_err(|e| format!("cannot load {}: {e}", self.path).into())
+    }
+
+    /// Re-decodes just the episodes at extent `positions`, touching no
+    /// other extent's bytes.
+    fn decode_subset(&self, positions: &[usize]) -> Option<Vec<Episode>> {
+        self.source()?.decode_subset(self.jobs, positions).ok()
+    }
+
+    /// The episode an `--explain` finding names: re-decoded alone from its
+    /// extent on an indexed input, else looked up among `decoded`.
+    fn explain_episode(&self, id: EpisodeId, decoded: &[Episode]) -> Result<Episode, Failure> {
+        let position = self
+            .source()
+            .and_then(|source| source.extents().iter().position(|e| e.id == id));
+        if let Some(episode) = position.and_then(|p| self.decode_subset(&[p])?.pop()) {
+            return Ok(episode);
+        }
+        decoded
+            .iter()
+            .find(|e| e.id() == id)
+            .cloned()
+            .ok_or_else(|| "finding points outside the decoded session".into())
+    }
+}
+
+/// Loads every input, decoding each cold; the exit code is the worst
+/// input's.
+fn load_sessions(
+    args: &[String],
+    paths: &[&str],
+) -> Result<(Vec<AnalysisSession>, ExitCode), Failure> {
+    let mut code = 0;
+    let sessions = paths
+        .iter()
+        .map(|path| {
+            let input = Input::load_path(args, path)?;
+            code = code.max(input.damage.verdict.exit_code());
+            input.session()
+        })
+        .collect::<Result<_, _>>()?;
+    Ok((sessions, ExitCode::from(code)))
+}
+
+/// `analyze --check`: runs the semantic checker over the input's bytes
+/// before they are opened. Errors refuse analysis (exit 2); warnings and
+/// notes are reported and analysis goes on.
+fn run_check(path: &str, bytes: &[u8]) -> Result<CheckOutcome, Failure> {
+    let report = check_bytes(bytes, &mut RuleSet::standard())
+        .map_err(|e| Failure::unrecoverable(format!("cannot check {path}: {e}")))?;
+    if report.errors() > 0 {
+        eprint!("{}", report.render_text(path));
+        return Err(Failure {
+            msg: format!(
+                "check found {} error(s) in {path}; refusing analysis",
+                report.errors()
+            ),
+            code: EXIT_SALVAGED,
+        });
+    }
+    if !report.is_clean() {
+        eprintln!(
+            "check: {path}: {} warning(s), {} note(s); analyzing anyway",
+            report.warnings(),
+            report.notes()
+        );
+    }
+    Ok(CheckOutcome {
+        errors: report.errors() as u64,
+        warnings: report.warnings() as u64,
+        notes: report.notes() as u64,
+    })
 }
 
 fn cmd_analyze(args: &[String]) -> Result<ExitCode, Failure> {
-    let path = args.first().ok_or("analyze requires a trace file")?;
-    let jobs = parse_jobs(args)?;
-    if sniff_corpus(path) && opt_value(args, "--session").is_none() {
-        return cmd_analyze_corpus(args, path, jobs);
-    }
-    if let Some(format) = opt_value(args, "--format") {
-        if format != "text" {
-            return Err(
-                format!("--format {format} is only supported for corpus-wide analyze").into(),
-            );
+    let path = first_path(args, "analyze")?;
+    let bytes = read_input(path)?;
+    let check = if opt_flag(args, "--check") {
+        if corpus::is_corpus(&bytes) {
+            return Err("--check is not supported on corpus files".into());
         }
-    }
-    if let Some(code) = try_warm_analyze(args, path, jobs)? {
-        return Ok(code);
-    }
-    // --check gates analysis on a semantically sound trace: errors refuse
-    // analysis outright (exit 2); warnings and notes are recorded on the
-    // session so the report carries them.
-    let checked = if opt_flag(args, "--check") {
-        let bytes = fs::read(path.as_str()).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let report = check_bytes(&bytes, &mut RuleSet::standard())
-            .map_err(|e| Failure::unrecoverable(format!("cannot check {path}: {e}")))?;
-        if report.errors() > 0 {
-            eprint!("{}", report.render_text(path));
-            return Err(Failure {
-                msg: format!(
-                    "check found {} error(s) in {path}; refusing analysis",
-                    report.errors()
-                ),
-                code: EXIT_SALVAGED,
-            });
-        }
-        if !report.is_clean() {
-            eprintln!(
-                "check: {path}: {} warning(s), {} note(s); analyzing anyway",
-                report.warnings(),
-                report.notes()
-            );
-        }
-        Some(CheckOutcome {
-            errors: report.errors() as u64,
-            warnings: report.warnings() as u64,
-            notes: report.notes() as u64,
-        })
+        Some(run_check(path, &bytes)?)
     } else {
         None
     };
-    let mut session = session_from(args, path)?;
-    if let Some(outcome) = checked {
-        session.record_check(outcome);
+    let input = Input::open(args, path, bytes)?;
+    if let Some(reader) = input.corpus_wide() {
+        return analyze_corpus(args, &input, reader);
     }
-    let stats = SessionStats::compute_with_jobs(&session, jobs);
-    let meta = session.trace().meta();
+    if parse_format(args)? != "text" {
+        return Err("--format json is only supported for corpus-wide analyze".into());
+    }
+    let jobs = input.jobs;
+    let histogram = opt_flag(args, "--histogram");
+    // Warm: everything from summaries, computed before the first byte is
+    // printed so a fallback never emits a partial report.
+    let warm = input.warm().and_then(|warm| {
+        let patterns = warm.mine_patterns_with_jobs(jobs);
+        let stats = warm.session_stats_from(&patterns, jobs);
+        let outliers = warm.outliers(&patterns, &OutlierConfig::default(), &|positions| {
+            input.decode_subset(positions)
+        })?;
+        eprintln!(
+            "rollup: cache hit ({} episode summaries, zero decode)",
+            warm.rollup().summaries.len()
+        );
+        let histogram = histogram.then(|| warm.histogram());
+        Some((
+            warm.meta().clone(),
+            stats,
+            warm.excluded(),
+            outliers,
+            histogram,
+        ))
+    });
+    let (meta, stats, excluded, outliers, histogram) = match warm {
+        Some(answer) => answer,
+        None => {
+            let session = input.session()?;
+            // Mined once for the Table III row and the outlier scan (the
+            // dedicated `outliers` subcommand exposes the knobs).
+            let patterns = session.mine_patterns_with_jobs(jobs);
+            let stats = SessionStats::compute_from(&session, &patterns, jobs);
+            let outliers = OutlierReport::analyze_with_jobs(
+                &session,
+                &patterns,
+                &OutlierConfig::default(),
+                jobs,
+            );
+            let histogram = histogram.then(|| DurationHistogram::of(&session));
+            let meta = session.trace().meta().clone();
+            (
+                meta,
+                stats,
+                session.excluded_episodes(),
+                outliers,
+                histogram,
+            )
+        }
+    };
     println!("application       {}", meta.application);
     println!("session           {}", meta.session);
     println!("E2E               {:.0} s", stats.end_to_end.as_secs_f64());
@@ -738,81 +994,8 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, Failure> {
     println!("episodes < 3ms    {}", stats.short_count);
     println!("episodes >= 3ms   {}", stats.traced_count);
     println!("episodes >= 100ms {}", stats.perceptible_count);
-    if session.excluded_episodes() > 0 {
-        println!("filtered out      {}", session.excluded_episodes());
-    }
-    println!("long per minute   {:.0}", stats.long_per_minute);
-    println!("distinct patterns {}", stats.distinct_patterns);
-    println!("episodes in pats  {}", stats.episodes_in_patterns);
-    println!(
-        "singleton pats    {:.0} %",
-        stats.singleton_fraction * 100.0
-    );
-    println!("mean tree size    {:.1}", stats.mean_tree_size);
-    println!("mean tree depth   {:.1}", stats.mean_tree_depth);
-    {
-        // Per-pattern outlier scan with the default config; the dedicated
-        // `outliers` subcommand exposes the knobs and the full report.
-        let patterns = session.mine_patterns_with_jobs(jobs);
-        let outliers =
-            OutlierReport::analyze_with_jobs(&session, &patterns, &OutlierConfig::default(), jobs);
-        println!("outliers          {}", outliers.summary());
-    }
-    if let Some(check) = session.check_outcome() {
-        println!(
-            "semantic check    {} error(s), {} warning(s), {} note(s)",
-            check.errors, check.warnings, check.notes
-        );
-    }
-    if opt_flag(args, "--histogram") {
-        let histogram = lagalyzer_core::DurationHistogram::of(&session);
-        println!("\nepisode duration distribution:");
-        print!("{}", histogram.to_ascii(50));
-        println!(
-            "fraction handled under 128ms: {:.1} %",
-            histogram.fraction_under(DurationNs::from_millis(128)) * 100.0
-        );
-    }
-    Ok(exit_for(&session))
-}
-
-/// `analyze` over a persisted rollup: Table III statistics, the outlier
-/// summary and the optional histogram, all reconstructed from summaries
-/// without decoding any episode payload. `Ok(None)` falls back to the
-/// cold decode path; everything is computed before the first byte is
-/// printed so the fallback never emits a partial report.
-fn try_warm_analyze(args: &[String], path: &str, jobs: usize) -> Result<Option<ExitCode>, Failure> {
-    let Some(indexed) = warm_trace(args, path) else {
-        return Ok(None);
-    };
-    let (config, filter) = warm_config(args)?;
-    let Some(warm) = WarmSession::of_indexed(&indexed, config, &filter) else {
-        return Ok(None);
-    };
-    let patterns = warm.mine_patterns_with_jobs(jobs);
-    let stats = warm.session_stats_from(&patterns, jobs);
-    let decode = |positions: &[usize]| indexed.par_decode_subset(jobs, positions).ok();
-    let Some(outliers) = warm.outliers(&patterns, &OutlierConfig::default(), &decode) else {
-        return Ok(None);
-    };
-    let histogram = opt_flag(args, "--histogram").then(|| warm.histogram());
-    eprintln!(
-        "rollup: cache hit ({} episode summaries, zero decode)",
-        warm.rollup().summaries.len()
-    );
-    let meta = warm.meta();
-    println!("application       {}", meta.application);
-    println!("session           {}", meta.session);
-    println!("E2E               {:.0} s", stats.end_to_end.as_secs_f64());
-    println!(
-        "in-episode        {:.0} %",
-        stats.in_episode_fraction * 100.0
-    );
-    println!("episodes < 3ms    {}", stats.short_count);
-    println!("episodes >= 3ms   {}", stats.traced_count);
-    println!("episodes >= 100ms {}", stats.perceptible_count);
-    if warm.excluded() > 0 {
-        println!("filtered out      {}", warm.excluded());
+    if excluded > 0 {
+        println!("filtered out      {excluded}");
     }
     println!("long per minute   {:.0}", stats.long_per_minute);
     println!("distinct patterns {}", stats.distinct_patterns);
@@ -824,6 +1007,12 @@ fn try_warm_analyze(args: &[String], path: &str, jobs: usize) -> Result<Option<E
     println!("mean tree size    {:.1}", stats.mean_tree_size);
     println!("mean tree depth   {:.1}", stats.mean_tree_depth);
     println!("outliers          {}", outliers.summary());
+    if let Some(check) = check {
+        println!(
+            "semantic check    {} error(s), {} warning(s), {} note(s)",
+            check.errors, check.warnings, check.notes
+        );
+    }
     if let Some(histogram) = histogram {
         println!("\nepisode duration distribution:");
         print!("{}", histogram.to_ascii(50));
@@ -832,187 +1021,84 @@ fn try_warm_analyze(args: &[String], path: &str, jobs: usize) -> Result<Option<E
             histogram.fraction_under(DurationNs::from_millis(128)) * 100.0
         );
     }
-    Ok(Some(ExitCode::SUCCESS))
+    Ok(input.exit_code())
 }
 
-/// Opens a corpus for the corpus-wide commands.
-fn open_corpus(path: &str) -> Result<CorpusReader, Failure> {
-    let bytes = fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    CorpusReader::open(bytes)
-        .map_err(|e| Failure::unrecoverable(format!("cannot load {path}: {e}")))
-}
+/// Per-member `(episodes, perceptible)` counts, the merged cross-session
+/// patterns and the filtered-out total of a whole corpus.
+type CorpusPatterns = (Vec<(usize, usize)>, MultiPatternSet, u64);
 
-/// Decodes every corpus session through the extent index (the cold
-/// path), honouring the ingest filter.
-fn decode_corpus_sessions(
-    reader: &CorpusReader,
-    filter: &EpisodeFilter,
-    jobs: usize,
-) -> Result<Vec<lagalyzer_model::SessionTrace>, lagalyzer_trace::TraceError> {
-    if filter.is_unrestricted() {
-        reader.par_decode(jobs)
-    } else {
-        reader
-            .sessions()
-            .map(|v| v.decode_filtered(jobs, filter))
-            .collect()
-    }
-}
-
-/// Opens `path` as a clean v2 binary trace carrying a validated rollup —
-/// the precondition for the zero-decode warm analysis path. `None`
-/// routes the caller down the cold decode path (text traces, corpora,
-/// `--salvage`, `--check`, `--no-cache`, missing or stale rollups).
-fn warm_trace(args: &[String], path: &str) -> Option<IndexedTrace> {
-    if opt_flag(args, "--no-cache") || opt_flag(args, "--salvage") || opt_flag(args, "--check") {
-        return None;
-    }
-    let bytes = fs::read(path).ok()?;
-    if !bytes.starts_with(b"LGLZTRC") {
-        return None;
-    }
-    let trace = IndexedTrace::open(bytes).ok()?;
-    trace.rollup()?;
-    Some(trace)
-}
-
-/// The analysis config and ingest filter shared by the warm entry points.
-fn warm_config(args: &[String]) -> Result<(AnalysisConfig, EpisodeFilter), Failure> {
-    let threshold = parse_u64(args, "--threshold-ms", 100)?;
-    Ok((
-        AnalysisConfig {
-            perceptible_threshold: DurationNs::from_millis(threshold),
-        },
-        parse_filter(args)?,
-    ))
-}
-
-/// Warm-corpus precondition: every session clean with a validated rollup
-/// (and the cache not disabled). Returns the per-session warm sessions
-/// in corpus order, or `None` to decode cold.
-fn warm_corpus_sessions<'a>(
-    args: &[String],
-    reader: &'a CorpusReader,
-    config: AnalysisConfig,
-    filter: &EpisodeFilter,
-) -> Option<Vec<WarmSession<'a>>> {
-    if opt_flag(args, "--no-cache") {
-        return None;
-    }
-    reader
-        .sessions()
-        .map(|view| WarmSession::of_corpus_session(&view, config, filter))
-        .collect()
-}
-
-/// Corpus-wide `analyze`: every session decoded through the corpus
-/// extent index, patterns mined across all of them through the mergeable
-/// multi-session path (byte-identical to mining the N files separately).
-fn cmd_analyze_corpus(args: &[String], path: &str, jobs: usize) -> Result<ExitCode, Failure> {
-    let format = opt_value(args, "--format").unwrap_or("text");
-    if format != "text" && format != "json" {
-        return Err(format!("unknown format {format:?}; expected text or json").into());
-    }
-    if opt_flag(args, "--check") {
-        return Err("--check is not supported on corpus files".into());
-    }
-    let threshold = DurationNs::from_millis(parse_u64(args, "--threshold-ms", 100)?);
-    let config = AnalysisConfig {
-        perceptible_threshold: threshold,
-    };
-    let filter = parse_filter(args)?;
-
-    struct Row {
-        application: String,
-        session: String,
-        episodes: usize,
-        perceptible: usize,
-        salvaged: bool,
-        damaged: bool,
-        compressed: bool,
-        health: String,
-    }
-    let reader = open_corpus(path)?;
-    let (rows, multi, excluded): (Vec<Row>, lagalyzer_core::MultiPatternSet, u64) =
-        match warm_corpus_sessions(args, &reader, config, &filter) {
-            Some(warms) => {
-                let rows = warms
-                    .iter()
-                    .zip(reader.sessions())
-                    .map(|(warm, view)| Row {
-                        application: warm.meta().application.clone(),
-                        session: warm.meta().session.to_string(),
-                        episodes: warm.len(),
-                        perceptible: (0..warm.len())
-                            .filter(|&i| warm.duration(i) >= threshold)
-                            .count(),
-                        salvaged: view.is_salvaged(),
-                        damaged: view.is_damaged(),
-                        compressed: view.is_compressed(),
-                        health: view.health().to_string(),
-                    })
-                    .collect();
-                let excluded = warms.iter().map(WarmSession::excluded).sum();
-                // Per-session warm mining is byte-identical to the cold
-                // per-session miner, so the merged set is too.
-                let sets: Vec<PatternSet> = warms
-                    .iter()
-                    .map(|w| w.mine_patterns_with_jobs(jobs))
-                    .collect();
-                eprintln!("rollup: cache hit ({} sessions, zero decode)", reader.len());
-                (
-                    rows,
-                    lagalyzer_core::MultiPatternSet::merge(&sets),
-                    excluded,
-                )
-            }
-            None => {
-                let excluded: u64 = reader
-                    .sessions()
-                    .map(|v| v.excluded_by(&filter) as u64)
-                    .sum();
-                let traces = decode_corpus_sessions(&reader, &filter, jobs)
-                    .map_err(|e| format!("cannot load {path}: {e}"))?;
-                let rows = traces
-                    .iter()
-                    .zip(reader.sessions())
-                    .map(|(trace, view)| Row {
-                        application: trace.meta().application.clone(),
-                        session: trace.meta().session.to_string(),
-                        episodes: trace.episodes().len(),
-                        perceptible: trace.perceptible_episodes(threshold).count(),
-                        salvaged: view.is_salvaged(),
-                        damaged: view.is_damaged(),
-                        compressed: view.is_compressed(),
-                        health: view.health().to_string(),
-                    })
-                    .collect();
-                let multi =
-                    lagalyzer_core::MultiPatternSet::mine_traces_with_jobs(traces, config, jobs);
-                (rows, multi, excluded)
-            }
-        };
-    let episodes: usize = rows.iter().map(|r| r.episodes).sum();
-    let perceptible: usize = rows.iter().map(|r| r.perceptible).sum();
-    let damaged = rows.iter().filter(|r| r.damaged).count();
-
-    if format == "json" {
-        let sessions_json: Vec<String> = rows
+/// A whole corpus's per-member `(episodes, perceptible)` counts, merged
+/// cross-session pattern table and filtered-out total — from the rollups
+/// when every member carries a valid one, else decoded cold. Warm
+/// per-session mining is byte-identical to the cold miner, so the merged
+/// set is too.
+fn corpus_patterns(input: &Input, reader: &CorpusReader) -> Result<CorpusPatterns, Failure> {
+    let (jobs, threshold) = (input.jobs, input.config.perceptible_threshold);
+    if let Some(warms) = input.warm_corpus() {
+        eprintln!("rollup: cache hit ({} sessions, zero decode)", warms.len());
+        let counts = warms
             .iter()
-            .enumerate()
-            .map(|(i, r)| {
+            .map(|w| {
+                let perceptible = (0..w.len()).filter(|&i| w.duration(i) >= threshold);
+                (w.len(), perceptible.count())
+            })
+            .collect();
+        let sets: Vec<PatternSet> = warms
+            .iter()
+            .map(|w| w.mine_patterns_with_jobs(jobs))
+            .collect();
+        let excluded = warms.iter().map(WarmSession::excluded).sum();
+        return Ok((counts, MultiPatternSet::merge(&sets), excluded));
+    }
+    let excluded = reader
+        .sessions()
+        .map(|view| view.source().excluded_by(&input.filter) as u64)
+        .sum();
+    let traces = input.decode_corpus(reader)?;
+    let counts = traces
+        .iter()
+        .map(|t| {
+            (
+                t.episodes().len(),
+                t.perceptible_episodes(threshold).count(),
+            )
+        })
+        .collect();
+    let multi = MultiPatternSet::mine_traces_with_jobs(traces, input.config, jobs);
+    Ok((counts, multi, excluded))
+}
+
+/// Corpus-wide `analyze`: one row per member session plus the merged
+/// cross-session patterns (byte-identical to mining the N files
+/// separately).
+fn analyze_corpus(
+    args: &[String],
+    input: &Input,
+    reader: &CorpusReader,
+) -> Result<ExitCode, Failure> {
+    let format = parse_format(args)?;
+    let (counts, multi, excluded) = corpus_patterns(input, reader)?;
+    let episodes: usize = counts.iter().map(|c| c.0).sum();
+    let perceptible: usize = counts.iter().map(|c| c.1).sum();
+    let damaged = reader.sessions().filter(SessionView::is_damaged).count();
+    if format == "json" {
+        let sessions_json: Vec<String> = reader
+            .sessions()
+            .zip(&counts)
+            .map(|(view, (episodes, perceptible))| {
+                let meta = view.source().meta();
                 format!(
-                    "{{\"index\":{i},\"application\":{},\"session\":{},\"episodes\":{},\
-                     \"perceptible\":{},\"salvaged\":{},\"damaged\":{},\"compressed\":{},\
+                    "{{\"index\":{},\"application\":{},\"session\":{},\"episodes\":{episodes},\
+                     \"perceptible\":{perceptible},\"salvaged\":{},\"damaged\":{},\"compressed\":{},\
                      \"health\":{}}}",
-                    json_str(&r.application),
-                    json_str(&r.session),
-                    r.episodes,
-                    r.perceptible,
-                    r.salvaged,
-                    r.damaged,
-                    r.compressed,
-                    json_str(&r.health),
+                    view.index(),
+                    json_string(&meta.application),
+                    json_string(&meta.session.to_string()),
+                    view.is_salvaged(),
+                    view.is_damaged(),
+                    view.is_compressed(),
+                    json_string(&view.health().to_string()),
                 )
             })
             .collect();
@@ -1029,7 +1115,7 @@ fn cmd_analyze_corpus(args: &[String], path: &str, jobs: usize) -> Result<ExitCo
             multi.stable_problems().len(),
         );
     } else {
-        println!("corpus            {path}");
+        println!("corpus            {}", input.path);
         println!("sessions          {}", reader.len());
         println!("episodes          {episodes}");
         println!("episodes >= 100ms {perceptible}");
@@ -1038,23 +1124,23 @@ fn cmd_analyze_corpus(args: &[String], path: &str, jobs: usize) -> Result<ExitCo
         }
         println!("global symbols    {}", reader.global_symbols().len());
         println!("damaged sessions  {damaged}");
-        for (i, r) in rows.iter().enumerate() {
+        for (view, (episodes, perceptible)) in reader.sessions().zip(&counts) {
+            let meta = view.source().meta();
             let mut notes = Vec::new();
-            if r.damaged {
+            if view.is_damaged() {
                 notes.push("damaged");
-            } else if r.salvaged {
+            } else if view.is_salvaged() {
                 notes.push("salvaged");
             }
-            if r.compressed {
+            if view.is_compressed() {
                 notes.push("compressed");
             }
             println!(
-                "  session {i:<3} {} {}  {:>6} episodes {:>5} perceptible  [{}]{}",
-                r.application,
-                r.session,
-                r.episodes,
-                r.perceptible,
-                r.health,
+                "  session {:<3} {} {}  {episodes:>6} episodes {perceptible:>5} perceptible  [{}]{}",
+                view.index(),
+                meta.application,
+                meta.session,
+                view.health(),
                 if notes.is_empty() {
                     String::new()
                 } else {
@@ -1069,126 +1155,62 @@ fn cmd_analyze_corpus(args: &[String], path: &str, jobs: usize) -> Result<ExitCo
         );
         println!("stable problems   {}", multi.stable_problems().len());
     }
-    Ok(ExitCode::from(reader.damage_verdict().exit_code()))
-}
-
-/// Corpus-wide `patterns`: the merged cross-session table.
-fn cmd_patterns_corpus(args: &[String], path: &str, jobs: usize) -> Result<ExitCode, Failure> {
-    let threshold = DurationNs::from_millis(parse_u64(args, "--threshold-ms", 100)?);
-    let config = AnalysisConfig {
-        perceptible_threshold: threshold,
-    };
-    let filter = parse_filter(args)?;
-    let reader = open_corpus(path)?;
-    let multi = match warm_corpus_sessions(args, &reader, config, &filter) {
-        Some(warms) => {
-            let sets: Vec<PatternSet> = warms
-                .iter()
-                .map(|w| w.mine_patterns_with_jobs(jobs))
-                .collect();
-            eprintln!("rollup: cache hit ({} sessions, zero decode)", reader.len());
-            lagalyzer_core::MultiPatternSet::merge(&sets)
-        }
-        None => {
-            let traces = decode_corpus_sessions(&reader, &filter, jobs)
-                .map_err(|e| format!("cannot load {path}: {e}"))?;
-            lagalyzer_core::MultiPatternSet::mine_traces_with_jobs(traces, config, jobs)
-        }
-    };
-    println!(
-        "{} sessions, {} merged patterns ({} recurring in every session)",
-        multi.sessions(),
-        multi.len(),
-        multi.recurring().count()
-    );
-    let perceptible_only = opt_flag(args, "--perceptible-only");
-    println!(
-        "{:>5} {:>5} {:>8} {:>12}  signature",
-        "eps", "perc", "sessions", "total lag"
-    );
-    for p in multi.patterns() {
-        if perceptible_only && p.total_perceptible() == 0 {
-            continue;
-        }
-        let sig: String = p.signature().as_str().chars().take(60).collect();
-        println!(
-            "{:>5} {:>5} {:>8} {:>12}  {sig}",
-            p.total_episodes(),
-            p.total_perceptible(),
-            p.session_coverage(),
-            p.total_lag().to_string(),
-        );
-    }
-    Ok(ExitCode::from(reader.damage_verdict().exit_code()))
+    Ok(input.exit_code())
 }
 
 fn cmd_patterns(args: &[String]) -> Result<ExitCode, Failure> {
-    let path = args.first().ok_or("patterns requires a trace file")?;
-    let jobs = parse_jobs(args)?;
-    if sniff_corpus(path) && opt_value(args, "--session").is_none() {
-        return cmd_patterns_corpus(args, path, jobs);
+    let input = Input::load(args, "patterns")?;
+    let perceptible_only = opt_flag(args, "--perceptible-only");
+    if let Some(reader) = input.corpus_wide() {
+        // The merged cross-session table.
+        let (_, multi, _) = corpus_patterns(&input, reader)?;
+        println!(
+            "{} sessions, {} merged patterns ({} recurring in every session)",
+            multi.sessions(),
+            multi.len(),
+            multi.recurring().count()
+        );
+        println!(
+            "{:>5} {:>5} {:>8} {:>12}  signature",
+            "eps", "perc", "sessions", "total lag"
+        );
+        for p in multi.patterns() {
+            if perceptible_only && p.total_perceptible() == 0 {
+                continue;
+            }
+            let sig: String = p.signature().as_str().chars().take(60).collect();
+            println!(
+                "{:>5} {:>5} {:>8} {:>12}  {sig}",
+                p.total_episodes(),
+                p.total_perceptible(),
+                p.session_coverage(),
+                p.total_lag().to_string(),
+            );
+        }
+        return Ok(input.exit_code());
     }
-    if let Some(code) = try_warm_patterns(args, path, jobs)? {
-        return Ok(code);
-    }
-    let session = session_from(args, path)?;
-    let patterns = session.mine_patterns_with_jobs(jobs);
-    let mut browser = PatternBrowser::new(&session, &patterns);
-    if opt_flag(args, "--perceptible-only") {
-        browser.perceptible_only(true);
-    }
-    if let Some(sort) = opt_value(args, "--sort") {
-        browser.sort_by(match sort {
-            "count" => SortBy::Count,
-            "total" => SortBy::TotalLag,
-            "max" => SortBy::MaxLag,
-            "perceptible" => SortBy::PerceptibleCount,
-            other => return Err(format!("unknown sort order {other:?}").into()),
-        });
-    }
-    print!("{}", browser.to_table());
-    Ok(exit_for(&session))
-}
-
-/// `patterns` over a persisted rollup: the browser table mined from
-/// summaries alone. `Ok(None)` falls back to the cold decode path.
-fn try_warm_patterns(
-    args: &[String],
-    path: &str,
-    jobs: usize,
-) -> Result<Option<ExitCode>, Failure> {
-    let Some(indexed) = warm_trace(args, path) else {
-        return Ok(None);
+    let sort = parse_sort(args)?;
+    let patterns = match input.warm() {
+        Some(warm) => {
+            eprintln!(
+                "rollup: cache hit ({} episode summaries, zero decode)",
+                warm.rollup().summaries.len()
+            );
+            warm.mine_patterns_with_jobs(input.jobs)
+        }
+        None => input.session()?.mine_patterns_with_jobs(input.jobs),
     };
-    let (config, filter) = warm_config(args)?;
-    let Some(warm) = WarmSession::of_indexed(&indexed, config, &filter) else {
-        return Ok(None);
-    };
-    let patterns = warm.mine_patterns_with_jobs(jobs);
+    // The table needs only the patterns: a set mined from a salvaged
+    // session carries the provenance note itself.
     let mut browser = PatternBrowser::of_patterns(&patterns);
-    if opt_flag(args, "--perceptible-only") {
-        browser.perceptible_only(true);
-    }
-    if let Some(sort) = opt_value(args, "--sort") {
-        browser.sort_by(match sort {
-            "count" => SortBy::Count,
-            "total" => SortBy::TotalLag,
-            "max" => SortBy::MaxLag,
-            "perceptible" => SortBy::PerceptibleCount,
-            other => return Err(format!("unknown sort order {other:?}").into()),
-        });
-    }
-    eprintln!(
-        "rollup: cache hit ({} episode summaries, zero decode)",
-        warm.rollup().summaries.len()
-    );
+    browser.perceptible_only(perceptible_only).sort_by(sort);
     print!("{}", browser.to_table());
-    Ok(Some(ExitCode::SUCCESS))
+    Ok(input.exit_code())
 }
 
 fn cmd_lint(args: &[String]) -> Result<ExitCode, Failure> {
-    let path = args.first().ok_or("lint requires a trace file")?;
-    let bytes = fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let path = first_path(args, "lint")?;
+    let bytes = read_input(path)?;
     if corpus::is_corpus(&bytes) {
         // Corpus: one index-health line per member session, then the
         // aggregate verdict. Exit codes follow the same 0/2/3 contract
@@ -1265,9 +1287,6 @@ fn cmd_lint(args: &[String]) -> Result<ExitCode, Failure> {
     }
 }
 
-/// Value-taking flags of the `check` subcommand.
-const CHECK_VALUE_FLAGS: &[&str] = &["--format", "--allow", "--deny", "--level", "--fix-report"];
-
 /// Builds the rule set for `check`, applying every `--allow CODE`,
 /// `--deny CODE` and `--level CODE=SEVERITY` override in turn. Rules may
 /// be named by code (`LA007`) or by name (`sub-floor-episode`).
@@ -1298,14 +1317,10 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, Failure> {
         }
         return Ok(ExitCode::SUCCESS);
     }
-    let positionals = positional_args(args, CHECK_VALUE_FLAGS);
-    let path = positionals.first().ok_or("check requires a trace file")?;
-    let format = opt_value(args, "--format").unwrap_or("text");
-    if format != "text" && format != "json" {
-        return Err(format!("unknown format {format:?}; expected text or json").into());
-    }
+    let path = first_path(args, "check")?;
+    let format = parse_format(args)?;
     let mut rules = check_ruleset(args)?;
-    let bytes = fs::read(path.as_str()).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let bytes = read_input(path)?;
     let report = check_bytes(&bytes, &mut rules)
         .map_err(|e| Failure::unrecoverable(format!("cannot check {path}: {e}")))?;
     if format == "json" {
@@ -1320,15 +1335,6 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, Failure> {
     }
     Ok(ExitCode::from(report.exit_code()))
 }
-
-/// Value-taking flags of the `hazards` subcommand.
-const HAZARD_VALUE_FLAGS: &[&str] = &[
-    "--format",
-    "--jobs",
-    "--explain",
-    "--min-samples",
-    "--starvation-streak",
-];
 
 /// Builds the hazard detection config from `--min-samples` and
 /// `--starvation-streak`.
@@ -1351,134 +1357,51 @@ fn parse_hazard_config(args: &[String]) -> Result<HazardConfig, Failure> {
 }
 
 fn cmd_hazards(args: &[String]) -> Result<ExitCode, Failure> {
-    let positionals = positional_args(args, HAZARD_VALUE_FLAGS);
-    let path = positionals.first().ok_or("hazards requires a trace file")?;
-    let format = opt_value(args, "--format").unwrap_or("text");
-    if format != "text" && format != "json" {
-        return Err(format!("unknown format {format:?}; expected text or json").into());
-    }
-    let jobs = parse_jobs(args)?;
+    let format = parse_format(args)?;
     let config = parse_hazard_config(args)?;
-    let salvage = opt_flag(args, "--salvage");
-    let bytes = fs::read(path.as_str()).map_err(|e| format!("cannot read {path}: {e}"))?;
-
-    if corpus::is_corpus(&bytes) {
-        // Corpus: per-session lock graphs re-interned through the
-        // corpus-wide symbol table, then the cross-session merge (LA025).
-        let reader = CorpusReader::open(bytes)
-            .map_err(|e| Failure::unrecoverable(format!("cannot load {path}: {e}")))?;
-        let mut traces = Vec::with_capacity(reader.len());
-        let mut damaged = false;
-        for k in 0..reader.len() {
-            let view = reader.session(k);
-            damaged |= view.is_damaged();
-            traces.push(
-                view.decode(jobs)
-                    .map_err(|e| format!("cannot load {path} session {k}: {e}"))?,
-            );
+    let input = Input::load(args, "hazards")?;
+    let (report, trace) = match input.corpus_wide() {
+        Some(reader) => {
+            // Corpus: per-session lock graphs re-interned through the
+            // corpus-wide symbol table, then the cross-session merge
+            // (LA025).
+            if opt_value(args, "--explain").is_some() {
+                return Err("--explain works on single traces, not corpora".into());
+            }
+            let traces = input.decode_corpus(reader)?;
+            let mut symbols = reader.global_symbols().clone();
+            let report = HazardReport::analyze_corpus(&traces, &mut symbols, input.jobs, &config);
+            (report, None)
         }
-        if opt_value(args, "--explain").is_some() {
-            return Err("--explain works on single traces, not corpora".into());
+        None => {
+            // Extents carry byte-span provenance only for `.lgz` inputs.
+            let (trace, _) = input.decode()?;
+            let report = HazardReport::analyze(&trace, input.file_extents(), input.jobs, &config);
+            (report, Some(trace))
         }
-        let mut symbols = reader.global_symbols().clone();
-        let report = HazardReport::analyze_corpus(&traces, &mut symbols, jobs, &config);
-        if format == "json" {
-            println!("{}", report.render_json(path));
-        } else {
-            print!("{}", report.render_text(path));
-        }
-        return Ok(if damaged {
-            ExitCode::from(EXIT_SALVAGED)
-        } else {
-            ExitCode::SUCCESS
-        });
-    }
-
-    // Single trace: binary traces go through the extent index (byte-span
-    // provenance, subset re-decode for --explain); text traces decode
-    // serially without spans.
-    let indexed: Option<IndexedTrace> = if bytes.starts_with(b"LGLZTRC") {
-        Some(if salvage {
-            IndexedTrace::open_salvage(bytes.clone())
-                .map_err(|e| Failure::unrecoverable(format!("cannot salvage {path}: {e}")))?
-        } else {
-            IndexedTrace::open(bytes.clone()).map_err(|e| format!("cannot load {path}: {e}"))?
-        })
-    } else {
-        None
     };
-    let (trace, salvaged) = match &indexed {
-        Some(ix) => (
-            ix.par_decode(jobs)
-                .map_err(|e| format!("cannot load {path}: {e}"))?,
-            ix.salvage_report().is_some(),
-        ),
-        None if salvage => {
-            let out = lagalyzer_trace::read_bytes_salvage(&bytes)
-                .map_err(|e| Failure::unrecoverable(format!("cannot salvage {path}: {e}")))?;
-            let salvaged = !out.report.skips.is_empty() || out.report.episodes_lost > 0;
-            (out.trace, salvaged)
-        }
-        None => (
-            lagalyzer_trace::read_bytes(&bytes).map_err(|e| format!("cannot load {path}: {e}"))?,
-            false,
-        ),
-    };
-    let report = HazardReport::analyze(
-        &trace,
-        indexed.as_ref().map(IndexedTrace::extents),
-        jobs,
-        &config,
-    );
     if format == "json" {
-        println!("{}", report.render_json(path));
+        println!("{}", report.render_json(&input.path));
     } else {
-        print!("{}", report.render_text(path));
+        print!("{}", report.render_text(&input.path));
     }
-    if let Some(v) = opt_value(args, "--explain") {
-        let index: usize = v
-            .parse()
-            .map_err(|_| format!("--explain expects a finding index, got {v:?}"))?;
-        let finding = report.findings.get(index).ok_or_else(|| {
-            format!(
-                "report has {} finding(s), no index {index}",
-                report.findings.len()
-            )
-        })?;
-        explain_hazard(&trace, indexed.as_ref(), finding, jobs)?;
+    if let (Some(finding), Some(trace)) = (explained(args, &report.findings)?, &trace) {
+        explain_hazard(&input, trace, finding)?;
     }
-    Ok(if salvaged {
-        ExitCode::from(EXIT_SALVAGED)
-    } else {
-        ExitCode::SUCCESS
-    })
+    Ok(input.exit_code())
 }
 
 /// Deep-dive for one hazard finding: the episode's contended waits and an
-/// ASCII sketch. On an indexed binary trace the flagged episode is
-/// re-decoded alone through [`IndexedTrace::par_decode_subset`] — the
-/// skip-decode path the finding's byte span points at.
+/// ASCII sketch, the episode re-decoded alone from its extent.
 fn explain_hazard(
-    trace: &lagalyzer_model::SessionTrace,
-    indexed: Option<&IndexedTrace>,
-    finding: &lagalyzer_check::Diagnostic,
-    jobs: usize,
+    input: &Input,
+    trace: &SessionTrace,
+    finding: &Diagnostic,
 ) -> Result<(), Failure> {
     let id = finding
         .episode_id
         .ok_or("this finding is graph-wide, not tied to one episode")?;
-    let subset_decoded: Option<Episode> = indexed.and_then(|ix| {
-        let pos = ix.extents().iter().position(|e| e.id == id)?;
-        ix.par_decode_subset(jobs, &[pos]).ok()?.pop()
-    });
-    let episode = match &subset_decoded {
-        Some(e) => e,
-        None => trace
-            .episodes()
-            .iter()
-            .find(|e| e.id() == id)
-            .ok_or("finding points outside the decoded session")?,
-    };
+    let episode = input.explain_episode(id, trace.episodes())?;
     let symbols = trace.symbols();
     println!(
         "\nepisode {} — {}: {}",
@@ -1486,7 +1409,7 @@ fn explain_hazard(
         finding.code,
         finding.message
     );
-    let waits = lagalyzer_model::lockgraph::extract_waits(episode);
+    let waits = lagalyzer_model::lockgraph::extract_waits(&episode);
     if waits.is_empty() {
         println!("contended waits: none");
     } else {
@@ -1501,25 +1424,9 @@ fn explain_hazard(
             );
         }
     }
-    print!("{}", ascii_sketch(episode, symbols, 100));
+    print!("{}", ascii_sketch(&episode, symbols, 100));
     Ok(())
 }
-
-/// Value-taking flags of the `outliers` subcommand (on top of the shared
-/// trace-loading ones).
-const OUTLIER_VALUE_FLAGS: &[&str] = &[
-    "--threshold-ms",
-    "--jobs",
-    "--min-lag",
-    "--since-ms",
-    "--until-ms",
-    "--session",
-    "--format",
-    "--mad-k",
-    "--min-excess-ms",
-    "--min-count",
-    "--explain",
-];
 
 /// Builds the outlier detection config from `--mad-k`, `--min-excess-ms`
 /// and `--min-count`.
@@ -1550,155 +1457,46 @@ fn parse_outlier_config(args: &[String]) -> Result<OutlierConfig, Failure> {
 }
 
 fn cmd_outliers(args: &[String]) -> Result<ExitCode, Failure> {
-    let positionals = positional_args(args, OUTLIER_VALUE_FLAGS);
-    let path = positionals
-        .first()
-        .ok_or("outliers requires a trace file")?;
-    let format = opt_value(args, "--format").unwrap_or("text");
-    if format != "text" && format != "json" {
-        return Err(format!("unknown format {format:?}; expected text or json").into());
-    }
-    let jobs = parse_jobs(args)?;
+    let format = parse_format(args)?;
     let config = parse_outlier_config(args)?;
-    if let Some(code) = try_warm_outliers(args, path, jobs, &config, format)? {
-        return Ok(code);
-    }
-    let session = session_from(args, path)?;
-    let patterns = session.mine_patterns_with_jobs(jobs);
-    let mut report = OutlierReport::analyze_with_jobs(&session, &patterns, &config, jobs);
-
-    // On indexed binary traces, stamp each finding with the byte span of
-    // its episode's records (same provenance `check` diagnostics carry),
-    // and keep the index around so `--explain` can re-decode a flagged
-    // episode without touching any other extent.
-    let indexed: Option<IndexedTrace> = match fs::read(path.as_str()) {
-        Ok(bytes) if bytes.starts_with(b"LGLZTRC") => {
-            if opt_flag(args, "--salvage") {
-                IndexedTrace::open_salvage(bytes).ok()
-            } else {
-                IndexedTrace::open(bytes).ok()
-            }
+    let input = Input::load(args, "outliers")?;
+    let jobs = input.jobs;
+    // Warm: detection, medians, baselines and causes from summaries; only
+    // flagged lock/wait episodes are re-decoded for their wait graphs.
+    let warm = input.warm().and_then(|warm| {
+        let patterns = warm.mine_patterns_with_jobs(jobs);
+        let decode = |positions: &[usize]| input.decode_subset(positions);
+        let report = warm.outliers(&patterns, &config, &decode)?;
+        eprintln!(
+            "rollup: cache hit ({} episode summaries, decoded only flagged lock/wait)",
+            warm.rollup().summaries.len()
+        );
+        Some((report, warm.symbols()))
+    });
+    let mut cold = None;
+    let (mut report, symbols, session) = match warm {
+        Some((report, symbols)) => (report, symbols, None),
+        None => {
+            let session: &AnalysisSession = cold.insert(input.session()?);
+            let patterns = session.mine_patterns_with_jobs(jobs);
+            let report = OutlierReport::analyze_with_jobs(session, &patterns, &config, jobs);
+            (report, session.trace().symbols(), Some(session))
         }
-        _ => None,
     };
-    if let Some(indexed) = &indexed {
-        report.attach_spans(|id| {
-            indexed
-                .extents()
-                .iter()
-                .find(|e| e.id == id)
-                .map(|e| (e.offset, e.offset + e.len))
-        });
-    }
-
+    // Each finding carries the byte span of its episode's records (the
+    // provenance `check` diagnostics carry too).
+    report.attach_spans(|id| input.span_of(id));
     if format == "json" {
-        println!("{}", report.render_json(session.trace().symbols()));
+        println!("{}", report.render_json(symbols));
     } else {
-        print!("{}", report.render_text(session.trace().symbols()));
+        print!("{}", report.render_text(symbols));
     }
-
-    if let Some(v) = opt_value(args, "--explain") {
-        let index: usize = v
-            .parse()
-            .map_err(|_| format!("--explain expects a finding index, got {v:?}"))?;
-        let finding = report
-            .findings()
-            .get(index)
-            .ok_or_else(|| format!("report has {} finding(s), no index {index}", report.len()))?;
-        explain_finding(&session, indexed.as_ref(), finding, jobs)?;
+    if let Some(finding) = explained(args, report.findings())? {
+        let decoded = session.map_or(&[][..], AnalysisSession::episodes);
+        let episode = input.explain_episode(finding.episode_id, decoded)?;
+        print_explanation(&episode, symbols, finding);
     }
-    Ok(exit_for(&session))
-}
-
-/// `outliers` over a persisted rollup: detection, medians, baselines and
-/// cause attribution all come from summaries; only flagged lock/wait
-/// episodes are re-decoded (through the subset decoder) for their wait
-/// graphs. `Ok(None)` falls back to the cold decode path.
-fn try_warm_outliers(
-    args: &[String],
-    path: &str,
-    jobs: usize,
-    config: &OutlierConfig,
-    format: &str,
-) -> Result<Option<ExitCode>, Failure> {
-    let Some(indexed) = warm_trace(args, path) else {
-        return Ok(None);
-    };
-    let (analysis_config, filter) = warm_config(args)?;
-    let Some(warm) = WarmSession::of_indexed(&indexed, analysis_config, &filter) else {
-        return Ok(None);
-    };
-    let patterns = warm.mine_patterns_with_jobs(jobs);
-    let decode = |positions: &[usize]| indexed.par_decode_subset(jobs, positions).ok();
-    let Some(mut report) = warm.outliers(&patterns, config, &decode) else {
-        return Ok(None);
-    };
-    report.attach_spans(|id| {
-        indexed
-            .extents()
-            .iter()
-            .find(|e| e.id == id)
-            .map(|e| (e.offset, e.offset + e.len))
-    });
-    eprintln!(
-        "rollup: cache hit ({} episode summaries, decoded only flagged lock/wait)",
-        warm.rollup().summaries.len()
-    );
-    if format == "json" {
-        println!("{}", report.render_json(warm.symbols()));
-    } else {
-        print!("{}", report.render_text(warm.symbols()));
-    }
-    if let Some(v) = opt_value(args, "--explain") {
-        let index: usize = v
-            .parse()
-            .map_err(|_| format!("--explain expects a finding index, got {v:?}"))?;
-        let finding = report
-            .findings()
-            .get(index)
-            .ok_or_else(|| format!("report has {} finding(s), no index {index}", report.len()))?;
-        let pos = indexed
-            .extents()
-            .iter()
-            .position(|e| e.id == finding.episode_id)
-            .ok_or("finding points outside the extent index")?;
-        let episode = indexed
-            .par_decode_subset(jobs, &[pos])
-            .map_err(|e| e.to_string())?
-            .pop()
-            .ok_or("flagged episode missing from the subset decode")?;
-        print_explanation(&episode, warm.symbols(), finding);
-    }
-    Ok(Some(ExitCode::SUCCESS))
-}
-
-/// Prints the deep-dive for one finding: the wait-edge evidence and an
-/// ASCII sketch. On an indexed binary trace the episode is re-decoded
-/// through [`IndexedTrace::par_decode_subset`] — only the flagged extent's
-/// bytes are touched, demonstrating the skip-decode path the report's byte
-/// spans point at.
-fn explain_finding(
-    session: &AnalysisSession,
-    indexed: Option<&IndexedTrace>,
-    finding: &lagalyzer_core::OutlierFinding,
-    jobs: usize,
-) -> Result<ExitCode, Failure> {
-    let subset_decoded: Option<Episode> = indexed.and_then(|ix| {
-        let pos = ix
-            .extents()
-            .iter()
-            .position(|e| e.id == finding.episode_id)?;
-        ix.par_decode_subset(jobs, &[pos]).ok()?.pop()
-    });
-    let episode = match &subset_decoded {
-        Some(e) => e,
-        None => session
-            .episodes()
-            .get(finding.episode_index)
-            .ok_or("finding points outside the decoded session")?,
-    };
-    print_explanation(episode, session.trace().symbols(), finding);
-    Ok(ExitCode::SUCCESS)
+    Ok(input.exit_code())
 }
 
 /// The deep-dive body shared by the warm and cold `--explain` paths.
@@ -1737,29 +1535,22 @@ fn print_explanation(
 }
 
 fn cmd_sketch(args: &[String]) -> Result<ExitCode, Failure> {
-    let path = args.first().ok_or("sketch requires a trace file")?;
-    // Random access: a plain `--episode N` on an unfiltered binary trace
-    // decodes just that episode through the extent index instead of the
-    // whole file.
-    if opt_value(args, "--pattern").is_none() && !opt_flag(args, "--salvage") {
-        let filter = parse_filter(args)?;
-        let bytes = fs::read(path).map_err(|e| format!("cannot load {path}: {e}"))?;
-        if bytes.starts_with(b"LGLZTRC") && filter.is_unrestricted() {
-            let indexed =
-                IndexedTrace::open(bytes).map_err(|e| format!("cannot load {path}: {e}"))?;
-            let index = parse_u64(args, "--episode", 0)? as usize;
-            if index >= indexed.len() {
-                return Err(
-                    format!("trace has {} episodes, no index {index}", indexed.len()).into(),
-                );
-            }
-            let episode = indexed
-                .decode_episode(index)
-                .map_err(|e| format!("cannot load {path}: {e}"))?;
-            return render_episode_sketch(args, &episode, indexed.symbols(), index);
+    let input = Input::load(args, "sketch")?;
+    // Random access: a plain `--episode N` on an unfiltered, strictly
+    // opened indexed input decodes just that episode, not the whole file.
+    let random_access = opt_value(args, "--pattern").is_none() && input.filter.is_unrestricted();
+    if let Some(source) = input.source().filter(|s| random_access && !s.is_lenient()) {
+        let index = parse_u64(args, "--episode", 0)? as usize;
+        if index >= source.len() {
+            return Err(format!("trace has {} episodes, no index {index}", source.len()).into());
         }
+        let episode = source
+            .decode_episode(index)
+            .map_err(|e| format!("cannot load {}: {e}", input.path))?;
+        render_episode_sketch(args, &episode, source.symbols(), index)?;
+        return Ok(input.exit_code());
     }
-    let session = session_from(args, path)?;
+    let session = input.session()?;
     // --pattern N selects the first episode of the N-th pattern (what the
     // paper's pattern browser shows on selection); --episode N selects by
     // dispatch order.
@@ -1785,17 +1576,14 @@ fn cmd_sketch(args: &[String]) -> Result<ExitCode, Failure> {
                 session.trace().symbols(),
                 &SketchOptions::default(),
             );
-            return match opt_value(args, "--out") {
+            match opt_value(args, "--out") {
                 Some(out) => {
                     fs::write(out, svg).map_err(|e| format!("cannot write {out}: {e}"))?;
                     println!("wrote gallery of {} episodes to {out}", episodes.len());
-                    Ok(ExitCode::SUCCESS)
                 }
-                None => {
-                    println!("{svg}");
-                    Ok(ExitCode::SUCCESS)
-                }
-            };
+                None => println!("{svg}"),
+            }
+            return Ok(input.exit_code());
         }
         pattern.episode_indices()[0]
     } else {
@@ -1807,7 +1595,8 @@ fn cmd_sketch(args: &[String]) -> Result<ExitCode, Failure> {
             session.episodes().len()
         )
     })?;
-    render_episode_sketch(args, episode, session.trace().symbols(), index)
+    render_episode_sketch(args, episode, session.trace().symbols(), index)?;
+    Ok(input.exit_code())
 }
 
 fn render_episode_sketch(
@@ -1815,10 +1604,10 @@ fn render_episode_sketch(
     episode: &Episode,
     symbols: &SymbolTable,
     index: usize,
-) -> Result<ExitCode, Failure> {
+) -> Result<(), Failure> {
     if opt_flag(args, "--ascii") {
         print!("{}", ascii_sketch(episode, symbols, 100));
-        return Ok(ExitCode::SUCCESS);
+        return Ok(());
     }
     let svg = render_sketch(episode, symbols, &SketchOptions::default());
     match opt_value(args, "--out") {
@@ -1828,13 +1617,12 @@ fn render_episode_sketch(
         }
         None => println!("{svg}"),
     }
-    Ok(ExitCode::SUCCESS)
+    Ok(())
 }
 
 fn cmd_timeline(args: &[String]) -> Result<ExitCode, Failure> {
-    let path = args.first().ok_or("timeline requires a trace file")?;
-    let session = session_from(args, path)?;
-    let svg = render_timeline(&session, &TimelineOptions::default());
+    let input = Input::load(args, "timeline")?;
+    let svg = render_timeline(&input.session()?, &TimelineOptions::default());
     match opt_value(args, "--out") {
         Some(out) => {
             fs::write(out, svg).map_err(|e| format!("cannot write {out}: {e}"))?;
@@ -1842,20 +1630,16 @@ fn cmd_timeline(args: &[String]) -> Result<ExitCode, Failure> {
         }
         None => println!("{svg}"),
     }
-    Ok(ExitCode::SUCCESS)
+    Ok(input.exit_code())
 }
 
 fn cmd_stable(args: &[String]) -> Result<ExitCode, Failure> {
-    let paths = positional_args(args, VALUE_FLAGS);
+    let paths = positional_args(args);
     if paths.is_empty() {
         return Err("stable requires at least one trace file".into());
     }
-    let jobs = parse_jobs(args)?;
-    let sessions: Vec<AnalysisSession> = paths
-        .iter()
-        .map(|p| session_from(args, p))
-        .collect::<Result<_, _>>()?;
-    let multi = lagalyzer_core::MultiPatternSet::mine_with_jobs(&sessions, jobs);
+    let (sessions, code) = load_sessions(args, &paths)?;
+    let multi = MultiPatternSet::mine_with_jobs(&sessions, parse_jobs(args)?);
     println!(
         "{} traces, {} merged patterns ({} recurring in every trace)",
         sessions.len(),
@@ -1876,17 +1660,20 @@ fn cmd_stable(args: &[String]) -> Result<ExitCode, Failure> {
     if problems.is_empty() {
         println!("  (none)");
     }
-    Ok(ExitCode::SUCCESS)
+    Ok(code)
 }
 
 fn cmd_diff(args: &[String]) -> Result<ExitCode, Failure> {
-    let paths = positional_args(args, VALUE_FLAGS);
-    let [baseline_path, candidate_path] = paths.as_slice() else {
-        return Err("diff requires exactly two trace files: BASELINE CANDIDATE".into());
+    let paths = positional_args(args);
+    let usage = "diff requires exactly two trace files: BASELINE CANDIDATE";
+    if paths.len() != 2 {
+        return Err(usage.into());
+    }
+    let (sessions, code) = load_sessions(args, &paths)?;
+    let [baseline, candidate] = sessions.as_slice() else {
+        return Err(usage.into());
     };
-    let baseline = session_from(args, baseline_path)?;
-    let candidate = session_from(args, candidate_path)?;
-    let diff = lagalyzer_core::SessionDiff::between(&baseline, &candidate);
+    let diff = lagalyzer_core::SessionDiff::between(baseline, candidate);
     const TOLERANCE: f64 = 0.20;
     println!("{}", diff.summary(TOLERANCE));
     let trim = |sig: &lagalyzer_core::ShapeSignature| -> String {
@@ -1932,7 +1719,7 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, Failure> {
             println!("  {eps:>5} {perc:>4}  {}", trim(sig));
         }
     }
-    Ok(ExitCode::SUCCESS)
+    Ok(code)
 }
 
 fn cmd_experiments(args: &[String]) -> Result<ExitCode, Failure> {

@@ -682,3 +682,47 @@ fn help_documents_check() {
     assert!(out.contains("--fix-report"));
     assert!(out.contains("analyze --check"));
 }
+
+/// The input path may follow value-taking flags: every single-input
+/// command finds it among the positional arguments, so `--jobs 1 FILE`
+/// answers exactly like `FILE --jobs 1`.
+#[test]
+fn path_may_follow_value_flags() {
+    let dir = std::env::temp_dir().join(format!("lagalyzer-cli-order-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("t.lgz");
+    let trace = trace.to_str().unwrap();
+    run_ok(&[
+        "simulate",
+        "--app",
+        "CrosswordSage",
+        "--seed",
+        "5",
+        "--out",
+        trace,
+    ]);
+    for (command, extra) in [
+        ("analyze", &[][..]),
+        ("patterns", &["--sort", "total"][..]),
+        ("sketch", &["--episode", "1", "--ascii"][..]),
+        ("timeline", &[][..]),
+        ("lint", &[][..]),
+    ] {
+        let mut path_first = vec![command, trace, "--jobs", "1"];
+        path_first.extend_from_slice(extra);
+        let mut flags_first = vec![command, "--jobs", "1"];
+        flags_first.extend_from_slice(extra);
+        flags_first.push(trace);
+        let a = lagalyzer().args(&path_first).output().unwrap();
+        let b = lagalyzer().args(&flags_first).output().unwrap();
+        assert_eq!(a.status.code(), Some(0), "{command}: path first");
+        assert_eq!(
+            a.status.code(),
+            b.status.code(),
+            "{command}: exit differs, stderr: {}",
+            String::from_utf8_lossy(&b.stderr)
+        );
+        assert_eq!(a.stdout, b.stdout, "{command}: stdout differs");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -254,6 +254,86 @@ fn session_selector_matches_single_file_analysis() {
     );
 }
 
+/// `--session K` answers warm from the member's rollup: for every clean
+/// member, `analyze`, `patterns` and `outliers` print exactly what the
+/// member `.lgz` and the cold `--no-cache` decode print, at any `--jobs`,
+/// and announce the cache hit. The salvaged member stays cold and exits 2.
+#[test]
+fn session_selector_answers_warm_from_the_member_rollup() {
+    if std::env::var_os("LAGALYZER_REGEN_CORPUS").is_some() {
+        return; // the fixture is being rewritten concurrently
+    }
+    let corpus_path = corpus_dir().join("corpus.lgzc");
+    let corpus_path = corpus_path.to_str().unwrap();
+    for command in ["analyze", "patterns", "outliers"] {
+        for jobs in ["1", "2"] {
+            for (i, name) in CLEAN_MEMBERS.iter().enumerate() {
+                let k = i.to_string();
+                let member_path = corpus_dir().join(name);
+                let member = lagalyzer(&[command, member_path.to_str().unwrap(), "--jobs", jobs]);
+                let warm = lagalyzer(&[command, corpus_path, "--session", &k, "--jobs", jobs]);
+                let cold = lagalyzer(&[
+                    command,
+                    corpus_path,
+                    "--session",
+                    &k,
+                    "--jobs",
+                    jobs,
+                    "--no-cache",
+                ]);
+                let ctx = format!("{command} --session {k} --jobs {jobs}");
+                assert_eq!(warm.status.code(), Some(0), "{ctx}");
+                assert_eq!(cold.status.code(), Some(0), "{ctx} --no-cache");
+                assert_eq!(warm.stdout, member.stdout, "{ctx}: differs from {name}");
+                assert_eq!(warm.stdout, cold.stdout, "{ctx}: differs from --no-cache");
+                let err = String::from_utf8_lossy(&warm.stderr);
+                assert!(err.contains("rollup: cache hit"), "{ctx}: {err}");
+                let cold_err = String::from_utf8_lossy(&cold.stderr);
+                assert!(!cold_err.contains("rollup: cache hit"), "{ctx}: {cold_err}");
+            }
+            let salvaged = lagalyzer(&[command, corpus_path, "--session", "3", "--jobs", jobs]);
+            assert_eq!(salvaged.status.code(), Some(2), "{command} --session 3");
+            let err = String::from_utf8_lossy(&salvaged.stderr);
+            assert!(
+                !err.contains("rollup: cache hit"),
+                "{command} --session 3: {err}"
+            );
+        }
+    }
+
+    // The fixtures trace no short episodes; simulated sessions do, and a
+    // warm member must report the counters its directory entry carries.
+    let simulated = scratch_dir().join("short-counters.lgzc");
+    let simulated = simulated.to_str().unwrap();
+    let output = lagalyzer(&[
+        "simulate",
+        "--app",
+        "CrosswordSage",
+        "--seed",
+        "11",
+        "--sessions",
+        "2",
+        "--out",
+        simulated,
+    ]);
+    assert_eq!(output.status.code(), Some(0), "{output:?}");
+    for k in ["0", "1"] {
+        let warm = lagalyzer(&["analyze", simulated, "--session", k, "--histogram"]);
+        let cold = lagalyzer(&[
+            "analyze",
+            simulated,
+            "--session",
+            k,
+            "--histogram",
+            "--no-cache",
+        ]);
+        assert!(String::from_utf8_lossy(&warm.stderr).contains("rollup: cache hit"));
+        let stdout = String::from_utf8(warm.stdout).unwrap();
+        assert!(!stdout.contains("episodes < 3ms    0\n"), "{stdout}");
+        assert_eq!(stdout.as_bytes(), cold.stdout, "--session {k}");
+    }
+}
+
 /// `pack` through the binary, then corpus-wide `analyze` at several job
 /// counts: byte-identical stdout, and the pack summary reports the
 /// symbol dedup.

@@ -258,3 +258,24 @@ proptest! {
         }
     }
 }
+
+/// `--salvage` on a clean trace changes nothing: the exit code comes from
+/// the same damage verdict as every other subcommand's, so a clean input
+/// exits 0 with the strict run's exact report, and only real damage
+/// exits 2.
+#[test]
+fn salvage_flag_on_a_clean_trace_is_a_no_op() {
+    let dir = corpus_dir();
+    for name in ["gc-storm.lgz", "lock-contention.lgz", "slow-io.lgz"] {
+        let path = dir.join(name);
+        let path = path.to_str().unwrap();
+        let strict = lagalyzer(&["hazards", path, "--format", "json"]);
+        let salvage = lagalyzer(&["hazards", path, "--format", "json", "--salvage"]);
+        assert_eq!(strict.status.code(), Some(0), "{name}");
+        assert_eq!(salvage.status.code(), Some(0), "{name}: --salvage exit");
+        assert_eq!(strict.stdout, salvage.stdout, "{name}: --salvage stdout");
+    }
+    let damaged = dir.join("salvaged-lock-contention.lgz");
+    let output = lagalyzer(&["hazards", damaged.to_str().unwrap(), "--salvage"]);
+    assert_eq!(output.status.code(), Some(2), "real damage still exits 2");
+}

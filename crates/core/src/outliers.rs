@@ -24,8 +24,8 @@
 use std::fmt;
 
 use lagalyzer_model::{
-    DurationNs, Episode, EpisodeId, IntervalKind, MethodRef, SymbolTable, ThreadId, ThreadState,
-    WaitGraph,
+    json_string, DurationNs, Episode, EpisodeId, IntervalKind, MethodRef, SymbolTable, ThreadId,
+    ThreadState, WaitGraph,
 };
 
 use crate::parallel::map_shards;
@@ -584,7 +584,7 @@ impl OutlierReport {
                 f.excess.as_nanos(),
                 f.cause.code(),
             ));
-            json_string(f.cause.label(), &mut out);
+            out.push_str(&json_string(f.cause.label()));
             out.push_str(&format!(",\"delta_ns\":{}", f.cause_delta.as_nanos()));
             out.push_str(",\"breakdown\":");
             json_breakdown(&f.breakdown, &mut out);
@@ -601,7 +601,7 @@ impl OutlierReport {
                     ));
                     match c.frame {
                         None => out.push_str("null"),
-                        Some(m) => json_string(&symbols.render(m), &mut out),
+                        Some(m) => out.push_str(&json_string(&symbols.render(m))),
                     }
                     out.push('}');
                 }
@@ -738,23 +738,6 @@ fn json_breakdown(b: &LagBreakdown, out: &mut String) {
     ));
 }
 
-/// Appends `s` as a JSON string literal (quoted, escaped).
-fn json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -820,12 +803,5 @@ mod tests {
             assert!(c.code().starts_with("OC-"));
         }
         assert_eq!(CauseCode::from_code("OC-NOPE"), None);
-    }
-
-    #[test]
-    fn json_string_escapes() {
-        let mut out = String::new();
-        json_string("a\"b\\c\nd\u{1}", &mut out);
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
     }
 }

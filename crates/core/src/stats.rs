@@ -2,6 +2,7 @@
 
 use lagalyzer_model::DurationNs;
 
+use crate::patterns::PatternSet;
 use crate::session::AnalysisSession;
 
 /// The Table III columns for one session.
@@ -42,8 +43,17 @@ impl SessionStats {
     /// both merges are exact, so the row is byte-identical to
     /// [`SessionStats::compute`] for any `jobs`.
     pub fn compute_with_jobs(session: &AnalysisSession, jobs: usize) -> SessionStats {
+        SessionStats::compute_from(session, &session.mine_patterns_with_jobs(jobs), jobs)
+    }
+
+    /// [`SessionStats::compute_with_jobs`] over an already-mined pattern
+    /// set, so a caller that needs the patterns too mines them once.
+    pub fn compute_from(
+        session: &AnalysisSession,
+        patterns: &PatternSet,
+        jobs: usize,
+    ) -> SessionStats {
         let trace = session.trace();
-        let patterns = session.mine_patterns_with_jobs(jobs);
         let perceptible_count: u64 =
             crate::parallel::map_shards(session.episodes().len(), jobs, |range| {
                 session.episodes()[range]

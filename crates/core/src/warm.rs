@@ -11,16 +11,17 @@
 //! need sample snapshots for culprit attribution) trigger a targeted
 //! re-decode of their extents, supplied by the caller.
 //!
-//! A warm session only engages on *clean* inputs: salvaged or damaged
-//! traces fall back to the cold path, as do stale rollups (the trace
-//! layer already drops rollups whose content checksum does not match the
-//! episode payload region, so `rollup()` returning `Some` implies a
-//! validated cache).
+//! A warm session is built from a [`SessionSource`], so `.lgz` files and
+//! corpus members take the same path. It only engages on *clean* inputs:
+//! salvaged or damaged sessions fall back to the cold path, as do stale
+//! rollups (the trace layer already drops rollups whose content checksum
+//! does not match the episode payload, so `rollup()` returning `Some`
+//! implies a validated cache).
 
 use lagalyzer_model::{DurationNs, Episode, SessionMeta, SymbolTable, WaitGraph};
-use lagalyzer_trace::corpus::SessionView;
-use lagalyzer_trace::index::{EpisodeExtent, EpisodeFilter, IndexedTrace};
+use lagalyzer_trace::index::{EpisodeFilter, IndexedTrace};
 use lagalyzer_trace::rollup::Rollup;
+use lagalyzer_trace::SessionSource;
 
 use crate::histogram::DurationHistogram;
 use crate::outliers::{
@@ -34,12 +35,11 @@ use crate::stats::SessionStats;
 
 /// A clean session reconstructed from its persisted rollup: extents for
 /// durations and time placement, summaries for everything the decoded
-/// trees would have provided.
+/// trees would have provided, and the session-level short-episode
+/// counters from the source.
 pub struct WarmSession<'a> {
-    meta: &'a SessionMeta,
-    symbols: &'a SymbolTable,
+    source: SessionSource<'a>,
     rollup: &'a Rollup,
-    extents: &'a [EpisodeExtent],
     /// Extent positions admitted by the ingest filter, ascending. Warm
     /// episode index `i` corresponds to the cold filtered session's
     /// `episodes()[i]`.
@@ -47,82 +47,27 @@ pub struct WarmSession<'a> {
     /// Summarized episodes in admitted order, borrowing token streams
     /// from the rollup's shape table.
     summarized: Vec<SummarizedEpisode<'a>>,
-    excluded: u64,
-    short_count: u64,
-    short_time: DurationNs,
     config: AnalysisConfig,
 }
 
 impl<'a> WarmSession<'a> {
-    /// Builds a warm session over a clean indexed trace with a validated
-    /// rollup. `None` when the trace was salvaged or carries no usable
-    /// rollup — callers fall back to the cold decode path.
-    pub fn of_indexed(
-        trace: &'a IndexedTrace,
+    /// Builds a warm session over a clean session source — a `.lgz` file
+    /// or a corpus member — with a validated rollup. `None` when the
+    /// session was salvaged or carries no usable rollup; callers fall back
+    /// to the cold decode path.
+    pub fn of_source(
+        source: SessionSource<'a>,
         config: AnalysisConfig,
         filter: &EpisodeFilter,
     ) -> Option<WarmSession<'a>> {
-        if trace.salvage_report().is_some() {
+        if source.is_lenient() {
             return None;
         }
-        let rollup = trace.rollup()?;
-        Some(WarmSession::assemble(
-            trace.meta(),
-            trace.symbols(),
-            rollup,
-            trace.extents(),
-            trace.short_episode_count(),
-            trace.short_episode_time(),
-            config,
-            filter,
-        ))
-    }
-
-    /// Builds a warm session over a clean corpus session with a validated
-    /// rollup. `None` when the session was salvaged, damaged, or carries
-    /// no usable rollup.
-    ///
-    /// Corpus entries do not expose the payload-resident short-episode
-    /// counters without a decode, so warm corpus sessions report zero
-    /// filtered-out shorts; corpus-level commands never print them.
-    pub fn of_corpus_session(
-        view: &SessionView<'a>,
-        config: AnalysisConfig,
-        filter: &EpisodeFilter,
-    ) -> Option<WarmSession<'a>> {
-        if view.is_salvaged() || view.is_damaged() {
-            return None;
-        }
-        let rollup = view.rollup()?;
-        Some(WarmSession::assemble(
-            view.meta(),
-            view.symbols(),
-            rollup,
-            view.extents(),
-            0,
-            DurationNs::ZERO,
-            config,
-            filter,
-        ))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn assemble(
-        meta: &'a SessionMeta,
-        symbols: &'a SymbolTable,
-        rollup: &'a Rollup,
-        extents: &'a [EpisodeExtent],
-        short_count: u64,
-        short_time: DurationNs,
-        config: AnalysisConfig,
-        filter: &EpisodeFilter,
-    ) -> WarmSession<'a> {
+        let rollup = source.rollup()?;
+        let extents = source.extents();
         debug_assert_eq!(rollup.summaries.len(), extents.len());
-        let admitted: Vec<usize> = extents
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| filter.admits_extent(e))
-            .map(|(i, _)| i)
+        let admitted: Vec<usize> = (0..extents.len())
+            .filter(|&i| filter.admits_extent(&extents[i]))
             .collect();
         let summarized: Vec<SummarizedEpisode<'a>> = admitted
             .iter()
@@ -138,29 +83,32 @@ impl<'a> WarmSession<'a> {
                 }
             })
             .collect();
-        let excluded = (extents.len() - admitted.len()) as u64;
-        WarmSession {
-            meta,
-            symbols,
+        Some(WarmSession {
+            source,
             rollup,
-            extents,
             admitted,
             summarized,
-            excluded,
-            short_count,
-            short_time,
             config,
-        }
+        })
+    }
+
+    /// [`WarmSession::of_source`] over an indexed `.lgz` trace.
+    pub fn of_indexed(
+        trace: &'a IndexedTrace,
+        config: AnalysisConfig,
+        filter: &EpisodeFilter,
+    ) -> Option<WarmSession<'a>> {
+        WarmSession::of_source(trace.source(), config, filter)
     }
 
     /// The session metadata.
     pub fn meta(&self) -> &'a SessionMeta {
-        self.meta
+        self.source.meta()
     }
 
     /// The session's symbol table.
     pub fn symbols(&self) -> &'a SymbolTable {
-        self.symbols
+        self.source.symbols()
     }
 
     /// The validated rollup backing this session.
@@ -180,7 +128,7 @@ impl<'a> WarmSession<'a> {
 
     /// Episodes the ingest filter excluded.
     pub fn excluded(&self) -> u64 {
-        self.excluded
+        (self.source.len() - self.admitted.len()) as u64
     }
 
     /// Extent position (into the full extent table) of warm episode `i`.
@@ -190,7 +138,7 @@ impl<'a> WarmSession<'a> {
 
     /// The duration of warm episode `i`.
     pub fn duration(&self, i: usize) -> DurationNs {
-        self.extents[self.admitted[i]].duration()
+        self.source.extents()[self.admitted[i]].duration()
     }
 
     /// Mines the pattern set from summaries alone. Identical to the cold
@@ -210,7 +158,7 @@ impl<'a> WarmSession<'a> {
         for table in tables {
             merged.merge(table);
         }
-        merged.into_pattern_set(self.symbols)
+        merged.into_pattern_set(self.source.symbols())
     }
 
     /// Computes the Table III row from extents and summaries. Identical
@@ -224,10 +172,11 @@ impl<'a> WarmSession<'a> {
     /// patterns (the `analyze` warm path) mine exactly once.
     pub fn session_stats_from(&self, patterns: &PatternSet, jobs: usize) -> SessionStats {
         let threshold = self.config.perceptible_threshold;
+        let extents = self.source.extents();
         let perceptible_count: u64 = parallel::map_shards(self.admitted.len(), jobs, |range| {
             self.admitted[range]
                 .iter()
-                .filter(|&&pos| self.extents[pos].duration() >= threshold)
+                .filter(|&&pos| extents[pos].duration() >= threshold)
                 .count() as u64
         })
         .into_iter()
@@ -235,14 +184,15 @@ impl<'a> WarmSession<'a> {
         let in_episode: DurationNs = self
             .admitted
             .iter()
-            .map(|&pos| self.extents[pos].duration())
+            .map(|&pos| extents[pos].duration())
             .sum::<DurationNs>()
-            + self.short_time;
+            + self.source.short_episode_time();
         let in_minutes = in_episode.as_secs_f64() / 60.0;
+        let end_to_end = self.source.meta().end_to_end;
         SessionStats {
-            end_to_end: self.meta.end_to_end,
-            in_episode_fraction: in_episode.fraction_of(self.meta.end_to_end).min(1.0),
-            short_count: self.short_count,
+            end_to_end,
+            in_episode_fraction: in_episode.fraction_of(end_to_end).min(1.0),
+            short_count: self.source.short_episode_count(),
             traced_count: self.admitted.len() as u64,
             perceptible_count,
             long_per_minute: if in_minutes > 0.0 {
@@ -262,10 +212,8 @@ impl<'a> WarmSession<'a> {
     /// short-episode counter as below-range mass.
     pub fn histogram(&self) -> DurationHistogram {
         DurationHistogram::of_durations(
-            self.admitted
-                .iter()
-                .map(|&pos| self.extents[pos].duration()),
-            self.short_count,
+            (0..self.admitted.len()).map(|i| self.duration(i)),
+            self.source.short_episode_count(),
         )
     }
 
@@ -414,7 +362,7 @@ impl<'a> WarmSession<'a> {
                 OutlierFinding {
                     pattern_index: w.pattern_index,
                     episode_index: p.episode_index,
-                    episode_id: self.extents[self.admitted[p.episode_index]].id,
+                    episode_id: self.source.extents()[self.admitted[p.episode_index]].id,
                     duration,
                     median: w.median,
                     excess: duration.saturating_sub(w.median),

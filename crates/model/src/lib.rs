@@ -41,6 +41,7 @@ pub mod episode;
 pub mod error;
 pub mod ids;
 pub mod interval;
+pub mod json;
 pub mod lockgraph;
 pub mod parallel;
 pub mod sample;
@@ -54,6 +55,7 @@ pub use episode::{Episode, EpisodeBuilder};
 pub use error::ModelError;
 pub use ids::{EpisodeId, NodeId, SessionId, SymbolId, ThreadId};
 pub use interval::{Interval, IntervalKind};
+pub use json::json_string;
 pub use lockgraph::{ContendedWait, HolderSight, LockGraph, WaitKind};
 pub use sample::{SampleSnapshot, StackFrame, ThreadSample, ThreadState};
 pub use session::{EpisodeFragment, GcEvent, SessionMeta, SessionTrace, SessionTraceBuilder};

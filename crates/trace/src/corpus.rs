@@ -39,9 +39,9 @@
 //! ```
 //!
 //! Because a session's payload is the byte-for-byte concatenation of its
-//! episode extents and the episode decoder is shared with
-//! [`IndexedTrace`], decoding a session out of a corpus is byte-identical
-//! to opening its original `.lgz` and calling
+//! episode extents and both containers decode through
+//! [`SessionSource`], decoding a session out of a corpus is
+//! byte-identical to opening its original `.lgz` and calling
 //! [`IndexedTrace::par_decode`] — property-tested in
 //! `tests/corpus_store.rs`.
 
@@ -49,18 +49,19 @@ use std::ops::Range;
 
 use lagalyzer_model::parallel::map_shards_init;
 use lagalyzer_model::{
-    DurationNs, Episode, EpisodeFragment, GcEvent, SessionMeta, SessionTrace, SessionTraceBuilder,
-    SymbolId, SymbolTable, TimeNs,
+    DurationNs, Episode, EpisodeFragment, GcEvent, SessionMeta, SessionTrace, SymbolId,
+    SymbolTable, TimeNs,
 };
 
 use crate::binary::{fnv1a, read_header, write_header};
 use crate::error::TraceError;
 use crate::index::{
-    decode_extent, decode_extents, encode_extents_into, DecodeScratch, EpisodeExtent,
-    EpisodeFilter, IndexHealth, IndexedTrace,
+    decode_extents, encode_extents_into, DecodeScratch, EpisodeExtent, EpisodeFilter, IndexHealth,
+    IndexedTrace,
 };
 use crate::rollup::{Rollup, RollupHealth};
 use crate::salvage::DamageVerdict;
+use crate::source::SessionSource;
 use crate::varint;
 
 /// The version-independent corpus signature (byte 8 is the version).
@@ -451,9 +452,9 @@ struct SessionEntry {
 /// A corpus opened for indexed, zero-copy access.
 ///
 /// Owns the corpus bytes; raw payload sections are borrowed in place
-/// (compressed ones are decompressed once at open). Episode decoding
-/// shares [`IndexedTrace`]'s extent decoder, so per-session results are
-/// byte-identical to opening the original `.lgz` files.
+/// (compressed ones are decompressed once at open). Sessions decode
+/// through [`SessionSource`] like [`IndexedTrace`] does, so per-session
+/// results are byte-identical to opening the original `.lgz` files.
 pub struct CorpusReader {
     bytes: Vec<u8>,
     global: SymbolTable,
@@ -687,49 +688,34 @@ impl CorpusReader {
 
     /// Decodes every session by fanning `(session, extent-batch)` work
     /// items over `jobs` worker threads — one flattened slot space, so a
-    /// short session never strands a worker. Results are byte-identical
-    /// to decoding each session separately, for any job count.
+    /// short session never strands a worker. Each session's fragments are
+    /// assembled through its [`SessionSource`], so results are
+    /// byte-identical to decoding each session separately, for any job
+    /// count.
     ///
     /// # Errors
     ///
     /// Propagates the first (in corpus order) extent decode failure of a
     /// non-salvaged session.
     pub fn par_decode(&self, jobs: usize) -> Result<Vec<SessionTrace>, TraceError> {
+        let sources: Vec<SessionSource<'_>> = self.sessions().map(|v| v.source()).collect();
         let shards = map_shards_init(
             self.total_episodes(),
             jobs,
             DecodeScratch::default,
-            |scratch, slots| self.decode_slots(slots, scratch),
+            |scratch, slots| self.decode_slots(&sources, slots, scratch),
         );
-        let mut builders: Vec<SessionTraceBuilder> = self
-            .sessions
-            .iter()
-            .map(|s| {
-                let mut b = SessionTraceBuilder::new(s.meta.clone(), s.symbols.clone());
-                b.reserve_episodes(s.extents.len());
-                b
-            })
-            .collect();
+        let mut fragments: Vec<Vec<EpisodeFragment>> = sources.iter().map(|_| Vec::new()).collect();
         for shard in shards {
             for (session, fragment) in shard? {
-                if self.sessions[session].salvaged {
-                    builders[session].append_fragment_lenient(fragment);
-                } else {
-                    builders[session].append_fragment(fragment)?;
-                }
+                fragments[session].push(fragment);
             }
         }
-        Ok(builders
-            .into_iter()
-            .zip(&self.sessions)
-            .map(|(mut b, s)| {
-                for gc in &s.gc_events {
-                    b.push_gc(*gc);
-                }
-                b.add_short_episodes(s.short_count, s.short_time);
-                b.finish()
-            })
-            .collect())
+        sources
+            .iter()
+            .zip(fragments)
+            .map(|(source, fragments)| source.assemble(fragments))
+            .collect()
     }
 
     /// Decodes one shard of flat slots into per-session fragments (a new
@@ -737,44 +723,26 @@ impl CorpusReader {
     /// boundary).
     fn decode_slots(
         &self,
+        sources: &[SessionSource<'_>],
         slots: Range<usize>,
         scratch: &mut DecodeScratch,
     ) -> Result<Vec<(usize, EpisodeFragment)>, TraceError> {
         let mut out: Vec<(usize, EpisodeFragment)> = Vec::new();
+        let end = slots.end;
         for slot in slots {
             let (session, i) = self.locate(slot);
-            let entry = &self.sessions[session];
-            let episode = self.decode_episode_with(session, i, scratch)?;
+            let source = &sources[session];
+            let episode = source.decode_with(i, scratch)?;
             if out.last().map(|(s, _)| *s) != Some(session) {
-                let remaining = self.slot_base[session + 1] - slot;
+                let remaining = self.slot_base[session + 1].min(end) - slot;
                 out.push((session, EpisodeFragment::with_capacity(remaining)));
             }
-            let fragment = &mut out.last_mut().expect("fragment just ensured").1;
-            if entry.salvaged {
-                fragment.push_lenient(episode);
-            } else {
-                fragment.push(episode)?;
-            }
+            source.push(
+                &mut out.last_mut().expect("fragment just ensured").1,
+                episode,
+            )?;
         }
         Ok(out)
-    }
-
-    fn decode_episode_with(
-        &self,
-        session: usize,
-        i: usize,
-        scratch: &mut DecodeScratch,
-    ) -> Result<Episode, TraceError> {
-        let entry = &self.sessions[session];
-        let extent = *entry.extents.get(i).ok_or_else(|| {
-            TraceError::corrupt(
-                "corpus extent index",
-                format!("no episode {i} in session {session}"),
-            )
-        })?;
-        let payload = self.payload_bytes(session);
-        let span = &payload[extent.offset as usize..(extent.offset + extent.len) as usize];
-        decode_extent(span, &extent, scratch)
     }
 }
 
@@ -784,20 +752,22 @@ impl<'a> SessionView<'a> {
         self.index
     }
 
-    /// The session metadata.
-    pub fn meta(&self) -> &'a SessionMeta {
-        &self.reader.entry(self.index).meta
-    }
-
-    /// The reconstructed per-session symbol table (dense local ids, same
-    /// table the original `.lgz` decode produces).
-    pub fn symbols(&self) -> &'a SymbolTable {
-        &self.reader.entry(self.index).symbols
-    }
-
-    /// The session's extent index (offsets relative to its payload).
-    pub fn extents(&self) -> &'a [EpisodeExtent] {
-        &self.reader.entry(self.index).extents
+    /// This session as a [`SessionSource`]: its metadata, symbols, extent
+    /// index (offsets relative to the session's payload), validated rollup
+    /// and the single decode path shared with `.lgz` files.
+    pub fn source(&self) -> SessionSource<'a> {
+        let entry = self.reader.entry(self.index);
+        SessionSource {
+            meta: &entry.meta,
+            symbols: &entry.symbols,
+            extents: &entry.extents,
+            payload: self.reader.payload_bytes(self.index),
+            gc_events: &entry.gc_events,
+            short_count: entry.short_count,
+            short_time: entry.short_time,
+            lenient: entry.salvaged,
+            rollup: entry.rollup.as_ref(),
+        }
     }
 
     /// How the session's extent index was obtained when it was packed.
@@ -831,13 +801,6 @@ impl<'a> SessionView<'a> {
         self.reader.entry(self.index).compressed
     }
 
-    /// The session's validated rollup cache, when one is present and its
-    /// content checksum matches the payload — the warm analysis path's
-    /// input. `None` means cold decode (absent or stale section).
-    pub fn rollup(&self) -> Option<&'a Rollup> {
-        self.reader.entry(self.index).rollup.as_ref()
-    }
-
     /// Diagnostic health of the session's rollup section (see
     /// `lagalyzer lint`).
     pub fn rollup_health(&self) -> &'a RollupHealth {
@@ -853,29 +816,6 @@ impl<'a> SessionView<'a> {
         }
     }
 
-    /// Number of episodes in the session.
-    pub fn len(&self) -> usize {
-        self.extents().len()
-    }
-
-    /// `true` when the session has no traced episodes.
-    pub fn is_empty(&self) -> bool {
-        self.extents().is_empty()
-    }
-
-    /// Borrows episode `i`'s record bytes zero-copy (from the corpus
-    /// buffer for raw sections, from the decompressed payload for LZ
-    /// ones).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i` is out of range.
-    pub fn episode_bytes(&self, i: usize) -> &'a [u8] {
-        let extent = &self.extents()[i];
-        let payload = self.reader.payload_bytes(self.index);
-        &payload[extent.offset as usize..(extent.offset + extent.len) as usize]
-    }
-
     /// Randomly accesses episode `i` — O(1) via the corpus extent index.
     ///
     /// # Errors
@@ -883,8 +823,7 @@ impl<'a> SessionView<'a> {
     /// Fails when `i` is out of range or the extent's bytes do not
     /// decode.
     pub fn decode_episode(&self, i: usize) -> Result<Episode, TraceError> {
-        self.reader
-            .decode_episode_with(self.index, i, &mut DecodeScratch::default())
+        self.source().decode_episode(i)
     }
 
     /// Decodes this session alone, fanning its extents over `jobs`
@@ -896,7 +835,7 @@ impl<'a> SessionView<'a> {
     /// Propagates the first extent decode failure (non-salvaged
     /// sessions).
     pub fn decode(&self, jobs: usize) -> Result<SessionTrace, TraceError> {
-        self.decode_filtered(jobs, &EpisodeFilter::default())
+        self.source().decode(jobs)
     }
 
     /// Like [`decode`](SessionView::decode), but only decodes episodes
@@ -912,49 +851,7 @@ impl<'a> SessionView<'a> {
         jobs: usize,
         filter: &EpisodeFilter,
     ) -> Result<SessionTrace, TraceError> {
-        let entry = self.reader.entry(self.index);
-        let lenient = entry.salvaged;
-        let indices: Vec<usize> = (0..entry.extents.len())
-            .filter(|&i| filter.admits_extent(&entry.extents[i]))
-            .collect();
-        let shards = map_shards_init(indices.len(), jobs, DecodeScratch::default, |scratch, r| {
-            let mut fragment = EpisodeFragment::with_capacity(r.len());
-            for slot in r {
-                let episode =
-                    self.reader
-                        .decode_episode_with(self.index, indices[slot], scratch)?;
-                if lenient {
-                    fragment.push_lenient(episode);
-                } else {
-                    fragment.push(episode)?;
-                }
-            }
-            Ok::<EpisodeFragment, TraceError>(fragment)
-        });
-        let mut b = SessionTraceBuilder::new(entry.meta.clone(), entry.symbols.clone());
-        b.reserve_episodes(indices.len());
-        for shard in shards {
-            let fragment = shard?;
-            if lenient {
-                b.append_fragment_lenient(fragment);
-            } else {
-                b.append_fragment(fragment)?;
-            }
-        }
-        for gc in &entry.gc_events {
-            b.push_gc(*gc);
-        }
-        b.add_short_episodes(entry.short_count, entry.short_time);
-        Ok(b.finish())
-    }
-
-    /// Episodes the filter would exclude, counted from the extent index
-    /// alone.
-    pub fn excluded_by(&self, filter: &EpisodeFilter) -> usize {
-        self.extents()
-            .iter()
-            .filter(|e| !filter.admits_extent(e))
-            .count()
+        self.source().decode_filtered(jobs, filter)
     }
 }
 

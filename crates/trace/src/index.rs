@@ -24,19 +24,17 @@
 //! [`EpisodeFilter`] evaluated against index entries alone implements
 //! skip-decode filtering: excluded episodes' bytes are never parsed.
 
-use std::ops::Range;
-
-use lagalyzer_model::parallel::map_shards_init;
 use lagalyzer_model::{
-    DurationNs, Episode, EpisodeBuilder, EpisodeFragment, EpisodeId, GcEvent, IntervalKind,
-    IntervalTreeBuilder, MethodRef, SampleSnapshot, SessionMeta, SessionTrace, SessionTraceBuilder,
-    StackFrame, SymbolId, SymbolTable, ThreadId, ThreadSample, ThreadState, TimeNs,
+    DurationNs, Episode, EpisodeBuilder, EpisodeId, GcEvent, IntervalKind, IntervalTreeBuilder,
+    MethodRef, SampleSnapshot, SessionMeta, SessionTrace, SessionTraceBuilder, StackFrame,
+    SymbolId, SymbolTable, ThreadId, ThreadSample, ThreadState, TimeNs,
 };
 
 use crate::binary::{fnv1a, read_header, read_record, tag, MAGIC_PREFIX, MAX_RECORDS};
 use crate::error::TraceError;
 use crate::record::TraceRecord;
 use crate::salvage::SalvageReport;
+use crate::source::SessionSource;
 use crate::varint;
 
 /// Footer signature; the last byte is the footer format version.
@@ -991,8 +989,23 @@ impl IndexedTrace {
     /// Panics when `i` is out of range (extent byte ranges themselves are
     /// validated at open time).
     pub fn episode_bytes(&self, i: usize) -> &[u8] {
-        let e = &self.extents[i];
-        &self.bytes[e.offset as usize..(e.offset + e.len) as usize]
+        self.source().episode_bytes(i)
+    }
+
+    /// This trace as a [`SessionSource`], the single decode path shared
+    /// with corpus sessions. Extent offsets index the whole file.
+    pub fn source(&self) -> SessionSource<'_> {
+        SessionSource {
+            meta: &self.meta,
+            symbols: &self.symbols,
+            extents: &self.extents,
+            payload: &self.bytes,
+            gc_events: &self.gc_events,
+            short_count: self.short_episode_count,
+            short_time: self.short_episode_time,
+            lenient: self.salvage.is_some(),
+            rollup: self.rollup.as_ref(),
+        }
     }
 
     /// Randomly accesses episode `i`: strictly decodes just its extent.
@@ -1003,31 +1016,56 @@ impl IndexedTrace {
     /// to a well-formed episode (possible only when the index disagrees
     /// with the records — e.g. a handcrafted footer).
     pub fn decode_episode(&self, i: usize) -> Result<Episode, TraceError> {
-        self.decode_episode_with(i, &mut DecodeScratch::default())
+        self.source().decode_episode(i)
     }
 
-    /// Decodes episode `i` reusing per-worker `scratch` — the hot inner
-    /// loop of [`par_decode`](IndexedTrace::par_decode).
+    /// Decodes the whole session by fanning extents over `jobs` worker
+    /// threads. The result is identical to the serial reader's (or, after
+    /// [`open_salvage`](IndexedTrace::open_salvage), to the serial
+    /// salvage path's) for any job count.
     ///
-    /// On error the scratch is reset, so a reused builder can never leak a
-    /// failed episode's partial state into the next decode.
-    fn decode_episode_with(
+    /// # Errors
+    ///
+    /// Propagates the first extent decode failure.
+    pub fn par_decode(&self, jobs: usize) -> Result<SessionTrace, TraceError> {
+        self.source().decode(jobs)
+    }
+
+    /// Like [`par_decode`](IndexedTrace::par_decode), but only decodes
+    /// episodes the filter admits (see [`SessionSource::decode_filtered`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first (in episode order) extent decode failure.
+    pub fn par_decode_filtered(
         &self,
-        i: usize,
-        scratch: &mut DecodeScratch,
-    ) -> Result<Episode, TraceError> {
-        let extent = *self.extents.get(i).ok_or_else(|| {
-            TraceError::corrupt("episode extent", format!("no episode {i} in the index"))
-        })?;
-        let span = &self.bytes[extent.offset as usize..(extent.offset + extent.len) as usize];
-        decode_extent(span, &extent, scratch)
+        jobs: usize,
+        filter: &EpisodeFilter,
+    ) -> Result<SessionTrace, TraceError> {
+        self.source().decode_filtered(jobs, filter)
+    }
+
+    /// Decodes exactly the extents named by `indices`, in the given order
+    /// (see [`SessionSource::decode_subset`]); after
+    /// [`open_salvage`](IndexedTrace::open_salvage) undecodable extents
+    /// are skipped.
+    ///
+    /// # Errors
+    ///
+    /// On a clean trace, propagates the first decode failure (including
+    /// out-of-range indices).
+    pub fn par_decode_subset(
+        &self,
+        jobs: usize,
+        indices: &[usize],
+    ) -> Result<Vec<Episode>, TraceError> {
+        self.source().decode_subset(jobs, indices)
     }
 }
 
 /// Strictly decodes one episode from its extent's byte span, reusing the
-/// per-worker `scratch`. Shared by [`IndexedTrace`] and the corpus
-/// reader — the corpus stores the same record bytes, so sharing the
-/// decoder is what makes corpus decodes byte-identical to per-file ones.
+/// per-worker `scratch` — the inner loop of every [`SessionSource`]
+/// decode.
 ///
 /// On error the scratch is reset, so a reused builder can never leak a
 /// failed episode's partial state into the next decode.
@@ -1176,141 +1214,6 @@ fn decode_extent_inner(
             .tree(finished)
             .samples(samples)
             .build()?)
-    }
-}
-
-impl IndexedTrace {
-    /// Decodes the whole session by fanning extents over `jobs` worker
-    /// threads. The result is identical to the serial reader's (or, after
-    /// [`open_salvage`](IndexedTrace::open_salvage), to the serial
-    /// salvage path's) for any job count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first extent decode failure.
-    pub fn par_decode(&self, jobs: usize) -> Result<SessionTrace, TraceError> {
-        self.par_decode_filtered(jobs, &EpisodeFilter::default())
-    }
-
-    /// Like [`par_decode`](IndexedTrace::par_decode), but only decodes
-    /// episodes the filter admits — excluded episodes' bytes are never
-    /// parsed. Session-level state (GC events, short-episode counts) is
-    /// always preserved.
-    ///
-    /// Each worker thread keeps one `DecodeScratch` alive across every
-    /// extent shard it claims and decodes its shard into an
-    /// `EpisodeFragment`; fragments are then merged structurally in
-    /// shard order (one `Vec::append` each) instead of re-pushing every
-    /// episode through a single serial builder. Ordering is enforced
-    /// inside the fragments as the workers fill them, so the merge only
-    /// checks shard boundaries — the union of those checks is exactly the
-    /// serial reader's adjacent-pair validation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first (in episode order) extent decode failure.
-    pub fn par_decode_filtered(
-        &self,
-        jobs: usize,
-        filter: &EpisodeFilter,
-    ) -> Result<SessionTrace, TraceError> {
-        // After `open_salvage`, ordering was already enforced during the
-        // scan; mirror the serial salvage path and drop defensively
-        // instead of failing.
-        let lenient = self.salvage.is_some();
-        let shards = if filter.is_unrestricted() {
-            // Skip materializing an index vector when every extent is
-            // admitted: shard the extent table directly.
-            map_shards_init(self.extents.len(), jobs, DecodeScratch::default, |s, r| {
-                self.decode_fragment(r, None, s, lenient)
-            })
-        } else {
-            let indices: Vec<usize> = (0..self.extents.len())
-                .filter(|&i| filter.admits_extent(&self.extents[i]))
-                .collect();
-            map_shards_init(indices.len(), jobs, DecodeScratch::default, |s, r| {
-                self.decode_fragment(r, Some(&indices), s, lenient)
-            })
-        };
-        let fragments = shards
-            .into_iter()
-            .collect::<Result<Vec<EpisodeFragment>, TraceError>>()?;
-        let mut b = SessionTraceBuilder::new(self.meta.clone(), self.symbols.clone());
-        b.reserve_episodes(fragments.iter().map(EpisodeFragment::len).sum());
-        for fragment in fragments {
-            if lenient {
-                b.append_fragment_lenient(fragment);
-            } else {
-                b.append_fragment(fragment)?;
-            }
-        }
-        for gc in &self.gc_events {
-            b.push_gc(*gc);
-        }
-        b.add_short_episodes(self.short_episode_count, self.short_episode_time);
-        Ok(b.finish())
-    }
-
-    /// Decodes one shard of extent slots into an ordered fragment.
-    ///
-    /// `slots` indexes either the extent table directly (`indices` is
-    /// `None`, the unrestricted fast path) or a precomputed list of
-    /// filter-admitted extent indices.
-    fn decode_fragment(
-        &self,
-        slots: Range<usize>,
-        indices: Option<&[usize]>,
-        scratch: &mut DecodeScratch,
-        lenient: bool,
-    ) -> Result<EpisodeFragment, TraceError> {
-        let mut fragment = EpisodeFragment::with_capacity(slots.len());
-        for slot in slots {
-            let i = indices.map_or(slot, |ix| ix[slot]);
-            let episode = self.decode_episode_with(i, scratch)?;
-            if lenient {
-                fragment.push_lenient(episode);
-            } else {
-                fragment.push(episode)?;
-            }
-        }
-        Ok(fragment)
-    }
-
-    /// Decodes exactly the extents named by `indices`, in the given order,
-    /// never touching any other episode's bytes — the skip-decode path an
-    /// analysis uses to revisit a handful of flagged episodes (e.g.
-    /// `outliers --explain`) without paying for the whole file.
-    ///
-    /// On a salvaged trace, extents whose bytes no longer decode are
-    /// skipped (mirroring the lenient decode paths), so the result may be
-    /// shorter than `indices`.
-    ///
-    /// # Errors
-    ///
-    /// On a clean trace, propagates the first decode failure (including
-    /// out-of-range indices).
-    pub fn par_decode_subset(
-        &self,
-        jobs: usize,
-        indices: &[usize],
-    ) -> Result<Vec<Episode>, TraceError> {
-        let lenient = self.salvage.is_some();
-        let shards = map_shards_init(indices.len(), jobs, DecodeScratch::default, |s, r| {
-            let mut episodes = Vec::with_capacity(r.len());
-            for slot in r {
-                match self.decode_episode_with(indices[slot], s) {
-                    Ok(episode) => episodes.push(episode),
-                    Err(_) if lenient => {}
-                    Err(e) => return Err(e),
-                }
-            }
-            Ok(episodes)
-        });
-        let mut out = Vec::with_capacity(indices.len());
-        for shard in shards {
-            out.extend(shard?);
-        }
-        Ok(out)
     }
 }
 

@@ -60,6 +60,7 @@ pub mod index;
 pub mod record;
 pub mod rollup;
 pub mod salvage;
+pub mod source;
 pub mod stream;
 pub mod text;
 mod varint;
@@ -77,4 +78,5 @@ pub use salvage::{
     read_bytes_salvage, read_path_salvage, DamageVerdict, SalvageReport, SalvageSkip, Salvaged,
     SkipAt,
 };
+pub use source::SessionSource;
 pub use stream::{EpisodeStream, SalvageEpisodeStream};
