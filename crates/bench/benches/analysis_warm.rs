@@ -60,19 +60,21 @@ fn store_session() -> (PathBuf, PathBuf) {
 }
 
 /// The cold `analyze` pipeline, exactly what the CLI computes: read,
-/// open, decode every payload, stats row, mined patterns, outlier
-/// report.
+/// open, decode every payload, summarize the session once, then the
+/// stats row, mined patterns and outlier report over the summaries.
 fn analyze_cold(path: &PathBuf, jobs: usize) -> (SessionStats, PatternSet, String) {
     let trace = IndexedTrace::open(std::fs::read(path).unwrap())
         .unwrap()
         .par_decode(jobs)
         .unwrap();
     let session = AnalysisSession::new(trace, AnalysisConfig::default());
-    let stats = SessionStats::compute_with_jobs(&session, jobs);
-    let patterns = session.mine_patterns_with_jobs(jobs);
-    let outliers =
-        OutlierReport::analyze_with_jobs(&session, &patterns, &OutlierConfig::default(), jobs)
-            .render_text(session.trace().symbols());
+    let summaries = Summaries::of_session(&session);
+    let patterns = summaries.mine_patterns_with_jobs(jobs);
+    let stats = SessionStats::compute_from(&summaries, &patterns, jobs);
+    let config = OutlierConfig::default();
+    let outliers = OutlierReport::of_summaries(&summaries, &patterns, &config, jobs, &|_| None)
+        .expect("a decoded session needs no re-decode")
+        .render_text(session.trace().symbols());
     (stats, patterns, outliers)
 }
 

@@ -89,7 +89,11 @@ fn load_corpus(path: &PathBuf, jobs: usize) -> Vec<SessionTrace> {
 }
 
 fn mine(traces: Vec<SessionTrace>, jobs: usize) -> MultiPatternSet {
-    MultiPatternSet::mine_traces_with_jobs(traces, AnalysisConfig::default(), jobs)
+    let sessions: Vec<AnalysisSession> = traces
+        .into_iter()
+        .map(|trace| AnalysisSession::new(trace, AnalysisConfig::default()))
+        .collect();
+    MultiPatternSet::mine_with_jobs(&sessions, jobs)
 }
 
 /// Panics unless both pipelines produce the identical mining result.

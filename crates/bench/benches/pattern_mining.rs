@@ -3,8 +3,9 @@
 //!
 //! Besides the criterion-style timings printed to stdout, this bench
 //! measures [`PatternSet::mine_reference`] (the string-keyed baseline)
-//! against [`PatternSet::mine`] (the interned hot path) over the whole
-//! simulated Table II corpus, serial, and records both in
+//! against [`AnalysisSession::mine_patterns`] (summarize, then mine by
+//! shape index) over the whole simulated Table II corpus, serial, and
+//! records both in
 //! `BENCH_mining.json` (see `lagalyzer_bench::benchjson`).
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
@@ -77,7 +78,7 @@ fn bench_signature(c: &mut Criterion) {
     });
 }
 
-/// Serial before (string-keyed reference) vs after (hash-consed) over
+/// Serial before (string-keyed reference) vs after (summarized) over
 /// every Table II application, written to `BENCH_mining.json`.
 fn emit_mining_json() {
     let budget = benchjson::budget();

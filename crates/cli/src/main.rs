@@ -853,20 +853,62 @@ impl Input {
         self.source()?.decode_subset(self.jobs, positions).ok()
     }
 
-    /// The episode an `--explain` finding names: re-decoded alone from its
-    /// extent on an indexed input, else looked up among `decoded`.
-    fn explain_episode(&self, id: EpisodeId, decoded: &[Episode]) -> Result<Episode, Failure> {
-        let position = self
-            .source()
-            .and_then(|source| source.extents().iter().position(|e| e.id == id));
-        if let Some(episode) = position.and_then(|p| self.decode_subset(&[p])?.pop()) {
-            return Ok(episode);
+    /// The episode a finding names: re-decoded alone from its extent on an
+    /// indexed input, else looked up in the text trace.
+    fn explain_episode(&self, id: EpisodeId) -> Result<Episode, Failure> {
+        let found = match &self.opened {
+            Opened::Text(trace) => trace.episodes().iter().find(|e| e.id() == id).cloned(),
+            _ => self.source().and_then(|source| {
+                let position = source.extents().iter().position(|e| e.id == id)?;
+                self.decode_subset(&[position])?.pop()
+            }),
+        };
+        found.ok_or_else(|| "finding points outside the decoded session".into())
+    }
+
+    /// The symbol table of the one session this input names; `None` for a
+    /// whole corpus.
+    fn symbols(&self) -> Option<&SymbolTable> {
+        match &self.opened {
+            Opened::Text(trace) => Some(trace.symbols()),
+            _ => self.source().map(|source| source.symbols()),
         }
-        decoded
-            .iter()
-            .find(|e| e.id() == id)
-            .cloned()
-            .ok_or_else(|| "finding points outside the decoded session".into())
+    }
+
+    /// Answers a single-session command by running `answer` once over the
+    /// session's summaries: read from a validated rollup (warm, noted on
+    /// stderr as `rollup: cache hit (N episode summaries, {how})`), else
+    /// summarized from the decoded session (cold). A warm answer whose
+    /// lock/wait re-decode fails falls back to the cold path.
+    fn answer<T>(
+        &self,
+        how: &str,
+        answer: impl Fn(&Summaries<'_>) -> Option<T>,
+    ) -> Result<T, Failure> {
+        if let Some(warm) = self.warm() {
+            if let Some(found) = answer(warm.summaries()) {
+                eprintln!(
+                    "rollup: cache hit ({} episode summaries, {how})",
+                    warm.rollup().summaries.len()
+                );
+                return Ok(found);
+            }
+        }
+        let session = self.session()?;
+        answer(&Summaries::of_session(&session))
+            .ok_or_else(|| format!("cannot analyze {}", self.path).into())
+    }
+
+    /// Outlier detection and attribution over `summaries`; flagged
+    /// lock/wait episodes of a warm session are re-decoded from this input.
+    fn outliers(
+        &self,
+        summaries: &Summaries<'_>,
+        patterns: &PatternSet,
+        config: &OutlierConfig,
+    ) -> Option<OutlierReport> {
+        let decode = |positions: &[usize]| self.decode_subset(positions);
+        OutlierReport::of_summaries(summaries, patterns, config, self.jobs, &decode)
     }
 }
 
@@ -938,52 +980,22 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, Failure> {
     }
     let jobs = input.jobs;
     let histogram = opt_flag(args, "--histogram");
-    // Warm: everything from summaries, computed before the first byte is
-    // printed so a fallback never emits a partial report.
-    let warm = input.warm().and_then(|warm| {
-        let patterns = warm.mine_patterns_with_jobs(jobs);
-        let stats = warm.session_stats_from(&patterns, jobs);
-        let outliers = warm.outliers(&patterns, &OutlierConfig::default(), &|positions| {
-            input.decode_subset(positions)
-        })?;
-        eprintln!(
-            "rollup: cache hit ({} episode summaries, zero decode)",
-            warm.rollup().summaries.len()
-        );
-        let histogram = histogram.then(|| warm.histogram());
-        Some((
-            warm.meta().clone(),
-            stats,
-            warm.excluded(),
-            outliers,
-            histogram,
-        ))
-    });
-    let (meta, stats, excluded, outliers, histogram) = match warm {
-        Some(answer) => answer,
-        None => {
-            let session = input.session()?;
-            // Mined once for the Table III row and the outlier scan (the
-            // dedicated `outliers` subcommand exposes the knobs).
-            let patterns = session.mine_patterns_with_jobs(jobs);
-            let stats = SessionStats::compute_from(&session, &patterns, jobs);
-            let outliers = OutlierReport::analyze_with_jobs(
-                &session,
-                &patterns,
-                &OutlierConfig::default(),
-                jobs,
-            );
-            let histogram = histogram.then(|| DurationHistogram::of(&session));
-            let meta = session.trace().meta().clone();
-            (
-                meta,
-                stats,
-                session.excluded_episodes(),
+    // Everything is computed before the first byte is printed, so a warm
+    // fallback never emits a partial report. The Table III row and the
+    // outlier scan share one mined pattern set (the dedicated `outliers`
+    // subcommand exposes the knobs).
+    let (meta, stats, excluded, outliers, histogram) =
+        input.answer("zero decode", |summaries| {
+            let patterns = summaries.mine_patterns_with_jobs(jobs);
+            let outliers = input.outliers(summaries, &patterns, &OutlierConfig::default())?;
+            Some((
+                summaries.meta().clone(),
+                SessionStats::compute_from(summaries, &patterns, jobs),
+                summaries.excluded(),
                 outliers,
-                histogram,
-            )
-        }
-    };
+                histogram.then(|| summaries.histogram()),
+            ))
+        })?;
     println!("application       {}", meta.application);
     println!("session           {}", meta.session);
     println!("E2E               {:.0} s", stats.end_to_end.as_secs_f64());
@@ -1029,44 +1041,45 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, Failure> {
 type CorpusPatterns = (Vec<(usize, usize)>, MultiPatternSet, u64);
 
 /// A whole corpus's per-member `(episodes, perceptible)` counts, merged
-/// cross-session pattern table and filtered-out total — from the rollups
-/// when every member carries a valid one, else decoded cold. Warm
-/// per-session mining is byte-identical to the cold miner, so the merged
-/// set is too.
+/// cross-session pattern table and filtered-out total, computed once over
+/// the members' summaries: read from the rollups when every member carries
+/// a valid one, else summarized from the decoded sessions.
 fn corpus_patterns(input: &Input, reader: &CorpusReader) -> Result<CorpusPatterns, Failure> {
     let (jobs, threshold) = (input.jobs, input.config.perceptible_threshold);
-    if let Some(warms) = input.warm_corpus() {
-        eprintln!("rollup: cache hit ({} sessions, zero decode)", warms.len());
-        let counts = warms
-            .iter()
-            .map(|w| {
-                let perceptible = (0..w.len()).filter(|&i| w.duration(i) >= threshold);
-                (w.len(), perceptible.count())
-            })
-            .collect();
-        let sets: Vec<PatternSet> = warms
-            .iter()
-            .map(|w| w.mine_patterns_with_jobs(jobs))
-            .collect();
-        let excluded = warms.iter().map(WarmSession::excluded).sum();
-        return Ok((counts, MultiPatternSet::merge(&sets), excluded));
-    }
+    let warms = input.warm_corpus();
+    let sessions: Vec<AnalysisSession>;
+    let cold: Vec<Summaries<'_>>;
+    let members: Vec<&Summaries<'_>> = match &warms {
+        Some(warms) => {
+            eprintln!("rollup: cache hit ({} sessions, zero decode)", warms.len());
+            warms.iter().map(WarmSession::summaries).collect()
+        }
+        None => {
+            sessions = input
+                .decode_corpus(reader)?
+                .into_iter()
+                .map(|trace| AnalysisSession::new(trace, input.config))
+                .collect();
+            cold = sessions.iter().map(Summaries::of_session).collect();
+            cold.iter().collect()
+        }
+    };
+    let counts = members
+        .iter()
+        .map(|s| {
+            let perceptible = s.episodes().iter().filter(|e| e.duration >= threshold);
+            (s.episodes().len(), perceptible.count())
+        })
+        .collect();
+    let sets: Vec<PatternSet> = members
+        .iter()
+        .map(|s| s.mine_patterns_with_jobs(jobs))
+        .collect();
     let excluded = reader
         .sessions()
         .map(|view| view.source().excluded_by(&input.filter) as u64)
         .sum();
-    let traces = input.decode_corpus(reader)?;
-    let counts = traces
-        .iter()
-        .map(|t| {
-            (
-                t.episodes().len(),
-                t.perceptible_episodes(threshold).count(),
-            )
-        })
-        .collect();
-    let multi = MultiPatternSet::mine_traces_with_jobs(traces, input.config, jobs);
-    Ok((counts, multi, excluded))
+    Ok((counts, MultiPatternSet::merge(&sets), excluded))
 }
 
 /// Corpus-wide `analyze`: one row per member session plus the merged
@@ -1190,16 +1203,9 @@ fn cmd_patterns(args: &[String]) -> Result<ExitCode, Failure> {
         return Ok(input.exit_code());
     }
     let sort = parse_sort(args)?;
-    let patterns = match input.warm() {
-        Some(warm) => {
-            eprintln!(
-                "rollup: cache hit ({} episode summaries, zero decode)",
-                warm.rollup().summaries.len()
-            );
-            warm.mine_patterns_with_jobs(input.jobs)
-        }
-        None => input.session()?.mine_patterns_with_jobs(input.jobs),
-    };
+    let patterns = input.answer("zero decode", |summaries| {
+        Some(summaries.mine_patterns_with_jobs(input.jobs))
+    })?;
     // The table needs only the patterns: a set mined from a salvaged
     // session carries the provenance note itself.
     let mut browser = PatternBrowser::of_patterns(&patterns);
@@ -1401,7 +1407,7 @@ fn explain_hazard(
     let id = finding
         .episode_id
         .ok_or("this finding is graph-wide, not tied to one episode")?;
-    let episode = input.explain_episode(id, trace.episodes())?;
+    let episode = input.explain_episode(id)?;
     let symbols = trace.symbols();
     println!(
         "\nepisode {} — {}: {}",
@@ -1460,29 +1466,18 @@ fn cmd_outliers(args: &[String]) -> Result<ExitCode, Failure> {
     let format = parse_format(args)?;
     let config = parse_outlier_config(args)?;
     let input = Input::load(args, "outliers")?;
-    let jobs = input.jobs;
-    // Warm: detection, medians, baselines and causes from summaries; only
-    // flagged lock/wait episodes are re-decoded for their wait graphs.
-    let warm = input.warm().and_then(|warm| {
-        let patterns = warm.mine_patterns_with_jobs(jobs);
-        let decode = |positions: &[usize]| input.decode_subset(positions);
-        let report = warm.outliers(&patterns, &config, &decode)?;
-        eprintln!(
-            "rollup: cache hit ({} episode summaries, decoded only flagged lock/wait)",
-            warm.rollup().summaries.len()
-        );
-        Some((report, warm.symbols()))
-    });
-    let mut cold = None;
-    let (mut report, symbols, session) = match warm {
-        Some((report, symbols)) => (report, symbols, None),
-        None => {
-            let session: &AnalysisSession = cold.insert(input.session()?);
-            let patterns = session.mine_patterns_with_jobs(jobs);
-            let report = OutlierReport::analyze_with_jobs(session, &patterns, &config, jobs);
-            (report, session.trace().symbols(), Some(session))
-        }
-    };
+    // Detection, medians, baselines and causes from the summaries; a warm
+    // session re-decodes only its flagged lock/wait episodes.
+    let mut report = input.answer("decoded only flagged lock/wait", |summaries| {
+        input.outliers(
+            summaries,
+            &summaries.mine_patterns_with_jobs(input.jobs),
+            &config,
+        )
+    })?;
+    let symbols = input
+        .symbols()
+        .ok_or("outliers needs one session of a corpus; select it with --session K")?;
     // Each finding carries the byte span of its episode's records (the
     // provenance `check` diagnostics carry too).
     report.attach_spans(|id| input.span_of(id));
@@ -1492,14 +1487,13 @@ fn cmd_outliers(args: &[String]) -> Result<ExitCode, Failure> {
         print!("{}", report.render_text(symbols));
     }
     if let Some(finding) = explained(args, report.findings())? {
-        let decoded = session.map_or(&[][..], AnalysisSession::episodes);
-        let episode = input.explain_episode(finding.episode_id, decoded)?;
+        let episode = input.explain_episode(finding.episode_id)?;
         print_explanation(&episode, symbols, finding);
     }
     Ok(input.exit_code())
 }
 
-/// The deep-dive body shared by the warm and cold `--explain` paths.
+/// The `outliers --explain` deep-dive body.
 fn print_explanation(
     episode: &Episode,
     symbols: &SymbolTable,

@@ -118,6 +118,98 @@ fn text_format_traces_also_load() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A text trace and a binary trace of the same simulated session answer
+/// every summary-backed command identically: the text trace always
+/// decodes cold, the binary one answers warm from its rollup (or cold
+/// under `--no-cache`), and all of them run the same analysis code.
+#[test]
+fn text_and_binary_traces_answer_identically() {
+    let dir = std::env::temp_dir().join(format!("lagalyzer-cli-twins-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let text = dir.join("t.lgzt");
+    let binary = dir.join("t.lgz");
+    let (text, binary) = (text.to_str().unwrap(), binary.to_str().unwrap());
+    // This session has an OC-WAIT outlier, so the warm side re-decodes
+    // its culprit episode.
+    let simulate = ["simulate", "--app", "JEdit", "--seed", "3", "--out"];
+    run_ok(&[&simulate[..], &[text, "--text"]].concat());
+    run_ok(&[&simulate[..], &[binary]].concat());
+    let commands: [&[&str]; 3] = [
+        &["analyze", "--histogram"],
+        &["patterns", "--sort", "total"],
+        &["outliers"],
+    ];
+    for command in commands {
+        for filter in [&[][..], &["--perceptible"]] {
+            for jobs in ["1", "3"] {
+                for cache in [&[][..], &["--no-cache"]] {
+                    let run = |path: &str| {
+                        let args = [command, &[path, "--jobs", jobs], filter, cache].concat();
+                        lagalyzer().args(&args).output().expect("binary runs")
+                    };
+                    let (from_text, from_binary) = (run(text), run(binary));
+                    let ctx = format!("{command:?} {filter:?} --jobs {jobs} {cache:?}");
+                    assert_eq!(from_text.status.code(), Some(0), "{ctx}");
+                    assert_eq!(from_text.status.code(), from_binary.status.code(), "{ctx}");
+                    assert_eq!(
+                        String::from_utf8_lossy(&from_text.stdout),
+                        String::from_utf8_lossy(&from_binary.stdout),
+                        "{ctx}: text and binary traces disagree"
+                    );
+                }
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An episode lasting the longest duration a trace can record lands in
+/// the histogram's unbounded top bucket, warm and cold alike.
+#[test]
+fn histogram_counts_the_longest_possible_episode() {
+    use lagalyzer_model::prelude::*;
+    let meta = SessionMeta {
+        application: "Longest".into(),
+        session: SessionId::from_raw(0),
+        gui_thread: ThreadId::from_raw(0),
+        end_to_end: DurationNs::from_nanos(u64::MAX),
+        filter_threshold: DurationNs::TRACE_FILTER_DEFAULT,
+    };
+    let mut tree = IntervalTreeBuilder::new();
+    tree.enter(IntervalKind::Dispatch, None, TimeNs::from_nanos(0))
+        .unwrap();
+    tree.exit(TimeNs::from_nanos(u64::MAX)).unwrap();
+    let mut b = SessionTraceBuilder::new(meta, SymbolTable::new());
+    b.push_episode(
+        EpisodeBuilder::new(EpisodeId::from_raw(0), ThreadId::from_raw(0))
+            .tree(tree.finish().unwrap())
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
+    let trace = b.finish();
+    let mut bytes = Vec::new();
+    let rollup = lagalyzer_core::rollup::build(&trace);
+    lagalyzer_trace::binary::write_with_rollup(&trace, &mut bytes, rollup).unwrap();
+
+    let dir = std::env::temp_dir().join(format!("lagalyzer-cli-longest-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("longest.lgz");
+    std::fs::write(&path, bytes).unwrap();
+    for cache in [&[][..], &["--no-cache"]] {
+        let args = [&["analyze", path.to_str().unwrap(), "--histogram"], cache].concat();
+        let out = lagalyzer().args(&args).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(0), "{cache:?}: {out:?}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let row = stdout
+            .lines()
+            .find(|l| l.trim_start().starts_with("8.19s .. inf"))
+            .unwrap_or_else(|| panic!("{cache:?}: no top-bucket row in {stdout}"));
+        assert_eq!(row.split_whitespace().nth(3), Some("1"), "{cache:?}: {row}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn analyze_rejects_garbage() {
     let dir = std::env::temp_dir().join(format!("lagalyzer-cli-bad-{}", std::process::id()));

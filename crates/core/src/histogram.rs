@@ -7,19 +7,18 @@
 //! episodes the tracer filtered out (which all fall below the first
 //! visible bucket but still belong in the distribution).
 
-use lagalyzer_model::{DurationNs, Episode};
-
-use crate::session::AnalysisSession;
+use lagalyzer_model::DurationNs;
 
 /// One histogram bucket.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Bucket {
     /// Inclusive lower bound.
     pub lo: DurationNs,
-    /// Exclusive upper bound (`DurationNs::from_nanos(u64::MAX)` for the
-    /// last bucket).
+    /// Exclusive upper bound. The last bucket has none: it reports
+    /// `DurationNs::from_nanos(u64::MAX)` and also holds episodes of
+    /// exactly that duration.
     pub hi: DurationNs,
-    /// Episodes in `[lo, hi)`.
+    /// Episodes in `[lo, hi)` (`[lo, inf)` for the last bucket).
     pub count: u64,
 }
 
@@ -33,7 +32,7 @@ pub struct Bucket {
 ///     runner::simulate_session(&apps::jedit(), 0, 1),
 ///     AnalysisConfig::default(),
 /// );
-/// let histogram = DurationHistogram::of(&session);
+/// let histogram = Summaries::of_session(&session).histogram();
 /// // jEdit handles the vast majority of requests imperceptibly fast.
 /// assert!(histogram.fraction_under(lagalyzer_model::DurationNs::from_millis(128)) > 0.9);
 /// ```
@@ -45,19 +44,12 @@ pub struct DurationHistogram {
 }
 
 impl DurationHistogram {
-    /// Builds the histogram over all traced episodes of a session. The
-    /// tracer-filtered short episodes are accounted as below-range mass.
-    pub fn of(session: &AnalysisSession) -> DurationHistogram {
-        DurationHistogram::of_durations(
-            session.episodes().iter().map(Episode::duration),
-            session.trace().short_episode_count(),
-        )
-    }
-
-    /// Builds the histogram from bare episode durations plus a filtered
-    /// count — the warm path supplies durations from indexed extents
-    /// without decoding any episode. [`DurationHistogram::of`] is this
-    /// over a decoded session.
+    /// Builds the histogram from traced episode durations plus the count
+    /// of tracer-filtered short episodes, which are accounted as
+    /// below-range mass. [`Summaries::histogram`] feeds it a session's
+    /// summaries, decoded or persisted.
+    ///
+    /// [`Summaries::histogram`]: crate::summary::Summaries::histogram
     pub fn of_durations<I>(durations: I, filtered: u64) -> DurationHistogram
     where
         I: IntoIterator<Item = DurationNs>,
@@ -83,10 +75,9 @@ impl DurationHistogram {
         });
         let mut traced = 0u64;
         for d in durations {
-            let idx = buckets
-                .iter()
-                .position(|b| d >= b.lo && d < b.hi)
-                .expect("buckets cover the full range");
+            // The first bucket starts at zero, so some bucket's lower bound
+            // is always at or below `d`; the last one is unbounded above.
+            let idx = buckets.partition_point(|b| b.lo <= d) - 1;
             buckets[idx].count += 1;
             traced += 1;
         }
@@ -170,44 +161,18 @@ impl DurationHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::AnalysisConfig;
-    use lagalyzer_model::prelude::*;
 
-    fn ms(v: u64) -> TimeNs {
-        TimeNs::from_millis(v)
-    }
-
-    fn session(durations_ms: &[u64], filtered: u64) -> AnalysisSession {
-        let meta = SessionMeta {
-            application: "H".into(),
-            session: SessionId::from_raw(0),
-            gui_thread: ThreadId::from_raw(0),
-            end_to_end: DurationNs::from_secs(100),
-            filter_threshold: DurationNs::TRACE_FILTER_DEFAULT,
-        };
-        let mut b = SessionTraceBuilder::new(meta, SymbolTable::new());
-        let mut cursor = 0u64;
-        for (i, &dur) in durations_ms.iter().enumerate() {
-            let mut t = IntervalTreeBuilder::new();
-            t.enter(IntervalKind::Dispatch, None, ms(cursor)).unwrap();
-            t.exit(ms(cursor + dur)).unwrap();
-            b.push_episode(
-                EpisodeBuilder::new(EpisodeId::from_raw(i as u32), ThreadId::from_raw(0))
-                    .tree(t.finish().unwrap())
-                    .build()
-                    .unwrap(),
-            )
-            .unwrap();
-            cursor += dur + 5;
-        }
-        b.add_short_episodes(filtered, DurationNs::from_micros(filtered * 200));
-        AnalysisSession::new(b.finish(), AnalysisConfig::default())
+    /// The histogram of `durations_ms` plus `filtered` short episodes.
+    fn histogram(durations_ms: &[u64], filtered: u64) -> DurationHistogram {
+        DurationHistogram::of_durations(
+            durations_ms.iter().map(|&ms| DurationNs::from_millis(ms)),
+            filtered,
+        )
     }
 
     #[test]
     fn buckets_partition_all_traced_episodes() {
-        let s = session(&[3, 5, 9, 17, 120, 9000, 20000], 50);
-        let h = DurationHistogram::of(&s);
+        let h = histogram(&[3, 5, 9, 17, 120, 9000, 20000], 50);
         let bucketed: u64 = h.buckets().iter().map(|b| b.count).sum();
         assert_eq!(bucketed, 7);
         assert_eq!(h.filtered(), 50);
@@ -216,8 +181,7 @@ mod tests {
 
     #[test]
     fn bucket_bounds_are_contiguous_powers_of_two() {
-        let s = session(&[], 0);
-        let h = DurationHistogram::of(&s);
+        let h = histogram(&[], 0);
         for pair in h.buckets().windows(2) {
             assert_eq!(pair[0].hi, pair[1].lo);
         }
@@ -230,9 +194,15 @@ mod tests {
     }
 
     #[test]
+    fn top_bucket_is_unbounded() {
+        let h = DurationHistogram::of_durations([DurationNs::from_nanos(u64::MAX)], 0);
+        assert_eq!(h.buckets().last().unwrap().count, 1);
+        assert!(h.to_ascii(10).contains("8.19s .. inf"));
+    }
+
+    #[test]
     fn episodes_land_in_the_right_buckets() {
-        let s = session(&[3, 120], 0);
-        let h = DurationHistogram::of(&s);
+        let h = histogram(&[3, 120], 0);
         // 3 ms falls in [2, 4); 120 ms in [64, 128).
         let b3 = h
             .buckets()
@@ -252,8 +222,7 @@ mod tests {
     fn endo_style_fraction() {
         // 90 filtered + 8 fast + 2 slow: 98% under 100 ms... here: under
         // 128 ms (bucket boundary).
-        let s = session(&[10, 10, 10, 10, 10, 10, 10, 10, 500, 900], 90);
-        let h = DurationHistogram::of(&s);
+        let h = histogram(&[10, 10, 10, 10, 10, 10, 10, 10, 500, 900], 90);
         let under = h.fraction_under(DurationNs::from_millis(128));
         assert!((under - 0.98).abs() < 1e-9, "{under}");
         assert_eq!(h.fraction_under(DurationNs::ZERO), 0.9, "filtered only");
@@ -261,8 +230,7 @@ mod tests {
 
     #[test]
     fn empty_session() {
-        let s = session(&[], 0);
-        let h = DurationHistogram::of(&s);
+        let h = histogram(&[], 0);
         assert_eq!(h.total(), 0);
         assert_eq!(h.fraction_under(DurationNs::from_secs(1)), 0.0);
         assert!(h.to_ascii(40).contains("0 episodes below"));
@@ -270,15 +238,10 @@ mod tests {
 
     #[test]
     fn ascii_renders_nonempty_buckets_only() {
-        let s = session(&[5, 5, 5, 300], 10);
-        let art = h_ascii(&s);
+        let art = histogram(&[5, 5, 5, 300], 10).to_ascii(40);
         assert!(art.contains("4ms"));
         assert!(art.contains('#'));
         // Empty buckets (e.g. the 8 s one) are elided.
         assert!(!art.contains("8.19s"));
-    }
-
-    fn h_ascii(s: &AnalysisSession) -> String {
-        DurationHistogram::of(s).to_ascii(40)
     }
 }

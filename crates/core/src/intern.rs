@@ -17,17 +17,14 @@
 //! hence shape tokens and shape ids) independently. Anything that crosses
 //! a session boundary — the pattern browser, session diffs, multi-trace
 //! merging — goes through the canonical string rendering
-//! ([`ShapeInterner::render`]), produced once per *pattern* rather than
-//! once per episode. See [`crate::shape`] for the two-level scheme.
+//! ([`ShapeSignature::from_tokens`]), produced once per *pattern* rather
+//! than once per episode. See [`crate::shape`] for the two-level scheme.
 //!
 //! [`SymbolId`]: lagalyzer_model::SymbolId
+//! [`ShapeSignature::from_tokens`]: crate::shape::ShapeSignature::from_tokens
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-
-use lagalyzer_model::SymbolTable;
-
-use crate::shape::ShapeSignature;
 
 /// A dense, per-interner id for one distinct shape token stream.
 ///
@@ -230,19 +227,16 @@ impl ShapeInterner {
         &self.shapes[id.index()]
     }
 
-    /// Renders `id` as the canonical signature string, resolving symbol
-    /// ids through `symbols` (which must be the table the tokens were
-    /// built against). This is the session boundary: everything
-    /// cross-session compares these strings, not ids.
-    pub fn render(&self, id: ShapeId, symbols: &SymbolTable) -> ShapeSignature {
-        ShapeSignature::from_tokens(self.tokens(id), symbols)
+    /// Consumes the interner, returning every token stream in id order.
+    pub(crate) fn into_shapes(self) -> Vec<Vec<u8>> {
+        self.shapes.into_iter().map(Vec::from).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shape::write_shape_tokens;
+    use crate::shape::{write_shape_tokens, ShapeSignature};
     use lagalyzer_model::prelude::*;
 
     #[test]
@@ -316,7 +310,7 @@ mod tests {
         let mut i = ShapeInterner::new();
         let (id, _) = i.intern(&tokens);
         assert_eq!(
-            i.render(id, &symbols),
+            ShapeSignature::from_tokens(i.tokens(id), &symbols),
             ShapeSignature::of_tree(&tree, &symbols)
         );
     }

@@ -11,6 +11,10 @@
 //!   information, *excluding* GC nodes and all timing (paper §II-D);
 //! * [`intern`] — hash-consing of shape token streams into dense
 //!   per-session [`intern::ShapeId`]s (the mining hot path);
+//! * [`summary`] — per-episode summaries (shape index, tree metrics,
+//!   duration), the one input of mining, Table III, the histogram and
+//!   outlier detection, whether summarized from a decoded session or read
+//!   from a rollup;
 //! * [`patterns`] — episode equivalence classes with per-pattern lag
 //!   statistics and the Fig 3 cumulative coverage curve;
 //! * [`occurrence`] — always / sometimes / once / never classification of
@@ -38,8 +42,8 @@
 //! * [`browser`] — the pattern browser the paper's §II-E describes;
 //! * [`rollup`] — building persisted per-episode summary rollups from
 //!   decoded traces (the format lives in `lagalyzer_trace::rollup`);
-//! * [`warm`] — zero-decode warm analysis over persisted rollups,
-//!   byte-identical to the cold path;
+//! * [`warm`] — zero-decode warm analysis: summaries read from persisted
+//!   rollups, run through the same analysis code as the cold path;
 //! * [`analysis`] — the extension trait for custom analyses.
 //!
 //! # Example
@@ -77,6 +81,7 @@ pub mod rollup;
 pub mod session;
 pub mod shape;
 pub mod stats;
+pub mod summary;
 pub mod trigger;
 pub mod warm;
 
@@ -95,10 +100,11 @@ pub use outliers::{
     CauseCode, Culprit, LagBreakdown, OutlierConfig, OutlierFinding, OutlierReport,
 };
 pub use parallel::{available_jobs, map_shards, resolve_jobs};
-pub use patterns::{Pattern, PatternSet, PatternTable, SummarizedEpisode};
+pub use patterns::{Pattern, PatternSet, PatternTable};
 pub use session::{AnalysisConfig, AnalysisSession, CheckOutcome, Provenance};
 pub use shape::ShapeSignature;
 pub use stats::SessionStats;
+pub use summary::{Summaries, Summarizer, Summary};
 pub use trigger::Trigger;
 pub use warm::WarmSession;
 
@@ -119,10 +125,11 @@ pub mod prelude {
         CauseCode, Culprit, LagBreakdown, OutlierConfig, OutlierFinding, OutlierReport,
     };
     pub use crate::parallel::{available_jobs, map_shards, resolve_jobs};
-    pub use crate::patterns::{Pattern, PatternSet, PatternTable, SummarizedEpisode};
+    pub use crate::patterns::{Pattern, PatternSet, PatternTable};
     pub use crate::session::{AnalysisConfig, AnalysisSession, CheckOutcome, Provenance};
     pub use crate::shape::ShapeSignature;
     pub use crate::stats::SessionStats;
+    pub use crate::summary::{Summaries, Summarizer, Summary};
     pub use crate::trigger::Trigger;
     pub use crate::warm::WarmSession;
 }

@@ -12,7 +12,7 @@ use lagalyzer_model::DurationNs;
 
 use crate::occurrence::Occurrence;
 use crate::patterns::PatternSet;
-use crate::session::{AnalysisConfig, AnalysisSession};
+use crate::session::AnalysisSession;
 use crate::shape::ShapeSignature;
 
 /// One pattern merged across several sessions.
@@ -144,24 +144,6 @@ impl MultiPatternSet {
             .flatten()
             .collect();
         MultiPatternSet::merge(&per_session)
-    }
-
-    /// Mines raw decoded traces — the corpus-wide mining entry point:
-    /// wraps each trace in an [`AnalysisSession`] and runs
-    /// [`MultiPatternSet::mine_with_jobs`], so mining a corpus's
-    /// [`par_decode`](lagalyzer_trace::CorpusReader) output is
-    /// byte-identical to mining the same sessions loaded from N separate
-    /// files.
-    pub fn mine_traces_with_jobs(
-        traces: Vec<lagalyzer_model::SessionTrace>,
-        config: AnalysisConfig,
-        jobs: usize,
-    ) -> MultiPatternSet {
-        let sessions: Vec<AnalysisSession> = traces
-            .into_iter()
-            .map(|t| AnalysisSession::new(t, config))
-            .collect();
-        MultiPatternSet::mine_with_jobs(&sessions, jobs)
     }
 
     /// Merges already-mined pattern sets (one per session, in order).

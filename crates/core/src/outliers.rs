@@ -31,6 +31,7 @@ use lagalyzer_model::{
 use crate::parallel::map_shards;
 use crate::patterns::PatternSet;
 use crate::session::AnalysisSession;
+use crate::summary::{Summaries, Summary};
 
 /// Tuning knobs for outlier detection.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -115,6 +116,12 @@ impl CauseCode {
             CauseCode::Native => "native call",
             CauseCode::SelfTime => "self-time inflation",
         }
+    }
+
+    /// True for the causes whose finding names a culprit thread (lock
+    /// contention and long waits).
+    pub(crate) const fn names_culprit(self) -> bool {
+        matches!(self, CauseCode::Lock | CauseCode::Wait)
     }
 
     /// Looks a category up by its stable code.
@@ -242,7 +249,7 @@ impl LagBreakdown {
         }
     }
 
-    pub(crate) fn set(&mut self, cause: CauseCode, value: DurationNs) {
+    fn set(&mut self, cause: CauseCode, value: DurationNs) {
         match cause {
             CauseCode::Lock => self.lock = value,
             CauseCode::Wait => self.wait = value,
@@ -354,43 +361,49 @@ struct PatternWork {
 }
 
 impl OutlierReport {
-    /// Assembles a report from findings computed elsewhere — the warm path
-    /// (see [`crate::warm`]) runs detection over rollup summaries and
-    /// builds findings without an [`AnalysisSession`].
-    pub(crate) fn from_parts(
-        findings: Vec<OutlierFinding>,
-        patterns_scanned: usize,
-        patterns_total: usize,
-        episodes_considered: usize,
-        salvaged: bool,
-    ) -> OutlierReport {
-        OutlierReport {
-            findings,
-            patterns_scanned,
-            patterns_total,
-            episodes_considered,
-            salvaged,
-        }
-    }
-
-    /// Runs detection and attribution serially.
-    pub fn analyze(
-        session: &AnalysisSession,
-        patterns: &PatternSet,
-        config: &OutlierConfig,
-    ) -> OutlierReport {
-        OutlierReport::analyze_with_jobs(session, patterns, config, 1)
-    }
-
-    /// Runs detection and attribution, sharding the attribution pass over
-    /// `jobs` workers. Results are byte-identical for every jobs value.
+    /// Runs detection and attribution over a decoded session, sharding the
+    /// attribution pass over `jobs` workers. Results are byte-identical for
+    /// every jobs value.
     pub fn analyze_with_jobs(
         session: &AnalysisSession,
         patterns: &PatternSet,
         config: &OutlierConfig,
         jobs: usize,
     ) -> OutlierReport {
-        let episodes = session.episodes();
+        // Summaries of a decoded session read culprits off its episodes,
+        // so the re-decode callback is never called.
+        OutlierReport::of_summaries(
+            &Summaries::of_session(session),
+            patterns,
+            config,
+            jobs,
+            &|_| None,
+        )
+        .expect("decoded sessions need no re-decode")
+    }
+
+    /// Runs detection and attribution over a session's summaries and the
+    /// pattern set mined from them — the one outlier pass, for decoded
+    /// sessions and persisted rollups alike.
+    ///
+    /// Detection reads member durations. Attribution compares each flagged
+    /// episode's lag breakdown with the pattern centroid, sharded over
+    /// `jobs` workers by pattern; breakdowns are read from the rollup, or
+    /// computed from the decoded episodes only for the patterns that have
+    /// a flagged member. Lock/wait findings then name a wait-graph
+    /// culprit: summaries of a decoded session read it off the episode,
+    /// while rollup-backed summaries call `decode` once with the extent
+    /// positions of those findings (ascending finding order), which must
+    /// return the decoded episodes in the same order. Returns `None` when
+    /// `decode` fails.
+    pub fn of_summaries(
+        summaries: &Summaries<'_>,
+        patterns: &PatternSet,
+        config: &OutlierConfig,
+        jobs: usize,
+        decode: &dyn Fn(&[usize]) -> Option<Vec<Episode>>,
+    ) -> Option<OutlierReport> {
+        let episodes = summaries.episodes();
         let mut work: Vec<PatternWork> = Vec::new();
         let mut patterns_scanned = 0usize;
         let mut episodes_considered = 0usize;
@@ -402,7 +415,7 @@ impl OutlierReport {
             patterns_scanned += 1;
             episodes_considered += members.len();
             let durations: Vec<DurationNs> =
-                members.iter().map(|&i| episodes[i].duration()).collect();
+                members.iter().map(|&i| episodes[i].duration).collect();
             let flagged_local = detect(&durations, config);
             if flagged_local.is_empty() {
                 continue;
@@ -429,18 +442,31 @@ impl OutlierReport {
 
         let shards = map_shards(work.len(), jobs, |range| {
             range
-                .map(|i| attribute_pattern(session, &work[i]))
-                .collect::<Vec<Vec<OutlierFinding>>>()
+                .flat_map(|i| attribute(summaries, &work[i]))
+                .collect::<Vec<OutlierFinding>>()
         });
-        let findings: Vec<OutlierFinding> = shards.into_iter().flatten().flatten().collect();
+        let mut findings: Vec<OutlierFinding> = shards.into_iter().flatten().collect();
 
-        OutlierReport {
+        let waits: Vec<usize> = findings
+            .iter()
+            .filter(|f| f.cause.names_culprit())
+            .map(|f| f.episode_index)
+            .collect();
+        if !waits.is_empty() {
+            let found = summaries.culprits(&waits, decode)?;
+            let waiting = findings.iter_mut().filter(|f| f.cause.names_culprit());
+            for (finding, culprit) in waiting.zip(found) {
+                finding.culprit = culprit;
+            }
+        }
+
+        Some(OutlierReport {
             findings,
             patterns_scanned,
             patterns_total: patterns.len(),
             episodes_considered,
-            salvaged: session.is_salvaged() || patterns.salvaged(),
-        }
+            salvaged: summaries.salvaged || patterns.salvaged(),
+        })
     }
 
     /// The flagged episodes, ordered by pattern then episode index.
@@ -648,7 +674,7 @@ pub fn detect(durations: &[DurationNs], config: &OutlierConfig) -> Vec<usize> {
 }
 
 /// Lower median of `values` (sorts in place). Zero when empty.
-pub(crate) fn median_ns(values: &mut [u64]) -> u64 {
+fn median_ns(values: &mut [u64]) -> u64 {
     if values.is_empty() {
         return 0;
     }
@@ -656,33 +682,27 @@ pub(crate) fn median_ns(values: &mut [u64]) -> u64 {
     values[(values.len() - 1) / 2]
 }
 
-/// Attributes every flagged member of one pattern.
-fn attribute_pattern(session: &AnalysisSession, work: &PatternWork) -> Vec<OutlierFinding> {
-    let episodes = session.episodes();
-    let symbols = session.trace().symbols();
-
-    // Pattern centroid: per-category lower median over non-outlier
-    // members. A pattern where everything was flagged (cannot happen with
-    // a median-based threshold, but belt and braces) gets a zero baseline.
-    let normal_breakdowns: Vec<LagBreakdown> = work
+/// Attributes every flagged member of one pattern against the pattern
+/// centroid: the per-category lower median over its non-outlier members
+/// (a pattern where everything was flagged, which a median-based threshold
+/// rules out, gets a zero baseline). Culprits are filled in afterwards.
+fn attribute(summaries: &Summaries<'_>, work: &PatternWork) -> Vec<OutlierFinding> {
+    let normal: Vec<LagBreakdown> = work
         .normal
         .iter()
-        .map(|&i| LagBreakdown::of_episode(&episodes[i], symbols))
+        .map(|&i| summaries.breakdown(i))
         .collect();
     let mut baseline = LagBreakdown::default();
     for cause in CauseCode::ALL {
-        let mut values: Vec<u64> = normal_breakdowns
-            .iter()
-            .map(|b| b.get(cause).as_nanos())
-            .collect();
+        let mut values: Vec<u64> = normal.iter().map(|b| b.get(cause).as_nanos()).collect();
         baseline.set(cause, DurationNs::from_nanos(median_ns(&mut values)));
     }
 
     work.flagged
         .iter()
         .map(|&episode_index| {
-            let episode = &episodes[episode_index];
-            let breakdown = LagBreakdown::of_episode(episode, symbols);
+            let Summary { id, duration, .. } = summaries.episodes()[episode_index];
+            let breakdown = summaries.breakdown(episode_index);
             let mut cause = CauseCode::SelfTime;
             let mut cause_delta = DurationNs::ZERO;
             for candidate in CauseCode::ALL {
@@ -694,31 +714,32 @@ fn attribute_pattern(session: &AnalysisSession, work: &PatternWork) -> Vec<Outli
                     cause_delta = delta;
                 }
             }
-            let culprit = if matches!(cause, CauseCode::Lock | CauseCode::Wait) {
-                WaitGraph::extract(episode).top_holder().map(|h| Culprit {
-                    thread: h.thread,
-                    samples: h.samples,
-                    frame: h.top_frame.map(|(m, _)| m),
-                })
-            } else {
-                None
-            };
             OutlierFinding {
                 pattern_index: work.pattern_index,
                 episode_index,
-                episode_id: episode.id(),
-                duration: episode.duration(),
+                episode_id: id,
+                duration,
                 median: work.median,
-                excess: episode.duration().saturating_sub(work.median),
+                excess: duration.saturating_sub(work.median),
                 cause,
                 cause_delta,
                 breakdown,
                 baseline,
-                culprit,
+                culprit: None,
                 bytes: None,
             }
         })
         .collect()
+}
+
+/// The thread a lock/wait outlier most plausibly waited on: the top
+/// holder of the episode's wait graph.
+pub(crate) fn culprit_of(episode: &Episode) -> Option<Culprit> {
+    WaitGraph::extract(episode).top_holder().map(|h| Culprit {
+        thread: h.thread,
+        samples: h.samples,
+        frame: h.top_frame.map(|(m, _)| m),
+    })
 }
 
 fn fmt_ms(d: DurationNs) -> String {

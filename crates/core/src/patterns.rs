@@ -8,27 +8,26 @@
 //!
 //! # The hot path
 //!
-//! Grouping uses the two-level signature scheme documented in
-//! [`crate::shape`]: inside a session each episode's tree is serialized
-//! into a compact token stream over raw symbol ids (one zero-allocation
-//! traversal into a reused scratch buffer) and hash-consed by a
-//! [`ShapeInterner`] into a dense [`ShapeId`], so bucketing is an array
-//! index — no name resolution, no string formatting, no per-episode heap
-//! allocation. The canonical signature *string* is rendered once per
-//! pattern when the table is finalized. The previous implementation,
-//! which rendered and hashed a string per episode, is retained as
-//! [`PatternSet::mine_reference`] so tests (and benches) can prove the
-//! two produce byte-identical results.
+//! Mining runs over per-episode [`Summary`]s (see [`crate::summary`]).
+//! Each summary carries a dense index into the session's shape table,
+//! where the two-level signature scheme of [`crate::shape`] deduplicated
+//! the episode's token stream once, so bucketing is an array index: no
+//! hashing, no name resolution, no string formatting. The canonical
+//! signature *string* is rendered once per pattern when the table is
+//! finalized. The previous implementation, which rendered and hashed a
+//! string per episode, is retained as [`PatternSet::mine_reference`], the
+//! independent oracle tests (and benches) compare against.
+//!
+//! [`Summary`]: crate::summary::Summary
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use lagalyzer_model::{DurationNs, Episode, IntervalTree, SymbolTable};
+use lagalyzer_model::{DurationNs, SymbolTable};
 
-use crate::intern::{ShapeId, ShapeInterner};
-use crate::parallel;
 use crate::session::AnalysisSession;
-use crate::shape::{write_shape_tokens, ShapeSignature};
+use crate::shape::ShapeSignature;
+use crate::summary::Summary;
 
 /// Lag statistics over one pattern's episodes (paper §II-E).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -138,41 +137,18 @@ pub struct PatternSet {
 }
 
 impl PatternSet {
-    /// Mines the patterns of `session` (also available as
-    /// [`AnalysisSession::mine_patterns`]).
-    pub fn mine(session: &AnalysisSession) -> PatternSet {
-        PatternSet::mine_with_jobs(session, 1)
-    }
-
-    /// Mines the patterns of `session` on up to `jobs` worker threads.
-    ///
-    /// Episodes are sharded into contiguous index ranges, each shard is
-    /// scanned into its own [`PatternTable`] (with its own shard-local
-    /// [`ShapeInterner`]), and the tables are merged in shard order by
-    /// remapping each shard's dense [`ShapeId`]s into the accumulating
-    /// table's interner. Every accumulator is exact (counts, nanosecond
-    /// sums, minima/maxima), so the result is byte-identical to
-    /// [`PatternSet::mine`] for any `jobs`; `jobs <= 1` runs serially
-    /// without spawning threads.
-    pub fn mine_with_jobs(session: &AnalysisSession, jobs: usize) -> PatternSet {
-        let tables = parallel::map_shards(session.episodes().len(), jobs, |range| {
-            PatternTable::scan(session, range)
-        });
-        let mut merged = PatternTable::new();
-        for table in tables {
-            merged.merge(table);
-        }
-        merged.into_pattern_set(session.trace().symbols())
-    }
-
     /// The string-keyed baseline miner: renders and hashes a canonical
     /// signature string per episode, exactly as the pre-interning
     /// implementation did. Serial only.
     ///
-    /// Retained deliberately — equivalence tests assert the hash-consed
-    /// pipeline ([`PatternSet::mine`] / [`PatternSet::mine_with_jobs`])
-    /// produces byte-identical output to this baseline, and the benches
-    /// measure the speedup against it.
+    /// Retained deliberately as the independent oracle — equivalence
+    /// tests assert that mining summaries
+    /// ([`AnalysisSession::mine_patterns_with_jobs`],
+    /// [`Summaries::mine_patterns_with_jobs`]) produces byte-identical
+    /// output to this baseline, and the benches measure the speedup
+    /// against it.
+    ///
+    /// [`Summaries::mine_patterns_with_jobs`]: crate::summary::Summaries::mine_patterns_with_jobs
     pub fn mine_reference(session: &AnalysisSession) -> PatternSet {
         let symbols = session.trace().symbols();
         let threshold = session.perceptible_threshold();
@@ -334,28 +310,6 @@ fn sort_patterns(patterns: &mut [Pattern]) {
     });
 }
 
-/// One episode's mining-relevant facts, lifted out of a persisted rollup
-/// (see `lagalyzer_trace::rollup`) so [`PatternTable::scan_summaries`] can
-/// mine patterns without decoding episode payloads. The token slice
-/// borrows from the rollup's deduplicated shape table.
-#[derive(Clone, Copy, Debug)]
-pub struct SummarizedEpisode<'a> {
-    /// True when the dispatch interval has no children; counted, never
-    /// grouped.
-    pub structureless: bool,
-    /// True when the episode contains a GC bracket.
-    pub has_gc: bool,
-    /// Canonical shape token stream (as produced by
-    /// [`write_shape_tokens`]).
-    pub tokens: &'a [u8],
-    /// `descendant_count(root)` of the episode's interval tree.
-    pub tree_size: usize,
-    /// `max_depth()` of the episode's interval tree.
-    pub tree_depth: u32,
-    /// Wall-clock duration of the episode.
-    pub duration: DurationNs,
-}
-
 /// Per-shape accumulator inside a [`PatternTable`]. All fields are exact,
 /// so two accumulators for the same shape merge without loss.
 #[derive(Clone, Debug)]
@@ -372,35 +326,9 @@ struct PatternAccum {
 }
 
 impl PatternAccum {
-    /// An accumulator holding one episode.
-    fn single(
-        idx: usize,
-        tree: &IntervalTree,
-        d: DurationNs,
-        threshold: DurationNs,
-        has_gc: bool,
-    ) -> PatternAccum {
-        Self::single_metrics(
-            idx,
-            tree.descendant_count(tree.root()),
-            tree.max_depth(),
-            d,
-            threshold,
-            has_gc,
-        )
-    }
-
-    /// As [`single`](Self::single), but with the representative tree
-    /// metrics supplied directly — the warm path reads them from a
-    /// persisted rollup instead of a decoded tree.
-    fn single_metrics(
-        idx: usize,
-        tree_size: usize,
-        tree_depth: u32,
-        d: DurationNs,
-        threshold: DurationNs,
-        has_gc: bool,
-    ) -> PatternAccum {
+    /// An accumulator holding episode `idx`.
+    fn of(idx: usize, episode: &Summary, threshold: DurationNs) -> PatternAccum {
+        let d = episode.duration;
         PatternAccum {
             episodes: vec![idx],
             stats: LagStats {
@@ -410,58 +338,23 @@ impl PatternAccum {
                 total: d,
             },
             perceptible: u64::from(d >= threshold),
-            gc_episode_count: u64::from(has_gc),
+            gc_episode_count: u64::from(episode.has_gc),
             first_is_perceptible: d >= threshold,
-            tree_size,
-            tree_depth,
+            tree_size: episode.tree_size,
+            tree_depth: episode.tree_depth,
         }
     }
 
-    /// Adds one more member episode in place — the hot path. Representative
-    /// tree metrics are only (re)computed in the rare case that `idx`
+    /// Adds member episode `idx` in place — the hot path. The
+    /// representative metrics only change in the rare case that `idx`
     /// precedes every member seen so far (chunks fed out of order).
-    fn add_member(
-        &mut self,
-        idx: usize,
-        tree: &IntervalTree,
-        d: DurationNs,
-        threshold: DurationNs,
-        has_gc: bool,
-    ) {
-        if idx < self.episodes[0] {
-            self.add_member_metrics(
-                idx,
-                tree.descendant_count(tree.root()),
-                tree.max_depth(),
-                d,
-                threshold,
-                has_gc,
-            );
-        } else {
-            // Representative metrics are untouched on the hot path, so the
-            // placeholder values are never read.
-            self.add_member_metrics(idx, 0, 0, d, threshold, has_gc);
-        }
-    }
-
-    /// As [`add_member`](Self::add_member), but with the candidate
-    /// representative's tree metrics supplied directly (the warm path reads
-    /// them from a persisted rollup). `tree_size`/`tree_depth` are only
-    /// consulted when `idx` becomes the new representative.
-    fn add_member_metrics(
-        &mut self,
-        idx: usize,
-        tree_size: usize,
-        tree_depth: u32,
-        d: DurationNs,
-        threshold: DurationNs,
-        has_gc: bool,
-    ) {
+    fn add(&mut self, idx: usize, episode: &Summary, threshold: DurationNs) {
+        let d = episode.duration;
         let perceptible = d >= threshold;
         if idx < self.episodes[0] {
             self.first_is_perceptible = perceptible;
-            self.tree_size = tree_size;
-            self.tree_depth = tree_depth;
+            self.tree_size = episode.tree_size;
+            self.tree_depth = episode.tree_depth;
         }
         match self.episodes.last() {
             Some(&last) if last > idx => {
@@ -475,7 +368,7 @@ impl PatternAccum {
         self.stats.max = self.stats.max.max(d);
         self.stats.total += d;
         self.perceptible += u64::from(perceptible);
-        self.gc_episode_count += u64::from(has_gc);
+        self.gc_episode_count += u64::from(episode.has_gc);
     }
 
     /// Folds `other` into `self`; both must accumulate the same shape.
@@ -541,34 +434,29 @@ fn merge_sorted(mut a: Vec<usize>, mut b: Vec<usize>) -> Vec<usize> {
     }
 }
 
-/// A mergeable, shard-local pattern table — the accumulation half of
-/// pattern mining.
+/// A mergeable pattern table — the accumulation half of pattern mining.
 ///
-/// One table holds a [`ShapeInterner`] plus per-shape lag statistics,
-/// membership lists and representative-episode metrics for a contiguous
-/// slice of a session's episodes; accumulators are indexed directly by
-/// the interner's dense [`ShapeId`]s. Tables from different shards merge
-/// exactly (integer sums, minima, maxima; see [`PatternTable::merge`]),
-/// and [`PatternTable::into_pattern_set`] finalizes the merged table into
-/// the same [`PatternSet`] a serial scan produces. This is the primitive
-/// the parallel pipeline (see [`crate::parallel`]) is built on, and it
-/// also supports incremental use: chunks of episodes can be fed to
-/// [`PatternTable::scan_episodes`] while a codec is still streaming the
-/// rest of the trace.
+/// One table holds per-shape lag statistics, membership lists and
+/// representative-episode metrics for any subset of a session's
+/// summaries, indexed directly by [`Summary::shape`]. Because every
+/// summary of a session indexes the same shape table, tables built over
+/// disjoint chunks merge by index, exactly (integer sums, minima, maxima)
+/// and in any order; [`PatternTable::into_pattern_set`] finalizes the
+/// merged table into the same [`PatternSet`] a serial pass produces. This
+/// is the primitive the parallel pipeline (see [`crate::parallel`]) is
+/// built on.
 ///
-/// Shape ids are table-local: tables may only be merged when their
-/// episodes share one symbol-id assignment (shards of the same session).
-/// Cross-session aggregation goes through the canonical signature
-/// strings instead (see [`crate::multi`]).
+/// Shape indices are session-local: tables may only be merged when their
+/// summaries share one shape table (chunks of the same session).
+/// Cross-session aggregation goes through the canonical signature strings
+/// instead (see [`crate::multi`]).
 #[derive(Clone, Debug, Default)]
 pub struct PatternTable {
-    interner: ShapeInterner,
-    /// Accumulators indexed by [`ShapeId`].
-    groups: Vec<PatternAccum>,
+    /// Accumulators indexed by shape; `None` for shapes no accumulated
+    /// episode has.
+    groups: Vec<Option<PatternAccum>>,
     structureless: u64,
     salvaged: bool,
-    /// Reused token buffer: the scan loop allocates nothing per episode.
-    scratch: Vec<u8>,
 }
 
 impl PatternTable {
@@ -577,91 +465,25 @@ impl PatternTable {
         PatternTable::default()
     }
 
-    /// Scans one shard of `session`'s episodes into a fresh table.
-    pub fn scan(session: &AnalysisSession, range: std::ops::Range<usize>) -> PatternTable {
-        let mut table = PatternTable::new();
-        if session.is_salvaged() {
-            table.mark_salvaged();
-        }
-        table.scan_episodes(
-            &session.episodes()[range.clone()],
-            range.start,
-            session.perceptible_threshold(),
-        );
-        table
-    }
-
     /// Accumulates `episodes` (whose session-wide indices start at
     /// `base_index`) into the table. Chunks must not overlap and must come
-    /// from the same session (shape ids are only comparable under one
-    /// symbol assignment); feeding them in ascending index order keeps the
-    /// per-shape membership lists on the cheap append path, but any order
-    /// produces the same table.
-    pub fn scan_episodes(
-        &mut self,
-        episodes: &[Episode],
-        base_index: usize,
-        threshold: DurationNs,
-    ) {
-        for (offset, episode) in episodes.iter().enumerate() {
-            let idx = base_index + offset;
-            if episode.is_structureless() {
-                self.structureless += 1;
-                continue;
-            }
-            let tree = episode.tree();
-            self.scratch.clear();
-            let has_gc = write_shape_tokens(tree, &mut self.scratch);
-            let (id, fresh) = self.interner.intern(&self.scratch);
-            let d = episode.duration();
-            if fresh {
-                debug_assert_eq!(id.index(), self.groups.len(), "interner ids must be dense");
-                self.groups
-                    .push(PatternAccum::single(idx, tree, d, threshold, has_gc));
-            } else {
-                self.groups[id.index()].add_member(idx, tree, d, threshold, has_gc);
-            }
-        }
-    }
-
-    /// Accumulates pre-summarized episodes (whose session-wide indices
-    /// start at `base_index`) into the table, without ever touching a
-    /// decoded tree: the shape token stream and representative tree
-    /// metrics come from a persisted rollup. The resulting table is
-    /// identical to the one [`PatternTable::scan_episodes`] builds over
-    /// the decoded episodes the summaries were computed from.
-    pub fn scan_summaries(
-        &mut self,
-        episodes: &[SummarizedEpisode<'_>],
-        base_index: usize,
-        threshold: DurationNs,
-    ) {
+    /// from the same session's summaries; feeding them in ascending index
+    /// order keeps the per-shape membership lists on the cheap append
+    /// path, but any order produces the same table.
+    pub fn accumulate(&mut self, episodes: &[Summary], base_index: usize, threshold: DurationNs) {
         for (offset, episode) in episodes.iter().enumerate() {
             let idx = base_index + offset;
             if episode.structureless {
                 self.structureless += 1;
                 continue;
             }
-            let (id, fresh) = self.interner.intern(episode.tokens);
-            if fresh {
-                debug_assert_eq!(id.index(), self.groups.len(), "interner ids must be dense");
-                self.groups.push(PatternAccum::single_metrics(
-                    idx,
-                    episode.tree_size,
-                    episode.tree_depth,
-                    episode.duration,
-                    threshold,
-                    episode.has_gc,
-                ));
-            } else {
-                self.groups[id.index()].add_member_metrics(
-                    idx,
-                    episode.tree_size,
-                    episode.tree_depth,
-                    episode.duration,
-                    threshold,
-                    episode.has_gc,
-                );
+            let shape = episode.shape as usize;
+            if shape >= self.groups.len() {
+                self.groups.resize_with(shape + 1, || None);
+            }
+            match &mut self.groups[shape] {
+                Some(accum) => accum.add(idx, episode, threshold),
+                slot => *slot = Some(PatternAccum::of(idx, episode, threshold)),
             }
         }
     }
@@ -673,40 +495,25 @@ impl PatternTable {
         self.salvaged = true;
     }
 
-    /// True when any scanned session was salvaged.
+    /// True when any accumulated session was salvaged.
     pub fn salvaged(&self) -> bool {
         self.salvaged
     }
 
-    /// The table's shape interner (one entry per distinct signature).
-    pub fn shape_interner(&self) -> &ShapeInterner {
-        &self.interner
-    }
-
-    /// Folds another shard's table into this one by remapping each of
-    /// `other`'s dense [`ShapeId`]s into this table's interner (a token
-    /// lookup, never a string). The merge is exact and order-independent,
-    /// which is what makes the parallel pipeline byte-identical to the
-    /// serial scan. Both tables must have scanned episodes of the same
-    /// session (see the type-level note on symbol assignments).
+    /// Folds another table of the same session into this one, shape index
+    /// by shape index. The merge is exact and order-independent, which is
+    /// what makes the parallel pipeline identical to a serial pass.
     pub fn merge(&mut self, other: PatternTable) {
-        let PatternTable {
-            interner,
-            groups,
-            structureless,
-            salvaged,
-            scratch: _,
-        } = other;
-        self.salvaged |= salvaged;
-        self.structureless += structureless;
-        for (index, accum) in groups.into_iter().enumerate() {
-            let tokens = interner.tokens(ShapeId::from_index(index));
-            let (id, fresh) = self.interner.intern(tokens);
-            if fresh {
-                debug_assert_eq!(id.index(), self.groups.len(), "interner ids must be dense");
-                self.groups.push(accum);
-            } else {
-                self.groups[id.index()].absorb(accum);
+        self.salvaged |= other.salvaged;
+        self.structureless += other.structureless;
+        if other.groups.len() > self.groups.len() {
+            self.groups.resize_with(other.groups.len(), || None);
+        }
+        for (slot, theirs) in self.groups.iter_mut().zip(other.groups) {
+            match (slot, theirs) {
+                (Some(ours), Some(theirs)) => ours.absorb(theirs),
+                (slot @ None, theirs) => *slot = theirs,
+                (Some(_), None) => {}
             }
         }
     }
@@ -716,28 +523,22 @@ impl PatternTable {
         self.structureless
     }
 
-    /// Number of distinct signatures accumulated so far.
-    pub fn distinct_signatures(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Finalizes the table into a [`PatternSet`]: renders each shape's
-    /// canonical signature string *once* (this is the only place mining
-    /// resolves symbol names — `symbols` must be the table the scanned
-    /// episodes were recorded against), materializes one [`Pattern`] per
-    /// shape and applies the canonical sort (descending episode count,
-    /// ties by signature).
-    pub fn into_pattern_set(self, symbols: &SymbolTable) -> PatternSet {
+    /// Finalizes the table into a [`PatternSet`]: renders each accumulated
+    /// shape's canonical signature string *once* (this is the only place
+    /// mining resolves symbol names — `shapes` must be the session's shape
+    /// table and `symbols` the table its tokens were recorded against),
+    /// materializes one [`Pattern`] per shape and applies the canonical
+    /// sort (descending episode count, ties by signature).
+    pub fn into_pattern_set(self, shapes: &[Vec<u8>], symbols: &SymbolTable) -> PatternSet {
         let mut total_structured = 0u64;
-        let interner = self.interner;
         let mut patterns: Vec<Pattern> = self
             .groups
             .into_iter()
             .enumerate()
-            .map(|(index, accum)| {
+            .filter_map(|(shape, accum)| {
+                let accum = accum?;
                 total_structured += accum.stats.count;
-                let signature = interner.render(ShapeId::from_index(index), symbols);
-                accum.into_pattern(signature)
+                Some(accum.into_pattern(ShapeSignature::from_tokens(&shapes[shape], symbols)))
             })
             .collect();
         sort_patterns(&mut patterns);
@@ -754,6 +555,7 @@ impl PatternTable {
 mod tests {
     use super::*;
     use crate::session::AnalysisConfig;
+    use crate::summary::Summaries;
     use lagalyzer_model::prelude::*;
 
     fn ms(v: u64) -> TimeNs {
@@ -963,7 +765,7 @@ mod tests {
         ]);
         let serial = s.mine_patterns();
         for jobs in [1usize, 2, 3, 8] {
-            let parallel = PatternSet::mine_with_jobs(&s, jobs);
+            let parallel = s.mine_patterns_with_jobs(jobs);
             assert_sets_identical(&serial, &parallel);
         }
     }
@@ -982,8 +784,19 @@ mod tests {
         let reference = PatternSet::mine_reference(&s);
         assert_sets_identical(&reference, &s.mine_patterns());
         for jobs in [2usize, 5] {
-            assert_sets_identical(&reference, &PatternSet::mine_with_jobs(&s, jobs));
+            assert_sets_identical(&reference, &s.mine_patterns_with_jobs(jobs));
         }
+    }
+
+    /// Accumulates `range` of `summaries` into a fresh table.
+    fn table(summaries: &Summaries<'_>, range: std::ops::Range<usize>) -> PatternTable {
+        let mut table = PatternTable::new();
+        table.accumulate(
+            &summaries.episodes()[range.clone()],
+            range.start,
+            summaries.config().perceptible_threshold,
+        );
+        table
     }
 
     #[test]
@@ -995,21 +808,18 @@ mod tests {
             ("b.B", 20, false),
             ("a.A", 110, false),
         ]);
-        let symbols = s.trace().symbols();
-        let shard = |r: std::ops::Range<usize>| PatternTable::scan(&s, r);
+        let summaries = Summaries::of_session(&s);
+        let shard = |r: std::ops::Range<usize>| table(&summaries, r);
         let mut forward = shard(0..2);
         forward.merge(shard(2..4));
         forward.merge(shard(4..5));
         let mut backward = shard(4..5);
         backward.merge(shard(2..4));
         backward.merge(shard(0..2));
-        assert_eq!(
-            forward.distinct_signatures(),
-            backward.distinct_signatures()
-        );
+        let (shapes, symbols) = (summaries.shapes(), summaries.symbols());
         assert_sets_identical(
-            &forward.into_pattern_set(symbols),
-            &backward.into_pattern_set(symbols),
+            &forward.into_pattern_set(shapes, symbols),
+            &backward.into_pattern_set(shapes, symbols),
         );
     }
 
@@ -1021,37 +831,38 @@ mod tests {
             ("a.A", 70, false),
             ("c.C", 80, false),
         ]);
-        let symbols = s.trace().symbols();
-        let threshold = s.perceptible_threshold();
+        let summaries = Summaries::of_session(&s);
         let mut chunked = PatternTable::new();
         for (start, end) in [(0usize, 1usize), (1, 3), (3, 4)] {
-            chunked.scan_episodes(&s.episodes()[start..end], start, threshold);
+            chunked.merge(table(&summaries, start..end));
         }
+        let (shapes, symbols) = (summaries.shapes(), summaries.symbols());
         assert_sets_identical(
-            &chunked.into_pattern_set(symbols),
-            &PatternTable::scan(&s, 0..4).into_pattern_set(symbols),
+            &chunked.into_pattern_set(shapes, symbols),
+            &table(&summaries, 0..4).into_pattern_set(shapes, symbols),
         );
     }
 
     #[test]
     fn out_of_order_chunks_match_whole_scan() {
         // Feeding later episodes first exercises the representative
-        // take-over path in `PatternAccum::add_member`.
+        // take-over path in `PatternAccum::add`.
         let s = trace_with(&[
             ("a.A", 150, false),
             ("b.B", 60, false),
             ("a.A", 70, true),
             ("b.B", 200, false),
         ]);
-        let symbols = s.trace().symbols();
+        let summaries = Summaries::of_session(&s);
         let threshold = s.perceptible_threshold();
         let mut reversed = PatternTable::new();
         for (start, end) in [(2usize, 4usize), (0, 2)] {
-            reversed.scan_episodes(&s.episodes()[start..end], start, threshold);
+            reversed.accumulate(&summaries.episodes()[start..end], start, threshold);
         }
+        let (shapes, symbols) = (summaries.shapes(), summaries.symbols());
         assert_sets_identical(
-            &reversed.into_pattern_set(symbols),
-            &PatternTable::scan(&s, 0..4).into_pattern_set(symbols),
+            &reversed.into_pattern_set(shapes, symbols),
+            &table(&summaries, 0..4).into_pattern_set(shapes, symbols),
         );
     }
 
@@ -1068,12 +879,17 @@ mod tests {
             },
         );
         assert!(salvaged.mine_patterns().salvaged());
-        assert!(PatternSet::mine_with_jobs(&salvaged, 4).salvaged());
+        assert!(salvaged.mine_patterns_with_jobs(4).salvaged());
         // Merging a salvaged table into a clean one taints the result.
-        let mut merged = PatternTable::scan(&clean, 0..2);
-        merged.merge(PatternTable::scan(&salvaged, 0..2));
+        let summaries = Summaries::of_session(&clean);
+        let mut merged = table(&summaries, 0..1);
+        let mut tainted = table(&summaries, 1..2);
+        tainted.mark_salvaged();
+        merged.merge(tainted);
         assert!(merged.salvaged());
-        assert!(merged.into_pattern_set(clean.trace().symbols()).salvaged());
+        assert!(merged
+            .into_pattern_set(summaries.shapes(), summaries.symbols())
+            .salvaged());
     }
 
     #[test]

@@ -3,13 +3,12 @@
 //! The `lagalyzer-trace` crate defines the rollup *format* (see its
 //! `rollup` module): per-episode summaries plus derived aggregates,
 //! persisted as an optional section next to the episode payloads. This
-//! module computes those summaries from a decoded
-//! [`SessionTrace`] using the same primitives the cold analysis path
-//! uses — [`write_shape_tokens`] for the shape stream, a
-//! [`ShapeInterner`] for first-use-order deduplication,
-//! [`LagBreakdown::of_episode`] for the per-category decomposition — so a
-//! warm analysis reconstructed from the rollup is byte-identical to a
-//! cold decode-and-mine pass over the same bytes.
+//! module computes those summaries from a decoded [`SessionTrace`] with
+//! the [`Summarizer`] the cold analysis path runs on decoded sessions —
+//! shape tokens deduplicated in first-use order, tree metrics, flags —
+//! plus [`LagBreakdown::of_episode`] for the per-category decomposition,
+//! so a warm analysis reconstructed from the rollup is byte-identical to a
+//! cold decode-and-analyze pass over the same bytes.
 //!
 //! The builder does **not** stamp the content checksum: the writer that
 //! persists the rollup computes it over the episode record bytes it
@@ -22,18 +21,15 @@ use lagalyzer_trace::rollup::{
     BandGrid, EpisodeSummary, Rollup, GRID_BANDS, GRID_GRANULARITIES, SHAPE_HIST_BUCKETS,
 };
 
-use crate::intern::ShapeInterner;
 use crate::outliers::LagBreakdown;
-use crate::shape::write_shape_tokens;
+use crate::summary::Summarizer;
 
 /// Computes the full rollup of `trace` (checksum left zero; the persisting
-/// writer stamps it). Shapes are deduplicated in first-use order over the
-/// episodes, exactly as the mining scan interns them.
+/// writer stamps it).
 pub fn build(trace: &SessionTrace) -> Rollup {
     let symbols = trace.symbols();
     let span = trace.meta().end_to_end.as_nanos();
-    let mut interner = ShapeInterner::new();
-    let mut scratch: Vec<u8> = Vec::new();
+    let mut summarizer = Summarizer::new();
     let mut summaries = Vec::with_capacity(trace.episodes().len());
     let mut shape_histograms: Vec<[u64; SHAPE_HIST_BUCKETS]> = Vec::new();
     let mut grids: Vec<BandGrid> = GRID_GRANULARITIES
@@ -44,40 +40,29 @@ pub fn build(trace: &SessionTrace) -> Rollup {
         })
         .collect();
     for episode in trace.episodes() {
-        let tree = episode.tree();
-        scratch.clear();
-        let has_gc = write_shape_tokens(tree, &mut scratch);
-        let (id, fresh) = interner.intern(&scratch);
-        if fresh {
+        let summary = summarizer.summarize(episode);
+        let shape = summary.shape as usize;
+        if shape == shape_histograms.len() {
             shape_histograms.push([0; SHAPE_HIST_BUCKETS]);
         }
-        let duration = episode.duration();
-        shape_histograms[id.index()][Rollup::hist_bucket(duration.as_nanos())] += 1;
-        let band = DurationBand::of(duration) as usize;
+        shape_histograms[shape][Rollup::hist_bucket(summary.duration.as_nanos())] += 1;
+        let band = DurationBand::of(summary.duration) as usize;
         for grid in &mut grids {
             let bucket = Rollup::time_bucket(episode.start().as_nanos(), span, grid.buckets);
             grid.counts[band * grid.buckets as usize + bucket] += 1;
         }
-        let breakdown = LagBreakdown::of_episode(episode, symbols);
         summaries.push(EpisodeSummary {
-            structureless: episode.is_structureless(),
-            has_gc,
-            shape: id.index() as u32,
-            tree_size: tree.descendant_count(tree.root()) as u64,
-            tree_depth: tree.max_depth(),
-            breakdown: breakdown.to_array(),
+            structureless: summary.structureless,
+            has_gc: summary.has_gc,
+            shape: summary.shape,
+            tree_size: summary.tree_size as u64,
+            tree_depth: summary.tree_depth,
+            breakdown: LagBreakdown::of_episode(episode, symbols).to_array(),
         });
     }
-    let shapes = (0..interner.len())
-        .map(|i| {
-            interner
-                .tokens(crate::intern::ShapeId::from_index(i))
-                .to_vec()
-        })
-        .collect();
     Rollup {
         content_checksum: 0,
-        shapes,
+        shapes: summarizer.into_shapes(),
         summaries,
         grids,
         shape_histograms,

@@ -3,6 +3,7 @@
 use lagalyzer_model::{DurationNs, Episode, SessionTrace};
 
 use crate::patterns::PatternSet;
+use crate::summary::Summaries;
 
 /// Configuration shared by all analyses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -188,14 +189,15 @@ impl AnalysisSession {
 
     /// Mines the episode patterns of this session (paper §II-C/§II-D).
     pub fn mine_patterns(&self) -> PatternSet {
-        PatternSet::mine(self)
+        self.mine_patterns_with_jobs(1)
     }
 
-    /// Mines the episode patterns on up to `jobs` worker threads; the
-    /// result is byte-identical to [`AnalysisSession::mine_patterns`]
-    /// (see [`crate::parallel`]).
+    /// Mines the episode patterns on up to `jobs` worker threads:
+    /// summarizes the session, then mines the summaries. The result is
+    /// byte-identical to [`AnalysisSession::mine_patterns`] (see
+    /// [`crate::parallel`]).
     pub fn mine_patterns_with_jobs(&self, jobs: usize) -> PatternSet {
-        PatternSet::mine_with_jobs(self, jobs)
+        Summaries::of_session(self).mine_patterns_with_jobs(jobs)
     }
 }
 

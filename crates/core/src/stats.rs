@@ -4,6 +4,7 @@ use lagalyzer_model::DurationNs;
 
 use crate::patterns::PatternSet;
 use crate::session::AnalysisSession;
+use crate::summary::Summaries;
 
 /// The Table III columns for one session.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -38,38 +39,43 @@ impl SessionStats {
         SessionStats::compute_with_jobs(session, 1)
     }
 
-    /// Computes the full row on up to `jobs` worker threads. Pattern
-    /// mining and the perceptible-episode count are sharded over episodes;
-    /// both merges are exact, so the row is byte-identical to
+    /// Computes the full row on up to `jobs` worker threads: summarizes
+    /// the session once, mines it, and builds the row with
+    /// [`SessionStats::compute_from`]. The row is byte-identical to
     /// [`SessionStats::compute`] for any `jobs`.
     pub fn compute_with_jobs(session: &AnalysisSession, jobs: usize) -> SessionStats {
-        SessionStats::compute_from(session, &session.mine_patterns_with_jobs(jobs), jobs)
+        let summaries = Summaries::of_session(session);
+        SessionStats::compute_from(&summaries, &summaries.mine_patterns_with_jobs(jobs), jobs)
     }
 
-    /// [`SessionStats::compute_with_jobs`] over an already-mined pattern
-    /// set, so a caller that needs the patterns too mines them once.
+    /// Builds the row from a session's summaries and the pattern set mined
+    /// from them — the one place a Table III row is computed, for decoded
+    /// sessions and persisted rollups alike. The perceptible-episode count
+    /// is sharded over `jobs` workers; its merge is an exact sum.
     pub fn compute_from(
-        session: &AnalysisSession,
+        summaries: &Summaries<'_>,
         patterns: &PatternSet,
         jobs: usize,
     ) -> SessionStats {
-        let trace = session.trace();
-        let perceptible_count: u64 =
-            crate::parallel::map_shards(session.episodes().len(), jobs, |range| {
-                session.episodes()[range]
-                    .iter()
-                    .filter(|e| session.is_perceptible(e))
-                    .count() as u64
-            })
-            .into_iter()
-            .sum();
-        let in_episode = trace.in_episode_time();
+        let episodes = summaries.episodes();
+        let threshold = summaries.config().perceptible_threshold;
+        let perceptible_count: u64 = crate::parallel::map_shards(episodes.len(), jobs, |range| {
+            episodes[range]
+                .iter()
+                .filter(|e| e.duration >= threshold)
+                .count() as u64
+        })
+        .into_iter()
+        .sum();
+        let in_episode =
+            episodes.iter().map(|e| e.duration).sum::<DurationNs>() + summaries.short_time;
         let in_minutes = in_episode.as_secs_f64() / 60.0;
+        let end_to_end = summaries.meta().end_to_end;
         SessionStats {
-            end_to_end: trace.meta().end_to_end,
-            in_episode_fraction: trace.in_episode_fraction(),
-            short_count: trace.short_episode_count(),
-            traced_count: trace.episodes().len() as u64,
+            end_to_end,
+            in_episode_fraction: in_episode.fraction_of(end_to_end).min(1.0),
+            short_count: summaries.short_count,
+            traced_count: episodes.len() as u64,
             perceptible_count,
             long_per_minute: if in_minutes > 0.0 {
                 perceptible_count as f64 / in_minutes

@@ -77,26 +77,37 @@ proptest! {
         prop_assert_eq!(serial, parallel);
     }
 
-    /// Scanning the episode list in arbitrary chunks and merging the
-    /// shard-local tables reproduces the whole-session scan — the invariant
-    /// the streaming decoder relies on to feed shards while reading.
+    /// Accumulating the session's summaries in arbitrary chunks, merged in
+    /// any order, reproduces the whole-session pass — the invariant a
+    /// streaming decoder relies on to feed shards while reading.
     #[test]
     fn chunked_table_merge_matches_whole_scan(
         profile_index in 0u8..4,
         seed in 1u64..1000,
         chunk in 1usize..200,
+        reverse in any::<bool>(),
     ) {
         let session = session_for(profile_index, seed);
-        let symbols = session.trace().symbols();
+        let summaries = Summaries::of_session(&session);
         let threshold = session.config().perceptible_threshold;
-        let mut merged = PatternTable::new();
-        let mut base = 0;
-        for chunk_episodes in session.episodes().chunks(chunk) {
-            let mut table = PatternTable::new();
-            table.scan_episodes(chunk_episodes, base, threshold);
-            merged.merge(table);
-            base += chunk_episodes.len();
+        let mut tables: Vec<PatternTable> = summaries
+            .episodes()
+            .chunks(chunk)
+            .enumerate()
+            .map(|(i, chunk_summaries)| {
+                let mut table = PatternTable::new();
+                table.accumulate(chunk_summaries, i * chunk, threshold);
+                table
+            })
+            .collect();
+        if reverse {
+            tables.reverse();
         }
-        assert_sets_identical(&session.mine_patterns(), &merged.into_pattern_set(symbols))?;
+        let mut merged = PatternTable::new();
+        for table in tables {
+            merged.merge(table);
+        }
+        let chunked = merged.into_pattern_set(summaries.shapes(), summaries.symbols());
+        assert_sets_identical(&session.mine_patterns(), &chunked)?;
     }
 }

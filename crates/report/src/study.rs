@@ -9,6 +9,7 @@ use lagalyzer_core::parallel::map_shards;
 use lagalyzer_core::patterns::PatternSet;
 use lagalyzer_core::session::{AnalysisConfig, AnalysisSession};
 use lagalyzer_core::stats::SessionStats;
+use lagalyzer_core::summary::Summaries;
 use lagalyzer_model::OriginClassifier;
 use lagalyzer_sim::profile::AppProfile;
 use lagalyzer_sim::runner::simulate_session;
@@ -124,10 +125,20 @@ pub fn aggregate_sessions_with_jobs(
     let bundles: Vec<SessionBundle> = map_shards(sessions.len(), jobs, |range| {
         sessions[range]
             .iter()
-            .map(|s| SessionBundle {
-                row: SessionStats::compute(s),
-                patterns: s.mine_patterns(),
-                characterization: CharacterizationTable::scan(s, 0..s.episodes().len(), classifier),
+            .map(|s| {
+                // One summary pass and one mining feed both the Table III
+                // row and the pattern-derived figures.
+                let summaries = Summaries::of_session(s);
+                let patterns = summaries.mine_patterns_with_jobs(1);
+                SessionBundle {
+                    row: SessionStats::compute_from(&summaries, &patterns, 1),
+                    patterns,
+                    characterization: CharacterizationTable::scan(
+                        s,
+                        0..s.episodes().len(),
+                        classifier,
+                    ),
+                }
             })
             .collect::<Vec<_>>()
     })

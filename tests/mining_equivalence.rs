@@ -12,7 +12,7 @@
 use lagalyzer::core::prelude::*;
 use lagalyzer::model::prelude::*;
 use lagalyzer::sim::{apps, runner};
-use lagalyzer::trace::{binary, read_bytes_salvage};
+use lagalyzer::trace::{binary, read_bytes_salvage, EpisodeFilter, IndexedTrace};
 
 fn assert_sets_identical(a: &PatternSet, b: &PatternSet) {
     assert_eq!(a.len(), b.len());
@@ -173,4 +173,43 @@ fn cross_session_analyses_agree_despite_disjoint_symbol_ids() {
     assert!(diff.appeared.is_empty());
     assert!(diff.disappeared.is_empty());
     assert_eq!(diff.common.len(), set_a.len());
+}
+
+/// Warm mining over a filtered session: `--perceptible` admits only the
+/// perceptible episodes, so some persisted rollup shapes keep no admitted
+/// member and must not surface as patterns. Mining the rollup's summaries
+/// must equal the reference miner over the equally filtered decode.
+#[test]
+fn warm_mining_matches_reference_when_filter_empties_shapes() {
+    let trace = runner::simulate_session(&apps::jedit(), 0, 42);
+    let mut bytes = Vec::new();
+    let rollup = lagalyzer::core::rollup::build(&trace);
+    binary::write_with_rollup(&trace, &mut bytes, rollup).unwrap();
+    let indexed = IndexedTrace::open(bytes).unwrap();
+    let filter = EpisodeFilter::new().min_duration(DurationNs::PERCEPTIBLE_DEFAULT);
+    let warm = WarmSession::of_indexed(&indexed, AnalysisConfig::default(), &filter)
+        .expect("the trace carries a valid rollup");
+
+    let admitted: std::collections::HashSet<u32> = warm
+        .summaries()
+        .episodes()
+        .iter()
+        .map(|s| s.shape)
+        .collect();
+    assert!(
+        admitted.len() < warm.rollup().shapes.len(),
+        "the filter must leave some persisted shapes without an admitted member"
+    );
+
+    let session = AnalysisSession::with_exclusions(
+        indexed.par_decode_filtered(1, &filter).unwrap(),
+        AnalysisConfig::default(),
+        Provenance::Clean,
+        warm.excluded(),
+    );
+    let reference = PatternSet::mine_reference(&session);
+    assert!(!reference.is_empty());
+    for jobs in [1usize, 2, 5] {
+        assert_sets_identical(&reference, &warm.mine_patterns_with_jobs(jobs));
+    }
 }

@@ -1,11 +1,13 @@
 //! Salvage-while-mining: a damaged trace is recovered by the lenient
 //! decoder and mined through the parallel pipeline. Sharded mining over
-//! the salvaged session, and streaming chunked mining over a
-//! [`SalvageEpisodeStream`], must both match the serial reference
-//! exactly — and every result must carry the salvaged provenance flag.
+//! the salvaged session, and chunked accumulation of summaries taken while
+//! a [`SalvageEpisodeStream`] surfaces episodes, must both match the
+//! serial reference exactly — and every result must carry the salvaged
+//! provenance flag.
 
 use lagalyzer::core::patterns::{PatternSet, PatternTable};
 use lagalyzer::core::prelude::*;
+use lagalyzer::core::summary::Summarizer;
 use lagalyzer::sim::{apps, runner};
 use lagalyzer::trace::{binary, read_bytes_salvage, SalvageEpisodeStream};
 
@@ -71,15 +73,18 @@ fn chunked_mining_over_salvage_stream_matches_serial() {
     let reference = session.mine_patterns();
     let threshold = AnalysisConfig::default().perceptible_threshold;
 
-    // Streaming: decode leniently, mine in chunks as episodes surface.
-    // Symbol definitions can in principle appear between episode records,
-    // so resolve signatures with the post-stream symbol table.
+    // Streaming: decode leniently and summarize episodes as they surface
+    // (one summarizer, so every chunk indexes the same shape table), then
+    // accumulate the chunks. Symbol definitions can in principle appear
+    // between episode records, so resolve signatures with the post-stream
+    // symbol table.
     let mut stream = SalvageEpisodeStream::new(&bytes).unwrap();
-    let mut chunks: Vec<(usize, Vec<_>)> = Vec::new();
+    let mut summarizer = Summarizer::new();
+    let mut chunks: Vec<(usize, Vec<Summary>)> = Vec::new();
     let mut chunk = Vec::new();
     let mut base = 0usize;
     while let Some(episode) = stream.next_episode() {
-        chunk.push(episode);
+        chunk.push(summarizer.summarize(&episode));
         if chunk.len() == 64 {
             let full = std::mem::take(&mut chunk);
             chunks.push((base, full));
@@ -97,10 +102,11 @@ fn chunked_mining_over_salvage_stream_matches_serial() {
     let mut merged = PatternTable::new();
     merged.mark_salvaged();
     // Merge in reverse chunk order to exercise order-independence.
-    for (start, episodes) in chunks.iter().rev() {
+    for (start, summaries) in chunks.iter().rev() {
         let mut table = PatternTable::new();
-        table.scan_episodes(episodes, *start, threshold);
+        table.accumulate(summaries, *start, threshold);
         merged.merge(table);
     }
-    assert_sets_identical(&reference, &merged.into_pattern_set(&symbols));
+    let streamed = merged.into_pattern_set(&summarizer.into_shapes(), &symbols);
+    assert_sets_identical(&reference, &streamed);
 }

@@ -1,12 +1,14 @@
-//! End-to-end streaming + parallel mining: episodes are decoded
-//! incrementally from the binary codec and handed to scan workers while
-//! the reader is still consuming the byte stream. The merged result must
-//! be byte-identical to the in-memory serial analysis.
+//! End-to-end streaming + parallel mining: episodes are decoded and
+//! summarized incrementally from the binary codec, and their summaries are
+//! handed to accumulation workers while the reader is still consuming the
+//! byte stream. The merged result must be byte-identical to the in-memory
+//! serial analysis.
 
 use std::sync::mpsc;
 
 use lagalyzer::core::patterns::PatternTable;
 use lagalyzer::core::prelude::*;
+use lagalyzer::core::summary::Summarizer;
 use lagalyzer::sim::{apps, runner};
 use lagalyzer::trace::{binary, EpisodeStream};
 
@@ -21,19 +23,17 @@ fn streamed_shards_match_in_memory_mining() {
     let reference = session.mine_patterns();
     let threshold = AnalysisConfig::default().perceptible_threshold;
 
-    // The streaming pipeline: the main thread decodes episodes chunk by
-    // chunk and ships each chunk to a scan worker as soon as it is
-    // assembled; workers mine concurrently with the decode. Chunk results
-    // arrive in completion order — the table merge is order-independent,
-    // so that is fine.
+    // The streaming pipeline: the main thread decodes and summarizes
+    // episodes chunk by chunk (one summarizer, so every summary indexes the
+    // same shape table) and ships each chunk of summaries to an
+    // accumulation worker as soon as it is assembled; workers mine
+    // concurrently with the decode. Chunk results arrive in completion
+    // order — tables merge by shape index in any order, so that is fine.
     const CHUNK: usize = 128;
     const WORKERS: usize = 3;
     let mut stream = EpisodeStream::new(bytes.as_slice()).unwrap();
-    // Symbols are interned before the first episode record, so workers can
-    // resolve frames from a clone taken as soon as episodes start flowing.
-    let first = stream.next_episode().unwrap().expect("trace has episodes");
-    let symbols = stream.symbols().clone();
-    let (chunk_tx, chunk_rx) = mpsc::channel::<(usize, Vec<_>)>();
+    let mut summarizer = Summarizer::new();
+    let (chunk_tx, chunk_rx) = mpsc::channel::<(usize, Vec<Summary>)>();
     let chunk_rx = std::sync::Mutex::new(chunk_rx);
     let (table_tx, table_rx) = mpsc::channel::<PatternTable>();
     let merged = std::thread::scope(|scope| {
@@ -42,19 +42,19 @@ fn streamed_shards_match_in_memory_mining() {
             let table_tx = table_tx.clone();
             scope.spawn(move || loop {
                 let msg = chunk_rx.lock().unwrap().recv();
-                let Ok((base, episodes)) = msg else { break };
+                let Ok((base, summaries)) = msg else { break };
                 let mut table = PatternTable::new();
-                table.scan_episodes(&episodes, base, threshold);
+                table.accumulate(&summaries, base, threshold);
                 table_tx.send(table).unwrap();
             });
         }
         drop(table_tx);
 
-        let mut chunk = vec![first];
+        let mut chunk = Vec::new();
         let mut base = 0;
         let mut sent = 0usize;
         for episode in &mut stream {
-            chunk.push(episode.unwrap());
+            chunk.push(summarizer.summarize(&episode.unwrap()));
             if chunk.len() == CHUNK {
                 let full = std::mem::take(&mut chunk);
                 base += full.len();
@@ -76,7 +76,8 @@ fn streamed_shards_match_in_memory_mining() {
         merged
     });
 
-    let streamed = merged.into_pattern_set(&symbols);
+    let symbols = stream.symbols().clone();
+    let streamed = merged.into_pattern_set(&summarizer.into_shapes(), &symbols);
     assert_eq!(streamed.len(), reference.len());
     assert_eq!(streamed.covered_episodes(), reference.covered_episodes());
     assert_eq!(
