@@ -207,6 +207,30 @@ fn lint_exit_contract_on_corpora() {
     assert_eq!(output.status.code(), Some(1), "I/O error exits 1");
 }
 
+/// `check` runs the rules over one trace, so a corpus — with or without
+/// `--session K` — is a usage error (exit 1) naming corpus files, like
+/// `analyze --check`, not an unrecoverable trace (exit 3).
+#[test]
+fn check_on_a_corpus_is_a_usage_error() {
+    let path = corpus_dir().join("corpus.lgzc");
+    let path = path.to_str().unwrap();
+    for args in [
+        &["check", path][..],
+        &["check", path, "--session", "0"],
+        &["check", path, "--format", "json"],
+        &["analyze", path, "--check"],
+    ] {
+        let output = lagalyzer(args);
+        assert_eq!(output.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8(output.stderr).unwrap();
+        assert!(
+            stderr.contains("not supported on corpus files"),
+            "{args:?}: {stderr}"
+        );
+        assert!(output.stdout.is_empty(), "{args:?}");
+    }
+}
+
 /// `--session K` selects one member for the single-session commands; the
 /// result matches analyzing the original `.lgz` file, and the salvaged
 /// member carries its exit-2 provenance through the corpus.

@@ -22,8 +22,9 @@ impl Default for AnalysisConfig {
 
 /// How the session's trace was obtained.
 ///
-/// A salvaged trace is one recovered from a damaged file by the
-/// lenient decoder (`lagalyzer_trace::read_bytes_salvage`); its episode
+/// A salvaged trace is one recovered from a damaged file by a salvage
+/// decode (`lagalyzer_trace::IndexedTrace::open_salvage`, or
+/// `text::read_salvage` for a text trace); its episode
 /// population may be incomplete, so analyses derived from it carry this
 /// flag into their result tables and reports.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -2,8 +2,6 @@
 //! it (binary traces start with the `LGLZTRC` magic, text traces with the
 //! `lagalyzer-trace` header line).
 
-use std::path::Path;
-
 use lagalyzer_model::SessionTrace;
 
 use crate::error::TraceError;
@@ -26,16 +24,6 @@ pub fn read_bytes(bytes: &[u8]) -> Result<SessionTrace, TraceError> {
             "neither binary magic nor text header found",
         ))
     }
-}
-
-/// Reads and decodes a trace file, auto-detecting the codec.
-///
-/// # Errors
-///
-/// Fails on I/O errors or any codec error.
-pub fn read_path<P: AsRef<Path>>(path: P) -> Result<SessionTrace, TraceError> {
-    let bytes = std::fs::read(path)?;
-    read_bytes(&bytes)
 }
 
 #[cfg(test)]
@@ -90,20 +78,5 @@ mod tests {
             Err(TraceError::Corrupt { .. })
         ));
         assert!(matches!(read_bytes(b""), Err(TraceError::Corrupt { .. })));
-    }
-
-    #[test]
-    fn reads_from_disk() {
-        let dir = std::env::temp_dir().join(format!("lagalyzer-auto-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.lgz");
-        let trace = fixture();
-        let mut buf = Vec::new();
-        binary::write(&trace, &mut buf).unwrap();
-        std::fs::write(&path, &buf).unwrap();
-        let back = read_path(&path).unwrap();
-        assert_eq!(back.meta().application, "Auto");
-        assert!(read_path(dir.join("missing.lgz")).is_err());
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

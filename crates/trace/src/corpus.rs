@@ -59,6 +59,7 @@ use crate::index::{
     decode_extents, encode_extents_into, DecodeScratch, EpisodeExtent, EpisodeFilter, IndexHealth,
     IndexedTrace,
 };
+use crate::record::SessionRecords;
 use crate::rollup::{Rollup, RollupHealth};
 use crate::salvage::DamageVerdict;
 use crate::source::SessionSource;
@@ -117,10 +118,7 @@ pub struct PackOptions {
 /// Everything the writer needs for one session, already rebased.
 struct PackSession {
     meta: SessionMeta,
-    symbols: SymbolTable,
-    gc_events: Vec<GcEvent>,
-    short_count: u64,
-    short_time: DurationNs,
+    records: SessionRecords,
     health: IndexHealth,
     salvaged: bool,
     damaged: bool,
@@ -151,10 +149,7 @@ impl PackSession {
         let report = trace.salvage_report();
         PackSession {
             meta: trace.meta().clone(),
-            symbols: trace.symbols().clone(),
-            gc_events: trace.gc_events().to_vec(),
-            short_count: trace.short_episode_count(),
-            short_time: trace.short_episode_time(),
+            records: trace.source().records.clone(),
             health: trace.health().clone(),
             salvaged: report.is_some(),
             damaged: report.is_some_and(|r| !r.is_clean()),
@@ -299,8 +294,8 @@ fn pack_sessions(sessions: &[PackSession], options: PackOptions) -> Result<Vec<u
     let mut global = SymbolTable::new();
     let mut remaps: Vec<Vec<u32>> = Vec::with_capacity(sessions.len());
     for session in sessions {
-        let mut remap = Vec::with_capacity(session.symbols.len());
-        for (_, name) in session.symbols.iter() {
+        let mut remap = Vec::with_capacity(session.records.symbols.len());
+        for (_, name) in session.records.symbols.iter() {
             remap.push(global.intern(name).as_raw());
         }
         remaps.push(remap);
@@ -325,14 +320,15 @@ fn pack_sessions(sessions: &[PackSession], options: PackOptions) -> Result<Vec<u
         for &global_id in remap {
             varint::write_u32(&mut directory, global_id)?;
         }
-        varint::write_u64(&mut directory, session.gc_events.len() as u64)?;
-        for gc in &session.gc_events {
+        let records = &session.records;
+        varint::write_u64(&mut directory, records.gc_events.len() as u64)?;
+        for gc in &records.gc_events {
             varint::write_u64(&mut directory, gc.start.as_nanos())?;
             varint::write_u64(&mut directory, gc.end.as_nanos())?;
             directory.push(u8::from(gc.major));
         }
-        varint::write_u64(&mut directory, session.short_count)?;
-        varint::write_u64(&mut directory, session.short_time.as_nanos())?;
+        varint::write_u64(&mut directory, records.short_count)?;
+        varint::write_u64(&mut directory, records.short_time.as_nanos())?;
     }
 
     let mut data = Vec::new();
@@ -433,10 +429,7 @@ enum Payload {
 /// One session's directory entry, fully materialized at open time.
 struct SessionEntry {
     meta: SessionMeta,
-    symbols: SymbolTable,
-    gc_events: Vec<GcEvent>,
-    short_count: u64,
-    short_time: DurationNs,
+    records: SessionRecords,
     health: IndexHealth,
     salvaged: bool,
     damaged: bool,
@@ -583,10 +576,7 @@ impl CorpusReader {
                 open_rollup(&bytes, data_off, rollup_section, payload_bytes, &extents);
             sessions.push(SessionEntry {
                 meta: dir.meta,
-                symbols: dir.symbols,
-                gc_events: dir.gc_events,
-                short_count: dir.short_count,
-                short_time: dir.short_time,
+                records: dir.records,
                 health: dir.health,
                 salvaged: dir.salvaged,
                 damaged: dir.damaged,
@@ -759,12 +749,9 @@ impl<'a> SessionView<'a> {
         let entry = self.reader.entry(self.index);
         SessionSource {
             meta: &entry.meta,
-            symbols: &entry.symbols,
+            records: &entry.records,
             extents: &entry.extents,
             payload: self.reader.payload_bytes(self.index),
-            gc_events: &entry.gc_events,
-            short_count: entry.short_count,
-            short_time: entry.short_time,
             lenient: entry.salvaged,
             rollup: entry.rollup.as_ref(),
         }
@@ -866,10 +853,7 @@ struct Section {
 /// Parsed per-session directory entry (before extents and payload).
 struct DirEntry {
     meta: SessionMeta,
-    symbols: SymbolTable,
-    gc_events: Vec<GcEvent>,
-    short_count: u64,
-    short_time: DurationNs,
+    records: SessionRecords,
     health: IndexHealth,
     salvaged: bool,
     damaged: bool,
@@ -1016,10 +1000,12 @@ fn read_directory(
         let short_time = DurationNs::from_nanos(varint::read_u64(&mut r)?);
         out.push(DirEntry {
             meta,
-            symbols,
-            gc_events,
-            short_count,
-            short_time,
+            records: SessionRecords {
+                symbols,
+                gc_events,
+                short_count,
+                short_time,
+            },
             health,
             salvaged,
             damaged,

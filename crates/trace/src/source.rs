@@ -2,9 +2,9 @@
 //!
 //! Whether a session lives in a `.lgz` file ([`IndexedTrace`]) or inside
 //! a `.lgzc` corpus ([`SessionView`]), decoding it takes the same parts:
-//! the header metadata, the symbol table, the extent index, the payload
-//! bytes the extent offsets point into, and the session-level records
-//! hoisted out of the episode stream (GC events, short-episode counters).
+//! the header metadata, the extent index, the payload bytes the extent
+//! offsets point into, and the session-level records hoisted out of the
+//! episode stream (symbol table, GC events, short-episode counters).
 //! A [`SessionSource`] borrows exactly those parts, plus the salvaged
 //! (lenient) flag and the validated rollup, and holds the only
 //! implementation of filtered, subset and single-episode decode and of
@@ -16,12 +16,13 @@
 
 use lagalyzer_model::parallel::map_shards_init;
 use lagalyzer_model::{
-    DurationNs, Episode, EpisodeFragment, GcEvent, SessionMeta, SessionTrace, SessionTraceBuilder,
+    DurationNs, Episode, EpisodeFragment, SessionMeta, SessionTrace, SessionTraceBuilder,
     SymbolTable,
 };
 
 use crate::error::TraceError;
 use crate::index::{decode_extent, DecodeScratch, EpisodeExtent, EpisodeFilter};
+use crate::record::SessionRecords;
 use crate::rollup::Rollup;
 
 /// One opened session, borrowed from the [`IndexedTrace`] or corpus that
@@ -34,14 +35,11 @@ use crate::rollup::Rollup;
 #[derive(Clone, Copy)]
 pub struct SessionSource<'a> {
     pub(crate) meta: &'a SessionMeta,
-    pub(crate) symbols: &'a SymbolTable,
+    pub(crate) records: &'a SessionRecords,
     pub(crate) extents: &'a [EpisodeExtent],
     /// The bytes the extent offsets index: the whole file for a `.lgz`,
     /// the (decompressed) payload section for a corpus session.
     pub(crate) payload: &'a [u8],
-    pub(crate) gc_events: &'a [GcEvent],
-    pub(crate) short_count: u64,
-    pub(crate) short_time: DurationNs,
     pub(crate) lenient: bool,
     pub(crate) rollup: Option<&'a Rollup>,
 }
@@ -54,7 +52,7 @@ impl<'a> SessionSource<'a> {
 
     /// The session's symbol table.
     pub fn symbols(&self) -> &'a SymbolTable {
-        self.symbols
+        &self.records.symbols
     }
 
     /// The extent index, one entry per episode in dispatch order.
@@ -65,12 +63,12 @@ impl<'a> SessionSource<'a> {
     /// Episodes below the tracer-side filter threshold (counted, not
     /// recorded individually).
     pub fn short_episode_count(&self) -> u64 {
-        self.short_count
+        self.records.short_count
     }
 
     /// Total time spent in short (untraced) episodes.
     pub fn short_episode_time(&self) -> DurationNs {
-        self.short_time
+        self.records.short_time
     }
 
     /// `true` when the session came out of a salvage-mode open: decoding
@@ -237,7 +235,7 @@ impl<'a> SessionSource<'a> {
         &self,
         fragments: Vec<EpisodeFragment>,
     ) -> Result<SessionTrace, TraceError> {
-        let mut b = SessionTraceBuilder::new(self.meta.clone(), self.symbols.clone());
+        let mut b = SessionTraceBuilder::new(self.meta.clone(), self.records.symbols.clone());
         b.reserve_episodes(fragments.iter().map(EpisodeFragment::len).sum());
         for fragment in fragments {
             if self.lenient {
@@ -246,10 +244,6 @@ impl<'a> SessionSource<'a> {
                 b.append_fragment(fragment)?;
             }
         }
-        for gc in self.gc_events {
-            b.push_gc(*gc);
-        }
-        b.add_short_episodes(self.short_count, self.short_time);
-        Ok(b.finish())
+        Ok(self.records.finish(b))
     }
 }

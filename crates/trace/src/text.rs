@@ -426,9 +426,9 @@ pub fn read_salvage(bytes: &[u8]) -> Result<crate::salvage::Salvaged, TraceError
         end_to_end: DurationNs::from_nanos(field!(e2e, "e2e_ns", 0)),
         filter_threshold: DurationNs::from_nanos(field!(filter, "filter_ns", 0)),
     };
-    let (tail, report) = assembler.finish();
+    let (records, report) = assembler.finish();
     Ok(Salvaged {
-        trace: build_session(meta, episodes, tail),
+        trace: build_session(meta, episodes, records),
         report,
     })
 }

@@ -1,15 +1,14 @@
 //! Salvage-while-mining: a damaged trace is recovered by the lenient
 //! decoder and mined through the parallel pipeline. Sharded mining over
-//! the salvaged session, and chunked accumulation of summaries taken while
-//! a [`SalvageEpisodeStream`] surfaces episodes, must both match the
-//! serial reference exactly — and every result must carry the salvaged
-//! provenance flag.
+//! the salvaged session, and chunked accumulation of summaries of the
+//! extents a salvage open rebuilt, must both match the serial reference
+//! exactly — and every result must carry the salvaged provenance flag.
 
 use lagalyzer::core::patterns::{PatternSet, PatternTable};
 use lagalyzer::core::prelude::*;
 use lagalyzer::core::summary::Summarizer;
 use lagalyzer::sim::{apps, runner};
-use lagalyzer::trace::{binary, read_bytes_salvage, SalvageEpisodeStream};
+use lagalyzer::trace::{binary, read_bytes_salvage, IndexedTrace};
 
 /// Encodes a simulated session and truncates it mid-record so strict
 /// decoding fails but most episodes survive salvage.
@@ -57,7 +56,7 @@ fn parallel_mining_over_salvaged_session_matches_serial() {
 }
 
 #[test]
-fn chunked_mining_over_salvage_stream_matches_serial() {
+fn chunked_mining_over_salvaged_extents_matches_serial() {
     let bytes = damaged_trace_bytes();
 
     // Serial reference: bulk salvage, then mine.
@@ -73,31 +72,26 @@ fn chunked_mining_over_salvage_stream_matches_serial() {
     let reference = session.mine_patterns();
     let threshold = AnalysisConfig::default().perceptible_threshold;
 
-    // Streaming: decode leniently and summarize episodes as they surface
-    // (one summarizer, so every chunk indexes the same shape table), then
-    // accumulate the chunks. Symbol definitions can in principle appear
-    // between episode records, so resolve signatures with the post-stream
-    // symbol table.
-    let mut stream = SalvageEpisodeStream::new(&bytes).unwrap();
+    // Chunked: open leniently, then decode the rebuilt extents 64 at a
+    // time and summarize them (one summarizer, so every chunk indexes the
+    // same shape table), then accumulate the chunks. The salvage scan
+    // collects every symbol definition before the open returns, so the
+    // opened table resolves every chunk's signatures.
+    let indexed = IndexedTrace::open_salvage(bytes).unwrap();
+    assert!(!indexed.salvage_report().unwrap().is_clean());
     let mut summarizer = Summarizer::new();
-    let mut chunks: Vec<(usize, Vec<Summary>)> = Vec::new();
-    let mut chunk = Vec::new();
-    let mut base = 0usize;
-    while let Some(episode) = stream.next_episode() {
-        chunk.push(summarizer.summarize(&episode));
-        if chunk.len() == 64 {
-            let full = std::mem::take(&mut chunk);
-            chunks.push((base, full));
-            base = chunks.iter().map(|(_, c)| c.len()).sum();
-        }
-    }
-    if !chunk.is_empty() {
-        chunks.push((base, chunk));
-    }
+    let positions: Vec<usize> = (0..indexed.len()).collect();
+    let chunks: Vec<(usize, Vec<Summary>)> = positions
+        .chunks(64)
+        .map(|slots| {
+            let episodes = indexed.par_decode_subset(1, slots).unwrap();
+            assert_eq!(episodes.len(), slots.len());
+            let summaries = episodes.iter().map(|e| summarizer.summarize(e)).collect();
+            (slots[0], summaries)
+        })
+        .collect();
     assert!(chunks.len() > 2, "expected several chunks");
-    let symbols = stream.symbols().clone();
-    let (_tail, report) = stream.finish();
-    assert!(!report.is_clean());
+    let symbols = indexed.symbols();
 
     let mut merged = PatternTable::new();
     merged.mark_salvaged();
@@ -107,6 +101,6 @@ fn chunked_mining_over_salvage_stream_matches_serial() {
         table.accumulate(summaries, *start, threshold);
         merged.merge(table);
     }
-    let streamed = merged.into_pattern_set(&summarizer.into_shapes(), &symbols);
+    let streamed = merged.into_pattern_set(&summarizer.into_shapes(), symbols);
     assert_sets_identical(&reference, &streamed);
 }

@@ -1,8 +1,8 @@
-//! End-to-end streaming + parallel mining: episodes are decoded and
-//! summarized incrementally from the binary codec, and their summaries are
-//! handed to accumulation workers while the reader is still consuming the
-//! byte stream. The merged result must be byte-identical to the in-memory
-//! serial analysis.
+//! End-to-end streaming + parallel mining: episodes are decoded chunk by
+//! chunk from an indexed binary trace and summarized, and their summaries
+//! are handed to accumulation workers while the rest of the trace is still
+//! being decoded. The merged result must be byte-identical to the
+//! in-memory serial analysis.
 
 use std::sync::mpsc;
 
@@ -10,7 +10,8 @@ use lagalyzer::core::patterns::PatternTable;
 use lagalyzer::core::prelude::*;
 use lagalyzer::core::summary::Summarizer;
 use lagalyzer::sim::{apps, runner};
-use lagalyzer::trace::{binary, EpisodeStream};
+use lagalyzer::trace::corpus::{self, CorpusReader, PackOptions};
+use lagalyzer::trace::{binary, IndexedTrace};
 
 #[test]
 fn streamed_shards_match_in_memory_mining() {
@@ -24,14 +25,15 @@ fn streamed_shards_match_in_memory_mining() {
     let threshold = AnalysisConfig::default().perceptible_threshold;
 
     // The streaming pipeline: the main thread decodes and summarizes
-    // episodes chunk by chunk (one summarizer, so every summary indexes the
-    // same shape table) and ships each chunk of summaries to an
-    // accumulation worker as soon as it is assembled; workers mine
-    // concurrently with the decode. Chunk results arrive in completion
-    // order — tables merge by shape index in any order, so that is fine.
+    // episodes chunk by chunk through the extent index (one summarizer, so
+    // every summary indexes the same shape table) and ships each chunk of
+    // summaries to an accumulation worker as soon as it is assembled;
+    // workers mine concurrently with the decode. Chunk results arrive in
+    // completion order — tables merge by shape index in any order, so
+    // that is fine.
     const CHUNK: usize = 128;
     const WORKERS: usize = 3;
-    let mut stream = EpisodeStream::new(bytes.as_slice()).unwrap();
+    let indexed = IndexedTrace::open(bytes).unwrap();
     let mut summarizer = Summarizer::new();
     let (chunk_tx, chunk_rx) = mpsc::channel::<(usize, Vec<Summary>)>();
     let chunk_rx = std::sync::Mutex::new(chunk_rx);
@@ -50,20 +52,12 @@ fn streamed_shards_match_in_memory_mining() {
         }
         drop(table_tx);
 
-        let mut chunk = Vec::new();
-        let mut base = 0;
         let mut sent = 0usize;
-        for episode in &mut stream {
-            chunk.push(summarizer.summarize(&episode.unwrap()));
-            if chunk.len() == CHUNK {
-                let full = std::mem::take(&mut chunk);
-                base += full.len();
-                chunk_tx.send((base - full.len(), full)).unwrap();
-                sent += 1;
-            }
-        }
-        if !chunk.is_empty() {
-            chunk_tx.send((base, chunk)).unwrap();
+        let positions: Vec<usize> = (0..indexed.len()).collect();
+        for (k, slots) in positions.chunks(CHUNK).enumerate() {
+            let episodes = indexed.par_decode_subset(1, slots).unwrap();
+            let chunk = episodes.iter().map(|e| summarizer.summarize(e)).collect();
+            chunk_tx.send((k * CHUNK, chunk)).unwrap();
             sent += 1;
         }
         drop(chunk_tx);
@@ -76,8 +70,7 @@ fn streamed_shards_match_in_memory_mining() {
         merged
     });
 
-    let symbols = stream.symbols().clone();
-    let streamed = merged.into_pattern_set(&summarizer.into_shapes(), &symbols);
+    let streamed = merged.into_pattern_set(&summarizer.into_shapes(), indexed.symbols());
     assert_eq!(streamed.len(), reference.len());
     assert_eq!(streamed.covered_episodes(), reference.covered_episodes());
     assert_eq!(
@@ -92,20 +85,36 @@ fn streamed_shards_match_in_memory_mining() {
     }
 }
 
+/// The session-level records (symbols, GC events, short-episode
+/// counters) come out of the strict open, the salvage open and a corpus
+/// member exactly as the serial reference decodes them.
 #[test]
-fn stream_tail_matches_bulk_metadata() {
+fn session_records_match_bulk_metadata() {
     let trace = runner::simulate_session(&apps::jedit(), 1, 13);
     let mut bytes = Vec::new();
     binary::write(&trace, &mut bytes).unwrap();
+    let serial = binary::read(bytes.as_slice()).unwrap();
+    assert!(serial.short_episode_count() > 0 && !serial.gc_events().is_empty());
 
-    let mut stream = EpisodeStream::new(bytes.as_slice()).unwrap();
-    let mut count = 0usize;
-    while stream.next_episode().unwrap().is_some() {
-        count += 1;
+    let strict = IndexedTrace::open(bytes.clone()).unwrap();
+    let salvaged = IndexedTrace::open_salvage(bytes).unwrap();
+    let packed = corpus::pack(std::slice::from_ref(&strict), PackOptions::default()).unwrap();
+    let reader = CorpusReader::open(packed).unwrap();
+    let sources = [
+        strict.source(),
+        salvaged.source(),
+        reader.session(0).source(),
+    ];
+    for source in sources {
+        assert_eq!(source.len(), serial.episodes().len());
+        assert_eq!(source.short_episode_count(), serial.short_episode_count());
+        assert_eq!(source.short_episode_time(), serial.short_episode_time());
+        let names: Vec<&str> = source.symbols().iter().map(|(_, name)| name).collect();
+        let expected: Vec<&str> = serial.symbols().iter().map(|(_, name)| name).collect();
+        assert_eq!(names, expected);
+        let decoded = source.decode(2).unwrap();
+        assert_eq!(decoded.gc_events(), serial.gc_events());
+        assert_eq!(decoded.episodes(), serial.episodes());
     }
-    let tail = stream.finish().unwrap();
-    assert_eq!(count, trace.episodes().len());
-    assert_eq!(tail.short_episode_count, trace.short_episode_count());
-    assert_eq!(tail.gc_events.len(), trace.gc_events().len());
-    assert_eq!(tail.symbols.len(), trace.symbols().len());
+    assert_eq!(strict.gc_events(), serial.gc_events());
 }
