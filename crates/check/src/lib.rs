@@ -53,7 +53,7 @@ pub use hazards::{HazardConfig, HazardReport};
 pub use rules::standard_rules;
 
 use lagalyzer_model::SessionTrace;
-use lagalyzer_trace::{read_bytes_salvage, IndexedTrace, TraceError};
+use lagalyzer_trace::{decode_bytes_salvage, IndexedTrace, TraceError};
 
 /// Checks an already-decoded trace with no file provenance (no byte
 /// spans, no salvage or index context).
@@ -61,12 +61,12 @@ pub fn check_trace(trace: &SessionTrace, rules: &mut RuleSet) -> CheckReport {
     rules.run(&CheckSubject::of_trace(trace))
 }
 
-/// Checks raw trace bytes, sniffing binary vs text like the readers do.
+/// Checks raw trace bytes of either codec, salvage-decoded by
+/// [`decode_bytes_salvage`] (the decode `lint` reports on).
 ///
-/// Binary traces go through the indexed salvage path so diagnostics get
-/// episode byte spans from the extent table, plus salvage-skip and
-/// checksum context; text traces are salvage-decoded line-wise (skips
-/// carry line numbers in their messages instead of spans).
+/// A binary trace's diagnostics get episode byte spans from the extent
+/// table, plus salvage-skip, index and checksum context; a text trace's
+/// skips carry line numbers in their messages instead of spans.
 ///
 /// # Errors
 ///
@@ -74,29 +74,15 @@ pub fn check_trace(trace: &SessionTrace, rules: &mut RuleSet) -> CheckReport {
 /// establish the session at all. Everything less severe is reported as
 /// diagnostics, not as an error.
 pub fn check_bytes(bytes: &[u8], rules: &mut RuleSet) -> Result<CheckReport, TraceError> {
-    if bytes.starts_with(b"LGLZTRC") {
-        let indexed = IndexedTrace::open_salvage(bytes.to_vec())?;
-        let trace = indexed.par_decode(1)?;
-        let rollup = lagalyzer_trace::probe_rollup(bytes);
-        let subject = CheckSubject {
-            trace: &trace,
-            extents: Some(indexed.extents()),
-            health: Some(indexed.health()),
-            salvage: indexed.salvage_report(),
-            file_len: Some(bytes.len() as u64),
-            rollup: rollup.as_ref(),
-        };
-        Ok(rules.run(&subject))
-    } else {
-        let salvaged = read_bytes_salvage(bytes)?;
-        let subject = CheckSubject {
-            trace: &salvaged.trace,
-            extents: None,
-            health: None,
-            salvage: Some(&salvaged.report),
-            file_len: Some(bytes.len() as u64),
-            rollup: None,
-        };
-        Ok(rules.run(&subject))
-    }
+    let (salvaged, indexed) = decode_bytes_salvage(bytes, 1)?;
+    let rollup = lagalyzer_trace::probe_rollup(bytes);
+    let subject = CheckSubject {
+        trace: &salvaged.trace,
+        extents: indexed.as_ref().map(IndexedTrace::extents),
+        health: indexed.as_ref().map(IndexedTrace::health),
+        salvage: Some(&salvaged.report),
+        file_len: Some(bytes.len() as u64),
+        rollup: rollup.as_ref(),
+    };
+    Ok(rules.run(&subject))
 }

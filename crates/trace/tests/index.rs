@@ -7,7 +7,8 @@
 use lagalyzer_model::prelude::*;
 use lagalyzer_trace::faults::FaultInjector;
 use lagalyzer_trace::{
-    binary, index, read_bytes_salvage, DurationBand, EpisodeFilter, IndexHealth, IndexedTrace,
+    binary, decode_bytes_salvage, index, read_bytes_salvage, DurationBand, EpisodeFilter,
+    IndexHealth, IndexedTrace, Rollup,
 };
 use proptest::prelude::*;
 
@@ -131,6 +132,22 @@ fn encode_legacy(trace: &SessionTrace) -> Vec<u8> {
 
 /// Byte-level equality of the canonical re-encoding: the strongest
 /// equivalence two decoded traces can have.
+/// Rewrites the trailer checksum over whatever the payload now holds, so
+/// damage inside it is no longer caught by the checksum.
+fn reseal(bytes: &[u8]) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    if out.len() >= 16 {
+        let n = out.len();
+        let hash = out[8..n - 8]
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        out[n - 8..].copy_from_slice(&hash.to_le_bytes());
+    }
+    out
+}
+
 fn assert_byte_identical(a: &SessionTrace, b: &SessionTrace) {
     assert_eq!(a.meta(), b.meta());
     assert_eq!(a.episodes(), b.episodes());
@@ -475,6 +492,45 @@ proptest! {
                         serial.map(|s| s.report),
                         indexed.map(|i| i.salvage_report().cloned())
                     );
+                }
+            }
+        }
+    }
+
+    /// The salvage decode the tools run reports exactly what the serial
+    /// salvage reference reports and decodes the same episodes — on
+    /// fault-injected traces, and on the same damage resealed under a
+    /// valid trailer checksum, where the strict open accepts the trace
+    /// without decoding its episodes.
+    #[test]
+    fn salvage_decode_reports_like_serial_salvage(
+        specs in proptest::collection::vec(episode_spec(), 1..8),
+        seed in any::<u64>(),
+        jobs in 0usize..9,
+    ) {
+        let trace = build_trace(&specs, 9);
+        let mut with_rollup = Vec::new();
+        binary::write_with_rollup(&trace, &mut with_rollup, Rollup::default()).unwrap();
+        let mut injector = FaultInjector::new(seed);
+        for bytes in [encode(&trace), encode_legacy(&trace), with_rollup] {
+            let (damaged, _fault) = injector.inject(&bytes);
+            let resealed = reseal(&damaged);
+            for input in [damaged, resealed] {
+                match (read_bytes_salvage(&input), decode_bytes_salvage(&input, jobs)) {
+                    (Ok(serial), Ok((salvaged, indexed))) => {
+                        prop_assert_eq!(&salvaged.report, &serial.report);
+                        assert_byte_identical(&salvaged.trace, &serial.trace);
+                        prop_assert!(indexed.is_some());
+                    }
+                    (Err(_), Err(_)) => {}
+                    (serial, decoded) => {
+                        prop_assert!(
+                            false,
+                            "salvage outcomes diverge: serial={:?} decoded={:?}",
+                            serial.map(|s| s.report),
+                            decoded.map(|(s, _)| s.report)
+                        );
+                    }
                 }
             }
         }
