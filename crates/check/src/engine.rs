@@ -10,9 +10,11 @@
 //! default, unless the rule set carries an `--allow`/`--deny`/`--level`
 //! override.
 
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::fmt;
 
+use lagalyzer_model::lockgraph::{extract_waits, ContendedWait};
 use lagalyzer_model::{Episode, SessionTrace};
 use lagalyzer_trace::{EpisodeExtent, IndexHealth, RollupHealth, SalvageReport};
 
@@ -64,6 +66,8 @@ pub struct EpisodeCtx<'a> {
     pub extent: Option<&'a EpisodeExtent>,
     /// The surrounding session (symbol table, GC events, metadata).
     pub trace: &'a SessionTrace,
+    /// The episode's contended waits, extracted on first use.
+    waits: OnceCell<Vec<ContendedWait>>,
 }
 
 impl EpisodeCtx<'_> {
@@ -71,6 +75,12 @@ impl EpisodeCtx<'_> {
     pub fn byte_span(&self) -> Option<ByteSpan> {
         self.extent
             .map(|e| ByteSpan::new(e.offset, e.offset + e.len))
+    }
+
+    /// The episode's contended waits ([`extract_waits`]), extracted once
+    /// however many rules ask.
+    pub fn waits(&self) -> &[ContendedWait] {
+        self.waits.get_or_init(|| extract_waits(self.episode))
     }
 }
 
@@ -292,6 +302,7 @@ impl RuleSet {
                 episode,
                 extent: aligned.and_then(|e| e.get(index)),
                 trace: subject.trace,
+                waits: OnceCell::new(),
             };
             for &(i, severity) in &active {
                 let rule = &mut self.rules[i];

@@ -37,7 +37,7 @@
 
 use std::collections::BTreeSet;
 
-use lagalyzer_model::lockgraph::{extract_waits, ContendedWait, LockGraph};
+use lagalyzer_model::lockgraph::{ContendedWait, LockGraph};
 use lagalyzer_model::{json_string, EpisodeId, MethodRef, SessionTrace, SymbolTable, WaitKind};
 use lagalyzer_trace::EpisodeExtent;
 
@@ -361,7 +361,9 @@ impl Rule for LockOrderInversion {
     }
 
     fn episode(&mut self, ctx: &EpisodeCtx<'_>, _sink: &mut Sink<'_>) {
-        self.graph.add_episode(ctx.episode);
+        for wait in ctx.waits() {
+            self.graph.add_wait(wait.clone());
+        }
     }
 
     fn finish(&mut self, subject: &CheckSubject<'_>, sink: &mut Sink<'_>) {
@@ -386,8 +388,8 @@ fn emit_per_wait(
     config: &HazardConfig,
     detect: impl Fn(&ContendedWait, &SymbolTable, &HazardConfig) -> Option<String>,
 ) {
-    for wait in extract_waits(ctx.episode) {
-        if let Some(message) = detect(&wait, ctx.trace.symbols(), config) {
+    for wait in ctx.waits() {
+        if let Some(message) = detect(wait, ctx.trace.symbols(), config) {
             sink.emit(
                 Finding::new(message)
                     .episode(ctx.episode.id())

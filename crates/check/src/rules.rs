@@ -31,7 +31,7 @@
 
 use std::collections::HashSet;
 
-use lagalyzer_model::{Interval, IntervalKind, MethodRef, SymbolTable, TimeNs};
+use lagalyzer_model::{GcEvent, Interval, IntervalKind, MethodRef, SymbolTable, TimeNs};
 use lagalyzer_trace::{IndexHealth, RollupHealth, SkipAt};
 
 use crate::diag::{ByteSpan, Severity};
@@ -44,7 +44,7 @@ pub fn standard_rules() -> Vec<Box<dyn Rule>> {
         Box::new(OverlappingSiblings),
         Box::new(IntervalOutOfBounds),
         Box::new(NonMonotonicTime),
-        Box::new(SampleDuringGc),
+        Box::new(SampleDuringGc::default()),
         Box::new(DanglingSymbol),
         Box::new(SubFloorEpisode),
         Box::new(MissingDispatchRoot),
@@ -262,7 +262,39 @@ impl Rule for NonMonotonicTime {
 
 /// LA005: the sampler pauses during stop-the-world GC, so no sample may
 /// fall inside a GC interval or a session-level GC event.
-struct SampleDuringGc;
+#[derive(Default)]
+struct SampleDuringGc {
+    /// Running maximum of the session GC events' ends:
+    /// `max_end[i]` is the latest end among events `0..=i`.
+    max_end: Vec<TimeNs>,
+}
+
+/// The running maximum of `events`' ends, in list order.
+fn running_max_end(events: &[GcEvent]) -> Vec<TimeNs> {
+    let mut latest = TimeNs::ZERO;
+    events
+        .iter()
+        .map(|gc| {
+            latest = latest.max(gc.end);
+            latest
+        })
+        .collect()
+}
+
+/// The first GC event, in list order, whose window `[start, end)` holds
+/// `t`. `events` is sorted by start and `max_end` is their running
+/// maximum end, so the events started by `t` are a prefix, and the first
+/// of them still running at `t` is the first whose running maximum end
+/// passes `t` — two binary searches, even where windows overlap.
+fn first_gc_containing<'e>(
+    events: &'e [GcEvent],
+    max_end: &[TimeNs],
+    t: TimeNs,
+) -> Option<&'e GcEvent> {
+    let started = events.partition_point(|gc| gc.start <= t);
+    let first = max_end[..started].partition_point(|&end| end <= t);
+    events[..started].get(first)
+}
 
 impl Rule for SampleDuringGc {
     fn code(&self) -> &'static str {
@@ -278,6 +310,11 @@ impl Rule for SampleDuringGc {
         "sample taken inside a stop-the-world GC pause (sampling should be suppressed)"
     }
 
+    fn begin(&mut self, subject: &CheckSubject<'_>, _sink: &mut Sink<'_>) {
+        // `SessionTraceBuilder::finish` sorts GC events by start.
+        self.max_end = running_max_end(subject.trace.gc_events());
+    }
+
     fn episode(&mut self, ctx: &EpisodeCtx<'_>, sink: &mut Sink<'_>) {
         let tree = ctx.episode.tree();
         let gc_windows: Vec<&Interval> = tree
@@ -288,11 +325,7 @@ impl Rule for SampleDuringGc {
             .collect();
         for sample in ctx.episode.samples() {
             let in_tree = gc_windows.iter().find(|gc| gc.contains(sample.time));
-            let in_session = ctx
-                .trace
-                .gc_events()
-                .iter()
-                .find(|gc| gc.start <= sample.time && sample.time < gc.end);
+            let in_session = first_gc_containing(ctx.trace.gc_events(), &self.max_end, sample.time);
             let window = in_tree
                 .map(|gc| (gc.start, gc.end))
                 .or(in_session.map(|gc| (gc.start, gc.end)));
@@ -942,6 +975,42 @@ mod tests {
         });
         let trace = b.finish();
         assert!(codes(&trace).contains(&"LA005"));
+    }
+
+    proptest::proptest! {
+        /// The two binary searches pick the event the linear scan picks:
+        /// the first in list order, with overlapping windows, equal
+        /// starts and empty windows.
+        #[test]
+        fn la005_gc_lookup_matches_linear_scan(
+            windows in proptest::collection::vec((0u64..40, 0u64..25), 0..12),
+            probes in proptest::collection::vec(0u64..70, 1..24),
+        ) {
+            let mut b = SessionTraceBuilder::new(meta(), SymbolTable::new());
+            for (i, &(start, len)) in windows.iter().enumerate() {
+                b.push_gc(GcEvent {
+                    start: ms(start),
+                    end: ms(start + len),
+                    major: i % 2 == 0,
+                });
+            }
+            let trace = b.finish();
+            let events = trace.gc_events();
+            let max_end = running_max_end(events);
+            for &t in &probes {
+                let t = ms(t);
+                let fast = first_gc_containing(events, &max_end, t);
+                let linear = events.iter().find(|gc| gc.start <= t && t < gc.end);
+                proptest::prop_assert!(
+                    fast.map(|gc| gc as *const GcEvent) == linear.map(|gc| gc as *const GcEvent),
+                    "{:?} vs {:?} at {:?} in {:?}",
+                    fast,
+                    linear,
+                    t,
+                    events
+                );
+            }
+        }
     }
 
     #[test]

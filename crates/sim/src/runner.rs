@@ -213,11 +213,11 @@ fn plan_schedule(
         .scale
         .traced_episodes
         .saturating_sub(plan.len() as u64);
-    plan.extend(std::iter::repeat_n(PlanItem::Filler, filler as usize));
-    plan.extend(std::iter::repeat_n(
-        PlanItem::Short,
-        REAL_SHORT_EPISODES.min(profile.scale.short_episodes) as usize,
-    ));
+    plan.extend(std::iter::repeat(PlanItem::Filler).take(filler as usize));
+    plan.extend(
+        std::iter::repeat(PlanItem::Short)
+            .take(REAL_SHORT_EPISODES.min(profile.scale.short_episodes) as usize),
+    );
 
     // Fisher–Yates shuffle.
     for i in (1..plan.len()).rev() {

@@ -221,7 +221,7 @@ pub fn build_library(
     // drive the "always" class.
     let mut sizes: Vec<u64> = recurring_counts.clone();
     sizes.sort_unstable_by(|a, b| b.cmp(a));
-    sizes.extend(std::iter::repeat_n(1, n_singleton));
+    sizes.extend(std::iter::repeat(1).take(n_singleton));
 
     // Class assignment over the size-sorted list (largest first):
     // "sometimes" takes the biggest templates (a frequent pattern that is

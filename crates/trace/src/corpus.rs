@@ -46,6 +46,7 @@
 //! `tests/corpus_store.rs`.
 
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use lagalyzer_model::parallel::map_shards_init;
 use lagalyzer_model::{
@@ -62,7 +63,7 @@ use crate::index::{
 use crate::record::SessionRecords;
 use crate::rollup::{Rollup, RollupHealth};
 use crate::salvage::DamageVerdict;
-use crate::source::SessionSource;
+use crate::source::{RollupRef, SessionSource};
 use crate::varint;
 
 /// The version-independent corpus signature (byte 8 is the version).
@@ -258,8 +259,9 @@ pub fn compact_with_rollups(
         session.damaged = entry.damaged;
         session.skips = entry.skips;
         session.episodes_lost = entry.episodes_lost;
-        session.rollup = entry
-            .rollup
+        session.rollup = reader
+            .validated_rollup(i)
+            .0
             .clone()
             .or_else(|| build.map(|build| build(trace)));
         sessions.push(session);
@@ -426,7 +428,8 @@ enum Payload {
     Decompressed(Vec<u8>),
 }
 
-/// One session's directory entry, fully materialized at open time.
+/// One session's directory entry, materialized at open time except for
+/// the rollup, which is validated on first use.
 struct SessionEntry {
     meta: SessionMeta,
     records: SessionRecords,
@@ -438,20 +441,30 @@ struct SessionEntry {
     compressed: bool,
     extents: Vec<EpisodeExtent>,
     payload: Payload,
-    rollup: Option<Rollup>,
-    rollup_health: RollupHealth,
+    /// The session's rollup section, located (not read) at open.
+    rollup_section: Option<Section>,
+    /// The validated rollup and its health, set at most once by
+    /// [`CorpusReader::validated_rollup`].
+    rollup: OnceLock<(Option<Rollup>, RollupHealth)>,
 }
 
 /// A corpus opened for indexed, zero-copy access.
 ///
-/// Owns the corpus bytes; raw payload sections are borrowed in place
-/// (compressed ones are decompressed once at open). Sessions decode
-/// through [`SessionSource`] like [`IndexedTrace`] does, so per-session
-/// results are byte-identical to opening the original `.lgz` files.
+/// Owns the corpus bytes; raw payload sections are borrowed in place,
+/// and compressed ones are still decompressed once at open. A session's
+/// rollup section is only located at open: it is decompressed, decoded
+/// and checked against the payload on first use, by
+/// [`SessionView::rollup_health`], [`SessionSource::rollup`] or
+/// [`compact_with_rollups`], so a caller that only decodes never pays
+/// for it. Sessions decode through [`SessionSource`] like
+/// [`IndexedTrace`] does, so per-session results are byte-identical to
+/// opening the original `.lgz` files.
 pub struct CorpusReader {
     bytes: Vec<u8>,
     global: SymbolTable,
     sessions: Vec<SessionEntry>,
+    /// Where the data region starts; section offsets are relative to it.
+    data_off: u64,
     /// Flattened episode addressing: `slot_base[i]` is the first global
     /// slot of session `i` (one past-the-end sentinel at the back).
     slot_base: Vec<usize>,
@@ -467,7 +480,9 @@ pub struct SessionView<'a> {
 impl CorpusReader {
     /// Opens a corpus from an owned byte buffer (the mmap-free zero-copy
     /// open: raw payload sections are never copied out of `bytes`),
-    /// verifying the trailer checksum and materializing the directory.
+    /// verifying the trailer checksum, materializing the directory and
+    /// decompressing the payload sections. Rollup sections are left for
+    /// first use.
     ///
     /// # Errors
     ///
@@ -568,12 +583,6 @@ impl CorpusReader {
                 }
                 Payload::Raw(start..start + section.raw_len as usize)
             };
-            let payload_bytes = match &payload {
-                Payload::Raw(range) => &bytes[range.clone()],
-                Payload::Decompressed(buf) => buf.as_slice(),
-            };
-            let (rollup, rollup_health) =
-                open_rollup(&bytes, data_off, rollup_section, payload_bytes, &extents);
             sessions.push(SessionEntry {
                 meta: dir.meta,
                 records: dir.records,
@@ -585,8 +594,8 @@ impl CorpusReader {
                 compressed: section.compressed,
                 extents,
                 payload,
-                rollup,
-                rollup_health,
+                rollup_section,
+                rollup: OnceLock::new(),
             });
         }
         if pos != extents_end {
@@ -606,6 +615,7 @@ impl CorpusReader {
             bytes,
             global,
             sessions,
+            data_off,
             slot_base,
         })
     }
@@ -668,6 +678,34 @@ impl CorpusReader {
             Payload::Raw(range) => &self.bytes[range.clone()],
             Payload::Decompressed(buf) => buf,
         }
+    }
+
+    /// Session `i`'s rollup and its health: checked on the first call,
+    /// and the result kept for every later one.
+    fn validated_rollup(&self, i: usize) -> &(Option<Rollup>, RollupHealth) {
+        self.sessions[i].rollup.get_or_init(|| self.check_rollup(i))
+    }
+
+    /// Decodes session `i`'s rollup section and checks it against the
+    /// session payload.
+    fn check_rollup(&self, i: usize) -> (Option<Rollup>, RollupHealth) {
+        let entry = &self.sessions[i];
+        open_rollup(
+            &self.bytes,
+            self.data_off,
+            entry.rollup_section.as_ref(),
+            self.payload_bytes(i),
+            &entry.extents,
+        )
+    }
+
+    /// Sessions whose rollup has been validated so far.
+    #[cfg(test)]
+    pub(crate) fn rollups_validated(&self) -> usize {
+        self.sessions
+            .iter()
+            .filter(|entry| entry.rollup.get().is_some())
+            .count()
     }
 
     /// Maps a flat slot to `(session, extent index)`.
@@ -743,8 +781,9 @@ impl<'a> SessionView<'a> {
     }
 
     /// This session as a [`SessionSource`]: its metadata, symbols, extent
-    /// index (offsets relative to the session's payload), validated rollup
-    /// and the single decode path shared with `.lgz` files.
+    /// index (offsets relative to the session's payload), rollup and the
+    /// single decode path shared with `.lgz` files. The rollup is only
+    /// validated when [`SessionSource::rollup`] asks for it.
     pub fn source(&self) -> SessionSource<'a> {
         let entry = self.reader.entry(self.index);
         SessionSource {
@@ -753,8 +792,13 @@ impl<'a> SessionView<'a> {
             extents: &entry.extents,
             payload: self.reader.payload_bytes(self.index),
             lenient: entry.salvaged,
-            rollup: entry.rollup.as_ref(),
+            rollup: RollupRef::Corpus(*self),
         }
+    }
+
+    /// The session's validated rollup, validating it on first use.
+    pub(crate) fn rollup(&self) -> Option<&'a Rollup> {
+        self.reader.validated_rollup(self.index).0.as_ref()
     }
 
     /// How the session's extent index was obtained when it was packed.
@@ -789,9 +833,11 @@ impl<'a> SessionView<'a> {
     }
 
     /// Diagnostic health of the session's rollup section (see
-    /// `lagalyzer lint`).
+    /// `lagalyzer lint`). The section is decompressed, decoded and
+    /// checked against the payload on the first call for this session
+    /// (by this or by [`SessionSource::rollup`]), not at open.
     pub fn rollup_health(&self) -> &'a RollupHealth {
-        &self.reader.entry(self.index).rollup_health
+        &self.reader.validated_rollup(self.index).1
     }
 
     /// The session's damage verdict.
@@ -842,7 +888,7 @@ impl<'a> SessionView<'a> {
     }
 }
 
-/// What the section index records about one payload section.
+/// What the section index records about one section.
 struct Section {
     compressed: bool,
     offset: u64,
@@ -1127,12 +1173,12 @@ fn read_sections(
 }
 
 /// Decodes and validates one session's optional rollup section. Never
-/// fails the corpus open: a malformed or stale cache degrades to
-/// `(None, Stale)` and the warm path silently recomputes.
+/// fails: a malformed or stale cache degrades to `(None, Stale)` and the
+/// warm path silently recomputes.
 fn open_rollup(
     bytes: &[u8],
     data_off: u64,
-    section: Option<Section>,
+    section: Option<&Section>,
     payload_bytes: &[u8],
     extents: &[EpisodeExtent],
 ) -> (Option<Rollup>, RollupHealth) {
@@ -1185,6 +1231,111 @@ fn split_byte<'a>(r: &'a [u8], context: &'static str) -> Result<(u8, &'a [u8]), 
         .ok_or_else(|| TraceError::corrupt(context, "unexpected end of input"))
 }
 
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The committed four-session golden corpus: three clean sessions
+    /// with raw rollup sections and one salvaged session without one.
+    const GOLDEN: &[u8] = include_bytes!("../../cli/tests/corpus/corpus.lgzc");
+
+    /// The golden corpus, and the same sessions compacted with LZ
+    /// sections (the rollups carried over).
+    fn corpora() -> Vec<(&'static str, Vec<u8>)> {
+        let reader = CorpusReader::open(GOLDEN.to_vec()).unwrap();
+        let packed = compact(&reader, 1, PackOptions { compress: true }).unwrap();
+        vec![("raw", GOLDEN.to_vec()), ("lz", packed)]
+    }
+
+    #[test]
+    fn open_and_decode_validate_no_rollup() {
+        for (name, bytes) in corpora() {
+            let reader = CorpusReader::open(bytes).unwrap();
+            reader.par_decode(2).unwrap();
+            for view in reader.sessions() {
+                view.decode(1).unwrap();
+                view.decode_episode(0).unwrap();
+                let source = view.source();
+                assert_eq!(source.len(), source.extents().len());
+                assert!(!source.meta().application.is_empty());
+                source.excluded_by(&EpisodeFilter::default());
+            }
+            assert_eq!(reader.rollups_validated(), 0, "{name}");
+            reader.session(1).rollup_health();
+            assert_eq!(reader.rollups_validated(), 1, "{name}");
+        }
+    }
+
+    #[test]
+    fn rollups_validated_on_first_use_equal_eager_validation() {
+        for (name, bytes) in corpora() {
+            let reader = CorpusReader::open(bytes).unwrap();
+            assert!(
+                name == "raw"
+                    || reader
+                        .sessions
+                        .iter()
+                        .any(|s| s.rollup_section.as_ref().is_some_and(|r| r.compressed)),
+                "compaction stored no LZ rollup section"
+            );
+            let mut valid = 0;
+            for view in reader.sessions() {
+                let (rollup, health) = reader.check_rollup(view.index());
+                // Either accessor may come first; both see one result.
+                if view.index() % 2 == 0 {
+                    assert_eq!(view.source().rollup(), rollup.as_ref(), "{name}");
+                    assert_eq!(view.rollup_health(), &health, "{name}");
+                } else {
+                    assert_eq!(view.rollup_health(), &health, "{name}");
+                    assert_eq!(view.source().rollup(), rollup.as_ref(), "{name}");
+                }
+                valid += usize::from(matches!(health, RollupHealth::Valid { .. }));
+            }
+            assert_eq!(valid, 3, "{name}");
+            assert_eq!(reader.session(3).rollup_health(), &RollupHealth::Absent);
+        }
+    }
+
+    #[test]
+    fn corrupted_rollup_opens_and_is_stale_on_first_use() {
+        for (name, bytes) in corpora() {
+            let sections: Vec<(usize, u64)> = {
+                let reader = CorpusReader::open(bytes.clone()).unwrap();
+                reader
+                    .sessions
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, s)| {
+                        let section = s.rollup_section.as_ref()?;
+                        Some((i, reader.data_off + section.offset))
+                    })
+                    .collect()
+            };
+            assert_eq!(sections.len(), 3, "{name}");
+            for (session, start) in sections {
+                // Flip the section's first byte (a token varint or the
+                // content checksum), then reseal the trailer.
+                let mut damaged = bytes.clone();
+                damaged[start as usize] ^= 0xff;
+                let end = damaged.len() - 8;
+                let sum = fnv1a(&damaged[8..end]);
+                damaged[end..].copy_from_slice(&sum.to_le_bytes());
+                let reader = CorpusReader::open(damaged).unwrap();
+                assert_eq!(reader.rollups_validated(), 0, "{name}");
+                let (rollup, health) = reader.check_rollup(session);
+                assert!(rollup.is_none(), "{name} session {session}");
+                assert!(
+                    matches!(health, RollupHealth::Stale { .. }),
+                    "{name} session {session}: {health}"
+                );
+                let view = reader.session(session);
+                assert_eq!(view.rollup_health(), &health, "{name} session {session}");
+                assert_eq!(view.source().rollup(), None, "{name} session {session}");
+            }
+        }
+    }
+}
+
 /// A hand-rolled byte-oriented LZ codec for cold corpus sections.
 ///
 /// The stream is a sequence of varint-prefixed tokens. A token `t` with
@@ -1195,6 +1346,12 @@ fn split_byte<'a>(r: &'a [u8], context: &'static str) -> Result<(u8, &'a [u8]), 
 /// `distance < length`). Compression is greedy over a 4-byte hash table;
 /// decompression is bounds-checked everywhere and never reads outside
 /// the stored section.
+///
+/// Decompression copies at wide-copy speed: the output buffer keeps 16
+/// writable bytes of slack past the produced output, so a literal run or
+/// a non-overlapping match of at most 16 bytes is copied as one fixed
+/// 16-byte chunk and the cursor then advances by the token's real
+/// length. Only overlapping matches copy byte by byte.
 pub(crate) mod lz {
     use crate::error::TraceError;
     use crate::varint;
@@ -1202,6 +1359,15 @@ pub(crate) mod lz {
     const MIN_MATCH: usize = 4;
     const WINDOW: usize = 1 << 16;
     const HASH_BITS: u32 = 15;
+
+    /// Writable bytes kept past the produced output, and the width of
+    /// the fixed chunk a short token is copied with.
+    const SLACK: usize = 16;
+
+    /// The most output [`decompress`] allocates before any token has
+    /// produced it, so a corrupt `raw_len` cannot force a huge
+    /// allocation; the buffer grows as tokens fill it.
+    const INITIAL_CAP: usize = 1 << 20;
 
     fn hash4(bytes: &[u8]) -> usize {
         let v = u32::from_le_bytes(bytes[..4].try_into().expect("4-byte slice"));
@@ -1247,7 +1413,33 @@ pub(crate) mod lz {
         out
     }
 
-    /// Decompresses a stored section back to exactly `raw_len` bytes.
+    /// Reads a varint, decoding the one-byte form inline; longer forms
+    /// (and every error) come from [`varint::read_u64_at`].
+    #[inline]
+    fn read_varint(input: &[u8], pos: &mut usize) -> Result<u64, TraceError> {
+        match input.get(*pos) {
+            Some(&byte) if byte < 0x80 => {
+                *pos += 1;
+                Ok(u64::from(byte))
+            }
+            _ => varint::read_u64_at(input, pos, input.len()),
+        }
+    }
+
+    /// Grows `out` so that `n` more bytes plus the slack fit after the
+    /// `len` produced ones. `n` never exceeds `raw_len - len`, so the
+    /// buffer never exceeds `raw_len` plus the slack.
+    fn make_room(out: &mut Vec<u8>, len: usize, n: usize, raw_len: usize) {
+        let need = len + n + SLACK;
+        if need > out.len() {
+            let grown = (out.len() * 2).max(need).min(raw_len + SLACK);
+            out.reserve_exact(grown - out.len());
+            out.resize(grown, 0);
+        }
+    }
+
+    /// Decompresses a stored section back to exactly `raw_len` bytes
+    /// (the section index caps `raw_len` at 1 GiB).
     ///
     /// # Errors
     ///
@@ -1256,24 +1448,32 @@ pub(crate) mod lz {
     pub fn decompress(input: &[u8], raw_len: usize) -> Result<Vec<u8>, TraceError> {
         let end = input.len();
         let mut pos = 0usize;
-        let mut out = Vec::with_capacity(raw_len.min(1 << 20));
-        while out.len() < raw_len {
-            let token = varint::read_u64_at(input, &mut pos, end)?;
+        // `out[..len]` is the output so far; at least SLACK bytes of
+        // scratch follow it, which short copies overwrite freely.
+        let mut out = vec![0u8; raw_len.min(INITIAL_CAP) + SLACK];
+        let mut len = 0usize;
+        while len < raw_len {
+            let token = read_varint(input, &mut pos)?;
             let n = (token >> 1) as usize;
-            if n == 0 || out.len() + n > raw_len {
+            if n == 0 || n > raw_len - len {
                 return Err(TraceError::corrupt(
                     "compressed section",
                     "token overruns the declared raw length",
                 ));
             }
             if token & 1 == 0 {
-                if pos + n > end {
+                if n > end - pos {
                     return Err(TraceError::corrupt(
                         "compressed section",
                         "literal run overruns the stored bytes",
                     ));
                 }
-                out.extend_from_slice(&input[pos..pos + n]);
+                make_room(&mut out, len, n, raw_len);
+                if n <= SLACK && end - pos >= SLACK {
+                    out[len..len + SLACK].copy_from_slice(&input[pos..pos + SLACK]);
+                } else {
+                    out[len..len + n].copy_from_slice(&input[pos..pos + n]);
+                }
                 pos += n;
             } else {
                 if n < MIN_MATCH {
@@ -1282,19 +1482,32 @@ pub(crate) mod lz {
                         format!("match shorter than {MIN_MATCH}"),
                     ));
                 }
-                let distance = varint::read_u64_at(input, &mut pos, end)? as usize;
-                if distance == 0 || distance > out.len() || distance > WINDOW {
+                let distance = read_varint(input, &mut pos)? as usize;
+                if distance == 0 || distance > len || distance > WINDOW {
                     return Err(TraceError::corrupt(
                         "compressed section",
                         "match distance outside the produced output",
                     ));
                 }
-                let start = out.len() - distance;
-                for k in 0..n {
-                    let byte = out[start + k];
-                    out.push(byte);
+                make_room(&mut out, len, n, raw_len);
+                let start = len - distance;
+                if distance < n {
+                    // Overlapping: each byte may be one this match wrote.
+                    for k in 0..n {
+                        out[len + k] = out[start + k];
+                    }
+                } else if n <= SLACK {
+                    // The whole chunk is loaded before it is stored, so
+                    // its first `n` bytes are produced output even when
+                    // the source runs into the destination.
+                    let chunk: [u8; SLACK] =
+                        out[start..start + SLACK].try_into().expect("16-byte slice");
+                    out[len..len + SLACK].copy_from_slice(&chunk);
+                } else {
+                    out.copy_within(start..start + n, len);
                 }
             }
+            len += n;
         }
         if pos != end {
             return Err(TraceError::corrupt(
@@ -1302,12 +1515,69 @@ pub(crate) mod lz {
                 "trailing bytes after the last token",
             ));
         }
+        out.truncate(len);
         Ok(out)
     }
 
     #[cfg(test)]
     mod tests {
+        use proptest::prelude::*;
+
         use super::*;
+
+        /// The byte-at-a-time decoder [`decompress`] replaced, kept as
+        /// the oracle the wide-copy decoder is held to.
+        fn decompress_reference(input: &[u8], raw_len: usize) -> Result<Vec<u8>, TraceError> {
+            let end = input.len();
+            let mut pos = 0usize;
+            let mut out = Vec::with_capacity(raw_len.min(1 << 20));
+            while out.len() < raw_len {
+                let token = varint::read_u64_at(input, &mut pos, end)?;
+                let n = (token >> 1) as usize;
+                if n == 0 || out.len() + n > raw_len {
+                    return Err(TraceError::corrupt(
+                        "compressed section",
+                        "token overruns the declared raw length",
+                    ));
+                }
+                if token & 1 == 0 {
+                    if pos + n > end {
+                        return Err(TraceError::corrupt(
+                            "compressed section",
+                            "literal run overruns the stored bytes",
+                        ));
+                    }
+                    out.extend_from_slice(&input[pos..pos + n]);
+                    pos += n;
+                } else {
+                    if n < MIN_MATCH {
+                        return Err(TraceError::corrupt(
+                            "compressed section",
+                            format!("match shorter than {MIN_MATCH}"),
+                        ));
+                    }
+                    let distance = varint::read_u64_at(input, &mut pos, end)? as usize;
+                    if distance == 0 || distance > out.len() || distance > WINDOW {
+                        return Err(TraceError::corrupt(
+                            "compressed section",
+                            "match distance outside the produced output",
+                        ));
+                    }
+                    let start = out.len() - distance;
+                    for k in 0..n {
+                        let byte = out[start + k];
+                        out.push(byte);
+                    }
+                }
+            }
+            if pos != end {
+                return Err(TraceError::corrupt(
+                    "compressed section",
+                    "trailing bytes after the last token",
+                ));
+            }
+            Ok(out)
+        }
 
         #[test]
         fn round_trips() {
@@ -1362,6 +1632,285 @@ pub(crate) mod lz {
             varint::write_u64(&mut cut, 10u64 << 1).unwrap();
             cut.extend_from_slice(b"abc");
             assert!(decompress(&cut, 10).is_err());
+        }
+
+        /// Asserts that both decoders give equal bytes, or errors with
+        /// equal text.
+        fn same_as_reference(input: &[u8], raw_len: usize) -> Result<bool, String> {
+            match (
+                decompress(input, raw_len),
+                decompress_reference(input, raw_len),
+            ) {
+                (Ok(fast), Ok(slow)) if fast == slow => Ok(true),
+                (Err(fast), Err(slow)) if fast.to_string() == slow.to_string() => Ok(false),
+                (fast, slow) => Err(format!("decompress {fast:?} vs reference {slow:?}")),
+            }
+        }
+
+        /// One token of a generated stream, well formed or not.
+        #[derive(Clone, Debug)]
+        enum Token {
+            /// A literal token declaring `declared` bytes, followed by
+            /// `bytes` (declaring more overruns the stored bytes at the
+            /// end of a stream).
+            Literal { declared: u64, bytes: Vec<u8> },
+            /// A match token of `len` bytes at back-distance `distance`.
+            Match { len: u64, distance: u64 },
+            /// A token varint padded with `pad` extra bytes: over-long,
+            /// and past ten bytes in all.
+            Padded { token: u64, pad: usize },
+        }
+
+        /// The stream's bytes and the output length its tokens declare.
+        fn encode(tokens: &[Token]) -> (Vec<u8>, usize) {
+            let mut out = Vec::new();
+            let mut declared = 0u64;
+            for token in tokens {
+                match token {
+                    Token::Literal { declared: n, bytes } => {
+                        varint::write_u64(&mut out, n << 1).unwrap();
+                        out.extend_from_slice(bytes);
+                        declared += n;
+                    }
+                    Token::Match { len, distance } => {
+                        varint::write_u64(&mut out, (len << 1) | 1).unwrap();
+                        varint::write_u64(&mut out, *distance).unwrap();
+                        declared += len;
+                    }
+                    Token::Padded { token, pad } => {
+                        varint::write_u64(&mut out, *token).unwrap();
+                        *out.last_mut().unwrap() |= 0x80;
+                        out.extend(std::iter::repeat(0x80).take(pad - 1));
+                        out.push(0);
+                        declared += token >> 1;
+                    }
+                }
+            }
+            (out, declared as usize)
+        }
+
+        fn literal(bytes: &[u8]) -> Token {
+            Token::Literal {
+                declared: bytes.len() as u64,
+                bytes: bytes.to_vec(),
+            }
+        }
+
+        /// Tokens that decode after a leading literal of at least 16
+        /// bytes: every distance is within the output, and a match
+        /// overlaps itself whenever its distance is below its length.
+        fn valid_token() -> impl Strategy<Value = Token> {
+            use proptest::collection::vec;
+            prop_oneof![
+                vec(any::<u8>(), 1..40).prop_map(|bytes| literal(&bytes)),
+                (4u64..40, 1u64..17).prop_map(|(len, distance)| Token::Match { len, distance }),
+            ]
+        }
+
+        /// Tokens that fail, or derail the tokens after them.
+        fn malformed_token() -> impl Strategy<Value = Token> {
+            use proptest::collection::vec;
+            prop_oneof![
+                Just(literal(b"")),
+                (0u64..4, 1u64..17).prop_map(|(len, distance)| Token::Match { len, distance }),
+                (vec(any::<u8>(), 0..8), 1u64..24).prop_map(|(bytes, extra)| {
+                    Token::Literal {
+                        declared: bytes.len() as u64 + extra,
+                        bytes,
+                    }
+                }),
+                (
+                    4u64..40,
+                    prop_oneof![Just(0u64), 50u64..200, 65_530u64..65_545, Just(u64::MAX)],
+                )
+                    .prop_map(|(len, distance)| Token::Match { len, distance }),
+                (0u64..80, 1usize..12).prop_map(|(token, pad)| Token::Padded { token, pad }),
+            ]
+        }
+
+        /// `true` in one case out of `odds`.
+        fn rarely(odds: u32) -> impl Strategy<Value = bool> {
+            prop_oneof![odds - 1 => Just(false), 1 => Just(true)]
+        }
+
+        proptest! {
+            #[test]
+            #[cfg_attr(miri, ignore)]
+            fn decompress_matches_reference(
+                prefix in proptest::collection::vec(any::<u8>(), 16..48),
+                tokens in proptest::collection::vec(valid_token(), 0..24),
+                bad in (rarely(3), any::<usize>(), malformed_token()),
+                data in proptest::collection::vec(0u8..4, 0..600),
+                packed in any::<bool>(),
+                flip in (rarely(4), any::<usize>(), 1u8..=255),
+                trailing in (rarely(4), proptest::collection::vec(any::<u8>(), 1..3)),
+                raw_delta in (rarely(4), -3i64..4),
+            ) {
+                // A generated token stream led by a literal, or a real
+                // compressor output (small alphabet: many matches and
+                // runs); each damage below is applied in a minority of
+                // cases, so about a third of the streams decode.
+                let (mut stream, declared) = if packed {
+                    (compress(&data), data.len())
+                } else {
+                    let mut stream = vec![literal(&prefix)];
+                    stream.extend(tokens);
+                    let (insert, at, token) = bad;
+                    if insert {
+                        stream.insert(at % (stream.len() + 1), token);
+                    }
+                    encode(&stream)
+                };
+                let (mutate, at, mask) = flip;
+                if mutate && !stream.is_empty() {
+                    let i = at % stream.len();
+                    stream[i] ^= mask;
+                }
+                if trailing.0 {
+                    stream.extend_from_slice(&trailing.1);
+                }
+                let raw_len = if raw_delta.0 {
+                    (declared as i64 + raw_delta.1).max(0) as usize
+                } else {
+                    declared
+                };
+                let outcome = same_as_reference(&stream, raw_len);
+                prop_assert!(outcome.is_ok(), "{:?}", outcome);
+            }
+        }
+
+        #[test]
+        fn fixed_streams_match_reference() {
+            let long: Vec<u8> = (0..70_000u32).map(|i| (i % 251) as u8).collect();
+            let m = |len, distance| Token::Match { len, distance };
+            let hello = compress(b"hello world");
+            let cases: Vec<(&str, Vec<u8>, usize, bool)> = vec![
+                ("empty", Vec::new(), 0, true),
+                ("empty but raw_len 1", Vec::new(), 1, false),
+                ("zero-length literal", encode(&[literal(b"")]).0, 1, false),
+                ("zero-length match", encode(&[m(0, 1)]).0, 1, false),
+                (
+                    "overrunning literal",
+                    encode(&[Token::Literal {
+                        declared: 20,
+                        bytes: b"ab".to_vec(),
+                    }])
+                    .0,
+                    20,
+                    false,
+                ),
+                (
+                    "match shorter than 4",
+                    encode(&[literal(b"abcd"), m(3, 1)]).0,
+                    7,
+                    false,
+                ),
+                (
+                    "distance 0",
+                    encode(&[literal(b"abcd"), m(4, 0)]).0,
+                    8,
+                    false,
+                ),
+                (
+                    "distance past the output",
+                    encode(&[literal(b"abcd"), m(4, 5)]).0,
+                    8,
+                    false,
+                ),
+                (
+                    "distance past 64 KiB",
+                    encode(&[literal(&long), m(4, 65_537)]).0,
+                    70_004,
+                    false,
+                ),
+                (
+                    "distance at 64 KiB",
+                    encode(&[literal(&long), m(4, 65_536)]).0,
+                    70_004,
+                    true,
+                ),
+                (
+                    "run of one byte",
+                    encode(&[literal(b"a"), m(100, 1)]).0,
+                    101,
+                    true,
+                ),
+                (
+                    "17-byte literal and match",
+                    encode(&[literal(&long[..17]), m(17, 17), literal(&long[..20])]).0,
+                    54,
+                    true,
+                ),
+                (
+                    "overlap by one byte",
+                    encode(&[literal(b"abcde"), m(6, 5)]).0,
+                    11,
+                    true,
+                ),
+                (
+                    "overlap, 16 bytes",
+                    encode(&[literal(&long[..15]), m(16, 15)]).0,
+                    31,
+                    true,
+                ),
+                (
+                    "overlap, distance < 16",
+                    encode(&[literal(b"ab"), m(30, 2)]).0,
+                    32,
+                    true,
+                ),
+                (
+                    "overlap, distance >= 16",
+                    encode(&[literal(&long[..20]), m(40, 20)]).0,
+                    60,
+                    true,
+                ),
+                (
+                    "short match into itself",
+                    encode(&[literal(b"abcdefgh"), m(5, 8)]).0,
+                    13,
+                    true,
+                ),
+                (
+                    "long match",
+                    encode(&[literal(&long[..40]), m(30, 40)]).0,
+                    70,
+                    true,
+                ),
+                ("over-long varint", vec![0x88, 0x00], 4, false),
+                ("eleven-byte varint", vec![0xff; 11], 4, false),
+                ("truncated varint", vec![0x80], 1, false),
+                ("truncated distance", vec![0x09], 4, false),
+                ("trailing bytes", [&hello[..], &[0]].concat(), 11, false),
+                ("raw_len too short", hello.clone(), 5, false),
+                ("raw_len too long", hello.clone(), 100, false),
+                ("exact", hello, 11, true),
+            ];
+            for (name, stream, raw_len, ok) in cases {
+                assert_eq!(same_as_reference(&stream, raw_len), Ok(ok), "{name}");
+            }
+        }
+
+        #[test]
+        fn round_trips_past_the_initial_allocation() {
+            let target = INITIAL_CAP + INITIAL_CAP / 4 + 3;
+            let mut big = Vec::with_capacity(target + 64);
+            let mut x = 0x9e37_79b9u32;
+            while big.len() < target {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                big.extend_from_slice(&x.to_le_bytes()[..(x % 4) as usize + 1]);
+                if x % 5 == 0 {
+                    big.extend_from_slice(b"java.awt.EventDispatchThread.pumpEvents");
+                }
+                if x % 11 == 0 {
+                    big.extend(std::iter::repeat(b'z').take((x % 40) as usize));
+                }
+            }
+            let packed = compress(&big);
+            assert_eq!(decompress(&packed, big.len()).unwrap(), big);
+            assert_eq!(same_as_reference(&packed, big.len()), Ok(true));
         }
     }
 }

@@ -36,7 +36,7 @@ use crate::binary::{fnv1a, read_header, read_record, tag, MAGIC_PREFIX, MAX_RECO
 use crate::error::TraceError;
 use crate::record::SessionRecords;
 use crate::salvage::SalvageReport;
-use crate::source::SessionSource;
+use crate::source::{RollupRef, SessionSource};
 use crate::varint;
 
 /// Footer signature; the last byte is the footer format version.
@@ -732,8 +732,9 @@ impl IndexedTrace {
             let gap_records = opened.gap_records;
             let mut indexed = Self::assemble(bytes, opened, None);
             let counted = |trace: &SessionTrace| {
-                gap_records
-                    .is_none_or(|gaps| gaps + episode_records(trace) == report.records_recovered)
+                gap_records.map_or(true, |gaps| {
+                    gaps + episode_records(trace) == report.records_recovered
+                })
             };
             match indexed.par_decode(jobs) {
                 Ok(trace) if counted(&trace) => {
@@ -1017,7 +1018,7 @@ impl IndexedTrace {
             extents: &self.extents,
             payload: &self.bytes,
             lenient: self.salvage.is_some(),
-            rollup: self.rollup.as_ref(),
+            rollup: RollupRef::Opened(self.rollup.as_ref()),
         }
     }
 

@@ -6,7 +6,7 @@
 //! offsets point into, and the session-level records hoisted out of the
 //! episode stream (symbol table, GC events, short-episode counters).
 //! A [`SessionSource`] borrows exactly those parts, plus the salvaged
-//! (lenient) flag and the validated rollup, and holds the only
+//! (lenient) flag and the rollup, and holds the only
 //! implementation of filtered, subset and single-episode decode and of
 //! assembling decoded fragments into a [`SessionTrace`]. That is what makes
 //! a corpus session decode byte-identical to its original file.
@@ -24,6 +24,7 @@ use crate::error::TraceError;
 use crate::index::{decode_extent, DecodeScratch, EpisodeExtent, EpisodeFilter};
 use crate::record::SessionRecords;
 use crate::rollup::Rollup;
+use crate::SessionView;
 
 /// One opened session, borrowed from the [`IndexedTrace`] or corpus that
 /// owns its bytes. Cheap to copy; build one with
@@ -41,7 +42,17 @@ pub struct SessionSource<'a> {
     /// the (decompressed) payload section for a corpus session.
     pub(crate) payload: &'a [u8],
     pub(crate) lenient: bool,
-    pub(crate) rollup: Option<&'a Rollup>,
+    pub(crate) rollup: RollupRef<'a>,
+}
+
+/// Where a [`SessionSource`] finds its rollup.
+#[derive(Clone, Copy)]
+pub(crate) enum RollupRef<'a> {
+    /// Validated when the `.lgz` file was opened, from the snapshot its
+    /// one trailer pass takes.
+    Opened(Option<&'a Rollup>),
+    /// A corpus session, whose rollup section is validated on first use.
+    Corpus(SessionView<'a>),
 }
 
 impl<'a> SessionSource<'a> {
@@ -77,9 +88,14 @@ impl<'a> SessionSource<'a> {
         self.lenient
     }
 
-    /// The validated rollup, when one is present and trustworthy.
+    /// The validated rollup, when one is present and trustworthy. A
+    /// corpus session's rollup section is validated on the first call;
+    /// no other method of a source touches it.
     pub fn rollup(&self) -> Option<&'a Rollup> {
-        self.rollup
+        match self.rollup {
+            RollupRef::Opened(rollup) => rollup,
+            RollupRef::Corpus(view) => view.rollup(),
+        }
     }
 
     /// Number of indexed episodes.

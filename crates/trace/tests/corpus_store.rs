@@ -119,11 +119,11 @@ fn build_trace(session: u32, specs: &[EpisodeSpec]) -> SessionTrace {
         b.push_episode(eb.build().unwrap()).unwrap();
         cursor = end + 10;
     }
-    if session.is_multiple_of(2) {
+    if session % 2 == 0 {
         b.push_gc(GcEvent {
             start: TimeNs::from_millis(1),
             end: TimeNs::from_millis(3),
-            major: session.is_multiple_of(4),
+            major: session % 4 == 0,
         });
     }
     b.add_short_episodes(u64::from(session) * 7 + 1, DurationNs::from_micros(900));
