@@ -244,18 +244,20 @@ impl Rule for NonMonotonicTime {
                 );
             }
         }
-        for pair in ctx.episode.samples().windows(2) {
-            if pair[1].time < pair[0].time {
+        let mut prev: Option<TimeNs> = None;
+        for sample in ctx.episode.samples() {
+            if let Some(earlier) = prev.filter(|&p| sample.time < p) {
                 sink.emit(
                     Finding::new(format!(
                         "samples out of time order: {} follows {}",
-                        fmt_time(pair[1].time),
-                        fmt_time(pair[0].time)
+                        fmt_time(sample.time),
+                        fmt_time(earlier)
                     ))
                     .episode(ctx.episode.id())
                     .span(ctx.byte_span()),
                 );
             }
+            prev = Some(sample.time);
         }
     }
 }
@@ -395,8 +397,8 @@ impl Rule for DanglingSymbol {
             }
         }
         for sample in ctx.episode.samples() {
-            for thread in &sample.threads {
-                for frame in &thread.stack {
+            for thread in sample.threads() {
+                for frame in thread.stack() {
                     if let Some(raw) = Self::dangling(symbols, frame.method) {
                         sink.emit(
                             Finding::new(format!(
@@ -934,6 +936,35 @@ mod tests {
                 vec![],
             )],
         )
+    }
+
+    /// The unchecked constructor keeps its input order in the flat
+    /// sample layout, so LA004 still sees samples that run backwards.
+    #[test]
+    fn la004_unsorted_samples_fire() {
+        let mut t = IntervalTreeBuilder::new();
+        t.enter(IntervalKind::Dispatch, None, ms(0)).unwrap();
+        t.exit(ms(100)).unwrap();
+        let episode = Episode::from_parts_unchecked(
+            EpisodeId::from_raw(0),
+            ThreadId::from_raw(0),
+            t.finish().unwrap(),
+            vec![snap(ms(10)), snap(ms(70)), snap(ms(30))],
+        );
+        let trace = trace_of(vec![episode]);
+        let report = RuleSet::standard().run(&CheckSubject::of_trace(&trace));
+        let la004: Vec<&str> = report
+            .diagnostics()
+            .iter()
+            .filter(|d| d.code == "LA004")
+            .map(|d| d.message.as_str())
+            .collect();
+        assert_eq!(la004.len(), 1, "{la004:?}");
+        assert!(
+            la004[0].starts_with("samples out of time order:"),
+            "{}",
+            la004[0]
+        );
     }
 
     fn episode_with_gc_and_sample(sample_ms: u64) -> Episode {

@@ -2,6 +2,10 @@
 
 use std::process::Command;
 
+#[cfg(target_os = "linux")]
+#[path = "../../trace/tests/support/inflate_footer.rs"]
+mod inflate_footer;
+
 fn lagalyzer() -> Command {
     Command::new(env!("CARGO_BIN_EXE_lagalyzer"))
 }
@@ -922,5 +926,58 @@ fn resealed_episode_damage_lints_and_checks_damaged() {
     let check = String::from_utf8_lossy(&output.stdout).to_string();
     assert!(check.contains("warning[LA011]"), "{check}");
     assert!(check.contains("note[LA013]"), "{check}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A footer that claims 2^20 intervals and samples for every extent
+/// passes the strict open once resealed. The decode must size its
+/// buffers by the records it reads, not by those claims: under a 2 GB
+/// address-space limit `analyze`, `lint` and `check` answer exactly as
+/// they do without one (0, 0, and 1 for the LA009 warnings), instead of
+/// aborting on a failed allocation.
+#[cfg(target_os = "linux")]
+#[test]
+fn inflated_footer_counts_decode_under_an_address_space_limit() {
+    let dir = std::env::temp_dir().join(format!(
+        "lagalyzer-cli-inflated-footer-{}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("arabeske.lgz");
+    let path_str = path.to_str().unwrap();
+    let profile = lagalyzer_sim::apps::by_name("Arabeske").unwrap();
+    let trace = lagalyzer_sim::runner::simulate_session(&profile, 0, 42);
+    assert!(trace.episodes().len() >= 100);
+    let mut bytes = Vec::new();
+    lagalyzer_trace::binary::write(&trace, &mut bytes).unwrap();
+    std::fs::write(
+        &path,
+        inflate_footer::inflate_footer_counts(&bytes, 1 << 20),
+    )
+    .unwrap();
+
+    for (command, code) in [("analyze", 0), ("lint", 0), ("check", 1)] {
+        let free = lagalyzer().args([command, path_str]).output().unwrap();
+        assert_eq!(
+            free.status.code(),
+            Some(code),
+            "{command}: {}",
+            String::from_utf8_lossy(&free.stderr)
+        );
+        let limited = Command::new("sh")
+            .arg("-c")
+            .arg(r#"ulimit -v 2000000; exec "$0" "$@""#)
+            .arg(env!("CARGO_BIN_EXE_lagalyzer"))
+            .args([command, path_str])
+            .output()
+            .unwrap();
+        assert_eq!(
+            limited.status.code(),
+            Some(code),
+            "{command} under the limit: {}",
+            String::from_utf8_lossy(&limited.stderr)
+        );
+        assert_eq!(limited.stdout, free.stdout, "{command}: stdout differs");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

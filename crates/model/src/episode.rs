@@ -9,7 +9,7 @@
 use crate::error::ModelError;
 use crate::ids::{EpisodeId, ThreadId};
 use crate::interval::IntervalKind;
-use crate::sample::SampleSnapshot;
+use crate::sample::{SampleSnapshot, Samples};
 use crate::time::{DurationNs, TimeNs};
 use crate::tree::IntervalTree;
 
@@ -33,13 +33,14 @@ pub struct Episode {
     id: EpisodeId,
     thread: ThreadId,
     tree: IntervalTree,
-    samples: Vec<SampleSnapshot>,
+    samples: Samples,
 }
 
 impl Episode {
     /// Assembles an episode directly from its parts, **without** the
     /// validation [`EpisodeBuilder::build`] performs (dispatch root,
-    /// sorted in-window samples).
+    /// in-window samples) and without sorting: snapshots and their thread
+    /// entries are stored in input order.
     ///
     /// Like [`IntervalTree::from_nodes_unchecked`], this exists so the
     /// `lagalyzer-check` semantic checker can represent invalid episodes
@@ -51,12 +52,41 @@ impl Episode {
         tree: IntervalTree,
         samples: Vec<SampleSnapshot>,
     ) -> Episode {
+        let mut flat = Samples::new();
+        for snapshot in &samples {
+            flat.push(snapshot);
+        }
         Episode {
             id,
             thread,
             tree,
-            samples,
+            samples: flat,
         }
+    }
+
+    /// Validates and assembles an episode as [`EpisodeBuilder::build`]
+    /// does, taking its samples from `buffer` — a decoder's reusable
+    /// scratch. The episode gets exact-size copies of the buffer's
+    /// arrays, and the buffer is left empty with its capacity kept,
+    /// whether or not the episode is valid.
+    ///
+    /// # Errors
+    ///
+    /// As [`EpisodeBuilder::build`].
+    pub fn from_buffer(
+        id: EpisodeId,
+        thread: ThreadId,
+        tree: IntervalTree,
+        buffer: &mut Samples,
+    ) -> Result<Episode, ModelError> {
+        let built = check_parts(&tree, buffer).map(|()| Episode {
+            id,
+            thread,
+            tree,
+            samples: buffer.clone(),
+        });
+        buffer.clear();
+        built
     }
 
     /// The episode's id (dispatch order within the session).
@@ -75,8 +105,15 @@ impl Episode {
         &self.tree
     }
 
-    /// Sample snapshots taken during the episode, in time order.
-    pub fn samples(&self) -> &[SampleSnapshot] {
+    /// Sample snapshots taken during the episode, in time order; iterate
+    /// them as [`SnapshotView`](crate::SnapshotView)s.
+    ///
+    /// They are stored flat (see [`Samples`]), so a decoded episode holds
+    /// its samples in three allocations however many it has. A decoder
+    /// sizes those arrays by the records it actually reads: the snapshot
+    /// and interval counts a trace's extent index claims are checked by
+    /// the `LA009` rule and never trusted for allocation.
+    pub fn samples(&self) -> &Samples {
         &self.samples
     }
 
@@ -114,7 +151,7 @@ pub struct EpisodeBuilder {
     id: EpisodeId,
     thread: ThreadId,
     tree: Option<IntervalTree>,
-    samples: Vec<SampleSnapshot>,
+    samples: Samples,
 }
 
 impl EpisodeBuilder {
@@ -124,7 +161,7 @@ impl EpisodeBuilder {
             id,
             thread,
             tree: None,
-            samples: Vec::new(),
+            samples: Samples::new(),
         }
     }
 
@@ -136,17 +173,20 @@ impl EpisodeBuilder {
 
     /// Appends a sample snapshot taken during the episode.
     pub fn sample(mut self, snapshot: SampleSnapshot) -> Self {
-        self.samples.push(snapshot);
+        self.samples.push(&snapshot);
         self
     }
 
     /// Appends many sample snapshots.
     pub fn samples<I: IntoIterator<Item = SampleSnapshot>>(mut self, snapshots: I) -> Self {
-        self.samples.extend(snapshots);
+        for snapshot in snapshots {
+            self.samples.push(&snapshot);
+        }
         self
     }
 
-    /// Validates and builds the episode.
+    /// Validates and builds the episode, putting its samples in canonical
+    /// order (see [`Samples`]).
     ///
     /// # Errors
     ///
@@ -154,22 +194,7 @@ impl EpisodeBuilder {
     /// interval, or any sample falls outside the dispatch window.
     pub fn build(mut self) -> Result<Episode, ModelError> {
         let tree = self.tree.ok_or(ModelError::MissingRoot)?;
-        let root = tree.root_interval();
-        if root.kind != IntervalKind::Dispatch {
-            return Err(ModelError::RootNotDispatch { found: root.kind });
-        }
-        let (start, end) = (root.start, root.end);
-        self.samples.sort_by_key(|s| s.time);
-        for s in &self.samples {
-            // Samples may land exactly on the boundary instants.
-            if s.time < start || s.time > end {
-                return Err(ModelError::SampleOutOfRange {
-                    at: s.time,
-                    start,
-                    end,
-                });
-            }
-        }
+        check_parts(&tree, &mut self.samples)?;
         Ok(Episode {
             id: self.id,
             thread: self.thread,
@@ -177,6 +202,28 @@ impl EpisodeBuilder {
             samples: self.samples,
         })
     }
+}
+
+/// The checks [`EpisodeBuilder::build`] makes, canonicalizing `samples`
+/// on the way: a dispatch root, and every sample inside its window.
+fn check_parts(tree: &IntervalTree, samples: &mut Samples) -> Result<(), ModelError> {
+    let root = tree.root_interval();
+    if root.kind != IntervalKind::Dispatch {
+        return Err(ModelError::RootNotDispatch { found: root.kind });
+    }
+    let (start, end) = (root.start, root.end);
+    samples.canonicalize();
+    for s in samples.iter() {
+        // Samples may land exactly on the boundary instants.
+        if s.time < start || s.time > end {
+            return Err(ModelError::SampleOutOfRange {
+                at: s.time,
+                start,
+                end,
+            });
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -310,6 +357,50 @@ mod tests {
             .unwrap();
         let times: Vec<u64> = e.samples().iter().map(|s| s.time.as_millis()).collect();
         assert_eq!(times, vec![10, 50, 90]);
+    }
+
+    #[test]
+    fn unchecked_parts_keep_input_order() {
+        let e = Episode::from_parts_unchecked(
+            EpisodeId::from_raw(0),
+            ThreadId::from_raw(0),
+            dispatch_tree(0, 100),
+            vec![snap(50), snap(10)],
+        );
+        let times: Vec<u64> = e.samples().iter().map(|s| s.time.as_millis()).collect();
+        assert_eq!(times, vec![50, 10]);
+    }
+
+    #[test]
+    fn from_buffer_matches_build_and_empties_the_buffer() {
+        let built = EpisodeBuilder::new(EpisodeId::from_raw(0), ThreadId::from_raw(0))
+            .tree(dispatch_tree(0, 100))
+            .samples([snap(50), snap(10)])
+            .build()
+            .unwrap();
+        let mut buffer = Samples::new();
+        buffer.push(&snap(50));
+        buffer.push(&snap(10));
+        let decoded = Episode::from_buffer(
+            EpisodeId::from_raw(0),
+            ThreadId::from_raw(0),
+            dispatch_tree(0, 100),
+            &mut buffer,
+        )
+        .unwrap();
+        assert_eq!(decoded, built);
+        assert!(buffer.is_empty());
+
+        buffer.push(&snap(150));
+        let err = Episode::from_buffer(
+            EpisodeId::from_raw(1),
+            ThreadId::from_raw(0),
+            dispatch_tree(0, 100),
+            &mut buffer,
+        )
+        .unwrap_err();
+        assert!(matches!(err, ModelError::SampleOutOfRange { .. }));
+        assert!(buffer.is_empty());
     }
 
     #[test]

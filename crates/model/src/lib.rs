@@ -57,7 +57,10 @@ pub use ids::{EpisodeId, NodeId, SessionId, SymbolId, ThreadId};
 pub use interval::{Interval, IntervalKind};
 pub use json::json_string;
 pub use lockgraph::{ContendedWait, HolderSight, LockGraph, WaitKind};
-pub use sample::{SampleSnapshot, StackFrame, ThreadSample, ThreadState};
+pub use sample::{
+    SampleSnapshot, Samples, SnapshotIter, SnapshotView, StackFrame, ThreadIter, ThreadSample,
+    ThreadState, ThreadView,
+};
 pub use session::{EpisodeFragment, GcEvent, SessionMeta, SessionTrace, SessionTraceBuilder};
 pub use symbols::{CodeOrigin, MethodRef, OriginClassifier, SymbolTable};
 pub use time::{DurationNs, TimeNs};
@@ -77,7 +80,9 @@ pub mod prelude {
     pub use crate::ids::{EpisodeId, NodeId, SessionId, SymbolId, ThreadId};
     pub use crate::interval::{Interval, IntervalKind};
     pub use crate::lockgraph::{ContendedWait, HolderSight, LockGraph, WaitKind};
-    pub use crate::sample::{SampleSnapshot, StackFrame, ThreadSample, ThreadState};
+    pub use crate::sample::{
+        SampleSnapshot, Samples, SnapshotView, StackFrame, ThreadSample, ThreadState, ThreadView,
+    };
     pub use crate::session::{
         EpisodeFragment, GcEvent, SessionMeta, SessionTrace, SessionTraceBuilder,
     };

@@ -386,7 +386,7 @@ struct WaitTally {
 pub fn extract_waits(episode: &Episode) -> Vec<ContendedWait> {
     let mut tallies: Vec<WaitTally> = Vec::new();
     for snap in episode.samples() {
-        for ts in &snap.threads {
+        for ts in snap.threads() {
             let kind = match ts.state {
                 ThreadState::Blocked => WaitKind::Monitor,
                 ThreadState::Waiting => WaitKind::Condition,
@@ -413,11 +413,11 @@ pub fn extract_waits(episode: &Episode) -> Vec<ContendedWait> {
             tally.samples += 1;
             bump(&mut tally.tops, top.method);
             if kind == WaitKind::Monitor {
-                if let Some(caller) = ts.stack.get(1) {
+                if let Some(caller) = ts.stack().get(1) {
                     bump(&mut tally.callers, caller.method);
                 }
             }
-            for peer in &snap.threads {
+            for peer in snap.threads() {
                 if peer.thread == ts.thread || peer.state != ThreadState::Runnable {
                     continue;
                 }
@@ -535,7 +535,7 @@ fn streak_of(
                 run_start = snap.time;
             }
             run += 1;
-            for peer in &snap.threads {
+            for peer in snap.threads() {
                 if peer.thread != thread && peer.state == ThreadState::Runnable {
                     insert_sorted(&mut run_holders, peer.thread);
                 }

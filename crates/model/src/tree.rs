@@ -132,6 +132,14 @@ impl IntervalTree {
         }
     }
 
+    /// The tree over a finished builder's arena, which already holds
+    /// every invariant [`validate`](Self::validate) checks.
+    fn from_built_nodes(nodes: Vec<IntervalNode>) -> IntervalTree {
+        let tree = IntervalTree::from_nodes_unchecked(nodes);
+        debug_assert!(tree.validate().is_ok());
+        tree
+    }
+
     /// The root node id.
     ///
     /// Every finished tree has exactly one root at index 0.
@@ -407,15 +415,6 @@ impl IntervalTreeBuilder {
         IntervalTreeBuilder::default()
     }
 
-    /// Reserves room for `n` more nodes.
-    ///
-    /// Decoders that know an episode's interval count up front (from an
-    /// extent index) call this so the node arena is sized in one
-    /// allocation instead of growing geometrically mid-episode.
-    pub fn reserve_nodes(&mut self, n: usize) {
-        self.nodes.reserve(n);
-    }
-
     /// Discards all building state, retaining allocations.
     ///
     /// A reused builder that hit a mid-episode error (a malformed exit, an
@@ -530,24 +529,33 @@ impl IntervalTreeBuilder {
     /// # Errors
     ///
     /// Fails if intervals are still open or no root was recorded.
-    pub fn finish(mut self) -> Result<IntervalTree, ModelError> {
-        self.finish_reset()
+    pub fn finish(self) -> Result<IntervalTree, ModelError> {
+        self.check_finished()?;
+        Ok(IntervalTree::from_built_nodes(self.nodes))
     }
 
     /// Finishes the tree and resets the builder for the next one.
     ///
     /// This is the streaming-decode variant of
     /// [`finish`](Self::finish): decoders assembling thousands of
-    /// episodes keep one builder alive and call this per episode, so the
-    /// open-interval stack's allocation is reused instead of re-grown
-    /// from empty every time. The node arena necessarily moves into the
-    /// returned tree. On error the builder state is left untouched, so a
-    /// lenient caller may keep feeding events.
+    /// episodes keep one builder alive and call this per episode. The
+    /// tree gets an exact-size copy of the node arena, and the builder
+    /// keeps the arena and the open-interval stack with their capacity,
+    /// so after the largest episode so far neither grows again. On error
+    /// the builder state is left untouched, so a lenient caller may keep
+    /// feeding events.
     ///
     /// # Errors
     ///
     /// Fails if intervals are still open or no root was recorded.
     pub fn finish_reset(&mut self) -> Result<IntervalTree, ModelError> {
+        self.check_finished()?;
+        let tree = IntervalTree::from_built_nodes(self.nodes.clone());
+        self.reset();
+        Ok(tree)
+    }
+
+    fn check_finished(&self) -> Result<(), ModelError> {
         if !self.open.is_empty() {
             return Err(ModelError::UnclosedIntervals {
                 open: self.open.len(),
@@ -556,17 +564,7 @@ impl IntervalTreeBuilder {
         if self.nodes.is_empty() {
             return Err(ModelError::MissingRoot);
         }
-        let nodes = std::mem::take(&mut self.nodes);
-        let (child_ids, child_start) = derive_children(&nodes);
-        let tree = IntervalTree {
-            nodes,
-            child_ids,
-            child_start,
-        };
-        self.last_event = None;
-        self.root_closed = false;
-        debug_assert!(tree.validate().is_ok());
-        Ok(tree)
+        Ok(())
     }
 }
 

@@ -82,7 +82,7 @@ impl WaitGraph {
                 ThreadState::Waiting => waiting += 1,
                 _ => continue,
             }
-            for ts in &snap.threads {
+            for ts in snap.threads() {
                 if ts.thread == waiter || ts.state != ThreadState::Runnable {
                     continue;
                 }

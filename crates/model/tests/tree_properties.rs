@@ -183,8 +183,8 @@ proptest! {
         }
         let e = eb.build().unwrap();
         prop_assert_eq!(e.samples().len(), times.len());
-        for pair in e.samples().windows(2) {
-            prop_assert!(pair[0].time <= pair[1].time);
+        for (a, b) in e.samples().iter().zip(e.samples().iter().skip(1)) {
+            prop_assert!(a.time <= b.time);
         }
     }
 }

@@ -438,7 +438,7 @@ mod tests {
         assert!(!e.samples().is_empty(), "perceptible episode has samples");
         for s in e.samples() {
             assert!(s.time >= e.start() && s.time <= e.end());
-            assert_eq!(s.threads.len(), expected_threads);
+            assert_eq!(s.threads().len(), expected_threads);
         }
     }
 

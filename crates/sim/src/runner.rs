@@ -342,8 +342,8 @@ mod tests {
                 .episodes()
                 .iter()
                 .flat_map(lagalyzer_model::Episode::samples)
-                .flat_map(|snap| snap.threads.iter())
-                .map(|t| t.stack.len())
+                .flat_map(|snap| snap.threads())
+                .map(|t| t.stack().len())
                 .max()
                 .unwrap_or(0)
         }

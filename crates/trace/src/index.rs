@@ -27,9 +27,9 @@
 //! skip-decode filtering: excluded episodes' bytes are never parsed.
 
 use lagalyzer_model::{
-    DurationNs, Episode, EpisodeBuilder, EpisodeId, GcEvent, IntervalKind, IntervalTreeBuilder,
-    MethodRef, SampleSnapshot, SessionMeta, SessionTrace, SessionTraceBuilder, StackFrame,
-    SymbolId, SymbolTable, ThreadId, ThreadSample, ThreadState, TimeNs,
+    DurationNs, Episode, EpisodeId, GcEvent, IntervalKind, IntervalTreeBuilder, MethodRef, Samples,
+    SessionMeta, SessionTrace, SessionTraceBuilder, StackFrame, SymbolId, SymbolTable, ThreadId,
+    ThreadState, TimeNs,
 };
 
 use crate::binary::{fnv1a, read_header, read_record, tag, MAGIC_PREFIX, MAX_RECORDS};
@@ -1103,6 +1103,7 @@ pub(crate) fn decode_extent(
     let result = decode_extent_inner(span, extent, scratch);
     if result.is_err() {
         scratch.tree.reset();
+        scratch.samples.clear();
     }
     result
 }
@@ -1138,13 +1139,10 @@ fn decode_extent_inner(
                 ),
             ));
         }
-        // The extent's counts size both arenas in one allocation; they are
-        // capacity hints only (a lying footer still decodes correctly, its
-        // growth just paced by the actual input like the serial reader's).
-        let tree = &mut scratch.tree;
-        tree.reserve_nodes((extent.intervals as usize).min(1 << 20));
-        let mut samples: Vec<SampleSnapshot> =
-            Vec::with_capacity((extent.samples as usize).min(1024));
+        // Nodes and samples go into the worker's reusable arrays, which
+        // grow with the records actually read; the extent's interval and
+        // sample counts are never trusted to size them.
+        let DecodeScratch { tree, samples } = scratch;
         loop {
             if pos >= end {
                 return Err(TraceError::corrupt(
@@ -1178,7 +1176,7 @@ fn decode_extent_inner(
                     if n_threads > MAX_VEC {
                         return Err(TraceError::corrupt("sample record", "thread count cap"));
                     }
-                    let mut threads = Vec::with_capacity(n_threads.min(1024) as usize);
+                    samples.push_snapshot(time);
                     for _ in 0..n_threads {
                         let thread = ThreadId::from_raw(take_u32(span, &mut pos, end)?);
                         let state_tag = take_byte(span, &mut pos, end, "sample record")?;
@@ -1192,18 +1190,16 @@ fn decode_extent_inner(
                         if n_frames > MAX_VEC {
                             return Err(TraceError::corrupt("sample record", "frame count cap"));
                         }
-                        let mut stack = Vec::with_capacity(n_frames.min(1024) as usize);
+                        samples.push_thread(thread, state);
                         for _ in 0..n_frames {
                             let method = MethodRef {
                                 class: SymbolId::from_raw(take_u32(span, &mut pos, end)?),
                                 method: SymbolId::from_raw(take_u32(span, &mut pos, end)?),
                             };
                             let native = take_bool(span, &mut pos, end, "sample record")?;
-                            stack.push(StackFrame { method, native });
+                            samples.push_frame(StackFrame { method, native });
                         }
-                        threads.push(ThreadSample::new(thread, state, stack));
                     }
-                    samples.push(SampleSnapshot::new(time, threads));
                 }
                 tag::EP_END => break,
                 // Salvage-derived extents may interleave session-level
@@ -1236,24 +1232,24 @@ fn decode_extent_inner(
             ));
         }
         let finished = tree.finish_reset()?;
-        Ok(EpisodeBuilder::new(id, thread)
-            .tree(finished)
-            .samples(samples)
-            .build()?)
+        Ok(Episode::from_buffer(id, thread, finished, samples)?)
     }
 }
 
 /// Per-worker decode scratch, built once per worker thread and reused
 /// across every extent it decodes.
 ///
-/// The interval-tree builder's open-interval stack survives between
-/// episodes ([`IntervalTreeBuilder::finish_reset`] hands the node arena to
-/// the finished tree but keeps the stack); the arena itself is pre-sized
-/// per episode from the extent's interval count, so a decode makes one
-/// node allocation instead of a geometric growth series.
+/// An episode's tree nodes, snapshot headers, thread headers and frames
+/// are decoded into these arrays, which keep their capacity between
+/// episodes; the episode then gets exact-size copies
+/// ([`IntervalTreeBuilder::finish_reset`], [`Episode::from_buffer`]). So
+/// after the largest episode so far a decode allocates only the copies —
+/// at most six per episode, fewer without samples — and never more than
+/// the records it read.
 #[derive(Default)]
 pub(crate) struct DecodeScratch {
     tree: IntervalTreeBuilder,
+    samples: Samples,
 }
 
 /// Cheap index-health probe for diagnostics (`lagalyzer lint`): reports

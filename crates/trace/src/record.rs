@@ -81,7 +81,7 @@ pub fn records_from_trace(trace: &SessionTrace) -> Vec<TraceRecord> {
         });
         emit_tree_events(episode.tree(), &mut out);
         for snap in episode.samples() {
-            out.push(TraceRecord::Sample(snap.clone()));
+            out.push(TraceRecord::Sample(snap.to_snapshot()));
         }
         out.push(TraceRecord::EpisodeEnd);
     }

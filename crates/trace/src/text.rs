@@ -678,6 +678,7 @@ mod tests {
         let e = &trace.episodes()[0];
         assert_eq!(e.duration(), DurationNs::from_millis(151));
         assert_eq!(e.samples().len(), 1);
-        assert_eq!(e.samples()[0].threads[0].state, ThreadState::Runnable);
+        let first = e.samples().iter().next().unwrap().threads().next().unwrap();
+        assert_eq!(first.state, ThreadState::Runnable);
     }
 }

@@ -7,7 +7,11 @@
 use lagalyzer_model::prelude::*;
 use lagalyzer_trace::faults::Fault;
 use lagalyzer_trace::salvage::Salvaged;
-use lagalyzer_trace::{binary, IndexedTrace, TraceError};
+use lagalyzer_trace::{binary, IndexHealth, IndexedTrace, TraceError};
+
+#[path = "support/inflate_footer.rs"]
+mod inflate_footer;
+use inflate_footer::inflate_footer_counts;
 
 fn ms(v: u64) -> TimeNs {
     TimeNs::from_millis(v)
@@ -100,6 +104,28 @@ fn salvage_both(bytes: &[u8]) -> Salvaged {
     };
     assert_eq!(names(&decoded), names(&reference.trace));
     reference
+}
+
+/// Extent counts are checked by the `LA009` rule, never trusted for
+/// allocation: a resealed footer claiming 2^20 intervals and samples per
+/// extent opens strictly and decodes to exactly the honest trace.
+#[test]
+fn inflated_footer_counts_decode_to_the_honest_trace() {
+    let trace = sample_trace(40);
+    let honest = encode(&trace);
+    let lying = inflate_footer_counts(&honest, 1 << 20);
+    assert_ne!(lying, honest);
+    let opened = IndexedTrace::open(lying).unwrap();
+    assert_eq!(opened.health(), &IndexHealth::FooterValid);
+    assert!(opened
+        .extents()
+        .iter()
+        .all(|e| e.intervals == 1 << 20 && e.samples == 1 << 20));
+    for jobs in [1, 3] {
+        let decoded = opened.par_decode(jobs).unwrap();
+        assert_eq!(decoded.episodes(), trace.episodes());
+        assert_eq!(encode(&decoded), honest);
+    }
 }
 
 #[test]

@@ -9,7 +9,7 @@
 //! 3. the GUI thread's **stack samples** as dots along the top edge,
 //!    colored by thread state, each with the full stack trace as tooltip.
 
-use lagalyzer_model::{Episode, SymbolTable, ThreadSample};
+use lagalyzer_model::{Episode, SymbolTable, ThreadView};
 
 use crate::color::{interval_color, state_color};
 use crate::scale::TimeScale;
@@ -126,9 +126,10 @@ pub fn render_sketch(episode: &Episode, symbols: &SymbolTable, opts: &SketchOpti
 }
 
 /// Builds the hover text for one sample dot: state plus the stack trace.
-fn sample_tooltip(ts: &ThreadSample, symbols: &SymbolTable, max_frames: usize) -> String {
+fn sample_tooltip(ts: ThreadView<'_>, symbols: &SymbolTable, max_frames: usize) -> String {
     let mut out = format!("{} [{}]", ts.thread, ts.state);
-    for frame in ts.stack.iter().take(max_frames) {
+    let stack = ts.stack();
+    for frame in stack.iter().take(max_frames) {
         out.push('\n');
         out.push_str("  at ");
         out.push_str(&symbols.render(frame.method));
@@ -136,8 +137,8 @@ fn sample_tooltip(ts: &ThreadSample, symbols: &SymbolTable, max_frames: usize) -
             out.push_str(" (native)");
         }
     }
-    if ts.stack.len() > max_frames {
-        out.push_str(&format!("\n  … {} more", ts.stack.len() - max_frames));
+    if stack.len() > max_frames {
+        out.push_str(&format!("\n  … {} more", stack.len() - max_frames));
     }
     out
 }
@@ -216,8 +217,15 @@ mod tests {
     #[test]
     fn tooltip_includes_stack_and_native_marker() {
         let (episode, symbols) = sketch_fixture();
-        let ts = episode.samples()[1].threads[0].clone();
-        let tip = sample_tooltip(&ts, &symbols, 8);
+        let ts = episode
+            .samples()
+            .iter()
+            .nth(1)
+            .unwrap()
+            .threads()
+            .next()
+            .unwrap();
+        let tip = sample_tooltip(ts, &symbols, 8);
         assert!(tip.contains("sleeping"));
         assert!(tip.contains("at sun.java2d.loops.DrawLine.DrawLine (native)"));
         assert!(tip.contains("at javax.swing.JFrame.paint"));
@@ -227,12 +235,17 @@ mod tests {
     fn tooltip_truncates_deep_stacks() {
         let mut symbols = SymbolTable::new();
         let m = symbols.method("a.B", "c");
-        let ts = ThreadSample::new(
-            ThreadId::from_raw(0),
-            ThreadState::Runnable,
-            vec![StackFrame::java(m); 12],
-        );
-        let tip = sample_tooltip(&ts, &symbols, 3);
+        let mut samples = Samples::new();
+        samples.push(&SampleSnapshot::new(
+            ms(0),
+            vec![ThreadSample::new(
+                ThreadId::from_raw(0),
+                ThreadState::Runnable,
+                vec![StackFrame::java(m); 12],
+            )],
+        ));
+        let ts = samples.iter().next().unwrap().threads().next().unwrap();
+        let tip = sample_tooltip(ts, &symbols, 3);
         assert!(tip.contains("… 9 more"));
     }
 
