@@ -16,7 +16,7 @@
 //! | LA009 | extent-mismatch         | warning  | the extent footer agrees with the decoded payloads |
 //! | LA010 | duplicate-episode-id    | error    | episode ids are unique within a session |
 //! | LA011 | salvage-skip            | warning  | explains every region salvage decoding skipped |
-//! | LA012 | checksum-mismatch       | error    | the FNV-1a trailer checksum verifies |
+//! | LA012 | checksum-mismatch       | error    | the trailer checksum (FNV-1a or four-lane, by version) verifies |
 //! | LA013 | index-degraded          | note     | the episode index came from the footer, not a fallback scan |
 //! | LA014 | stale-rollup            | note     | the persisted rollup section matches the episode payload it summarizes |
 //! | LA020 | lock-order-inversion    | error    | no held-while-acquiring cycle in the session lock graph (hazards) |
@@ -642,7 +642,8 @@ impl Rule for SalvageSkipRule {
     }
 }
 
-/// LA012: the FNV-1a trailer checksum must verify.
+/// LA012: the trailer checksum must verify, with the hash the format
+/// version selects (FNV-1a through v2, four-lane from v3).
 struct ChecksumMismatch;
 
 impl Rule for ChecksumMismatch {

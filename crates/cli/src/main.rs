@@ -33,6 +33,7 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::OnceLock;
 
 use lagalyzer_check::{check_bytes, Diagnostic, HazardConfig, HazardReport, RuleSet, Severity};
 use lagalyzer_core::browser::SortBy;
@@ -44,8 +45,8 @@ use lagalyzer_report::{figures, table3, Study};
 use lagalyzer_sim::{apps, runner};
 use lagalyzer_trace::corpus::{self, CorpusReader, PackOptions};
 use lagalyzer_trace::{
-    DamageVerdict, EpisodeExtent, EpisodeFilter, IndexedTrace, SalvageReport, SessionSource,
-    SessionView, TraceError,
+    DamageVerdict, EpisodeExtent, EpisodeFilter, IndexHealth, IndexedTrace, SalvageReport,
+    SessionSource, SessionView, TraceError,
 };
 use lagalyzer_viz::ascii::ascii_sketch;
 use lagalyzer_viz::sketch::{render_pattern_gallery, render_sketch, SketchOptions};
@@ -572,6 +573,7 @@ fn read_input(path: &str) -> Result<Vec<u8>, Failure> {
 
 /// What salvage found in one input, whichever codec or container
 /// reported it: the single source of provenance and exit codes.
+#[derive(Clone, Copy)]
 struct Damage {
     verdict: DamageVerdict,
     recovered: u64,
@@ -627,6 +629,10 @@ enum Opened {
 struct Input {
     path: String,
     opened: Opened,
+    /// A `--salvage` binary input reopened through the salvage scan after
+    /// its cold decode failed (see [`Input::rescan`]); it then stands in
+    /// for the strict open everywhere.
+    rescanned: OnceLock<IndexedTrace>,
     /// The `--session K` member of a corpus input.
     session: Option<usize>,
     damage: Damage,
@@ -714,6 +720,7 @@ impl Input {
         Ok(Input {
             path: path.to_owned(),
             opened,
+            rescanned: OnceLock::new(),
             session,
             damage,
             jobs: parse_jobs(args)?,
@@ -738,24 +745,60 @@ impl Input {
         }
     }
 
+    /// A `.lgz` input as currently opened: the salvage scan's reopen when
+    /// there was one, else the open.
+    fn indexed(&self) -> Option<&IndexedTrace> {
+        match &self.opened {
+            Opened::Binary(indexed) => Some(self.rescanned.get().unwrap_or(indexed)),
+            _ => None,
+        }
+    }
+
     /// The one indexed session this input names: a `.lgz` trace or a
     /// `--session K` corpus member. `None` for text traces and whole
     /// corpora.
     fn source(&self) -> Option<SessionSource<'_>> {
         match (&self.opened, self.session) {
-            (Opened::Binary(indexed), _) => Some(indexed.source()),
             (Opened::Corpus(reader), Some(k)) => Some(reader.session(k).source()),
-            _ => None,
+            _ => self.indexed().map(IndexedTrace::source),
         }
     }
 
     /// Extents whose offsets are byte positions in the input file: only a
     /// `.lgz` trace's (corpus extents index a session payload).
     fn file_extents(&self) -> Option<&[EpisodeExtent]> {
-        match &self.opened {
-            Opened::Binary(indexed) => Some(indexed.extents()),
-            _ => None,
+        self.indexed().map(IndexedTrace::extents)
+    }
+
+    /// What salvage found, including a reopen through the salvage scan.
+    fn damage(&self) -> Damage {
+        self.rescanned.get().map_or(self.damage, |scanned| {
+            Damage::of_report(scanned.salvage_report())
+        })
+    }
+
+    /// Reopens a `--salvage` binary input through the salvage scan, as
+    /// `lint` does, after its cold decode failed although the strict open
+    /// succeeded: episode bytes damaged under a trailer checksum that
+    /// still verifies. Clean inputs never get here, so they keep the warm
+    /// path and skip-decode filtering. `false` when there is nothing to
+    /// reopen.
+    fn rescan(&self) -> bool {
+        let Opened::Binary(indexed) = &self.opened else {
+            return false;
+        };
+        if indexed.salvage_report().is_none()
+            || indexed.health() == &IndexHealth::SalvageScan
+            || self.rescanned.get().is_some()
+        {
+            return false;
         }
+        let Ok(scanned) = indexed.rescan() else {
+            return false;
+        };
+        self.rescanned.get_or_init(|| scanned);
+        self.damage().note(&self.path);
+        true
     }
 
     /// The byte span of episode `id`'s records in the input file.
@@ -768,15 +811,16 @@ impl Input {
 
     /// `0` for a clean input, `2` for a damaged one (see [`DamageVerdict`]).
     fn exit_code(&self) -> ExitCode {
-        ExitCode::from(self.damage.verdict.exit_code())
+        ExitCode::from(self.damage().verdict.exit_code())
     }
 
     fn provenance(&self) -> Provenance {
-        match self.damage.verdict {
+        let damage = self.damage();
+        match damage.verdict {
             DamageVerdict::Clean => Provenance::Clean,
             _ => Provenance::Salvaged {
-                skips: self.damage.skips,
-                episodes_lost: self.damage.episodes_lost,
+                skips: damage.skips,
+                episodes_lost: damage.episodes_lost,
             },
         }
     }
@@ -817,9 +861,14 @@ impl Input {
             )
             .into());
         };
-        let trace = source
-            .decode_filtered(self.jobs, &self.filter)
-            .map_err(|e| format!("cannot load {}: {e}", self.path))?;
+        let (source, decoded) = match source.decode_filtered(self.jobs, &self.filter) {
+            Err(_) if self.rescan() => {
+                let source = self.source().expect("a rescanned trace has a source");
+                (source, source.decode_filtered(self.jobs, &self.filter))
+            }
+            decoded => (source, decoded),
+        };
+        let trace = decoded.map_err(|e| format!("cannot load {}: {e}", self.path))?;
         Ok((trace, source.excluded_by(&self.filter) as u64))
     }
 
@@ -924,10 +973,11 @@ fn load_sessions(
         .iter()
         .map(|path| {
             let input = Input::load_path(args, path)?;
-            code = code.max(input.damage.verdict.exit_code());
-            input.session()
+            let session = input.session()?;
+            code = code.max(input.damage().verdict.exit_code());
+            Ok(session)
         })
-        .collect::<Result<_, _>>()?;
+        .collect::<Result<_, Failure>>()?;
     Ok((sessions, ExitCode::from(code)))
 }
 

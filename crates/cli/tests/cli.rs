@@ -2,6 +2,8 @@
 
 use std::process::Command;
 
+use lagalyzer_trace::faults;
+
 #[cfg(target_os = "linux")]
 #[path = "../../trace/tests/support/inflate_footer.rs"]
 mod inflate_footer;
@@ -823,11 +825,24 @@ fn path_may_follow_value_flags() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The trailer's FNV-1a, for tests that rewrite a trace and reseal it.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+/// Simulates a JEdit session into `dir` twice, as `jedit-v3.lgz` (what
+/// `simulate` writes) and as the same session re-stamped as v2, and
+/// returns the paths with the bytes: every resealed-damage test runs on
+/// both checksum hashes.
+fn simulated_v2_and_v3(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let v3 = dir.join("jedit-v3.lgz");
+    let v3_str = v3.to_str().unwrap();
+    run_ok(&["simulate", "--app", "JEdit", "--seed", "7", "--out", v3_str]);
+    let bytes = std::fs::read(&v3).unwrap();
+    assert_eq!(bytes[7], 3, "simulate writes v3");
+    let v2 = dir.join("jedit-v2.lgz");
+    vec![
+        (
+            v2.to_str().unwrap().to_owned(),
+            faults::with_version(&bytes, 2),
+        ),
+        (v3_str.to_owned(), bytes),
+    ]
 }
 
 /// A trace whose only damage is an extent footer resealed under a valid
@@ -838,47 +853,42 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 fn resealed_footer_lints_and_checks_clean() {
     let dir = std::env::temp_dir().join(format!("lagalyzer-cli-reseal-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("jedit.lgz");
-    let path_str = path.to_str().unwrap();
-    run_ok(&[
-        "simulate", "--app", "JEdit", "--seed", "7", "--out", path_str,
-    ]);
-    let mut bytes = std::fs::read(&path).unwrap();
-    // Step past the rollup section to the footer (both are framed from
-    // the end: ... length, magic), flip a byte inside the footer, reseal.
-    let len_at = |bytes: &[u8], end: usize| {
-        u64::from_le_bytes(bytes[end - 16..end - 8].try_into().unwrap()) as usize
-    };
-    let mut end = bytes.len() - 8;
-    assert_eq!(
-        &bytes[end - 8..end],
-        b"LGLZRUP\x01",
-        "simulate writes a rollup"
-    );
-    end -= len_at(&bytes, end);
-    assert_eq!(&bytes[end - 8..end], b"LGLZIDX\x01");
-    let footer_len = len_at(&bytes, end);
-    bytes[end - footer_len / 2] ^= 0x01;
-    let n = bytes.len();
-    let resealed = fnv1a(&bytes[8..n - 8]);
-    bytes[n - 8..].copy_from_slice(&resealed.to_le_bytes());
-    std::fs::write(&path, &bytes).unwrap();
+    for (path_str, mut bytes) in simulated_v2_and_v3(&dir) {
+        let path_str = path_str.as_str();
+        // Step past the rollup section to the footer (both are framed from
+        // the end: ... length, magic), flip a byte inside the footer, reseal.
+        let len_at = |bytes: &[u8], end: usize| {
+            u64::from_le_bytes(bytes[end - 16..end - 8].try_into().unwrap()) as usize
+        };
+        let mut end = bytes.len() - 8;
+        assert_eq!(
+            &bytes[end - 8..end],
+            b"LGLZRUP\x01",
+            "simulate writes a rollup"
+        );
+        end -= len_at(&bytes, end);
+        assert_eq!(&bytes[end - 8..end], b"LGLZIDX\x01");
+        let footer_len = len_at(&bytes, end);
+        bytes[end - footer_len / 2] ^= 0x01;
+        faults::reseal(&mut bytes, None);
+        std::fs::write(path_str, &bytes).unwrap();
 
-    let lint = run_ok(&["lint", path_str]);
-    assert!(lint.starts_with("clean: no damage detected\n"), "{lint}");
-    assert!(
-        lint.contains(
-            "index               footer invalid (footer checksum mismatch), \
-             index reconstructed by scan\n"
-        ),
-        "{lint}"
-    );
-    for args in [
-        &["check", path_str][..],
-        &["analyze", path_str, "--salvage"],
-        &["patterns", path_str, "--salvage"],
-    ] {
-        run_ok(args);
+        let lint = run_ok(&["lint", path_str]);
+        assert!(lint.starts_with("clean: no damage detected\n"), "{lint}");
+        assert!(
+            lint.contains(
+                "index               footer invalid (footer checksum mismatch), \
+                 index reconstructed by scan\n"
+            ),
+            "{lint}"
+        );
+        for args in [
+            &["check", path_str][..],
+            &["analyze", path_str, "--salvage"],
+            &["patterns", path_str, "--salvage"],
+        ] {
+            run_ok(args);
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -894,38 +904,97 @@ fn resealed_episode_damage_lints_and_checks_damaged() {
         std::process::id()
     ));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("jedit.lgz");
-    let path_str = path.to_str().unwrap();
-    run_ok(&[
-        "simulate", "--app", "JEdit", "--seed", "7", "--out", path_str,
-    ]);
-    let mut bytes = std::fs::read(&path).unwrap();
-    let extent = lagalyzer_trace::IndexedTrace::open(bytes.clone())
-        .unwrap()
-        .extents()[100];
-    bytes[extent.offset as usize] ^= 0x80;
-    let n = bytes.len();
-    let resealed = fnv1a(&bytes[8..n - 8]);
-    bytes[n - 8..].copy_from_slice(&resealed.to_le_bytes());
-    std::fs::write(&path, &bytes).unwrap();
-    let reference = lagalyzer_trace::binary::read_salvage(&bytes).unwrap();
-    assert!(!reference.report.is_clean());
+    for (path_str, mut bytes) in simulated_v2_and_v3(&dir) {
+        let path_str = path_str.as_str();
+        let extent = lagalyzer_trace::IndexedTrace::open(bytes.clone())
+            .unwrap()
+            .extents()[100];
+        bytes[extent.offset as usize] ^= 0x80;
+        faults::reseal(&mut bytes, None);
+        std::fs::write(path_str, &bytes).unwrap();
+        let reference = lagalyzer_trace::binary::read_salvage(&bytes).unwrap();
+        assert!(!reference.report.is_clean());
 
-    let output = lagalyzer().args(["lint", path_str]).output().unwrap();
-    assert_eq!(output.status.code(), Some(2));
-    let lint = String::from_utf8_lossy(&output.stdout).to_string();
-    assert!(lint.starts_with(&reference.report.render()), "{lint}");
-    assert!(
-        lint.contains("index               footer valid\n"),
-        "{lint}"
-    );
+        let output = lagalyzer().args(["lint", path_str]).output().unwrap();
+        assert_eq!(output.status.code(), Some(2), "{path_str}");
+        let lint = String::from_utf8_lossy(&output.stdout).to_string();
+        assert!(lint.starts_with(&reference.report.render()), "{lint}");
+        assert!(
+            lint.contains("index               footer valid\n"),
+            "{lint}"
+        );
 
-    // Salvage-skip warnings and no errors: `check` exits 1, not 3.
-    let output = lagalyzer().args(["check", path_str]).output().unwrap();
-    assert_eq!(output.status.code(), Some(1));
-    let check = String::from_utf8_lossy(&output.stdout).to_string();
-    assert!(check.contains("warning[LA011]"), "{check}");
-    assert!(check.contains("note[LA013]"), "{check}");
+        // Salvage-skip warnings and no errors: `check` exits 1, not 3.
+        let output = lagalyzer().args(["check", path_str]).output().unwrap();
+        assert_eq!(output.status.code(), Some(1), "{path_str}");
+        let check = String::from_utf8_lossy(&output.stdout).to_string();
+        assert!(check.contains("warning[LA011]"), "{check}");
+        assert!(check.contains("note[LA013]"), "{check}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `lint` prints the same report for the v2 and v3 encodings of one
+/// trace, and a v1 trace, which has no section region, keeps its rollup
+/// line.
+#[test]
+fn lint_reads_every_format_version_alike() {
+    let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../trace/tests/corpus");
+    let lint = |name: &str| run_ok(&["lint", corpus.join(name).to_str().unwrap()]);
+    let v2 = lint("clean.lgz");
+    assert!(v2.ends_with("index               footer valid\nrollup              absent\n"));
+    assert_eq!(lint("clean-v3.lgz"), v2);
+    assert!(lint("legacy-v1.lgz")
+        .ends_with("rollup              not applicable (no v2 section region)\n"));
+}
+
+/// `--salvage` analysis of a trace resealed over undecodable episode
+/// bytes reports the damage `lint` sees: the strict open accepts the
+/// trace, its cold decode fails, and the input is reopened through the
+/// salvage scan. Every analysis command exits 2, notes the salvage on
+/// stderr, and prints what it prints for the same damage left unsealed,
+/// which the strict open rejects outright.
+#[test]
+fn resealed_episode_damage_salvages_in_every_analysis_command() {
+    let dir = std::env::temp_dir().join(format!(
+        "lagalyzer-cli-reseal-salvage-{}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (path_str, bytes) in simulated_v2_and_v3(&dir) {
+        let extent = lagalyzer_trace::IndexedTrace::open(bytes.clone())
+            .unwrap()
+            .extents()[100];
+        let mut unsealed = bytes;
+        unsealed[extent.offset as usize] ^= 0x80;
+        let unsealed_path = path_str.replace(".lgz", "-unsealed.lgz");
+        std::fs::write(&unsealed_path, &unsealed).unwrap();
+        faults::reseal(&mut unsealed, None);
+        std::fs::write(&path_str, &unsealed).unwrap();
+        for (command, extra) in [
+            ("analyze", &[][..]),
+            ("patterns", &[]),
+            ("outliers", &["--format", "json"]),
+            ("hazards", &["--format", "json"]),
+        ] {
+            let run = |path: &str| {
+                let output = lagalyzer()
+                    .args([command, path, "--salvage"])
+                    .args(extra)
+                    .output()
+                    .unwrap();
+                let stdout = String::from_utf8(output.stdout).unwrap();
+                let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+                (output.status.code(), stdout.replace(path, "TRACE"), stderr)
+            };
+            let (code, stdout, stderr) = run(&path_str);
+            assert_eq!(code, Some(2), "{command} {path_str}: {stderr}");
+            assert!(stderr.contains("salvage: "), "{command}: {stderr}");
+            let (unsealed_code, unsealed_stdout, _) = run(&unsealed_path);
+            assert_eq!(unsealed_code, Some(2), "{command} {unsealed_path}");
+            assert_eq!(stdout, unsealed_stdout, "{command} {path_str}");
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -950,12 +1019,22 @@ fn inflated_footer_counts_decode_under_an_address_space_limit() {
     assert!(trace.episodes().len() >= 100);
     let mut bytes = Vec::new();
     lagalyzer_trace::binary::write(&trace, &mut bytes).unwrap();
-    std::fs::write(
-        &path,
-        inflate_footer::inflate_footer_counts(&bytes, 1 << 20),
-    )
-    .unwrap();
+    for version in [2, 3] {
+        let versioned = faults::with_version(&bytes, version);
+        std::fs::write(
+            &path,
+            inflate_footer::inflate_footer_counts(&versioned, 1 << 20),
+        )
+        .unwrap();
+        answers_under_an_address_space_limit(path_str);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
 
+/// `analyze`, `lint` and `check` on `path` exit 0, 0 and 1 (the LA009
+/// warnings), and print the same under a 2 GB address-space limit.
+#[cfg(target_os = "linux")]
+fn answers_under_an_address_space_limit(path_str: &str) {
     for (command, code) in [("analyze", 0), ("lint", 0), ("check", 1)] {
         let free = lagalyzer().args([command, path_str]).output().unwrap();
         assert_eq!(
@@ -979,5 +1058,4 @@ fn inflated_footer_counts_decode_under_an_address_space_limit() {
         );
         assert_eq!(limited.stdout, free.stdout, "{command}: stdout differs");
     }
-    std::fs::remove_dir_all(&dir).ok();
 }

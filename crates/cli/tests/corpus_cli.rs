@@ -1,12 +1,15 @@
 //! Golden corpus-container fixture and end-to-end tests for the corpus
 //! subcommands (`pack`, `compact`, corpus-aware `analyze`/`lint`).
 //!
-//! `tests/corpus/corpus.lgzc` is a four-session `.lgzc` built from the
-//! committed single-trace fixtures (three clean ground-truth scenarios
-//! plus the fault-injected salvaged variant); the exact corpus-wide
-//! `analyze --format json` stdout, the `lint` stdout, and both exit
-//! codes are locked in `tests/corpus/EXPECTED_CORPUS.txt`. To
-//! regenerate after an intentional format change:
+//! `tests/corpus/corpus-v2.lgzc` is a four-session `.lgzc` built from the
+//! committed v3 single-trace fixtures (three clean ground-truth scenarios
+//! plus the fault-injected salvaged variant) and locked to that generator;
+//! `tests/corpus/corpus.lgzc` is the same corpus in format v1, written
+//! before v2 existed and frozen since. For each, the exact corpus-wide
+//! `analyze --format json` stdout, the `lint` stdout, and both exit codes
+//! are locked in `tests/corpus/EXPECTED_CORPUS.txt` (v1) and
+//! `tests/corpus/EXPECTED_CORPUS_V2.txt` (v2). To regenerate after an
+//! intentional format change:
 //!
 //! ```text
 //! LAGALYZER_REGEN_CORPUS=1 cargo test -p lagalyzer-cli --test corpus_cli
@@ -38,17 +41,44 @@ fn lagalyzer(args: &[&str]) -> Output {
         .expect("binary runs")
 }
 
-/// The single-trace fixtures the corpus is packed from: three clean
-/// scenarios opened strictly, the damaged one through the salvage path.
-const CLEAN_MEMBERS: [&str; 3] = ["gc-storm.lgz", "lock-contention.lgz", "slow-io.lgz"];
-const SALVAGED_MEMBER: &str = "salvaged-lock-contention.lgz";
+/// A committed corpus, the single-trace fixtures it was packed from (three
+/// clean scenarios opened strictly, then the damaged one through the
+/// salvage path) and the file its snapshot is locked in.
+struct Fixture {
+    corpus: &'static str,
+    clean: [&'static str; 3],
+    salvaged: &'static str,
+    expected: &'static str,
+}
 
-/// Rebuilds the committed `corpus.lgzc` from the committed `.lgz`
-/// fixtures — `pack` is deterministic, so the corpus is reproducible
-/// byte-for-byte.
-fn build_fixture_corpus() -> Vec<u8> {
+/// The frozen v1 corpus, packed from the frozen v2 traces.
+const V1: Fixture = Fixture {
+    corpus: "corpus.lgzc",
+    clean: ["gc-storm.lgz", "lock-contention.lgz", "slow-io.lgz"],
+    salvaged: "salvaged-lock-contention.lgz",
+    expected: "EXPECTED_CORPUS.txt",
+};
+
+/// The generated v2 corpus, packed from the v3 traces.
+const V2: Fixture = Fixture {
+    corpus: "corpus-v2.lgzc",
+    clean: [
+        "gc-storm-v3.lgz",
+        "lock-contention-v3.lgz",
+        "slow-io-v3.lgz",
+    ],
+    salvaged: "salvaged-lock-contention-v3.lgz",
+    expected: "EXPECTED_CORPUS_V2.txt",
+};
+
+const FIXTURES: [Fixture; 2] = [V1, V2];
+
+/// Packs a fixture's members as the `pack` subcommand would — `pack` is
+/// deterministic, so the corpus is reproducible byte-for-byte.
+fn pack_members(fixture: &Fixture) -> Vec<u8> {
     let dir = corpus_dir();
-    let mut opened: Vec<IndexedTrace> = CLEAN_MEMBERS
+    let mut opened: Vec<IndexedTrace> = fixture
+        .clean
         .iter()
         .map(|name| {
             let bytes = std::fs::read(dir.join(name))
@@ -56,7 +86,7 @@ fn build_fixture_corpus() -> Vec<u8> {
             IndexedTrace::open(bytes).unwrap()
         })
         .collect();
-    let damaged = std::fs::read(dir.join(SALVAGED_MEMBER)).unwrap();
+    let damaged = std::fs::read(dir.join(fixture.salvaged)).unwrap();
     opened.push(IndexedTrace::open_salvage(damaged).unwrap());
     corpus::pack(&opened, PackOptions::default()).unwrap()
 }
@@ -94,43 +124,59 @@ fn snapshot(path: &std::path::Path) -> String {
 fn corpus_fixture_matches_snapshot() {
     let dir = corpus_dir();
     let regen = std::env::var_os("LAGALYZER_REGEN_CORPUS").is_some();
-    let path = dir.join("corpus.lgzc");
     if regen {
-        std::fs::write(&path, build_fixture_corpus()).unwrap();
-        let expected = snapshot(&path);
-        std::fs::write(dir.join("EXPECTED_CORPUS.txt"), expected).unwrap();
-        return;
+        // Only the v2 corpus has a generator; the v1 one is frozen.
+        std::fs::write(dir.join(V2.corpus), pack_members(&V2)).unwrap();
     }
-    assert!(
-        path.exists(),
-        "corpus.lgzc missing — run with LAGALYZER_REGEN_CORPUS=1"
-    );
-    let expected = std::fs::read_to_string(dir.join("EXPECTED_CORPUS.txt"))
-        .expect("tests/corpus/EXPECTED_CORPUS.txt missing — run with LAGALYZER_REGEN_CORPUS=1");
-    assert_eq!(
-        snapshot(&path),
-        expected,
-        "corpus analyze/lint output changed; if intentional, regenerate with \
-         LAGALYZER_REGEN_CORPUS=1 and commit the diff"
-    );
+    for fixture in FIXTURES {
+        let path = dir.join(fixture.corpus);
+        assert!(
+            path.exists(),
+            "{} missing — run with LAGALYZER_REGEN_CORPUS=1",
+            fixture.corpus
+        );
+        let actual = snapshot(&path);
+        if regen {
+            std::fs::write(dir.join(fixture.expected), actual).unwrap();
+            continue;
+        }
+        let expected = std::fs::read_to_string(dir.join(fixture.expected)).unwrap_or_else(|_| {
+            panic!(
+                "tests/corpus/{} missing — run with LAGALYZER_REGEN_CORPUS=1",
+                fixture.expected
+            )
+        });
+        assert_eq!(
+            actual, expected,
+            "{}: corpus analyze/lint output changed; if intentional, regenerate \
+             with LAGALYZER_REGEN_CORPUS=1 and commit the diff",
+            fixture.corpus
+        );
+    }
 }
 
-/// The committed corpus bytes are locked to their generator (`pack` over
-/// the committed `.lgz` fixtures), so a format change cannot drift past
-/// review unnoticed.
+/// The committed v2 corpus bytes are locked to their generator (`pack`
+/// over the committed v3 `.lgz` fixtures), so a format change cannot
+/// drift past review unnoticed. `pack` copies episode bytes and
+/// recomputes every checksum, so packing the frozen v2 traces writes the
+/// same corpus, and the frozen v1 corpus is that corpus under FNV-1a.
 #[test]
 fn corpus_fixture_matches_generator() {
     if std::env::var_os("LAGALYZER_REGEN_CORPUS").is_some() {
         return; // the snapshot test just rewrote it
     }
-    let on_disk = std::fs::read(corpus_dir().join("corpus.lgzc"))
-        .expect("corpus.lgzc unreadable — run with LAGALYZER_REGEN_CORPUS=1");
+    let on_disk = std::fs::read(corpus_dir().join(V2.corpus))
+        .expect("corpus-v2.lgzc unreadable — run with LAGALYZER_REGEN_CORPUS=1");
+    assert_eq!(on_disk[7], 2);
     assert_eq!(
         on_disk,
-        build_fixture_corpus(),
-        "corpus.lgzc no longer matches `pack` over the .lgz fixtures; if the \
-         format change is intentional, regenerate with LAGALYZER_REGEN_CORPUS=1"
+        pack_members(&V2),
+        "corpus-v2.lgzc no longer matches `pack` over the v3 .lgz fixtures; if \
+         the format change is intentional, regenerate with LAGALYZER_REGEN_CORPUS=1"
     );
+    assert_eq!(pack_members(&V1), on_disk);
+    let frozen = std::fs::read(corpus_dir().join(V1.corpus)).unwrap();
+    assert_eq!((frozen[7], frozen.len()), (1, on_disk.len()));
 }
 
 /// `lint` on a corpus prints one index-health line per session plus the
@@ -141,32 +187,35 @@ fn lint_reports_per_session_health_and_aggregate_verdict() {
     if std::env::var_os("LAGALYZER_REGEN_CORPUS").is_some() {
         return; // the fixture is being rewritten concurrently
     }
-    let path = corpus_dir().join("corpus.lgzc");
-    let output = lagalyzer(&["lint", path.to_str().unwrap()]);
-    assert_eq!(
-        output.status.code(),
-        Some(2),
-        "damaged member corpus exits 2"
-    );
-    let stdout = String::from_utf8(output.stdout).unwrap();
-    assert!(
-        stdout.contains("corpus"),
-        "missing corpus summary: {stdout}"
-    );
-    for i in 0..4 {
+    for fixture in FIXTURES {
+        let path = corpus_dir().join(fixture.corpus);
+        let output = lagalyzer(&["lint", path.to_str().unwrap()]);
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "{}: damaged member corpus exits 2",
+            fixture.corpus
+        );
+        let stdout = String::from_utf8(output.stdout).unwrap();
         assert!(
-            stdout.contains(&format!("session {i}")),
-            "missing session {i} line: {stdout}"
+            stdout.contains("corpus"),
+            "missing corpus summary: {stdout}"
+        );
+        for i in 0..4 {
+            assert!(
+                stdout.contains(&format!("session {i}")),
+                "missing session {i} line: {stdout}"
+            );
+        }
+        assert!(
+            stdout.contains("footer valid"),
+            "missing index health: {stdout}"
+        );
+        assert!(
+            stdout.contains("aggregate           damaged corpus"),
+            "missing aggregate verdict: {stdout}"
         );
     }
-    assert!(
-        stdout.contains("footer valid"),
-        "missing index health: {stdout}"
-    );
-    assert!(
-        stdout.contains("aggregate           damaged corpus"),
-        "missing aggregate verdict: {stdout}"
-    );
 }
 
 /// A corpus of only clean members lints clean and exits 0; garbage with
@@ -175,7 +224,8 @@ fn lint_reports_per_session_health_and_aggregate_verdict() {
 fn lint_exit_contract_on_corpora() {
     let dir = scratch_dir();
     let clean_path = dir.join("clean.lgzc");
-    let opened: Vec<IndexedTrace> = CLEAN_MEMBERS
+    let opened: Vec<IndexedTrace> = V2
+        .clean
         .iter()
         .map(|name| IndexedTrace::open(std::fs::read(corpus_dir().join(name)).unwrap()).unwrap())
         .collect();
@@ -190,18 +240,21 @@ fn lint_exit_contract_on_corpora() {
     assert!(stdout.contains("aggregate           clean"), "{stdout}");
 
     let garbage_path = dir.join("garbage.lgzc");
-    let mut garbage = b"LGLZCRP\x01".to_vec();
-    garbage.extend_from_slice(&[0u8; 64]);
-    std::fs::write(&garbage_path, garbage).unwrap();
-    let output = lagalyzer(&["lint", garbage_path.to_str().unwrap()]);
-    assert_eq!(
-        output.status.code(),
-        Some(3),
-        "unrecoverable corpus exits 3"
-    );
-    assert!(String::from_utf8(output.stdout)
-        .unwrap()
-        .contains("unrecoverable"));
+    for version in [1, 2, 3] {
+        let mut garbage = b"LGLZCRP".to_vec();
+        garbage.push(version);
+        garbage.extend_from_slice(&[0u8; 64]);
+        std::fs::write(&garbage_path, garbage).unwrap();
+        let output = lagalyzer(&["lint", garbage_path.to_str().unwrap()]);
+        assert_eq!(
+            output.status.code(),
+            Some(3),
+            "unrecoverable v{version} corpus exits 3"
+        );
+        assert!(String::from_utf8(output.stdout)
+            .unwrap()
+            .contains("unrecoverable"));
+    }
 
     let output = lagalyzer(&["lint", dir.join("no-such.lgzc").to_str().unwrap()]);
     assert_eq!(output.status.code(), Some(1), "I/O error exits 1");
@@ -212,22 +265,24 @@ fn lint_exit_contract_on_corpora() {
 /// `analyze --check`, not an unrecoverable trace (exit 3).
 #[test]
 fn check_on_a_corpus_is_a_usage_error() {
-    let path = corpus_dir().join("corpus.lgzc");
-    let path = path.to_str().unwrap();
-    for args in [
-        &["check", path][..],
-        &["check", path, "--session", "0"],
-        &["check", path, "--format", "json"],
-        &["analyze", path, "--check"],
-    ] {
-        let output = lagalyzer(args);
-        assert_eq!(output.status.code(), Some(1), "{args:?}");
-        let stderr = String::from_utf8(output.stderr).unwrap();
-        assert!(
-            stderr.contains("not supported on corpus files"),
-            "{args:?}: {stderr}"
-        );
-        assert!(output.stdout.is_empty(), "{args:?}");
+    for fixture in FIXTURES {
+        let path = corpus_dir().join(fixture.corpus);
+        let path = path.to_str().unwrap();
+        for args in [
+            &["check", path][..],
+            &["check", path, "--session", "0"],
+            &["check", path, "--format", "json"],
+            &["analyze", path, "--check"],
+        ] {
+            let output = lagalyzer(args);
+            assert_eq!(output.status.code(), Some(1), "{args:?}");
+            let stderr = String::from_utf8(output.stderr).unwrap();
+            assert!(
+                stderr.contains("not supported on corpus files"),
+                "{args:?}: {stderr}"
+            );
+            assert!(output.stdout.is_empty(), "{args:?}");
+        }
     }
 }
 
@@ -239,9 +294,15 @@ fn session_selector_matches_single_file_analysis() {
     if std::env::var_os("LAGALYZER_REGEN_CORPUS").is_some() {
         return; // the fixture is being rewritten concurrently
     }
-    let corpus_path = corpus_dir().join("corpus.lgzc");
+    for fixture in FIXTURES {
+        session_selector_matches_members(&fixture);
+    }
+}
+
+fn session_selector_matches_members(fixture: &Fixture) {
+    let corpus_path = corpus_dir().join(fixture.corpus);
     let corpus_path = corpus_path.to_str().unwrap();
-    for (i, name) in CLEAN_MEMBERS.iter().enumerate() {
+    for (i, name) in fixture.clean.iter().enumerate() {
         let single_path = corpus_dir().join(name);
         let single = lagalyzer(&["analyze", single_path.to_str().unwrap(), "--jobs", "2"]);
         let via_corpus = lagalyzer(&[
@@ -287,42 +348,8 @@ fn session_selector_answers_warm_from_the_member_rollup() {
     if std::env::var_os("LAGALYZER_REGEN_CORPUS").is_some() {
         return; // the fixture is being rewritten concurrently
     }
-    let corpus_path = corpus_dir().join("corpus.lgzc");
-    let corpus_path = corpus_path.to_str().unwrap();
-    for command in ["analyze", "patterns", "outliers"] {
-        for jobs in ["1", "2"] {
-            for (i, name) in CLEAN_MEMBERS.iter().enumerate() {
-                let k = i.to_string();
-                let member_path = corpus_dir().join(name);
-                let member = lagalyzer(&[command, member_path.to_str().unwrap(), "--jobs", jobs]);
-                let warm = lagalyzer(&[command, corpus_path, "--session", &k, "--jobs", jobs]);
-                let cold = lagalyzer(&[
-                    command,
-                    corpus_path,
-                    "--session",
-                    &k,
-                    "--jobs",
-                    jobs,
-                    "--no-cache",
-                ]);
-                let ctx = format!("{command} --session {k} --jobs {jobs}");
-                assert_eq!(warm.status.code(), Some(0), "{ctx}");
-                assert_eq!(cold.status.code(), Some(0), "{ctx} --no-cache");
-                assert_eq!(warm.stdout, member.stdout, "{ctx}: differs from {name}");
-                assert_eq!(warm.stdout, cold.stdout, "{ctx}: differs from --no-cache");
-                let err = String::from_utf8_lossy(&warm.stderr);
-                assert!(err.contains("rollup: cache hit"), "{ctx}: {err}");
-                let cold_err = String::from_utf8_lossy(&cold.stderr);
-                assert!(!cold_err.contains("rollup: cache hit"), "{ctx}: {cold_err}");
-            }
-            let salvaged = lagalyzer(&[command, corpus_path, "--session", "3", "--jobs", jobs]);
-            assert_eq!(salvaged.status.code(), Some(2), "{command} --session 3");
-            let err = String::from_utf8_lossy(&salvaged.stderr);
-            assert!(
-                !err.contains("rollup: cache hit"),
-                "{command} --session 3: {err}"
-            );
-        }
+    for fixture in FIXTURES {
+        members_answer_warm(&fixture);
     }
 
     // The fixtures trace no short episodes; simulated sessions do, and a
@@ -358,6 +385,48 @@ fn session_selector_answers_warm_from_the_member_rollup() {
     }
 }
 
+/// Every clean member of `fixture`'s corpus answers warm exactly as its
+/// `.lgz` file and the cold decode do; the salvaged member stays cold.
+fn members_answer_warm(fixture: &Fixture) {
+    let corpus_path = corpus_dir().join(fixture.corpus);
+    let corpus_path = corpus_path.to_str().unwrap();
+    for command in ["analyze", "patterns", "outliers"] {
+        for jobs in ["1", "2"] {
+            for (i, name) in fixture.clean.iter().enumerate() {
+                let k = i.to_string();
+                let member_path = corpus_dir().join(name);
+                let member = lagalyzer(&[command, member_path.to_str().unwrap(), "--jobs", jobs]);
+                let warm = lagalyzer(&[command, corpus_path, "--session", &k, "--jobs", jobs]);
+                let cold = lagalyzer(&[
+                    command,
+                    corpus_path,
+                    "--session",
+                    &k,
+                    "--jobs",
+                    jobs,
+                    "--no-cache",
+                ]);
+                let ctx = format!("{command} --session {k} --jobs {jobs}");
+                assert_eq!(warm.status.code(), Some(0), "{ctx}");
+                assert_eq!(cold.status.code(), Some(0), "{ctx} --no-cache");
+                assert_eq!(warm.stdout, member.stdout, "{ctx}: differs from {name}");
+                assert_eq!(warm.stdout, cold.stdout, "{ctx}: differs from --no-cache");
+                let err = String::from_utf8_lossy(&warm.stderr);
+                assert!(err.contains("rollup: cache hit"), "{ctx}: {err}");
+                let cold_err = String::from_utf8_lossy(&cold.stderr);
+                assert!(!cold_err.contains("rollup: cache hit"), "{ctx}: {cold_err}");
+            }
+            let salvaged = lagalyzer(&[command, corpus_path, "--session", "3", "--jobs", jobs]);
+            assert_eq!(salvaged.status.code(), Some(2), "{command} --session 3");
+            let err = String::from_utf8_lossy(&salvaged.stderr);
+            assert!(
+                !err.contains("rollup: cache hit"),
+                "{command} --session 3: {err}"
+            );
+        }
+    }
+}
+
 /// `pack` through the binary, then corpus-wide `analyze` at several job
 /// counts: byte-identical stdout, and the pack summary reports the
 /// symbol dedup.
@@ -366,7 +435,8 @@ fn pack_and_corpus_analyze_through_the_binary() {
     let dir = scratch_dir();
     let out = dir.join("packed.lgzc");
     let mut args = vec!["pack"];
-    let paths: Vec<String> = CLEAN_MEMBERS
+    let paths: Vec<String> = V2
+        .clean
         .iter()
         .map(|n| corpus_dir().join(n).to_str().unwrap().to_owned())
         .collect();
@@ -412,9 +482,10 @@ fn compact_through_the_binary_is_idempotent() {
         return; // the fixture is being rewritten concurrently
     }
     let dir = scratch_dir();
-    let src = corpus_dir().join("corpus.lgzc");
+    let src = corpus_dir().join(V1.corpus);
     let once = dir.join("once.lgzc");
     let twice = dir.join("twice.lgzc");
+    let from_v2 = dir.join("from-v2.lgzc");
     let output = lagalyzer(&[
         "compact",
         src.to_str().unwrap(),
@@ -433,10 +504,25 @@ fn compact_through_the_binary_is_idempotent() {
         "2",
     ]);
     assert_eq!(output.status.code(), Some(0));
+    let once_bytes = std::fs::read(&once).unwrap();
+    assert_eq!(once_bytes[7], 2, "compacting a v1 corpus writes v2");
     assert_eq!(
-        std::fs::read(&once).unwrap(),
+        once_bytes,
         std::fs::read(&twice).unwrap(),
         "compact must be idempotent"
+    );
+    let src_v2 = corpus_dir().join(V2.corpus);
+    let output = lagalyzer(&[
+        "compact",
+        src_v2.to_str().unwrap(),
+        "--out",
+        from_v2.to_str().unwrap(),
+    ]);
+    assert_eq!(output.status.code(), Some(0));
+    assert_eq!(
+        once_bytes,
+        std::fs::read(&from_v2).unwrap(),
+        "the v1 and v2 corpora compact to the same bytes"
     );
     // Provenance survives: the salvaged member still exits 2.
     let salvaged = lagalyzer(&["analyze", once.to_str().unwrap(), "--session", "3"]);

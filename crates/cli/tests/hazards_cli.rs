@@ -46,13 +46,19 @@ fn lagalyzer(args: &[&str]) -> Output {
 /// The snapshot set: `(committed fixture name, extra hazards args)`.
 /// Covers the three ground-truth traces, the fault-injected salvage
 /// variant, and the multi-session corpus (which exercises the `LA025`
-/// cross-session path).
+/// cross-session path) — each as the frozen `.lgz` v2 and `.lgzc` v1
+/// fixtures and as the generated v3 and corpus v2 ones.
 const SNAPSHOT_FIXTURES: &[(&str, &[&str])] = &[
     ("gc-storm.lgz", &[]),
     ("lock-contention.lgz", &[]),
     ("slow-io.lgz", &[]),
     ("salvaged-lock-contention.lgz", &["--salvage"]),
     ("corpus.lgzc", &[]),
+    ("gc-storm-v3.lgz", &[]),
+    ("lock-contention-v3.lgz", &[]),
+    ("slow-io-v3.lgz", &[]),
+    ("salvaged-lock-contention-v3.lgz", &["--salvage"]),
+    ("corpus-v2.lgzc", &[]),
 ];
 
 /// One snapshot entry: the exit code and full JSON stdout of

@@ -3,7 +3,10 @@
 //! Every fixture under `tests/corpus/` is a binary encoding of one of
 //! the sim's ground-truth scenarios (plus a fault-injected, salvageable
 //! variant); the exact `outliers --format json` stdout and exit code for
-//! each is locked in `tests/corpus/EXPECTED.txt`. To regenerate after an
+//! each is locked in `tests/corpus/EXPECTED.txt`. The `*-v3.lgz` set is
+//! locked to its generator below; the unsuffixed set was written by the v2
+//! writer, which no longer exists, so its bytes are frozen and only its
+//! outputs are locked. To regenerate the generated fixtures after an
 //! intentional format or report change:
 //!
 //! ```text
@@ -39,10 +42,20 @@ fn lagalyzer(args: &[&str]) -> Output {
         .expect("binary runs")
 }
 
-/// The corpus: `(file name, fixture bytes, extra outliers args)`. The
-/// first three are the injected ground-truth scenarios verbatim; the
-/// last is the lock-contention trace with one episode record deleted —
-/// damaged but salvageable, so `--salvage` analyzes it and exits 2.
+/// The frozen v2 fixtures and their extra outliers args: the same
+/// sessions and damage as [`fixtures`], encoded before v3.
+const FROZEN_V2: [(&str, &[&str]); 4] = [
+    ("lock-contention.lgz", &[]),
+    ("gc-storm.lgz", &[]),
+    ("slow-io.lgz", &[]),
+    ("salvaged-lock-contention.lgz", &["--salvage"]),
+];
+
+/// The generated corpus: `(file name, fixture bytes, extra outliers
+/// args)`. The first three are the injected ground-truth scenarios
+/// verbatim; the last is the lock-contention trace with one episode record
+/// deleted — damaged but salvageable, so `--salvage` analyzes it and exits
+/// 2.
 fn fixtures() -> Vec<(String, Vec<u8>, Vec<&'static str>)> {
     let mut out = Vec::new();
     let mut lock_bytes = None;
@@ -56,11 +69,11 @@ fn fixtures() -> Vec<(String, Vec<u8>, Vec<&'static str>)> {
         if gt.title == "lock-contention" {
             lock_bytes = Some(bytes.clone());
         }
-        out.push((format!("{}.lgz", gt.title), bytes, vec![]));
+        out.push((format!("{}-v3.lgz", gt.title), bytes, vec![]));
     }
     let clean = lock_bytes.expect("ground truths include lock-contention");
     out.push((
-        "salvaged-lock-contention.lgz".into(),
+        "salvaged-lock-contention-v3.lgz".into(),
         Fault::DeleteRecord { index: 30 }.apply(&clean),
         vec!["--salvage"],
     ));
@@ -78,30 +91,38 @@ fn snapshot_line(name: &str, path: &std::path::Path, extra: &[&str]) -> String {
     format!("{name}: exit={code}\n{name}: {}", stdout.trim_end())
 }
 
+/// Every fixture with its extra args, in snapshot order: the frozen v2
+/// set first, then the generated v3 set.
+fn snapshot_fixtures() -> Vec<(String, Vec<&'static str>)> {
+    let frozen = FROZEN_V2
+        .iter()
+        .map(|(name, extra)| ((*name).to_owned(), extra.to_vec()));
+    let generated = fixtures().into_iter().map(|(name, _, extra)| (name, extra));
+    frozen.chain(generated).collect()
+}
+
 #[test]
 fn corpus_outcomes_match_snapshot() {
     let dir = corpus_dir();
     let regen = std::env::var_os("LAGALYZER_REGEN_CORPUS").is_some();
     if regen {
         std::fs::create_dir_all(&dir).unwrap();
-        let mut expected = String::new();
-        for (name, bytes, extra) in fixtures() {
-            let path = dir.join(&name);
-            std::fs::write(&path, &bytes).unwrap();
-            writeln!(expected, "{}", snapshot_line(&name, &path, &extra)).unwrap();
+        for (name, bytes, _) in fixtures() {
+            std::fs::write(dir.join(&name), &bytes).unwrap();
         }
-        std::fs::write(dir.join("EXPECTED.txt"), expected).unwrap();
-        return;
     }
-
-    let expected = std::fs::read_to_string(dir.join("EXPECTED.txt"))
-        .expect("tests/corpus/EXPECTED.txt missing — run with LAGALYZER_REGEN_CORPUS=1");
     let mut actual = String::new();
-    for (name, _, extra) in fixtures() {
+    for (name, extra) in snapshot_fixtures() {
         let path = dir.join(&name);
         assert!(path.exists(), "corpus fixture {name} missing");
         writeln!(actual, "{}", snapshot_line(&name, &path, &extra)).unwrap();
     }
+    if regen {
+        std::fs::write(dir.join("EXPECTED.txt"), actual).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(dir.join("EXPECTED.txt"))
+        .expect("tests/corpus/EXPECTED.txt missing — run with LAGALYZER_REGEN_CORPUS=1");
     assert_eq!(
         actual, expected,
         "outliers corpus output changed; if intentional, regenerate with \

@@ -15,7 +15,7 @@ use std::process::{Command, Output};
 use lagalyzer_sim::scenarios::ground_truths;
 use lagalyzer_sim::{apps, runner};
 use lagalyzer_trace::binary;
-use lagalyzer_trace::faults::Fault;
+use lagalyzer_trace::faults::{self, Fault};
 use proptest::prelude::*;
 
 /// Temp scratch dir keyed by pid so parallel test binaries never collide.
@@ -36,20 +36,6 @@ fn write_scratch(name: &str, bytes: &[u8]) -> PathBuf {
     let path = scratch_dir().join(name);
     std::fs::write(&path, bytes).unwrap();
     path
-}
-
-/// The trailer hash: FNV-1a over everything between the 8-byte magic
-/// and the 8-byte trailer. Re-implemented here so tests can corrupt the
-/// checksummed region and re-seal the file, isolating the rollup
-/// section's own validation from the trailer's.
-fn reseal_trailer(bytes: &mut [u8]) {
-    let end = bytes.len() - 8;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in &bytes[8..end] {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    bytes[end..].copy_from_slice(&h.to_le_bytes());
 }
 
 fn with_rollup(trace: &lagalyzer_model::SessionTrace) -> Vec<u8> {
@@ -236,11 +222,12 @@ proptest! {
     /// the section as stale and the commands fall back to the cold
     /// decode. The trailer is re-sealed after the flip so only the
     /// section's own validation stands between the corruption and the
-    /// warm path.
+    /// warm path. The seed picks a v2 or a v3 encoding.
     #[test]
     fn corrupt_rollup_section_falls_back_cold(seed in any::<u64>()) {
         let gt = &ground_truths()[(seed % 3) as usize];
-        let mut bytes = with_rollup(&gt.trace);
+        let version = 2 + (seed / 24 % 2) as u8;
+        let mut bytes = faults::with_version(&with_rollup(&gt.trace), version);
         let section = match lagalyzer_trace::probe_rollup(&bytes) {
             Some(lagalyzer_trace::RollupHealth::Valid { section_bytes }) => section_bytes,
             other => panic!("fresh rollup must be valid, got {other:?}"),
@@ -249,7 +236,7 @@ proptest! {
         // [len - 8 - section, len - 8).
         let pos = bytes.len() - 8 - 1 - (seed / 3 % section) as usize;
         bytes[pos] ^= 1u8 << ((seed % 8) as u32);
-        reseal_trailer(&mut bytes);
+        faults::reseal(&mut bytes, None);
 
         let path = write_scratch(&format!("corrupt-{seed:016x}.lgz"), &bytes);
         let cold = write_scratch(

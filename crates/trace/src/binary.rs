@@ -3,24 +3,33 @@
 //! Layout (all integers LEB128 unless noted):
 //!
 //! ```text
-//! magic      8 bytes  b"LGLZTRC\x02" (the last byte is the version)
+//! magic      8 bytes  b"LGLZTRC\x03" (the last byte is the version)
 //! header     app name (len+utf8), session id, gui thread,
 //!            end-to-end ns, filter threshold ns
 //! records    count, then each record: 1 tag byte + payload
-//! footer     v2 only: the episode extent index (see [`crate::index`]),
+//! footer     v2 and v3: the episode extent index (see [`crate::index`]),
 //!            self-checksummed and locatable from the end of the file
-//! trailer    8 bytes little-endian FNV-1a checksum over
-//!            header+records+footer
+//! rollup     optional, v2 and v3: the persisted analysis cache (see
+//!            [`crate::rollup`]), framed like the footer
+//! trailer    8 bytes little-endian checksum over
+//!            header+records+footer+rollup
 //! ```
 //!
 //! The checksum lets the reader detect truncation and bit rot before
-//! handing malformed structures to the analyses. Version 1 files (no
-//! footer) remain fully readable; [`write_legacy`] still produces them.
+//! handing malformed structures to the analyses. Versions 2 and 3 share
+//! this layout byte for byte; the version byte selects the hash of every
+//! checksum in the file ([`crate::checksum`]): FNV-1a for v1 and v2, the
+//! four-lane [`Algorithm::Lane4`] for v3. [`write()`] and
+//! [`write_with_rollup`] produce v3; version 1 files (no footer) remain
+//! fully readable, and [`write_legacy`] still produces them. Every version
+//! reads through the same code, so a v2 file and its v3 re-encoding decode,
+//! salvage and check identically.
 
 use std::io::{Read, Write};
 
 use lagalyzer_model::prelude::*;
 
+use crate::checksum::{Algorithm, Hasher};
 use crate::error::TraceError;
 use crate::index::EpisodeExtent;
 use crate::record::{records_from_trace, trace_from_records, SessionRecords, TraceRecord};
@@ -30,12 +39,18 @@ use crate::varint;
 /// The legacy footerless format.
 const MAGIC_V1: &[u8; 8] = b"LGLZTRC\x01";
 
-/// The current format, carrying an episode extent index footer.
-const MAGIC_V2: &[u8; 8] = b"LGLZTRC\x02";
+/// The current format: the v2 layout with every checksum a four-lane hash.
+const MAGIC_V3: &[u8; 8] = b"LGLZTRC\x03";
 
 /// The version-independent format signature (byte 8 of the magic is the
 /// version); used by format sniffing and salvage decoding.
 pub(crate) const MAGIC_PREFIX: &[u8] = b"LGLZTRC";
+
+/// `true` for the format versions this build reads: 1 (no footer), 2 and
+/// 3 (an extent footer; FNV-1a and four-lane checksums respectively).
+pub(crate) fn is_known_version(version: u8) -> bool {
+    (1..=3).contains(&version)
+}
 
 /// Cap on the declared record count; anything larger is corrupt.
 pub(crate) const MAX_RECORDS: u64 = 1 << 32;
@@ -52,66 +67,138 @@ pub(crate) mod tag {
     pub const EP_END: u8 = 8;
 }
 
-/// Streaming FNV-1a hasher used for the trailer checksum.
-#[derive(Clone, Debug)]
-pub(crate) struct Fnv1a(u64);
+/// Bytes the writer gathers before hashing and forwarding them.
+const BLOCK: usize = 64 * 1024;
 
-impl Fnv1a {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
+/// A writer adapter that gathers everything written through it into
+/// blocks of [`BLOCK`] bytes, hashing each block as it forwards it, and
+/// counts the bytes (the count gives the extent index its byte offsets).
+/// Records arrive a few bytes at a time, so a write is one inlined append
+/// and the hash runs over whole blocks.
+struct HashingWriter<W: Write> {
+    inner: W,
+    block: Vec<u8>,
+    hash: Hasher,
+    /// Bytes hashed and forwarded so far.
+    drained: u64,
+}
 
-    pub(crate) fn new() -> Self {
-        Fnv1a(Self::OFFSET)
-    }
-
-    pub(crate) fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
+impl<W: Write> HashingWriter<W> {
+    fn new(inner: W, algorithm: Algorithm) -> Self {
+        HashingWriter {
+            inner,
+            block: Vec::with_capacity(BLOCK),
+            hash: algorithm.hasher(),
+            drained: 0,
         }
     }
 
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
+    /// Bytes written through the adapter so far.
+    fn written(&self) -> u64 {
+        self.drained + self.block.len() as u64
     }
-}
 
-/// A writer adapter that hashes and counts everything it forwards (the
-/// count gives the extent index its byte offsets).
-struct HashingWriter<W> {
-    inner: W,
-    hash: Fnv1a,
-    written: u64,
+    /// Hashes and forwards the gathered bytes, then `rest` (a write that
+    /// did not fit in the block).
+    #[cold]
+    #[inline(never)]
+    fn drain(&mut self, rest: &[u8]) -> std::io::Result<()> {
+        for bytes in [&self.block[..], rest] {
+            self.hash.update(bytes);
+            self.inner.write_all(bytes)?;
+            self.drained += bytes.len() as u64;
+        }
+        self.block.clear();
+        Ok(())
+    }
+
+    /// The hash of everything written so far; writing may go on.
+    fn checksum(&mut self) -> std::io::Result<u64> {
+        self.drain(&[])?;
+        Ok(self.hash.finish())
+    }
 }
 
 impl<W: Write> Write for HashingWriter<W> {
+    #[inline]
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.hash.update(&buf[..n]);
-        self.written += n as u64;
-        Ok(n)
+        self.write_all(buf)?;
+        Ok(buf.len())
+    }
+
+    #[inline]
+    fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
+        if self.block.len() + buf.len() > BLOCK {
+            return self.drain(buf);
+        }
+        self.block.extend_from_slice(buf);
+        Ok(())
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
+        self.drain(&[])?;
         self.inner.flush()
     }
 }
 
-/// A reader adapter that hashes everything it yields.
+/// A reader adapter that hashes everything it yields. The serial reader
+/// pulls a few bytes at a time, so the yielded bytes are gathered and
+/// hashed in blocks of [`BLOCK`] bytes, as the writer hashes them.
 struct HashingReader<R> {
     inner: R,
-    hash: Fnv1a,
+    pending: Vec<u8>,
+    hash: Hasher,
+}
+
+impl<R> HashingReader<R> {
+    fn new(inner: R, algorithm: Algorithm) -> Self {
+        HashingReader {
+            inner,
+            pending: Vec::with_capacity(BLOCK),
+            hash: algorithm.hasher(),
+        }
+    }
+
+    /// Counts `bytes` into the hash: bytes read past the adapter, or
+    /// yielded through it.
+    #[inline]
+    fn absorb(&mut self, bytes: &[u8]) {
+        if self.pending.len() + bytes.len() > BLOCK {
+            self.hash_pending();
+        }
+        self.pending.extend_from_slice(bytes);
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn hash_pending(&mut self) {
+        self.hash.update(&self.pending);
+        self.pending.clear();
+    }
+
+    /// The hash of everything yielded or absorbed so far.
+    fn checksum(&mut self) -> u64 {
+        self.hash_pending();
+        self.hash.finish()
+    }
 }
 
 impl<R: Read> Read for HashingReader<R> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         let n = self.inner.read(buf)?;
-        self.hash.update(&buf[..n]);
+        self.absorb(&buf[..n]);
         Ok(n)
+    }
+
+    #[inline]
+    fn read_exact(&mut self, buf: &mut [u8]) -> std::io::Result<()> {
+        self.inner.read_exact(buf)?;
+        self.absorb(buf);
+        Ok(())
     }
 }
 
-/// Serializes a trace to the binary format (v2: records followed by the
+/// Serializes a trace to the binary format (v3: records followed by the
 /// episode extent index footer).
 ///
 /// A `&mut` reference may be passed for `w` (it also implements `Write`).
@@ -133,7 +220,7 @@ pub fn write_legacy<W: Write>(trace: &SessionTrace, w: W) -> Result<(), TraceErr
     write_impl(trace, w, false, None)
 }
 
-/// Serializes a trace to the v2 binary format with a persisted rollup
+/// Serializes a trace to the v3 binary format with a persisted rollup
 /// section appended after the extent footer (inside the trailer-checksummed
 /// region). The rollup's content checksum is stamped here — it is the
 /// trailer hash's running state at the section boundary — so callers
@@ -156,13 +243,10 @@ fn write_impl<W: Write>(
     with_footer: bool,
     rollup: Option<crate::rollup::Rollup>,
 ) -> Result<(), TraceError> {
-    let mut hw = HashingWriter {
-        inner: w,
-        hash: Fnv1a::new(),
-        written: 0,
-    };
-    hw.inner
-        .write_all(if with_footer { MAGIC_V2 } else { MAGIC_V1 })?;
+    let magic = if with_footer { MAGIC_V3 } else { MAGIC_V1 };
+    let algorithm = Algorithm::of_trace_version(magic[7]);
+    let mut hw = HashingWriter::new(w, algorithm);
+    hw.inner.write_all(magic)?;
     write_header(trace.meta(), &mut hw)?;
     let records = records_from_trace(trace);
     varint::write_u64(&mut hw, records.len() as u64)?;
@@ -177,14 +261,14 @@ fn write_impl<W: Write>(
     let mut begin_at = 0u64;
     for rec in &records {
         if with_footer && matches!(rec, TraceRecord::EpisodeBegin { .. }) {
-            begin_at = 8 + hw.written;
+            begin_at = 8 + hw.written();
         }
         write_record(rec, &mut hw)?;
         if with_footer && matches!(rec, TraceRecord::EpisodeEnd) {
             let episode = &trace.episodes()[extents.len()];
             extents.push(EpisodeExtent {
                 offset: begin_at,
-                len: 8 + hw.written - begin_at,
+                len: 8 + hw.written() - begin_at,
                 id: episode.id(),
                 start: episode.start(),
                 end: episode.end(),
@@ -195,7 +279,7 @@ fn write_impl<W: Write>(
         }
     }
     if with_footer {
-        let footer = crate::index::encode_footer(&extents)?;
+        let footer = crate::index::encode_footer(&extents, algorithm)?;
         // Through the hasher: the trailer checksum covers the footer.
         hw.write_all(&footer)?;
     }
@@ -205,12 +289,12 @@ fn write_impl<W: Write>(
         // own (single) trailer pass, so validating the cache costs no
         // second pass over the payload; a rollup-unaware rewriter that
         // recomputes the trailer still cannot keep this snapshot current.
-        rollup.content_checksum = hw.hash.finish();
-        let section = crate::rollup::encode_section(&rollup)?;
+        rollup.content_checksum = hw.checksum()?;
+        let section = crate::rollup::encode_section(&rollup, algorithm)?;
         // Also through the hasher: the trailer checksum covers the rollup.
         hw.write_all(&section)?;
     }
-    let checksum = hw.hash.finish();
+    let checksum = hw.checksum()?;
     hw.inner.write_all(&checksum.to_le_bytes())?;
     hw.inner.flush()?;
     Ok(())
@@ -230,22 +314,19 @@ fn write_impl<W: Write>(
 ///
 /// Fails on I/O errors, bad magic, checksum mismatch, malformed records, or
 /// model-invariant violations.
-pub fn read<R: Read>(r: R) -> Result<SessionTrace, TraceError> {
-    let mut source = HashingReader {
-        inner: r,
-        hash: Fnv1a::new(),
-    };
+pub fn read<R: Read>(mut r: R) -> Result<SessionTrace, TraceError> {
     let mut magic = [0u8; 8];
-    source.inner.read_exact(&mut magic)?;
+    r.read_exact(&mut magic)?;
     if magic[..7] != *MAGIC_PREFIX {
         return Err(TraceError::corrupt("magic", format!("{magic:?}")));
     }
     let version = magic[7];
-    if version != 1 && version != 2 {
+    if !is_known_version(version) {
         return Err(TraceError::UnsupportedVersion {
             found: u32::from(version),
         });
     }
+    let mut source = HashingReader::new(r, Algorithm::of_trace_version(version));
     let meta = read_header(&mut source)?;
     let count = varint::read_u64(&mut source)?;
     if count > MAX_RECORDS {
@@ -278,11 +359,11 @@ pub fn read<R: Read>(r: R) -> Result<SessionTrace, TraceError> {
     let mut trailer = [0u8; 8];
     source.inner.read_exact(&mut trailer)?;
     if version >= 2 && &trailer == crate::rollup::ROLLUP_MAGIC {
-        source.hash.update(&trailer);
+        source.absorb(&trailer);
         consume_section_body(&mut source, crate::rollup::ROLLUP_MAGIC, "rollup section")?;
         source.inner.read_exact(&mut trailer)?;
     }
-    let computed = source.hash.finish();
+    let computed = source.checksum();
     let stored = u64::from_le_bytes(trailer);
     if stored != computed {
         return Err(TraceError::ChecksumMismatch { stored, computed });
@@ -320,13 +401,6 @@ fn consume_section_body<R: Read>(
         ));
     }
     Ok(())
-}
-
-/// Hashes a byte slice with the trailer's FNV-1a function.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.update(bytes);
-    h.finish()
 }
 
 /// What the salvage cursor found next in the byte stream.
@@ -375,15 +449,18 @@ impl<'a> SalvageCursor<'a> {
         if bytes[..7] != *MAGIC_PREFIX {
             return Err(TraceError::corrupt("magic", format!("{:?}", &bytes[..8])));
         }
+        // An unknown version is decoded as the nearest known one: 0 as
+        // v1, anything newer as v3, checksums included.
         let version = bytes[7];
         let indexed = version >= 2;
-        if version != 1 && version != 2 {
+        let algorithm = Algorithm::of_trace_version(version);
+        if !is_known_version(version) {
             pending.push_back(SalvageEvent::Skip {
                 at: 7,
                 context: "version",
                 detail: format!(
                     "unsupported version {version}, decoding as v{}",
-                    if indexed { 2 } else { 1 }
+                    if indexed { 3 } else { 1 }
                 ),
                 bytes_skipped: 0,
             });
@@ -424,7 +501,10 @@ impl<'a> SalvageCursor<'a> {
             let stored = u64::from_le_bytes(trailer);
             // The hash covers header + records but not the magic (the
             // writer hashes only what flows through its HashingWriter).
-            (payload_end, Some(stored == fnv1a(&bytes[8..payload_end])))
+            (
+                payload_end,
+                Some(stored == algorithm.hash(&bytes[8..payload_end])),
+            )
         } else {
             pending.push_back(SalvageEvent::Skip {
                 at: bytes.len() as u64,
@@ -442,8 +522,8 @@ impl<'a> SalvageCursor<'a> {
         // magic — see `next_event` — so footer bytes are never misread as
         // records.
         let (payload_end, footer_located) = if indexed {
-            let peeled_end = crate::rollup::peel(bytes, payload_end).end;
-            match crate::index::locate_footer(bytes, peeled_end) {
+            let peeled_end = crate::rollup::peel(bytes, payload_end, algorithm).end;
+            match crate::index::locate_footer(bytes, peeled_end, algorithm) {
                 Ok((footer_start, _)) => (footer_start, true),
                 Err(_) => (payload_end, false),
             }
@@ -990,13 +1070,5 @@ mod tests {
         let trace = SessionTraceBuilder::new(meta, SymbolTable::new()).finish();
         let back = read(&mut encode(&trace).as_slice()).unwrap();
         assert!(back.episodes().is_empty());
-    }
-
-    #[test]
-    fn fnv_vector() {
-        // Known FNV-1a test vector: "a" hashes to 0xaf63dc4c8601ec8c.
-        let mut h = Fnv1a::new();
-        h.update(b"a");
-        assert_eq!(h.finish(), 0xaf63_dc4c_8601_ec8c);
     }
 }

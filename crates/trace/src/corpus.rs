@@ -14,7 +14,7 @@
 //! Layout (integers little-endian; varints are LEB128 as in `.lgz`):
 //!
 //! ```text
-//! magic        8 bytes  b"LGLZCRP\x01" (the last byte is the version)
+//! magic        8 bytes  b"LGLZCRP\x02" (the last byte is the version)
 //! header       flags u32, session count u32, then five u64 region
 //!              offsets: strings, sessions, sections, extents, data
 //! strings      corpus-global deduplicated string pool: count, then
@@ -34,9 +34,16 @@
 //! data         concatenated payload sections (episode record bytes
 //!              only — session-level records are hoisted into the
 //!              directory regions above)
-//! trailer      8 bytes LE FNV-1a over everything between magic and
+//! trailer      8 bytes LE checksum over everything between magic and
 //!              trailer
 //! ```
+//!
+//! Versions 1 and 2 share this layout byte for byte. The version byte
+//! selects the hash of the trailer and of every rollup's content checksum
+//! ([`crate::checksum`]): FNV-1a for v1, the four-lane
+//! [`Algorithm::Lane4`] for v2. [`pack`] and [`compact`] write v2, so
+//! compacting a v1 corpus upgrades it; both versions read through the
+//! same code.
 //!
 //! Because a session's payload is the byte-for-byte concatenation of its
 //! episode extents and both containers decode through
@@ -54,7 +61,8 @@ use lagalyzer_model::{
     SymbolTable, TimeNs,
 };
 
-use crate::binary::{fnv1a, read_header, write_header};
+use crate::binary::{read_header, write_header};
+use crate::checksum::Algorithm;
 use crate::error::TraceError;
 use crate::index::{
     decode_extents, encode_extents_into, DecodeScratch, EpisodeExtent, EpisodeFilter, IndexHealth,
@@ -69,8 +77,9 @@ use crate::varint;
 /// The version-independent corpus signature (byte 8 is the version).
 pub(crate) const CORPUS_MAGIC_PREFIX: &[u8] = b"LGLZCRP";
 
-/// The current corpus format: prefix plus version byte 1.
-const CORPUS_MAGIC: &[u8; 8] = b"LGLZCRP\x01";
+/// The current corpus format: prefix plus version byte 2 (the v1 layout
+/// with four-lane checksums).
+const CORPUS_MAGIC: &[u8; 8] = b"LGLZCRP\x02";
 
 /// Fixed header size: magic, flags, session count, five region offsets.
 const HEADER_LEN: usize = 8 + 4 + 4 + 5 * 8;
@@ -292,6 +301,7 @@ fn health_of_tag(tag: u8, reason: String) -> Result<IndexHealth, TraceError> {
 }
 
 fn pack_sessions(sessions: &[PackSession], options: PackOptions) -> Result<Vec<u8>, TraceError> {
+    let algorithm = Algorithm::of_corpus_version(CORPUS_MAGIC[7]);
     // Corpus-global interning: one deduplicated pool, one remap each.
     let mut global = SymbolTable::new();
     let mut remaps: Vec<Vec<u32>> = Vec::with_capacity(sessions.len());
@@ -363,11 +373,11 @@ fn pack_sessions(sessions: &[PackSession], options: PackOptions) -> Result<Vec<u
         varint::write_u64(&mut sections, session.payload.len() as u64)?;
         if let Some(rollup) = &session.rollup {
             // The payload is exactly the concatenation of the extent
-            // spans, so the content checksum is the FNV of the whole
+            // spans, so the content checksum is the hash of the whole
             // payload region; recompute it so a supplied rollup is
             // stamped against the bytes actually written.
             let mut rollup = rollup.clone();
-            rollup.content_checksum = crate::rollup::content_checksum(&session.payload);
+            rollup.content_checksum = algorithm.hash(&session.payload);
             let raw = rollup.encode_payload()?;
             let (flags, offset, stored_len) = store(&mut data, &raw);
             sections.push(SECTION_ROLLUP);
@@ -415,7 +425,7 @@ fn pack_sessions(sessions: &[PackSession], options: PackOptions) -> Result<Vec<u
     out.extend_from_slice(&sections);
     out.extend_from_slice(&extents);
     out.extend_from_slice(&data);
-    let checksum = fnv1a(&out[8..]);
+    let checksum = algorithm.hash(&out[8..]);
     out.extend_from_slice(&checksum.to_le_bytes());
     Ok(out)
 }
@@ -461,6 +471,9 @@ struct SessionEntry {
 /// opening the original `.lgz` files.
 pub struct CorpusReader {
     bytes: Vec<u8>,
+    /// The hash the corpus version selects, for the rollups' content
+    /// checksums.
+    algorithm: Algorithm,
     global: SymbolTable,
     sessions: Vec<SessionEntry>,
     /// Where the data region starts; section offsets are relative to it.
@@ -480,9 +493,9 @@ pub struct SessionView<'a> {
 impl CorpusReader {
     /// Opens a corpus from an owned byte buffer (the mmap-free zero-copy
     /// open: raw payload sections are never copied out of `bytes`),
-    /// verifying the trailer checksum, materializing the directory and
-    /// decompressing the payload sections. Rollup sections are left for
-    /// first use.
+    /// verifying the trailer checksum with the hash the version byte
+    /// selects, materializing the directory and decompressing the payload
+    /// sections. Rollup sections are left for first use.
     ///
     /// # Errors
     ///
@@ -498,14 +511,15 @@ impl CorpusReader {
                 format!("{:?}", &bytes[..8]),
             ));
         }
-        if bytes[7] != 1 {
+        if !(1..=2).contains(&bytes[7]) {
             return Err(TraceError::UnsupportedVersion {
                 found: u32::from(bytes[7]),
             });
         }
+        let algorithm = Algorithm::of_corpus_version(bytes[7]);
         let payload_end = bytes.len() - 8;
         let stored = u64::from_le_bytes(bytes[payload_end..].try_into().expect("8-byte slice"));
-        let computed = fnv1a(&bytes[8..payload_end]);
+        let computed = algorithm.hash(&bytes[8..payload_end]);
         if stored != computed {
             return Err(TraceError::ChecksumMismatch { stored, computed });
         }
@@ -613,6 +627,7 @@ impl CorpusReader {
         slot_base.push(total);
         Ok(CorpusReader {
             bytes,
+            algorithm,
             global,
             sessions,
             data_off,
@@ -694,6 +709,7 @@ impl CorpusReader {
             &self.bytes,
             self.data_off,
             entry.rollup_section.as_ref(),
+            self.algorithm,
             self.payload_bytes(i),
             &entry.extents,
         )
@@ -1172,13 +1188,15 @@ fn read_sections(
     Ok((payloads, rollups))
 }
 
-/// Decodes and validates one session's optional rollup section. Never
-/// fails: a malformed or stale cache degrades to `(None, Stale)` and the
-/// warm path silently recomputes.
+/// Decodes and validates one session's optional rollup section against
+/// the `algorithm` hash of its payload. Never fails: a malformed or stale
+/// cache degrades to `(None, Stale)` and the warm path silently
+/// recomputes.
 fn open_rollup(
     bytes: &[u8],
     data_off: u64,
     section: Option<&Section>,
+    algorithm: Algorithm,
     payload_bytes: &[u8],
     extents: &[EpisodeExtent],
 ) -> (Option<Rollup>, RollupHealth) {
@@ -1218,7 +1236,7 @@ fn open_rollup(
         Ok(_) => return stale("trailing bytes after the rollup payload".into()),
         Err(err) => return stale(format!("payload does not decode: {err}")),
     };
-    let expected = crate::rollup::content_checksum(payload_bytes);
+    let expected = algorithm.hash(payload_bytes);
     match crate::rollup::validate(rollup, expected, extents.len()) {
         Some(rollup) => (Some(rollup), RollupHealth::Valid { section_bytes }),
         None => stale("content checksum mismatch".into()),
@@ -1239,11 +1257,12 @@ mod tests {
     /// with raw rollup sections and one salvaged session without one.
     const GOLDEN: &[u8] = include_bytes!("../../cli/tests/corpus/corpus.lgzc");
 
-    /// The golden corpus, and the same sessions compacted with LZ
-    /// sections (the rollups carried over).
+    /// The golden corpus (v1, FNV-1a), and the same sessions compacted
+    /// into a v2 corpus with LZ sections (the rollups carried over).
     fn corpora() -> Vec<(&'static str, Vec<u8>)> {
         let reader = CorpusReader::open(GOLDEN.to_vec()).unwrap();
         let packed = compact(&reader, 1, PackOptions { compress: true }).unwrap();
+        assert_eq!((GOLDEN[7], packed[7]), (1, 2));
         vec![("raw", GOLDEN.to_vec()), ("lz", packed)]
     }
 
@@ -1317,9 +1336,7 @@ mod tests {
                 // content checksum), then reseal the trailer.
                 let mut damaged = bytes.clone();
                 damaged[start as usize] ^= 0xff;
-                let end = damaged.len() - 8;
-                let sum = fnv1a(&damaged[8..end]);
-                damaged[end..].copy_from_slice(&sum.to_le_bytes());
+                crate::faults::reseal(&mut damaged, None);
                 let reader = CorpusReader::open(damaged).unwrap();
                 assert_eq!(reader.rollups_validated(), 0, "{name}");
                 let (rollup, health) = reader.check_rollup(session);

@@ -6,6 +6,13 @@
 //! inflation — without recomputing the trailer checksum, exactly like
 //! real-world damage.
 //!
+//! Damage that a tool wrote back under fresh checksums is modelled by
+//! [`reseal`], which recomputes the trailer (and a section's own checksum)
+//! over whatever the bytes now hold, with the hash the file's version
+//! byte selects ([`crate::checksum`]); [`with_version`] re-stamps a clean
+//! trace as format v2 or v3, so every resealed-damage test runs on both
+//! hashes.
+//!
 //! # Determinism contract
 //!
 //! A [`FaultInjector`] is a pure function of its seed. The same seed
@@ -17,6 +24,7 @@
 //! test case is reproduced by re-running with the logged seed, or by
 //! applying the logged `Fault` value directly.
 
+use crate::checksum::Algorithm;
 use crate::varint;
 
 /// One way of damaging a byte stream. Produced by [`FaultInjector`],
@@ -200,6 +208,71 @@ impl FaultInjector {
         let fault = self.choose(bytes);
         (fault.apply(bytes), fault)
     }
+}
+
+/// Reseals a binary trace or corpus over whatever its bytes now hold, with
+/// the hash its version byte selects, so damage inside the checksummed
+/// regions no longer fails their checks: first, when `section_end` names
+/// one, the own checksum of the end-framed `.lgz` section (the extent
+/// footer or the rollup section) whose trailing magic ends at that byte;
+/// then the trailer over everything between the 8-byte magic and the
+/// 8-byte trailer. Inputs shorter than 16 bytes or without a binary
+/// signature are left as they are.
+///
+/// # Panics
+///
+/// When `section_end` is given and no section frame ends there.
+pub fn reseal(bytes: &mut [u8], section_end: Option<usize>) {
+    let n = bytes.len();
+    let Some(algorithm) = Algorithm::of_file(bytes).filter(|_| n >= 16) else {
+        return;
+    };
+    if let Some(end) = section_end {
+        let total = u64::from_le_bytes(bytes[end - 16..end - 8].try_into().expect("8-byte slice"));
+        let start = end
+            .checked_sub(total as usize)
+            .expect("a section frame ends at `section_end`");
+        let checked_end = end - 24;
+        let sum = algorithm.hash(&bytes[start..checked_end]);
+        bytes[checked_end..checked_end + 8].copy_from_slice(&sum.to_le_bytes());
+    }
+    let sum = algorithm.hash(&bytes[8..n - 8]);
+    bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// Re-stamps a clean v2 or v3 `.lgz` trace as format `version` (2 or 3).
+/// The two layouts are identical byte for byte, so this rewrites the
+/// version byte and recomputes every checksum with the hash the new
+/// version selects: the extent footer's, the rollup section's content and
+/// own checksums, and the trailer. The writers produce only v3; this is
+/// how the tests get the v2 encoding of the same session.
+///
+/// # Panics
+///
+/// When `version` is not 2 or 3, or `bytes` is not a v2 or v3 trace.
+pub fn with_version(bytes: &[u8], version: u8) -> Vec<u8> {
+    assert!(matches!(version, 2 | 3), "v{version} has another layout");
+    assert!(
+        bytes.len() >= 16
+            && bytes.starts_with(crate::binary::MAGIC_PREFIX)
+            && matches!(bytes[7], 2 | 3),
+        "not a v2 or v3 trace"
+    );
+    let mut out = bytes.to_vec();
+    out[7] = version;
+    let payload_end = out.len() - 8;
+    let rollup_start = crate::rollup::pre_locate(&out, payload_end);
+    reseal(&mut out, Some(rollup_start.unwrap_or(payload_end)));
+    if let Some(start) = rollup_start {
+        // The rollup payload opens with the content checksum, right after
+        // the section magic and the payload length.
+        let mut at = start + 8;
+        varint::read_u64_at(&out, &mut at, payload_end).expect("rollup payload length");
+        let content = Algorithm::of_trace_version(version).hash(&out[8..start]);
+        out[at..at + 8].copy_from_slice(&content.to_le_bytes());
+        reseal(&mut out, Some(payload_end));
+    }
+    out
 }
 
 /// Byte spans of the structural parts of a well-formed binary trace.

@@ -8,9 +8,9 @@
 //! duration-band and time-window queries without touching the episode's
 //! bytes at all.
 //!
-//! The table is carried in a checksummed **footer** that v2 binary traces
-//! append between the last record and the trailer (see the layout in
-//! [`crate::binary`]). For legacy v1 traces — or a v2 trace whose footer
+//! The table is carried in a checksummed **footer** that v2 and v3 binary
+//! traces append between the last record and the trailer (see the layout
+//! in [`crate::binary`]). For legacy v1 traces — or a v2 trace whose footer
 //! is damaged — the same table is reconstructed by a single cheap scan
 //! that skims record boundaries without materializing episode bodies.
 //! Salvage mode rebuilds the table with the one salvage scan (the one
@@ -32,7 +32,8 @@ use lagalyzer_model::{
     ThreadState, TimeNs,
 };
 
-use crate::binary::{fnv1a, read_header, read_record, tag, MAGIC_PREFIX, MAX_RECORDS};
+use crate::binary::{is_known_version, read_header, read_record, tag, MAGIC_PREFIX, MAX_RECORDS};
+use crate::checksum::Algorithm;
 use crate::error::TraceError;
 use crate::record::SessionRecords;
 use crate::salvage::SalvageReport;
@@ -209,13 +210,13 @@ impl EpisodeFilter {
 /// How the extent index of an [`IndexedTrace`] was obtained.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum IndexHealth {
-    /// A v2 footer was present, checksummed, and decoded.
+    /// A footer (v2 or v3) was present, checksummed, and decoded.
     FooterValid,
     /// A legacy (v1) trace has no footer; the index was reconstructed by
     /// a scan.
     FooterAbsent,
-    /// A v2 footer was present but unusable (the reason is attached); the
-    /// index was reconstructed by a scan.
+    /// A footer (v2 or v3) was present but unusable (the reason is
+    /// attached); the index was reconstructed by a scan.
     FooterInvalid(String),
     /// Salvage mode: the index was rebuilt while scanning a damaged
     /// trace.
@@ -245,7 +246,8 @@ impl std::fmt::Display for IndexHealth {
 }
 
 /// Encodes the footer (leading magic through trailing magic) as the byte
-/// block the writer appends after the last record.
+/// block the writer appends after the last record, checksummed with the
+/// file version's `algorithm`.
 ///
 /// Layout:
 ///
@@ -256,18 +258,22 @@ impl std::fmt::Display for IndexHealth {
 ///              previous extent's end; first is absolute), length, id,
 ///              start (delta from the previous start; first is absolute),
 ///              duration, interval count, sample count, skip count
-/// checksum     8 bytes LE FNV-1a over magic..payload
+/// checksum     8 bytes LE over magic..payload (FNV-1a in v2, the
+///              four-lane hash in v3)
 /// length       8 bytes LE total footer size (magic through magic)
 /// magic        8 bytes  b"LGLZIDX\x01" (locator, scanned from the end)
 /// ```
-pub(crate) fn encode_footer(extents: &[EpisodeExtent]) -> Result<Vec<u8>, TraceError> {
+pub(crate) fn encode_footer(
+    extents: &[EpisodeExtent],
+    algorithm: Algorithm,
+) -> Result<Vec<u8>, TraceError> {
     let mut payload = Vec::with_capacity(16 + extents.len() * 8);
     encode_extents_into(extents, &mut payload)?;
     let mut footer = Vec::with_capacity(payload.len() + FOOTER_FIXED + 4);
     footer.extend_from_slice(FOOTER_MAGIC);
     varint::write_u64(&mut footer, payload.len() as u64)?;
     footer.extend_from_slice(&payload);
-    let checksum = fnv1a(&footer);
+    let checksum = algorithm.hash(&footer);
     footer.extend_from_slice(&checksum.to_le_bytes());
     let total = footer.len() as u64 + 16;
     footer.extend_from_slice(&total.to_le_bytes());
@@ -275,9 +281,10 @@ pub(crate) fn encode_footer(extents: &[EpisodeExtent]) -> Result<Vec<u8>, TraceE
     Ok(footer)
 }
 
-/// Locates and decodes the footer of a v2 trace whose record-and-footer
-/// region ends at `payload_end` (i.e. just before the trailer checksum,
-/// when one exists).
+/// Locates and decodes the footer of a v2 or v3 trace whose
+/// record-and-footer region ends at `payload_end` (i.e. just before the
+/// trailer checksum, when one exists), verifying the footer's checksum
+/// with the file version's `algorithm`.
 ///
 /// Returns the footer's start offset and the decoded extent table, or a
 /// human-readable reason the footer cannot be used (callers then fall
@@ -285,6 +292,7 @@ pub(crate) fn encode_footer(extents: &[EpisodeExtent]) -> Result<Vec<u8>, TraceE
 pub(crate) fn locate_footer(
     bytes: &[u8],
     payload_end: usize,
+    algorithm: Algorithm,
 ) -> Result<(usize, Vec<EpisodeExtent>), String> {
     if payload_end < FOOTER_FIXED + 1 || payload_end > bytes.len() {
         return Err("input too short for a footer".into());
@@ -310,7 +318,7 @@ pub(crate) fn locate_footer(
             .try_into()
             .expect("8-byte slice"),
     );
-    let computed = fnv1a(&bytes[footer_start..checked_end]);
+    let computed = algorithm.hash(&bytes[footer_start..checked_end]);
     if stored != computed {
         return Err("footer checksum mismatch".into());
     }
@@ -749,6 +757,20 @@ impl IndexedTrace {
         Ok((indexed, trace))
     }
 
+    /// Reopens this trace's bytes through the salvage scan, as
+    /// [`decode_bytes_salvage`](crate::decode_bytes_salvage) does when the
+    /// episodes of a trace the strict open accepted do not decode (damage
+    /// resealed under a trailer checksum that still verifies). The result
+    /// carries the scan's extents and salvage report, and no rollup.
+    ///
+    /// # Errors
+    ///
+    /// Fails only on unrecoverable input: missing magic, or a header too
+    /// damaged to establish the session metadata.
+    pub fn rescan(&self) -> Result<IndexedTrace, TraceError> {
+        Self::open_scanned(self.bytes.clone())
+    }
+
     /// The salvage report of a trace the strict open accepted.
     fn clean_report(opened: &Opened) -> SalvageReport {
         SalvageReport {
@@ -808,15 +830,16 @@ impl IndexedTrace {
             return Err(TraceError::corrupt("magic", format!("{:?}", &bytes[..8])));
         }
         let version = bytes[7];
-        if version != 1 && version != 2 {
+        if !is_known_version(version) {
             return Err(TraceError::UnsupportedVersion {
                 found: u32::from(version),
             });
         }
+        let algorithm = Algorithm::of_trace_version(version);
         let payload_end = bytes.len() - 8;
         let stored = u64::from_le_bytes(bytes[payload_end..].try_into().expect("8-byte slice"));
         // One pass serves two checks: when a rollup section is framed at
-        // the back (v2 only), snapshot the running trailer hash at the
+        // the back (v2 and v3), snapshot the running trailer hash at the
         // section boundary — the writer stamped that exact state into the
         // section as its content checksum, so the cache is validated
         // without a second pass over the payload.
@@ -826,7 +849,7 @@ impl IndexedTrace {
             None
         };
         let split = section_start.unwrap_or(payload_end);
-        let mut hash = crate::binary::Fnv1a::new();
+        let mut hash = algorithm.hasher();
         hash.update(&bytes[8..split]);
         let content_snapshot = section_start.map(|_| hash.finish());
         hash.update(&bytes[split..payload_end]);
@@ -852,9 +875,9 @@ impl IndexedTrace {
             // footer (when present) sits directly below it. An unusable
             // section is simply dropped — the cache degrades, never the
             // decode.
-            let peeled = crate::rollup::peel(bytes, payload_end);
+            let peeled = crate::rollup::peel(bytes, payload_end, algorithm);
             rollup = peeled.rollup.and_then(Result::ok);
-            match locate_footer(bytes, peeled.end) {
+            match locate_footer(bytes, peeled.end, algorithm) {
                 Ok((footer_start, extents)) => {
                     gap_records = Some(Self::decode_gaps(
                         bytes,
@@ -1262,8 +1285,9 @@ pub fn probe_health(bytes: &[u8]) -> Option<IndexHealth> {
     if bytes[7] < 2 {
         return Some(IndexHealth::FooterAbsent);
     }
-    let peeled = crate::rollup::peel(bytes, bytes.len() - 8);
-    match locate_footer(bytes, peeled.end) {
+    let algorithm = Algorithm::of_trace_version(bytes[7]);
+    let peeled = crate::rollup::peel(bytes, bytes.len() - 8, algorithm);
+    match locate_footer(bytes, peeled.end, algorithm) {
         Ok(_) => Some(IndexHealth::FooterValid),
         Err(reason) => Some(IndexHealth::FooterInvalid(reason)),
     }
@@ -1272,14 +1296,16 @@ pub fn probe_health(bytes: &[u8]) -> Option<IndexHealth> {
 /// Cheap rollup-health probe for diagnostics (`lagalyzer lint` and the
 /// `LA014` check rule): reports whether `bytes` carries a rollup section
 /// and whether it would be trusted, without decoding any episode. `None`
-/// when the input is not a v2 binary trace (v1 has no section region).
+/// when the input is not a v2 or v3 binary trace (v1 has no section
+/// region).
 pub fn probe_rollup(bytes: &[u8]) -> Option<crate::rollup::RollupHealth> {
     use crate::rollup::RollupHealth;
     if bytes.len() < 16 || &bytes[..7] != MAGIC_PREFIX || bytes[7] < 2 {
         return None;
     }
+    let algorithm = Algorithm::of_trace_version(bytes[7]);
     let payload_end = bytes.len() - 8;
-    let peeled = crate::rollup::peel(bytes, payload_end);
+    let peeled = crate::rollup::peel(bytes, payload_end, algorithm);
     let section_bytes = (payload_end - peeled.end) as u64;
     Some(match peeled.rollup {
         None => RollupHealth::Absent,
@@ -1287,13 +1313,13 @@ pub fn probe_rollup(bytes: &[u8]) -> Option<crate::rollup::RollupHealth> {
             reason,
             section_bytes,
         },
-        Some(Ok(rollup)) => match locate_footer(bytes, peeled.end) {
+        Some(Ok(rollup)) => match locate_footer(bytes, peeled.end, algorithm) {
             Err(reason) => RollupHealth::Stale {
                 reason: format!("extent footer unusable ({reason})"),
                 section_bytes,
             },
             Ok((_, extents)) => {
-                let expected = crate::rollup::content_checksum(&bytes[8..peeled.end]);
+                let expected = algorithm.hash(&bytes[8..peeled.end]);
                 if crate::rollup::validate(rollup, expected, extents.len()).is_some() {
                     RollupHealth::Valid { section_bytes }
                 } else {

@@ -6,7 +6,8 @@
 //! codecs:
 //!
 //! * a compact **binary** codec ([`binary`]) with varint-encoded integers
-//!   and an FNV-1a trailer checksum, and
+//!   and a trailer checksum whose hash the format version selects
+//!   ([`checksum`]), and
 //! * a human-readable, line-based **text** codec ([`text`]).
 //!
 //! Both codecs round-trip a [`lagalyzer_model::SessionTrace`] exactly. A
@@ -61,6 +62,7 @@
 
 pub mod auto;
 pub mod binary;
+pub mod checksum;
 pub mod corpus;
 pub mod error;
 pub mod faults;

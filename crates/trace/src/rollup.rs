@@ -12,24 +12,27 @@
 //!
 //! Rollups are persisted as *optional* sections:
 //!
-//! * in a v2 binary trace, between the extent footer and the trailer
+//! * in a v2 or v3 binary trace, between the extent footer and the trailer
 //!   checksum (inside the checksummed region), using the same end-located
 //!   framing as the footer so readers peel it from the back;
 //! * in a `.lgzc` corpus, as a per-session section of a new kind
 //!   (see [`crate::corpus`]); old readers skip unknown section kinds.
 //!
 //! A rollup is a cache, never a source of truth. It embeds a **content
-//! checksum** — an FNV-1a hash of the container region it summarizes: for
-//! a v2 trace, the running trailer hash snapshotted at the section
+//! checksum** — a hash of the container region it summarizes, with the
+//! hash the container's version byte selects ([`crate::checksum`]): for a
+//! `.lgz` trace, the running trailer hash snapshotted at the section
 //! boundary (so the reader's single trailer pass validates the cache for
-//! free); for a corpus session, the FNV of the session payload region —
+//! free); for a corpus session, the hash of the session payload region —
 //! and readers only surface a rollup whose checksum matches the bytes
 //! actually present, so a stale or tampered cache silently degrades to
-//! the cold decode-and-mine path. Any structural damage to the section likewise
-//! degrades: either the section is dropped (footer still locatable) or
-//! the whole footer region falls back to the established scan path.
+//! the cold decode-and-mine path. The section's own checksum uses the
+//! same hash. Any structural damage to the section likewise degrades:
+//! either the section is dropped (footer still locatable) or the whole
+//! footer region falls back to the established scan path.
 
-use crate::binary::{fnv1a, MAX_RECORDS};
+use crate::binary::MAX_RECORDS;
+use crate::checksum::Algorithm;
 use crate::error::TraceError;
 use crate::varint;
 
@@ -140,11 +143,11 @@ impl BandGrid {
 /// The full rollup of one session's episodes.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Rollup {
-    /// FNV-1a over the container region this rollup summarizes — for a
-    /// v2 trace the trailer hash's running state at the section start,
-    /// for a corpus session the FNV of the payload region. Readers
-    /// recompute it from the bytes present and drop the rollup on
-    /// mismatch.
+    /// The hash of the container region this rollup summarizes — for a
+    /// `.lgz` trace the trailer hash's running state at the section start,
+    /// for a corpus session the hash of the payload region, with the hash
+    /// the container's version selects. Readers recompute it from the
+    /// bytes present and drop the rollup on mismatch.
     pub content_checksum: u64,
     /// Deduplicated shape token streams (see
     /// `lagalyzer-core`'s shape module for the grammar), in first-use
@@ -328,14 +331,15 @@ impl Rollup {
 
 /// Encodes the full rollup section (leading magic through trailing magic),
 /// mirroring the footer's end-located framing so readers peel it from the
-/// back of the checksummed region.
-pub(crate) fn encode_section(rollup: &Rollup) -> Result<Vec<u8>, TraceError> {
+/// back of the checksummed region; the section checksum is the trace
+/// version's `algorithm`.
+pub(crate) fn encode_section(rollup: &Rollup, algorithm: Algorithm) -> Result<Vec<u8>, TraceError> {
     let payload = rollup.encode_payload()?;
     let mut section = Vec::with_capacity(payload.len() + SECTION_FIXED + 4);
     section.extend_from_slice(ROLLUP_MAGIC);
     varint::write_u64(&mut section, payload.len() as u64)?;
     section.extend_from_slice(&payload);
-    let checksum = fnv1a(&section);
+    let checksum = algorithm.hash(&section);
     section.extend_from_slice(&checksum.to_le_bytes());
     let total = section.len() as u64 + 16;
     section.extend_from_slice(&total.to_le_bytes());
@@ -382,7 +386,8 @@ pub(crate) fn pre_locate(bytes: &[u8], payload_end: usize) -> Option<usize> {
     Some(section_start)
 }
 
-/// Peels an optional rollup section from `bytes[..payload_end]`.
+/// Peels an optional rollup section from `bytes[..payload_end]`, verifying
+/// its checksum with the trace version's `algorithm`.
 ///
 /// When the trailing 8 bytes are not the rollup magic there is no section
 /// and `end` is unchanged. When the framing parses but the checksum or
@@ -391,7 +396,7 @@ pub(crate) fn pre_locate(bytes: &[u8], payload_end: usize) -> Option<usize> {
 /// framing is unreadable, `end` is unchanged — footer location will then
 /// fail on the rollup magic and the caller falls back to the record scan,
 /// which ignores all trailing bytes.
-pub(crate) fn peel(bytes: &[u8], payload_end: usize) -> PeeledRollup {
+pub(crate) fn peel(bytes: &[u8], payload_end: usize, algorithm: Algorithm) -> PeeledRollup {
     let Some(section_start) = pre_locate(bytes, payload_end) else {
         return PeeledRollup {
             end: payload_end,
@@ -404,7 +409,7 @@ pub(crate) fn peel(bytes: &[u8], payload_end: usize) -> PeeledRollup {
             .try_into()
             .expect("8-byte slice"),
     );
-    let computed = fnv1a(&bytes[section_start..checked_end]);
+    let computed = algorithm.hash(&bytes[section_start..checked_end]);
     if stored != computed {
         return PeeledRollup {
             end: section_start,
@@ -441,20 +446,14 @@ pub(crate) fn peel(bytes: &[u8], payload_end: usize) -> PeeledRollup {
     }
 }
 
-/// FNV-1a over the container region a rollup summarizes. Pass the region
-/// the checksum is defined over: for a v2 trace, `bytes[8..section_start]`
-/// (equal to the trailer hash's running state at the section boundary —
-/// `IndexedTrace::open` derives it as a snapshot of its single trailer
-/// pass instead of calling this); for a corpus session, the payload
-/// region (the concatenation of its episode extent spans).
-pub fn content_checksum(region: &[u8]) -> u64 {
-    fnv1a(region)
-}
-
 /// Validates a decoded rollup against the bytes actually present:
 /// the summary table must be 1:1 with the extent index and the content
-/// checksum must equal `expected` (see [`content_checksum`]). Returns
-/// `None` (cache miss) on any mismatch.
+/// checksum must equal `expected`, the hash of the region it summarizes:
+/// for a `.lgz` trace `bytes[8..section_start]` (the trailer hash's
+/// running state at the section boundary, which `IndexedTrace::open`
+/// snapshots from its single trailer pass), for a corpus session the
+/// payload region (the concatenation of its episode extent spans).
+/// Returns `None` (cache miss) on any mismatch.
 pub fn validate(rollup: Rollup, expected: u64, extent_count: usize) -> Option<Rollup> {
     if rollup.summaries.len() != extent_count {
         return None;
@@ -519,8 +518,8 @@ mod tests {
     fn section_round_trips_via_peel() {
         let rollup = sample_rollup();
         let mut region = b"prefix-bytes".to_vec();
-        region.extend_from_slice(&encode_section(&rollup).unwrap());
-        let peeled = peel(&region, region.len());
+        region.extend_from_slice(&encode_section(&rollup, Algorithm::Lane4).unwrap());
+        let peeled = peel(&region, region.len(), Algorithm::Lane4);
         assert_eq!(peeled.end, "prefix-bytes".len());
         assert_eq!(peeled.rollup.unwrap().unwrap(), rollup);
     }
@@ -528,7 +527,7 @@ mod tests {
     #[test]
     fn peel_reports_absent_without_magic() {
         let region = vec![0u8; 64];
-        let peeled = peel(&region, region.len());
+        let peeled = peel(&region, region.len(), Algorithm::Lane4);
         assert_eq!(peeled.end, region.len());
         assert!(peeled.rollup.is_none());
     }
@@ -536,14 +535,20 @@ mod tests {
     #[test]
     fn corrupt_section_checksum_is_dropped_but_peeled() {
         let rollup = sample_rollup();
-        let section = encode_section(&rollup).unwrap();
-        let mut region = b"pre".to_vec();
-        let flip_at = region.len() + 12;
-        region.extend_from_slice(&section);
-        region[flip_at] ^= 0xff;
-        let peeled = peel(&region, region.len());
-        assert_eq!(peeled.end, 3, "footer region below must stay locatable");
-        assert!(peeled.rollup.unwrap().is_err());
+        for algorithm in [Algorithm::Fnv1a, Algorithm::Lane4] {
+            let section = encode_section(&rollup, algorithm).unwrap();
+            let mut region = b"pre".to_vec();
+            let flip_at = region.len() + 12;
+            region.extend_from_slice(&section);
+            assert!(peel(&region, region.len(), algorithm)
+                .rollup
+                .unwrap()
+                .is_ok());
+            region[flip_at] ^= 0xff;
+            let peeled = peel(&region, region.len(), algorithm);
+            assert_eq!(peeled.end, 3, "footer region below must stay locatable");
+            assert!(peeled.rollup.unwrap().is_err());
+        }
     }
 
     #[test]
@@ -557,17 +562,17 @@ mod tests {
 
     #[test]
     fn validate_rejects_stale_checksum_and_count_mismatch() {
-        let region = b"0123456789";
+        let expected = Algorithm::Lane4.hash(b"0123456789");
         let mut rollup = sample_rollup();
         rollup.summaries.truncate(1);
-        rollup.content_checksum = content_checksum(region);
-        assert!(validate(rollup.clone(), content_checksum(region), 1).is_some());
+        rollup.content_checksum = expected;
+        assert!(validate(rollup.clone(), expected, 1).is_some());
         let mut stale = rollup.clone();
         stale.content_checksum ^= 1;
-        assert!(validate(stale, content_checksum(region), 1).is_none());
+        assert!(validate(stale, expected, 1).is_none());
         let mut mismatched = rollup;
         mismatched.summaries.clear();
-        assert!(validate(mismatched, content_checksum(region), 1).is_none());
+        assert!(validate(mismatched, expected, 1).is_none());
     }
 
     #[test]

@@ -2,8 +2,16 @@
 //! its strict-decode outcome, salvage-decode outcome, and full semantic
 //! `check --format json` report locked in `tests/corpus/EXPECTED.txt`.
 //!
-//! To regenerate the fixtures and the snapshot after an intentional
-//! format change:
+//! The binary fixtures come in two sets. The `*-v3.lgz` set (with
+//! `version-skew-v4.lgz`) and the text, legacy-v1 and garbage fixtures are
+//! derived from [`base_trace`] by today's writers and locked to that
+//! generator. The unsuffixed `.lgz` set was written by the v2 writer,
+//! which no longer exists: those bytes are frozen, and only their
+//! outcomes are locked, so v2 traces keep decoding, salvaging and
+//! checking as they always did.
+//!
+//! To regenerate the generated fixtures and the snapshot after an
+//! intentional format change:
 //!
 //! ```text
 //! LAGALYZER_REGEN_CORPUS=1 cargo test -p lagalyzer-trace --test corpus
@@ -13,7 +21,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use lagalyzer_model::prelude::*;
-use lagalyzer_trace::faults::Fault;
+use lagalyzer_trace::faults::{self, Fault};
 use lagalyzer_trace::{binary, read_bytes, read_bytes_salvage, text, TraceError};
 
 fn corpus_dir() -> PathBuf {
@@ -81,18 +89,64 @@ fn base_trace() -> SessionTrace {
     b.finish()
 }
 
-/// The corpus: `(file name, fixture bytes)`, derived deterministically.
+/// The frozen v2 fixtures, written by the v2 writer: damaged the same
+/// ways as their `-v3` counterparts below, except `version-skew.lgz`,
+/// whose byte 7 reads 3 — a known version since v3, so it now fails the
+/// v3 checksum instead of skewing.
+const FROZEN_V2: [&str; 9] = [
+    "clean.lgz",
+    "truncated.lgz",
+    "bitflip.lgz",
+    "version-skew.lgz",
+    "checksum-mismatch.lgz",
+    "deleted-record.lgz",
+    "duplicated-record.lgz",
+    "inflated-length.lgz",
+    "inflated-count.lgz",
+];
+
+/// Every fixture, in snapshot order: the frozen v2 ones keep their
+/// places from before v3 existed, and the v3 set follows.
+fn snapshot_names() -> Vec<&'static str> {
+    let mut names = vec![
+        "clean.lgz",
+        "legacy-v1.lgz",
+        "clean.txt",
+        "truncated.lgz",
+        "bitflip.lgz",
+        "version-skew.lgz",
+        "checksum-mismatch.lgz",
+        "deleted-record.lgz",
+        "duplicated-record.lgz",
+        "inflated-length.lgz",
+        "inflated-count.lgz",
+        "truncated.txt",
+        "garbled-line.txt",
+        "version-skew.txt",
+        "garbage.bin",
+    ];
+    for (name, _) in fixtures() {
+        if !names.contains(&name) {
+            names.push(name);
+        }
+    }
+    names
+}
+
+/// The generated corpus: `(file name, fixture bytes)`, derived
+/// deterministically.
 fn fixtures() -> Vec<(&'static str, Vec<u8>)> {
     let trace = base_trace();
     let mut bin = Vec::new();
     binary::write(&trace, &mut bin).unwrap();
+    assert_eq!(bin[7], 3, "the writer emits v3");
     let mut txt = Vec::new();
     text::write(&trace, &mut txt).unwrap();
 
     let mut legacy = Vec::new();
     binary::write_legacy(&trace, &mut legacy).unwrap();
     let mut version_skew = bin.clone();
-    version_skew[7] = 3;
+    version_skew[7] = 4;
     let mut checksum_mismatch = bin.clone();
     let last = checksum_mismatch.len() - 1;
     checksum_mismatch[last] ^= 0xff;
@@ -114,26 +168,8 @@ fn fixtures() -> Vec<(&'static str, Vec<u8>)> {
     };
 
     vec![
-        ("clean.lgz", bin.clone()),
         ("legacy-v1.lgz", legacy),
         ("clean.txt", txt.clone()),
-        ("truncated.lgz", bin[..bin.len() * 2 / 3].to_vec()),
-        ("bitflip.lgz", bitflip),
-        ("version-skew.lgz", version_skew),
-        ("checksum-mismatch.lgz", checksum_mismatch),
-        (
-            "deleted-record.lgz",
-            Fault::DeleteRecord { index: 5 }.apply(&bin),
-        ),
-        (
-            "duplicated-record.lgz",
-            Fault::DuplicateRecord { index: 3 }.apply(&bin),
-        ),
-        (
-            "inflated-length.lgz",
-            Fault::InflateLength { index: 0 }.apply(&bin),
-        ),
-        ("inflated-count.lgz", Fault::InflateCount.apply(&bin)),
         ("truncated.txt", truncated_txt),
         ("garbled-line.txt", garbled_txt.into_bytes()),
         ("version-skew.txt", skew_txt.into_bytes()),
@@ -141,7 +177,31 @@ fn fixtures() -> Vec<(&'static str, Vec<u8>)> {
             "garbage.bin",
             b"\x7fELF not a trace at all\x00\x01\x02".to_vec(),
         ),
+        ("clean-v3.lgz", bin.clone()),
+        ("truncated-v3.lgz", bin[..bin.len() * 2 / 3].to_vec()),
+        ("bitflip-v3.lgz", bitflip),
+        ("version-skew-v4.lgz", version_skew),
+        ("checksum-mismatch-v3.lgz", checksum_mismatch),
+        (
+            "deleted-record-v3.lgz",
+            Fault::DeleteRecord { index: 5 }.apply(&bin),
+        ),
+        (
+            "duplicated-record-v3.lgz",
+            Fault::DuplicateRecord { index: 3 }.apply(&bin),
+        ),
+        (
+            "inflated-length-v3.lgz",
+            Fault::InflateLength { index: 0 }.apply(&bin),
+        ),
+        ("inflated-count-v3.lgz", Fault::InflateCount.apply(&bin)),
     ]
+}
+
+/// A committed fixture's bytes.
+fn on_disk(name: &str) -> Vec<u8> {
+    std::fs::read(corpus_dir().join(name))
+        .unwrap_or_else(|e| panic!("corpus fixture {name} unreadable: {e}"))
 }
 
 fn strict_outcome(bytes: &[u8]) -> String {
@@ -209,13 +269,16 @@ fn snapshot_line(name: &str, bytes: &[u8]) -> String {
 #[test]
 fn corpus_outcomes_match_snapshot() {
     let dir = corpus_dir();
-    let regen = std::env::var_os("LAGALYZER_REGEN_CORPUS").is_some();
-    if regen {
+    if std::env::var_os("LAGALYZER_REGEN_CORPUS").is_some() {
+        // Only the generated fixtures are rewritten; the frozen v2 ones
+        // have no generator left.
         std::fs::create_dir_all(&dir).unwrap();
-        let mut expected = String::new();
         for (name, bytes) in fixtures() {
             std::fs::write(dir.join(name), &bytes).unwrap();
-            writeln!(expected, "{}", snapshot_line(name, &bytes)).unwrap();
+        }
+        let mut expected = String::new();
+        for name in snapshot_names() {
+            writeln!(expected, "{}", snapshot_line(name, &on_disk(name))).unwrap();
         }
         std::fs::write(dir.join("EXPECTED.txt"), expected).unwrap();
         return;
@@ -224,10 +287,8 @@ fn corpus_outcomes_match_snapshot() {
     let expected = std::fs::read_to_string(dir.join("EXPECTED.txt"))
         .expect("tests/corpus/EXPECTED.txt missing — run with LAGALYZER_REGEN_CORPUS=1");
     let mut actual = String::new();
-    for (name, _) in fixtures() {
-        let bytes = std::fs::read(dir.join(name))
-            .unwrap_or_else(|e| panic!("corpus fixture {name} unreadable: {e}"));
-        writeln!(actual, "{}", snapshot_line(name, &bytes)).unwrap();
+    for name in snapshot_names() {
+        writeln!(actual, "{}", snapshot_line(name, &on_disk(name))).unwrap();
     }
     assert_eq!(
         actual, expected,
@@ -240,17 +301,41 @@ fn corpus_outcomes_match_snapshot() {
 /// that alters the encoder must be deliberate.
 #[test]
 fn corpus_fixtures_match_generator() {
-    let dir = corpus_dir();
     if std::env::var_os("LAGALYZER_REGEN_CORPUS").is_some() {
         return; // the snapshot test just rewrote them
     }
     for (name, bytes) in fixtures() {
-        let on_disk = std::fs::read(dir.join(name))
-            .unwrap_or_else(|e| panic!("corpus fixture {name} unreadable: {e}"));
         assert_eq!(
-            on_disk, bytes,
+            on_disk(name),
+            bytes,
             "fixture {name} no longer matches its generator; if the format \
              change is intentional, regenerate with LAGALYZER_REGEN_CORPUS=1"
+        );
+    }
+}
+
+/// The frozen v2 fixtures and their v3 counterparts hold the same session
+/// in the same layout: a clean v2 fixture re-stamped as v3 is the v3
+/// writer's output byte for byte, and each damaged pair differs only in
+/// the version byte and the checksums.
+#[test]
+fn frozen_v2_fixtures_are_the_v3_set_under_fnv() {
+    let v2 = on_disk("clean.lgz");
+    assert_eq!(v2[7], 2);
+    let generated: std::collections::HashMap<_, _> = fixtures().into_iter().collect();
+    assert_eq!(faults::with_version(&v2, 3), generated["clean-v3.lgz"]);
+    assert_eq!(faults::with_version(&generated["clean-v3.lgz"], 2), v2);
+    for name in FROZEN_V2 {
+        let frozen = on_disk(name);
+        let twin = if name == "version-skew.lgz" {
+            "version-skew-v4.lgz".to_owned()
+        } else {
+            name.replace(".lgz", "-v3.lgz")
+        };
+        assert_eq!(
+            frozen.len(),
+            generated[twin.as_str()].len(),
+            "{name} vs {twin}"
         );
     }
 }
@@ -259,7 +344,10 @@ fn corpus_fixtures_match_generator() {
 /// for the deliberately absurd length/count fields.
 #[test]
 fn corpus_salvage_never_panics() {
-    for (name, bytes) in fixtures() {
+    let all = snapshot_names()
+        .into_iter()
+        .map(|name| (name, on_disk(name)));
+    for (name, bytes) in all {
         let _ = read_bytes_salvage(&bytes);
         // Also drive the strict path for parity.
         let _ = read_bytes(&bytes);

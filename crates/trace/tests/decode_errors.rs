@@ -113,18 +113,23 @@ fn salvage_both(bytes: &[u8]) -> Salvaged {
 fn inflated_footer_counts_decode_to_the_honest_trace() {
     let trace = sample_trace(40);
     let honest = encode(&trace);
-    let lying = inflate_footer_counts(&honest, 1 << 20);
-    assert_ne!(lying, honest);
-    let opened = IndexedTrace::open(lying).unwrap();
-    assert_eq!(opened.health(), &IndexHealth::FooterValid);
-    assert!(opened
-        .extents()
-        .iter()
-        .all(|e| e.intervals == 1 << 20 && e.samples == 1 << 20));
-    for jobs in [1, 3] {
-        let decoded = opened.par_decode(jobs).unwrap();
-        assert_eq!(decoded.episodes(), trace.episodes());
-        assert_eq!(encode(&decoded), honest);
+    for version in [2, 3] {
+        let lying = inflate_footer_counts(
+            &lagalyzer_trace::faults::with_version(&honest, version),
+            1 << 20,
+        );
+        assert_eq!(lying[7], version);
+        let opened = IndexedTrace::open(lying).unwrap();
+        assert_eq!(opened.health(), &IndexHealth::FooterValid, "v{version}");
+        assert!(opened
+            .extents()
+            .iter()
+            .all(|e| e.intervals == 1 << 20 && e.samples == 1 << 20));
+        for jobs in [1, 3] {
+            let decoded = opened.par_decode(jobs).unwrap();
+            assert_eq!(decoded.episodes(), trace.episodes());
+            assert_eq!(encode(&decoded), honest);
+        }
     }
 }
 
@@ -234,10 +239,8 @@ fn decoders_agree_on_overflowing_short_counters() {
     bytes.push(2);
     bytes.extend_from_slice(record);
     bytes.extend_from_slice(record);
-    let hash = bytes[8..].iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    });
-    bytes.extend_from_slice(&hash.to_le_bytes());
+    bytes.extend_from_slice(&[0; 8]);
+    lagalyzer_trace::faults::reseal(&mut bytes, None);
 
     let strict = binary::read(bytes.as_slice()).unwrap();
     assert_eq!(strict.short_episode_count(), u64::MAX);

@@ -5,7 +5,7 @@
 //! decode-then-filter.
 
 use lagalyzer_model::prelude::*;
-use lagalyzer_trace::faults::FaultInjector;
+use lagalyzer_trace::faults::{self, FaultInjector};
 use lagalyzer_trace::{
     binary, decode_bytes_salvage, index, read_bytes_salvage, DurationBand, EpisodeFilter,
     IndexHealth, IndexedTrace, Rollup,
@@ -136,15 +136,7 @@ fn encode_legacy(trace: &SessionTrace) -> Vec<u8> {
 /// damage inside it is no longer caught by the checksum.
 fn reseal(bytes: &[u8]) -> Vec<u8> {
     let mut out = bytes.to_vec();
-    if out.len() >= 16 {
-        let n = out.len();
-        let hash = out[8..n - 8]
-            .iter()
-            .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-            });
-        out[n - 8..].copy_from_slice(&hash.to_le_bytes());
-    }
+    faults::reseal(&mut out, None);
     out
 }
 
@@ -227,20 +219,27 @@ fn damaged_footer_falls_back_to_scan_with_identical_extents() {
 #[test]
 fn version_skewed_footerless_v2_reconstructs_by_scan() {
     // A legacy body stamped with the v2 version byte: the trailer still
-    // verifies (the magic is outside the checksummed region), there is no
-    // footer to locate, and the scan must take over.
+    // verifies (the magic is outside the checksummed region, and v1 and v2
+    // share FNV-1a), there is no footer to locate, and the scan must take
+    // over. Stamped v3, the body verifies once resealed with the v3 hash.
     let trace = fixed_trace(4);
-    let mut bytes = encode_legacy(&trace);
-    bytes[7] = 2;
-    let indexed = IndexedTrace::open(bytes).unwrap();
-    assert!(
-        matches!(indexed.health(), IndexHealth::FooterInvalid(_)),
-        "unexpected health {:?}",
-        indexed.health()
-    );
     let reference = IndexedTrace::open(encode(&trace)).unwrap();
-    assert_eq!(indexed.extents(), reference.extents());
-    assert_byte_identical(&indexed.par_decode(2).unwrap(), &trace);
+    for version in [2, 3] {
+        let mut bytes = encode_legacy(&trace);
+        bytes[7] = version;
+        if version == 3 {
+            assert!(IndexedTrace::open(bytes.clone()).is_err());
+            faults::reseal(&mut bytes, None);
+        }
+        let indexed = IndexedTrace::open(bytes).unwrap();
+        assert!(
+            matches!(indexed.health(), IndexHealth::FooterInvalid(_)),
+            "v{version}: unexpected health {:?}",
+            indexed.health()
+        );
+        assert_eq!(indexed.extents(), reference.extents());
+        assert_byte_identical(&indexed.par_decode(2).unwrap(), &trace);
+    }
 }
 
 #[test]
@@ -512,7 +511,14 @@ proptest! {
         let mut with_rollup = Vec::new();
         binary::write_with_rollup(&trace, &mut with_rollup, Rollup::default()).unwrap();
         let mut injector = FaultInjector::new(seed);
-        for bytes in [encode(&trace), encode_legacy(&trace), with_rollup] {
+        let v3 = encode(&trace);
+        for bytes in [
+            faults::with_version(&v3, 2),
+            v3,
+            encode_legacy(&trace),
+            faults::with_version(&with_rollup, 2),
+            with_rollup,
+        ] {
             let (damaged, _fault) = injector.inject(&bytes);
             let resealed = reseal(&damaged);
             for input in [damaged, resealed] {

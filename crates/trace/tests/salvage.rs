@@ -14,7 +14,7 @@
 //!    recovered episode is byte-identical to the uncorrupted original.
 
 use lagalyzer_model::prelude::*;
-use lagalyzer_trace::faults::{Fault, FaultInjector};
+use lagalyzer_trace::faults::{self, Fault, FaultInjector};
 use lagalyzer_trace::salvage::SalvageReport;
 use lagalyzer_trace::{binary, decode_bytes_salvage, read_bytes_salvage, records_from_trace, text};
 use lagalyzer_trace::{IndexHealth, IndexedTrace, Rollup};
@@ -380,13 +380,6 @@ fn single_bit_flips_are_never_silent() {
     }
 }
 
-/// The trailer's FNV-1a, for tests that rewrite a trace and reseal it.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// Five episodes with samples, for the resealed-damage tests.
 fn five_episodes() -> SessionTrace {
     build_trace(
@@ -401,11 +394,10 @@ fn five_episodes() -> SessionTrace {
     )
 }
 
-/// Rewrites the trailer checksum over the (damaged) payload.
-fn reseal(bytes: &mut [u8]) {
-    let n = bytes.len();
-    let resealed = fnv1a(&bytes[8..n - 8]);
-    bytes[n - 8..].copy_from_slice(&resealed.to_le_bytes());
+/// The v2 and v3 encodings of a trace the writer encoded (as v3): the
+/// resealed-damage tests run on both checksum hashes.
+fn v2_and_v3(v3: &[u8]) -> [(u8, Vec<u8>); 2] {
+    [(2, faults::with_version(v3, 2)), (3, v3.to_vec())]
 }
 
 /// A trace whose only damage is an extent footer resealed under a valid
@@ -418,7 +410,10 @@ fn resealed_footer_salvages_clean() {
     let trace = five_episodes();
     let mut with_rollup = Vec::new();
     binary::write_with_rollup(&trace, &mut with_rollup, Rollup::default()).unwrap();
-    for (label, original) in [("plain", encode_binary(&trace)), ("rollup", with_rollup)] {
+    let encodings = [("plain", encode_binary(&trace)), ("rollup", with_rollup)]
+        .into_iter()
+        .flat_map(|(label, v3)| v2_and_v3(&v3).map(|(v, bytes)| (format!("{label} v{v}"), bytes)));
+    for (label, original) in encodings {
         let mut bytes = original;
         // Locate the footer from the end, past the rollup section if any
         // (both use the same end-located framing: ... length, magic).
@@ -429,7 +424,7 @@ fn resealed_footer_salvages_clean() {
         assert_eq!(&bytes[end - 8..end], b"LGLZIDX\x01", "{label}");
         let footer_len = u64::from_le_bytes(bytes[end - 16..end - 8].try_into().unwrap()) as usize;
         bytes[end - footer_len / 2] ^= 0x01;
-        reseal(&mut bytes);
+        faults::reseal(&mut bytes, None);
 
         let strict = binary::read(bytes.as_slice()).unwrap();
         assert_traces_equal(&strict, &trace);
@@ -466,30 +461,31 @@ fn resealed_footer_salvages_clean() {
 #[test]
 fn resealed_episode_damage_is_reported() {
     let trace = five_episodes();
-    let mut bytes = encode_binary(&trace);
-    let (clean, kept) = decode_bytes_salvage(&bytes, 2).unwrap();
-    assert_eq!(clean.report, clean_report(&trace, Some(true)));
-    assert_eq!(kept.unwrap().health(), &IndexHealth::FooterValid);
-    let extent = IndexedTrace::open(bytes.clone()).unwrap().extents()[2];
-    bytes[extent.offset as usize] ^= 0x80;
-    reseal(&mut bytes);
+    for (version, mut bytes) in v2_and_v3(&encode_binary(&trace)) {
+        let (clean, kept) = decode_bytes_salvage(&bytes, 2).unwrap();
+        assert_eq!(clean.report, clean_report(&trace, Some(true)), "v{version}");
+        assert_eq!(kept.unwrap().health(), &IndexHealth::FooterValid);
+        let extent = IndexedTrace::open(bytes.clone()).unwrap().extents()[2];
+        bytes[extent.offset as usize] ^= 0x80;
+        faults::reseal(&mut bytes, None);
 
-    assert!(binary::read(bytes.as_slice()).is_err());
-    let strict = IndexedTrace::open(bytes.clone()).unwrap();
-    assert_eq!(strict.health(), &IndexHealth::FooterValid);
-    assert!(strict.par_decode(1).is_err());
+        assert!(binary::read(bytes.as_slice()).is_err());
+        let strict = IndexedTrace::open(bytes.clone()).unwrap();
+        assert_eq!(strict.health(), &IndexHealth::FooterValid);
+        assert!(strict.par_decode(1).is_err());
 
-    let reference = binary::read_salvage(&bytes).unwrap();
-    assert!(!reference.report.is_clean(), "{:?}", reference.report);
-    assert_eq!(reference.report.checksum_ok, Some(true));
-    assert_eq!(reference.report.episodes_recovered, 4);
-    for jobs in [1, 3] {
-        let (salvaged, indexed) = decode_bytes_salvage(&bytes, jobs).unwrap();
-        assert_eq!(salvaged.report, reference.report);
-        assert_traces_equal(&salvaged.trace, &reference.trace);
-        let indexed = indexed.expect("a binary trace keeps its index");
-        assert_eq!(indexed.health(), &IndexHealth::SalvageScan);
-        assert_eq!(indexed.salvage_report(), Some(&reference.report));
+        let reference = binary::read_salvage(&bytes).unwrap();
+        assert!(!reference.report.is_clean(), "{:?}", reference.report);
+        assert_eq!(reference.report.checksum_ok, Some(true), "v{version}");
+        assert_eq!(reference.report.episodes_recovered, 4);
+        for jobs in [1, 3] {
+            let (salvaged, indexed) = decode_bytes_salvage(&bytes, jobs).unwrap();
+            assert_eq!(salvaged.report, reference.report);
+            assert_traces_equal(&salvaged.trace, &reference.trace);
+            let indexed = indexed.expect("a binary trace keeps its index");
+            assert_eq!(indexed.health(), &IndexHealth::SalvageScan);
+            assert_eq!(indexed.salvage_report(), Some(&reference.report));
+        }
     }
 }
 
@@ -500,27 +496,31 @@ fn resealed_episode_damage_is_reported() {
 #[test]
 fn resealed_footer_magic_damage_is_reported() {
     let trace = five_episodes();
-    let mut bytes = encode_binary(&trace);
-    let end = bytes.len() - 8;
-    let footer_len = u64::from_le_bytes(bytes[end - 16..end - 8].try_into().unwrap()) as usize;
-    bytes[end - footer_len] ^= 0x01;
-    reseal(&mut bytes);
+    for (version, mut bytes) in v2_and_v3(&encode_binary(&trace)) {
+        let end = bytes.len() - 8;
+        let footer_len = u64::from_le_bytes(bytes[end - 16..end - 8].try_into().unwrap()) as usize;
+        bytes[end - footer_len] ^= 0x01;
+        faults::reseal(&mut bytes, None);
 
-    let err = binary::read(bytes.as_slice()).unwrap_err();
-    assert!(err.to_string().contains("bad footer magic"), "{err}");
-    assert!(IndexedTrace::open(bytes.clone()).is_err());
+        let err = binary::read(bytes.as_slice()).unwrap_err();
+        assert!(
+            err.to_string().contains("bad footer magic"),
+            "v{version}: {err}"
+        );
+        assert!(IndexedTrace::open(bytes.clone()).is_err());
 
-    let reference = binary::read_salvage(&bytes).unwrap();
-    assert_eq!(reference.report.episodes_recovered, 5);
-    assert_eq!(reference.report.skips.len(), 1, "{:?}", reference.report);
-    assert_eq!(reference.report.skips[0].context, "index footer");
-    assert_eq!(reference.report.bytes_skipped, footer_len as u64);
-    assert_traces_equal(&reference.trace, &trace);
-    let indexed = IndexedTrace::open_salvage(bytes.clone()).unwrap();
-    assert_eq!(indexed.salvage_report(), Some(&reference.report));
-    let (salvaged, _) = decode_bytes_salvage(&bytes, 2).unwrap();
-    assert_eq!(salvaged.report, reference.report);
-    assert_traces_equal(&salvaged.trace, &trace);
+        let reference = binary::read_salvage(&bytes).unwrap();
+        assert_eq!(reference.report.episodes_recovered, 5);
+        assert_eq!(reference.report.skips.len(), 1, "{:?}", reference.report);
+        assert_eq!(reference.report.skips[0].context, "index footer");
+        assert_eq!(reference.report.bytes_skipped, footer_len as u64);
+        assert_traces_equal(&reference.trace, &trace);
+        let indexed = IndexedTrace::open_salvage(bytes.clone()).unwrap();
+        assert_eq!(indexed.salvage_report(), Some(&reference.report));
+        let (salvaged, _) = decode_bytes_salvage(&bytes, 2).unwrap();
+        assert_eq!(salvaged.report, reference.report);
+        assert_traces_equal(&salvaged.trace, &trace);
+    }
 }
 
 /// Every committed binary fixture gets the same salvage report from the

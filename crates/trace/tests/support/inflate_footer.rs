@@ -1,14 +1,7 @@
 //! Test support shared by the trace decode tests and the CLI tests: a
 //! trace whose extent footer lies about its counts but still verifies.
 
-use lagalyzer_trace::IndexedTrace;
-
-/// FNV-1a, the footer and trailer checksum.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
+use lagalyzer_trace::{faults, IndexedTrace};
 
 /// Unsigned LEB128, the footer's integer encoding.
 fn push_varint(out: &mut Vec<u8>, mut value: u64) {
@@ -19,9 +12,9 @@ fn push_varint(out: &mut Vec<u8>, mut value: u64) {
     out.push(value as u8);
 }
 
-/// Rewrites the extent footer of a rollup-less v2 trace so that every
-/// extent claims `claim` intervals and `claim` samples, and reseals the
-/// footer and trailer checksums.
+/// Rewrites the extent footer of a rollup-less v2 or v3 trace so that
+/// every extent claims `claim` intervals and `claim` samples, and reseals
+/// the footer and trailer checksums with the hash the version selects.
 pub fn inflate_footer_counts(bytes: &[u8], claim: u64) -> Vec<u8> {
     const MAGIC: &[u8; 8] = b"LGLZIDX\x01";
     let extents = IndexedTrace::open(bytes.to_vec())
@@ -52,15 +45,16 @@ pub fn inflate_footer_counts(bytes: &[u8], claim: u64) -> Vec<u8> {
         prev_end = e.offset + e.len;
         prev_start = e.start.as_nanos();
     }
-    let mut footer = MAGIC.to_vec();
-    push_varint(&mut footer, payload.len() as u64);
-    footer.extend_from_slice(&payload);
-    footer.extend_from_slice(&fnv1a(&footer).to_le_bytes());
-    footer.extend_from_slice(&(footer.len() as u64 + 16).to_le_bytes());
-    footer.extend_from_slice(MAGIC);
     let mut out = bytes[..footer_start].to_vec();
-    out.extend_from_slice(&footer);
-    let trailer = fnv1a(&out[8..]);
-    out.extend_from_slice(&trailer.to_le_bytes());
+    out.extend_from_slice(MAGIC);
+    push_varint(&mut out, payload.len() as u64);
+    out.extend_from_slice(&payload);
+    out.extend_from_slice(&[0; 8]); // the footer checksum, resealed below
+    let total = (out.len() - footer_start) as u64 + 16;
+    out.extend_from_slice(&total.to_le_bytes());
+    out.extend_from_slice(MAGIC);
+    let footer_end = out.len();
+    out.extend_from_slice(&[0; 8]); // the trailer
+    faults::reseal(&mut out, Some(footer_end));
     out
 }
