@@ -553,13 +553,31 @@ impl HazardReport {
         config: &HazardConfig,
     ) -> HazardReport {
         let graph = LockGraph::build_with_jobs(trace.episodes(), jobs);
-        let symbols = trace.symbols();
-        let aligned = extents.filter(|e| e.len() == trace.episodes().len());
+        HazardReport::of_graph(
+            &graph,
+            trace.episodes().len(),
+            trace.symbols(),
+            extents,
+            config,
+        )
+    }
+
+    /// Runs every hazard pass over one session's lock graph, folded from
+    /// its `episodes` episodes in order (by [`LockGraph::add_episode`],
+    /// shard graphs [`LockGraph::merge`]d in order). `extents` provide a
+    /// finding's episode its byte span only when they are aligned with the
+    /// analyzed episodes: all of them analyzed, in order.
+    pub fn of_graph(
+        graph: &LockGraph,
+        episodes: usize,
+        symbols: &SymbolTable,
+        extents: Option<&[EpisodeExtent]>,
+        config: &HazardConfig,
+    ) -> HazardReport {
+        let aligned = extents.filter(|e| e.len() == episodes);
         let span_of = |id: EpisodeId| -> Option<ByteSpan> {
-            let index = trace.episodes().iter().position(|e| e.id() == id)?;
-            aligned
-                .and_then(|e| e.get(index))
-                .map(|e| ByteSpan::new(e.offset, e.offset + e.len))
+            let e = aligned?.iter().find(|e| e.id == id)?;
+            Some(ByteSpan::new(e.offset, e.offset + e.len))
         };
         let mut findings = Vec::new();
         for wait in graph.waits() {
@@ -574,7 +592,7 @@ impl HazardReport {
                 });
             }
         }
-        for inv in inversions(&graph, symbols, config) {
+        for inv in inversions(graph, symbols, config) {
             findings.push(Diagnostic {
                 code: "LA020",
                 severity: Severity::Error,
@@ -592,7 +610,7 @@ impl HazardReport {
             });
         }
         HazardReport {
-            episodes: trace.episodes().len(),
+            episodes,
             waits: graph.waits().len(),
             wait_samples: graph.total_wait_samples(),
             locks: graph.lock_count(),

@@ -32,7 +32,7 @@
 //! let mut bytes = Vec::new();
 //! binary::write(&trace, &mut bytes)?;
 //!
-//! let report = check_bytes(&bytes, &mut RuleSet::standard())?;
+//! let report = check_bytes(bytes, &mut RuleSet::standard())?;
 //! assert!(report.is_clean());
 //! assert_eq!(report.exit_code(), 0);
 //! # Ok(())
@@ -62,7 +62,9 @@ pub fn check_trace(trace: &SessionTrace, rules: &mut RuleSet) -> CheckReport {
 }
 
 /// Checks raw trace bytes of either codec, salvage-decoded by
-/// [`decode_bytes_salvage`] (the decode `lint` reports on).
+/// [`decode_bytes_salvage`] (the decode `lint` reports on), which takes
+/// over the buffer: the input is opened once and never copied. The rollup
+/// section's health is the one that open judged.
 ///
 /// A binary trace's diagnostics get episode byte spans from the extent
 /// table, plus salvage-skip, index and checksum context; a text trace's
@@ -73,16 +75,16 @@ pub fn check_trace(trace: &SessionTrace, rules: &mut RuleSet) -> CheckReport {
 /// Fails only when the input is unrecoverable — neither codec can
 /// establish the session at all. Everything less severe is reported as
 /// diagnostics, not as an error.
-pub fn check_bytes(bytes: &[u8], rules: &mut RuleSet) -> Result<CheckReport, TraceError> {
+pub fn check_bytes(bytes: Vec<u8>, rules: &mut RuleSet) -> Result<CheckReport, TraceError> {
+    let file_len = bytes.len() as u64;
     let (salvaged, indexed) = decode_bytes_salvage(bytes, 1)?;
-    let rollup = lagalyzer_trace::probe_rollup(bytes);
     let subject = CheckSubject {
         trace: &salvaged.trace,
         extents: indexed.as_ref().map(IndexedTrace::extents),
         health: indexed.as_ref().map(IndexedTrace::health),
         salvage: Some(&salvaged.report),
-        file_len: Some(bytes.len() as u64),
-        rollup: rollup.as_ref(),
+        file_len: Some(file_len),
+        rollup: indexed.as_ref().and_then(IndexedTrace::rollup_health),
     };
     Ok(rules.run(&subject))
 }

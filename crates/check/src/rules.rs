@@ -1447,7 +1447,7 @@ mod tests {
         let mut bytes = Vec::new();
         lagalyzer_trace::binary::write_with_rollup(&trace, &mut bytes, rollup).unwrap();
 
-        let clean = crate::check_bytes(&bytes, &mut RuleSet::standard()).unwrap();
+        let clean = crate::check_bytes(bytes.to_vec(), &mut RuleSet::standard()).unwrap();
         assert!(
             !clean.diagnostics().iter().any(|d| d.code == "LA014"),
             "intact rollup must not trip LA014"
@@ -1456,7 +1456,7 @@ mod tests {
         let indexed = lagalyzer_trace::IndexedTrace::open(bytes.clone()).unwrap();
         let extent = indexed.extents()[0];
         bytes[(extent.offset + extent.len / 2) as usize] ^= 0x01;
-        let report = crate::check_bytes(&bytes, &mut RuleSet::standard()).unwrap();
+        let report = crate::check_bytes(bytes.to_vec(), &mut RuleSet::standard()).unwrap();
         assert!(
             report.diagnostics().iter().any(|d| d.code == "LA014"),
             "mutated payload under a kept rollup section must trip LA014: {:?}",

@@ -25,7 +25,7 @@ fn all_table2_apps_are_clean() {
 
         let mut bytes = Vec::new();
         binary::write(&trace, &mut bytes).unwrap();
-        let report = check_bytes(&bytes, &mut RuleSet::standard()).unwrap();
+        let report = check_bytes(bytes.to_vec(), &mut RuleSet::standard()).unwrap();
         assert!(
             report.is_clean(),
             "{}: binary diagnostics: {}",
@@ -42,7 +42,7 @@ fn text_codec_round_trip_is_clean() {
     let trace = runner::simulate_session(&profiles[0], 0, 42);
     let mut bytes = Vec::new();
     text::write(&trace, &mut bytes).unwrap();
-    let report = check_bytes(&bytes, &mut RuleSet::standard()).unwrap();
+    let report = check_bytes(bytes.to_vec(), &mut RuleSet::standard()).unwrap();
     assert!(report.is_clean(), "{}", report.render_text("text"));
 }
 
@@ -52,10 +52,10 @@ fn json_report_is_stable_across_runs() {
     let trace = runner::simulate_session(&profiles[1], 0, 42);
     let mut bytes = Vec::new();
     binary::write(&trace, &mut bytes).unwrap();
-    let a = check_bytes(&bytes, &mut RuleSet::standard())
+    let a = check_bytes(bytes.to_vec(), &mut RuleSet::standard())
         .unwrap()
         .render_json("app.lgz");
-    let b = check_bytes(&bytes, &mut RuleSet::standard())
+    let b = check_bytes(bytes.to_vec(), &mut RuleSet::standard())
         .unwrap()
         .render_json("app.lgz");
     assert_eq!(a, b);

@@ -35,7 +35,7 @@ proptest! {
         if damaged == bytes {
             return Ok(());
         }
-        match check_bytes(&damaged, &mut RuleSet::standard()) {
+        match check_bytes(damaged.to_vec(), &mut RuleSet::standard()) {
             Err(_) => {} // unrecoverable: the CLI exits 3
             Ok(report) => prop_assert!(
                 !report.is_clean(),
@@ -51,7 +51,7 @@ fn bitflip_in_payload_yields_error_with_span_inside_file() {
     let mut damaged = bytes.to_vec();
     let mid = damaged.len() / 2;
     damaged[mid] ^= 0x10;
-    let report = check_bytes(&damaged, &mut RuleSet::standard()).unwrap();
+    let report = check_bytes(damaged.to_vec(), &mut RuleSet::standard()).unwrap();
     let error = report
         .diagnostics()
         .iter()
@@ -86,7 +86,7 @@ fn sub_floor_episode_written_as_full_record_is_diagnosed() {
     let mut bytes = Vec::new();
     binary::write(&b.finish(), &mut bytes).unwrap();
 
-    let report = check_bytes(&bytes, &mut RuleSet::standard()).unwrap();
+    let report = check_bytes(bytes.to_vec(), &mut RuleSet::standard()).unwrap();
     let hit = report
         .diagnostics()
         .iter()

@@ -30,7 +30,7 @@
 #![forbid(unsafe_code)]
 
 use std::fs;
-use std::io::Write as _;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::OnceLock;
@@ -38,8 +38,9 @@ use std::sync::OnceLock;
 use lagalyzer_check::{check_bytes, Diagnostic, HazardConfig, HazardReport, RuleSet, Severity};
 use lagalyzer_core::browser::SortBy;
 use lagalyzer_core::prelude::*;
+use lagalyzer_core::rollup::{Folded, RollupBuilder};
 use lagalyzer_model::{
-    json_string, DurationNs, Episode, EpisodeId, SessionTrace, SymbolTable, TimeNs,
+    json_string, DurationNs, Episode, EpisodeId, LockGraph, SessionTrace, SymbolTable, TimeNs,
 };
 use lagalyzer_report::{figures, table3, Study};
 use lagalyzer_sim::{apps, runner};
@@ -82,6 +83,16 @@ impl From<String> for Failure {
     }
 }
 
+/// A failed write to stdout (a closed pipe, say) is an I/O error.
+impl From<std::io::Error> for Failure {
+    fn from(e: std::io::Error) -> Failure {
+        Failure {
+            msg: format!("cannot write output: {e}"),
+            code: 1,
+        }
+    }
+}
+
 impl From<&str> for Failure {
     fn from(msg: &str) -> Failure {
         Failure {
@@ -93,7 +104,13 @@ impl From<&str> for Failure {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    // Every command prints through one buffered writer over the locked
+    // stdout, flushed once: a closed stdout then surfaces as a write or
+    // flush error (exit 1), never as a panic.
+    let mut stdout = BufWriter::new(std::io::stdout().lock());
+    let ran = run(&args, &mut stdout);
+    let flushed = stdout.flush();
+    match ran.and_then(|code| flushed.map(|()| code).map_err(Failure::from)) {
         Ok(code) => code,
         Err(failure) => {
             eprintln!("error: {}", failure.msg);
@@ -102,38 +119,39 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(args: &[String]) -> Result<ExitCode, Failure> {
+fn run(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
     let Some(command) = args.first() else {
-        print_usage();
+        print_usage(stdout)?;
         return Ok(ExitCode::SUCCESS);
     };
     let rest = &args[1..];
     match command.as_str() {
-        "apps" => cmd_apps(),
-        "simulate" => cmd_simulate(rest),
-        "pack" => cmd_pack(rest),
-        "compact" => cmd_compact(rest),
-        "analyze" => cmd_analyze(rest),
-        "patterns" => cmd_patterns(rest),
-        "sketch" => cmd_sketch(rest),
-        "timeline" => cmd_timeline(rest),
-        "stable" => cmd_stable(rest),
-        "diff" => cmd_diff(rest),
-        "lint" => cmd_lint(rest),
-        "check" => cmd_check(rest),
-        "hazards" => cmd_hazards(rest),
-        "outliers" => cmd_outliers(rest),
-        "experiments" => cmd_experiments(rest),
+        "apps" => cmd_apps(stdout),
+        "simulate" => cmd_simulate(rest, stdout),
+        "pack" => cmd_pack(rest, stdout),
+        "compact" => cmd_compact(rest, stdout),
+        "analyze" => cmd_analyze(rest, stdout),
+        "patterns" => cmd_patterns(rest, stdout),
+        "sketch" => cmd_sketch(rest, stdout),
+        "timeline" => cmd_timeline(rest, stdout),
+        "stable" => cmd_stable(rest, stdout),
+        "diff" => cmd_diff(rest, stdout),
+        "lint" => cmd_lint(rest, stdout),
+        "check" => cmd_check(rest, stdout),
+        "hazards" => cmd_hazards(rest, stdout),
+        "outliers" => cmd_outliers(rest, stdout),
+        "experiments" => cmd_experiments(rest, stdout),
         "help" | "--help" | "-h" => {
-            print_usage();
+            print_usage(stdout)?;
             Ok(ExitCode::SUCCESS)
         }
         other => Err(format!("unknown command {other:?}; try `lagalyzer help`").into()),
     }
 }
 
-fn print_usage() {
-    println!(
+fn print_usage(stdout: &mut dyn Write) -> std::io::Result<()> {
+    writeln!(
+        stdout,
         "lagalyzer — latency profile analysis and visualization\n\
          \n\
          usage: lagalyzer <command> [options]\n\
@@ -211,7 +229,8 @@ fn print_usage() {
          check exits 0 when clean (notes allowed), 1 on warnings, 2 on\n\
          errors, 3 when the trace is unrecoverable. analyze --check runs\n\
          the checker first and refuses analysis when it reports errors."
-    );
+    )?;
+    Ok(())
 }
 
 /// Every value-taking flag of every subcommand, so positional-argument
@@ -353,21 +372,23 @@ fn explained<'a, T>(args: &[String], findings: &'a [T]) -> Result<Option<&'a T>,
         .ok_or_else(|| format!("report has {} finding(s), no index {index}", findings.len()).into())
 }
 
-fn cmd_apps() -> Result<ExitCode, Failure> {
-    println!(
+fn cmd_apps(stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
+    writeln!(
+        stdout,
         "{:<15} {:<10} {:>8}  description",
         "name", "version", "classes"
-    );
+    )?;
     for p in apps::standard_suite() {
-        println!(
+        writeln!(
+            stdout,
             "{:<15} {:<10} {:>8}  {}",
             p.name, p.version, p.classes, p.description
-        );
+        )?;
     }
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_simulate(args: &[String]) -> Result<ExitCode, Failure> {
+fn cmd_simulate(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
     let app_name = opt_value(args, "--app").ok_or("simulate requires --app NAME")?;
     let profile = apps::by_name(app_name)
         .ok_or_else(|| format!("unknown application {app_name:?}; see `lagalyzer apps`"))?;
@@ -403,11 +424,12 @@ fn cmd_simulate(args: &[String]) -> Result<ExitCode, Failure> {
         )
         .map_err(|e| e.to_string())?;
         fs::write(out, &packed).map_err(|e| format!("cannot write {out}: {e}"))?;
-        println!(
+        writeln!(
+            stdout,
             "wrote {} corpus of {n} sessions ({} traced episodes) to {out}",
             profile.name,
             opened.iter().map(IndexedTrace::len).sum::<usize>()
-        );
+        )?;
         return Ok(ExitCode::SUCCESS);
     }
     let trace = runner::simulate_session(&profile, session, seed);
@@ -423,16 +445,17 @@ fn cmd_simulate(args: &[String]) -> Result<ExitCode, Failure> {
             .map_err(|e| e.to_string())?;
     }
     writer.flush().map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        stdout,
         "wrote {} ({} traced episodes, {} filtered) to {out}",
         profile.name,
         trace.episodes().len(),
         trace.short_episode_count()
-    );
+    )?;
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_pack(args: &[String]) -> Result<ExitCode, Failure> {
+fn cmd_pack(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
     let out = opt_value(args, "--out").ok_or("pack requires --out FILE.lgzc")?;
     let inputs = positional_args(args);
     if inputs.is_empty() {
@@ -473,7 +496,7 @@ fn cmd_pack(args: &[String]) -> Result<ExitCode, Failure> {
         .iter()
         .filter(|t| t.salvage_report().is_some_and(|r| !r.is_clean()))
         .count();
-    // Clean inputs without a persisted rollup get one built at pack time
+    // Clean inputs without a persisted rollup get one folded at pack time
     // (decode once now, answer warm forever); salvaged inputs stay cold
     // since the warm path refuses damaged sessions anyway.
     let jobs = parse_jobs(args)?;
@@ -483,19 +506,21 @@ fn cmd_pack(args: &[String]) -> Result<ExitCode, Failure> {
             if t.rollup().is_some() || t.salvage_report().is_some() {
                 return None;
             }
-            t.par_decode(jobs)
+            RollupBuilder::new(t.meta(), t.symbols())
+                .fold(&t.source(), jobs, &EpisodeFilter::default())
                 .ok()
-                .map(|trace| lagalyzer_core::rollup::build(&trace))
+                .map(|folded| folded.rollup)
         })
         .collect();
     let packed = corpus::pack_with_rollups(&opened, built, options).map_err(|e| e.to_string())?;
     fs::write(out, &packed).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!(
+    writeln!(
+        stdout,
         "packed {} session(s), {episodes} episode(s) into {out} ({} bytes): \
          {per_file_symbols} per-file symbols deduplicated to {distinct_symbols}",
         opened.len(),
         packed.len(),
-    );
+    )?;
     if damaged > 0 {
         Ok(ExitCode::from(EXIT_SALVAGED))
     } else {
@@ -503,7 +528,7 @@ fn cmd_pack(args: &[String]) -> Result<ExitCode, Failure> {
     }
 }
 
-fn cmd_compact(args: &[String]) -> Result<ExitCode, Failure> {
+fn cmd_compact(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
     let path = first_path(args, "compact")?;
     let out = opt_value(args, "--out").ok_or("compact requires --out FILE.lgzc")?;
     let jobs = parse_jobs(args)?;
@@ -524,10 +549,11 @@ fn cmd_compact(args: &[String]) -> Result<ExitCode, Failure> {
         .map_err(|e| e.to_string())?;
     let after = compacted.len();
     fs::write(out, compacted).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!(
+    writeln!(
+        stdout,
         "compacted {} session(s): {before} -> {after} bytes in {out}",
         reader.len()
-    );
+    )?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -845,6 +871,39 @@ impl Input {
             .collect()
     }
 
+    /// The one indexed session this input names, or why there is none: a
+    /// whole corpus has to pick a member with `--session K`.
+    fn single_source(&self) -> Result<SessionSource<'_>, Failure> {
+        self.source().ok_or_else(|| {
+            let sessions = self.corpus_wide().map_or(0, CorpusReader::len);
+            format!(
+                "{} is a corpus of {sessions} sessions; select one with --session K",
+                self.path
+            )
+            .into()
+        })
+    }
+
+    /// Runs a decode of the input's one indexed session, reopening a
+    /// `--salvage` input through the salvage scan and running it again when
+    /// it fails (see [`Input::rescan`]). Returns the result and the source
+    /// it came from.
+    fn with_source<T>(
+        &self,
+        decode: impl Fn(&SessionSource<'_>) -> Result<T, TraceError>,
+    ) -> Result<(T, SessionSource<'_>), Failure> {
+        let source = self.single_source()?;
+        let (source, decoded) = match decode(&source) {
+            Err(_) if self.rescan() => {
+                let source = self.source().expect("a rescanned trace has a source");
+                (source, decode(&source))
+            }
+            decoded => (source, decoded),
+        };
+        let decoded = decoded.map_err(|e| format!("cannot load {}: {e}", self.path))?;
+        Ok((decoded, source))
+    }
+
     /// The cold path: the filtered session, decoded, and how many
     /// episodes the filter excluded.
     fn decode(&self) -> Result<(SessionTrace, u64), Failure> {
@@ -853,23 +912,69 @@ impl Input {
             let excluded = trace.episodes().len() - kept.episodes().len();
             return Ok((kept, excluded as u64));
         }
-        let Some(source) = self.source() else {
-            let sessions = self.corpus_wide().map_or(0, CorpusReader::len);
-            return Err(format!(
-                "{} is a corpus of {sessions} sessions; select one with --session K",
-                self.path
-            )
-            .into());
-        };
-        let (source, decoded) = match source.decode_filtered(self.jobs, &self.filter) {
-            Err(_) if self.rescan() => {
-                let source = self.source().expect("a rescanned trace has a source");
-                (source, source.decode_filtered(self.jobs, &self.filter))
-            }
-            decoded => (source, decoded),
-        };
-        let trace = decoded.map_err(|e| format!("cannot load {}: {e}", self.path))?;
+        let (trace, source) =
+            self.with_source(|source| source.decode_filtered(self.jobs, &self.filter))?;
         Ok((trace, source.excluded_by(&self.filter) as u64))
+    }
+
+    /// The streamed cold path: the episodes the filter admits, lent one at
+    /// a time to `step` with their positions (extent positions, or indices
+    /// into a text trace) and never kept. An indexed session folds over
+    /// `--jobs` workers (see [`SessionSource::fold`]); a text trace, whose
+    /// episodes are already decoded, feeds them in order. Returns the
+    /// shard states in episode order and how many episodes the filter
+    /// excluded.
+    fn fold<S: Send>(
+        &self,
+        init: impl Fn() -> S + Sync,
+        step: impl Fn(&mut S, usize, &Episode) + Sync,
+    ) -> Result<(Vec<S>, u64), Failure> {
+        if let Opened::Text(trace) = &self.opened {
+            let mut state = init();
+            let mut excluded = 0;
+            for (position, episode) in trace.episodes().iter().enumerate() {
+                if self.filter.admits_episode(episode) {
+                    step(&mut state, position, episode);
+                } else {
+                    excluded += 1;
+                }
+            }
+            return Ok((vec![state], excluded));
+        }
+        let (states, source) =
+            self.with_source(|source| source.fold(self.jobs, &self.filter, &init, &step))?;
+        Ok((states, source.excluded_by(&self.filter) as u64))
+    }
+
+    /// The session folded into an in-memory rollup as it is decoded, and
+    /// the facts it is analyzed under. `breakdowns: false` leaves the lag
+    /// breakdowns out, for answers that read none.
+    fn fold_rollup(&self, breakdowns: bool) -> Result<(Folded, SessionFacts<'_>), Failure> {
+        let (folded, facts) = if let Opened::Text(trace) = &self.opened {
+            let builder = RollupBuilder::new(trace.meta(), trace.symbols()).breakdowns(breakdowns);
+            let (shards, excluded) =
+                self.fold(|| builder.shard(), |shard, i, e| builder.push(shard, i, e))?;
+            let facts = SessionFacts {
+                excluded,
+                ..SessionFacts::of_trace(trace, self.config)
+            };
+            (builder.finish(shards), facts)
+        } else {
+            // The builder resolves I/O classes in the symbol table of the
+            // source it folds, which a salvage rescan replaces.
+            let (folded, source) = self.with_source(|source| {
+                RollupBuilder::new(source.meta(), source.symbols())
+                    .breakdowns(breakdowns)
+                    .fold(source, self.jobs, &self.filter)
+            })?;
+            let facts = SessionFacts {
+                excluded: source.excluded_by(&self.filter) as u64,
+                ..SessionFacts::of_source(&source, self.config)
+            };
+            (folded, facts)
+        };
+        let salvaged = self.provenance().is_salvaged();
+        Ok((folded, SessionFacts { salvaged, ..facts }))
     }
 
     /// [`Input::decode`], wrapped for analysis with its provenance.
@@ -898,9 +1003,15 @@ impl Input {
     }
 
     /// Re-decodes just the episodes at extent `positions`, touching no
-    /// other extent's bytes.
+    /// other extent's bytes; a text trace's are copied from its episodes.
     fn decode_subset(&self, positions: &[usize]) -> Option<Vec<Episode>> {
-        self.source()?.decode_subset(self.jobs, positions).ok()
+        match &self.opened {
+            Opened::Text(trace) => positions
+                .iter()
+                .map(|&i| trace.episodes().get(i).cloned())
+                .collect(),
+            _ => self.source()?.decode_subset(self.jobs, positions).ok(),
+        }
     }
 
     /// The episode a finding names: re-decoded alone from its extent on an
@@ -928,11 +1039,14 @@ impl Input {
     /// Answers a single-session command by running `answer` once over the
     /// session's summaries: read from a validated rollup (warm, noted on
     /// stderr as `rollup: cache hit (N episode summaries, {how})`), else
-    /// summarized from the decoded session (cold). A warm answer whose
-    /// lock/wait re-decode fails falls back to the cold path.
+    /// from a rollup folded in memory while the session decodes (cold),
+    /// with lag breakdowns only when `breakdowns` asks for them. Both come
+    /// through [`Summaries::of_rollup`]. A warm answer whose lock/wait
+    /// re-decode fails falls back to the cold path.
     fn answer<T>(
         &self,
         how: &str,
+        breakdowns: bool,
         answer: impl Fn(&Summaries<'_>) -> Option<T>,
     ) -> Result<T, Failure> {
         if let Some(warm) = self.warm() {
@@ -944,8 +1058,9 @@ impl Input {
                 return Ok(found);
             }
         }
-        let session = self.session()?;
-        answer(&Summaries::of_session(&session))
+        let (folded, facts) = self.fold_rollup(breakdowns)?;
+        let rows = RollupRows::Folded(&folded.rows);
+        answer(&Summaries::of_rollup(facts, &folded.rollup, rows))
             .ok_or_else(|| format!("cannot analyze {}", self.path).into())
     }
 
@@ -981,11 +1096,11 @@ fn load_sessions(
     Ok((sessions, ExitCode::from(code)))
 }
 
-/// `analyze --check`: runs the semantic checker over the input's bytes
-/// before they are opened. Errors refuse analysis (exit 2); warnings and
-/// notes are reported and analysis goes on.
+/// `analyze --check`: runs the semantic checker over a copy of the
+/// input's bytes before they are opened. Errors refuse analysis (exit 2);
+/// warnings and notes are reported and analysis goes on.
 fn run_check(path: &str, bytes: &[u8]) -> Result<CheckOutcome, Failure> {
-    let report = check_bytes(bytes, &mut RuleSet::standard())
+    let report = check_bytes(bytes.to_vec(), &mut RuleSet::standard())
         .map_err(|e| Failure::unrecoverable(format!("cannot check {path}: {e}")))?;
     if report.errors() > 0 {
         eprint!("{}", report.render_text(path));
@@ -1011,7 +1126,7 @@ fn run_check(path: &str, bytes: &[u8]) -> Result<CheckOutcome, Failure> {
     })
 }
 
-fn cmd_analyze(args: &[String]) -> Result<ExitCode, Failure> {
+fn cmd_analyze(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
     let path = first_path(args, "analyze")?;
     let bytes = read_input(path)?;
     let check = if opt_flag(args, "--check") {
@@ -1024,7 +1139,7 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, Failure> {
     };
     let input = Input::open(args, path, bytes)?;
     if let Some(reader) = input.corpus_wide() {
-        return analyze_corpus(args, &input, reader);
+        return analyze_corpus(args, &input, reader, stdout);
     }
     if parse_format(args)? != "text" {
         return Err("--format json is only supported for corpus-wide analyze".into());
@@ -1036,7 +1151,7 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, Failure> {
     // outlier scan share one mined pattern set (the dedicated `outliers`
     // subcommand exposes the knobs).
     let (meta, stats, excluded, outliers, histogram) =
-        input.answer("zero decode", |summaries| {
+        input.answer("zero decode", true, |summaries| {
             let patterns = summaries.mine_patterns_with_jobs(jobs);
             let outliers = input.outliers(summaries, &patterns, &OutlierConfig::default())?;
             Some((
@@ -1047,42 +1162,50 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, Failure> {
                 histogram.then(|| summaries.histogram()),
             ))
         })?;
-    println!("application       {}", meta.application);
-    println!("session           {}", meta.session);
-    println!("E2E               {:.0} s", stats.end_to_end.as_secs_f64());
-    println!(
+    writeln!(stdout, "application       {}", meta.application)?;
+    writeln!(stdout, "session           {}", meta.session)?;
+    writeln!(
+        stdout,
+        "E2E               {:.0} s",
+        stats.end_to_end.as_secs_f64()
+    )?;
+    writeln!(
+        stdout,
         "in-episode        {:.0} %",
         stats.in_episode_fraction * 100.0
-    );
-    println!("episodes < 3ms    {}", stats.short_count);
-    println!("episodes >= 3ms   {}", stats.traced_count);
-    println!("episodes >= 100ms {}", stats.perceptible_count);
+    )?;
+    writeln!(stdout, "episodes < 3ms    {}", stats.short_count)?;
+    writeln!(stdout, "episodes >= 3ms   {}", stats.traced_count)?;
+    writeln!(stdout, "episodes >= 100ms {}", stats.perceptible_count)?;
     if excluded > 0 {
-        println!("filtered out      {excluded}");
+        writeln!(stdout, "filtered out      {excluded}")?;
     }
-    println!("long per minute   {:.0}", stats.long_per_minute);
-    println!("distinct patterns {}", stats.distinct_patterns);
-    println!("episodes in pats  {}", stats.episodes_in_patterns);
-    println!(
+    writeln!(stdout, "long per minute   {:.0}", stats.long_per_minute)?;
+    writeln!(stdout, "distinct patterns {}", stats.distinct_patterns)?;
+    writeln!(stdout, "episodes in pats  {}", stats.episodes_in_patterns)?;
+    writeln!(
+        stdout,
         "singleton pats    {:.0} %",
         stats.singleton_fraction * 100.0
-    );
-    println!("mean tree size    {:.1}", stats.mean_tree_size);
-    println!("mean tree depth   {:.1}", stats.mean_tree_depth);
-    println!("outliers          {}", outliers.summary());
+    )?;
+    writeln!(stdout, "mean tree size    {:.1}", stats.mean_tree_size)?;
+    writeln!(stdout, "mean tree depth   {:.1}", stats.mean_tree_depth)?;
+    writeln!(stdout, "outliers          {}", outliers.summary())?;
     if let Some(check) = check {
-        println!(
+        writeln!(
+            stdout,
             "semantic check    {} error(s), {} warning(s), {} note(s)",
             check.errors, check.warnings, check.notes
-        );
+        )?;
     }
     if let Some(histogram) = histogram {
-        println!("\nepisode duration distribution:");
-        print!("{}", histogram.to_ascii(50));
-        println!(
+        writeln!(stdout, "\nepisode duration distribution:")?;
+        write!(stdout, "{}", histogram.to_ascii(50))?;
+        writeln!(
+            stdout,
             "fraction handled under 128ms: {:.1} %",
             histogram.fraction_under(DurationNs::from_millis(128)) * 100.0
-        );
+        )?;
     }
     Ok(input.exit_code())
 }
@@ -1098,7 +1221,7 @@ type CorpusPatterns = (Vec<(usize, usize)>, MultiPatternSet, u64);
 fn corpus_patterns(input: &Input, reader: &CorpusReader) -> Result<CorpusPatterns, Failure> {
     let (jobs, threshold) = (input.jobs, input.config.perceptible_threshold);
     let warms = input.warm_corpus();
-    let sessions: Vec<AnalysisSession>;
+    let folded: Vec<(Folded, SessionSource<'_>)>;
     let cold: Vec<Summaries<'_>>;
     let members: Vec<&Summaries<'_>> = match &warms {
         Some(warms) => {
@@ -1106,12 +1229,26 @@ fn corpus_patterns(input: &Input, reader: &CorpusReader) -> Result<CorpusPattern
             warms.iter().map(WarmSession::summaries).collect()
         }
         None => {
-            sessions = input
-                .decode_corpus(reader)?
-                .into_iter()
-                .map(|trace| AnalysisSession::new(trace, input.config))
+            // Each member folded into an in-memory rollup as it decodes;
+            // mining reads no lag breakdowns.
+            folded = reader
+                .sessions()
+                .map(|view| {
+                    let source = view.source();
+                    RollupBuilder::new(source.meta(), source.symbols())
+                        .breakdowns(false)
+                        .fold(&source, jobs, &input.filter)
+                        .map(|folded| (folded, source))
+                })
+                .collect::<Result<_, TraceError>>()
+                .map_err(|e| format!("cannot load {}: {e}", input.path))?;
+            cold = folded
+                .iter()
+                .map(|(folded, source)| {
+                    let facts = SessionFacts::of_source(source, input.config);
+                    Summaries::of_rollup(facts, &folded.rollup, RollupRows::Folded(&folded.rows))
+                })
                 .collect();
-            cold = sessions.iter().map(Summaries::of_session).collect();
             cold.iter().collect()
         }
     };
@@ -1140,6 +1277,7 @@ fn analyze_corpus(
     args: &[String],
     input: &Input,
     reader: &CorpusReader,
+    stdout: &mut dyn Write,
 ) -> Result<ExitCode, Failure> {
     let format = parse_format(args)?;
     let (counts, multi, excluded) = corpus_patterns(input, reader)?;
@@ -1166,7 +1304,8 @@ fn analyze_corpus(
                 )
             })
             .collect();
-        println!(
+        writeln!(
+            stdout,
             "{{\"corpus\":{{\"sessions\":{},\"episodes\":{episodes},\"perceptible\":{perceptible},\
              \"filtered_out\":{excluded},\"global_symbols\":{},\"damaged_sessions\":{damaged}}},\
              \"sessions\":[{}],\
@@ -1177,17 +1316,21 @@ fn analyze_corpus(
             multi.len(),
             multi.recurring().count(),
             multi.stable_problems().len(),
-        );
+        )?;
     } else {
-        println!("corpus            {}", input.path);
-        println!("sessions          {}", reader.len());
-        println!("episodes          {episodes}");
-        println!("episodes >= 100ms {perceptible}");
+        writeln!(stdout, "corpus            {}", input.path)?;
+        writeln!(stdout, "sessions          {}", reader.len())?;
+        writeln!(stdout, "episodes          {episodes}")?;
+        writeln!(stdout, "episodes >= 100ms {perceptible}")?;
         if excluded > 0 {
-            println!("filtered out      {excluded}");
+            writeln!(stdout, "filtered out      {excluded}")?;
         }
-        println!("global symbols    {}", reader.global_symbols().len());
-        println!("damaged sessions  {damaged}");
+        writeln!(
+            stdout,
+            "global symbols    {}",
+            reader.global_symbols().len()
+        )?;
+        writeln!(stdout, "damaged sessions  {damaged}")?;
         for (view, (episodes, perceptible)) in reader.sessions().zip(&counts) {
             let meta = view.source().meta();
             let mut notes = Vec::new();
@@ -1199,7 +1342,8 @@ fn analyze_corpus(
             if view.is_compressed() {
                 notes.push("compressed");
             }
-            println!(
+            writeln!(
+                stdout,
                 "  session {:<3} {} {}  {episodes:>6} episodes {perceptible:>5} perceptible  [{}]{}",
                 view.index(),
                 meta.application,
@@ -1210,62 +1354,70 @@ fn analyze_corpus(
                 } else {
                     format!(" ({})", notes.join(", "))
                 },
-            );
+            )?;
         }
-        println!(
+        writeln!(
+            stdout,
             "merged patterns   {} ({} recurring in every session)",
             multi.len(),
             multi.recurring().count()
-        );
-        println!("stable problems   {}", multi.stable_problems().len());
+        )?;
+        writeln!(
+            stdout,
+            "stable problems   {}",
+            multi.stable_problems().len()
+        )?;
     }
     Ok(input.exit_code())
 }
 
-fn cmd_patterns(args: &[String]) -> Result<ExitCode, Failure> {
+fn cmd_patterns(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
     let input = Input::load(args, "patterns")?;
     let perceptible_only = opt_flag(args, "--perceptible-only");
     if let Some(reader) = input.corpus_wide() {
         // The merged cross-session table.
         let (_, multi, _) = corpus_patterns(&input, reader)?;
-        println!(
+        writeln!(
+            stdout,
             "{} sessions, {} merged patterns ({} recurring in every session)",
             multi.sessions(),
             multi.len(),
             multi.recurring().count()
-        );
-        println!(
+        )?;
+        writeln!(
+            stdout,
             "{:>5} {:>5} {:>8} {:>12}  signature",
             "eps", "perc", "sessions", "total lag"
-        );
+        )?;
         for p in multi.patterns() {
             if perceptible_only && p.total_perceptible() == 0 {
                 continue;
             }
             let sig: String = p.signature().as_str().chars().take(60).collect();
-            println!(
+            writeln!(
+                stdout,
                 "{:>5} {:>5} {:>8} {:>12}  {sig}",
                 p.total_episodes(),
                 p.total_perceptible(),
                 p.session_coverage(),
                 p.total_lag().to_string(),
-            );
+            )?;
         }
         return Ok(input.exit_code());
     }
     let sort = parse_sort(args)?;
-    let patterns = input.answer("zero decode", |summaries| {
+    let patterns = input.answer("zero decode", false, |summaries| {
         Some(summaries.mine_patterns_with_jobs(input.jobs))
     })?;
     // The table needs only the patterns: a set mined from a salvaged
     // session carries the provenance note itself.
     let mut browser = PatternBrowser::of_patterns(&patterns);
     browser.perceptible_only(perceptible_only).sort_by(sort);
-    print!("{}", browser.to_table());
+    write!(stdout, "{}", browser.to_table())?;
     Ok(input.exit_code())
 }
 
-fn cmd_lint(args: &[String]) -> Result<ExitCode, Failure> {
+fn cmd_lint(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
     let path = first_path(args, "lint")?;
     let bytes = read_input(path)?;
     if corpus::is_corpus(&bytes) {
@@ -1274,16 +1426,17 @@ fn cmd_lint(args: &[String]) -> Result<ExitCode, Failure> {
         // as single traces (1 is reserved for usage/I-O errors).
         return match CorpusReader::open(bytes) {
             Err(e) => {
-                println!("unrecoverable: {e}");
+                writeln!(stdout, "unrecoverable: {e}")?;
                 Ok(ExitCode::from(DamageVerdict::Unrecoverable.exit_code()))
             }
             Ok(reader) => {
-                println!(
+                writeln!(
+                    stdout,
                     "corpus              {} session(s), {} episode(s), {} symbol(s)",
                     reader.len(),
                     reader.total_episodes(),
                     reader.global_symbols().len()
-                );
+                )?;
                 for view in reader.sessions() {
                     let status = if view.is_damaged() {
                         format!(
@@ -1296,47 +1449,54 @@ fn cmd_lint(args: &[String]) -> Result<ExitCode, Failure> {
                     } else {
                         "clean".to_string()
                     };
-                    println!(
+                    writeln!(
+                        stdout,
                         "session {:<11} index {}; rollup {}; {status}",
                         view.index(),
                         view.health(),
                         view.rollup_health(),
-                    );
+                    )?;
                 }
                 let verdict = reader.damage_verdict();
-                println!(
+                writeln!(
+                    stdout,
                     "aggregate           {}",
                     if matches!(verdict, DamageVerdict::Clean) {
                         "clean"
                     } else {
                         "damaged corpus"
                     }
-                );
+                )?;
                 Ok(ExitCode::from(verdict.exit_code()))
             }
         };
     }
+    // Index and rollup health are diagnostic only; they never change the
+    // exit code (a footerless or footer-damaged trace still decodes, and a
+    // stale cache only costs the warm path). They are probed before the
+    // salvage decode takes over the buffer.
+    let index = lagalyzer_trace::index::probe_health(&bytes);
+    let rollup = lagalyzer_trace::probe_rollup(&bytes);
     // The report comes from the salvage decode `check` runs, and the exit
     // code from the shared damage classification, so `lint` and `check`
     // can never disagree on what counts as salvaged.
-    match lagalyzer_trace::decode_bytes_salvage(&bytes, 1) {
+    match lagalyzer_trace::decode_bytes_salvage(bytes, 1) {
         Err(e) => {
-            println!("unrecoverable: {e}");
+            writeln!(stdout, "unrecoverable: {e}")?;
             Ok(ExitCode::from(DamageVerdict::Unrecoverable.exit_code()))
         }
         Ok((salvaged, _)) => {
-            print!("{}", salvaged.report.render());
-            // Index health is diagnostic only; it never changes the exit
-            // code (a footerless or footer-damaged trace still decodes).
-            match lagalyzer_trace::index::probe_health(&bytes) {
-                Some(health) => println!("index               {health}"),
-                None => println!("index               not applicable (text trace)"),
+            write!(stdout, "{}", salvaged.report.render())?;
+            match index {
+                Some(health) => writeln!(stdout, "index               {health}")?,
+                None => writeln!(stdout, "index               not applicable (text trace)")?,
             }
-            // Rollup health is diagnostic too: a stale cache only costs
-            // the warm path, never correctness.
-            match lagalyzer_trace::probe_rollup(&bytes) {
-                Some(health) => println!("rollup              {health}"),
-                None => println!("rollup              not applicable (no v2 section region)"),
+            match rollup {
+                Some(health) => writeln!(stdout, "rollup              {health}")?,
+                None => writeln!(
+                    stdout,
+                    "rollup              not applicable (no v2 section region)"
+                )?,
             }
             Ok(ExitCode::from(
                 DamageVerdict::of_report(&salvaged.report).exit_code(),
@@ -1367,11 +1527,19 @@ fn check_ruleset(args: &[String]) -> Result<RuleSet, Failure> {
     Ok(rules)
 }
 
-fn cmd_check(args: &[String]) -> Result<ExitCode, Failure> {
+fn cmd_check(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
     if opt_flag(args, "--list-rules") {
-        println!("{:<7} {:<25} {:<8} summary", "code", "name", "level");
+        writeln!(
+            stdout,
+            "{:<7} {:<25} {:<8} summary",
+            "code", "name", "level"
+        )?;
         for (code, name, severity, summary) in RuleSet::standard().descriptions() {
-            println!("{code:<7} {name:<25} {:<8} {summary}", severity.name());
+            writeln!(
+                stdout,
+                "{code:<7} {name:<25} {:<8} {summary}",
+                severity.name()
+            )?;
         }
         return Ok(ExitCode::SUCCESS);
     }
@@ -1384,12 +1552,12 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, Failure> {
         // single traces, so corpus members are checked as `.lgz` files.
         return Err("check is not supported on corpus files".into());
     }
-    let report = check_bytes(&bytes, &mut rules)
+    let report = check_bytes(bytes, &mut rules)
         .map_err(|e| Failure::unrecoverable(format!("cannot check {path}: {e}")))?;
     if format == "json" {
-        println!("{}", report.render_json(path));
+        writeln!(stdout, "{}", report.render_json(path))?;
     } else {
-        print!("{}", report.render_text(path));
+        write!(stdout, "{}", report.render_text(path))?;
     }
     if let Some(out) = opt_value(args, "--fix-report") {
         let mut json = report.render_json(path);
@@ -1419,11 +1587,11 @@ fn parse_hazard_config(args: &[String]) -> Result<HazardConfig, Failure> {
     Ok(config)
 }
 
-fn cmd_hazards(args: &[String]) -> Result<ExitCode, Failure> {
+fn cmd_hazards(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
     let format = parse_format(args)?;
     let config = parse_hazard_config(args)?;
     let input = Input::load(args, "hazards")?;
-    let (report, trace) = match input.corpus_wide() {
+    let report = match input.corpus_wide() {
         Some(reader) => {
             // Corpus: per-session lock graphs re-interned through the
             // corpus-wide symbol table, then the cross-session merge
@@ -1433,23 +1601,36 @@ fn cmd_hazards(args: &[String]) -> Result<ExitCode, Failure> {
             }
             let traces = input.decode_corpus(reader)?;
             let mut symbols = reader.global_symbols().clone();
-            let report = HazardReport::analyze_corpus(&traces, &mut symbols, input.jobs, &config);
-            (report, None)
+            HazardReport::analyze_corpus(&traces, &mut symbols, input.jobs, &config)
         }
         None => {
-            // Extents carry byte-span provenance only for `.lgz` inputs.
-            let (trace, _) = input.decode()?;
-            let report = HazardReport::analyze(&trace, input.file_extents(), input.jobs, &config);
-            (report, Some(trace))
+            // The session's lock graph, folded as its episodes decode.
+            let (shards, _) = input.fold(
+                || (LockGraph::new(), 0usize),
+                |(graph, episodes), _, episode| {
+                    graph.add_episode(episode);
+                    *episodes += 1;
+                },
+            )?;
+            let mut graph = LockGraph::new();
+            let mut episodes = 0;
+            for (shard, n) in shards {
+                graph.merge(shard);
+                episodes += n;
+            }
+            // Only a `.lgz` trace's extents carry byte spans in the file.
+            let symbols = input.symbols().expect("a single session has symbols");
+            HazardReport::of_graph(&graph, episodes, symbols, input.file_extents(), &config)
         }
     };
     if format == "json" {
-        println!("{}", report.render_json(&input.path));
+        writeln!(stdout, "{}", report.render_json(&input.path))?;
     } else {
-        print!("{}", report.render_text(&input.path));
+        write!(stdout, "{}", report.render_text(&input.path))?;
     }
-    if let (Some(finding), Some(trace)) = (explained(args, &report.findings)?, &trace) {
-        explain_hazard(&input, trace, finding)?;
+    if let Some(finding) = explained(args, &report.findings)? {
+        let symbols = input.symbols().expect("--explain is refused on corpora");
+        explain_hazard(&input, symbols, finding, stdout)?;
     }
     Ok(input.exit_code())
 }
@@ -1458,36 +1639,38 @@ fn cmd_hazards(args: &[String]) -> Result<ExitCode, Failure> {
 /// ASCII sketch, the episode re-decoded alone from its extent.
 fn explain_hazard(
     input: &Input,
-    trace: &SessionTrace,
+    symbols: &SymbolTable,
     finding: &Diagnostic,
+    stdout: &mut dyn Write,
 ) -> Result<(), Failure> {
     let id = finding
         .episode_id
         .ok_or("this finding is graph-wide, not tied to one episode")?;
     let episode = input.explain_episode(id)?;
-    let symbols = trace.symbols();
-    println!(
+    writeln!(
+        stdout,
         "\nepisode {} — {}: {}",
         id.as_raw(),
         finding.code,
         finding.message
-    );
+    )?;
     let waits = lagalyzer_model::lockgraph::extract_waits(&episode);
     if waits.is_empty() {
-        println!("contended waits: none");
+        writeln!(stdout, "contended waits: none")?;
     } else {
-        println!("contended waits:");
+        writeln!(stdout, "contended waits:")?;
         for wait in &waits {
-            println!(
+            writeln!(
+                stdout,
                 "  t{:<4} {:>4} sample(s)  {:<9} on {}",
                 wait.thread.as_raw(),
                 wait.samples,
                 wait.kind.name(),
                 symbols.render(wait.lock),
-            );
+            )?;
         }
     }
-    print!("{}", ascii_sketch(&episode, symbols, 100));
+    write!(stdout, "{}", ascii_sketch(&episode, symbols, 100))?;
     Ok(())
 }
 
@@ -1519,13 +1702,13 @@ fn parse_outlier_config(args: &[String]) -> Result<OutlierConfig, Failure> {
     Ok(config)
 }
 
-fn cmd_outliers(args: &[String]) -> Result<ExitCode, Failure> {
+fn cmd_outliers(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
     let format = parse_format(args)?;
     let config = parse_outlier_config(args)?;
     let input = Input::load(args, "outliers")?;
     // Detection, medians, baselines and causes from the summaries; a warm
     // session re-decodes only its flagged lock/wait episodes.
-    let mut report = input.answer("decoded only flagged lock/wait", |summaries| {
+    let mut report = input.answer("decoded only flagged lock/wait", true, |summaries| {
         input.outliers(
             summaries,
             &summaries.mine_patterns_with_jobs(input.jobs),
@@ -1539,13 +1722,13 @@ fn cmd_outliers(args: &[String]) -> Result<ExitCode, Failure> {
     // provenance `check` diagnostics carry too).
     report.attach_spans(|id| input.span_of(id));
     if format == "json" {
-        println!("{}", report.render_json(symbols));
+        writeln!(stdout, "{}", report.render_json(symbols))?;
     } else {
-        print!("{}", report.render_text(symbols));
+        write!(stdout, "{}", report.render_text(symbols))?;
     }
     if let Some(finding) = explained(args, report.findings())? {
         let episode = input.explain_episode(finding.episode_id)?;
-        print_explanation(&episode, symbols, finding);
+        print_explanation(&episode, symbols, finding, stdout)?;
     }
     Ok(input.exit_code())
 }
@@ -1555,37 +1738,45 @@ fn print_explanation(
     episode: &Episode,
     symbols: &SymbolTable,
     finding: &lagalyzer_core::OutlierFinding,
-) {
-    println!(
+    stdout: &mut dyn Write,
+) -> std::io::Result<()> {
+    writeln!(
+        stdout,
         "\nepisode {} — {} ({}), excess +{}ms over the pattern median",
         finding.episode_id.as_raw(),
         finding.cause.code(),
         finding.cause.label(),
         finding.excess.as_nanos() / 1_000_000,
-    );
+    )?;
     let graph = lagalyzer_model::WaitGraph::extract(episode);
     if graph.wait_samples() > 0 {
-        println!(
+        writeln!(
+            stdout,
             "wait edges: {} blocked + {} waiting sample(s)",
             graph.blocked_samples, graph.waiting_samples
-        );
+        )?;
         for holder in graph.holders().iter().take(5) {
-            println!(
+            writeln!(
+                stdout,
                 "  t{:<4} {:>4} sample(s)  {}",
                 holder.thread.as_raw(),
                 holder.samples,
                 holder
                     .top_frame
                     .map_or_else(|| "<vm>".to_string(), |(m, _)| symbols.render(m)),
-            );
+            )?;
         }
     } else {
-        println!("wait edges: none (dispatch thread never sampled blocked/waiting)");
+        writeln!(
+            stdout,
+            "wait edges: none (dispatch thread never sampled blocked/waiting)"
+        )?;
     }
-    print!("{}", ascii_sketch(episode, symbols, 100));
+    write!(stdout, "{}", ascii_sketch(episode, symbols, 100))?;
+    Ok(())
 }
 
-fn cmd_sketch(args: &[String]) -> Result<ExitCode, Failure> {
+fn cmd_sketch(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
     let input = Input::load(args, "sketch")?;
     // Random access: a plain `--episode N` on an unfiltered, strictly
     // opened indexed input decodes just that episode, not the whole file.
@@ -1598,7 +1789,7 @@ fn cmd_sketch(args: &[String]) -> Result<ExitCode, Failure> {
         let episode = source
             .decode_episode(index)
             .map_err(|e| format!("cannot load {}: {e}", input.path))?;
-        render_episode_sketch(args, &episode, source.symbols(), index)?;
+        render_episode_sketch(args, &episode, source.symbols(), index, stdout)?;
         return Ok(input.exit_code());
     }
     let session = input.session()?;
@@ -1630,9 +1821,13 @@ fn cmd_sketch(args: &[String]) -> Result<ExitCode, Failure> {
             match opt_value(args, "--out") {
                 Some(out) => {
                     fs::write(out, svg).map_err(|e| format!("cannot write {out}: {e}"))?;
-                    println!("wrote gallery of {} episodes to {out}", episodes.len());
+                    writeln!(
+                        stdout,
+                        "wrote gallery of {} episodes to {out}",
+                        episodes.len()
+                    )?;
                 }
-                None => println!("{svg}"),
+                None => writeln!(stdout, "{svg}")?,
             }
             return Ok(input.exit_code());
         }
@@ -1646,7 +1841,7 @@ fn cmd_sketch(args: &[String]) -> Result<ExitCode, Failure> {
             session.episodes().len()
         )
     })?;
-    render_episode_sketch(args, episode, session.trace().symbols(), index)?;
+    render_episode_sketch(args, episode, session.trace().symbols(), index, stdout)?;
     Ok(input.exit_code())
 }
 
@@ -1655,66 +1850,72 @@ fn render_episode_sketch(
     episode: &Episode,
     symbols: &SymbolTable,
     index: usize,
+    stdout: &mut dyn Write,
 ) -> Result<(), Failure> {
     if opt_flag(args, "--ascii") {
-        print!("{}", ascii_sketch(episode, symbols, 100));
+        write!(stdout, "{}", ascii_sketch(episode, symbols, 100))?;
         return Ok(());
     }
     let svg = render_sketch(episode, symbols, &SketchOptions::default());
     match opt_value(args, "--out") {
         Some(out) => {
             fs::write(out, svg).map_err(|e| format!("cannot write {out}: {e}"))?;
-            println!("wrote sketch of episode {index} to {out}");
+            writeln!(stdout, "wrote sketch of episode {index} to {out}")?;
         }
-        None => println!("{svg}"),
+        None => writeln!(stdout, "{svg}")?,
     }
     Ok(())
 }
 
-fn cmd_timeline(args: &[String]) -> Result<ExitCode, Failure> {
+fn cmd_timeline(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
     let input = Input::load(args, "timeline")?;
     let svg = render_timeline(&input.session()?, &TimelineOptions::default());
     match opt_value(args, "--out") {
         Some(out) => {
             fs::write(out, svg).map_err(|e| format!("cannot write {out}: {e}"))?;
-            println!("wrote timeline to {out}");
+            writeln!(stdout, "wrote timeline to {out}")?;
         }
-        None => println!("{svg}"),
+        None => writeln!(stdout, "{svg}")?,
     }
     Ok(input.exit_code())
 }
 
-fn cmd_stable(args: &[String]) -> Result<ExitCode, Failure> {
+fn cmd_stable(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
     let paths = positional_args(args);
     if paths.is_empty() {
         return Err("stable requires at least one trace file".into());
     }
     let (sessions, code) = load_sessions(args, &paths)?;
     let multi = MultiPatternSet::mine_with_jobs(&sessions, parse_jobs(args)?);
-    println!(
+    writeln!(
+        stdout,
         "{} traces, {} merged patterns ({} recurring in every trace)",
         sessions.len(),
         multi.len(),
         multi.recurring().count()
-    );
+    )?;
     let problems = multi.stable_problems();
-    println!("stable slow patterns (perceptible wherever they occur):");
+    writeln!(
+        stdout,
+        "stable slow patterns (perceptible wherever they occur):"
+    )?;
     for (i, p) in problems.iter().take(15).enumerate() {
         let sig: String = p.signature().as_str().chars().take(70).collect();
-        println!(
+        writeln!(
+            stdout,
             "  {i:>2}. {:>4} episodes / {:>3} perceptible, total {} — {sig}",
             p.total_episodes(),
             p.total_perceptible(),
             p.total_lag(),
-        );
+        )?;
     }
     if problems.is_empty() {
-        println!("  (none)");
+        writeln!(stdout, "  (none)")?;
     }
     Ok(code)
 }
 
-fn cmd_diff(args: &[String]) -> Result<ExitCode, Failure> {
+fn cmd_diff(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
     let paths = positional_args(args);
     let usage = "diff requires exactly two trace files: BASELINE CANDIDATE";
     if paths.len() != 2 {
@@ -1726,54 +1927,56 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, Failure> {
     };
     let diff = lagalyzer_core::SessionDiff::between(baseline, candidate);
     const TOLERANCE: f64 = 0.20;
-    println!("{}", diff.summary(TOLERANCE));
+    writeln!(stdout, "{}", diff.summary(TOLERANCE))?;
     let trim = |sig: &lagalyzer_core::ShapeSignature| -> String {
         sig.as_str().chars().take(64).collect()
     };
     let regressions = diff.regressions(TOLERANCE);
     if !regressions.is_empty() {
-        println!("\nregressions (mean lag, perceptible count):");
+        writeln!(stdout, "\nregressions (mean lag, perceptible count):")?;
         for d in regressions.iter().take(10) {
-            println!(
+            writeln!(
+                stdout,
                 "  {} -> {}  ({} -> {} perceptible)  {}",
                 d.baseline_mean,
                 d.candidate_mean,
                 d.baseline_perceptible,
                 d.candidate_perceptible,
                 trim(&d.signature)
-            );
+            )?;
         }
     }
     let improvements = diff.improvements(TOLERANCE);
     if !improvements.is_empty() {
-        println!("\nimprovements:");
+        writeln!(stdout, "\nimprovements:")?;
         for d in improvements.iter().take(10) {
-            println!(
+            writeln!(
+                stdout,
                 "  {} -> {}  ({} -> {} perceptible)  {}",
                 d.baseline_mean,
                 d.candidate_mean,
                 d.baseline_perceptible,
                 d.candidate_perceptible,
                 trim(&d.signature)
-            );
+            )?;
         }
     }
     if !diff.appeared.is_empty() {
-        println!("\nnew patterns (episodes, perceptible):");
+        writeln!(stdout, "\nnew patterns (episodes, perceptible):")?;
         for (sig, eps, perc) in diff.appeared.iter().take(10) {
-            println!("  {eps:>5} {perc:>4}  {}", trim(sig));
+            writeln!(stdout, "  {eps:>5} {perc:>4}  {}", trim(sig))?;
         }
     }
     if !diff.disappeared.is_empty() {
-        println!("\ndisappeared patterns (episodes, perceptible):");
+        writeln!(stdout, "\ndisappeared patterns (episodes, perceptible):")?;
         for (sig, eps, perc) in diff.disappeared.iter().take(10) {
-            println!("  {eps:>5} {perc:>4}  {}", trim(sig));
+            writeln!(stdout, "  {eps:>5} {perc:>4}  {}", trim(sig))?;
         }
     }
     Ok(code)
 }
 
-fn cmd_experiments(args: &[String]) -> Result<ExitCode, Failure> {
+fn cmd_experiments(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
     let out_dir = PathBuf::from(opt_value(args, "--out-dir").unwrap_or("target/experiments"));
     let sessions = parse_u64(args, "--sessions", 4)? as u32;
     let seed = parse_u64(args, "--seed", 42)?;
@@ -1788,7 +1991,7 @@ fn cmd_experiments(args: &[String]) -> Result<ExitCode, Failure> {
 
     let table = table3::render(&study);
     write_out(&out_dir, "table3.txt", &table)?;
-    println!("{table}");
+    writeln!(stdout, "{table}")?;
 
     let mut figs = vec![
         figures::fig3(&study),
@@ -1811,11 +2014,12 @@ fn cmd_experiments(args: &[String]) -> Result<ExitCode, Failure> {
     }
     let html = lagalyzer_report::html::render(&study);
     write_out(&out_dir, "report.html", &html)?;
-    println!(
+    writeln!(
+        stdout,
         "wrote {} figures and report.html to {}",
         figs.len(),
         out_dir.display()
-    );
+    )?;
     Ok(ExitCode::SUCCESS)
 }
 

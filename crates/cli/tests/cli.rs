@@ -1059,3 +1059,63 @@ fn answers_under_an_address_space_limit(path_str: &str) {
         assert_eq!(limited.stdout, free.stdout, "{command}: stdout differs");
     }
 }
+
+/// A closed stdout is an I/O error, not a panic: when the reader goes
+/// away after a few bytes of an output far larger than a pipe holds, the
+/// command exits 1 with an error line on stderr.
+#[test]
+fn closed_stdout_exits_1_without_panicking() {
+    use std::io::Read as _;
+    use std::process::Stdio;
+
+    let dir = std::env::temp_dir().join(format!("lagalyzer-cli-epipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let argo = dir.join("argo.lgz");
+    let jmol = dir.join("jmol.lgz");
+    let (argo, jmol) = (argo.to_str().unwrap(), jmol.to_str().unwrap());
+    run_ok(&[
+        "simulate", "--app", "ArgoUML", "--seed", "42", "--out", argo,
+    ]);
+    run_ok(&[
+        "simulate",
+        "--app",
+        "JMol",
+        "--session",
+        "1",
+        "--seed",
+        "42",
+        "--out",
+        jmol,
+    ]);
+    for args in [
+        &["patterns", argo, "--no-cache"][..],
+        &["outliers", jmol, "--format", "json"],
+    ] {
+        // The whole output must outgrow the pipe, so the binary is still
+        // writing when the read end closes.
+        let full = lagalyzer().args(args).output().unwrap();
+        assert_eq!(full.status.code(), Some(0), "{args:?}");
+        assert!(
+            full.stdout.len() > 128 * 1024,
+            "{args:?}: {}",
+            full.stdout.len()
+        );
+
+        let mut child = lagalyzer()
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let mut stdout = child.stdout.take().unwrap();
+        let mut head = [0u8; 16];
+        stdout.read_exact(&mut head).unwrap();
+        drop(stdout);
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(stderr.contains("error: cannot write output"), "{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -1,0 +1,463 @@
+//! Streamed vs materialized, through the real binary.
+//!
+//! Cold `analyze`, `patterns`, `outliers` and `hazards` fold each episode
+//! as it is decoded and keep none: summaries come from a rollup folded in
+//! memory, the lock graph from a fold. This suite holds them to the
+//! materializing library path — `Summaries::of_session` over the decoded
+//! (equally filtered) session, and `HazardReport::analyze` over the
+//! decoded trace — across filters, `--jobs` 1 and 3, and every kind of
+//! input a cold answer can come from: a rollup-less `.lgz`, a rollup
+//! `.lgz` under `--no-cache`, a corpus `--session K`, a text trace, a
+//! fault-injected trace under `--salvage`, and damage resealed under a
+//! valid trailer. It also checks the folded rollup field for field against
+//! `rollup::build`, and `pack`'s output against `corpus::pack_with_rollups`.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+use lagalyzer_check::{HazardConfig, HazardReport};
+use lagalyzer_core::browser::SortBy;
+use lagalyzer_core::prelude::*;
+use lagalyzer_core::rollup::{self, RollupBuilder};
+use lagalyzer_model::{DurationNs, Episode, SessionTrace, TimeNs};
+use lagalyzer_sim::{apps, runner};
+use lagalyzer_trace::corpus::{self, CorpusReader, PackOptions};
+use lagalyzer_trace::faults::{self, FaultInjector};
+use lagalyzer_trace::{
+    binary, text, DamageVerdict, EpisodeExtent, EpisodeFilter, IndexHealth, IndexedTrace,
+    SalvageReport, SessionSource,
+};
+use proptest::prelude::*;
+
+/// Temp scratch dir keyed by pid so parallel test binaries never collide.
+fn scratch_dir() -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("lagalyzer-stream-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn lagalyzer(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_lagalyzer"))
+        .args(args)
+        .output()
+        .expect("binary runs")
+}
+
+/// The kinds of input a cold answer can come from.
+#[derive(Clone, Copy, Debug)]
+enum Kind {
+    RollupLess,
+    NoCache,
+    CorpusMember,
+    Text,
+    Faulted,
+    Resealed,
+}
+
+const KINDS: [Kind; 6] = [
+    Kind::RollupLess,
+    Kind::NoCache,
+    Kind::CorpusMember,
+    Kind::Text,
+    Kind::Faulted,
+    Kind::Resealed,
+];
+
+/// The CLI's ingest filters, with the library filter each one builds.
+fn filters() -> Vec<(Vec<&'static str>, EpisodeFilter)> {
+    vec![
+        (vec![], EpisodeFilter::new()),
+        (
+            vec!["--min-lag", "50"],
+            EpisodeFilter::new().min_duration(DurationNs::from_millis(50)),
+        ),
+        (
+            vec!["--perceptible"],
+            EpisodeFilter::new().min_duration(DurationNs::PERCEPTIBLE_DEFAULT),
+        ),
+        (
+            vec!["--since-ms", "20000", "--until-ms", "200000"],
+            EpisodeFilter::new().window(TimeNs::from_millis(20_000), TimeNs::from_millis(200_000)),
+        ),
+    ]
+}
+
+fn rollup_less(trace: &SessionTrace) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    binary::write(trace, &mut bytes).unwrap();
+    bytes
+}
+
+/// One input on disk: its path, the arguments that make the CLI read it
+/// cold, and its bytes.
+struct Input {
+    path: String,
+    args: Vec<&'static str>,
+    bytes: Vec<u8>,
+}
+
+/// Writes `trace` to disk as `kind`; `other` is the corpus's first member.
+fn write_input(kind: Kind, trace: &SessionTrace, other: &SessionTrace, seed: u64) -> Input {
+    let dir = scratch_dir();
+    let name = format!("{kind:?}-{seed:016x}").to_lowercase();
+    let (file, args, bytes) = match kind {
+        Kind::RollupLess => ("lgz", vec![], rollup_less(trace)),
+        Kind::NoCache => {
+            let mut bytes = Vec::new();
+            binary::write_with_rollup(trace, &mut bytes, rollup::build(trace)).unwrap();
+            ("lgz", vec!["--no-cache"], bytes)
+        }
+        Kind::CorpusMember => {
+            let opened = [other, trace].map(|t| IndexedTrace::open(rollup_less(t)).unwrap());
+            let packed = corpus::pack(&opened, PackOptions { compress: true }).unwrap();
+            ("lgzc", vec!["--session", "1"], packed)
+        }
+        Kind::Text => {
+            let mut bytes = Vec::new();
+            text::write(trace, &mut bytes).unwrap();
+            ("txt", vec![], bytes)
+        }
+        Kind::Faulted => {
+            let (damaged, _) = FaultInjector::new(seed).inject(&rollup_less(trace));
+            ("lgz", vec!["--salvage"], damaged)
+        }
+        Kind::Resealed => {
+            let mut bytes = rollup_less(trace);
+            let extents = IndexedTrace::open(bytes.clone())
+                .unwrap()
+                .extents()
+                .to_vec();
+            let victim = extents[seed as usize % extents.len()];
+            bytes[victim.offset as usize] ^= 0x80;
+            faults::reseal(&mut bytes, None);
+            ("lgz", vec!["--salvage"], bytes)
+        }
+    };
+    let path = dir.join(format!("{name}.{file}"));
+    std::fs::write(&path, &bytes).unwrap();
+    Input {
+        path: path.to_str().unwrap().to_owned(),
+        args,
+        bytes,
+    }
+}
+
+/// What the materialized path decodes an input to: the filtered trace,
+/// the episodes the filter excluded, the provenance and exit code, and
+/// the `.lgz` extents that give findings their byte spans.
+struct Decoded {
+    trace: SessionTrace,
+    excluded: u64,
+    provenance: Provenance,
+    code: i32,
+    extents: Option<Vec<EpisodeExtent>>,
+}
+
+fn provenance(report: Option<&SalvageReport>) -> (Provenance, i32) {
+    match report {
+        Some(r) if DamageVerdict::of_report(r) != DamageVerdict::Clean => (
+            Provenance::Salvaged {
+                skips: r.skips.len() as u64,
+                episodes_lost: r.episodes_lost,
+            },
+            i32::from(DamageVerdict::of_report(r).exit_code()),
+        ),
+        _ => (Provenance::Clean, 0),
+    }
+}
+
+/// Decodes a source the way the materialized path does.
+fn decode_source(source: SessionSource<'_>, filter: &EpisodeFilter) -> Option<(SessionTrace, u64)> {
+    let trace = source.decode_filtered(1, filter).ok()?;
+    Some((trace, source.excluded_by(filter) as u64))
+}
+
+/// The materialized decode of `input`, or `None` when it cannot be
+/// analyzed at all. Checks the folded rollup of every indexed source
+/// against `rollup::build` of its decode on the way.
+fn materialize(kind: Kind, input: &Input, filter: &EpisodeFilter) -> Option<Decoded> {
+    match kind {
+        Kind::Text => {
+            let full = lagalyzer_trace::read_bytes(&input.bytes).unwrap();
+            let trace = filter.retain(full.clone());
+            let excluded = (full.episodes().len() - trace.episodes().len()) as u64;
+            Some(Decoded {
+                trace,
+                excluded,
+                provenance: Provenance::Clean,
+                code: 0,
+                extents: None,
+            })
+        }
+        Kind::CorpusMember => {
+            let reader = CorpusReader::open(input.bytes.clone()).unwrap();
+            let source = reader.session(1).source();
+            assert_folds_like_build(&source, filter);
+            let (trace, excluded) = decode_source(source, filter)?;
+            Some(Decoded {
+                trace,
+                excluded,
+                provenance: Provenance::Clean,
+                code: 0,
+                extents: None,
+            })
+        }
+        _ => {
+            let opened = if input.args.contains(&"--salvage") {
+                IndexedTrace::open_salvage(input.bytes.clone()).ok()?
+            } else {
+                IndexedTrace::open(input.bytes.clone()).unwrap()
+            };
+            // A salvage open whose decode fails is reopened through the
+            // salvage scan, as `lint` does.
+            let rescanned;
+            let indexed = match decode_source(opened.source(), filter) {
+                None if opened.salvage_report().is_some()
+                    && opened.health() != &IndexHealth::SalvageScan =>
+                {
+                    rescanned = opened.rescan().ok()?;
+                    &rescanned
+                }
+                _ => &opened,
+            };
+            assert_folds_like_build(&indexed.source(), filter);
+            let (trace, excluded) = decode_source(indexed.source(), filter)?;
+            let (provenance, code) = provenance(indexed.salvage_report());
+            Some(Decoded {
+                trace,
+                excluded,
+                provenance,
+                code,
+                extents: Some(indexed.extents().to_vec()),
+            })
+        }
+    }
+}
+
+/// The folded rollup of `source` is `rollup::build` of its decode, field
+/// for field, at one and three jobs.
+fn assert_folds_like_build(source: &SessionSource<'_>, filter: &EpisodeFilter) {
+    let Ok(decoded) = source.decode_filtered(1, filter) else {
+        return;
+    };
+    let built = rollup::build(&decoded);
+    for jobs in [1, 3] {
+        let folded = RollupBuilder::new(source.meta(), source.symbols())
+            .fold(source, jobs, filter)
+            .unwrap();
+        assert_eq!(folded.rollup, built, "folded rollup at --jobs {jobs}");
+        let ids: Vec<_> = folded.rows.iter().map(|r| r.id).collect();
+        let want: Vec<_> = decoded.episodes().iter().map(Episode::id).collect();
+        assert_eq!(ids, want);
+    }
+}
+
+/// `analyze`'s report, rendered as the CLI renders it.
+fn analyze_text(session: &AnalysisSession, outliers: &OutlierReport) -> String {
+    let summaries = Summaries::of_session(session);
+    let patterns = summaries.mine_patterns_with_jobs(1);
+    let stats = SessionStats::compute_from(&summaries, &patterns, 1);
+    let meta = summaries.meta();
+    let mut out = format!(
+        "application       {}\nsession           {}\nE2E               {:.0} s\n\
+         in-episode        {:.0} %\nepisodes < 3ms    {}\nepisodes >= 3ms   {}\n\
+         episodes >= 100ms {}\n",
+        meta.application,
+        meta.session,
+        stats.end_to_end.as_secs_f64(),
+        stats.in_episode_fraction * 100.0,
+        stats.short_count,
+        stats.traced_count,
+        stats.perceptible_count,
+    );
+    if session.excluded_episodes() > 0 {
+        out.push_str(&format!(
+            "filtered out      {}\n",
+            session.excluded_episodes()
+        ));
+    }
+    out.push_str(&format!(
+        "long per minute   {:.0}\ndistinct patterns {}\nepisodes in pats  {}\n\
+         singleton pats    {:.0} %\nmean tree size    {:.1}\nmean tree depth   {:.1}\n\
+         outliers          {}\n",
+        stats.long_per_minute,
+        stats.distinct_patterns,
+        stats.episodes_in_patterns,
+        stats.singleton_fraction * 100.0,
+        stats.mean_tree_size,
+        stats.mean_tree_depth,
+        outliers.summary(),
+    ));
+    out
+}
+
+/// Every command's expected `(arguments, stdout)`, from the materialized
+/// path.
+fn expected(decoded: Decoded, path: &str) -> Vec<(Vec<&'static str>, String)> {
+    let extents = decoded.extents;
+    let hazards = HazardReport::analyze(
+        &decoded.trace,
+        extents.as_deref(),
+        1,
+        &HazardConfig::default(),
+    );
+    let session = AnalysisSession::with_exclusions(
+        decoded.trace,
+        AnalysisConfig::default(),
+        decoded.provenance,
+        decoded.excluded,
+    );
+    let summaries = Summaries::of_session(&session);
+    let patterns = summaries.mine_patterns_with_jobs(1);
+    let mut outliers =
+        OutlierReport::of_summaries(&summaries, &patterns, &OutlierConfig::default(), 1, &|_| {
+            None
+        })
+        .expect("decoded sessions need no re-decode");
+    let mut browser = PatternBrowser::of_patterns(&patterns);
+    browser.perceptible_only(false).sort_by(SortBy::Count);
+    let analyze = analyze_text(&session, &outliers);
+    outliers.attach_spans(|id| {
+        let e = extents.as_ref()?.iter().find(|e| e.id == id)?;
+        Some((e.offset, e.offset + e.len))
+    });
+    let symbols = session.trace().symbols();
+    vec![
+        (vec!["analyze"], analyze),
+        (vec!["patterns"], browser.to_table()),
+        (vec!["outliers"], outliers.render_text(symbols)),
+        (
+            vec!["outliers", "--format", "json"],
+            format!("{}\n", outliers.render_json(symbols)),
+        ),
+        (vec!["hazards"], hazards.render_text(path)),
+        (
+            vec!["hazards", "--format", "json"],
+            format!("{}\n", hazards.render_json(path)),
+        ),
+    ]
+}
+
+/// Runs every command on `trace` written as `kind` under `filter`, at
+/// `--jobs` 1 and 3, and compares it with the materialized path.
+fn check_case(kind: Kind, trace: &SessionTrace, other: &SessionTrace, filter: usize, seed: u64) {
+    let input = write_input(kind, trace, other, seed);
+    let (filter_args, filter) = &filters()[filter];
+    let decoded = materialize(kind, &input, filter);
+    let commands: Vec<(Vec<&str>, Option<String>)> = match decoded {
+        Some(decoded) => {
+            let code = decoded.code;
+            // Unfiltered, the damaged extent is decoded and the rescan
+            // finds it; a filter may skip it unread.
+            if matches!(kind, Kind::Resealed) && filter.is_unrestricted() {
+                assert_eq!(code, 2, "resealed damage is found by the rescan");
+            }
+            let expected = expected(decoded, &input.path);
+            for jobs in ["1", "3"] {
+                for (command, stdout) in &expected {
+                    let mut args = command.clone();
+                    args.push(&input.path);
+                    args.extend(&input.args);
+                    args.extend(filter_args);
+                    args.extend(["--jobs", jobs]);
+                    let out = lagalyzer(&args);
+                    let context = format!("{kind:?} {args:?}");
+                    assert_eq!(out.status.code(), Some(code), "{context}: {out:?}");
+                    assert_eq!(String::from_utf8(out.stdout).unwrap(), *stdout, "{context}");
+                }
+            }
+            Vec::new()
+        }
+        // Nothing decodes: every command fails before printing.
+        None => vec![(vec!["analyze"], None), (vec!["hazards"], None)],
+    };
+    for (command, _) in commands {
+        let mut args = command;
+        args.push(&input.path);
+        args.extend(&input.args);
+        let out = lagalyzer(&args);
+        assert!(
+            matches!(out.status.code(), Some(1 | 3)),
+            "{kind:?} {args:?}: {out:?}"
+        );
+        assert!(out.stdout.is_empty(), "{kind:?} {args:?}");
+    }
+    let _ = std::fs::remove_file(&input.path);
+}
+
+/// `pack` folds the rollups of rollup-less inputs: it must write what
+/// `corpus::pack_with_rollups` writes with rollups built from the decoded
+/// traces, at any `--jobs`.
+fn check_pack(traces: &[&SessionTrace], seed: u64) {
+    let dir = scratch_dir();
+    let inputs: Vec<String> = traces
+        .iter()
+        .enumerate()
+        .map(|(i, trace)| {
+            let path = dir.join(format!("pack-{seed:016x}-{i}.lgz"));
+            std::fs::write(&path, rollup_less(trace)).unwrap();
+            path.to_str().unwrap().to_owned()
+        })
+        .collect();
+    let opened: Vec<IndexedTrace> = traces
+        .iter()
+        .map(|t| IndexedTrace::open(rollup_less(t)).unwrap())
+        .collect();
+    let built = opened
+        .iter()
+        .map(|t| Some(rollup::build(&t.par_decode(1).unwrap())))
+        .collect();
+    let want = corpus::pack_with_rollups(&opened, built, PackOptions { compress: false }).unwrap();
+    let out = dir.join(format!("pack-{seed:016x}.lgzc"));
+    for jobs in ["1", "3"] {
+        let mut args: Vec<&str> = vec!["pack"];
+        args.extend(inputs.iter().map(String::as_str));
+        args.extend(["--out", out.to_str().unwrap(), "--jobs", jobs]);
+        let run = lagalyzer(&args);
+        assert_eq!(run.status.code(), Some(0), "{run:?}");
+        assert!(std::fs::read(&out).unwrap() == want, "pack --jobs {jobs}");
+    }
+    for path in inputs.iter().map(Path::new).chain([out.as_path()]) {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+/// Every input kind under every filter, on one simulated session.
+#[test]
+fn every_input_kind_streams_like_the_materialized_path() {
+    let trace = runner::simulate_session(&apps::crossword_sage(), 0, 5);
+    let other = runner::simulate_session(&apps::arabeske(), 1, 5);
+    for kind in KINDS {
+        for filter in 0..filters().len() {
+            check_case(kind, &trace, &other, filter, 5 + filter as u64);
+        }
+    }
+    check_pack(&[&other, &trace], 5);
+}
+
+fn fuzz_cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(12)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
+
+    /// Simulated sessions crossed with the filters, the input kinds and
+    /// `--jobs` 1 and 3 answer as the materialized path does, and pack as
+    /// `corpus::pack_with_rollups` does.
+    #[test]
+    fn simulated_sessions_stream_like_the_materialized_path(seed in any::<u64>()) {
+        let profiles = [apps::crossword_sage(), apps::arabeske(), apps::jedit()];
+        let trace = runner::simulate_session(&profiles[(seed % 3) as usize], 0, seed);
+        let other = runner::simulate_session(&profiles[(seed / 3 % 3) as usize], 1, seed);
+        let kind = KINDS[(seed / 9 % KINDS.len() as u64) as usize];
+        let filter = (seed / 54 % filters().len() as u64) as usize;
+        check_case(kind, &trace, &other, filter, seed);
+        if seed % 4 == 0 {
+            check_pack(&[&other, &trace], seed);
+        }
+    }
+}

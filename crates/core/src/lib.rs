@@ -40,8 +40,9 @@
 //! * [`histogram`] — Endo-style response-time distributions over a
 //!   session (the related-work view of §VI);
 //! * [`browser`] — the pattern browser the paper's §II-E describes;
-//! * [`rollup`] — building persisted per-episode summary rollups from
-//!   decoded traces (the format lives in `lagalyzer_trace::rollup`);
+//! * [`rollup`] — folding decoded episodes into per-episode summary
+//!   rollups, persisted or kept in memory for a cold answer (the format
+//!   lives in `lagalyzer_trace::rollup`);
 //! * [`warm`] — zero-decode warm analysis: summaries read from persisted
 //!   rollups, run through the same analysis code as the cold path;
 //! * [`analysis`] — the extension trait for custom analyses.
@@ -104,7 +105,7 @@ pub use patterns::{Pattern, PatternSet, PatternTable};
 pub use session::{AnalysisConfig, AnalysisSession, CheckOutcome, Provenance};
 pub use shape::ShapeSignature;
 pub use stats::SessionStats;
-pub use summary::{Summaries, Summarizer, Summary};
+pub use summary::{RollupRows, SessionFacts, Summaries, Summarizer, Summary};
 pub use trigger::Trigger;
 pub use warm::WarmSession;
 
@@ -129,7 +130,7 @@ pub mod prelude {
     pub use crate::session::{AnalysisConfig, AnalysisSession, CheckOutcome, Provenance};
     pub use crate::shape::ShapeSignature;
     pub use crate::stats::SessionStats;
-    pub use crate::summary::{Summaries, Summarizer, Summary};
+    pub use crate::summary::{RollupRows, SessionFacts, Summaries, Summarizer, Summary};
     pub use crate::trigger::Trigger;
     pub use crate::warm::WarmSession;
 }

@@ -24,8 +24,8 @@
 use std::fmt;
 
 use lagalyzer_model::{
-    json_string, DurationNs, Episode, EpisodeId, IntervalKind, MethodRef, SymbolTable, ThreadId,
-    ThreadState, WaitGraph,
+    json_string, DurationNs, Episode, EpisodeId, Interval, IntervalKind, MethodRef, SymbolTable,
+    ThreadId, ThreadState, WaitGraph,
 };
 
 use crate::parallel::map_shards;
@@ -168,37 +168,80 @@ impl LagBreakdown {
     /// samples simply contributes zero there (no NaN, no division by
     /// zero). Whatever remains is self time.
     pub fn of_episode(episode: &Episode, symbols: &SymbolTable) -> LagBreakdown {
-        let tree = episode.tree();
-        let duration = episode.duration();
-        let gc = tree.outermost_kind_time(IntervalKind::Gc);
+        LagBreakdown::partition(episode, |symbol| is_io_symbol(symbol, symbols))
+    }
 
-        // Outermost native spans, split I/O vs other, minus nested GC
-        // (already attributed to the GC category).
+    /// [`LagBreakdown::of_episode`] with the session's memo of which
+    /// classes name I/O, so each class name is prefix-tested once per
+    /// session instead of once per native interval.
+    pub(crate) fn of_episode_memo(
+        episode: &Episode,
+        symbols: &SymbolTable,
+        io: &mut IoClasses,
+    ) -> LagBreakdown {
+        LagBreakdown::partition(episode, |symbol| io.is_io(symbol, symbols))
+    }
+
+    /// The partition, in one allocation-free pre-order scan of the tree's
+    /// arena: a node belongs to every open interval whose depth is below
+    /// its own, so closing an interval needs only its depth.
+    fn partition(
+        episode: &Episode,
+        mut is_io: impl FnMut(Option<MethodRef>) -> bool,
+    ) -> LagBreakdown {
+        let duration = episode.duration();
+        let mut gc = DurationNs::ZERO;
         let mut io = DurationNs::ZERO;
         let mut native = DurationNs::ZERO;
-        let mut stack = vec![tree.root()];
-        while let Some(id) = stack.pop() {
-            let interval = tree.interval(id);
-            if interval.kind == IntervalKind::Native && id != tree.root() {
-                let mut nested_gc = DurationNs::ZERO;
-                let mut inner = Vec::from(tree.children(id));
-                while let Some(cid) = inner.pop() {
-                    let child = tree.interval(cid);
-                    if child.kind == IntervalKind::Gc {
-                        nested_gc += child.duration();
-                    } else {
-                        inner.extend_from_slice(tree.children(cid));
+        // The open outermost GC interval's depth.
+        let mut open_gc: Option<u32> = None;
+        // The open outermost non-root native interval, its GC time so far,
+        // and the depth of the outermost GC interval open inside it.
+        let mut open_native: Option<(u32, &Interval, DurationNs)> = None;
+        let mut open_native_gc: Option<u32> = None;
+        let mut close_native = |(_, interval, nested_gc): (u32, &Interval, DurationNs)| {
+            // Nested GC is already attributed to the GC category.
+            let net = interval.duration().saturating_sub(nested_gc);
+            if is_io(interval.symbol) {
+                io += net;
+            } else {
+                native += net;
+            }
+        };
+        for (i, node) in episode.tree().nodes().iter().enumerate() {
+            let depth = node.depth;
+            if open_gc.is_some_and(|d| depth <= d) {
+                open_gc = None;
+            }
+            if open_native_gc.is_some_and(|d| depth <= d) {
+                open_native_gc = None;
+            }
+            if let Some(open) = open_native.filter(|&(d, _, _)| depth <= d) {
+                close_native(open);
+                open_native = None;
+            }
+            let interval = &node.interval;
+            match interval.kind {
+                IntervalKind::Gc => {
+                    if open_gc.is_none() {
+                        gc += interval.duration();
+                        open_gc = Some(depth);
+                    }
+                    if let Some((_, _, nested_gc)) = &mut open_native {
+                        if open_native_gc.is_none() {
+                            *nested_gc += interval.duration();
+                            open_native_gc = Some(depth);
+                        }
                     }
                 }
-                let net = interval.duration().saturating_sub(nested_gc);
-                if is_io_symbol(interval.symbol, symbols) {
-                    io += net;
-                } else {
-                    native += net;
+                IntervalKind::Native if i > 0 && open_native.is_none() => {
+                    open_native = Some((depth, interval, DurationNs::ZERO));
                 }
-                continue;
+                _ => {}
             }
-            stack.extend_from_slice(tree.children(id));
+        }
+        if let Some(open) = open_native {
+            close_native(open);
         }
 
         // Sampled dispatch-thread states, scaled to the duration.
@@ -286,6 +329,37 @@ fn is_io_symbol(symbol: Option<MethodRef>, symbols: &SymbolTable) -> bool {
         return false;
     };
     IO_PREFIXES.iter().any(|p| class.starts_with(p))
+}
+
+/// One session's memo of which classes name I/O (see
+/// [`LagBreakdown::of_episode_memo`]), indexed by class symbol id. Ids
+/// outside the symbol table resolve to nothing and are never memoized.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct IoClasses {
+    /// Per class id: 0 not yet tested, 1 I/O, 2 not I/O.
+    known: Vec<u8>,
+}
+
+impl IoClasses {
+    fn is_io(&mut self, symbol: Option<MethodRef>, symbols: &SymbolTable) -> bool {
+        let Some(class) = symbol.map(|m| m.class.index()) else {
+            return false;
+        };
+        if class >= symbols.len() {
+            return false;
+        }
+        if self.known.len() < symbols.len() {
+            self.known.resize(symbols.len(), 0);
+        }
+        match self.known[class] {
+            0 => {
+                let io = is_io_symbol(symbol, symbols);
+                self.known[class] = if io { 1 } else { 2 };
+                io
+            }
+            known => known == 1,
+        }
+    }
 }
 
 /// The thread a lock/wait outlier most plausibly waited on.

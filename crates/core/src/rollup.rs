@@ -1,72 +1,226 @@
-//! Building persisted rollups from decoded traces.
+//! Building rollups by folding decoded episodes.
 //!
 //! The `lagalyzer-trace` crate defines the rollup *format* (see its
 //! `rollup` module): per-episode summaries plus derived aggregates,
-//! persisted as an optional section next to the episode payloads. This
-//! module computes those summaries from a decoded [`SessionTrace`] with
-//! the [`Summarizer`] the cold analysis path runs on decoded sessions —
-//! shape tokens deduplicated in first-use order, tree metrics, flags —
-//! plus [`LagBreakdown::of_episode`] for the per-category decomposition,
-//! so a warm analysis reconstructed from the rollup is byte-identical to a
-//! cold decode-and-analyze pass over the same bytes.
+//! persisted as an optional section next to the episode payloads. A
+//! [`RollupBuilder`] is the one place those are computed — summaries and
+//! their shapes in first-use order (through the [`Summarizer`]), lag
+//! breakdowns, band grids and per-shape histograms. It folds episodes one
+//! at a time into [`RollupShard`]s, as [`SessionSource::fold`] lends them,
+//! and merges the shards in order into the rollup a serial pass would
+//! build, for any number of shards.
+//!
+//! The cold analysis path folds a session into an in-memory rollup and
+//! reads it through the constructor the warm path reads a persisted one
+//! with (see [`crate::summary::Summaries::of_rollup`]), and `pack` folds
+//! the rollups it persists, so warm and cold answers are byte-identical.
+//! [`build`] feeds a decoded trace through the same builder.
 //!
 //! The builder does **not** stamp the content checksum: the writer that
 //! persists the rollup computes it over the episode record bytes it
 //! actually emits (see `lagalyzer_trace::binary::write_with_rollup` and
 //! the corpus packers), which is the only place those bytes are known.
 
-use lagalyzer_model::SessionTrace;
-use lagalyzer_trace::index::DurationBand;
+use lagalyzer_model::{DurationNs, Episode, EpisodeId, SessionMeta, SessionTrace, SymbolTable};
+use lagalyzer_trace::index::{DurationBand, EpisodeFilter};
 use lagalyzer_trace::rollup::{
     BandGrid, EpisodeSummary, Rollup, GRID_BANDS, GRID_GRANULARITIES, SHAPE_HIST_BUCKETS,
 };
+use lagalyzer_trace::{SessionSource, TraceError};
 
-use crate::outliers::LagBreakdown;
+use crate::outliers::{IoClasses, LagBreakdown};
 use crate::summary::Summarizer;
 
 /// Computes the full rollup of `trace` (checksum left zero; the persisting
 /// writer stamps it).
 pub fn build(trace: &SessionTrace) -> Rollup {
-    let symbols = trace.symbols();
-    let span = trace.meta().end_to_end.as_nanos();
-    let mut summarizer = Summarizer::new();
-    let mut summaries = Vec::with_capacity(trace.episodes().len());
-    let mut shape_histograms: Vec<[u64; SHAPE_HIST_BUCKETS]> = Vec::new();
-    let mut grids: Vec<BandGrid> = GRID_GRANULARITIES
-        .iter()
-        .map(|&buckets| BandGrid {
-            buckets,
-            counts: vec![0; GRID_BANDS * buckets as usize],
-        })
-        .collect();
-    for episode in trace.episodes() {
-        let summary = summarizer.summarize(episode);
-        let shape = summary.shape as usize;
-        if shape == shape_histograms.len() {
-            shape_histograms.push([0; SHAPE_HIST_BUCKETS]);
+    let builder = RollupBuilder::new(trace.meta(), trace.symbols());
+    let mut shard = builder.shard();
+    for (position, episode) in trace.episodes().iter().enumerate() {
+        builder.push(&mut shard, position, episode);
+    }
+    builder.finish(vec![shard]).rollup
+}
+
+/// Folds one session's decoded episodes into its rollup.
+#[derive(Clone, Copy, Debug)]
+pub struct RollupBuilder<'a> {
+    symbols: &'a SymbolTable,
+    /// The session's end-to-end span, which the grids' time buckets cut.
+    span: u64,
+    breakdowns: bool,
+}
+
+/// One shard's share of a rollup fold. Its summaries index the shard's
+/// own shape table until [`RollupBuilder::finish`] merges the shards.
+#[derive(Clone, Debug)]
+pub struct RollupShard {
+    summarizer: Summarizer,
+    io: IoClasses,
+    summaries: Vec<EpisodeSummary>,
+    rows: Vec<Row>,
+    shape_histograms: Vec<[u64; SHAPE_HIST_BUCKETS]>,
+    grids: Vec<BandGrid>,
+}
+
+/// The episode behind one summary of a folded rollup.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Row {
+    /// The episode's trace id.
+    pub id: EpisodeId,
+    /// The episode's duration.
+    pub duration: DurationNs,
+    /// Where the episode came from: its extent position in the source,
+    /// or its index among the decoded trace's episodes.
+    pub position: usize,
+}
+
+/// A rollup folded from decoded episodes, with the episode behind each of
+/// its summaries.
+#[derive(Clone, Debug)]
+pub struct Folded {
+    /// The rollup (checksum zero).
+    pub rollup: Rollup,
+    /// One row per summary, in summary order.
+    pub rows: Vec<Row>,
+}
+
+impl<'a> RollupBuilder<'a> {
+    /// A builder for a session with `meta` and `symbols`.
+    pub fn new(meta: &SessionMeta, symbols: &'a SymbolTable) -> RollupBuilder<'a> {
+        RollupBuilder {
+            symbols,
+            span: meta.end_to_end.as_nanos(),
+            breakdowns: true,
         }
-        shape_histograms[shape][Rollup::hist_bucket(summary.duration.as_nanos())] += 1;
+    }
+
+    /// Whether to compute lag breakdowns (the default). Without them every
+    /// breakdown stays zero, for an analysis that reads none (pattern
+    /// mining); such a rollup must not be persisted.
+    #[must_use]
+    pub fn breakdowns(mut self, on: bool) -> RollupBuilder<'a> {
+        self.breakdowns = on;
+        self
+    }
+
+    /// An empty shard.
+    pub fn shard(&self) -> RollupShard {
+        RollupShard {
+            summarizer: Summarizer::new(),
+            io: IoClasses::default(),
+            summaries: Vec::new(),
+            rows: Vec::new(),
+            shape_histograms: Vec::new(),
+            grids: empty_grids(),
+        }
+    }
+
+    /// Folds `episode`, found at `position`, into `shard`.
+    pub fn push(&self, shard: &mut RollupShard, position: usize, episode: &Episode) {
+        let summary = shard.summarizer.summarize(episode);
+        let shape = summary.shape as usize;
+        if shape == shard.shape_histograms.len() {
+            shard.shape_histograms.push([0; SHAPE_HIST_BUCKETS]);
+        }
+        shard.shape_histograms[shape][Rollup::hist_bucket(summary.duration.as_nanos())] += 1;
         let band = DurationBand::of(summary.duration) as usize;
-        for grid in &mut grids {
-            let bucket = Rollup::time_bucket(episode.start().as_nanos(), span, grid.buckets);
+        for grid in &mut shard.grids {
+            let bucket = Rollup::time_bucket(episode.start().as_nanos(), self.span, grid.buckets);
             grid.counts[band * grid.buckets as usize + bucket] += 1;
         }
-        summaries.push(EpisodeSummary {
+        let breakdown = if self.breakdowns {
+            LagBreakdown::of_episode_memo(episode, self.symbols, &mut shard.io).to_array()
+        } else {
+            [0; 7]
+        };
+        shard.summaries.push(EpisodeSummary {
             structureless: summary.structureless,
             has_gc: summary.has_gc,
             shape: summary.shape,
             tree_size: summary.tree_size as u64,
             tree_depth: summary.tree_depth,
-            breakdown: LagBreakdown::of_episode(episode, symbols).to_array(),
+            breakdown,
+        });
+        shard.rows.push(Row {
+            id: summary.id,
+            duration: summary.duration,
+            position,
         });
     }
-    Rollup {
-        content_checksum: 0,
-        shapes: summarizer.into_shapes(),
-        summaries,
-        grids,
-        shape_histograms,
+
+    /// Merges shards, in episode order, into the session's rollup. Each
+    /// shard's shapes are re-interned in its own first-use order, which
+    /// puts the merged table in first-use order over all the episodes.
+    pub fn finish(&self, shards: Vec<RollupShard>) -> Folded {
+        let mut shards = shards.into_iter();
+        let mut acc = shards.next().unwrap_or_else(|| self.shard());
+        for shard in shards {
+            let remap = acc.summarizer.absorb(&shard.summarizer);
+            for (local, histogram) in shard.shape_histograms.iter().enumerate() {
+                let shape = remap[local] as usize;
+                if shape == acc.shape_histograms.len() {
+                    acc.shape_histograms.push([0; SHAPE_HIST_BUCKETS]);
+                }
+                for (sum, count) in acc.shape_histograms[shape].iter_mut().zip(histogram) {
+                    *sum += count;
+                }
+            }
+            acc.summaries
+                .extend(shard.summaries.into_iter().map(|mut summary| {
+                    summary.shape = remap[summary.shape as usize];
+                    summary
+                }));
+            for (sum, grid) in acc.grids.iter_mut().zip(&shard.grids) {
+                for (total, count) in sum.counts.iter_mut().zip(&grid.counts) {
+                    *total += count;
+                }
+            }
+            acc.rows.extend(shard.rows);
+        }
+        Folded {
+            rollup: Rollup {
+                content_checksum: 0,
+                shapes: acc.summarizer.into_shapes(),
+                summaries: acc.summaries,
+                grids: acc.grids,
+                shape_histograms: acc.shape_histograms,
+            },
+            rows: acc.rows,
+        }
     }
+
+    /// Folds the episodes of `source` the filter admits over `jobs`
+    /// workers (see [`SessionSource::fold`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the fold's decode and ordering failures.
+    pub fn fold(
+        &self,
+        source: &SessionSource<'_>,
+        jobs: usize,
+        filter: &EpisodeFilter,
+    ) -> Result<Folded, TraceError> {
+        let shards = source.fold(
+            jobs,
+            filter,
+            || self.shard(),
+            |shard, position, episode| self.push(shard, position, episode),
+        )?;
+        Ok(self.finish(shards))
+    }
+}
+
+/// Zeroed grids, one per granularity.
+fn empty_grids() -> Vec<BandGrid> {
+    GRID_GRANULARITIES
+        .iter()
+        .map(|&buckets| BandGrid {
+            buckets,
+            counts: vec![0; GRID_BANDS * buckets as usize],
+        })
+        .collect()
 }
 
 #[cfg(test)]

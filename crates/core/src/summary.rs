@@ -10,25 +10,30 @@
 //! Summaries come from one of two places, and everything downstream of
 //! them is the same code:
 //!
-//! * a decoded session is summarized in one pass by a [`Summarizer`], the
-//!   same summarizer [`crate::rollup::build`] persists;
-//! * a validated rollup supplies the same summaries from disk (see
-//!   [`crate::warm`]) without decoding a payload.
+//! * a rollup supplies them through [`Summaries::of_rollup`]: a validated
+//!   rollup from disk without decoding a payload (see [`crate::warm`]), or
+//!   one a [`crate::rollup::RollupBuilder`] folded in memory while the
+//!   episodes were decoded (the CLI's cold path);
+//! * a decoded session is summarized in one pass by
+//!   [`Summaries::of_session`], the materializing reference.
 //!
-//! Lag breakdowns are not part of a summary. The warm side reads them from
-//! the rollup; the cold side computes them from the decoded episode, and
-//! only for the episodes outlier attribution reads.
+//! Lag breakdowns are not part of a summary. Rollup-backed summaries read
+//! them from the rollup; a decoded session's are computed from its
+//! episodes, and only for the episodes outlier attribution reads.
 
 use std::borrow::Cow;
 
-use lagalyzer_model::{DurationNs, Episode, EpisodeId, SessionMeta, SymbolTable};
-use lagalyzer_trace::rollup::Rollup;
+use lagalyzer_model::{DurationNs, Episode, EpisodeId, SessionMeta, SessionTrace, SymbolTable};
+use lagalyzer_trace::index::EpisodeExtent;
+use lagalyzer_trace::rollup::{EpisodeSummary, Rollup};
+use lagalyzer_trace::SessionSource;
 
 use crate::histogram::DurationHistogram;
-use crate::intern::ShapeInterner;
+use crate::intern::{ShapeId, ShapeInterner};
 use crate::outliers::{culprit_of, Culprit, LagBreakdown};
 use crate::parallel;
 use crate::patterns::{PatternSet, PatternTable};
+use crate::rollup::Row;
 use crate::session::{AnalysisConfig, AnalysisSession};
 use crate::shape::write_shape_tokens;
 
@@ -90,6 +95,17 @@ impl Summarizer {
     pub fn into_shapes(self) -> Vec<Vec<u8>> {
         self.interner.into_shapes()
     }
+
+    /// Interns `other`'s shapes here in `other`'s index order, which is its
+    /// first-use order, and returns the index each one has here.
+    pub(crate) fn absorb(&mut self, other: &Summarizer) -> Vec<u32> {
+        (0..other.interner.len())
+            .map(|i| {
+                let tokens = other.interner.tokens(ShapeId::from_index(i));
+                self.interner.intern(tokens).0.index() as u32
+            })
+            .collect()
+    }
 }
 
 /// One session's summaries, in the (filtered) session's episode order,
@@ -117,12 +133,98 @@ pub(crate) enum Detail<'a> {
     /// The decoded episodes, in summary order; breakdowns are computed on
     /// demand.
     Decoded(&'a [Episode]),
-    /// A validated rollup: breakdowns are persisted, and summary `i`
-    /// describes extent `admitted[i]`, which is re-decoded for culprits.
+    /// A rollup: breakdowns are read from it, and episodes are re-decoded
+    /// from their positions for culprits.
     Rollup {
         rollup: &'a Rollup,
+        rows: RollupRows<'a>,
+    },
+}
+
+/// The session facts [`Summaries`] carry next to the per-episode
+/// summaries.
+#[derive(Clone, Copy, Debug)]
+pub struct SessionFacts<'a> {
+    /// The session metadata.
+    pub meta: &'a SessionMeta,
+    /// The session's symbol table.
+    pub symbols: &'a SymbolTable,
+    /// Episodes below the tracer-side filter threshold.
+    pub short_count: u64,
+    /// Total time spent in those short episodes.
+    pub short_time: DurationNs,
+    /// Episodes an ingest filter excluded.
+    pub excluded: u64,
+    /// The analysis configuration.
+    pub config: AnalysisConfig,
+    /// True when the session was salvaged from a damaged file.
+    pub salvaged: bool,
+}
+
+impl<'a> SessionFacts<'a> {
+    /// The facts of an opened session, with nothing excluded and not
+    /// salvaged.
+    pub fn of_source(source: &SessionSource<'a>, config: AnalysisConfig) -> SessionFacts<'a> {
+        SessionFacts {
+            meta: source.meta(),
+            symbols: source.symbols(),
+            short_count: source.short_episode_count(),
+            short_time: source.short_episode_time(),
+            excluded: 0,
+            config,
+            salvaged: false,
+        }
+    }
+
+    /// The facts of a decoded trace, with nothing excluded and not
+    /// salvaged.
+    pub fn of_trace(trace: &'a SessionTrace, config: AnalysisConfig) -> SessionFacts<'a> {
+        SessionFacts {
+            meta: trace.meta(),
+            symbols: trace.symbols(),
+            short_count: trace.short_episode_count(),
+            short_time: trace.short_episode_time(),
+            excluded: 0,
+            config,
+            salvaged: false,
+        }
+    }
+}
+
+/// Which episodes a rollup-backed [`Summaries`] analyzes, and where each
+/// one's rollup summary is.
+#[derive(Clone, Debug)]
+pub enum RollupRows<'a> {
+    /// A persisted rollup, one summary per extent: the analyzed episodes
+    /// are the extents at positions `admitted` (ascending), which supply
+    /// their ids and durations.
+    Persisted {
+        /// The session's extent index.
+        extents: &'a [EpisodeExtent],
+        /// The analyzed extents' positions.
         admitted: Vec<usize>,
     },
+    /// A rollup folded from exactly the analyzed episodes: summary `i`
+    /// describes `rows[i]`'s episode.
+    Folded(&'a [Row]),
+}
+
+impl RollupRows<'_> {
+    /// The rollup summary index of analyzed episode `i`.
+    fn summary(&self, i: usize) -> usize {
+        match self {
+            RollupRows::Persisted { admitted, .. } => admitted[i],
+            RollupRows::Folded(_) => i,
+        }
+    }
+
+    /// Where analyzed episode `i` is re-decoded from.
+    fn position(&self, i: usize) -> usize {
+        match self {
+            RollupRows::Persisted { admitted, .. } => admitted[i],
+            RollupRows::Folded(rows) => rows[i].position,
+        }
+    }
 }
 
 impl<'a> Summaries<'a> {
@@ -146,6 +248,51 @@ impl<'a> Summaries<'a> {
             config: *session.config(),
             salvaged: session.is_salvaged(),
             detail: Detail::Decoded(trace.episodes()),
+        }
+    }
+
+    /// Summaries read from a rollup, persisted or folded in memory: the
+    /// one constructor the warm and the cold path share, so everything
+    /// from the summaries on is the same code.
+    pub fn of_rollup(
+        facts: SessionFacts<'a>,
+        rollup: &'a Rollup,
+        rows: RollupRows<'a>,
+    ) -> Summaries<'a> {
+        let summary = |s: &EpisodeSummary, id: EpisodeId, duration: DurationNs| Summary {
+            id,
+            duration,
+            shape: s.shape,
+            tree_size: s.tree_size as usize,
+            tree_depth: s.tree_depth,
+            structureless: s.structureless,
+            has_gc: s.has_gc,
+        };
+        let episodes = match &rows {
+            RollupRows::Persisted { extents, admitted } => admitted
+                .iter()
+                .map(|&pos| {
+                    let extent = &extents[pos];
+                    summary(&rollup.summaries[pos], extent.id, extent.duration())
+                })
+                .collect(),
+            RollupRows::Folded(rows) => rows
+                .iter()
+                .zip(&rollup.summaries)
+                .map(|(row, s)| summary(s, row.id, row.duration))
+                .collect(),
+        };
+        Summaries {
+            meta: facts.meta,
+            symbols: facts.symbols,
+            shapes: Cow::Borrowed(&rollup.shapes),
+            episodes,
+            short_count: facts.short_count,
+            short_time: facts.short_time,
+            excluded: facts.excluded,
+            config: facts.config,
+            salvaged: facts.salvaged,
+            detail: Detail::Rollup { rollup, rows },
         }
     }
 
@@ -208,15 +355,15 @@ impl<'a> Summaries<'a> {
     pub(crate) fn breakdown(&self, i: usize) -> LagBreakdown {
         match &self.detail {
             Detail::Decoded(episodes) => LagBreakdown::of_episode(&episodes[i], self.symbols),
-            Detail::Rollup { rollup, admitted } => {
-                LagBreakdown::from_array(rollup.summaries[admitted[i]].breakdown)
+            Detail::Rollup { rollup, rows } => {
+                LagBreakdown::from_array(rollup.summaries[rows.summary(i)].breakdown)
             }
         }
     }
 
     /// The wait-graph culprits of episodes `indices`, in order. Decoded
     /// episodes are read directly; rollup-backed summaries call `decode`
-    /// once with the episodes' extent positions. `None` when `decode` fails
+    /// once with the episodes' positions. `None` when `decode` fails
     /// or returns the wrong number of episodes.
     pub(crate) fn culprits(
         &self,
@@ -227,8 +374,8 @@ impl<'a> Summaries<'a> {
             Detail::Decoded(episodes) => {
                 Some(indices.iter().map(|&i| culprit_of(&episodes[i])).collect())
             }
-            Detail::Rollup { admitted, .. } => {
-                let positions: Vec<usize> = indices.iter().map(|&i| admitted[i]).collect();
+            Detail::Rollup { rows, .. } => {
+                let positions: Vec<usize> = indices.iter().map(|&i| rows.position(i)).collect();
                 let decoded = decode(&positions)?;
                 (decoded.len() == positions.len()).then(|| decoded.iter().map(culprit_of).collect())
             }

@@ -19,8 +19,6 @@
 //! does not match the episode payload, so `rollup()` returning `Some`
 //! implies a validated cache).
 
-use std::borrow::Cow;
-
 use lagalyzer_model::{Episode, SessionMeta, SymbolTable};
 use lagalyzer_trace::index::{EpisodeFilter, IndexedTrace};
 use lagalyzer_trace::rollup::Rollup;
@@ -30,7 +28,7 @@ use crate::outliers::{OutlierConfig, OutlierReport};
 use crate::patterns::PatternSet;
 use crate::session::AnalysisConfig;
 use crate::stats::SessionStats;
-use crate::summary::{Detail, Summaries, Summary};
+use crate::summary::{RollupRows, SessionFacts, Summaries};
 
 /// A clean session answered from its persisted rollup: summaries lifted
 /// from the rollup and the extent index, with the rollup's breakdowns for
@@ -61,33 +59,12 @@ impl<'a> WarmSession<'a> {
         let admitted: Vec<usize> = (0..extents.len())
             .filter(|&i| filter.admits_extent(&extents[i]))
             .collect();
-        let episodes = admitted
-            .iter()
-            .map(|&pos| {
-                let summary = &rollup.summaries[pos];
-                Summary {
-                    id: extents[pos].id,
-                    duration: extents[pos].duration(),
-                    shape: summary.shape,
-                    tree_size: summary.tree_size as usize,
-                    tree_depth: summary.tree_depth,
-                    structureless: summary.structureless,
-                    has_gc: summary.has_gc,
-                }
-            })
-            .collect();
-        let summaries = Summaries {
-            meta: source.meta(),
-            symbols: source.symbols(),
-            shapes: Cow::Borrowed(&rollup.shapes),
-            episodes,
-            short_count: source.short_episode_count(),
-            short_time: source.short_episode_time(),
+        let facts = SessionFacts {
             excluded: (extents.len() - admitted.len()) as u64,
-            config,
-            salvaged: false,
-            detail: Detail::Rollup { rollup, admitted },
+            ..SessionFacts::of_source(&source, config)
         };
+        let summaries =
+            Summaries::of_rollup(facts, rollup, RollupRows::Persisted { extents, admitted });
         Some(WarmSession { rollup, summaries })
     }
 

@@ -26,6 +26,8 @@
 //! [`EpisodeFilter`] evaluated against index entries alone implements
 //! skip-decode filtering: excluded episodes' bytes are never parsed.
 
+use std::sync::OnceLock;
+
 use lagalyzer_model::{
     DurationNs, Episode, EpisodeId, GcEvent, IntervalKind, IntervalTreeBuilder, MethodRef, Samples,
     SessionMeta, SessionTrace, SessionTraceBuilder, StackFrame, SymbolId, SymbolTable, ThreadId,
@@ -36,6 +38,7 @@ use crate::binary::{is_known_version, read_header, read_record, tag, MAGIC_PREFI
 use crate::checksum::Algorithm;
 use crate::error::TraceError;
 use crate::record::SessionRecords;
+use crate::rollup::RollupHealth;
 use crate::salvage::SalvageReport;
 use crate::source::{RollupRef, SessionSource};
 use crate::varint;
@@ -630,12 +633,13 @@ struct Opened {
     /// declared count, so the count is only checked against the decoded
     /// episodes. `None` when a scan checked it.
     gap_records: Option<u64>,
-    /// A decoded (but not yet content-validated) rollup section.
+    /// The validated rollup section: trusted only when the extent index
+    /// came from a valid footer (the spans it was computed over) and its
+    /// content checksum matches the trailer hash's running state at the
+    /// section boundary.
     rollup: Option<crate::rollup::Rollup>,
-    /// The trailer hash's running state at the rollup section boundary —
-    /// the content checksum a trustworthy rollup must carry. `None` when
-    /// no section is framed (nothing to validate against).
-    content_snapshot: Option<u64>,
+    /// The section's health; `None` for a v1 trace.
+    rollup_health: Option<RollupHealth>,
 }
 
 /// A binary trace opened for indexed, zero-copy access.
@@ -674,6 +678,9 @@ pub struct IndexedTrace {
     health: IndexHealth,
     salvage: Option<SalvageReport>,
     rollup: Option<crate::rollup::Rollup>,
+    /// Judged by a strict open; a salvage-scan open leaves it to be probed
+    /// from the bytes on first use.
+    rollup_health: OnceLock<Option<RollupHealth>>,
 }
 
 impl IndexedTrace {
@@ -785,7 +792,6 @@ impl IndexedTrace {
     fn open_scanned(bytes: Vec<u8>) -> Result<IndexedTrace, TraceError> {
         let scan = crate::binary::salvage_scan(&bytes, drop)?;
         Ok(IndexedTrace {
-            bytes,
             meta: scan.meta,
             records: scan.records,
             extents: scan.extents,
@@ -794,23 +800,12 @@ impl IndexedTrace {
             // Any rollup on a damaged file describes episodes that may not
             // have survived salvage — never trust it.
             rollup: None,
+            rollup_health: OnceLock::new(),
+            bytes,
         })
     }
 
     fn assemble(bytes: Vec<u8>, opened: Opened, salvage: Option<SalvageReport>) -> IndexedTrace {
-        // A rollup is only trusted when the extent index came from a valid
-        // footer (the spans it was computed over) and its content checksum
-        // matches the episode bytes actually present.
-        let rollup = if opened.health == IndexHealth::FooterValid {
-            match (opened.rollup, opened.content_snapshot) {
-                (Some(r), Some(expected)) => {
-                    crate::rollup::validate(r, expected, opened.extents.len())
-                }
-                _ => None,
-            }
-        } else {
-            None
-        };
         IndexedTrace {
             bytes,
             meta: opened.meta,
@@ -818,7 +813,8 @@ impl IndexedTrace {
             extents: opened.extents,
             health: opened.health,
             salvage,
-            rollup,
+            rollup: opened.rollup,
+            rollup_health: OnceLock::from(opened.rollup_health),
         }
     }
 
@@ -869,6 +865,7 @@ impl IndexedTrace {
         let records_start = payload_end - r.len();
         let mut records = SessionRecords::default();
         let mut rollup = None;
+        let mut rollup_health = None;
         let mut gap_records = None;
         let (extents, health) = if version >= 2 {
             // Peel the optional rollup section off the back first: the
@@ -876,8 +873,19 @@ impl IndexedTrace {
             // section is simply dropped — the cache degrades, never the
             // decode.
             let peeled = crate::rollup::peel(bytes, payload_end, algorithm);
-            rollup = peeled.rollup.and_then(Result::ok);
-            match locate_footer(bytes, peeled.end, algorithm) {
+            let section_end = peeled.end;
+            let footer = locate_footer(bytes, section_end, algorithm);
+            let judged = crate::rollup::judge(
+                peeled,
+                payload_end,
+                footer
+                    .as_ref()
+                    .map(|(_, e)| e.len())
+                    .map_err(String::as_str),
+                || content_snapshot.expect("a peeled section was pre-located"),
+            );
+            (rollup, rollup_health) = (judged.0, Some(judged.1));
+            match footer {
                 Ok((footer_start, extents)) => {
                     gap_records = Some(Self::decode_gaps(
                         bytes,
@@ -921,7 +929,7 @@ impl IndexedTrace {
             declared,
             gap_records,
             rollup,
-            content_snapshot,
+            rollup_health,
         })
     }
 
@@ -1010,6 +1018,16 @@ impl IndexedTrace {
     /// cold decode path.
     pub fn rollup(&self) -> Option<&crate::rollup::Rollup> {
         self.rollup.as_ref()
+    }
+
+    /// The rollup section's health, judged by the strict open that
+    /// validated it (an open through the salvage scan probes the bytes on
+    /// the first call): what [`probe_rollup`] reports for the same bytes.
+    /// `None` for a v1 trace.
+    pub fn rollup_health(&self) -> Option<&RollupHealth> {
+        self.rollup_health
+            .get_or_init(|| probe_rollup(&self.bytes))
+            .as_ref()
     }
 
     /// Number of indexed episodes.
@@ -1298,37 +1316,23 @@ pub fn probe_health(bytes: &[u8]) -> Option<IndexHealth> {
 /// and whether it would be trusted, without decoding any episode. `None`
 /// when the input is not a v2 or v3 binary trace (v1 has no section
 /// region).
-pub fn probe_rollup(bytes: &[u8]) -> Option<crate::rollup::RollupHealth> {
-    use crate::rollup::RollupHealth;
+pub fn probe_rollup(bytes: &[u8]) -> Option<RollupHealth> {
     if bytes.len() < 16 || &bytes[..7] != MAGIC_PREFIX || bytes[7] < 2 {
         return None;
     }
     let algorithm = Algorithm::of_trace_version(bytes[7]);
     let payload_end = bytes.len() - 8;
     let peeled = crate::rollup::peel(bytes, payload_end, algorithm);
-    let section_bytes = (payload_end - peeled.end) as u64;
-    Some(match peeled.rollup {
-        None => RollupHealth::Absent,
-        Some(Err(reason)) => RollupHealth::Stale {
-            reason,
-            section_bytes,
-        },
-        Some(Ok(rollup)) => match locate_footer(bytes, peeled.end, algorithm) {
-            Err(reason) => RollupHealth::Stale {
-                reason: format!("extent footer unusable ({reason})"),
-                section_bytes,
-            },
-            Ok((_, extents)) => {
-                let expected = algorithm.hash(&bytes[8..peeled.end]);
-                if crate::rollup::validate(rollup, expected, extents.len()).is_some() {
-                    RollupHealth::Valid { section_bytes }
-                } else {
-                    RollupHealth::Stale {
-                        reason: "content checksum mismatch".into(),
-                        section_bytes,
-                    }
-                }
-            }
-        },
-    })
+    let section_end = peeled.end;
+    let footer = locate_footer(bytes, section_end, algorithm);
+    let judged = crate::rollup::judge(
+        peeled,
+        payload_end,
+        footer
+            .as_ref()
+            .map(|(_, e)| e.len())
+            .map_err(String::as_str),
+        || algorithm.hash(&bytes[8..section_end]),
+    );
+    Some(judged.1)
 }

@@ -23,11 +23,13 @@
 //! The tools open binary traces through [`IndexedTrace`] — strictly, or
 //! with [`IndexedTrace::open_salvage`] for damaged input — and `.lgzc`
 //! corpora through [`CorpusReader`]; both decode through one
-//! [`SessionSource`]. [`decode_bytes_salvage`] salvage-decodes a whole
-//! file of either codec for `lint` and `check`. [`binary::read`] and
-//! [`binary::read_salvage`] are the serial reference decoders the tests
-//! hold the indexed decode to. Text traces have no extent index and decode
-//! through [`text::read`] and [`text::read_salvage`].
+//! [`SessionSource`], which can also stream a session through a fold
+//! without keeping its episodes. [`decode_bytes_salvage`]
+//! salvage-decodes a whole file of either codec for `lint` and `check`.
+//! [`binary::read`] and [`binary::read_salvage`] are the serial reference
+//! decoders the tests hold the indexed decode to. Text traces have no
+//! extent index and decode through [`text::read`] and
+//! [`text::read_salvage`].
 //!
 //! # Example
 //!

@@ -446,6 +446,35 @@ pub(crate) fn peel(bytes: &[u8], payload_end: usize, algorithm: Algorithm) -> Pe
     }
 }
 
+/// Judges a peeled section once the extent footer below it has been
+/// located (`footer` is its extent count, or why it is unusable): the
+/// rollup to trust, if any, and the section's health. `expected` computes
+/// the content checksum a trusted rollup must carry; it is called only
+/// when the section decoded and the footer is usable. The one verdict
+/// behind both [`crate::IndexedTrace::rollup_health`] and
+/// [`crate::probe_rollup`].
+pub(crate) fn judge(
+    peeled: PeeledRollup,
+    payload_end: usize,
+    footer: Result<usize, &str>,
+    expected: impl FnOnce() -> u64,
+) -> (Option<Rollup>, RollupHealth) {
+    let section_bytes = (payload_end - peeled.end) as u64;
+    let stale = |reason: String| RollupHealth::Stale {
+        reason,
+        section_bytes,
+    };
+    match (peeled.rollup, footer) {
+        (None, _) => (None, RollupHealth::Absent),
+        (Some(Err(reason)), _) => (None, stale(reason)),
+        (Some(Ok(_)), Err(reason)) => (None, stale(format!("extent footer unusable ({reason})"))),
+        (Some(Ok(rollup)), Ok(extents)) => match validate(rollup, expected(), extents) {
+            Some(rollup) => (Some(rollup), RollupHealth::Valid { section_bytes }),
+            None => (None, stale("content checksum mismatch".into())),
+        },
+    }
+}
+
 /// Validates a decoded rollup against the bytes actually present:
 /// the summary table must be 1:1 with the extent index and the content
 /// checksum must equal `expected`, the hash of the region it summarizes:

@@ -502,13 +502,13 @@ pub(crate) fn build_session(
 /// Fails only when the input is unrecoverable, like
 /// [`read_bytes_salvage`].
 pub fn decode_bytes_salvage(
-    bytes: &[u8],
+    bytes: Vec<u8>,
     jobs: usize,
 ) -> Result<(Salvaged, Option<IndexedTrace>), TraceError> {
     if !bytes.starts_with(crate::binary::MAGIC_PREFIX) {
-        return Ok((read_bytes_salvage(bytes)?, None));
+        return Ok((read_bytes_salvage(&bytes)?, None));
     }
-    let (indexed, trace) = IndexedTrace::decode_salvage(bytes.to_vec(), jobs)?;
+    let (indexed, trace) = IndexedTrace::decode_salvage(bytes, jobs)?;
     let report = indexed
         .salvage_report()
         .cloned()

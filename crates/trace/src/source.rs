@@ -11,13 +11,21 @@
 //! assembling decoded fragments into a [`SessionTrace`]. That is what makes
 //! a corpus session decode byte-identical to its original file.
 //!
+//! [`SessionSource::fold`] is the streaming twin of
+//! [`SessionSource::decode_filtered`]: the same extents, checks and
+//! ordering rule, but each decoded episode is lent to a consumer and
+//! dropped instead of being kept in a trace, so an analysis that is a fold
+//! over episodes never holds more than one decoded episode per worker.
+//!
 //! [`IndexedTrace`]: crate::IndexedTrace
 //! [`SessionView`]: crate::SessionView
 
+use std::ops::Range;
+
 use lagalyzer_model::parallel::map_shards_init;
 use lagalyzer_model::{
-    DurationNs, Episode, EpisodeFragment, SessionMeta, SessionTrace, SessionTraceBuilder,
-    SymbolTable,
+    DurationNs, Episode, EpisodeFragment, ModelError, SessionMeta, SessionTrace,
+    SessionTraceBuilder, SymbolTable, TimeNs,
 };
 
 use crate::error::TraceError;
@@ -149,6 +157,17 @@ impl<'a> SessionSource<'a> {
         decode_extent(span, extent, scratch)
     }
 
+    /// The extent positions the filter admits, ascending; `None` when it
+    /// admits every one (the unrestricted fast path shards the extent
+    /// table directly instead of materializing an index vector).
+    fn admitted(&self, filter: &EpisodeFilter) -> Option<Vec<usize>> {
+        (!filter.is_unrestricted()).then(|| {
+            (0..self.extents.len())
+                .filter(|&i| filter.admits_extent(&self.extents[i]))
+                .collect()
+        })
+    }
+
     /// Decodes the whole session over `jobs` workers.
     ///
     /// # Errors
@@ -175,13 +194,7 @@ impl<'a> SessionSource<'a> {
         jobs: usize,
         filter: &EpisodeFilter,
     ) -> Result<SessionTrace, TraceError> {
-        // The unrestricted fast path shards the extent table directly
-        // instead of materializing an index vector.
-        let indices: Option<Vec<usize>> = (!filter.is_unrestricted()).then(|| {
-            (0..self.extents.len())
-                .filter(|&i| filter.admits_extent(&self.extents[i]))
-                .collect()
-        });
+        let indices = self.admitted(filter);
         let slots = indices.as_ref().map_or(self.extents.len(), Vec::len);
         let fragments = map_shards_init(slots, jobs, DecodeScratch::default, |scratch, range| {
             let mut fragment = EpisodeFragment::with_capacity(range.len());
@@ -194,6 +207,86 @@ impl<'a> SessionSource<'a> {
         .into_iter()
         .collect::<Result<Vec<EpisodeFragment>, TraceError>>()?;
         self.assemble(fragments)
+    }
+
+    /// Streams the episodes the filter admits through `step` without
+    /// keeping them: each worker decodes an extent into its scratch, lends
+    /// the episode to `step` together with its extent position, and drops
+    /// it. Every worker folds contiguous ascending shards into states made
+    /// by `init`; the states come back in shard order, for the caller to
+    /// merge in that order.
+    ///
+    /// The episodes `step` sees are exactly the ones
+    /// [`decode_filtered`](Self::decode_filtered) would keep, in the same
+    /// order, for any `jobs`: every extent check is the same, and so is the
+    /// ordering rule. A strict session fails on an episode that starts
+    /// before the one kept ahead of it; a lenient (salvaged) session drops
+    /// it. A shard whose first kept episode starts before the previous
+    /// shards' last one is folded again from a fresh state with that
+    /// floor, so a strict session fails on it and a lenient one drops the
+    /// same episodes a serial pass would.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first failing shard's first decode or ordering
+    /// failure, then the first ordering failure between shards, as
+    /// [`decode_filtered`](Self::decode_filtered) does.
+    pub fn fold<S, I, F>(
+        &self,
+        jobs: usize,
+        filter: &EpisodeFilter,
+        init: I,
+        step: F,
+    ) -> Result<Vec<S>, TraceError>
+    where
+        S: Send,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, usize, &Episode) + Sync,
+    {
+        let indices = self.admitted(filter);
+        let slots = indices.as_ref().map_or(self.extents.len(), Vec::len);
+        let fold = ShardedFold {
+            source: self,
+            indices: indices.as_deref(),
+            init: &init,
+            step: &step,
+        };
+        let shards = map_shards_init(slots, jobs, DecodeScratch::default, |scratch, range| {
+            fold.shard(scratch, range, None)
+        });
+        fold.merge(shards)
+    }
+
+    /// [`fold`](Self::fold) over the shard ranges `split` cuts the
+    /// admitted slots into, folded in order on the calling thread: the
+    /// merge and the lenient refold for any shard layout, whatever the
+    /// machine's parallelism.
+    #[cfg(test)]
+    fn fold_split<S, I, F>(
+        &self,
+        filter: &EpisodeFilter,
+        split: impl FnOnce(usize) -> Vec<Range<usize>>,
+        init: I,
+        step: F,
+    ) -> Result<Vec<S>, TraceError>
+    where
+        I: Fn() -> S,
+        F: Fn(&mut S, usize, &Episode),
+    {
+        let indices = self.admitted(filter);
+        let slots = indices.as_ref().map_or(self.extents.len(), Vec::len);
+        let fold = ShardedFold {
+            source: self,
+            indices: indices.as_deref(),
+            init: &init,
+            step: &step,
+        };
+        let mut scratch = DecodeScratch::default();
+        let shards = split(slots)
+            .into_iter()
+            .map(|range| fold.shard(&mut scratch, range, None))
+            .collect();
+        fold.merge(shards)
     }
 
     /// Decodes exactly the extents named by `indices`, in the given order,
@@ -261,5 +354,251 @@ impl<'a> SessionSource<'a> {
             }
         }
         Ok(self.records.finish(b))
+    }
+}
+
+/// One [`SessionSource::fold`] in progress: which extents it decodes,
+/// and the consumer each shard folds them into.
+struct ShardedFold<'f, 'a, I, F> {
+    source: &'f SessionSource<'a>,
+    /// The admitted extent positions; `None` when every one is admitted.
+    indices: Option<&'f [usize]>,
+    init: &'f I,
+    step: &'f F,
+}
+
+/// One shard of a [`SessionSource::fold`]: the consumer's state, the
+/// slots it covered, and the starts of the first and last episodes it
+/// kept (the last is the floor a lenient refold starts from).
+struct FoldedShard<S> {
+    state: S,
+    range: Range<usize>,
+    first: Option<TimeNs>,
+    last: Option<TimeNs>,
+}
+
+impl<S, I, F> ShardedFold<'_, '_, I, F>
+where
+    I: Fn() -> S,
+    F: Fn(&mut S, usize, &Episode),
+{
+    /// Folds the slots in `range` into a fresh state, each decoded episode
+    /// dropped after `step`. Episodes must not start before the one kept
+    /// ahead of them, the first before `floor`: a strict source fails, a
+    /// lenient one drops them.
+    fn shard(
+        &self,
+        scratch: &mut DecodeScratch,
+        range: Range<usize>,
+        floor: Option<TimeNs>,
+    ) -> Result<FoldedShard<S>, TraceError> {
+        let mut shard = FoldedShard {
+            state: (self.init)(),
+            range: range.clone(),
+            first: None,
+            last: floor,
+        };
+        for slot in range {
+            let i = self.indices.map_or(slot, |ix| ix[slot]);
+            let episode = self.source.decode_with(i, scratch)?;
+            let start = episode.start();
+            if let Some(previous) = shard.last.filter(|&last| start < last) {
+                if self.source.lenient {
+                    continue;
+                }
+                return Err(ModelError::EpisodeOrder {
+                    previous,
+                    at: start,
+                }
+                .into());
+            }
+            shard.first.get_or_insert(start);
+            shard.last = Some(start);
+            (self.step)(&mut shard.state, i, &episode);
+        }
+        Ok(shard)
+    }
+
+    /// Merges shards folded in slot order: the first failing shard's
+    /// error, else their states in order once the episodes kept across
+    /// shard boundaries are in order too. A shard whose first episode
+    /// starts before the previous shards' last is folded again from that
+    /// floor, as a serial pass would have seen it: a strict source fails
+    /// on that first episode, a lenient one drops what the serial pass
+    /// drops.
+    fn merge(&self, shards: Vec<Result<FoldedShard<S>, TraceError>>) -> Result<Vec<S>, TraceError> {
+        let shards = shards.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let mut states = Vec::with_capacity(shards.len());
+        let mut floor: Option<TimeNs> = None;
+        for mut shard in shards {
+            if let (Some(previous), Some(first)) = (floor, shard.first) {
+                if first < previous {
+                    shard =
+                        self.shard(&mut DecodeScratch::default(), shard.range, Some(previous))?;
+                }
+            }
+            floor = shard.last.or(floor);
+            states.push(shard.state);
+        }
+        Ok(states)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::Cell;
+
+    use super::*;
+    use crate::binary;
+    use crate::IndexedTrace;
+    use lagalyzer_model::prelude::*;
+
+    /// A session of `n` episodes of varied lengths, in dispatch order.
+    fn trace(n: u32) -> SessionTrace {
+        let meta = SessionMeta {
+            application: "FoldApp".into(),
+            session: SessionId::from_raw(0),
+            gui_thread: ThreadId::from_raw(0),
+            end_to_end: DurationNs::from_secs(60),
+            filter_threshold: DurationNs::TRACE_FILTER_DEFAULT,
+        };
+        let mut b = SessionTraceBuilder::new(meta, SymbolTable::new());
+        let mut at = 0;
+        for i in 0..n {
+            let len = 5 + u64::from(i * 37 % 23);
+            let mut t = IntervalTreeBuilder::new();
+            t.enter(IntervalKind::Dispatch, None, TimeNs::from_millis(at))
+                .unwrap();
+            t.exit(TimeNs::from_millis(at + len)).unwrap();
+            let episode = EpisodeBuilder::new(EpisodeId::from_raw(i), ThreadId::from_raw(0))
+                .tree(t.finish().unwrap())
+                .build()
+                .unwrap();
+            b.push_episode(episode).unwrap();
+            at += len + 3;
+        }
+        b.finish()
+    }
+
+    /// Extent orders that put episodes out of dispatch order at, across
+    /// and within shard boundaries.
+    fn orders(n: usize) -> Vec<Vec<usize>> {
+        let mut orders = vec![
+            (0..n).collect::<Vec<_>>(),
+            (0..n).rev().collect(),
+            (0..n).map(|i| (i + n / 3) % n).collect(),
+        ];
+        let mut swapped: Vec<usize> = (0..n).collect();
+        swapped.swap(4, n - 5);
+        orders.push(swapped);
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        for _ in 0..6 {
+            let mut shuffled: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                shuffled.swap(i, (state >> 33) as usize % (i + 1));
+            }
+            orders.push(shuffled);
+        }
+        orders
+    }
+
+    /// Cuts `slots` into contiguous shards: `layout` 0–4 are even splits
+    /// into 1–5 shards, and the rest put a single-slot shard first, last
+    /// or both.
+    fn split(slots: usize, layout: usize) -> Vec<Range<usize>> {
+        if slots == 0 {
+            return Vec::new();
+        }
+        let cuts = match layout {
+            0..=4 => return lagalyzer_model::parallel::shard_ranges(slots, layout + 1),
+            5 => vec![1],
+            6 => vec![slots - 1],
+            _ => vec![1, slots / 2, slots - 1],
+        };
+        let mut bounds = vec![0];
+        bounds.extend(cuts.into_iter().filter(|&c| 0 < c && c < slots));
+        bounds.push(slots);
+        bounds.dedup();
+        bounds.windows(2).map(|w| w[0]..w[1]).collect()
+    }
+
+    /// The fold lends exactly the episodes `decode_filtered` keeps, in
+    /// order, and fails where it fails with the same error, on strict and
+    /// lenient sources whose extents are out of order, for every job
+    /// count and with or without a filter. The merge and the lenient
+    /// refold are also run over shard layouts cut by hand, whatever the
+    /// machine's parallelism: a lenient fold keeps what a serial decode
+    /// keeps, and a strict one fails exactly when it does, with an
+    /// ordering error (which one depends on the layout, as on `--jobs`).
+    #[test]
+    fn fold_keeps_what_decode_keeps_under_the_ordering_rule() {
+        let n = 40;
+        let mut bytes = Vec::new();
+        binary::write(&trace(n as u32), &mut bytes).unwrap();
+        let indexed = IndexedTrace::open(bytes).unwrap();
+        let filters = [
+            EpisodeFilter::new(),
+            EpisodeFilter::new().min_duration(DurationNs::from_millis(12)),
+        ];
+        let ids = |t: SessionTrace| t.episodes().iter().map(Episode::id).collect::<Vec<_>>();
+        let (inits, shards, mut refolds) = (Cell::new(0), Cell::new(0), 0);
+        for order in orders(n) {
+            let extents: Vec<EpisodeExtent> = order.iter().map(|&i| indexed.extents()[i]).collect();
+            for lenient in [false, true] {
+                let mut source = indexed.source();
+                source.extents = &extents;
+                source.lenient = lenient;
+                for filter in &filters {
+                    for jobs in 1..=4 {
+                        let reference = source.decode_filtered(jobs, filter).map(ids);
+                        let folded = source
+                            .fold(jobs, filter, Vec::new, |ids, _, e| ids.push(e.id()))
+                            .map(|shards| shards.concat());
+                        let context = format!("order {order:?} lenient {lenient} jobs {jobs}");
+                        match (reference, folded) {
+                            (Ok(want), Ok(got)) => assert_eq!(got, want, "{context}"),
+                            (Err(want), Err(got)) => {
+                                assert_eq!(got.to_string(), want.to_string(), "{context}");
+                            }
+                            (want, got) => panic!("{context}: {want:?} vs {got:?}"),
+                        }
+                    }
+                    let serial = source.decode_filtered(1, filter).map(ids);
+                    for layout in 0..8 {
+                        inits.set(0);
+                        let folded = source
+                            .fold_split(
+                                filter,
+                                |slots| {
+                                    let ranges = split(slots, layout);
+                                    shards.set(ranges.len());
+                                    ranges
+                                },
+                                || {
+                                    inits.set(inits.get() + 1);
+                                    Vec::new()
+                                },
+                                |ids, _, e| ids.push(e.id()),
+                            )
+                            .map(|states| states.concat());
+                        let context = format!("order {order:?} lenient {lenient} layout {layout}");
+                        match (&serial, folded) {
+                            (Ok(want), Ok(got)) => {
+                                assert_eq!(&got, want, "{context}");
+                                refolds += inits.get() - shards.get();
+                            }
+                            (Err(_), Err(TraceError::Model(ModelError::EpisodeOrder { .. }))) => {}
+                            (want, got) => panic!("{context}: {want:?} vs {got:?}"),
+                        }
+                    }
+                }
+            }
+        }
+        // Some lenient shard started before its predecessors' last episode
+        // and was refolded.
+        assert!(refolds > 0);
     }
 }

@@ -153,13 +153,13 @@ fn v2_and_v3_encodings_read_identically() {
             trace.episodes()
         );
         assert_eq!(
-            decode_bytes_salvage(&v2, 1).unwrap().0.report,
-            decode_bytes_salvage(&v3, 1).unwrap().0.report
+            decode_bytes_salvage(v2.to_vec(), 1).unwrap().0.report,
+            decode_bytes_salvage(v3.to_vec(), 1).unwrap().0.report
         );
         assert_eq!(index::probe_health(&v2), index::probe_health(&v3));
         assert_eq!(probe_rollup(&v2), probe_rollup(&v3));
         let check = |bytes: &[u8]| {
-            lagalyzer_check::check_bytes(bytes, &mut lagalyzer_check::RuleSet::standard())
+            lagalyzer_check::check_bytes(bytes.to_vec(), &mut lagalyzer_check::RuleSet::standard())
                 .unwrap()
                 .render_json("trace")
         };
@@ -245,8 +245,34 @@ proptest! {
             "bytes {start}..{end} changed and the trace still opened"
         );
         prop_assert!(binary::read(damaged.as_slice()).is_err());
-        if let Ok((salvaged, _)) = decode_bytes_salvage(&damaged, 1) {
+        if let Ok((salvaged, _)) = decode_bytes_salvage(damaged.to_vec(), 1) {
             prop_assert!(!salvaged.report.is_clean(), "bytes {start}..{end}");
+        }
+    }
+
+    /// The rollup health an open keeps is what `probe_rollup` judges from
+    /// the bytes, for injected faults with or without a resealed trailer,
+    /// through both salvage paths that open a trace (the open, and the
+    /// decode `check` runs, which may reopen through the salvage scan).
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn opened_rollup_health_matches_the_probe(
+        durations in proptest::collection::vec(4u64..3000, 1..12),
+        version in 2u8..=3,
+        seed in any::<u64>(),
+        reseal in any::<bool>(),
+    ) {
+        let clean = faults::with_version(&encode(&session(&durations), true), version);
+        let (mut damaged, fault) = faults::FaultInjector::new(seed).inject(&clean);
+        if reseal {
+            faults::reseal(&mut damaged, None);
+        }
+        let probed = probe_rollup(&damaged);
+        if let Ok(opened) = IndexedTrace::open_salvage(damaged.clone()) {
+            prop_assert!(opened.rollup_health() == probed.as_ref(), "{:?}", fault);
+        }
+        if let Ok((_, Some(decoded))) = decode_bytes_salvage(damaged.clone(), 1) {
+            prop_assert!(decoded.rollup_health() == probed.as_ref(), "{:?}", fault);
         }
     }
 }

@@ -246,11 +246,13 @@ fn salvage_outcome(bytes: &[u8]) -> String {
 /// checker is deterministic: a report that varies between runs would
 /// make the snapshot flaky, so instability fails here, loudly.
 fn check_outcome(name: &str, bytes: &[u8]) -> String {
-    let render =
-        || match lagalyzer_check::check_bytes(bytes, &mut lagalyzer_check::RuleSet::standard()) {
-            Err(_) => "unrecoverable".to_owned(),
-            Ok(report) => report.render_json(name),
-        };
+    let render = || match lagalyzer_check::check_bytes(
+        bytes.to_vec(),
+        &mut lagalyzer_check::RuleSet::standard(),
+    ) {
+        Err(_) => "unrecoverable".to_owned(),
+        Ok(report) => report.render_json(name),
+    };
     let first = render();
     let second = render();
     assert_eq!(first, second, "{name}: check report unstable across runs");
@@ -337,6 +339,19 @@ fn frozen_v2_fixtures_are_the_v3_set_under_fnv() {
             generated[twin.as_str()].len(),
             "{name} vs {twin}"
         );
+    }
+}
+
+/// The rollup health a salvage open keeps for every committed fixture is
+/// what `probe_rollup` judges from the same bytes.
+#[test]
+fn opened_rollup_health_matches_the_probe_on_every_fixture() {
+    for name in snapshot_names() {
+        let bytes = on_disk(name);
+        let probed = lagalyzer_trace::probe_rollup(&bytes);
+        if let Ok(opened) = lagalyzer_trace::IndexedTrace::open_salvage(bytes) {
+            assert_eq!(opened.rollup_health(), probed.as_ref(), "{name}");
+        }
     }
 }
 

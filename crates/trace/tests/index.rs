@@ -522,7 +522,7 @@ proptest! {
             let (damaged, _fault) = injector.inject(&bytes);
             let resealed = reseal(&damaged);
             for input in [damaged, resealed] {
-                match (read_bytes_salvage(&input), decode_bytes_salvage(&input, jobs)) {
+                match (read_bytes_salvage(&input), decode_bytes_salvage(input.to_vec(), jobs)) {
                     (Ok(serial), Ok((salvaged, indexed))) => {
                         prop_assert_eq!(&salvaged.report, &serial.report);
                         assert_byte_identical(&salvaged.trace, &serial.trace);

@@ -436,7 +436,7 @@ fn resealed_footer_salvages_clean() {
         );
         assert_traces_equal(&reference.trace, &strict);
         assert_eq!(read_bytes_salvage(&bytes).unwrap().report, reference.report);
-        let (decoded, kept) = decode_bytes_salvage(&bytes, 2).unwrap();
+        let (decoded, kept) = decode_bytes_salvage(bytes.to_vec(), 2).unwrap();
         assert_eq!(decoded.report, reference.report, "{label}");
         assert!(
             matches!(kept.unwrap().health(), IndexHealth::FooterInvalid(_)),
@@ -462,7 +462,7 @@ fn resealed_footer_salvages_clean() {
 fn resealed_episode_damage_is_reported() {
     let trace = five_episodes();
     for (version, mut bytes) in v2_and_v3(&encode_binary(&trace)) {
-        let (clean, kept) = decode_bytes_salvage(&bytes, 2).unwrap();
+        let (clean, kept) = decode_bytes_salvage(bytes.to_vec(), 2).unwrap();
         assert_eq!(clean.report, clean_report(&trace, Some(true)), "v{version}");
         assert_eq!(kept.unwrap().health(), &IndexHealth::FooterValid);
         let extent = IndexedTrace::open(bytes.clone()).unwrap().extents()[2];
@@ -479,7 +479,7 @@ fn resealed_episode_damage_is_reported() {
         assert_eq!(reference.report.checksum_ok, Some(true), "v{version}");
         assert_eq!(reference.report.episodes_recovered, 4);
         for jobs in [1, 3] {
-            let (salvaged, indexed) = decode_bytes_salvage(&bytes, jobs).unwrap();
+            let (salvaged, indexed) = decode_bytes_salvage(bytes.to_vec(), jobs).unwrap();
             assert_eq!(salvaged.report, reference.report);
             assert_traces_equal(&salvaged.trace, &reference.trace);
             let indexed = indexed.expect("a binary trace keeps its index");
@@ -517,7 +517,7 @@ fn resealed_footer_magic_damage_is_reported() {
         assert_traces_equal(&reference.trace, &trace);
         let indexed = IndexedTrace::open_salvage(bytes.clone()).unwrap();
         assert_eq!(indexed.salvage_report(), Some(&reference.report));
-        let (salvaged, _) = decode_bytes_salvage(&bytes, 2).unwrap();
+        let (salvaged, _) = decode_bytes_salvage(bytes.to_vec(), 2).unwrap();
         assert_eq!(salvaged.report, reference.report);
         assert_traces_equal(&salvaged.trace, &trace);
     }
@@ -542,7 +542,7 @@ fn indexed_salvage_report_equals_serial_on_every_fixture() {
                 continue;
             }
             let serial = read_bytes_salvage(&bytes);
-            let decoded = decode_bytes_salvage(&bytes, 1);
+            let decoded = decode_bytes_salvage(bytes.to_vec(), 1);
             let indexed = IndexedTrace::open_salvage(bytes);
             assert_eq!(decoded.is_ok(), indexed.is_ok(), "{}", path.display());
             match (serial, indexed) {
