@@ -1,22 +1,5 @@
-//! `lagalyzer` — the command-line front end.
-//!
-//! Subcommands:
-//!
-//! * `apps` — list the built-in application profiles (Table II);
-//! * `simulate` — synthesize a session trace (or, with `--sessions N`, a
-//!   multi-session corpus) to a file;
-//! * `pack` — pack N `.lgz` traces into one `.lgzc` corpus;
-//! * `compact` — re-pack a corpus, dropping salvage-skipped bytes;
-//! * `analyze` — print overall statistics for a trace (a Table III row)
-//!   or corpus-wide statistics for a `.lgzc` file;
-//! * `patterns` — print the pattern browser table for a trace, or the
-//!   merged cross-session table for a corpus;
-//! * `sketch` — render an episode sketch (SVG or ASCII);
-//! * `lint` — check a trace file for damage and print the salvage report;
-//! * `check` — run the semantic rule checker and print its diagnostics;
-//! * `outliers` — flag per-pattern duration outliers and attribute each
-//!   one's excess to a cause (lock wait, GC, slow I/O, self time);
-//! * `experiments` — regenerate every table and figure of the paper.
+//! `lagalyzer` — the command-line front end. Its subcommands, their
+//! flags and its help text are declared in [`COMMANDS`] (see `args`).
 //!
 //! Every analysis subcommand loads its trace through one [`Input`]: the
 //! file is read once, classified once (corpus, binary or text) and opened
@@ -29,11 +12,15 @@
 
 #![forbid(unsafe_code)]
 
+mod args;
+
 use std::fs;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::OnceLock;
+
+use args::{switch, Args, Command, Flag, Kind, Need};
 
 use lagalyzer_check::{check_bytes, Diagnostic, HazardConfig, HazardReport, RuleSet, Severity};
 use lagalyzer_core::browser::SortBy;
@@ -119,260 +106,208 @@ fn main() -> ExitCode {
     }
 }
 
+/// Finds the command `args` names, checks the rest of `args` against it
+/// and runs it, or prints its entry under `--help`.
 fn run(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
-    let Some(command) = args.first() else {
-        print_usage(stdout)?;
-        return Ok(ExitCode::SUCCESS);
+    let (name, rest) = match args.split_first() {
+        None => ("help", args),
+        Some((name, rest)) if matches!(name.as_str(), "--help" | "-h") => ("help", rest),
+        Some((name, rest)) => (name.as_str(), rest),
     };
-    let rest = &args[1..];
-    match command.as_str() {
-        "apps" => cmd_apps(stdout),
-        "simulate" => cmd_simulate(rest, stdout),
-        "pack" => cmd_pack(rest, stdout),
-        "compact" => cmd_compact(rest, stdout),
-        "analyze" => cmd_analyze(rest, stdout),
-        "patterns" => cmd_patterns(rest, stdout),
-        "sketch" => cmd_sketch(rest, stdout),
-        "timeline" => cmd_timeline(rest, stdout),
-        "stable" => cmd_stable(rest, stdout),
-        "diff" => cmd_diff(rest, stdout),
-        "lint" => cmd_lint(rest, stdout),
-        "check" => cmd_check(rest, stdout),
-        "hazards" => cmd_hazards(rest, stdout),
-        "outliers" => cmd_outliers(rest, stdout),
-        "experiments" => cmd_experiments(rest, stdout),
-        "help" | "--help" | "-h" => {
-            print_usage(stdout)?;
-            Ok(ExitCode::SUCCESS)
-        }
-        other => Err(format!("unknown command {other:?}; try `lagalyzer help`").into()),
+    let command = COMMANDS
+        .iter()
+        .find(|command| command.name == name)
+        .ok_or_else(|| format!("unknown command {name:?}; try `lagalyzer help`"))?;
+    let args = Args::parse(command, rest)?;
+    if args.help {
+        write!(stdout, "{}", command.entry("usage: lagalyzer ", 4))?;
+        return Ok(ExitCode::SUCCESS);
     }
+    (command.run)(&args, stdout)
 }
 
-fn print_usage(stdout: &mut dyn Write) -> std::io::Result<()> {
-    writeln!(
-        stdout,
-        "lagalyzer — latency profile analysis and visualization\n\
-         \n\
-         usage: lagalyzer <command> [options]\n\
-         \n\
-         commands:\n\
-           apps                               list built-in application profiles\n\
-           simulate --app NAME [--session N] [--seed S] [--text] --out FILE\n\
-                    [--sessions N] [--compress]\n\
-                                              synthesize a session trace; --sessions N\n\
-                                              writes an N-session .lgzc corpus instead\n\
-           pack IN.lgz [IN.lgz...] --out OUT.lgzc [--compress] [--salvage] [--jobs N]\n\
-                                              pack traces into one corpus with a\n\
-                                              deduplicated corpus-wide symbol table\n\
-           compact IN.lgzc --out OUT.lgzc [--compress] [--jobs N]\n\
-                                              re-pack a corpus, dropping salvage-skipped\n\
-                                              bytes and re-deduplicating symbols\n\
-           analyze FILE [--threshold-ms MS] [--histogram] [--jobs N] [--salvage] [--check]\n\
-                   [--session K] [--format text|json]\n\
-                                              overall statistics of a trace; on a .lgzc\n\
-                                              corpus: corpus-wide stats (or one session\n\
-                                              via --session K)\n\
-           patterns FILE [--perceptible-only] [--sort count|total|max|perceptible] [--jobs N] [--salvage]\n\
-                    [--session K]\n\
-                                              browse mined patterns; on a corpus: the\n\
-                                              cross-session merged table\n\
-           lint FILE                          check a trace (or corpus) for damage; print the salvage report and index health\n\
-           check FILE [--format text|json] [--allow CODE] [--deny CODE] [--level CODE=SEV] [--fix-report FILE.json]\n\
-                                              run the semantic rule checker on one trace, not a\n\
-                                              corpus (codes LA001..);\n\
-                                              check --list-rules prints the full rule table\n\
-           hazards FILE [--format text|json] [--jobs N] [--salvage] [--explain N]\n\
-                   [--min-samples N] [--starvation-streak N]\n\
-                                              concurrency-hazard analysis over the session\n\
-                                              lock graph (LA020 lock-order inversion, LA021\n\
-                                              held-across-IO, LA022 held-across-pause, LA023\n\
-                                              starvation, LA024 self-wait); on a .lgzc\n\
-                                              corpus also LA025 cross-session inversions\n\
-           outliers FILE [--format text|json] [--mad-k K] [--min-excess-ms MS] [--min-count N]\n\
-                    [--explain N] [--jobs N] [--salvage]\n\
-                                              flag per-pattern duration outliers and attribute\n\
-                                              each one's excess (codes OC-LOCK, OC-WAIT, OC-SLEEP,\n\
-                                              OC-GC, OC-IO, OC-NATIVE, OC-SELF)\n\
-           sketch FILE [--episode N | --pattern N [--gallery]] [--ascii] [--out FILE.svg]\n\
-                                              render an episode sketch\n\
-           timeline FILE [--out FILE.svg]     render the whole-session timeline\n\
-           stable FILE [FILE...] [--jobs N]   stable slow patterns across several traces\n\
-           diff BASELINE CANDIDATE            pattern-level regression report\n\
-           experiments [--out-dir DIR] [--sessions N] [--seed S] [--jobs N]\n\
-                                              regenerate the paper's tables and figures\n\
-         \n\
-         FILE may come anywhere among the options. A .lgzc corpus FILE\n\
-         takes --session K to select one member session.\n\
-         \n\
-         --jobs N shards trace decoding and analysis work across N worker\n\
-         threads (0 or omitted: all cores; 1: serial). Results are\n\
-         byte-identical for any N.\n\
-         \n\
-         --min-lag MS, --perceptible, --since-ms MS and --until-ms MS\n\
-         filter episodes at ingest; on indexed binary traces the excluded\n\
-         episodes are never even decoded (skip-decode filtering).\n\
-         \n\
-         --salvage decodes a damaged trace leniently, dropping corrupt\n\
-         records and reporting every skip. Exit codes: 0 clean, 1 usage or\n\
-         I/O error, 2 damaged but salvaged, 3 unrecoverable; every command\n\
-         that loads a trace takes its code from the same damage verdict.\n\
-         \n\
-         analyze, patterns and outliers answer from a persisted rollup\n\
-         section when the trace, the --session K corpus member, or (corpus-\n\
-         wide) every corpus session carries a valid one — zero episode\n\
-         decoding, byte-identical output, a `rollup: cache hit` note on\n\
-         stderr. --no-cache and --check force the cold decode path, and\n\
-         salvaged sessions always take it; stale or missing rollups fall\n\
-         back to it automatically.\n\
-         \n\
-         check exits 0 when clean (notes allowed), 1 on warnings, 2 on\n\
-         errors, 3 when the trace is unrecoverable. analyze --check runs\n\
-         the checker first and refuses analysis when it reports errors."
-    )?;
-    Ok(())
-}
+/// The flags of every command that loads its input through [`Input`].
+#[rustfmt::skip]
+const INPUT: &[Flag] = {
+    use args::{Kind::*, Need::*};
+    &[
+        JOBS,
+        switch("--salvage"),
+        Flag::new("--session", "K", Count, Optional),
+        switch("--no-cache"),
+        Flag::new("--threshold-ms", "MS", Millis, Or("100")),
+        Flag::new("--min-lag", "MS", Millis, Optional),
+        switch("--perceptible"),
+        Flag::new("--since-ms", "MS", Millis, Optional),
+        Flag::new("--until-ms", "MS", Millis, Optional),
+    ]
+};
+const JOBS: Flag = Flag::new("--jobs", "N", Kind::Count, Need::Optional);
+#[rustfmt::skip]
+const FORMAT: Flag = Flag::new("--format", "", Kind::Choice(&["text", "json"]), Need::Or("text"));
+const EXPLAIN: Flag = Flag::new("--explain", "N", Kind::Count, Need::Optional);
 
-/// Every value-taking flag of every subcommand, so positional-argument
-/// scanning skips their values wherever the flags appear.
-const VALUE_FLAGS: &[&str] = &[
-    "--allow",
-    "--app",
-    "--deny",
-    "--episode",
-    "--explain",
-    "--fix-report",
-    "--format",
-    "--jobs",
-    "--level",
-    "--mad-k",
-    "--min-count",
-    "--min-excess-ms",
-    "--min-lag",
-    "--min-samples",
-    "--out",
-    "--out-dir",
-    "--pattern",
-    "--seed",
-    "--session",
-    "--sessions",
-    "--since-ms",
-    "--sort",
-    "--starvation-streak",
-    "--threshold-ms",
-    "--until-ms",
-];
+/// Every subcommand, in the order `help` lists them.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = {
+    use args::{Kind::*, Need::*};
+    &[
+        Command { name: "apps", paths: "", run: cmd_apps, flags: &[],
+            about: "list built-in application profiles" },
+        Command { name: "simulate", paths: "", run: cmd_simulate, flags: &[&[
+            Flag::new("--app", "NAME", Text, Required),
+            Flag::new("--session", "N", U32, Or("0")),
+            Flag::new("--seed", "S", Count, Or("42")),
+            switch("--text"),
+            Flag::new("--out", "FILE", Text, Required),
+            Flag::new("--sessions", "N", U32, Optional),
+            switch("--compress"),
+        ]], about: "synthesize a session trace; --sessions N writes an N-session .lgzc \
+             corpus instead" },
+        Command { name: "pack", paths: "IN.lgz...", run: cmd_pack, flags: &[&[
+            Flag::new("--out", "OUT.lgzc", Text, Required),
+            switch("--compress"),
+            switch("--salvage"),
+            JOBS,
+        ]], about: "pack traces into one corpus with a deduplicated corpus-wide symbol table" },
+        Command { name: "compact", paths: "IN.lgzc", run: cmd_compact, flags: &[&[
+            Flag::new("--out", "OUT.lgzc", Text, Required),
+            switch("--compress"),
+            JOBS,
+        ]], about: "re-pack a corpus, dropping salvage-skipped bytes and re-deduplicating \
+             symbols" },
+        Command { name: "analyze", paths: "FILE", run: cmd_analyze, flags: &[INPUT, &[
+            switch("--check"),
+            switch("--histogram"),
+            FORMAT,
+        ]], about: "overall statistics of a trace; on a .lgzc corpus: corpus-wide stats (or one \
+             session via --session K); --format json is corpus-wide only" },
+        Command { name: "patterns", paths: "FILE", run: cmd_patterns, flags: &[INPUT, &[
+            switch("--perceptible-only"),
+            Flag::new("--sort", "", Choice(&["count", "total", "max", "perceptible"]), Or("count")),
+        ]], about: "browse mined patterns; on a corpus: the cross-session merged table" },
+        Command { name: "lint", paths: "FILE", run: cmd_lint, flags: &[&[JOBS]],
+            about: "check a trace (or corpus) for damage; print the salvage report and \
+                    index health" },
+        Command { name: "check", paths: "[FILE]", run: cmd_check, flags: &[&[
+            switch("--list-rules"),
+            FORMAT,
+            Flag::new("--allow", "CODE", Text, Repeat),
+            Flag::new("--deny", "CODE", Text, Repeat),
+            Flag::new("--level", "CODE=SEV", Text, Repeat),
+            Flag::new("--fix-report", "FILE.json", Text, Optional),
+            Flag::new("--session", "K", Count, Optional),
+            switch("--no-cache"),
+        ]], about: "run the semantic rule checker on one trace, not a corpus (codes LA001..); \
+             --list-rules prints the full rule table instead. check always decodes, so \
+             --no-cache is always in effect, and it refuses a corpus with or without \
+             --session K" },
+        Command { name: "hazards", paths: "FILE", run: cmd_hazards, flags: &[INPUT, &[
+            FORMAT,
+            EXPLAIN,
+            Flag::new("--min-samples", "N", Count, Optional),
+            Flag::new("--starvation-streak", "N", Count, Optional),
+        ]], about: "concurrency-hazard analysis over the session lock graph (LA020 lock-order \
+             inversion, LA021 held-across-IO, LA022 held-across-pause, LA023 starvation, \
+             LA024 self-wait); on a .lgzc corpus also LA025 cross-session inversions" },
+        Command { name: "outliers", paths: "FILE", run: cmd_outliers, flags: &[INPUT, &[
+            FORMAT,
+            Flag::new("--mad-k", "K", Positive, Optional),
+            Flag::new("--min-excess-ms", "MS", Millis, Optional),
+            Flag::new("--min-count", "N", Count, Optional),
+            EXPLAIN,
+        ]], about: "flag per-pattern duration outliers and attribute each one's excess (codes \
+             OC-LOCK, OC-WAIT, OC-SLEEP, OC-GC, OC-IO, OC-NATIVE, OC-SELF)" },
+        Command { name: "sketch", paths: "FILE", run: cmd_sketch, flags: &[INPUT, &[
+            Flag::new("--episode", "N", Count, Or("0")),
+            Flag::new("--pattern", "N", Count, Optional),
+            switch("--gallery"),
+            switch("--ascii"),
+            Flag::new("--out", "FILE.svg", Text, Optional),
+        ]], about: "render an episode sketch: episode N, or the first episode of pattern N, whose \
+             episodes --gallery renders side by side" },
+        Command { name: "timeline", paths: "FILE", run: cmd_timeline, flags: &[INPUT, &[
+            Flag::new("--out", "FILE.svg", Text, Optional),
+        ]], about: "render the whole-session timeline" },
+        Command { name: "stable", paths: "FILE...", run: cmd_stable, flags: &[INPUT],
+            about: "stable slow patterns across several traces" },
+        Command { name: "diff", paths: "BASELINE CANDIDATE", run: cmd_diff, flags: &[INPUT],
+            about: "pattern-level regression report" },
+        Command { name: "experiments", paths: "", run: cmd_experiments, flags: &[&[
+            Flag::new("--out-dir", "DIR", Text, Or("target/experiments")),
+            Flag::new("--sessions", "N", U32, Or("4")),
+            Flag::new("--seed", "S", Count, Or("42")),
+            JOBS,
+        ]], about: "regenerate the paper's tables and figures" },
+        Command { name: "help", paths: "", run: cmd_help, flags: &[],
+            about: "print this help" },
+    ]
+};
 
-/// Fetches the value following a `--flag`.
-fn opt_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
+/// The notes `help` prints after the commands.
+const NOTES: &str = "\
+FILE may come anywhere among the options. A .lgzc corpus FILE takes
+--session K to select one member session. An unknown flag, a repeated
+flag (bar --allow, --deny and --level), a bad or out-of-range value, or
+a missing or extra path is a usage error. `<command> --help` prints one
+command's entry.
 
-fn opt_flag(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
-}
+--jobs N shards trace decoding and analysis work across N worker
+threads (0 or omitted: all cores; 1: serial). Results are
+byte-identical for any N.
 
-/// Every value given for a repeatable flag, in order
-/// (`--allow LA007 --allow LA011` yields both codes).
-fn opt_values<'a>(args: &'a [String], flag: &str) -> Vec<&'a str> {
-    let mut out = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == flag {
-            if let Some(value) = iter.next() {
-                out.push(value.as_str());
-            }
-        }
-    }
-    out
-}
+--min-lag MS, --perceptible, --since-ms MS and --until-ms MS
+filter episodes at ingest; on indexed binary traces the excluded
+episodes are never even decoded (skip-decode filtering). MS is at
+most 18446744073709, and --since-ms may not exceed --until-ms.
 
-/// Positional (non-flag) arguments, skipping the values of value-taking
-/// flags so `stable a.lgz b.lgz --jobs 4` does not try to load "4".
-fn positional_args(args: &[String]) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut skip_value = false;
-    for arg in args {
-        if skip_value {
-            skip_value = false;
-        } else if arg.starts_with("--") {
-            skip_value = VALUE_FLAGS.contains(&arg.as_str());
-        } else {
-            out.push(arg.as_str());
-        }
-    }
-    out
-}
+--salvage decodes a damaged trace leniently, dropping corrupt
+records and reporting every skip (lint and check always do). Exit
+codes: 0 clean, 1 usage or I/O error, 2 damaged but salvaged, 3
+unrecoverable; every command that loads a trace takes its code from
+the same damage verdict.
 
-/// The input file of a one-input command: its first positional argument.
-fn first_path<'a>(args: &'a [String], command: &str) -> Result<&'a str, Failure> {
-    positional_args(args)
-        .first()
-        .copied()
-        .ok_or_else(|| format!("{command} requires an input file").into())
-}
+analyze, patterns and outliers answer from a persisted rollup
+section when the trace, the --session K corpus member, or (corpus-
+wide) every corpus session carries a valid one — zero episode
+decoding, byte-identical output, a `rollup: cache hit` note on
+stderr. --no-cache and --check force the cold decode path, and
+salvaged sessions always take it; stale or missing rollups fall
+back to it automatically.
 
-fn parse_u64(args: &[String], flag: &str, default: u64) -> Result<u64, String> {
-    match opt_value(args, flag) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("{flag} expects a number, got {v:?}")),
-    }
-}
+check FILE exits 0 when clean (notes allowed), 1 on warnings, 2 on
+errors, 3 when the trace is unrecoverable. analyze --check runs
+the checker first and refuses analysis when it reports errors.";
 
-/// Resolves `--jobs N` into a worker count. Absent or `0` means "use all
-/// available cores"; `--jobs 1` runs the original serial path. Parallel
-/// analysis output is byte-identical to serial, so this only affects speed.
-fn parse_jobs(args: &[String]) -> Result<usize, String> {
-    match opt_value(args, "--jobs") {
-        None => Ok(lagalyzer_core::parallel::resolve_jobs(None)),
-        Some(v) => {
-            let n: usize = v
-                .parse()
-                .map_err(|_| format!("--jobs expects a number, got {v:?}"))?;
-            Ok(lagalyzer_core::parallel::resolve_jobs(Some(n)))
-        }
-    }
-}
-
-/// `--format text|json`, text by default.
-fn parse_format(args: &[String]) -> Result<&str, Failure> {
-    match opt_value(args, "--format").unwrap_or("text") {
-        format @ ("text" | "json") => Ok(format),
-        other => Err(format!("unknown format {other:?}; expected text or json").into()),
-    }
-}
-
-/// `--sort count|total|max|perceptible`, count by default.
-fn parse_sort(args: &[String]) -> Result<SortBy, Failure> {
-    Ok(match opt_value(args, "--sort").unwrap_or("count") {
-        "count" => SortBy::Count,
-        "total" => SortBy::TotalLag,
-        "max" => SortBy::MaxLag,
-        "perceptible" => SortBy::PerceptibleCount,
-        other => return Err(format!("unknown sort order {other:?}").into()),
-    })
-}
+/// What a flag with a declared default or a required flag always has.
+const DECLARED: &str = "the flag table declares a default or requires the flag";
 
 /// The finding `--explain N` names, if the flag is given.
-fn explained<'a, T>(args: &[String], findings: &'a [T]) -> Result<Option<&'a T>, Failure> {
-    let Some(v) = opt_value(args, "--explain") else {
+fn explained<'a, T>(args: &Args<'_>, findings: &'a [T]) -> Result<Option<&'a T>, Failure> {
+    let Some(index) = args.get::<usize>("--explain") else {
         return Ok(None);
     };
-    let index: usize = v
-        .parse()
-        .map_err(|_| format!("--explain expects a finding index, got {v:?}"))?;
     findings
         .get(index)
         .map(Some)
         .ok_or_else(|| format!("report has {} finding(s), no index {index}", findings.len()).into())
 }
 
-fn cmd_apps(stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
+fn cmd_help(_: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
+    writeln!(
+        stdout,
+        "lagalyzer — latency profile analysis and visualization\n\n\
+         usage: lagalyzer <command> [options]\n\n\
+         commands:"
+    )?;
+    for command in COMMANDS {
+        write!(stdout, "{}", command.entry("  ", 6))?;
+    }
+    writeln!(stdout, "\n{NOTES}")?;
+    Ok(ExitCode::SUCCESS)
+}
+
+fn cmd_apps(_: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
     writeln!(
         stdout,
         "{:<15} {:<10} {:>8}  description",
@@ -388,23 +323,20 @@ fn cmd_apps(stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_simulate(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
-    let app_name = opt_value(args, "--app").ok_or("simulate requires --app NAME")?;
+fn cmd_simulate(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
+    let app_name = args.text("--app").expect(DECLARED);
     let profile = apps::by_name(app_name)
         .ok_or_else(|| format!("unknown application {app_name:?}; see `lagalyzer apps`"))?;
-    let session = parse_u64(args, "--session", 0)? as u32;
-    let seed = parse_u64(args, "--seed", 42)?;
-    let out = opt_value(args, "--out").ok_or("simulate requires --out FILE")?;
-    if let Some(v) = opt_value(args, "--sessions") {
+    let session = args.get("--session").expect(DECLARED);
+    let seed = args.get("--seed").expect(DECLARED);
+    let out = args.text("--out").expect(DECLARED);
+    if let Some(n) = args.get::<u32>("--sessions") {
         // Multi-session corpus generation: N consecutive sessions of the
         // application, packed straight into one .lgzc file.
-        let n: u32 = v
-            .parse()
-            .map_err(|_| format!("--sessions expects a count, got {v:?}"))?;
         if n == 0 {
             return Err("--sessions must be at least 1".into());
         }
-        if opt_flag(args, "--text") {
+        if args.switch("--text") {
             return Err("--text cannot be combined with --sessions (corpora are binary)".into());
         }
         let traces = runner::simulate_corpus(&profile, n, seed);
@@ -419,7 +351,7 @@ fn cmd_simulate(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Fai
         let packed = corpus::pack(
             &opened,
             PackOptions {
-                compress: opt_flag(args, "--compress"),
+                compress: args.switch("--compress"),
             },
         )
         .map_err(|e| e.to_string())?;
@@ -435,7 +367,7 @@ fn cmd_simulate(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Fai
     let trace = runner::simulate_session(&profile, session, seed);
     let file = fs::File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
     let mut writer = std::io::BufWriter::new(file);
-    if opt_flag(args, "--text") {
+    if args.switch("--text") {
         lagalyzer_trace::text::write(&trace, &mut writer).map_err(|e| e.to_string())?;
     } else {
         // Binary traces ship with a rollup section so every later
@@ -455,18 +387,15 @@ fn cmd_simulate(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Fai
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_pack(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
-    let out = opt_value(args, "--out").ok_or("pack requires --out FILE.lgzc")?;
-    let inputs = positional_args(args);
-    if inputs.is_empty() {
-        return Err("pack requires at least one input .lgz trace".into());
-    }
-    let salvage = opt_flag(args, "--salvage");
+fn cmd_pack(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
+    let out = args.text("--out").expect(DECLARED);
+    let inputs = &args.paths;
+    let salvage = args.switch("--salvage");
     let options = PackOptions {
-        compress: opt_flag(args, "--compress"),
+        compress: args.switch("--compress"),
     };
     let mut opened = Vec::with_capacity(inputs.len());
-    for path in inputs {
+    for &path in inputs {
         let bytes = read_input(path)?;
         if !bytes.starts_with(BINARY_MAGIC) {
             return Err(format!("{path} is not a binary .lgz trace").into());
@@ -499,7 +428,7 @@ fn cmd_pack(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failure
     // Clean inputs without a persisted rollup get one folded at pack time
     // (decode once now, answer warm forever); salvaged inputs stay cold
     // since the warm path refuses damaged sessions anyway.
-    let jobs = parse_jobs(args)?;
+    let jobs = jobs(args);
     let built: Vec<Option<lagalyzer_trace::Rollup>> = opened
         .iter()
         .map(|t| {
@@ -528,12 +457,12 @@ fn cmd_pack(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failure
     }
 }
 
-fn cmd_compact(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
-    let path = first_path(args, "compact")?;
-    let out = opt_value(args, "--out").ok_or("compact requires --out FILE.lgzc")?;
-    let jobs = parse_jobs(args)?;
+fn cmd_compact(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
+    let path = args.paths[0];
+    let out = args.text("--out").expect(DECLARED);
+    let jobs = jobs(args);
     let options = PackOptions {
-        compress: opt_flag(args, "--compress"),
+        compress: args.switch("--compress"),
     };
     let bytes = read_input(path)?;
     if !corpus::is_corpus(&bytes) {
@@ -561,35 +490,29 @@ fn cmd_compact(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Fail
 /// `--perceptible` and the `--since-ms`/`--until-ms` session window. On
 /// indexed binary traces the filter is evaluated against the extent index
 /// alone, so excluded episodes are never decoded.
-fn parse_filter(args: &[String]) -> Result<EpisodeFilter, String> {
+fn parse_filter(args: &Args<'_>) -> Result<EpisodeFilter, String> {
     let mut filter = EpisodeFilter::new();
-    if let Some(v) = opt_value(args, "--min-lag") {
-        let ms: u64 = v
-            .parse()
-            .map_err(|_| format!("--min-lag expects milliseconds, got {v:?}"))?;
-        filter = filter.min_duration(DurationNs::from_millis(ms));
+    if let Some(ns) = args.nanos("--min-lag") {
+        filter = filter.min_duration(DurationNs::from_nanos(ns));
     }
-    if opt_flag(args, "--perceptible") {
+    if args.switch("--perceptible") {
         filter = filter.min_duration(DurationNs::PERCEPTIBLE_DEFAULT);
     }
-    let since = opt_value(args, "--since-ms");
-    let until = opt_value(args, "--until-ms");
+    let (since, until) = (args.nanos("--since-ms"), args.nanos("--until-ms"));
     if since.is_some() || until.is_some() {
-        let parse = |flag: &str, v: &str| -> Result<u64, String> {
-            v.parse()
-                .map_err(|_| format!("{flag} expects milliseconds, got {v:?}"))
-        };
-        let from = match since {
-            Some(v) => TimeNs::from_millis(parse("--since-ms", v)?),
-            None => TimeNs::from_nanos(0),
-        };
-        let to = match until {
-            Some(v) => TimeNs::from_millis(parse("--until-ms", v)?),
-            None => TimeNs::from_nanos(u64::MAX),
-        };
-        filter = filter.window(from, to);
+        let (from, to) = (since.unwrap_or(0), until.unwrap_or(u64::MAX));
+        if from > to {
+            return Err("--since-ms may not exceed --until-ms".into());
+        }
+        filter = filter.window(TimeNs::from_nanos(from), TimeNs::from_nanos(to));
     }
     Ok(filter)
+}
+
+/// `--jobs N` as a worker count: absent or `0` means every available
+/// core. Results are byte-identical for any count.
+fn jobs(args: &Args<'_>) -> usize {
+    lagalyzer_core::parallel::resolve_jobs(args.get("--jobs"))
 }
 
 /// Reads a trace input from disk — the one place any subcommand does.
@@ -670,19 +593,15 @@ struct Input {
 }
 
 impl Input {
-    /// Reads and opens a command's input file (its first positional).
-    fn load(args: &[String], command: &str) -> Result<Input, Failure> {
-        Input::load_path(args, first_path(args, command)?)
-    }
-
-    fn load_path(args: &[String], path: &str) -> Result<Input, Failure> {
+    /// Reads and opens the input file at `path`.
+    fn load(args: &Args<'_>, path: &str) -> Result<Input, Failure> {
         Input::open(args, path, read_input(path)?)
     }
 
     /// Classifies and opens the bytes read from `path`, applying
     /// `--salvage` and `--session K`.
-    fn open(args: &[String], path: &str, bytes: Vec<u8>) -> Result<Input, Failure> {
-        let salvage = opt_flag(args, "--salvage");
+    fn open(args: &Args<'_>, path: &str, bytes: Vec<u8>) -> Result<Input, Failure> {
+        let salvage = args.switch("--salvage");
         let failed = |e: TraceError| -> Failure {
             if salvage {
                 Failure::unrecoverable(format!("cannot salvage {path}: {e}"))
@@ -693,12 +612,7 @@ impl Input {
         let (opened, damage, session) = if corpus::is_corpus(&bytes) {
             let reader = CorpusReader::open(bytes)
                 .map_err(|e| Failure::unrecoverable(format!("cannot load {path}: {e}")))?;
-            let session = opt_value(args, "--session")
-                .map(|v| {
-                    v.parse::<usize>()
-                        .map_err(|_| format!("--session expects a session index, got {v:?}"))
-                })
-                .transpose()?;
+            let session = args.get::<usize>("--session");
             let damage = match session {
                 Some(k) if k >= reader.len() => {
                     return Err(
@@ -749,16 +663,14 @@ impl Input {
             rescanned: OnceLock::new(),
             session,
             damage,
-            jobs: parse_jobs(args)?,
+            jobs: jobs(args),
             config: AnalysisConfig {
-                perceptible_threshold: DurationNs::from_millis(parse_u64(
-                    args,
-                    "--threshold-ms",
-                    100,
-                )?),
+                perceptible_threshold: DurationNs::from_nanos(
+                    args.nanos("--threshold-ms").expect(DECLARED),
+                ),
             },
             filter: parse_filter(args)?,
-            cache: !opt_flag(args, "--no-cache") && !opt_flag(args, "--check"),
+            cache: !args.switch("--no-cache") && !args.switch("--check"),
         })
     }
 
@@ -904,19 +816,6 @@ impl Input {
         Ok((decoded, source))
     }
 
-    /// The cold path: the filtered session, decoded, and how many
-    /// episodes the filter excluded.
-    fn decode(&self) -> Result<(SessionTrace, u64), Failure> {
-        if let Opened::Text(trace) = &self.opened {
-            let kept = self.filter.retain(trace.clone());
-            let excluded = trace.episodes().len() - kept.episodes().len();
-            return Ok((kept, excluded as u64));
-        }
-        let (trace, source) =
-            self.with_source(|source| source.decode_filtered(self.jobs, &self.filter))?;
-        Ok((trace, source.excluded_by(&self.filter) as u64))
-    }
-
     /// The streamed cold path: the episodes the filter admits, lent one at
     /// a time to `step` with their positions (extent positions, or indices
     /// into a text trace) and never kept. An indexed session folds over
@@ -977,15 +876,31 @@ impl Input {
         Ok((folded, SessionFacts { salvaged, ..facts }))
     }
 
-    /// [`Input::decode`], wrapped for analysis with its provenance.
-    fn session(&self) -> Result<AnalysisSession, Failure> {
-        let (trace, excluded) = self.decode()?;
-        Ok(AnalysisSession::with_exclusions(
-            trace,
-            self.config,
-            self.provenance(),
-            excluded,
-        ))
+    /// The cold path: the filtered session, decoded (a text trace is
+    /// moved, not copied) and wrapped for analysis with its provenance,
+    /// and the input's exit code (see [`Input::exit_code`]).
+    fn into_session(self) -> Result<(AnalysisSession, u8), Failure> {
+        let decoded = match &self.opened {
+            Opened::Text(_) => None,
+            _ => {
+                let (trace, source) =
+                    self.with_source(|source| source.decode_filtered(self.jobs, &self.filter))?;
+                Some((trace, source.excluded_by(&self.filter) as u64))
+            }
+        };
+        // Read after the decode: a `--salvage` rescan changes both.
+        let (provenance, code) = (self.provenance(), self.damage().verdict.exit_code());
+        let (trace, excluded) = match self.opened {
+            Opened::Text(trace) => {
+                let total = trace.episodes().len();
+                let kept = self.filter.retain(trace);
+                let excluded = total - kept.episodes().len();
+                (kept, excluded as u64)
+            }
+            _ => decoded.expect("an indexed input was decoded above"),
+        };
+        let session = AnalysisSession::with_exclusions(trace, self.config, provenance, excluded);
+        Ok((session, code))
     }
 
     /// Every member of a whole corpus, decoded cold through the corpus
@@ -1079,17 +994,14 @@ impl Input {
 
 /// Loads every input, decoding each cold; the exit code is the worst
 /// input's.
-fn load_sessions(
-    args: &[String],
-    paths: &[&str],
-) -> Result<(Vec<AnalysisSession>, ExitCode), Failure> {
+fn load_sessions(args: &Args<'_>) -> Result<(Vec<AnalysisSession>, ExitCode), Failure> {
     let mut code = 0;
-    let sessions = paths
+    let sessions = args
+        .paths
         .iter()
         .map(|path| {
-            let input = Input::load_path(args, path)?;
-            let session = input.session()?;
-            code = code.max(input.damage().verdict.exit_code());
+            let (session, input_code) = Input::load(args, path)?.into_session()?;
+            code = code.max(input_code);
             Ok(session)
         })
         .collect::<Result<_, Failure>>()?;
@@ -1126,10 +1038,10 @@ fn run_check(path: &str, bytes: &[u8]) -> Result<CheckOutcome, Failure> {
     })
 }
 
-fn cmd_analyze(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
-    let path = first_path(args, "analyze")?;
+fn cmd_analyze(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
+    let path = args.paths[0];
     let bytes = read_input(path)?;
-    let check = if opt_flag(args, "--check") {
+    let check = if args.switch("--check") {
         if corpus::is_corpus(&bytes) {
             return Err("--check is not supported on corpus files".into());
         }
@@ -1141,11 +1053,11 @@ fn cmd_analyze(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Fail
     if let Some(reader) = input.corpus_wide() {
         return analyze_corpus(args, &input, reader, stdout);
     }
-    if parse_format(args)? != "text" {
+    if args.text("--format") == Some("json") {
         return Err("--format json is only supported for corpus-wide analyze".into());
     }
     let jobs = input.jobs;
-    let histogram = opt_flag(args, "--histogram");
+    let histogram = args.switch("--histogram");
     // Everything is computed before the first byte is printed, so a warm
     // fallback never emits a partial report. The Table III row and the
     // outlier scan share one mined pattern set (the dedicated `outliers`
@@ -1274,17 +1186,16 @@ fn corpus_patterns(input: &Input, reader: &CorpusReader) -> Result<CorpusPattern
 /// cross-session patterns (byte-identical to mining the N files
 /// separately).
 fn analyze_corpus(
-    args: &[String],
+    args: &Args<'_>,
     input: &Input,
     reader: &CorpusReader,
     stdout: &mut dyn Write,
 ) -> Result<ExitCode, Failure> {
-    let format = parse_format(args)?;
     let (counts, multi, excluded) = corpus_patterns(input, reader)?;
     let episodes: usize = counts.iter().map(|c| c.0).sum();
     let perceptible: usize = counts.iter().map(|c| c.1).sum();
     let damaged = reader.sessions().filter(SessionView::is_damaged).count();
-    if format == "json" {
+    if args.text("--format") == Some("json") {
         let sessions_json: Vec<String> = reader
             .sessions()
             .zip(&counts)
@@ -1371,9 +1282,9 @@ fn analyze_corpus(
     Ok(input.exit_code())
 }
 
-fn cmd_patterns(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
-    let input = Input::load(args, "patterns")?;
-    let perceptible_only = opt_flag(args, "--perceptible-only");
+fn cmd_patterns(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
+    let input = Input::load(args, args.paths[0])?;
+    let perceptible_only = args.switch("--perceptible-only");
     if let Some(reader) = input.corpus_wide() {
         // The merged cross-session table.
         let (_, multi, _) = corpus_patterns(&input, reader)?;
@@ -1405,7 +1316,12 @@ fn cmd_patterns(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Fai
         }
         return Ok(input.exit_code());
     }
-    let sort = parse_sort(args)?;
+    let sort = match args.text("--sort") {
+        Some("total") => SortBy::TotalLag,
+        Some("max") => SortBy::MaxLag,
+        Some("perceptible") => SortBy::PerceptibleCount,
+        _ => SortBy::Count,
+    };
     let patterns = input.answer("zero decode", false, |summaries| {
         Some(summaries.mine_patterns_with_jobs(input.jobs))
     })?;
@@ -1417,8 +1333,8 @@ fn cmd_patterns(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Fai
     Ok(input.exit_code())
 }
 
-fn cmd_lint(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
-    let path = first_path(args, "lint")?;
+fn cmd_lint(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
+    let path = args.paths[0];
     let bytes = read_input(path)?;
     if corpus::is_corpus(&bytes) {
         // Corpus: one index-health line per member session, then the
@@ -1480,7 +1396,7 @@ fn cmd_lint(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failure
     // The report comes from the salvage decode `check` runs, and the exit
     // code from the shared damage classification, so `lint` and `check`
     // can never disagree on what counts as salvaged.
-    match lagalyzer_trace::decode_bytes_salvage(bytes, 1) {
+    match lagalyzer_trace::decode_bytes_salvage(bytes, jobs(args)) {
         Err(e) => {
             writeln!(stdout, "unrecoverable: {e}")?;
             Ok(ExitCode::from(DamageVerdict::Unrecoverable.exit_code()))
@@ -1508,15 +1424,15 @@ fn cmd_lint(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failure
 /// Builds the rule set for `check`, applying every `--allow CODE`,
 /// `--deny CODE` and `--level CODE=SEVERITY` override in turn. Rules may
 /// be named by code (`LA007`) or by name (`sub-floor-episode`).
-fn check_ruleset(args: &[String]) -> Result<RuleSet, Failure> {
+fn check_ruleset(args: &Args<'_>) -> Result<RuleSet, Failure> {
     let mut rules = RuleSet::standard();
-    for code in opt_values(args, "--allow") {
+    for code in args.texts("--allow") {
         rules.allow(code).map_err(|e| e.to_string())?;
     }
-    for code in opt_values(args, "--deny") {
+    for code in args.texts("--deny") {
         rules.deny(code).map_err(|e| e.to_string())?;
     }
-    for spec in opt_values(args, "--level") {
+    for spec in args.texts("--level") {
         let (code, sev) = spec
             .split_once('=')
             .ok_or_else(|| format!("--level expects CODE=SEVERITY, got {spec:?}"))?;
@@ -1527,8 +1443,8 @@ fn check_ruleset(args: &[String]) -> Result<RuleSet, Failure> {
     Ok(rules)
 }
 
-fn cmd_check(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
-    if opt_flag(args, "--list-rules") {
+fn cmd_check(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
+    if args.switch("--list-rules") {
         writeln!(
             stdout,
             "{:<7} {:<25} {:<8} summary",
@@ -1543,8 +1459,7 @@ fn cmd_check(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failur
         }
         return Ok(ExitCode::SUCCESS);
     }
-    let path = first_path(args, "check")?;
-    let format = parse_format(args)?;
+    let path = *args.paths.first().ok_or("check requires FILE")?;
     let mut rules = check_ruleset(args)?;
     let bytes = read_input(path)?;
     if corpus::is_corpus(&bytes) {
@@ -1554,12 +1469,12 @@ fn cmd_check(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failur
     }
     let report = check_bytes(bytes, &mut rules)
         .map_err(|e| Failure::unrecoverable(format!("cannot check {path}: {e}")))?;
-    if format == "json" {
+    if args.text("--format") == Some("json") {
         writeln!(stdout, "{}", report.render_json(path))?;
     } else {
         write!(stdout, "{}", report.render_text(path))?;
     }
-    if let Some(out) = opt_value(args, "--fix-report") {
+    if let Some(out) = args.text("--fix-report") {
         let mut json = report.render_json(path);
         json.push('\n');
         fs::write(out, json).map_err(|e| format!("cannot write {out}: {e}"))?;
@@ -1569,34 +1484,27 @@ fn cmd_check(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failur
 
 /// Builds the hazard detection config from `--min-samples` and
 /// `--starvation-streak`.
-fn parse_hazard_config(args: &[String]) -> Result<HazardConfig, Failure> {
+fn parse_hazard_config(args: &Args<'_>) -> HazardConfig {
     let mut config = HazardConfig::default();
-    if let Some(v) = opt_value(args, "--min-samples") {
-        let n: u64 = v
-            .parse()
-            .map_err(|_| format!("--min-samples expects a number, got {v:?}"))?;
+    if let Some(n) = args.get::<u64>("--min-samples") {
         config.min_wait_samples = n.max(1);
         config.min_edge_samples = n.max(1);
     }
-    if let Some(v) = opt_value(args, "--starvation-streak") {
-        let n: u64 = v
-            .parse()
-            .map_err(|_| format!("--starvation-streak expects a number, got {v:?}"))?;
+    if let Some(n) = args.get::<u64>("--starvation-streak") {
         config.starvation_streak = n.max(2);
     }
-    Ok(config)
+    config
 }
 
-fn cmd_hazards(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
-    let format = parse_format(args)?;
-    let config = parse_hazard_config(args)?;
-    let input = Input::load(args, "hazards")?;
+fn cmd_hazards(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
+    let config = parse_hazard_config(args);
+    let input = Input::load(args, args.paths[0])?;
     let report = match input.corpus_wide() {
         Some(reader) => {
             // Corpus: per-session lock graphs re-interned through the
             // corpus-wide symbol table, then the cross-session merge
             // (LA025).
-            if opt_value(args, "--explain").is_some() {
+            if args.switch("--explain") {
                 return Err("--explain works on single traces, not corpora".into());
             }
             let traces = input.decode_corpus(reader)?;
@@ -1623,7 +1531,7 @@ fn cmd_hazards(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Fail
             HazardReport::of_graph(&graph, episodes, symbols, input.file_extents(), &config)
         }
     };
-    if format == "json" {
+    if args.text("--format") == Some("json") {
         writeln!(stdout, "{}", report.render_json(&input.path))?;
     } else {
         write!(stdout, "{}", report.render_text(&input.path))?;
@@ -1676,36 +1584,23 @@ fn explain_hazard(
 
 /// Builds the outlier detection config from `--mad-k`, `--min-excess-ms`
 /// and `--min-count`.
-fn parse_outlier_config(args: &[String]) -> Result<OutlierConfig, Failure> {
+fn parse_outlier_config(args: &Args<'_>) -> OutlierConfig {
     let mut config = OutlierConfig::default();
-    if let Some(v) = opt_value(args, "--mad-k") {
-        let k: f64 = v
-            .parse()
-            .map_err(|_| format!("--mad-k expects a number, got {v:?}"))?;
-        if !k.is_finite() || k <= 0.0 {
-            return Err(format!("--mad-k must be a positive number, got {v:?}").into());
-        }
+    if let Some(k) = args.get::<f64>("--mad-k") {
         config.mad_k = k;
     }
-    if let Some(v) = opt_value(args, "--min-excess-ms") {
-        let ms: u64 = v
-            .parse()
-            .map_err(|_| format!("--min-excess-ms expects milliseconds, got {v:?}"))?;
-        config.min_excess = DurationNs::from_millis(ms);
+    if let Some(ns) = args.nanos("--min-excess-ms") {
+        config.min_excess = DurationNs::from_nanos(ns);
     }
-    if let Some(v) = opt_value(args, "--min-count") {
-        let n: usize = v
-            .parse()
-            .map_err(|_| format!("--min-count expects a number, got {v:?}"))?;
+    if let Some(n) = args.get::<usize>("--min-count") {
         config.min_count = n.max(2);
     }
-    Ok(config)
+    config
 }
 
-fn cmd_outliers(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
-    let format = parse_format(args)?;
-    let config = parse_outlier_config(args)?;
-    let input = Input::load(args, "outliers")?;
+fn cmd_outliers(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
+    let config = parse_outlier_config(args);
+    let input = Input::load(args, args.paths[0])?;
     // Detection, medians, baselines and causes from the summaries; a warm
     // session re-decodes only its flagged lock/wait episodes.
     let mut report = input.answer("decoded only flagged lock/wait", true, |summaries| {
@@ -1721,7 +1616,7 @@ fn cmd_outliers(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Fai
     // Each finding carries the byte span of its episode's records (the
     // provenance `check` diagnostics carry too).
     report.attach_spans(|id| input.span_of(id));
-    if format == "json" {
+    if args.text("--format") == Some("json") {
         writeln!(stdout, "{}", report.render_json(symbols))?;
     } else {
         write!(stdout, "{}", report.render_text(symbols))?;
@@ -1776,13 +1671,13 @@ fn print_explanation(
     Ok(())
 }
 
-fn cmd_sketch(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
-    let input = Input::load(args, "sketch")?;
+fn cmd_sketch(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
+    let input = Input::load(args, args.paths[0])?;
+    let index = args.get("--episode").expect(DECLARED);
     // Random access: a plain `--episode N` on an unfiltered, strictly
     // opened indexed input decodes just that episode, not the whole file.
-    let random_access = opt_value(args, "--pattern").is_none() && input.filter.is_unrestricted();
+    let random_access = !args.switch("--pattern") && input.filter.is_unrestricted();
     if let Some(source) = input.source().filter(|s| random_access && !s.is_lenient()) {
-        let index = parse_u64(args, "--episode", 0)? as usize;
         if index >= source.len() {
             return Err(format!("trace has {} episodes, no index {index}", source.len()).into());
         }
@@ -1792,20 +1687,17 @@ fn cmd_sketch(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failu
         render_episode_sketch(args, &episode, source.symbols(), index, stdout)?;
         return Ok(input.exit_code());
     }
-    let session = input.session()?;
+    let (session, code) = input.into_session()?;
     // --pattern N selects the first episode of the N-th pattern (what the
     // paper's pattern browser shows on selection); --episode N selects by
     // dispatch order.
-    let index = if let Some(p) = opt_value(args, "--pattern") {
-        let rank: usize = p
-            .parse()
-            .map_err(|_| format!("--pattern expects a number, got {p:?}"))?;
+    let index = if let Some(rank) = args.get::<usize>("--pattern") {
         let patterns = session.mine_patterns();
         let pattern = patterns
             .patterns()
             .get(rank)
             .ok_or_else(|| format!("trace has {} patterns, no rank {rank}", patterns.len()))?;
-        if opt_flag(args, "--gallery") {
+        if args.switch("--gallery") {
             // Render all of the pattern's episodes as mini-sketches on a
             // common scale (paper §II-E browsing flow).
             let episodes: Vec<_> = pattern
@@ -1818,22 +1710,13 @@ fn cmd_sketch(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failu
                 session.trace().symbols(),
                 &SketchOptions::default(),
             );
-            match opt_value(args, "--out") {
-                Some(out) => {
-                    fs::write(out, svg).map_err(|e| format!("cannot write {out}: {e}"))?;
-                    writeln!(
-                        stdout,
-                        "wrote gallery of {} episodes to {out}",
-                        episodes.len()
-                    )?;
-                }
-                None => writeln!(stdout, "{svg}")?,
-            }
-            return Ok(input.exit_code());
+            let what = format!("gallery of {} episodes", episodes.len());
+            write_svg(args, &svg, &what, stdout)?;
+            return Ok(ExitCode::from(code));
         }
         pattern.episode_indices()[0]
     } else {
-        parse_u64(args, "--episode", 0)? as usize
+        index
     };
     let episode = session.episodes().get(index).ok_or_else(|| {
         format!(
@@ -1842,51 +1725,52 @@ fn cmd_sketch(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failu
         )
     })?;
     render_episode_sketch(args, episode, session.trace().symbols(), index, stdout)?;
-    Ok(input.exit_code())
+    Ok(ExitCode::from(code))
 }
 
 fn render_episode_sketch(
-    args: &[String],
+    args: &Args<'_>,
     episode: &Episode,
     symbols: &SymbolTable,
     index: usize,
     stdout: &mut dyn Write,
 ) -> Result<(), Failure> {
-    if opt_flag(args, "--ascii") {
+    if args.switch("--ascii") {
         write!(stdout, "{}", ascii_sketch(episode, symbols, 100))?;
         return Ok(());
     }
     let svg = render_sketch(episode, symbols, &SketchOptions::default());
-    match opt_value(args, "--out") {
+    write_svg(args, &svg, &format!("sketch of episode {index}"), stdout)
+}
+
+/// Writes `svg` to `--out FILE` and says `wrote {what} to FILE`, or
+/// prints it.
+fn write_svg(
+    args: &Args<'_>,
+    svg: &str,
+    what: &str,
+    stdout: &mut dyn Write,
+) -> Result<(), Failure> {
+    match args.text("--out") {
         Some(out) => {
             fs::write(out, svg).map_err(|e| format!("cannot write {out}: {e}"))?;
-            writeln!(stdout, "wrote sketch of episode {index} to {out}")?;
+            writeln!(stdout, "wrote {what} to {out}")?;
         }
         None => writeln!(stdout, "{svg}")?,
     }
     Ok(())
 }
 
-fn cmd_timeline(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
-    let input = Input::load(args, "timeline")?;
-    let svg = render_timeline(&input.session()?, &TimelineOptions::default());
-    match opt_value(args, "--out") {
-        Some(out) => {
-            fs::write(out, svg).map_err(|e| format!("cannot write {out}: {e}"))?;
-            writeln!(stdout, "wrote timeline to {out}")?;
-        }
-        None => writeln!(stdout, "{svg}")?,
-    }
-    Ok(input.exit_code())
+fn cmd_timeline(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
+    let (session, code) = Input::load(args, args.paths[0])?.into_session()?;
+    let svg = render_timeline(&session, &TimelineOptions::default());
+    write_svg(args, &svg, "timeline", stdout)?;
+    Ok(ExitCode::from(code))
 }
 
-fn cmd_stable(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
-    let paths = positional_args(args);
-    if paths.is_empty() {
-        return Err("stable requires at least one trace file".into());
-    }
-    let (sessions, code) = load_sessions(args, &paths)?;
-    let multi = MultiPatternSet::mine_with_jobs(&sessions, parse_jobs(args)?);
+fn cmd_stable(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
+    let (sessions, code) = load_sessions(args)?;
+    let multi = MultiPatternSet::mine_with_jobs(&sessions, jobs(args));
     writeln!(
         stdout,
         "{} traces, {} merged patterns ({} recurring in every trace)",
@@ -1915,15 +1799,10 @@ fn cmd_stable(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failu
     Ok(code)
 }
 
-fn cmd_diff(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
-    let paths = positional_args(args);
-    let usage = "diff requires exactly two trace files: BASELINE CANDIDATE";
-    if paths.len() != 2 {
-        return Err(usage.into());
-    }
-    let (sessions, code) = load_sessions(args, &paths)?;
+fn cmd_diff(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
+    let (sessions, code) = load_sessions(args)?;
     let [baseline, candidate] = sessions.as_slice() else {
-        return Err(usage.into());
+        unreachable!("diff takes two paths");
     };
     let diff = lagalyzer_core::SessionDiff::between(baseline, candidate);
     const TOLERANCE: f64 = 0.20;
@@ -1976,11 +1855,11 @@ fn cmd_diff(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failure
     Ok(code)
 }
 
-fn cmd_experiments(args: &[String], stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
-    let out_dir = PathBuf::from(opt_value(args, "--out-dir").unwrap_or("target/experiments"));
-    let sessions = parse_u64(args, "--sessions", 4)? as u32;
-    let seed = parse_u64(args, "--seed", 42)?;
-    let jobs = parse_jobs(args)?;
+fn cmd_experiments(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
+    let out_dir = PathBuf::from(args.text("--out-dir").expect(DECLARED));
+    let sessions = args.get("--sessions").expect(DECLARED);
+    let seed = args.get("--seed").expect(DECLARED);
+    let jobs = jobs(args);
     fs::create_dir_all(&out_dir).map_err(|e| format!("cannot create {out_dir:?}: {e}"))?;
 
     eprintln!(
