@@ -42,11 +42,6 @@ pub fn output_path_for(stem: &str) -> PathBuf {
     )
 }
 
-/// Where the combined mining JSON lands (`BENCH_MINING_JSON` overrides).
-pub fn output_path() -> PathBuf {
-    output_path_for("BENCH_mining")
-}
-
 fn sections_dir(stem: &str) -> PathBuf {
     let dir = workspace_experiments_dir()
         .join("bench-sections")

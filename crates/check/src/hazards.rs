@@ -32,7 +32,7 @@
 //! counts carried in [`HazardConfig`]. `LA020`…`LA024` run as ordinary
 //! [`Rule`]s inside [`crate::RuleSet::standard`]; `LA025` needs more
 //! than one session and therefore only fires through
-//! [`HazardReport::analyze_corpus`] (its registered rule exists so the
+//! [`HazardReport::of_corpus`] (its registered rule exists so the
 //! code appears in `--list-rules`, but it never fires single-session).
 
 use std::collections::BTreeSet;
@@ -502,7 +502,7 @@ impl Rule for SelfWait {
 /// `LA025`: corpus-wide inversion. Needs multiple sessions, so the
 /// single-session engine never fires it — it is registered so the code
 /// appears in `--list-rules` and severity overrides resolve; the actual
-/// detection runs in [`HazardReport::analyze_corpus`].
+/// detection runs in [`HazardReport::of_corpus`].
 pub(crate) struct CorpusLockInversion;
 
 impl Rule for CorpusLockInversion {
@@ -593,21 +593,8 @@ impl HazardReport {
             }
         }
         for inv in inversions(graph, symbols, config) {
-            findings.push(Diagnostic {
-                code: "LA020",
-                severity: Severity::Error,
-                message: inv.message,
-                episode_id: inv.episode,
-                byte_span: inv.episode.and_then(span_of),
-                related: inv
-                    .related
-                    .into_iter()
-                    .map(|message| Related {
-                        message,
-                        byte_span: None,
-                    })
-                    .collect(),
-            });
+            let span = inv.episode.and_then(span_of);
+            findings.push(cycle_finding("LA020", inv.episode, span, inv));
         }
         HazardReport {
             episodes,
@@ -620,84 +607,65 @@ impl HazardReport {
         }
     }
 
-    /// Analyzes a corpus: per-session graphs are built (sharded), their
-    /// lock identities re-interned through `symbols` (seed it with the
-    /// corpus-wide table), per-session findings are emitted with an
-    /// `s{i}: ` prefix, and `LA025` reports cycles only the merged
-    /// graph closes.
+    /// Analyzes a corpus of decoded sessions: each session's lock graph is
+    /// built (sharded over `jobs`) and the graphs go through
+    /// [`HazardReport::of_corpus`]. The reference for a corpus folded
+    /// member by member.
     pub fn analyze_corpus(
         traces: &[SessionTrace],
         symbols: &mut SymbolTable,
         jobs: usize,
         config: &HazardConfig,
     ) -> HazardReport {
+        let members = traces.iter().map(|trace| {
+            let graph = LockGraph::build_with_jobs(trace.episodes(), jobs);
+            (graph, trace.episodes().len(), trace.symbols())
+        });
+        HazardReport::of_corpus(members, symbols, config)
+    }
+
+    /// The corpus report over each member's `(lock graph, episodes,
+    /// symbol table)`, in member order. Each graph's lock identities are
+    /// re-interned through `symbols` (seed it with the corpus-wide table),
+    /// the member's findings are [`HazardReport::of_graph`]'s with an
+    /// `s{i}: ` prefix and no byte spans, and `LA025` reports cycles only
+    /// the merged graph closes.
+    pub fn of_corpus<'s>(
+        members: impl IntoIterator<Item = (LockGraph, usize, &'s SymbolTable)>,
+        symbols: &mut SymbolTable,
+        config: &HazardConfig,
+    ) -> HazardReport {
         let mut merged = LockGraph::new();
-        let mut graphs = Vec::with_capacity(traces.len());
+        let mut graphs = Vec::new();
         let mut findings = Vec::new();
         let mut episodes = 0usize;
-        for (i, trace) in traces.iter().enumerate() {
-            episodes += trace.episodes().len();
-            let local = trace.symbols();
-            let graph = LockGraph::build_with_jobs(trace.episodes(), jobs).remap(|m| MethodRef {
+        for (i, (graph, count, local)) in members.into_iter().enumerate() {
+            episodes += count;
+            let graph = graph.remap(|m| MethodRef {
                 class: symbols.intern(local.resolve(m.class).unwrap_or("?")),
                 method: symbols.intern(local.resolve(m.method).unwrap_or("?")),
             });
-            for wait in graph.waits() {
-                for (code, message) in wait_findings(wait, symbols, config) {
-                    findings.push(Diagnostic {
-                        code,
-                        severity: severity_of(code),
-                        message: format!("s{i}: {message}"),
-                        episode_id: Some(wait.episode),
-                        byte_span: None,
-                        related: Vec::new(),
-                    });
-                }
-            }
-            for inv in inversions(&graph, symbols, config) {
-                findings.push(Diagnostic {
-                    code: "LA020",
-                    severity: Severity::Error,
-                    message: format!("s{i}: {}", inv.message),
-                    episode_id: inv.episode,
-                    byte_span: None,
-                    related: inv
-                        .related
-                        .into_iter()
-                        .map(|message| Related {
-                            message,
-                            byte_span: None,
-                        })
-                        .collect(),
-                });
-            }
+            let member = HazardReport::of_graph(&graph, count, symbols, None, config);
+            findings.extend(member.findings.into_iter().map(|mut finding| {
+                finding.message = format!("s{i}: {}", finding.message);
+                finding
+            }));
             merged.merge(graph.clone());
             graphs.push(graph);
         }
-        for inv in corpus_inversions(&merged, &graphs, symbols, config) {
-            findings.push(Diagnostic {
-                code: "LA025",
-                severity: Severity::Error,
-                message: inv.message,
-                episode_id: None,
-                byte_span: None,
-                related: inv
-                    .related
-                    .into_iter()
-                    .map(|message| Related {
-                        message,
-                        byte_span: None,
-                    })
-                    .collect(),
-            });
-        }
+        let cycles = corpus_inversions(&merged, &graphs, symbols, config);
+        findings.extend(
+            cycles
+                .into_iter()
+                .map(|inv| cycle_finding("LA025", None, None, inv)),
+        );
         HazardReport {
             episodes,
             waits: merged.waits().len(),
             wait_samples: merged.total_wait_samples(),
             locks: merged.lock_count(),
             held_edges: merged.edge_count(),
-            sessions: Some(traces.len()),
+            sessions: Some(graphs.len()),
             findings,
         }
     }
@@ -803,6 +771,28 @@ fn wait_findings(
         out.push(("LA024", m));
     }
     out
+}
+
+/// An inversion cycle as an error diagnostic, its per-edge evidence notes
+/// as related items.
+fn cycle_finding(
+    code: &'static str,
+    episode_id: Option<EpisodeId>,
+    byte_span: Option<ByteSpan>,
+    inv: InversionFinding,
+) -> Diagnostic {
+    let related = inv.related.into_iter().map(|message| Related {
+        message,
+        byte_span: None,
+    });
+    Diagnostic {
+        code,
+        severity: Severity::Error,
+        message: inv.message,
+        episode_id,
+        byte_span,
+        related: related.collect(),
+    }
 }
 
 /// Default severity of a hazard code, for report construction outside

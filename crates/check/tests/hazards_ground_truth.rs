@@ -184,6 +184,39 @@ fn reports_are_byte_identical_across_jobs() {
     }
 }
 
+/// In a corpus, each member's findings are exactly its single-session
+/// findings, prefixed `s{i}: ` and without byte spans. The corpus table
+/// is seeded with the inversion scenario's symbols so its locks keep
+/// their ids, and with them the rotation of the cycle the message shows.
+#[test]
+fn corpus_findings_are_each_members_findings_prefixed() {
+    let config = HazardConfig::default();
+    let members = [
+        hazard_control().trace,
+        abba_inversion().trace,
+        held_lock_io().trace,
+    ];
+    let mut want = Vec::new();
+    for (i, trace) in members.iter().enumerate() {
+        for d in analyze(trace).findings {
+            want.push((d.code, format!("s{i}: {}", d.message)));
+        }
+    }
+    assert!(!want.is_empty(), "the scenarios inject hazards");
+    let mut symbols = members[1].symbols().clone();
+    let corpus = HazardReport::analyze_corpus(&members, &mut symbols, 2, &config);
+    let got: Vec<_> = corpus
+        .findings
+        .iter()
+        .filter(|d| d.code != "LA025")
+        .map(|d| (d.code, d.message.clone()))
+        .collect();
+    assert_eq!(got, want);
+    assert!(corpus.findings.iter().all(|d| d.byte_span.is_none()));
+    let episodes: usize = members.iter().map(|t| t.episodes().len()).sum();
+    assert_eq!((corpus.episodes, corpus.sessions), (episodes, Some(3)));
+}
+
 /// Round-trip through the binary codec: spans come from the extent
 /// index, and findings survive serialization.
 #[test]

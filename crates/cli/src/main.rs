@@ -38,7 +38,7 @@ use lagalyzer_trace::{
 };
 use lagalyzer_viz::ascii::ascii_sketch;
 use lagalyzer_viz::sketch::{render_pattern_gallery, render_sketch, SketchOptions};
-use lagalyzer_viz::timeline::{render_timeline, TimelineOptions};
+use lagalyzer_viz::timeline::{render_timeline, Timeline, TimelineOptions, TimelineRow};
 
 /// Exit code for a trace that was damaged but salvageable.
 const EXIT_SALVAGED: u8 = 2;
@@ -219,13 +219,13 @@ const COMMANDS: &[Command] = {
         ]], about: "flag per-pattern duration outliers and attribute each one's excess (codes \
              OC-LOCK, OC-WAIT, OC-SLEEP, OC-GC, OC-IO, OC-NATIVE, OC-SELF)" },
         Command { name: "sketch", paths: "FILE", run: cmd_sketch, flags: &[INPUT, &[
-            Flag::new("--episode", "N", Count, Or("0")),
+            Flag::new("--episode", "N", Count, Optional),
             Flag::new("--pattern", "N", Count, Optional),
             switch("--gallery"),
             switch("--ascii"),
             Flag::new("--out", "FILE.svg", Text, Optional),
-        ]], about: "render an episode sketch: episode N, or the first episode of pattern N, whose \
-             episodes --gallery renders side by side" },
+        ]], about: "render an episode sketch: episode N (default 0), or the first episode of \
+             pattern N, whose episodes --gallery renders side by side" },
         Command { name: "timeline", paths: "FILE", run: cmd_timeline, flags: &[INPUT, &[
             Flag::new("--out", "FILE.svg", Text, Optional),
         ]], about: "render the whole-session timeline" },
@@ -247,7 +247,8 @@ const COMMANDS: &[Command] = {
 /// The notes `help` prints after the commands.
 const NOTES: &str = "\
 FILE may come anywhere among the options. A .lgzc corpus FILE takes
---session K to select one member session. An unknown flag, a repeated
+--session K to select one member session; no other input takes it.
+A flag a command would ignore is refused. An unknown flag, a repeated
 flag (bar --allow, --deny and --level), a bad or out-of-range value, or
 a missing or extra path is a usage error. `<command> --help` prints one
 command's entry.
@@ -267,13 +268,14 @@ codes: 0 clean, 1 usage or I/O error, 2 damaged but salvaged, 3
 unrecoverable; every command that loads a trace takes its code from
 the same damage verdict.
 
-analyze, patterns and outliers answer from a persisted rollup
-section when the trace, the --session K corpus member, or (corpus-
-wide) every corpus session carries a valid one — zero episode
-decoding, byte-identical output, a `rollup: cache hit` note on
-stderr. --no-cache and --check force the cold decode path, and
-salvaged sessions always take it; stale or missing rollups fall
-back to it automatically.
+analyze, patterns, outliers, stable, diff and sketch answer from a
+persisted rollup section when the trace, the --session K corpus
+member, or (corpus-wide) every corpus session carries a valid one —
+no episode decoding beyond the episodes sketch draws and outliers
+flags, byte-identical output, a `rollup: cache hit` note on stderr.
+--no-cache and --check force the cold path, which folds episodes as
+they decode, and salvaged sessions always take it; stale or missing
+rollups fall back to it automatically.
 
 check FILE exits 0 when clean (notes allowed), 1 on warnings, 2 on
 errors, 3 when the trace is unrecoverable. analyze --check runs
@@ -330,7 +332,11 @@ fn cmd_simulate(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Fai
     let session = args.get("--session").expect(DECLARED);
     let seed = args.get("--seed").expect(DECLARED);
     let out = args.text("--out").expect(DECLARED);
-    if let Some(n) = args.get::<u32>("--sessions") {
+    let sessions = args.get::<u32>("--sessions");
+    if args.switch("--compress") && sessions.is_none() {
+        return Err("--compress applies to a --sessions N corpus only".into());
+    }
+    if let Some(n) = sessions {
         // Multi-session corpus generation: N consecutive sessions of the
         // application, packed straight into one .lgzc file.
         if n == 0 {
@@ -637,6 +643,9 @@ impl Input {
             };
             (Opened::Corpus(reader), damage, session)
         } else {
+            if args.switch("--session") {
+                return Err(format!("--session K needs a .lgzc corpus; {path} is not one").into());
+            }
             let (opened, damage) = if bytes.starts_with(BINARY_MAGIC) {
                 let indexed = if salvage {
                     IndexedTrace::open_salvage(bytes)
@@ -752,59 +761,25 @@ impl Input {
         ExitCode::from(self.damage().verdict.exit_code())
     }
 
-    fn provenance(&self) -> Provenance {
-        let damage = self.damage();
-        match damage.verdict {
-            DamageVerdict::Clean => Provenance::Clean,
-            _ => Provenance::Salvaged {
-                skips: damage.skips,
-                episodes_lost: damage.episodes_lost,
-            },
-        }
-    }
-
-    /// The warm path: the session answered from its validated rollup.
-    fn warm(&self) -> Option<WarmSession<'_>> {
-        if !self.cache {
-            return None;
-        }
-        WarmSession::of_source(self.source()?, self.config, &self.filter)
-    }
-
-    /// Warm sessions for every member of a whole corpus; `None` when any
-    /// member has to decode cold.
-    fn warm_corpus(&self) -> Option<Vec<WarmSession<'_>>> {
-        if !self.cache {
-            return None;
-        }
-        self.corpus_wide()?
-            .sessions()
-            .map(|view| WarmSession::of_source(view.source(), self.config, &self.filter))
-            .collect()
-    }
-
-    /// The one indexed session this input names, or why there is none: a
-    /// whole corpus has to pick a member with `--session K`.
-    fn single_source(&self) -> Result<SessionSource<'_>, Failure> {
-        self.source().ok_or_else(|| {
-            let sessions = self.corpus_wide().map_or(0, CorpusReader::len);
-            format!(
-                "{} is a corpus of {sessions} sessions; select one with --session K",
-                self.path
-            )
-            .into()
-        })
+    /// The warm path: `source` answered from its validated rollup, unless
+    /// `--no-cache` or `--check` asks for the cold one.
+    fn warm<'s>(&self, source: SessionSource<'s>) -> Option<WarmSession<'s>> {
+        let warm = || WarmSession::of_source(source, self.config, &self.filter);
+        self.cache.then(warm).flatten()
     }
 
     /// Runs a decode of the input's one indexed session, reopening a
     /// `--salvage` input through the salvage scan and running it again when
     /// it fails (see [`Input::rescan`]). Returns the result and the source
-    /// it came from.
+    /// it came from. A whole corpus has to pick a member with `--session K`.
     fn with_source<T>(
         &self,
         decode: impl Fn(&SessionSource<'_>) -> Result<T, TraceError>,
     ) -> Result<(T, SessionSource<'_>), Failure> {
-        let source = self.single_source()?;
+        let source = self.source().ok_or_else(|| {
+            let (path, sessions) = (&self.path, self.corpus_wide().map_or(0, CorpusReader::len));
+            format!("{path} is a corpus of {sessions} sessions; select one with --session K")
+        })?;
         let (source, decoded) = match decode(&source) {
             Err(_) if self.rescan() => {
                 let source = self.source().expect("a rescanned trace has a source");
@@ -849,15 +824,11 @@ impl Input {
     /// the facts it is analyzed under. `breakdowns: false` leaves the lag
     /// breakdowns out, for answers that read none.
     fn fold_rollup(&self, breakdowns: bool) -> Result<(Folded, SessionFacts<'_>), Failure> {
-        let (folded, facts) = if let Opened::Text(trace) = &self.opened {
+        let (folded, excluded) = if let Opened::Text(trace) = &self.opened {
             let builder = RollupBuilder::new(trace.meta(), trace.symbols()).breakdowns(breakdowns);
             let (shards, excluded) =
                 self.fold(|| builder.shard(), |shard, i, e| builder.push(shard, i, e))?;
-            let facts = SessionFacts {
-                excluded,
-                ..SessionFacts::of_trace(trace, self.config)
-            };
-            (builder.finish(shards), facts)
+            (builder.finish(shards), excluded)
         } else {
             // The builder resolves I/O classes in the symbol table of the
             // source it folds, which a salvage rescan replaces.
@@ -866,59 +837,17 @@ impl Input {
                     .breakdowns(breakdowns)
                     .fold(source, self.jobs, &self.filter)
             })?;
-            let facts = SessionFacts {
-                excluded: source.excluded_by(&self.filter) as u64,
-                ..SessionFacts::of_source(&source, self.config)
-            };
-            (folded, facts)
+            (folded, source.excluded_by(&self.filter) as u64)
         };
-        let salvaged = self.provenance().is_salvaged();
-        Ok((folded, SessionFacts { salvaged, ..facts }))
-    }
-
-    /// The cold path: the filtered session, decoded (a text trace is
-    /// moved, not copied) and wrapped for analysis with its provenance,
-    /// and the input's exit code (see [`Input::exit_code`]).
-    fn into_session(self) -> Result<(AnalysisSession, u8), Failure> {
-        let decoded = match &self.opened {
-            Opened::Text(_) => None,
-            _ => {
-                let (trace, source) =
-                    self.with_source(|source| source.decode_filtered(self.jobs, &self.filter))?;
-                Some((trace, source.excluded_by(&self.filter) as u64))
-            }
-        };
-        // Read after the decode: a `--salvage` rescan changes both.
-        let (provenance, code) = (self.provenance(), self.damage().verdict.exit_code());
-        let (trace, excluded) = match self.opened {
-            Opened::Text(trace) => {
-                let total = trace.episodes().len();
-                let kept = self.filter.retain(trace);
-                let excluded = total - kept.episodes().len();
-                (kept, excluded as u64)
-            }
-            _ => decoded.expect("an indexed input was decoded above"),
-        };
-        let session = AnalysisSession::with_exclusions(trace, self.config, provenance, excluded);
-        Ok((session, code))
-    }
-
-    /// Every member of a whole corpus, decoded cold through the corpus
-    /// extent index.
-    fn decode_corpus(&self, reader: &CorpusReader) -> Result<Vec<SessionTrace>, Failure> {
-        let decoded = if self.filter.is_unrestricted() {
-            reader.par_decode(self.jobs)
-        } else {
-            reader
-                .sessions()
-                .map(|view| view.decode_filtered(self.jobs, &self.filter))
-                .collect()
-        };
-        decoded.map_err(|e| format!("cannot load {}: {e}", self.path).into())
+        let mut facts = self.facts().expect("a folded input is one session");
+        (facts.excluded, facts.salvaged) =
+            (excluded, self.damage().verdict != DamageVerdict::Clean);
+        Ok((folded, facts))
     }
 
     /// Re-decodes just the episodes at extent `positions`, touching no
     /// other extent's bytes; a text trace's are copied from its episodes.
+    /// `None` unless every one decodes.
     fn decode_subset(&self, positions: &[usize]) -> Option<Vec<Episode>> {
         match &self.opened {
             Opened::Text(trace) => positions
@@ -927,28 +856,38 @@ impl Input {
                 .collect(),
             _ => self.source()?.decode_subset(self.jobs, positions).ok(),
         }
+        .filter(|episodes| episodes.len() == positions.len())
     }
 
     /// The episode a finding names: re-decoded alone from its extent on an
-    /// indexed input, else looked up in the text trace.
+    /// indexed input, else copied from the text trace.
     fn explain_episode(&self, id: EpisodeId) -> Result<Episode, Failure> {
-        let found = match &self.opened {
-            Opened::Text(trace) => trace.episodes().iter().find(|e| e.id() == id).cloned(),
-            _ => self.source().and_then(|source| {
-                let position = source.extents().iter().position(|e| e.id == id)?;
-                self.decode_subset(&[position])?.pop()
-            }),
+        let position = match &self.opened {
+            Opened::Text(trace) => trace.episodes().iter().position(|e| e.id() == id),
+            _ => self
+                .source()
+                .and_then(|s| s.extents().iter().position(|e| e.id == id)),
         };
+        let found = position.and_then(|position| self.decode_subset(&[position])?.pop());
         found.ok_or_else(|| "finding points outside the decoded session".into())
+    }
+
+    /// The facts of the one session this input names, as currently opened
+    /// (after a salvage rescan, the rescanned session's); `None` for a
+    /// whole corpus.
+    fn facts(&self) -> Option<SessionFacts<'_>> {
+        match &self.opened {
+            Opened::Text(trace) => Some(SessionFacts::of_trace(trace, self.config)),
+            _ => self
+                .source()
+                .map(|source| SessionFacts::of_source(&source, self.config)),
+        }
     }
 
     /// The symbol table of the one session this input names; `None` for a
     /// whole corpus.
     fn symbols(&self) -> Option<&SymbolTable> {
-        match &self.opened {
-            Opened::Text(trace) => Some(trace.symbols()),
-            _ => self.source().map(|source| source.symbols()),
-        }
+        self.facts().map(|facts| facts.symbols)
     }
 
     /// Answers a single-session command by running `answer` once over the
@@ -964,7 +903,7 @@ impl Input {
         breakdowns: bool,
         answer: impl Fn(&Summaries<'_>) -> Option<T>,
     ) -> Result<T, Failure> {
-        if let Some(warm) = self.warm() {
+        if let Some(warm) = self.source().and_then(|source| self.warm(source)) {
             if let Some(found) = answer(warm.summaries()) {
                 eprintln!(
                     "rollup: cache hit ({} episode summaries, {how})",
@@ -977,6 +916,13 @@ impl Input {
         let rows = RollupRows::Folded(&folded.rows);
         answer(&Summaries::of_rollup(facts, &folded.rollup, rows))
             .ok_or_else(|| format!("cannot analyze {}", self.path).into())
+    }
+
+    /// The session's mined pattern set; mining reads no lag breakdowns.
+    fn patterns(&self) -> Result<PatternSet, Failure> {
+        self.answer("zero decode", false, |summaries| {
+            Some(summaries.mine_patterns_with_jobs(self.jobs))
+        })
     }
 
     /// Outlier detection and attribution over `summaries`; flagged
@@ -992,20 +938,21 @@ impl Input {
     }
 }
 
-/// Loads every input, decoding each cold; the exit code is the worst
-/// input's.
-fn load_sessions(args: &Args<'_>) -> Result<(Vec<AnalysisSession>, ExitCode), Failure> {
+/// Mines every input's patterns through [`Input::answer`], one input at a
+/// time and in order; the exit code is the worst input's.
+fn mine_inputs(args: &Args<'_>) -> Result<(Vec<PatternSet>, ExitCode), Failure> {
     let mut code = 0;
-    let sessions = args
+    let sets = args
         .paths
         .iter()
         .map(|path| {
-            let (session, input_code) = Input::load(args, path)?.into_session()?;
-            code = code.max(input_code);
-            Ok(session)
+            let input = Input::load(args, path)?;
+            let patterns = input.patterns()?;
+            code = code.max(input.damage().verdict.exit_code());
+            Ok(patterns)
         })
         .collect::<Result<_, Failure>>()?;
-    Ok((sessions, ExitCode::from(code)))
+    Ok((sets, ExitCode::from(code)))
 }
 
 /// `analyze --check`: runs the semantic checker over a copy of the
@@ -1051,6 +998,9 @@ fn cmd_analyze(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Fail
     };
     let input = Input::open(args, path, bytes)?;
     if let Some(reader) = input.corpus_wide() {
+        if args.switch("--histogram") {
+            return Err("--histogram needs one session; select it with --session K".into());
+        }
         return analyze_corpus(args, &input, reader, stdout);
     }
     if args.text("--format") == Some("json") {
@@ -1127,54 +1077,38 @@ fn cmd_analyze(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Fail
 type CorpusPatterns = (Vec<(usize, usize)>, MultiPatternSet, u64);
 
 /// A whole corpus's per-member `(episodes, perceptible)` counts, merged
-/// cross-session pattern table and filtered-out total, computed once over
-/// the members' summaries: read from the rollups when every member carries
-/// a valid one, else summarized from the decoded sessions.
+/// cross-session pattern table and filtered-out total, computed over the
+/// members' summaries one member at a time: read from the rollups when
+/// every member carries a valid one, else folded from each member as it
+/// decodes (mining reads no lag breakdowns).
 fn corpus_patterns(input: &Input, reader: &CorpusReader) -> Result<CorpusPatterns, Failure> {
     let (jobs, threshold) = (input.jobs, input.config.perceptible_threshold);
-    let warms = input.warm_corpus();
-    let folded: Vec<(Folded, SessionSource<'_>)>;
-    let cold: Vec<Summaries<'_>>;
-    let members: Vec<&Summaries<'_>> = match &warms {
+    let mine = |s: &Summaries<'_>| {
+        let perceptible = s.episodes().iter().filter(|e| e.duration >= threshold);
+        let counts = (s.episodes().len(), perceptible.count());
+        (counts, s.mine_patterns_with_jobs(jobs))
+    };
+    let warms: Option<Vec<_>> = reader.sessions().map(|v| input.warm(v.source())).collect();
+    let members: Vec<_> = match warms {
         Some(warms) => {
             eprintln!("rollup: cache hit ({} sessions, zero decode)", warms.len());
-            warms.iter().map(WarmSession::summaries).collect()
+            warms.iter().map(|warm| mine(warm.summaries())).collect()
         }
-        None => {
-            // Each member folded into an in-memory rollup as it decodes;
-            // mining reads no lag breakdowns.
-            folded = reader
-                .sessions()
-                .map(|view| {
-                    let source = view.source();
-                    RollupBuilder::new(source.meta(), source.symbols())
-                        .breakdowns(false)
-                        .fold(&source, jobs, &input.filter)
-                        .map(|folded| (folded, source))
-                })
-                .collect::<Result<_, TraceError>>()
-                .map_err(|e| format!("cannot load {}: {e}", input.path))?;
-            cold = folded
-                .iter()
-                .map(|(folded, source)| {
-                    let facts = SessionFacts::of_source(source, input.config);
-                    Summaries::of_rollup(facts, &folded.rollup, RollupRows::Folded(&folded.rows))
-                })
-                .collect();
-            cold.iter().collect()
-        }
+        None => reader
+            .sessions()
+            .map(|view| {
+                let source = view.source();
+                let folded = RollupBuilder::new(source.meta(), source.symbols())
+                    .breakdowns(false)
+                    .fold(&source, jobs, &input.filter)
+                    .map_err(|e| format!("cannot load {}: {e}", input.path))?;
+                let facts = SessionFacts::of_source(&source, input.config);
+                let rows = RollupRows::Folded(&folded.rows);
+                Ok(mine(&Summaries::of_rollup(facts, &folded.rollup, rows)))
+            })
+            .collect::<Result<_, Failure>>()?,
     };
-    let counts = members
-        .iter()
-        .map(|s| {
-            let perceptible = s.episodes().iter().filter(|e| e.duration >= threshold);
-            (s.episodes().len(), perceptible.count())
-        })
-        .collect();
-    let sets: Vec<PatternSet> = members
-        .iter()
-        .map(|s| s.mine_patterns_with_jobs(jobs))
-        .collect();
+    let (counts, sets): (_, Vec<PatternSet>) = members.into_iter().unzip();
     let excluded = reader
         .sessions()
         .map(|view| view.source().excluded_by(&input.filter) as u64)
@@ -1286,7 +1220,10 @@ fn cmd_patterns(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Fai
     let input = Input::load(args, args.paths[0])?;
     let perceptible_only = args.switch("--perceptible-only");
     if let Some(reader) = input.corpus_wide() {
-        // The merged cross-session table.
+        // The merged cross-session table, always sorted by count.
+        if let Some(sort) = args.text("--sort").filter(|&sort| sort != "count") {
+            return Err(format!("--sort {sort} needs one session (--session K)").into());
+        }
         let (_, multi, _) = corpus_patterns(&input, reader)?;
         writeln!(
             stdout,
@@ -1322,9 +1259,7 @@ fn cmd_patterns(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Fai
         Some("perceptible") => SortBy::PerceptibleCount,
         _ => SortBy::Count,
     };
-    let patterns = input.answer("zero decode", false, |summaries| {
-        Some(summaries.mine_patterns_with_jobs(input.jobs))
-    })?;
+    let patterns = input.patterns()?;
     // The table needs only the patterns: a set mined from a salvaged
     // session carries the provenance note itself.
     let mut browser = PatternBrowser::of_patterns(&patterns);
@@ -1445,6 +1380,9 @@ fn check_ruleset(args: &Args<'_>) -> Result<RuleSet, Failure> {
 
 fn cmd_check(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
     if args.switch("--list-rules") {
+        if !args.paths.is_empty() {
+            return Err("--list-rules prints the rule table and checks no FILE".into());
+        }
         writeln!(
             stdout,
             "{:<7} {:<25} {:<8} summary",
@@ -1499,33 +1437,31 @@ fn parse_hazard_config(args: &Args<'_>) -> HazardConfig {
 fn cmd_hazards(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
     let config = parse_hazard_config(args);
     let input = Input::load(args, args.paths[0])?;
+    // Each session's lock graph is folded as its episodes decode.
     let report = match input.corpus_wide() {
         Some(reader) => {
-            // Corpus: per-session lock graphs re-interned through the
+            // Corpus: each member's graph, re-interned through the
             // corpus-wide symbol table, then the cross-session merge
             // (LA025).
             if args.switch("--explain") {
                 return Err("--explain works on single traces, not corpora".into());
             }
-            let traces = input.decode_corpus(reader)?;
+            let members = reader
+                .sessions()
+                .map(|view| {
+                    let source = view.source();
+                    let shards = source
+                        .fold(input.jobs, &input.filter, GraphShard::default, add_to_graph)
+                        .map_err(|e| format!("cannot load {}: {e}", input.path))?;
+                    let (graph, episodes) = merge_graphs(shards);
+                    Ok((graph, episodes, source.symbols()))
+                })
+                .collect::<Result<Vec<_>, Failure>>()?;
             let mut symbols = reader.global_symbols().clone();
-            HazardReport::analyze_corpus(&traces, &mut symbols, input.jobs, &config)
+            HazardReport::of_corpus(members, &mut symbols, &config)
         }
         None => {
-            // The session's lock graph, folded as its episodes decode.
-            let (shards, _) = input.fold(
-                || (LockGraph::new(), 0usize),
-                |(graph, episodes), _, episode| {
-                    graph.add_episode(episode);
-                    *episodes += 1;
-                },
-            )?;
-            let mut graph = LockGraph::new();
-            let mut episodes = 0;
-            for (shard, n) in shards {
-                graph.merge(shard);
-                episodes += n;
-            }
+            let (graph, episodes) = merge_graphs(input.fold(GraphShard::default, add_to_graph)?.0);
             // Only a `.lgz` trace's extents carry byte spans in the file.
             let symbols = input.symbols().expect("a single session has symbols");
             HazardReport::of_graph(&graph, episodes, symbols, input.file_extents(), &config)
@@ -1541,6 +1477,24 @@ fn cmd_hazards(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Fail
         explain_hazard(&input, symbols, finding, stdout)?;
     }
     Ok(input.exit_code())
+}
+
+/// One fold shard of a session's lock graph, with its episode count.
+type GraphShard = (LockGraph, usize);
+
+fn add_to_graph((graph, episodes): &mut GraphShard, _: usize, episode: &Episode) {
+    graph.add_episode(episode);
+    *episodes += 1;
+}
+
+/// Merges a session's lock-graph shards, in episode order.
+fn merge_graphs(shards: Vec<GraphShard>) -> GraphShard {
+    let mut merged = GraphShard::default();
+    for (graph, episodes) in shards {
+        merged.0.merge(graph);
+        merged.1 += episodes;
+    }
+    merged
 }
 
 /// Deep-dive for one hazard finding: the episode's contended waits and an
@@ -1672,75 +1626,69 @@ fn print_explanation(
 }
 
 fn cmd_sketch(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
+    let rank = args.get::<usize>("--pattern");
+    let gallery = args.switch("--gallery");
+    if gallery && rank.is_none() {
+        return Err("--gallery needs --pattern N".into());
+    }
+    if rank.is_some() && args.switch("--episode") {
+        return Err("--episode and --pattern both choose the episode; give one".into());
+    }
+    let index = args.get("--episode").unwrap_or(0);
     let input = Input::load(args, args.paths[0])?;
-    let index = args.get("--episode").expect(DECLARED);
     // Random access: a plain `--episode N` on an unfiltered, strictly
     // opened indexed input decodes just that episode, not the whole file.
-    let random_access = !args.switch("--pattern") && input.filter.is_unrestricted();
-    if let Some(source) = input.source().filter(|s| random_access && !s.is_lenient()) {
-        if index >= source.len() {
+    // Otherwise the episodes are chosen over the session's summaries and
+    // only they are decoded: the N-th episode the filter admits, or the
+    // first episode of the N-th pattern (what the paper's pattern browser
+    // shows on selection), or all of that pattern's for --gallery.
+    let random_access = rank.is_none() && input.filter.is_unrestricted();
+    let (episodes, index) = match input.source().filter(|s| random_access && !s.is_lenient()) {
+        Some(source) if index >= source.len() => {
             return Err(format!("trace has {} episodes, no index {index}", source.len()).into());
         }
-        let episode = source
-            .decode_episode(index)
-            .map_err(|e| format!("cannot load {}: {e}", input.path))?;
-        render_episode_sketch(args, &episode, source.symbols(), index, stdout)?;
-        return Ok(input.exit_code());
-    }
-    let (session, code) = input.into_session()?;
-    // --pattern N selects the first episode of the N-th pattern (what the
-    // paper's pattern browser shows on selection); --episode N selects by
-    // dispatch order.
-    let index = if let Some(rank) = args.get::<usize>("--pattern") {
-        let patterns = session.mine_patterns();
-        let pattern = patterns
-            .patterns()
-            .get(rank)
-            .ok_or_else(|| format!("trace has {} patterns, no rank {rank}", patterns.len()))?;
-        if args.switch("--gallery") {
-            // Render all of the pattern's episodes as mini-sketches on a
-            // common scale (paper §II-E browsing flow).
-            let episodes: Vec<_> = pattern
-                .episode_indices()
-                .iter()
-                .map(|&i| &session.episodes()[i])
-                .collect();
-            let svg = render_pattern_gallery(
-                &episodes,
-                session.trace().symbols(),
-                &SketchOptions::default(),
-            );
-            let what = format!("gallery of {} episodes", episodes.len());
-            write_svg(args, &svg, &what, stdout)?;
-            return Ok(ExitCode::from(code));
+        Some(source) => {
+            let episode = source
+                .decode_episode(index)
+                .map_err(|e| format!("cannot load {}: {e}", input.path))?;
+            (vec![episode], index)
         }
-        pattern.episode_indices()[0]
-    } else {
-        index
+        None => input.answer("decoded only the sketched episodes", false, |s| {
+            let episodes = s.episodes().len();
+            let chosen = match rank {
+                None if index < episodes => Ok(vec![index]),
+                None => Err(format!("trace has {episodes} episodes, no index {index}")),
+                Some(rank) => {
+                    let patterns = s.mine_patterns_with_jobs(input.jobs);
+                    let all = patterns.patterns().get(rank).map(Pattern::episode_indices);
+                    let chosen = all.map(|all| all[..if gallery { all.len() } else { 1 }].to_vec());
+                    let count = patterns.len();
+                    chosen.ok_or_else(|| format!("trace has {count} patterns, no rank {rank}"))
+                }
+            };
+            let indices = match chosen {
+                Ok(indices) => indices,
+                Err(e) => return Some(Err(e)),
+            };
+            let positions: Vec<usize> = indices.iter().map(|&i| s.position(i)).collect();
+            Some(Ok((input.decode_subset(&positions)?, indices[0])))
+        })??,
     };
-    let episode = session.episodes().get(index).ok_or_else(|| {
-        format!(
-            "trace has {} episodes, no index {index}",
-            session.episodes().len()
-        )
-    })?;
-    render_episode_sketch(args, episode, session.trace().symbols(), index, stdout)?;
-    Ok(ExitCode::from(code))
-}
-
-fn render_episode_sketch(
-    args: &Args<'_>,
-    episode: &Episode,
-    symbols: &SymbolTable,
-    index: usize,
-    stdout: &mut dyn Write,
-) -> Result<(), Failure> {
-    if args.switch("--ascii") {
-        write!(stdout, "{}", ascii_sketch(episode, symbols, 100))?;
-        return Ok(());
+    let symbols = input.symbols().expect("a sketched input is one session");
+    if gallery {
+        // All of the pattern's episodes as mini-sketches on a common scale
+        // (paper §II-E browsing flow).
+        let episodes: Vec<&Episode> = episodes.iter().collect();
+        let svg = render_pattern_gallery(&episodes, symbols, &SketchOptions::default());
+        let what = format!("gallery of {} episodes", episodes.len());
+        write_svg(args, &svg, &what, stdout)?;
+    } else if args.switch("--ascii") {
+        write!(stdout, "{}", ascii_sketch(&episodes[0], symbols, 100))?;
+    } else {
+        let svg = render_sketch(&episodes[0], symbols, &SketchOptions::default());
+        write_svg(args, &svg, &format!("sketch of episode {index}"), stdout)?;
     }
-    let svg = render_sketch(episode, symbols, &SketchOptions::default());
-    write_svg(args, &svg, &format!("sketch of episode {index}"), stdout)
+    Ok(input.exit_code())
 }
 
 /// Writes `svg` to `--out FILE` and says `wrote {what} to FILE`, or
@@ -1762,19 +1710,27 @@ fn write_svg(
 }
 
 fn cmd_timeline(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
-    let (session, code) = Input::load(args, args.paths[0])?.into_session()?;
-    let svg = render_timeline(&session, &TimelineOptions::default());
+    let input = Input::load(args, args.paths[0])?;
+    // One row per admitted episode, folded as the episodes decode.
+    let (shards, _) = input.fold(Vec::new, |rows, _, episode| {
+        rows.push(TimelineRow::of_episode(episode));
+    })?;
+    let timeline = Timeline {
+        facts: input.facts().expect("a folded input is one session"),
+        rows: shards.concat(),
+    };
+    let svg = render_timeline(timeline, &TimelineOptions::default());
     write_svg(args, &svg, "timeline", stdout)?;
-    Ok(ExitCode::from(code))
+    Ok(input.exit_code())
 }
 
 fn cmd_stable(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
-    let (sessions, code) = load_sessions(args)?;
-    let multi = MultiPatternSet::mine_with_jobs(&sessions, jobs(args));
+    let (sets, code) = mine_inputs(args)?;
+    let multi = MultiPatternSet::merge(&sets);
     writeln!(
         stdout,
         "{} traces, {} merged patterns ({} recurring in every trace)",
-        sessions.len(),
+        sets.len(),
         multi.len(),
         multi.recurring().count()
     )?;
@@ -1800,20 +1756,25 @@ fn cmd_stable(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failu
 }
 
 fn cmd_diff(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
-    let (sessions, code) = load_sessions(args)?;
-    let [baseline, candidate] = sessions.as_slice() else {
+    let (sets, code) = mine_inputs(args)?;
+    let [baseline, candidate] = sets.as_slice() else {
         unreachable!("diff takes two paths");
     };
-    let diff = lagalyzer_core::SessionDiff::between(baseline, candidate);
+    let diff = lagalyzer_core::SessionDiff::from_patterns(baseline, candidate);
     const TOLERANCE: f64 = 0.20;
     writeln!(stdout, "{}", diff.summary(TOLERANCE))?;
     let trim = |sig: &lagalyzer_core::ShapeSignature| -> String {
         sig.as_str().chars().take(64).collect()
     };
-    let regressions = diff.regressions(TOLERANCE);
-    if !regressions.is_empty() {
-        writeln!(stdout, "\nregressions (mean lag, perceptible count):")?;
-        for d in regressions.iter().take(10) {
+    let regressions = (
+        "regressions (mean lag, perceptible count)",
+        diff.regressions(TOLERANCE),
+    );
+    for (title, deltas) in [regressions, ("improvements", diff.improvements(TOLERANCE))] {
+        if !deltas.is_empty() {
+            writeln!(stdout, "\n{title}:")?;
+        }
+        for d in deltas.iter().take(10) {
             writeln!(
                 stdout,
                 "  {} -> {}  ({} -> {} perceptible)  {}",
@@ -1825,30 +1786,11 @@ fn cmd_diff(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failure
             )?;
         }
     }
-    let improvements = diff.improvements(TOLERANCE);
-    if !improvements.is_empty() {
-        writeln!(stdout, "\nimprovements:")?;
-        for d in improvements.iter().take(10) {
-            writeln!(
-                stdout,
-                "  {} -> {}  ({} -> {} perceptible)  {}",
-                d.baseline_mean,
-                d.candidate_mean,
-                d.baseline_perceptible,
-                d.candidate_perceptible,
-                trim(&d.signature)
-            )?;
+    for (title, patterns) in [("new", &diff.appeared), ("disappeared", &diff.disappeared)] {
+        if !patterns.is_empty() {
+            writeln!(stdout, "\n{title} patterns (episodes, perceptible):")?;
         }
-    }
-    if !diff.appeared.is_empty() {
-        writeln!(stdout, "\nnew patterns (episodes, perceptible):")?;
-        for (sig, eps, perc) in diff.appeared.iter().take(10) {
-            writeln!(stdout, "  {eps:>5} {perc:>4}  {}", trim(sig))?;
-        }
-    }
-    if !diff.disappeared.is_empty() {
-        writeln!(stdout, "\ndisappeared patterns (episodes, perceptible):")?;
-        for (sig, eps, perc) in diff.disappeared.iter().take(10) {
+        for (sig, eps, perc) in patterns.iter().take(10) {
             writeln!(stdout, "  {eps:>5} {perc:>4}  {}", trim(sig))?;
         }
     }
@@ -1858,6 +1800,9 @@ fn cmd_diff(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failure
 fn cmd_experiments(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
     let out_dir = PathBuf::from(args.text("--out-dir").expect(DECLARED));
     let sessions = args.get("--sessions").expect(DECLARED);
+    if sessions == 0 {
+        return Err("--sessions must be at least 1".into());
+    }
     let seed = args.get("--seed").expect(DECLARED);
     let jobs = jobs(args);
     fs::create_dir_all(&out_dir).map_err(|e| format!("cannot create {out_dir:?}: {e}"))?;

@@ -345,7 +345,7 @@ fn matrix_commands_without_an_input() {
         ),
         ([&sim[..], &["--bogus"]].concat(), false, Some(1)),
         (vec!["simulate", "--app", "CrosswordSage"], false, Some(1)),
-        ([&exp[..], &["--sessions", "0"]].concat(), true, Some(0)),
+        ([&exp[..], &["--sessions", "0"]].concat(), true, Some(1)),
         (
             [&exp[..], &["--sessions", "4294967296"]].concat(),
             true,
@@ -443,6 +443,70 @@ fn unknown_flags_are_usage_errors_on_every_subcommand() {
         }
     }
     assert!(!exp.exists() && !Path::new(out).exists(), "nothing ran");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A flag its command would ignore on the input or the other flags given
+/// is a usage error: exit 1, nothing printed or written, and the error
+/// names the flag. Each of these exited as if the flag were absent before.
+#[test]
+fn flags_a_command_would_ignore_are_usage_errors() {
+    let dir = scratch_dir("ignored");
+    let (clean, corpus) = (clean(), fixture("tests/corpus/corpus.lgzc"));
+    let text = fixture("../trace/tests/corpus/clean.txt");
+    let (out, exp) = (dir.join("sim.lgz"), dir.join("exp"));
+    let (out, exp) = (out.to_str().unwrap(), exp.to_str().unwrap());
+    let sim = ["simulate", "--app", "CrosswordSage", "--out", out];
+    let mut runs: Vec<(Vec<&str>, &str)> = vec![
+        (vec!["sketch", &clean, "--gallery"], "--gallery"),
+        (
+            vec!["sketch", &clean, "--pattern", "0", "--episode", "1"],
+            "--episode",
+        ),
+        (vec!["analyze", &corpus, "--histogram"], "--histogram"),
+        (vec!["patterns", &corpus, "--sort", "total"], "--sort"),
+        (vec!["patterns", &corpus, "--sort", "max"], "--sort"),
+        (vec!["patterns", &corpus, "--sort", "perceptible"], "--sort"),
+        ([&sim[..], &["--compress"]].concat(), "--compress"),
+        (vec!["check", "--list-rules", &clean], "--list-rules"),
+        (
+            vec!["experiments", "--out-dir", exp, "--sessions", "0"],
+            "--sessions",
+        ),
+    ];
+    for command in [
+        "analyze", "patterns", "outliers", "hazards", "sketch", "timeline", "stable", "diff",
+    ] {
+        for input in [clean.as_str(), text.as_str()] {
+            let mut args = vec![command, input, "--session", "0"];
+            if matches!(command, "stable" | "diff") {
+                args.insert(2, &corpus);
+            }
+            runs.push((args, "--session"));
+        }
+    }
+    for (args, flag) in runs {
+        let output = lagalyzer(&args);
+        assert_eq!(output.status.code(), Some(1), "{args:?}");
+        assert!(output.stdout.is_empty(), "{args:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+    }
+    assert!(
+        !Path::new(out).exists() && !Path::new(exp).exists(),
+        "nothing was written"
+    );
+    // Where the flags act, they are accepted.
+    for args in [
+        vec!["sketch", &clean, "--pattern", "0", "--gallery"],
+        vec!["analyze", &corpus, "--session", "0", "--histogram"],
+        vec!["patterns", &corpus, "--session", "0", "--sort", "total"],
+        vec!["patterns", &corpus, "--sort", "count"],
+        vec!["check", "--list-rules"],
+    ] {
+        let code = lagalyzer(&args).status.code();
+        assert!(matches!(code, Some(0 | 2)), "{args:?}: {code:?}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -11,6 +11,12 @@
 //! fault-injected trace under `--salvage`, and damage resealed under a
 //! valid trailer. It also checks the folded rollup field for field against
 //! `rollup::build`, and `pack`'s output against `corpus::pack_with_rollups`.
+//!
+//! The browsing commands are held to the same path: `sketch` (one episode,
+//! a pattern's first episode and its gallery), `timeline`, `stable` and
+//! `diff` against the decoded session, and corpus-wide `hazards` against
+//! `HazardReport::analyze_corpus` over the decoded members. Inputs with a
+//! rollup join the cross, since `stable`, `diff` and `sketch` answer warm.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -27,6 +33,9 @@ use lagalyzer_trace::{
     binary, text, DamageVerdict, EpisodeExtent, EpisodeFilter, IndexHealth, IndexedTrace,
     SalvageReport, SessionSource,
 };
+use lagalyzer_viz::ascii::ascii_sketch;
+use lagalyzer_viz::sketch::{render_pattern_gallery, SketchOptions};
+use lagalyzer_viz::timeline::{render_timeline, TimelineOptions};
 use proptest::prelude::*;
 
 /// Temp scratch dir keyed by pid so parallel test binaries never collide.
@@ -52,6 +61,10 @@ enum Kind {
     Text,
     Faulted,
     Resealed,
+    /// A `.lgz` with a rollup, answered warm where a command can be.
+    Rollup,
+    /// A corpus member with a rollup, answered warm the same way.
+    CorpusRollup,
 }
 
 const KINDS: [Kind; 6] = [
@@ -62,6 +75,9 @@ const KINDS: [Kind; 6] = [
     Kind::Faulted,
     Kind::Resealed,
 ];
+
+/// The inputs with a rollup: `stable`, `diff` and `sketch` answer warm.
+const WARM_KINDS: [Kind; 2] = [Kind::Rollup, Kind::CorpusRollup];
 
 /// The CLI's ingest filters, with the library filter each one builds.
 fn filters() -> Vec<(Vec<&'static str>, EpisodeFilter)> {
@@ -88,6 +104,12 @@ fn rollup_less(trace: &SessionTrace) -> Vec<u8> {
     bytes
 }
 
+fn with_rollup(trace: &SessionTrace) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    binary::write_with_rollup(trace, &mut bytes, rollup::build(trace)).unwrap();
+    bytes
+}
+
 /// One input on disk: its path, the arguments that make the CLI read it
 /// cold, and its bytes.
 struct Input {
@@ -109,6 +131,12 @@ fn write_input(kind: Kind, trace: &SessionTrace, other: &SessionTrace, seed: u64
         }
         Kind::CorpusMember => {
             let opened = [other, trace].map(|t| IndexedTrace::open(rollup_less(t)).unwrap());
+            let packed = corpus::pack(&opened, PackOptions { compress: true }).unwrap();
+            ("lgzc", vec!["--session", "1"], packed)
+        }
+        Kind::Rollup => ("lgz", vec![], with_rollup(trace)),
+        Kind::CorpusRollup => {
+            let opened = [other, trace].map(|t| IndexedTrace::open(with_rollup(t)).unwrap());
             let packed = corpus::pack(&opened, PackOptions { compress: true }).unwrap();
             ("lgzc", vec!["--session", "1"], packed)
         }
@@ -189,6 +217,7 @@ fn materialize(kind: Kind, input: &Input, filter: &EpisodeFilter) -> Option<Deco
                 extents: None,
             })
         }
+        Kind::CorpusRollup => materialize(Kind::CorpusMember, input, filter),
         Kind::CorpusMember => {
             let reader = CorpusReader::open(input.bytes.clone()).unwrap();
             let source = reader.session(1).source();
@@ -344,6 +373,7 @@ fn check_case(kind: Kind, trace: &SessionTrace, other: &SessionTrace, filter: us
     let input = write_input(kind, trace, other, seed);
     let (filter_args, filter) = &filters()[filter];
     let decoded = materialize(kind, &input, filter);
+    check_browsing(kind, &input, other, filter_args, filter);
     let commands: Vec<(Vec<&str>, Option<String>)> = match decoded {
         Some(decoded) => {
             let code = decoded.code;
@@ -383,6 +413,219 @@ fn check_case(kind: Kind, trace: &SessionTrace, other: &SessionTrace, filter: us
         assert!(out.stdout.is_empty(), "{kind:?} {args:?}");
     }
     let _ = std::fs::remove_file(&input.path);
+}
+
+/// The `stable` and `diff` report, rendered as the CLI prints it.
+fn stable_text(multi: &MultiPatternSet) -> String {
+    let mut out = format!(
+        "{} traces, {} merged patterns ({} recurring in every trace)\n\
+         stable slow patterns (perceptible wherever they occur):\n",
+        multi.sessions(),
+        multi.len(),
+        multi.recurring().count()
+    );
+    let problems = multi.stable_problems();
+    for (i, p) in problems.iter().take(15).enumerate() {
+        let sig: String = p.signature().as_str().chars().take(70).collect();
+        out.push_str(&format!(
+            "  {i:>2}. {:>4} episodes / {:>3} perceptible, total {} — {sig}\n",
+            p.total_episodes(),
+            p.total_perceptible(),
+            p.total_lag(),
+        ));
+    }
+    if problems.is_empty() {
+        out.push_str("  (none)\n");
+    }
+    out
+}
+
+/// The `diff` report, rendered as the CLI prints it.
+fn diff_text(diff: &SessionDiff) -> String {
+    const TOLERANCE: f64 = 0.20;
+    let trim = |sig: &ShapeSignature| -> String { sig.as_str().chars().take(64).collect() };
+    let mut out = format!("{}\n", diff.summary(TOLERANCE));
+    let sections = [
+        (
+            "regressions (mean lag, perceptible count)",
+            diff.regressions(TOLERANCE),
+        ),
+        ("improvements", diff.improvements(TOLERANCE)),
+    ];
+    for (title, deltas) in sections {
+        if !deltas.is_empty() {
+            out.push_str(&format!("\n{title}:\n"));
+        }
+        for d in deltas.iter().take(10) {
+            out.push_str(&format!(
+                "  {} -> {}  ({} -> {} perceptible)  {}\n",
+                d.baseline_mean,
+                d.candidate_mean,
+                d.baseline_perceptible,
+                d.candidate_perceptible,
+                trim(&d.signature)
+            ));
+        }
+    }
+    for (title, patterns) in [("new", &diff.appeared), ("disappeared", &diff.disappeared)] {
+        if !patterns.is_empty() {
+            out.push_str(&format!("\n{title} patterns (episodes, perceptible):\n"));
+        }
+        for (sig, eps, perc) in patterns.iter().take(10) {
+            out.push_str(&format!("  {eps:>5} {perc:>4}  {}\n", trim(sig)));
+        }
+    }
+    out
+}
+
+/// The second input of `stable` and `diff` next to `input`, read with
+/// the same flags: for the corpus kinds a corpus whose member 1 (the one
+/// `--session 1` selects) is `other`, else a `.lgz` of `other`; both carry
+/// a rollup.
+fn write_other(kind: Kind, input: &Input, other: &SessionTrace) -> String {
+    let (extension, bytes) = match kind {
+        Kind::CorpusMember | Kind::CorpusRollup => {
+            let opened = [other, other].map(|t| IndexedTrace::open(with_rollup(t)).unwrap());
+            let packed = corpus::pack(&opened, PackOptions { compress: false }).unwrap();
+            ("lgzc", packed)
+        }
+        _ => ("lgz", with_rollup(other)),
+    };
+    let path = format!("{}-other.{extension}", input.path);
+    std::fs::write(&path, bytes).unwrap();
+    path
+}
+
+/// The browsing commands' expected `(arguments, stdout)`, from the
+/// materialized path; `None` when the command must fail (exit 1, nothing
+/// printed) because the filtered session has no such episode or pattern.
+fn expected_browsing(
+    decoded: &Decoded,
+    other: &SessionTrace,
+    filter: &EpisodeFilter,
+    other_path: &str,
+) -> Vec<(Vec<String>, Option<String>)> {
+    let session = AnalysisSession::with_exclusions(
+        decoded.trace.clone(),
+        AnalysisConfig::default(),
+        decoded.provenance,
+        decoded.excluded,
+    );
+    let other = AnalysisSession::new(filter.retain(other.clone()), AnalysisConfig::default());
+    let symbols = session.trace().symbols();
+    let episodes = session.episodes();
+    let patterns = session.mine_patterns();
+    let first = patterns.patterns().first().map(Pattern::episode_indices);
+    let index = episodes.len() / 2;
+    let owned = |args: &[&str]| args.iter().copied().map(String::from).collect::<Vec<_>>();
+    let multi = MultiPatternSet::mine(&[session.clone(), other.clone()]);
+    vec![
+        (
+            owned(&["sketch", "--episode", &index.to_string(), "--ascii"]),
+            episodes.get(index).map(|e| ascii_sketch(e, symbols, 100)),
+        ),
+        (
+            owned(&["sketch", "--pattern", "0", "--ascii"]),
+            first.map(|indices| ascii_sketch(&episodes[indices[0]], symbols, 100)),
+        ),
+        (
+            owned(&["sketch", "--pattern", "0", "--gallery"]),
+            first.map(|indices| {
+                let gallery: Vec<&Episode> = indices.iter().map(|&i| &episodes[i]).collect();
+                let svg = render_pattern_gallery(&gallery, symbols, &SketchOptions::default());
+                format!("{svg}\n")
+            }),
+        ),
+        (
+            owned(&["timeline"]),
+            Some(format!(
+                "{}\n",
+                render_timeline(&session, &TimelineOptions::default())
+            )),
+        ),
+        (
+            owned(&["stable", "INPUT", other_path]),
+            Some(stable_text(&multi)),
+        ),
+        (
+            owned(&["diff", "INPUT", other_path]),
+            Some(diff_text(&SessionDiff::between(&session, &other))),
+        ),
+    ]
+}
+
+/// Corpus-wide `hazards` on a corpus kind's input, text and JSON, against
+/// `HazardReport::analyze_corpus` over the members decoded with `filter`.
+fn expected_corpus_hazards(input: &Input, filter: &EpisodeFilter) -> Vec<(Vec<String>, String)> {
+    let reader = CorpusReader::open(input.bytes.clone()).unwrap();
+    let traces: Vec<SessionTrace> = reader
+        .sessions()
+        .map(|view| view.decode_filtered(1, filter).unwrap())
+        .collect();
+    let mut symbols = reader.global_symbols().clone();
+    let report = HazardReport::analyze_corpus(&traces, &mut symbols, 1, &HazardConfig::default());
+    let args = |extra: &[&str]| {
+        let mut args = vec!["hazards".to_owned(), input.path.clone()];
+        args.extend(extra.iter().copied().map(String::from));
+        args
+    };
+    vec![
+        (args(&[]), report.render_text(&input.path)),
+        (
+            args(&["--format", "json"]),
+            format!("{}\n", report.render_json(&input.path)),
+        ),
+    ]
+}
+
+/// Runs the browsing commands (and, on a corpus kind, corpus-wide
+/// `hazards`) on `kind`'s input under `filter`, at `--jobs` 1 and 3, and
+/// compares them with the materialized path.
+fn check_browsing(
+    kind: Kind,
+    input: &Input,
+    other: &SessionTrace,
+    filter_args: &[&str],
+    filter: &EpisodeFilter,
+) {
+    let Some(decoded) = materialize(kind, input, filter) else {
+        return;
+    };
+    let other_path = write_other(kind, input, other);
+    let mut runs: Vec<(Vec<String>, Option<String>, i32)> = Vec::new();
+    for (mut args, stdout) in expected_browsing(&decoded, other, filter, &other_path) {
+        match args.iter().position(|a| a == "INPUT") {
+            Some(at) => args[at] = input.path.clone(),
+            None => args.insert(1, input.path.clone()),
+        }
+        args.extend(input.args.iter().copied().map(String::from));
+        runs.push((args, stdout, decoded.code));
+    }
+    if matches!(kind, Kind::CorpusMember | Kind::CorpusRollup) {
+        for (args, stdout) in expected_corpus_hazards(input, filter) {
+            runs.push((args, Some(stdout), 0));
+        }
+    }
+    for (args, stdout, code) in runs {
+        for jobs in ["1", "3"] {
+            let mut args: Vec<&str> = args.iter().map(String::as_str).collect();
+            args.extend(filter_args);
+            args.extend(["--jobs", jobs]);
+            let out = lagalyzer(&args);
+            let context = format!("{kind:?} {args:?}");
+            match &stdout {
+                Some(stdout) => {
+                    assert_eq!(out.status.code(), Some(code), "{context}: {out:?}");
+                    assert_eq!(String::from_utf8(out.stdout).unwrap(), *stdout, "{context}");
+                }
+                None => {
+                    assert_eq!(out.status.code(), Some(1), "{context}: {out:?}");
+                    assert!(out.stdout.is_empty(), "{context}");
+                }
+            }
+        }
+    }
+    let _ = std::fs::remove_file(&other_path);
 }
 
 /// `pack` folds the rollups of rollup-less inputs: it must write what
@@ -433,6 +676,20 @@ fn every_input_kind_streams_like_the_materialized_path() {
         }
     }
     check_pack(&[&other, &trace], 5);
+}
+
+/// Inputs with a rollup under every filter: the warm answers of `stable`,
+/// `diff` and `sketch`, and every other command, match the materialized
+/// path.
+#[test]
+fn rollup_inputs_answer_like_the_materialized_path() {
+    let trace = runner::simulate_session(&apps::jedit(), 0, 6);
+    let other = runner::simulate_session(&apps::jedit(), 1, 6);
+    for kind in WARM_KINDS {
+        for filter in 0..filters().len() {
+            check_case(kind, &trace, &other, filter, 6 + filter as u64);
+        }
+    }
 }
 
 fn fuzz_cases() -> u32 {

@@ -23,7 +23,9 @@
 
 use std::borrow::Cow;
 
-use lagalyzer_model::{DurationNs, Episode, EpisodeId, SessionMeta, SessionTrace, SymbolTable};
+use lagalyzer_model::{
+    DurationNs, Episode, EpisodeId, GcEvent, SessionMeta, SessionTrace, SymbolTable,
+};
 use lagalyzer_trace::index::EpisodeExtent;
 use lagalyzer_trace::rollup::{EpisodeSummary, Rollup};
 use lagalyzer_trace::SessionSource;
@@ -149,6 +151,8 @@ pub struct SessionFacts<'a> {
     pub meta: &'a SessionMeta,
     /// The session's symbol table.
     pub symbols: &'a SymbolTable,
+    /// The session-level GC events, in record order.
+    pub gc_events: &'a [GcEvent],
     /// Episodes below the tracer-side filter threshold.
     pub short_count: u64,
     /// Total time spent in those short episodes.
@@ -168,6 +172,7 @@ impl<'a> SessionFacts<'a> {
         SessionFacts {
             meta: source.meta(),
             symbols: source.symbols(),
+            gc_events: source.gc_events(),
             short_count: source.short_episode_count(),
             short_time: source.short_episode_time(),
             excluded: 0,
@@ -182,6 +187,7 @@ impl<'a> SessionFacts<'a> {
         SessionFacts {
             meta: trace.meta(),
             symbols: trace.symbols(),
+            gc_events: trace.gc_events(),
             short_count: trace.short_episode_count(),
             short_time: trace.short_episode_time(),
             excluded: 0,
@@ -215,14 +221,6 @@ impl RollupRows<'_> {
         match self {
             RollupRows::Persisted { admitted, .. } => admitted[i],
             RollupRows::Folded(_) => i,
-        }
-    }
-
-    /// Where analyzed episode `i` is re-decoded from.
-    fn position(&self, i: usize) -> usize {
-        match self {
-            RollupRows::Persisted { admitted, .. } => admitted[i],
-            RollupRows::Folded(rows) => rows[i].position,
         }
     }
 }
@@ -321,6 +319,19 @@ impl<'a> Summaries<'a> {
         &self.config
     }
 
+    /// Where analyzed episode `i` is decoded from: its extent position in
+    /// the session's source, or its index among a decoded trace's
+    /// episodes (the positions a subset decode takes).
+    pub fn position(&self, i: usize) -> usize {
+        match &self.detail {
+            Detail::Decoded(_) => i,
+            Detail::Rollup { rows, .. } => match rows {
+                RollupRows::Persisted { admitted, .. } => admitted[i],
+                RollupRows::Folded(rows) => rows[i].position,
+            },
+        }
+    }
+
     /// Episodes an ingest-time filter excluded before summarizing.
     pub fn excluded(&self) -> u64 {
         self.excluded
@@ -374,8 +385,8 @@ impl<'a> Summaries<'a> {
             Detail::Decoded(episodes) => {
                 Some(indices.iter().map(|&i| culprit_of(&episodes[i])).collect())
             }
-            Detail::Rollup { rows, .. } => {
-                let positions: Vec<usize> = indices.iter().map(|&i| rows.position(i)).collect();
+            Detail::Rollup { .. } => {
+                let positions: Vec<usize> = indices.iter().map(|&i| self.position(i)).collect();
                 let decoded = decode(&positions)?;
                 (decoded.len() == positions.len()).then(|| decoded.iter().map(culprit_of).collect())
             }

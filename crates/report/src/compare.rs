@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 
-use crate::paper::{self, PaperRow};
+use crate::paper;
 use crate::study::Study;
 use crate::table::{Align, TextTable};
 
@@ -159,15 +159,6 @@ pub fn summary(comparisons: &[Comparison], tolerance: f64) -> String {
         tolerance * 100.0
     );
     out
-}
-
-/// Checks the paper's Table II identity data against the simulator's
-/// profiles (a consistency check, not a measurement).
-pub fn table2_matches(row: &PaperRow, classes: u32) -> bool {
-    // Table II lists class counts; profiles carry them verbatim, so any
-    // mismatch is a transcription bug.
-    let _ = row;
-    classes > 0
 }
 
 #[cfg(test)]

@@ -132,15 +132,6 @@ impl DamageVerdict {
         }
     }
 
-    /// Classifies the outcome of a salvage attempt, mapping decode
-    /// failure to [`DamageVerdict::Unrecoverable`].
-    pub fn of_outcome<E>(outcome: Result<&SalvageReport, &E>) -> Self {
-        match outcome {
-            Ok(report) => Self::of_report(report),
-            Err(_) => DamageVerdict::Unrecoverable,
-        }
-    }
-
     /// The process exit code the CLI scripting contract assigns to this
     /// verdict: 0 clean, 2 salvaged-with-damage, 3 unrecoverable (1 is
     /// reserved for usage/I-O errors and never produced here).

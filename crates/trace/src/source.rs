@@ -24,7 +24,7 @@ use std::ops::Range;
 
 use lagalyzer_model::parallel::map_shards_init;
 use lagalyzer_model::{
-    DurationNs, Episode, EpisodeFragment, ModelError, SessionMeta, SessionTrace,
+    DurationNs, Episode, EpisodeFragment, GcEvent, ModelError, SessionMeta, SessionTrace,
     SessionTraceBuilder, SymbolTable, TimeNs,
 };
 
@@ -77,6 +77,12 @@ impl<'a> SessionSource<'a> {
     /// The extent index, one entry per episode in dispatch order.
     pub fn extents(&self) -> &'a [EpisodeExtent] {
         self.extents
+    }
+
+    /// Session-level GC events, in record order (a decoded trace keeps
+    /// them sorted by start).
+    pub fn gc_events(&self) -> &'a [GcEvent] {
+        &self.records.gc_events
     }
 
     /// Episodes below the tracer-side filter threshold (counted, not

@@ -6,10 +6,15 @@
 //! height encodes perceptibility; session-level GC events appear as marks
 //! under the axis. It is the "where do I even look" view a developer opens
 //! before drilling into a single episode's sketch.
+//!
+//! A [`Timeline`] needs one [`TimelineRow`] per episode and the session's
+//! facts, never the episodes themselves, so a caller can fold the rows as
+//! the episodes decode. A decoded [`AnalysisSession`] converts into one.
 
 use lagalyzer_core::session::AnalysisSession;
+use lagalyzer_core::summary::SessionFacts;
 use lagalyzer_core::trigger::Trigger;
-use lagalyzer_model::TimeNs;
+use lagalyzer_model::{DurationNs, Episode, EpisodeId, TimeNs};
 
 use crate::scale::TimeScale;
 use crate::svg::SvgDoc;
@@ -35,6 +40,58 @@ impl Default for TimelineOptions {
     }
 }
 
+/// What the timeline draws of one episode.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TimelineRow {
+    /// The episode's trace id.
+    pub id: EpisodeId,
+    /// Dispatch start.
+    pub start: TimeNs,
+    /// Dispatch end.
+    pub end: TimeNs,
+    /// The episode's lag.
+    pub duration: DurationNs,
+    /// Its Fig 5 trigger class.
+    pub trigger: Trigger,
+}
+
+impl TimelineRow {
+    /// The row of a decoded episode.
+    pub fn of_episode(episode: &Episode) -> TimelineRow {
+        TimelineRow {
+            id: episode.id(),
+            start: episode.start(),
+            end: episode.end(),
+            duration: episode.duration(),
+            trigger: Trigger::of_episode(episode),
+        }
+    }
+}
+
+/// A session as the timeline draws it: one row per traced episode, in
+/// dispatch order, and the session's metadata, GC events, short-episode
+/// count and perceptibility threshold.
+#[derive(Clone, Debug)]
+pub struct Timeline<'a> {
+    /// The session the rows belong to.
+    pub facts: SessionFacts<'a>,
+    /// One row per episode drawn.
+    pub rows: Vec<TimelineRow>,
+}
+
+impl<'a> From<&'a AnalysisSession> for Timeline<'a> {
+    fn from(session: &'a AnalysisSession) -> Timeline<'a> {
+        Timeline {
+            facts: SessionFacts::of_trace(session.trace(), *session.config()),
+            rows: session
+                .episodes()
+                .iter()
+                .map(TimelineRow::of_episode)
+                .collect(),
+        }
+    }
+}
+
 /// The fill color of a trigger class on the timeline.
 pub fn trigger_color(trigger: Trigger) -> &'static str {
     match trigger {
@@ -46,9 +103,10 @@ pub fn trigger_color(trigger: Trigger) -> &'static str {
 }
 
 /// Renders the whole session as an SVG timeline.
-pub fn render_timeline(session: &AnalysisSession, opts: &TimelineOptions) -> String {
-    let trace = session.trace();
-    let end = TimeNs::ZERO + trace.meta().end_to_end;
+pub fn render_timeline<'a>(timeline: impl Into<Timeline<'a>>, opts: &TimelineOptions) -> String {
+    let Timeline { facts, rows } = timeline.into();
+    let threshold = facts.config.perceptible_threshold;
+    let end = TimeNs::ZERO + facts.meta.end_to_end;
     let margin = 10.0;
     let band_top = 40.0;
     let axis_y = band_top + opts.tall + 8.0;
@@ -62,10 +120,10 @@ pub fn render_timeline(session: &AnalysisSession, opts: &TimelineOptions) -> Str
         12.0,
         &format!(
             "{} — {} traced episodes, {} perceptible, {} filtered",
-            trace.meta().application,
-            trace.episodes().len(),
-            session.perceptible_episodes().count(),
-            trace.short_episode_count()
+            facts.meta.application,
+            rows.len(),
+            rows.iter().filter(|row| row.duration >= threshold).count(),
+            facts.short_count
         ),
     );
 
@@ -78,23 +136,22 @@ pub fn render_timeline(session: &AnalysisSession, opts: &TimelineOptions) -> Str
     }
 
     // Episode blocks, perceptible ones taller and labeled via tooltip.
-    for episode in session.episodes() {
-        let x0 = scale.x(episode.start());
-        let x1 = scale.x(episode.end());
-        let perceptible = session.is_perceptible(episode);
+    for row in &rows {
+        let x0 = scale.x(row.start);
+        let x1 = scale.x(row.end);
+        let perceptible = row.duration >= threshold;
         let h = if perceptible { opts.tall } else { opts.short };
-        let trigger = Trigger::of_episode(episode);
         doc.rect(
             x0,
             band_top + opts.tall - h,
             (x1 - x0).max(0.8),
             h,
-            trigger_color(trigger),
+            trigger_color(row.trigger),
             Some(&format!(
                 "{} {} ({}, {})",
-                episode.id(),
-                episode.duration(),
-                trigger,
+                row.id,
+                row.duration,
+                row.trigger,
                 if perceptible { "perceptible" } else { "ok" }
             )),
         );
@@ -108,8 +165,11 @@ pub fn render_timeline(session: &AnalysisSession, opts: &TimelineOptions) -> Str
         doc.text_anchored(x, axis_y + 15.0, 9.0, "middle", &tick.to_string());
     }
 
-    // GC marks under the axis.
-    for gc in trace.gc_events() {
+    // GC marks under the axis, in start order as a decoded trace keeps
+    // them (the sort is stable, like the trace builder's).
+    let mut gc_events = facts.gc_events.to_vec();
+    gc_events.sort_by_key(|gc| gc.start);
+    for gc in &gc_events {
         let x0 = scale.x(gc.start);
         let x1 = scale.x(gc.end);
         doc.rect(
