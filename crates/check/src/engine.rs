@@ -5,7 +5,10 @@
 //! A rule is a trait object with a stable code and a default severity.
 //! The engine calls `begin` once, `episode` once per decoded episode (in
 //! order, with the episode's byte extent when the trace came from an
-//! indexed `.lgz` file), and `finish` once. Rules report through a
+//! indexed `.lgz` file), and `finish` once. Every hook reads the session
+//! through a [`SessionCtx`], not a decoded trace, so the engine runs the
+//! same way over a trace in memory ([`RuleSet::run`]) and over a `.lgz`
+//! folded as it decodes ([`crate::check_bytes`]). Rules report through a
 //! [`Sink`] which stamps the code and the *effective* severity — the
 //! default, unless the rule set carries an `--allow`/`--deny`/`--level`
 //! override.
@@ -15,7 +18,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use lagalyzer_model::lockgraph::{extract_waits, ContendedWait};
-use lagalyzer_model::{Episode, SessionTrace};
+use lagalyzer_model::{Episode, GcEvent, SessionMeta, SessionTrace, SymbolTable};
 use lagalyzer_trace::{EpisodeExtent, IndexHealth, RollupHealth, SalvageReport};
 
 use crate::diag::{ByteSpan, CheckReport, Diagnostic, Related, Severity};
@@ -53,19 +56,58 @@ impl<'a> CheckSubject<'a> {
             rollup: None,
         }
     }
+
+    /// The session the rules see: the trace's metadata, symbols and GC
+    /// events, with the subject's provenance.
+    fn session(&self) -> SessionCtx<'a> {
+        SessionCtx {
+            meta: self.trace.meta(),
+            symbols: self.trace.symbols(),
+            gc_events: self.trace.gc_events(),
+            extents: self.extents,
+            health: self.health,
+            salvage: self.salvage,
+            file_len: self.file_len,
+            rollup: self.rollup,
+        }
+    }
+}
+
+/// The session a rule set checks, apart from its episodes: what
+/// [`Rule::begin`] and [`Rule::finish`] read, and what every
+/// [`EpisodeCtx`] refers to. The provenance fields are `None` when the
+/// input did not come through the indexed binary path.
+pub struct SessionCtx<'a> {
+    /// The session metadata.
+    pub meta: &'a SessionMeta,
+    /// The session's symbol table.
+    pub symbols: &'a SymbolTable,
+    /// Session-level GC events, sorted by start.
+    pub gc_events: &'a [GcEvent],
+    /// The extent index, one entry per indexed episode.
+    pub extents: Option<&'a [EpisodeExtent]>,
+    /// How the episode index was established.
+    pub health: Option<&'a IndexHealth>,
+    /// Damage report when the trace was decoded in salvage mode.
+    pub salvage: Option<&'a SalvageReport>,
+    /// Total length of the raw input file, for trailer spans.
+    pub file_len: Option<u64>,
+    /// Health of the persisted rollup section, when the input is a v2
+    /// binary trace.
+    pub rollup: Option<&'a RollupHealth>,
 }
 
 /// Per-episode context handed to [`Rule::episode`].
 pub struct EpisodeCtx<'a> {
-    /// Position of the episode in `trace.episodes()`.
+    /// Position of the episode among the episodes checked so far.
     pub index: usize,
     /// The episode under inspection.
     pub episode: &'a Episode,
-    /// Its byte extent, when the subject's extent table aligns with the
-    /// decoded episodes.
+    /// The extent it was decoded from, when the input was an indexed
+    /// `.lgz` file (and, in memory, aligns with the decoded episodes).
     pub extent: Option<&'a EpisodeExtent>,
     /// The surrounding session (symbol table, GC events, metadata).
-    pub trace: &'a SessionTrace,
+    pub session: &'a SessionCtx<'a>,
     /// The episode's contended waits, extracted on first use.
     waits: OnceCell<Vec<ContendedWait>>,
 }
@@ -168,14 +210,34 @@ pub trait Rule {
     fn summary(&self) -> &'static str;
 
     /// Called once before any episode; reset per-run state here.
-    fn begin(&mut self, _subject: &CheckSubject<'_>, _sink: &mut Sink<'_>) {}
+    fn begin(&mut self, _session: &SessionCtx<'_>, _sink: &mut Sink<'_>) {}
 
     /// Called once per episode, in decode order.
     fn episode(&mut self, _ctx: &EpisodeCtx<'_>, _sink: &mut Sink<'_>) {}
 
     /// Called once after all episodes.
-    fn finish(&mut self, _subject: &CheckSubject<'_>, _sink: &mut Sink<'_>) {}
+    fn finish(&mut self, _session: &SessionCtx<'_>, _sink: &mut Sink<'_>) {}
 }
+
+/// Implements a [`Rule`]'s four descriptive methods from its code, name,
+/// default severity and summary.
+macro_rules! describe {
+    ($code:literal, $name:literal, $severity:ident, $summary:literal) => {
+        fn code(&self) -> &'static str {
+            $code
+        }
+        fn name(&self) -> &'static str {
+            $name
+        }
+        fn default_severity(&self) -> $crate::Severity {
+            $crate::Severity::$severity
+        }
+        fn summary(&self) -> &'static str {
+            $summary
+        }
+    };
+}
+pub(crate) use describe;
 
 /// How an override changes a rule: suppress it or force a severity.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -266,64 +328,89 @@ impl RuleSet {
     }
 
     /// Runs every enabled rule over `subject`, one pass over the
-    /// episodes, and collects the diagnostics.
+    /// episodes of a trace already in memory, and collects the
+    /// diagnostics.
     pub fn run(&mut self, subject: &CheckSubject<'_>) -> CheckReport {
-        let mut out = Vec::new();
         let episodes = subject.trace.episodes();
-        // Extents are positionally aligned with decoded episodes on every
-        // IndexedTrace open path; if something upstream broke that, hand
-        // rules no extent rather than the wrong one (LA009 reports the
-        // count disagreement from the subject itself).
+        // Hand rules no extent rather than the wrong one when the extent
+        // table does not align with the decoded episodes (LA009 reports
+        // the count disagreement); a fold hands each episode its own.
         let aligned = subject.extents.filter(|e| e.len() == episodes.len());
-
-        let active: Vec<(usize, Severity)> = self
-            .rules
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| match self.overrides.get(r.code()) {
-                Some(LevelOverride::Allow) => None,
-                Some(LevelOverride::At(sev)) => Some((i, *sev)),
-                None => Some((i, r.default_severity())),
-            })
-            .collect();
-
-        for &(i, severity) in &active {
-            let rule = &mut self.rules[i];
-            let mut sink = Sink {
-                code: rule.code(),
-                severity,
-                out: &mut out,
-            };
-            rule.begin(subject, &mut sink);
-        }
+        let session = subject.session();
+        let mut checking = self.begin(&session);
         for (index, episode) in episodes.iter().enumerate() {
-            let ctx = EpisodeCtx {
-                index,
-                episode,
-                extent: aligned.and_then(|e| e.get(index)),
-                trace: subject.trace,
-                waits: OnceCell::new(),
-            };
-            for &(i, severity) in &active {
-                let rule = &mut self.rules[i];
-                let mut sink = Sink {
-                    code: rule.code(),
-                    severity,
-                    out: &mut out,
-                };
-                rule.episode(&ctx, &mut sink);
-            }
+            checking.episode(episode, aligned.and_then(|e| e.get(index)));
         }
-        for &(i, severity) in &active {
-            let rule = &mut self.rules[i];
+        checking.finish()
+    }
+
+    /// Starts a run over `session`: `begin` on every enabled rule. Feed
+    /// the run the episodes in order, then finish it.
+    pub(crate) fn begin<'r, 's>(&'r mut self, session: &'s SessionCtx<'s>) -> Checking<'r, 's> {
+        let overrides = &self.overrides;
+        let active = self.rules.iter_mut().filter_map(|rule| {
+            let severity = match overrides.get(rule.code()) {
+                Some(LevelOverride::Allow) => return None,
+                Some(&LevelOverride::At(severity)) => severity,
+                None => rule.default_severity(),
+            };
+            Some((rule, severity))
+        });
+        let mut checking = Checking {
+            active: active.collect(),
+            session,
+            index: 0,
+            out: Vec::new(),
+        };
+        checking.each(|rule, sink| rule.begin(session, sink));
+        checking
+    }
+}
+
+/// One run of a [`RuleSet`] over a session, fed one episode at a time:
+/// what [`RuleSet::run`] loops over a trace in memory and
+/// [`crate::check_bytes`] folds over a `.lgz` as it decodes.
+pub(crate) struct Checking<'r, 's> {
+    /// The enabled rules, at their effective severity.
+    active: Vec<(&'r mut Box<dyn Rule>, Severity)>,
+    session: &'s SessionCtx<'s>,
+    /// Episodes checked so far.
+    index: usize,
+    out: Vec<Diagnostic>,
+}
+
+impl Checking<'_, '_> {
+    /// Calls `hook` on every enabled rule, in order, with its sink.
+    fn each(&mut self, mut hook: impl FnMut(&mut dyn Rule, &mut Sink<'_>)) {
+        for (rule, severity) in &mut self.active {
+            let (code, severity) = (rule.code(), *severity);
             let mut sink = Sink {
-                code: rule.code(),
+                code,
                 severity,
-                out: &mut out,
+                out: &mut self.out,
             };
-            rule.finish(subject, &mut sink);
+            hook(rule.as_mut(), &mut sink);
         }
-        CheckReport::new(out)
+    }
+
+    /// Checks the next episode, decoded from `extent` when known.
+    pub(crate) fn episode(&mut self, episode: &Episode, extent: Option<&EpisodeExtent>) {
+        let ctx = EpisodeCtx {
+            index: self.index,
+            episode,
+            extent,
+            session: self.session,
+            waits: OnceCell::new(),
+        };
+        self.each(|rule, sink| rule.episode(&ctx, sink));
+        self.index += 1;
+    }
+
+    /// `finish` on every enabled rule, and the report.
+    pub(crate) fn finish(mut self) -> CheckReport {
+        let session = self.session;
+        self.each(|rule, sink| rule.finish(session, sink));
+        CheckReport::new(self.out)
     }
 }
 

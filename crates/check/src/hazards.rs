@@ -35,7 +35,7 @@
 //! [`HazardReport::of_corpus`] (its registered rule exists so the
 //! code appears in `--list-rules`, but it never fires single-session).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 use lagalyzer_model::lockgraph::{ContendedWait, LockGraph};
 use lagalyzer_model::{json_string, EpisodeId, MethodRef, SessionTrace, SymbolTable, WaitKind};
@@ -44,7 +44,7 @@ use lagalyzer_trace::EpisodeExtent;
 use crate::diag::{
     render_diagnostic_json, render_diagnostic_text, ByteSpan, Diagnostic, Related, Severity,
 };
-use crate::engine::{CheckSubject, EpisodeCtx, Finding, Rule, Sink};
+use crate::engine::{describe, EpisodeCtx, Finding, Rule, SessionCtx, Sink};
 
 /// Class-name prefixes treated as blocking IO for `LA021`.
 const IO_PREFIXES: [&str; 5] = ["java.io.", "java.nio.", "java.net.", "sun.nio.", "sun.net."];
@@ -323,54 +323,39 @@ pub(crate) fn corpus_inversions(
         .collect()
 }
 
-/// Byte span of the episode with id `id`, when the subject's extent
-/// table aligns with the decoded episodes.
-fn episode_span(subject: &CheckSubject<'_>, id: EpisodeId) -> Option<ByteSpan> {
-    let episodes = subject.trace.episodes();
-    let extents = subject.extents.filter(|e| e.len() == episodes.len())?;
-    let index = episodes.iter().position(|e| e.id() == id)?;
-    extents
-        .get(index)
-        .map(|e| ByteSpan::new(e.offset, e.offset + e.len))
-}
-
 /// `LA020`: accumulates the session lock graph across episodes and
-/// reports inversion cycles in `finish`.
+/// reports inversion cycles in `finish`, each at the byte span of the
+/// first episode checked with the cycle's episode id.
 #[derive(Default)]
 pub(crate) struct LockOrderInversion {
     graph: LockGraph,
+    spans: HashMap<u32, Option<ByteSpan>>,
     config: HazardConfig,
 }
 
 impl Rule for LockOrderInversion {
-    fn code(&self) -> &'static str {
-        "LA020"
-    }
-    fn name(&self) -> &'static str {
-        "lock-order-inversion"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn summary(&self) -> &'static str {
-        "held-while-acquiring cycle in the session lock graph (ABBA deadlock recipe)"
-    }
+    describe! { "LA020", "lock-order-inversion", Error,
+    "held-while-acquiring cycle in the session lock graph (ABBA deadlock recipe)" }
 
-    fn begin(&mut self, _subject: &CheckSubject<'_>, _sink: &mut Sink<'_>) {
+    fn begin(&mut self, _session: &SessionCtx<'_>, _sink: &mut Sink<'_>) {
         self.graph = LockGraph::new();
+        self.spans.clear();
     }
 
     fn episode(&mut self, ctx: &EpisodeCtx<'_>, _sink: &mut Sink<'_>) {
+        let id = ctx.episode.id().as_raw();
+        self.spans.entry(id).or_insert_with(|| ctx.byte_span());
         for wait in ctx.waits() {
             self.graph.add_wait(wait.clone());
         }
     }
 
-    fn finish(&mut self, subject: &CheckSubject<'_>, sink: &mut Sink<'_>) {
-        for inv in inversions(&self.graph, subject.trace.symbols(), &self.config) {
+    fn finish(&mut self, session: &SessionCtx<'_>, sink: &mut Sink<'_>) {
+        for inv in inversions(&self.graph, session.symbols, &self.config) {
             let mut finding = Finding::new(inv.message);
             if let Some(id) = inv.episode {
-                finding = finding.episode(id).span(episode_span(subject, id));
+                let span = self.spans.get(&id.as_raw()).copied().flatten();
+                finding = finding.episode(id).span(span);
             }
             for note in inv.related {
                 finding = finding.related(note, None);
@@ -380,122 +365,65 @@ impl Rule for LockOrderInversion {
     }
 }
 
-/// Dispatches one of the per-wait detectors over every contended wait
-/// of an episode — the shared shape of `LA021`…`LA024`.
-fn emit_per_wait(
-    ctx: &EpisodeCtx<'_>,
-    sink: &mut Sink<'_>,
-    config: &HazardConfig,
-    detect: impl Fn(&ContendedWait, &SymbolTable, &HazardConfig) -> Option<String>,
-) {
-    for wait in ctx.waits() {
-        if let Some(message) = detect(wait, ctx.trace.symbols(), config) {
-            sink.emit(
-                Finding::new(message)
-                    .episode(ctx.episode.id())
-                    .span(ctx.byte_span()),
-            );
+/// A per-wait detector: the finding's message for one contended wait, if
+/// it is a hazard.
+type Detect = fn(&ContendedWait, &SymbolTable, &HazardConfig) -> Option<String>;
+
+/// The per-wait hazards, in code order: `(code, name, summary, detect)`.
+#[rustfmt::skip]
+const PER_WAIT: [(&str, &str, &str, Detect); 4] = [
+    ("LA021", "lock-held-across-io",
+     "contended lock's inferred holder spent the wait inside blocking IO", io_hazard),
+    ("LA022", "lock-held-across-pause",
+     "contended lock held across Thread.sleep or a stop-the-world GC pause", pause_hazard),
+    ("LA023", "lock-starvation",
+     "waiter blocked on one lock across many consecutive samples while holders churn",
+     starvation_hazard),
+    ("LA024", "self-wait",
+     "thread blocked entering a lock its own stack already holds", self_wait_hazard),
+];
+
+/// `LA021`…`LA024`: one per-wait detector run over every contended wait
+/// of every episode.
+pub(crate) struct PerWait {
+    about: (&'static str, &'static str, &'static str, Detect),
+    config: HazardConfig,
+}
+
+impl PerWait {
+    /// The four per-wait rules, in code order.
+    pub(crate) fn all() -> impl Iterator<Item = PerWait> {
+        PER_WAIT.into_iter().map(|about| PerWait {
+            about,
+            config: HazardConfig::default(),
+        })
+    }
+}
+
+impl Rule for PerWait {
+    fn code(&self) -> &'static str {
+        self.about.0
+    }
+    fn name(&self) -> &'static str {
+        self.about.1
+    }
+    fn default_severity(&self) -> Severity {
+        Severity::Warning
+    }
+    fn summary(&self) -> &'static str {
+        self.about.2
+    }
+
+    fn episode(&mut self, ctx: &EpisodeCtx<'_>, sink: &mut Sink<'_>) {
+        for wait in ctx.waits() {
+            if let Some(message) = (self.about.3)(wait, ctx.session.symbols, &self.config) {
+                sink.emit(
+                    Finding::new(message)
+                        .episode(ctx.episode.id())
+                        .span(ctx.byte_span()),
+                );
+            }
         }
-    }
-}
-
-/// `LA021`: lock held across IO.
-#[derive(Default)]
-pub(crate) struct LockHeldAcrossIo {
-    config: HazardConfig,
-}
-
-impl Rule for LockHeldAcrossIo {
-    fn code(&self) -> &'static str {
-        "LA021"
-    }
-    fn name(&self) -> &'static str {
-        "lock-held-across-io"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn summary(&self) -> &'static str {
-        "contended lock's inferred holder spent the wait inside blocking IO"
-    }
-
-    fn episode(&mut self, ctx: &EpisodeCtx<'_>, sink: &mut Sink<'_>) {
-        emit_per_wait(ctx, sink, &self.config, io_hazard);
-    }
-}
-
-/// `LA022`: lock held across sleep or a GC pause.
-#[derive(Default)]
-pub(crate) struct LockHeldAcrossPause {
-    config: HazardConfig,
-}
-
-impl Rule for LockHeldAcrossPause {
-    fn code(&self) -> &'static str {
-        "LA022"
-    }
-    fn name(&self) -> &'static str {
-        "lock-held-across-pause"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn summary(&self) -> &'static str {
-        "contended lock held across Thread.sleep or a stop-the-world GC pause"
-    }
-
-    fn episode(&mut self, ctx: &EpisodeCtx<'_>, sink: &mut Sink<'_>) {
-        emit_per_wait(ctx, sink, &self.config, pause_hazard);
-    }
-}
-
-/// `LA023`: starved waiter under holder churn.
-#[derive(Default)]
-pub(crate) struct LockStarvation {
-    config: HazardConfig,
-}
-
-impl Rule for LockStarvation {
-    fn code(&self) -> &'static str {
-        "LA023"
-    }
-    fn name(&self) -> &'static str {
-        "lock-starvation"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn summary(&self) -> &'static str {
-        "waiter blocked on one lock across many consecutive samples while holders churn"
-    }
-
-    fn episode(&mut self, ctx: &EpisodeCtx<'_>, sink: &mut Sink<'_>) {
-        emit_per_wait(ctx, sink, &self.config, starvation_hazard);
-    }
-}
-
-/// `LA024`: self-wait anomaly.
-#[derive(Default)]
-pub(crate) struct SelfWait {
-    config: HazardConfig,
-}
-
-impl Rule for SelfWait {
-    fn code(&self) -> &'static str {
-        "LA024"
-    }
-    fn name(&self) -> &'static str {
-        "self-wait"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn summary(&self) -> &'static str {
-        "thread blocked entering a lock its own stack already holds"
-    }
-
-    fn episode(&mut self, ctx: &EpisodeCtx<'_>, sink: &mut Sink<'_>) {
-        emit_per_wait(ctx, sink, &self.config, self_wait_hazard);
     }
 }
 
@@ -506,18 +434,8 @@ impl Rule for SelfWait {
 pub(crate) struct CorpusLockInversion;
 
 impl Rule for CorpusLockInversion {
-    fn code(&self) -> &'static str {
-        "LA025"
-    }
-    fn name(&self) -> &'static str {
-        "corpus-lock-inversion"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn summary(&self) -> &'static str {
-        "lock-order cycle closed only across sessions of a corpus (hazards subcommand)"
-    }
+    describe! { "LA025", "corpus-lock-inversion", Error,
+    "lock-order cycle closed only across sessions of a corpus (hazards subcommand)" }
 }
 
 /// The `hazards` subcommand's analysis result: lock-graph shape metrics
@@ -757,20 +675,10 @@ fn wait_findings(
     symbols: &SymbolTable,
     config: &HazardConfig,
 ) -> Vec<(&'static str, String)> {
-    let mut out = Vec::new();
-    if let Some(m) = io_hazard(wait, symbols, config) {
-        out.push(("LA021", m));
-    }
-    if let Some(m) = pause_hazard(wait, symbols, config) {
-        out.push(("LA022", m));
-    }
-    if let Some(m) = starvation_hazard(wait, symbols, config) {
-        out.push(("LA023", m));
-    }
-    if let Some(m) = self_wait_hazard(wait, symbols, config) {
-        out.push(("LA024", m));
-    }
-    out
+    PER_WAIT
+        .iter()
+        .filter_map(|&(code, _, _, detect)| Some((code, detect(wait, symbols, config)?)))
+        .collect()
 }
 
 /// An inversion cycle as an error diagnostic, its per-edge evidence notes
@@ -807,7 +715,7 @@ fn severity_of(code: &str) -> Severity {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::RuleSet;
+    use crate::engine::{CheckSubject, RuleSet};
     use lagalyzer_model::prelude::*;
 
     fn ms(v: u64) -> TimeNs {

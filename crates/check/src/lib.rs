@@ -11,7 +11,8 @@
 //! code (`LA001`…) and default [`Severity`], visits the decoded
 //! episodes once and emits [`Diagnostic`]s whose byte spans point back
 //! into the raw `.lgz` file (threaded from the episode extent index and
-//! from salvage skip offsets).
+//! from salvage skip offsets). [`check_bytes`] runs the rules as a fold
+//! over a `.lgz` as it decodes, holding one decoded episode at a time.
 //!
 //! # Example
 //!
@@ -48,12 +49,12 @@ pub mod hazards;
 pub mod rules;
 
 pub use diag::{ByteSpan, CheckReport, Diagnostic, Related, Severity};
-pub use engine::{CheckSubject, EpisodeCtx, Finding, Rule, RuleSet, Sink, UnknownRule};
+pub use engine::{CheckSubject, EpisodeCtx, Finding, Rule, RuleSet, SessionCtx, Sink, UnknownRule};
 pub use hazards::{HazardConfig, HazardReport};
 pub use rules::standard_rules;
 
 use lagalyzer_model::SessionTrace;
-use lagalyzer_trace::{decode_bytes_salvage, IndexedTrace, TraceError};
+use lagalyzer_trace::{binary, read_bytes_salvage, EpisodeFilter, IndexedTrace, TraceError};
 
 /// Checks an already-decoded trace with no file provenance (no byte
 /// spans, no salvage or index context).
@@ -61,10 +62,16 @@ pub fn check_trace(trace: &SessionTrace, rules: &mut RuleSet) -> CheckReport {
     rules.run(&CheckSubject::of_trace(trace))
 }
 
-/// Checks raw trace bytes of either codec, salvage-decoded by
-/// [`decode_bytes_salvage`] (the decode `lint` reports on), which takes
-/// over the buffer: the input is opened once and never copied. The rollup
-/// section's health is the one that open judged.
+/// Checks raw trace bytes of either codec, salvage-opened as `lint`
+/// opens them, which takes over the buffer: the input is opened once and
+/// never copied. A binary trace's episodes are folded through the rules
+/// one at a time on one worker by [`IndexedTrace::fold_verified`], so the
+/// report is the one [`RuleSet::run`] gives over the whole trace
+/// salvage-decoded into memory: a trusted open whose episodes do not
+/// decode or add up to the declared record count is reopened through the
+/// salvage scan and checked again with fresh rules.
+/// The rollup section's health is the one the open judged. A text trace
+/// has no extent index and is checked in memory.
 ///
 /// A binary trace's diagnostics get episode byte spans from the extent
 /// table, plus salvage-skip, index and checksum context; a text trace's
@@ -76,15 +83,39 @@ pub fn check_trace(trace: &SessionTrace, rules: &mut RuleSet) -> CheckReport {
 /// establish the session at all. Everything less severe is reported as
 /// diagnostics, not as an error.
 pub fn check_bytes(bytes: Vec<u8>, rules: &mut RuleSet) -> Result<CheckReport, TraceError> {
-    let file_len = bytes.len() as u64;
-    let (salvaged, indexed) = decode_bytes_salvage(bytes, 1)?;
-    let subject = CheckSubject {
-        trace: &salvaged.trace,
-        extents: indexed.as_ref().map(IndexedTrace::extents),
-        health: indexed.as_ref().map(IndexedTrace::health),
-        salvage: Some(&salvaged.report),
-        file_len: Some(file_len),
-        rollup: indexed.as_ref().and_then(IndexedTrace::rollup_health),
-    };
-    Ok(rules.run(&subject))
+    let file_len = Some(bytes.len() as u64);
+    if !bytes.starts_with(binary::MAGIC_PREFIX) {
+        let salvaged = read_bytes_salvage(&bytes)?;
+        return Ok(rules.run(&CheckSubject {
+            trace: &salvaged.trace,
+            extents: None,
+            health: None,
+            salvage: Some(&salvaged.report),
+            file_len,
+            rollup: None,
+        }));
+    }
+    let opened = IndexedTrace::open_salvage(bytes)?;
+    let (report, _) = opened.fold_verified(|indexed, source| {
+        let mut gc_events = source.gc_events().to_vec();
+        gc_events.sort_by_key(|gc| gc.start);
+        let session = SessionCtx {
+            meta: source.meta(),
+            symbols: source.symbols(),
+            gc_events: &gc_events,
+            extents: Some(source.extents()),
+            health: Some(indexed.health()),
+            salvage: indexed.salvage_report(),
+            file_len,
+            rollup: indexed.rollup_health(),
+        };
+        let checking = rules.begin(&session);
+        let extents = source.extents();
+        let all = EpisodeFilter::default();
+        let checking = source.fold_serial(&all, checking, |checking, i, episode| {
+            checking.episode(episode, Some(&extents[i]));
+        })?;
+        Ok(checking.finish())
+    })?;
+    Ok(report)
 }

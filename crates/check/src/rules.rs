@@ -34,12 +34,12 @@ use std::collections::HashSet;
 use lagalyzer_model::{GcEvent, Interval, IntervalKind, MethodRef, SymbolTable, TimeNs};
 use lagalyzer_trace::{IndexHealth, RollupHealth, SkipAt};
 
-use crate::diag::{ByteSpan, Severity};
-use crate::engine::{CheckSubject, EpisodeCtx, Finding, Rule, Sink};
+use crate::diag::ByteSpan;
+use crate::engine::{describe, EpisodeCtx, Finding, Rule, SessionCtx, Sink};
 
 /// All shipped rules, in code order.
 pub fn standard_rules() -> Vec<Box<dyn Rule>> {
-    vec![
+    let mut rules: Vec<Box<dyn Rule>> = vec![
         Box::new(ImproperNesting),
         Box::new(OverlappingSiblings),
         Box::new(IntervalOutOfBounds),
@@ -48,19 +48,17 @@ pub fn standard_rules() -> Vec<Box<dyn Rule>> {
         Box::new(DanglingSymbol),
         Box::new(SubFloorEpisode),
         Box::new(MissingDispatchRoot),
-        Box::new(ExtentMismatch),
+        Box::new(ExtentMismatch::default()),
         Box::new(DuplicateEpisodeId::default()),
         Box::new(SalvageSkipRule),
         Box::new(ChecksumMismatch),
         Box::new(IndexDegraded),
         Box::new(StaleRollup),
         Box::new(crate::hazards::LockOrderInversion::default()),
-        Box::new(crate::hazards::LockHeldAcrossIo::default()),
-        Box::new(crate::hazards::LockHeldAcrossPause::default()),
-        Box::new(crate::hazards::LockStarvation::default()),
-        Box::new(crate::hazards::SelfWait::default()),
-        Box::new(crate::hazards::CorpusLockInversion),
-    ]
+    ];
+    rules.extend(crate::hazards::PerWait::all().map(|rule| Box::new(rule) as Box<dyn Rule>));
+    rules.push(Box::new(crate::hazards::CorpusLockInversion));
+    rules
 }
 
 /// Renders a time instant as milliseconds with microsecond precision —
@@ -78,18 +76,8 @@ fn fmt_window(i: &Interval) -> String {
 struct ImproperNesting;
 
 impl Rule for ImproperNesting {
-    fn code(&self) -> &'static str {
-        "LA001"
-    }
-    fn name(&self) -> &'static str {
-        "improper-nesting"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn summary(&self) -> &'static str {
-        "child interval escapes its parent (intervals must be properly nested)"
-    }
+    describe! { "LA001", "improper-nesting", Error,
+    "child interval escapes its parent (intervals must be properly nested)" }
 
     fn episode(&mut self, ctx: &EpisodeCtx<'_>, sink: &mut Sink<'_>) {
         let tree = ctx.episode.tree();
@@ -117,18 +105,8 @@ impl Rule for ImproperNesting {
 struct OverlappingSiblings;
 
 impl Rule for OverlappingSiblings {
-    fn code(&self) -> &'static str {
-        "LA002"
-    }
-    fn name(&self) -> &'static str {
-        "overlapping-siblings"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn summary(&self) -> &'static str {
-        "sibling intervals overlap (method calls on one thread cannot interleave)"
-    }
+    describe! { "LA002", "overlapping-siblings", Error,
+    "sibling intervals overlap (method calls on one thread cannot interleave)" }
 
     fn episode(&mut self, ctx: &EpisodeCtx<'_>, sink: &mut Sink<'_>) {
         let tree = ctx.episode.tree();
@@ -160,18 +138,8 @@ impl Rule for OverlappingSiblings {
 struct IntervalOutOfBounds;
 
 impl Rule for IntervalOutOfBounds {
-    fn code(&self) -> &'static str {
-        "LA003"
-    }
-    fn name(&self) -> &'static str {
-        "interval-out-of-bounds"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn summary(&self) -> &'static str {
-        "interval extends outside the episode's dispatch window"
-    }
+    describe! { "LA003", "interval-out-of-bounds", Error,
+    "interval extends outside the episode's dispatch window" }
 
     fn episode(&mut self, ctx: &EpisodeCtx<'_>, sink: &mut Sink<'_>) {
         let tree = ctx.episode.tree();
@@ -199,18 +167,8 @@ impl Rule for IntervalOutOfBounds {
 struct NonMonotonicTime;
 
 impl Rule for NonMonotonicTime {
-    fn code(&self) -> &'static str {
-        "LA004"
-    }
-    fn name(&self) -> &'static str {
-        "non-monotonic-time"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn summary(&self) -> &'static str {
-        "timestamps run backwards (inverted interval, preorder regress, unsorted samples)"
-    }
+    describe! { "LA004", "non-monotonic-time", Error,
+    "timestamps run backwards (inverted interval, preorder regress, unsorted samples)" }
 
     fn episode(&mut self, ctx: &EpisodeCtx<'_>, sink: &mut Sink<'_>) {
         let tree = ctx.episode.tree();
@@ -299,22 +257,12 @@ fn first_gc_containing<'e>(
 }
 
 impl Rule for SampleDuringGc {
-    fn code(&self) -> &'static str {
-        "LA005"
-    }
-    fn name(&self) -> &'static str {
-        "sample-during-gc"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn summary(&self) -> &'static str {
-        "sample taken inside a stop-the-world GC pause (sampling should be suppressed)"
-    }
+    describe! { "LA005", "sample-during-gc", Warning,
+    "sample taken inside a stop-the-world GC pause (sampling should be suppressed)" }
 
-    fn begin(&mut self, subject: &CheckSubject<'_>, _sink: &mut Sink<'_>) {
+    fn begin(&mut self, session: &SessionCtx<'_>, _sink: &mut Sink<'_>) {
         // `SessionTraceBuilder::finish` sorts GC events by start.
-        self.max_end = running_max_end(subject.trace.gc_events());
+        self.max_end = running_max_end(session.gc_events);
     }
 
     fn episode(&mut self, ctx: &EpisodeCtx<'_>, sink: &mut Sink<'_>) {
@@ -327,7 +275,7 @@ impl Rule for SampleDuringGc {
             .collect();
         for sample in ctx.episode.samples() {
             let in_tree = gc_windows.iter().find(|gc| gc.contains(sample.time));
-            let in_session = first_gc_containing(ctx.trace.gc_events(), &self.max_end, sample.time);
+            let in_session = first_gc_containing(ctx.session.gc_events, &self.max_end, sample.time);
             let window = in_tree
                 .map(|gc| (gc.start, gc.end))
                 .or(in_session.map(|gc| (gc.start, gc.end)));
@@ -363,21 +311,11 @@ impl DanglingSymbol {
 }
 
 impl Rule for DanglingSymbol {
-    fn code(&self) -> &'static str {
-        "LA006"
-    }
-    fn name(&self) -> &'static str {
-        "dangling-symbol"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn summary(&self) -> &'static str {
-        "SymbolId reference does not resolve in the symbol table"
-    }
+    describe! { "LA006", "dangling-symbol", Error,
+    "SymbolId reference does not resolve in the symbol table" }
 
     fn episode(&mut self, ctx: &EpisodeCtx<'_>, sink: &mut Sink<'_>) {
-        let symbols = ctx.trace.symbols();
+        let symbols = ctx.session.symbols;
         for node in ctx.episode.tree().nodes() {
             let Some(m) = node.interval.symbol else {
                 continue;
@@ -423,21 +361,11 @@ impl Rule for DanglingSymbol {
 struct SubFloorEpisode;
 
 impl Rule for SubFloorEpisode {
-    fn code(&self) -> &'static str {
-        "LA007"
-    }
-    fn name(&self) -> &'static str {
-        "sub-floor-episode"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn summary(&self) -> &'static str {
-        "episode below the tracer's filter floor recorded in full"
-    }
+    describe! { "LA007", "sub-floor-episode", Warning,
+    "episode below the tracer's filter floor recorded in full" }
 
     fn episode(&mut self, ctx: &EpisodeCtx<'_>, sink: &mut Sink<'_>) {
-        let floor = ctx.trace.meta().filter_threshold;
+        let floor = ctx.session.meta.filter_threshold;
         if floor.as_nanos() == 0 {
             return;
         }
@@ -458,18 +386,8 @@ impl Rule for SubFloorEpisode {
 struct MissingDispatchRoot;
 
 impl Rule for MissingDispatchRoot {
-    fn code(&self) -> &'static str {
-        "LA008"
-    }
-    fn name(&self) -> &'static str {
-        "missing-dispatch-root"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn summary(&self) -> &'static str {
-        "episode tree not rooted at a dispatch interval"
-    }
+    describe! { "LA008", "missing-dispatch-root", Error,
+    "episode tree not rooted at a dispatch interval" }
 
     fn episode(&mut self, ctx: &EpisodeCtx<'_>, sink: &mut Sink<'_>) {
         let root = ctx.episode.tree().root_interval();
@@ -488,23 +406,21 @@ impl Rule for MissingDispatchRoot {
 
 /// LA009: the extent footer's per-episode summary must agree with what
 /// the payload actually decodes to.
-struct ExtentMismatch;
+#[derive(Default)]
+struct ExtentMismatch {
+    decoded: usize,
+}
 
 impl Rule for ExtentMismatch {
-    fn code(&self) -> &'static str {
-        "LA009"
-    }
-    fn name(&self) -> &'static str {
-        "extent-mismatch"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn summary(&self) -> &'static str {
-        "extent-footer entry disagrees with the decoded episode"
+    describe! { "LA009", "extent-mismatch", Warning,
+    "extent-footer entry disagrees with the decoded episode" }
+
+    fn begin(&mut self, _session: &SessionCtx<'_>, _sink: &mut Sink<'_>) {
+        self.decoded = 0;
     }
 
     fn episode(&mut self, ctx: &EpisodeCtx<'_>, sink: &mut Sink<'_>) {
+        self.decoded += 1;
         let Some(extent) = ctx.extent else { return };
         let sat = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
         let mut disagreements = Vec::new();
@@ -546,14 +462,13 @@ impl Rule for ExtentMismatch {
         }
     }
 
-    fn finish(&mut self, subject: &CheckSubject<'_>, sink: &mut Sink<'_>) {
-        if let Some(extents) = subject.extents {
-            let decoded = subject.trace.episodes().len();
-            if extents.len() != decoded {
+    fn finish(&mut self, session: &SessionCtx<'_>, sink: &mut Sink<'_>) {
+        if let Some(extents) = session.extents {
+            if extents.len() != self.decoded {
                 sink.emit(Finding::new(format!(
                     "extent index lists {} episode(s) but {} decoded",
                     extents.len(),
-                    decoded
+                    self.decoded
                 )));
             }
         }
@@ -567,20 +482,10 @@ struct DuplicateEpisodeId {
 }
 
 impl Rule for DuplicateEpisodeId {
-    fn code(&self) -> &'static str {
-        "LA010"
-    }
-    fn name(&self) -> &'static str {
-        "duplicate-episode-id"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn summary(&self) -> &'static str {
-        "episode id already used by an earlier episode"
-    }
+    describe! { "LA010", "duplicate-episode-id", Error,
+    "episode id already used by an earlier episode" }
 
-    fn begin(&mut self, _subject: &CheckSubject<'_>, _sink: &mut Sink<'_>) {
+    fn begin(&mut self, _session: &SessionCtx<'_>, _sink: &mut Sink<'_>) {
         self.seen.clear();
     }
 
@@ -604,21 +509,11 @@ impl Rule for DuplicateEpisodeId {
 struct SalvageSkipRule;
 
 impl Rule for SalvageSkipRule {
-    fn code(&self) -> &'static str {
-        "LA011"
-    }
-    fn name(&self) -> &'static str {
-        "salvage-skip"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn summary(&self) -> &'static str {
-        "salvage decoding skipped damaged input here"
-    }
+    describe! { "LA011", "salvage-skip", Warning,
+    "salvage decoding skipped damaged input here" }
 
-    fn begin(&mut self, subject: &CheckSubject<'_>, sink: &mut Sink<'_>) {
-        let Some(report) = subject.salvage else {
+    fn begin(&mut self, session: &SessionCtx<'_>, sink: &mut Sink<'_>) {
+        let Some(report) = session.salvage else {
             return;
         };
         for skip in &report.skips {
@@ -647,25 +542,15 @@ impl Rule for SalvageSkipRule {
 struct ChecksumMismatch;
 
 impl Rule for ChecksumMismatch {
-    fn code(&self) -> &'static str {
-        "LA012"
-    }
-    fn name(&self) -> &'static str {
-        "checksum-mismatch"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn summary(&self) -> &'static str {
-        "trailer checksum does not verify: bytes differ from what the tracer wrote"
-    }
+    describe! { "LA012", "checksum-mismatch", Error,
+    "trailer checksum does not verify: bytes differ from what the tracer wrote" }
 
-    fn begin(&mut self, subject: &CheckSubject<'_>, sink: &mut Sink<'_>) {
-        let Some(report) = subject.salvage else {
+    fn begin(&mut self, session: &SessionCtx<'_>, sink: &mut Sink<'_>) {
+        let Some(report) = session.salvage else {
             return;
         };
         if report.checksum_ok == Some(false) {
-            let span = subject
+            let span = session
                 .file_len
                 .filter(|&len| len >= 8)
                 .map(|len| ByteSpan::new(len - 8, len));
@@ -685,21 +570,11 @@ impl Rule for ChecksumMismatch {
 struct IndexDegraded;
 
 impl Rule for IndexDegraded {
-    fn code(&self) -> &'static str {
-        "LA013"
-    }
-    fn name(&self) -> &'static str {
-        "index-degraded"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Note
-    }
-    fn summary(&self) -> &'static str {
-        "episode index reconstructed by scan instead of read from the footer"
-    }
+    describe! { "LA013", "index-degraded", Note,
+    "episode index reconstructed by scan instead of read from the footer" }
 
-    fn begin(&mut self, subject: &CheckSubject<'_>, sink: &mut Sink<'_>) {
-        let Some(health) = subject.health else { return };
+    fn begin(&mut self, session: &SessionCtx<'_>, sink: &mut Sink<'_>) {
+        let Some(health) = session.health else { return };
         let message = match health {
             IndexHealth::FooterValid => return,
             IndexHealth::FooterAbsent => {
@@ -723,24 +598,14 @@ impl Rule for IndexDegraded {
 struct StaleRollup;
 
 impl Rule for StaleRollup {
-    fn code(&self) -> &'static str {
-        "LA014"
-    }
-    fn name(&self) -> &'static str {
-        "stale-rollup"
-    }
-    fn default_severity(&self) -> Severity {
-        Severity::Note
-    }
-    fn summary(&self) -> &'static str {
-        "persisted rollup section matches the episode payload it summarizes"
-    }
+    describe! { "LA014", "stale-rollup", Note,
+    "persisted rollup section matches the episode payload it summarizes" }
 
-    fn begin(&mut self, subject: &CheckSubject<'_>, sink: &mut Sink<'_>) {
+    fn begin(&mut self, session: &SessionCtx<'_>, sink: &mut Sink<'_>) {
         let Some(RollupHealth::Stale {
             reason,
             section_bytes,
-        }) = subject.rollup
+        }) = session.rollup
         else {
             return;
         };
@@ -754,6 +619,7 @@ impl Rule for StaleRollup {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diag::Severity;
     use crate::engine::{CheckSubject, RuleSet};
     use lagalyzer_model::prelude::*;
     use lagalyzer_model::tree::IntervalNode;

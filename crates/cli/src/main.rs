@@ -33,7 +33,7 @@ use lagalyzer_report::{figures, table3, Study};
 use lagalyzer_sim::{apps, runner};
 use lagalyzer_trace::corpus::{self, CorpusReader, PackOptions};
 use lagalyzer_trace::{
-    DamageVerdict, EpisodeExtent, EpisodeFilter, IndexHealth, IndexedTrace, SalvageReport,
+    binary, DamageVerdict, EpisodeExtent, EpisodeFilter, IndexedTrace, SalvageReport,
     SessionSource, SessionView, TraceError,
 };
 use lagalyzer_viz::ascii::ascii_sketch;
@@ -44,9 +44,6 @@ use lagalyzer_viz::timeline::{render_timeline, Timeline, TimelineOptions, Timeli
 const EXIT_SALVAGED: u8 = 2;
 /// Exit code for a trace that could not be decoded at all.
 const EXIT_UNRECOVERABLE: u8 = 3;
-
-/// The binary `.lgz` signature (the byte after it is the version).
-const BINARY_MAGIC: &[u8] = b"LGLZTRC";
 
 /// A command failure: the message printed to stderr plus the process
 /// exit code it maps to (plain errors exit `1`).
@@ -262,15 +259,16 @@ filter episodes at ingest; on indexed binary traces the excluded
 episodes are never even decoded (skip-decode filtering). MS is at
 most 18446744073709, and --since-ms may not exceed --until-ms.
 
---salvage decodes a damaged trace leniently, dropping corrupt
-records and reporting every skip (lint and check always do). Exit
-codes: 0 clean, 1 usage or I/O error, 2 damaged but salvaged, 3
+--salvage decodes a damaged .lgz or text trace leniently, dropping
+corrupt records and reporting every skip (lint and check always do);
+a corpus member's leniency is fixed when it is packed. Exit codes:
+0 clean, 1 usage or I/O error, 2 damaged but salvaged, 3
 unrecoverable; every command that loads a trace takes its code from
 the same damage verdict.
 
 analyze, patterns, outliers, stable, diff and sketch answer from a
 persisted rollup section when the trace, the --session K corpus
-member, or (corpus-wide) every corpus session carries a valid one —
+member, or (corpus-wide) each corpus session carries a valid one —
 no episode decoding beyond the episodes sketch draws and outliers
 flags, byte-identical output, a `rollup: cache hit` note on stderr.
 --no-cache and --check force the cold path, which folds episodes as
@@ -403,7 +401,7 @@ fn cmd_pack(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failure
     let mut opened = Vec::with_capacity(inputs.len());
     for &path in inputs {
         let bytes = read_input(path)?;
-        if !bytes.starts_with(BINARY_MAGIC) {
+        if !bytes.starts_with(binary::MAGIC_PREFIX) {
             return Err(format!("{path} is not a binary .lgz trace").into());
         }
         let trace = if salvage {
@@ -584,9 +582,9 @@ enum Opened {
 struct Input {
     path: String,
     opened: Opened,
-    /// A `--salvage` binary input reopened through the salvage scan after
-    /// its cold decode failed (see [`Input::rescan`]); it then stands in
-    /// for the strict open everywhere.
+    /// A `--salvage` binary input reopened through the salvage scan by
+    /// its verified fold (see [`Input::with_source`]); it then stands in
+    /// for the open everywhere.
     rescanned: OnceLock<IndexedTrace>,
     /// The `--session K` member of a corpus input.
     session: Option<usize>,
@@ -616,6 +614,11 @@ impl Input {
             }
         };
         let (opened, damage, session) = if corpus::is_corpus(&bytes) {
+            if salvage {
+                return Err("--salvage needs a .lgz or text trace; a corpus member's \
+                            leniency is fixed when it is packed"
+                    .into());
+            }
             let reader = CorpusReader::open(bytes)
                 .map_err(|e| Failure::unrecoverable(format!("cannot load {path}: {e}")))?;
             let session = args.get::<usize>("--session");
@@ -646,7 +649,7 @@ impl Input {
             if args.switch("--session") {
                 return Err(format!("--session K needs a .lgzc corpus; {path} is not one").into());
             }
-            let (opened, damage) = if bytes.starts_with(BINARY_MAGIC) {
+            let (opened, damage) = if bytes.starts_with(binary::MAGIC_PREFIX) {
                 let indexed = if salvage {
                     IndexedTrace::open_salvage(bytes)
                 } else {
@@ -724,30 +727,6 @@ impl Input {
         })
     }
 
-    /// Reopens a `--salvage` binary input through the salvage scan, as
-    /// `lint` does, after its cold decode failed although the strict open
-    /// succeeded: episode bytes damaged under a trailer checksum that
-    /// still verifies. Clean inputs never get here, so they keep the warm
-    /// path and skip-decode filtering. `false` when there is nothing to
-    /// reopen.
-    fn rescan(&self) -> bool {
-        let Opened::Binary(indexed) = &self.opened else {
-            return false;
-        };
-        if indexed.salvage_report().is_none()
-            || indexed.health() == &IndexHealth::SalvageScan
-            || self.rescanned.get().is_some()
-        {
-            return false;
-        }
-        let Ok(scanned) = indexed.rescan() else {
-            return false;
-        };
-        self.rescanned.get_or_init(|| scanned);
-        self.damage().note(&self.path);
-        true
-    }
-
     /// The byte span of episode `id`'s records in the input file.
     fn span_of(&self, id: EpisodeId) -> Option<(u64, u64)> {
         self.file_extents()?
@@ -768,27 +747,38 @@ impl Input {
         self.cache.then(warm).flatten()
     }
 
-    /// Runs a decode of the input's one indexed session, reopening a
-    /// `--salvage` input through the salvage scan and running it again when
-    /// it fails (see [`Input::rescan`]). Returns the result and the source
-    /// it came from. A whole corpus has to pick a member with `--session K`.
+    /// Runs a fold of the input's one indexed session, and returns its
+    /// result and the source it came from. A `.lgz` folds through
+    /// [`IndexedTrace::fold_verified`]: a `--salvage` input whose trusted
+    /// extents fail the fold (damage resealed under a trailer checksum that
+    /// still verifies, or records that do not add up to the declared count)
+    /// is reopened through the salvage scan and folded again, as `lint`
+    /// does; clean inputs never get there, so they keep the warm path and
+    /// skip-decode filtering. A whole corpus has to pick a member with
+    /// `--session K`.
     fn with_source<T>(
         &self,
-        decode: impl Fn(&SessionSource<'_>) -> Result<T, TraceError>,
+        fold: impl Fn(&SessionSource<'_>) -> Result<T, TraceError>,
     ) -> Result<(T, SessionSource<'_>), Failure> {
         let source = self.source().ok_or_else(|| {
             let (path, sessions) = (&self.path, self.corpus_wide().map_or(0, CorpusReader::len));
             format!("{path} is a corpus of {sessions} sessions; select one with --session K")
         })?;
-        let (source, decoded) = match decode(&source) {
-            Err(_) if self.rescan() => {
-                let source = self.source().expect("a rescanned trace has a source");
-                (source, decode(&source))
+        let failed = |e: TraceError| format!("cannot load {}: {e}", self.path);
+        let folded = match &self.opened {
+            Opened::Binary(indexed) if self.rescanned.get().is_none() => {
+                let (folded, rescanned) = indexed
+                    .fold_verified(|_, source| fold(&source))
+                    .map_err(failed)?;
+                if let Some(scanned) = rescanned {
+                    self.rescanned.get_or_init(|| scanned);
+                    self.damage().note(&self.path);
+                }
+                folded
             }
-            decoded => (source, decoded),
+            _ => fold(&source).map_err(failed)?,
         };
-        let decoded = decoded.map_err(|e| format!("cannot load {}: {e}", self.path))?;
-        Ok((decoded, source))
+        Ok((folded, self.source().expect("a folded input has a source")))
     }
 
     /// The streamed cold path: the episodes the filter admits, lent one at
@@ -1078,9 +1068,9 @@ type CorpusPatterns = (Vec<(usize, usize)>, MultiPatternSet, u64);
 
 /// A whole corpus's per-member `(episodes, perceptible)` counts, merged
 /// cross-session pattern table and filtered-out total, computed over the
-/// members' summaries one member at a time: read from the rollups when
-/// every member carries a valid one, else folded from each member as it
-/// decodes (mining reads no lag breakdowns).
+/// members' summaries one member at a time: each member's read from its
+/// own valid rollup when it carries one, else folded from the member as
+/// it decodes (mining reads no lag breakdowns).
 fn corpus_patterns(input: &Input, reader: &CorpusReader) -> Result<CorpusPatterns, Failure> {
     let (jobs, threshold) = (input.jobs, input.config.perceptible_threshold);
     let mine = |s: &Summaries<'_>| {
@@ -1088,26 +1078,33 @@ fn corpus_patterns(input: &Input, reader: &CorpusReader) -> Result<CorpusPattern
         let counts = (s.episodes().len(), perceptible.count());
         (counts, s.mine_patterns_with_jobs(jobs))
     };
-    let warms: Option<Vec<_>> = reader.sessions().map(|v| input.warm(v.source())).collect();
-    let members: Vec<_> = match warms {
-        Some(warms) => {
-            eprintln!("rollup: cache hit ({} sessions, zero decode)", warms.len());
-            warms.iter().map(|warm| mine(warm.summaries())).collect()
+    let (mut members, mut warm) = (Vec::with_capacity(reader.len()), 0);
+    for view in reader.sessions() {
+        let source = view.source();
+        if let Some(session) = input.warm(source) {
+            warm += 1;
+            members.push(mine(session.summaries()));
+            continue;
         }
-        None => reader
-            .sessions()
-            .map(|view| {
-                let source = view.source();
-                let folded = RollupBuilder::new(source.meta(), source.symbols())
-                    .breakdowns(false)
-                    .fold(&source, jobs, &input.filter)
-                    .map_err(|e| format!("cannot load {}: {e}", input.path))?;
-                let facts = SessionFacts::of_source(&source, input.config);
-                let rows = RollupRows::Folded(&folded.rows);
-                Ok(mine(&Summaries::of_rollup(facts, &folded.rollup, rows)))
-            })
-            .collect::<Result<_, Failure>>()?,
-    };
+        let folded = RollupBuilder::new(source.meta(), source.symbols())
+            .breakdowns(false)
+            .fold(&source, jobs, &input.filter)
+            .map_err(|e| format!("cannot load {}: {e}", input.path))?;
+        let facts = SessionFacts::of_source(&source, input.config);
+        let rows = RollupRows::Folded(&folded.rows);
+        members.push(mine(&Summaries::of_rollup(facts, &folded.rollup, rows)));
+    }
+    if warm > 0 {
+        let how = if warm == reader.len() {
+            "zero decode"
+        } else {
+            "the rest folded"
+        };
+        eprintln!(
+            "rollup: cache hit ({warm} of {} sessions, {how})",
+            reader.len()
+        );
+    }
     let (counts, sets): (_, Vec<PatternSet>) = members.into_iter().unzip();
     let excluded = reader
         .sessions()
@@ -1325,19 +1322,31 @@ fn cmd_lint(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failure
     // Index and rollup health are diagnostic only; they never change the
     // exit code (a footerless or footer-damaged trace still decodes, and a
     // stale cache only costs the warm path). They are probed before the
-    // salvage decode takes over the buffer.
+    // salvage open takes over the buffer.
     let index = lagalyzer_trace::index::probe_health(&bytes);
     let rollup = lagalyzer_trace::probe_rollup(&bytes);
-    // The report comes from the salvage decode `check` runs, and the exit
-    // code from the shared damage classification, so `lint` and `check`
-    // can never disagree on what counts as salvaged.
-    match lagalyzer_trace::decode_bytes_salvage(bytes, jobs(args)) {
+    // The report comes from the salvage open `check` folds, through the
+    // same verified fold (here with no consumer), and the exit code from
+    // the shared damage classification, so `lint` and `check` can never
+    // disagree on what counts as salvaged.
+    let report = if bytes.starts_with(binary::MAGIC_PREFIX) {
+        let (jobs, all) = (jobs(args), EpisodeFilter::default());
+        IndexedTrace::open_salvage(bytes).and_then(|opened| {
+            let (_, rescanned) =
+                opened.fold_verified(|_, source| source.fold(jobs, &all, || (), |(), _, _| {}))?;
+            let indexed = rescanned.as_ref().unwrap_or(&opened);
+            Ok(indexed.salvage_report().cloned().unwrap_or_default())
+        })
+    } else {
+        lagalyzer_trace::read_bytes_salvage(&bytes).map(|salvaged| salvaged.report)
+    };
+    match report {
         Err(e) => {
             writeln!(stdout, "unrecoverable: {e}")?;
             Ok(ExitCode::from(DamageVerdict::Unrecoverable.exit_code()))
         }
-        Ok((salvaged, _)) => {
-            write!(stdout, "{}", salvaged.report.render())?;
+        Ok(report) => {
+            write!(stdout, "{}", report.render())?;
             match index {
                 Some(health) => writeln!(stdout, "index               {health}")?,
                 None => writeln!(stdout, "index               not applicable (text trace)")?,
@@ -1350,7 +1359,7 @@ fn cmd_lint(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failure
                 )?,
             }
             Ok(ExitCode::from(
-                DamageVerdict::of_report(&salvaged.report).exit_code(),
+                DamageVerdict::of_report(&report).exit_code(),
             ))
         }
     }
@@ -1382,6 +1391,12 @@ fn cmd_check(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failur
     if args.switch("--list-rules") {
         if !args.paths.is_empty() {
             return Err("--list-rules prints the rule table and checks no FILE".into());
+        }
+        let options = ["--format", "--allow", "--deny", "--level", "--fix-report"];
+        if let Some(flag) = options.into_iter().find(|f| args.texts(f).next().is_some()) {
+            return Err(
+                format!("--list-rules prints the text rule table; {flag} checks a FILE").into(),
+            );
         }
         writeln!(
             stdout,
@@ -1633,6 +1648,9 @@ fn cmd_sketch(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failu
     }
     if rank.is_some() && args.switch("--episode") {
         return Err("--episode and --pattern both choose the episode; give one".into());
+    }
+    if gallery && args.switch("--ascii") {
+        return Err("--ascii draws one episode; --gallery is always SVG".into());
     }
     let index = args.get("--episode").unwrap_or(0);
     let input = Input::load(args, args.paths[0])?;

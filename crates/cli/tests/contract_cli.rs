@@ -1,6 +1,7 @@
 //! The CLI contract, through the real binary. Every subcommand, on every
-//! kind of input (clean, legacy-v1, salvaged, resealed, corpus, text,
-//! truncated, empty, a directory, a missing file), at `--jobs` 1 and 3,
+//! kind of input (clean, legacy-v1, salvaged, resealed, miscounted,
+//! corpus, text, truncated, empty, a directory, a missing file), at
+//! `--jobs` 1 and 3,
 //! with default, extreme and unknown flags, and with stdout left open or
 //! closed early, exits within {0, 1, 2, 3}, never panics, and prints the
 //! same bytes at any `--jobs`. Every input the flag tables reject is a
@@ -68,7 +69,10 @@ fn inputs(dir: &Path) -> Vec<(&'static str, String)> {
         std::fs::write(&path, bytes).unwrap();
         path.to_str().unwrap().to_owned()
     };
-    let resealed = resealed(&std::fs::read(clean()).unwrap());
+    let clean_bytes = std::fs::read(clean()).unwrap();
+    let resealed = resealed(&clean_bytes);
+    // A declared record count one higher, resealed: every record intact.
+    let miscounted = faults::miscount(&clean_bytes, true).unwrap();
     vec![
         ("clean", clean()),
         ("legacy-v1", fixture("../trace/tests/corpus/legacy-v1.lgz")),
@@ -77,6 +81,7 @@ fn inputs(dir: &Path) -> Vec<(&'static str, String)> {
             fixture("tests/corpus/salvaged-lock-contention-v3.lgz"),
         ),
         ("resealed", written("resealed.lgz", &resealed)),
+        ("miscounted", written("miscounted.lgz", &miscounted)),
         ("corpus", fixture("tests/corpus/corpus.lgzc")),
         ("text", fixture("../trace/tests/corpus/clean.txt")),
         (
@@ -272,7 +277,14 @@ fn matrix(tag: &str, names: &[&str]) {
             for (label, input) in inputs(&dir) {
                 let args = [argv(command, &input, &clean, out_str), flags.to_vec()].concat();
                 let (code, stdout, _) = run_across_jobs(&args, command != "check", &out);
-                if usage_errors.contains(flags) {
+                // A corpus member's leniency is fixed when it is packed:
+                // `--salvage` on a corpus alone is refused (`stable` and
+                // `diff` also name the clean `.lgz`).
+                let salvage_on_corpus = label == "corpus"
+                    && input_group
+                    && !matches!(command, "stable" | "diff")
+                    && flags.contains(&"--salvage");
+                if usage_errors.contains(flags) || salvage_on_corpus {
                     assert_eq!(code, 1, "{label}: {args:?}");
                     assert!(stdout.is_empty(), "{label}: {args:?}");
                 }
@@ -470,6 +482,28 @@ fn flags_a_command_would_ignore_are_usage_errors() {
         ([&sim[..], &["--compress"]].concat(), "--compress"),
         (vec!["check", "--list-rules", &clean], "--list-rules"),
         (
+            vec!["sketch", &clean, "--pattern", "0", "--gallery", "--ascii"],
+            "--ascii",
+        ),
+        (
+            vec!["check", "--list-rules", "--format", "json"],
+            "--format",
+        ),
+        (
+            vec!["check", "--list-rules", "--format", "text"],
+            "--format",
+        ),
+        (vec!["check", "--list-rules", "--allow", "LA011"], "--allow"),
+        (vec!["check", "--list-rules", "--deny", "LA011"], "--deny"),
+        (
+            vec!["check", "--list-rules", "--level", "LA011=note"],
+            "--level",
+        ),
+        (
+            vec!["check", "--list-rules", "--fix-report", out],
+            "--fix-report",
+        ),
+        (
             vec!["experiments", "--out-dir", exp, "--sessions", "0"],
             "--sessions",
         ),
@@ -484,6 +518,11 @@ fn flags_a_command_would_ignore_are_usage_errors() {
             }
             runs.push((args, "--session"));
         }
+        let mut args = vec![command, &corpus, "--salvage"];
+        if matches!(command, "stable" | "diff") {
+            args.extend([corpus.as_str(), "--session", "0"]);
+        }
+        runs.push((args, "--salvage"));
     }
     for (args, flag) in runs {
         let output = lagalyzer(&args);
@@ -503,6 +542,22 @@ fn flags_a_command_would_ignore_are_usage_errors() {
         vec!["patterns", &corpus, "--session", "0", "--sort", "total"],
         vec!["patterns", &corpus, "--sort", "count"],
         vec!["check", "--list-rules"],
+        vec!["sketch", &clean, "--pattern", "0", "--ascii"],
+        vec![
+            "check", &clean, "--format", "json", "--allow", "LA011", "--deny", "LA012",
+        ],
+        vec![
+            "check",
+            &clean,
+            "--level",
+            "LA011=note",
+            "--fix-report",
+            out,
+        ],
+        vec!["analyze", &clean, "--salvage"],
+        vec!["analyze", &text, "--salvage"],
+        vec!["stable", &clean, &text, "--salvage"],
+        vec!["diff", &clean, &clean, "--salvage"],
     ] {
         let code = lagalyzer(&args).status.code();
         assert!(matches!(code, Some(0 | 2)), "{args:?}: {code:?}");

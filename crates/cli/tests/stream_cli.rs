@@ -17,11 +17,16 @@
 //! `diff` against the decoded session, and corpus-wide `hazards` against
 //! `HazardReport::analyze_corpus` over the decoded members. Inputs with a
 //! rollup join the cross, since `stable`, `diff` and `sketch` answer warm.
+//!
+//! `check` (text and JSON) and `lint` fold a `.lgz` as it decodes: they
+//! are held to `RuleSet::run` over `decode_bytes_salvage`'s trace, and to
+//! that function's report. A declared record count one off under a
+//! resealed trailer joins the cross as its own input kind.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-use lagalyzer_check::{HazardConfig, HazardReport};
+use lagalyzer_check::{CheckSubject, HazardConfig, HazardReport, RuleSet};
 use lagalyzer_core::browser::SortBy;
 use lagalyzer_core::prelude::*;
 use lagalyzer_core::rollup::{self, RollupBuilder};
@@ -30,8 +35,8 @@ use lagalyzer_sim::{apps, runner};
 use lagalyzer_trace::corpus::{self, CorpusReader, PackOptions};
 use lagalyzer_trace::faults::{self, FaultInjector};
 use lagalyzer_trace::{
-    binary, text, DamageVerdict, EpisodeExtent, EpisodeFilter, IndexHealth, IndexedTrace,
-    SalvageReport, SessionSource,
+    binary, decode_bytes_salvage, index, probe_rollup, text, DamageVerdict, EpisodeExtent,
+    EpisodeFilter, IndexedTrace, SalvageReport, SessionSource,
 };
 use lagalyzer_viz::ascii::ascii_sketch;
 use lagalyzer_viz::sketch::{render_pattern_gallery, SketchOptions};
@@ -61,6 +66,8 @@ enum Kind {
     Text,
     Faulted,
     Resealed,
+    /// A declared record count one off, resealed: every record intact.
+    Miscounted,
     /// A `.lgz` with a rollup, answered warm where a command can be.
     Rollup,
     /// A corpus member with a rollup, answered warm the same way.
@@ -160,6 +167,12 @@ fn write_input(kind: Kind, trace: &SessionTrace, other: &SessionTrace, seed: u64
             faults::reseal(&mut bytes, None);
             ("lgz", vec!["--salvage"], bytes)
         }
+        Kind::Miscounted => {
+            let bytes = rollup_less(trace);
+            let up = seed % 2 == 0;
+            let miscounted = faults::miscount(&bytes, up).or_else(|| faults::miscount(&bytes, !up));
+            ("lgz", vec!["--salvage"], miscounted.unwrap())
+        }
     };
     let path = dir.join(format!("{name}.{file}"));
     std::fs::write(&path, &bytes).unwrap();
@@ -239,16 +252,10 @@ fn materialize(kind: Kind, input: &Input, filter: &EpisodeFilter) -> Option<Deco
             };
             // A salvage open whose decode fails is reopened through the
             // salvage scan, as `lint` does.
-            let rescanned;
-            let indexed = match decode_source(opened.source(), filter) {
-                None if opened.salvage_report().is_some()
-                    && opened.health() != &IndexHealth::SalvageScan =>
-                {
-                    rescanned = opened.rescan().ok()?;
-                    &rescanned
-                }
-                _ => &opened,
-            };
+            let (_, rescanned) = opened
+                .fold_verified(|_, source| source.decode_filtered(1, filter))
+                .ok()?;
+            let indexed = rescanned.as_ref().unwrap_or(&opened);
             assert_folds_like_build(&indexed.source(), filter);
             let (trace, excluded) = decode_source(indexed.source(), filter)?;
             let (provenance, code) = provenance(indexed.salvage_report());
@@ -377,9 +384,10 @@ fn check_case(kind: Kind, trace: &SessionTrace, other: &SessionTrace, filter: us
     let commands: Vec<(Vec<&str>, Option<String>)> = match decoded {
         Some(decoded) => {
             let code = decoded.code;
-            // Unfiltered, the damaged extent is decoded and the rescan
-            // finds it; a filter may skip it unread.
-            if matches!(kind, Kind::Resealed) && filter.is_unrestricted() {
+            // Unfiltered, the damaged extent is decoded (or the records are
+            // counted) and the rescan finds it; a filter may skip it unread,
+            // and counts nothing.
+            if matches!(kind, Kind::Resealed | Kind::Miscounted) && filter.is_unrestricted() {
                 assert_eq!(code, 2, "resealed damage is found by the rescan");
             }
             let expected = expected(decoded, &input.path);
@@ -412,7 +420,65 @@ fn check_case(kind: Kind, trace: &SessionTrace, other: &SessionTrace, filter: us
         );
         assert!(out.stdout.is_empty(), "{kind:?} {args:?}");
     }
+    if !matches!(kind, Kind::CorpusMember | Kind::CorpusRollup) {
+        check_checker(&input);
+    }
     let _ = std::fs::remove_file(&input.path);
+}
+
+/// `check` (text and JSON) and `lint` on a `.lgz` or text input, which
+/// fold a binary trace as it decodes: their stdout and exit codes are
+/// `RuleSet::run` over `decode_bytes_salvage`'s trace and that function's
+/// report, at `--jobs` 1 and 3 for `lint`.
+fn check_checker(input: &Input) {
+    let path = input.path.as_str();
+    let index = index::probe_health(&input.bytes);
+    let rollup = probe_rollup(&input.bytes);
+    let Ok((salvaged, indexed)) = decode_bytes_salvage(input.bytes.clone(), 1) else {
+        for args in [vec!["check", path], vec!["lint", path]] {
+            assert_eq!(lagalyzer(&args).status.code(), Some(3), "{args:?}");
+        }
+        return;
+    };
+    // One episode per extent, so the rules see the same spans folded as
+    // in memory.
+    if let Some(indexed) = &indexed {
+        assert_eq!(indexed.len(), salvaged.trace.episodes().len(), "{path}");
+    }
+    let report = RuleSet::standard().run(&CheckSubject {
+        trace: &salvaged.trace,
+        extents: indexed.as_ref().map(IndexedTrace::extents),
+        health: indexed.as_ref().map(IndexedTrace::health),
+        salvage: Some(&salvaged.report),
+        file_len: Some(input.bytes.len() as u64),
+        rollup: indexed.as_ref().and_then(IndexedTrace::rollup_health),
+    });
+    let code = i32::from(report.exit_code());
+    let mut lint = salvaged.report.render();
+    lint.push_str(&match index {
+        Some(health) => format!("index               {health}\n"),
+        None => "index               not applicable (text trace)\n".to_owned(),
+    });
+    lint.push_str(&match rollup {
+        Some(health) => format!("rollup              {health}\n"),
+        None => "rollup              not applicable (no v2 section region)\n".to_owned(),
+    });
+    let verdict = i32::from(DamageVerdict::of_report(&salvaged.report).exit_code());
+    let runs = [
+        (vec!["check", path], report.render_text(path), code),
+        (
+            vec!["check", path, "--format", "json"],
+            format!("{}\n", report.render_json(path)),
+            code,
+        ),
+        (vec!["lint", path, "--jobs", "1"], lint.clone(), verdict),
+        (vec!["lint", path, "--jobs", "3"], lint, verdict),
+    ];
+    for (args, stdout, code) in runs {
+        let out = lagalyzer(&args);
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {out:?}");
+        assert_eq!(String::from_utf8(out.stdout).unwrap(), stdout, "{args:?}");
+    }
 }
 
 /// The `stable` and `diff` report, rendered as the CLI prints it.
@@ -676,6 +742,46 @@ fn every_input_kind_streams_like_the_materialized_path() {
         }
     }
     check_pack(&[&other, &trace], 5);
+}
+
+/// A declared record count one off under a resealed trailer, one higher
+/// and one lower: unfiltered, every command that folds the whole trace
+/// rejects it without `--salvage` (exit 1, nothing printed) and answers
+/// from the salvage scan with it (exit 2), as `lint` and `check` see it;
+/// a filter decodes only what it admits and counts nothing.
+#[test]
+fn miscounted_records_get_one_verdict() {
+    let trace = runner::simulate_session(&apps::arabeske(), 0, 42);
+    let other = runner::simulate_session(&apps::jedit(), 1, 42);
+    for seed in [42, 43] {
+        for filter in 0..filters().len() {
+            check_case(Kind::Miscounted, &trace, &other, filter, seed);
+        }
+        let input = write_input(Kind::Miscounted, &trace, &other, seed);
+        let path = input.path.as_str();
+        for command in [
+            vec!["analyze"],
+            vec!["patterns"],
+            vec!["outliers"],
+            vec!["hazards"],
+            vec!["timeline"],
+            vec!["sketch", "--pattern", "0"],
+        ] {
+            let args = [&command[..1], &[path], &command[1..]].concat();
+            let out = lagalyzer(&args);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+            assert!(out.stdout.is_empty(), "{args:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains("record count"), "{args:?}: {stderr}");
+        }
+        let lint = lagalyzer(&["lint", path]);
+        assert_eq!(lint.status.code(), Some(2), "{lint:?}");
+        assert!(String::from_utf8_lossy(&lint.stdout).contains("record count: declared"));
+        let check = lagalyzer(&["check", path]);
+        assert_eq!(check.status.code(), Some(1), "{check:?}");
+        assert!(String::from_utf8_lossy(&check.stdout).contains("LA011"));
+        let _ = std::fs::remove_file(path);
+    }
 }
 
 /// Inputs with a rollup under every filter: the warm answers of `stable`,

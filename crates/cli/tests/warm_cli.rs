@@ -188,6 +188,36 @@ fn salvage_mode_forces_the_cold_path() {
     }
 }
 
+/// Corpus-wide `analyze` and `patterns` answer each member from its own
+/// valid rollup and fold only the members without one: on the committed
+/// corpus, members 0–2 answer warm and the salvaged member 3 folds. The
+/// note says how many members answered warm; stdout and the exit code are
+/// the cold run's.
+#[test]
+fn corpus_members_answer_warm_one_by_one() {
+    let corpus = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus/corpus.lgzc");
+    for sub in [&["analyze"][..], &["patterns"][..]] {
+        let (code, out, err) = run(sub, &corpus, &[]);
+        let (cold_code, cold_out, cold_err) = run(sub, &corpus, &["--no-cache"]);
+        assert_eq!(
+            code, 2,
+            "{sub:?}: the salvaged member makes the corpus exit 2"
+        );
+        assert_eq!((code, &out), (cold_code, &cold_out), "{sub:?}");
+        assert_eq!(
+            err.lines()
+                .filter(|l| l.starts_with("rollup:"))
+                .collect::<Vec<_>>(),
+            ["rollup: cache hit (3 of 4 sessions, the rest folded)"],
+            "{sub:?}"
+        );
+        assert!(
+            !cold_err.contains("rollup: cache hit"),
+            "{sub:?}: {cold_err}"
+        );
+    }
+}
+
 fn fuzz_cases() -> u32 {
     std::env::var("PROPTEST_CASES")
         .ok()

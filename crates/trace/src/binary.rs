@@ -44,7 +44,7 @@ const MAGIC_V3: &[u8; 8] = b"LGLZTRC\x03";
 
 /// The version-independent format signature (byte 8 of the magic is the
 /// version); used by format sniffing and salvage decoding.
-pub(crate) const MAGIC_PREFIX: &[u8] = b"LGLZTRC";
+pub const MAGIC_PREFIX: &[u8] = b"LGLZTRC";
 
 /// `true` for the format versions this build reads: 1 (no footer), 2 and
 /// 3 (an extent footer; FNV-1a and four-lane checksums respectively).

@@ -809,6 +809,7 @@ impl<'a> SessionView<'a> {
             payload: self.reader.payload_bytes(self.index),
             lenient: entry.salvaged,
             rollup: RollupRef::Corpus(*self),
+            declared: None,
         }
     }
 

@@ -9,9 +9,10 @@
 //! Damage that a tool wrote back under fresh checksums is modelled by
 //! [`reseal`], which recomputes the trailer (and a section's own checksum)
 //! over whatever the bytes now hold, with the hash the file's version
-//! byte selects ([`crate::checksum`]); [`with_version`] re-stamps a clean
-//! trace as format v2 or v3, so every resealed-damage test runs on both
-//! hashes.
+//! byte selects ([`crate::checksum`]), and by [`miscount`], a declared
+//! record count off by one under a resealed trailer; [`with_version`]
+//! re-stamps a clean trace as format v2 or v3, so every resealed-damage
+//! test runs on both hashes.
 //!
 //! # Determinism contract
 //!
@@ -238,6 +239,23 @@ pub fn reseal(bytes: &mut [u8], section_end: Option<usize>) {
     }
     let sum = algorithm.hash(&bytes[8..n - 8]);
     bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// Rewrites the declared record count of a well-formed binary trace one
+/// higher (`up`) or one lower, in a varint of the same width, and reseals
+/// the trailer: every record and the extent footer stay intact, yet the
+/// records no longer add up to the count. `None` when the bytes are not a
+/// well-formed trace or the new count needs another width.
+pub fn miscount(bytes: &[u8], up: bool) -> Option<Vec<u8>> {
+    let (start, end) = layout(bytes)?.count_span;
+    let count = varint::read_u64(&mut &bytes[start..end]).ok()?;
+    let count = if up { count + 1 } else { count.checked_sub(1)? };
+    let encoded = encode_varint(count);
+    (encoded.len() == end - start).then(|| {
+        let mut out = splice(bytes, start, end, &encoded);
+        reseal(&mut out, None);
+        out
+    })
 }
 
 /// Re-stamps a clean v2 or v3 `.lgz` trace as format `version` (2 or 3).

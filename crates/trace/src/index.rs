@@ -681,6 +681,9 @@ pub struct IndexedTrace {
     /// Judged by a strict open; a salvage-scan open leaves it to be probed
     /// from the bytes on first use.
     rollup_health: OnceLock<Option<RollupHealth>>,
+    /// The declared record count and the records outside the extents,
+    /// when a valid footer spared the scan that counts them.
+    declared: Option<(u64, u64)>,
 }
 
 impl IndexedTrace {
@@ -712,11 +715,10 @@ impl IndexedTrace {
     /// although no episode has been decoded: the extents are trusted, so
     /// episode bytes that no longer decode under a trailer checksum that
     /// still verifies (a resealed file) surface only when they are
-    /// decoded. [`decode_bytes_salvage`] decodes every episode and falls
-    /// back to the scan in that case.
+    /// decoded. [`fold_verified`](IndexedTrace::fold_verified) reopens the
+    /// trace through the scan in that case.
     ///
     /// [`binary::read_salvage`]: crate::binary::read_salvage
-    /// [`decode_bytes_salvage`]: crate::decode_bytes_salvage
     ///
     /// # Errors
     ///
@@ -732,50 +734,36 @@ impl IndexedTrace {
         }
     }
 
-    /// Salvage-opens `bytes` and decodes every episode over `jobs`
-    /// workers. The strict open is kept only when its episodes also
-    /// decode strictly and account for the declared record count;
-    /// otherwise the trace is reopened through the salvage scan, so the
-    /// report is the one [`binary::read_salvage`](crate::binary::read_salvage)
-    /// gives.
-    pub(crate) fn decode_salvage(
-        mut bytes: Vec<u8>,
-        jobs: usize,
-    ) -> Result<(IndexedTrace, SessionTrace), TraceError> {
-        if let Ok(opened) = Self::open_parts(&bytes) {
-            let report = Self::clean_report(&opened);
-            let gap_records = opened.gap_records;
-            let mut indexed = Self::assemble(bytes, opened, None);
-            let counted = |trace: &SessionTrace| {
-                gap_records.map_or(true, |gaps| {
-                    gaps + episode_records(trace) == report.records_recovered
-                })
-            };
-            match indexed.par_decode(jobs) {
-                Ok(trace) if counted(&trace) => {
-                    indexed.salvage = Some(report);
-                    return Ok((indexed, trace));
-                }
-                _ => bytes = indexed.bytes,
-            }
-        }
-        let indexed = Self::open_scanned(bytes)?;
-        let trace = indexed.par_decode(jobs)?;
-        Ok((indexed, trace))
-    }
-
-    /// Reopens this trace's bytes through the salvage scan, as
-    /// [`decode_bytes_salvage`](crate::decode_bytes_salvage) does when the
-    /// episodes of a trace the strict open accepted do not decode (damage
-    /// resealed under a trailer checksum that still verifies). The result
-    /// carries the scan's extents and salvage report, and no rollup.
+    /// Runs `fold` over this trace the way every command that reads a
+    /// whole `.lgz` does: `fold` folds (or decodes) the source handed to it
+    /// with the trace, which fails where [`binary::read`] would (see
+    /// [`SessionSource::fold`]); the extents a strict open accepted decode
+    /// strictly, salvage open or not. A strict open then fails with that
+    /// error. A salvage open is reopened through the salvage scan and
+    /// `fold` runs again, from fresh state, over the reopened trace, which
+    /// comes back with the answer; its report is [`binary::read_salvage`]'s.
+    ///
+    /// [`binary::read`]: crate::binary::read
+    /// [`binary::read_salvage`]: crate::binary::read_salvage
     ///
     /// # Errors
     ///
-    /// Fails only on unrecoverable input: missing magic, or a header too
-    /// damaged to establish the session metadata.
-    pub fn rescan(&self) -> Result<IndexedTrace, TraceError> {
-        Self::open_scanned(self.bytes.clone())
+    /// `fold`'s error on a strict open or a trace the salvage scan opened;
+    /// on a salvage open, the reopened trace's.
+    pub fn fold_verified<T>(
+        &self,
+        mut fold: impl FnMut(&IndexedTrace, SessionSource<'_>) -> Result<T, TraceError>,
+    ) -> Result<(T, Option<IndexedTrace>), TraceError> {
+        let trusted = !matches!(self.health, IndexHealth::SalvageScan);
+        let mut source = self.source();
+        source.lenient &= !trusted;
+        match fold(self, source) {
+            Err(_) if self.salvage.is_some() && trusted => {
+                let scanned = Self::open_scanned(self.bytes.clone())?;
+                Ok((fold(&scanned, scanned.source())?, Some(scanned)))
+            }
+            folded => folded.map(|answer| (answer, None)),
+        }
     }
 
     /// The salvage report of a trace the strict open accepted.
@@ -801,12 +789,15 @@ impl IndexedTrace {
             // have survived salvage — never trust it.
             rollup: None,
             rollup_health: OnceLock::new(),
+            // The scan counted the records it read.
+            declared: None,
             bytes,
         })
     }
 
     fn assemble(bytes: Vec<u8>, opened: Opened, salvage: Option<SalvageReport>) -> IndexedTrace {
         IndexedTrace {
+            declared: opened.gap_records.map(|gaps| (opened.declared, gaps)),
             bytes,
             meta: opened.meta,
             records: opened.records,
@@ -1060,6 +1051,7 @@ impl IndexedTrace {
             payload: &self.bytes,
             lenient: self.salvage.is_some(),
             rollup: RollupRef::Opened(self.rollup.as_ref()),
+            declared: self.declared,
         }
     }
 
@@ -1118,16 +1110,6 @@ impl IndexedTrace {
     ) -> Result<Vec<Episode>, TraceError> {
         self.source().decode_subset(jobs, indices)
     }
-}
-
-/// The records the writer emits for a trace's episodes: per episode a
-/// begin, an enter and an exit per interval, the samples, and an end.
-fn episode_records(trace: &SessionTrace) -> u64 {
-    trace
-        .episodes()
-        .iter()
-        .map(|e| 2 + 2 * e.tree().len() as u64 + e.samples().len() as u64)
-        .sum()
 }
 
 /// Strictly decodes one episode from its extent's byte span, reusing the

@@ -24,12 +24,14 @@
 //! with [`IndexedTrace::open_salvage`] for damaged input — and `.lgzc`
 //! corpora through [`CorpusReader`]; both decode through one
 //! [`SessionSource`], which can also stream a session through a fold
-//! without keeping its episodes. [`decode_bytes_salvage`]
-//! salvage-decodes a whole file of either codec for `lint` and `check`.
+//! without keeping its episodes. Every tool that folds a whole `.lgz`
+//! does so through [`IndexedTrace::fold_verified`], which decides when a
+//! failed fold means a strict open fails and when a salvage open falls
+//! back to the salvage scan. [`decode_bytes_salvage`] is the
+//! materializing reference the tests hold those folds to, and
 //! [`binary::read`] and [`binary::read_salvage`] are the serial reference
-//! decoders the tests hold the indexed decode to. Text traces have no
-//! extent index and decode through [`text::read`] and
-//! [`text::read_salvage`].
+//! decoders they hold the indexed decode to. Text traces have no extent
+//! index and decode through [`text::read`] and [`text::read_salvage`].
 //!
 //! # Example
 //!

@@ -10,11 +10,13 @@
 //!
 //! Binary traces have one salvage scan, in [`crate::binary`]: the tools run
 //! it through [`IndexedTrace::open_salvage`], which keeps the extents it
-//! rebuilds, and [`crate::binary::read_salvage`] is the reference that
-//! keeps its episodes. Text traces salvage through
+//! rebuilds, and through [`IndexedTrace::fold_verified`] when a trusted
+//! open's episodes do not decode, and [`crate::binary::read_salvage`] is
+//! the reference that keeps its episodes. Text traces salvage through
 //! [`crate::text::read_salvage`]. Both codecs assemble episodes with the
-//! same lenient assembler. [`decode_bytes_salvage`] is the whole-file
-//! salvage decode of either codec that `lint` and `check` share.
+//! same lenient assembler. [`decode_bytes_salvage`] is the materializing
+//! whole-file salvage decode of either codec that the tests hold the
+//! tools' verified folds to.
 //!
 //! Guarantees (property-tested in `tests/salvage.rs`):
 //!
@@ -481,12 +483,17 @@ pub(crate) fn build_session(
     records.finish(b)
 }
 
-/// Salvage-decodes a trace from bytes the way the tools do, sniffing
-/// binary vs text like [`crate::read_bytes`]: a binary trace through
-/// [`IndexedTrace`], returned too for its extents and index health, a text
-/// trace through [`crate::text::read_salvage`]. Every episode is decoded,
-/// so the report is [`read_bytes_salvage`]'s even when a verified trailer
-/// checksum covers episode bytes that no longer decode.
+/// Salvage-decodes a whole trace from bytes into memory, sniffing binary
+/// vs text like [`crate::read_bytes`]: a binary trace through
+/// [`IndexedTrace::open_salvage`] and
+/// [`IndexedTrace::fold_verified`], returned too for its extents and index
+/// health, a text trace through [`crate::text::read_salvage`]. Every
+/// episode is decoded, so the report is [`read_bytes_salvage`]'s even when
+/// a verified trailer checksum covers episode bytes that no longer decode
+/// or records that do not add up to the declared count.
+///
+/// This is the materializing reference the tests hold the tools' folds
+/// to; the tools themselves fold the trace and keep no episode.
 ///
 /// # Errors
 ///
@@ -499,7 +506,9 @@ pub fn decode_bytes_salvage(
     if !bytes.starts_with(crate::binary::MAGIC_PREFIX) {
         return Ok((read_bytes_salvage(&bytes)?, None));
     }
-    let (indexed, trace) = IndexedTrace::decode_salvage(bytes, jobs)?;
+    let opened = IndexedTrace::open_salvage(bytes)?;
+    let (trace, rescanned) = opened.fold_verified(|_, source| source.decode(jobs))?;
+    let indexed = rescanned.unwrap_or(opened);
     let report = indexed
         .salvage_report()
         .cloned()
@@ -509,7 +518,7 @@ pub fn decode_bytes_salvage(
 
 /// Salvage-decodes a trace from bytes, sniffing binary vs text like
 /// [`crate::read_bytes`]. This is the serial reference:
-/// [`decode_bytes_salvage`] is what the tools run.
+/// [`decode_bytes_salvage`] is the indexed one.
 ///
 /// # Errors
 ///

@@ -16,6 +16,11 @@
 //! ordering rule, but each decoded episode is lent to a consumer and
 //! dropped instead of being kept in a trace, so an analysis that is a fold
 //! over episodes never holds more than one decoded episode per worker.
+//! Both fail where [`binary::read`] would: on an episode that does not
+//! decode or comes out of order and, when they admit every extent of a
+//! footer-indexed `.lgz`, on a record count other than the declared one.
+//!
+//! [`binary::read`]: crate::binary::read
 //!
 //! [`IndexedTrace`]: crate::IndexedTrace
 //! [`SessionView`]: crate::SessionView
@@ -51,6 +56,16 @@ pub struct SessionSource<'a> {
     pub(crate) payload: &'a [u8],
     pub(crate) lenient: bool,
     pub(crate) rollup: RollupRef<'a>,
+    /// A footer-indexed `.lgz`'s declared record count, and the records
+    /// its open decoded outside the extents: the episodes must decode to
+    /// the rest. `None` when a record scan counted them, or in a corpus.
+    pub(crate) declared: Option<(u64, u64)>,
+}
+
+/// The records the writer emits for one episode: a begin, an enter and
+/// an exit per interval, the samples, and an end.
+fn records_of(episode: &Episode) -> u64 {
+    2 + 2 * episode.tree().len() as u64 + episode.samples().len() as u64
 }
 
 /// Where a [`SessionSource`] finds its rollup.
@@ -194,7 +209,8 @@ impl<'a> SessionSource<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates the first (in episode order) extent decode failure.
+    /// Propagates the first (in episode order) extent decode failure, then
+    /// a record count other than the declared one.
     pub fn decode_filtered(
         &self,
         jobs: usize,
@@ -212,7 +228,27 @@ impl<'a> SessionSource<'a> {
         })
         .into_iter()
         .collect::<Result<Vec<EpisodeFragment>, TraceError>>()?;
-        self.assemble(fragments)
+        let trace = self.assemble(fragments)?;
+        let records = trace.episodes().iter().map(records_of).sum();
+        self.verify_count(indices.as_deref(), records)?;
+        Ok(trace)
+    }
+
+    /// Fails when a strict decode of every extent of a footer-indexed
+    /// `.lgz` decoded other than the declared record count. A filtered
+    /// decode reads only what it admits, and a lenient one may drop
+    /// episodes, so neither has a count to check.
+    fn verify_count(&self, indices: Option<&[usize]>, decoded: u64) -> Result<(), TraceError> {
+        let every = !self.lenient && indices.map_or(true, |ix| ix.len() == self.extents.len());
+        match self.declared {
+            Some((declared, gaps)) if every && gaps + decoded != declared => {
+                Err(TraceError::corrupt(
+                    "record count",
+                    format!("declared {declared}, decoded {}", gaps + decoded),
+                ))
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Streams the episodes the filter admits through `step` without
@@ -235,7 +271,8 @@ impl<'a> SessionSource<'a> {
     /// # Errors
     ///
     /// Propagates the first failing shard's first decode or ordering
-    /// failure, then the first ordering failure between shards, as
+    /// failure, then the first ordering failure between shards, then a
+    /// record count other than the declared one, as
     /// [`decode_filtered`](Self::decode_filtered) does.
     pub fn fold<S, I, F>(
         &self,
@@ -250,17 +287,42 @@ impl<'a> SessionSource<'a> {
         F: Fn(&mut S, usize, &Episode) + Sync,
     {
         let indices = self.admitted(filter);
-        let slots = indices.as_ref().map_or(self.extents.len(), Vec::len);
         let fold = ShardedFold {
             source: self,
             indices: indices.as_deref(),
-            init: &init,
-            step: &step,
         };
-        let shards = map_shards_init(slots, jobs, DecodeScratch::default, |scratch, range| {
-            fold.shard(scratch, range, None)
-        });
-        fold.merge(shards)
+        let shards = map_shards_init(
+            fold.slots(),
+            jobs,
+            DecodeScratch::default,
+            |scratch, range| fold.shard(scratch, range, None, init(), &step),
+        );
+        fold.merge(shards, |range, floor| {
+            fold.shard(&mut DecodeScratch::default(), range, floor, init(), &step)
+        })
+    }
+
+    /// [`fold`](Self::fold) on the calling thread, in one pass into one
+    /// `state`: for a consumer that must see every episode in order.
+    ///
+    /// # Errors
+    ///
+    /// As [`fold`](Self::fold).
+    pub fn fold_serial<S>(
+        &self,
+        filter: &EpisodeFilter,
+        state: S,
+        mut step: impl FnMut(&mut S, usize, &Episode),
+    ) -> Result<S, TraceError> {
+        let indices = self.admitted(filter);
+        let fold = ShardedFold {
+            source: self,
+            indices: indices.as_deref(),
+        };
+        let range = 0..fold.slots();
+        let shard = fold.shard(&mut DecodeScratch::default(), range, None, state, &mut step)?;
+        self.verify_count(fold.indices, shard.records)?;
+        Ok(shard.state)
     }
 
     /// [`fold`](Self::fold) over the shard ranges `split` cuts the
@@ -280,19 +342,18 @@ impl<'a> SessionSource<'a> {
         F: Fn(&mut S, usize, &Episode),
     {
         let indices = self.admitted(filter);
-        let slots = indices.as_ref().map_or(self.extents.len(), Vec::len);
         let fold = ShardedFold {
             source: self,
             indices: indices.as_deref(),
-            init: &init,
-            step: &step,
         };
         let mut scratch = DecodeScratch::default();
-        let shards = split(slots)
+        let shards = split(fold.slots())
             .into_iter()
-            .map(|range| fold.shard(&mut scratch, range, None))
+            .map(|range| fold.shard(&mut scratch, range, None, init(), &step))
             .collect();
-        fold.merge(shards)
+        fold.merge(shards, |range, floor| {
+            fold.shard(&mut scratch, range, floor, init(), &step)
+        })
     }
 
     /// Decodes exactly the extents named by `indices`, in the given order,
@@ -363,46 +424,50 @@ impl<'a> SessionSource<'a> {
     }
 }
 
-/// One [`SessionSource::fold`] in progress: which extents it decodes,
-/// and the consumer each shard folds them into.
-struct ShardedFold<'f, 'a, I, F> {
+/// One [`SessionSource::fold`] in progress: the extents it decodes.
+struct ShardedFold<'f, 'a> {
     source: &'f SessionSource<'a>,
     /// The admitted extent positions; `None` when every one is admitted.
     indices: Option<&'f [usize]>,
-    init: &'f I,
-    step: &'f F,
 }
 
 /// One shard of a [`SessionSource::fold`]: the consumer's state, the
-/// slots it covered, and the starts of the first and last episodes it
-/// kept (the last is the floor a lenient refold starts from).
+/// slots it covered, the starts of the first and last episodes it kept
+/// (the last is the floor a lenient refold starts from), and their
+/// records.
 struct FoldedShard<S> {
     state: S,
     range: Range<usize>,
     first: Option<TimeNs>,
     last: Option<TimeNs>,
+    records: u64,
 }
 
-impl<S, I, F> ShardedFold<'_, '_, I, F>
-where
-    I: Fn() -> S,
-    F: Fn(&mut S, usize, &Episode),
-{
-    /// Folds the slots in `range` into a fresh state, each decoded episode
+impl ShardedFold<'_, '_> {
+    /// The number of admitted extents.
+    fn slots(&self) -> usize {
+        self.indices
+            .map_or(self.source.extents.len(), <[usize]>::len)
+    }
+
+    /// Folds the slots in `range` into `state`, each decoded episode
     /// dropped after `step`. Episodes must not start before the one kept
     /// ahead of them, the first before `floor`: a strict source fails, a
     /// lenient one drops them.
-    fn shard(
+    fn shard<S>(
         &self,
         scratch: &mut DecodeScratch,
         range: Range<usize>,
         floor: Option<TimeNs>,
+        state: S,
+        mut step: impl FnMut(&mut S, usize, &Episode),
     ) -> Result<FoldedShard<S>, TraceError> {
         let mut shard = FoldedShard {
-            state: (self.init)(),
+            state,
             range: range.clone(),
             first: None,
             last: floor,
+            records: 0,
         };
         for slot in range {
             let i = self.indices.map_or(slot, |ix| ix[slot]);
@@ -420,32 +485,38 @@ where
             }
             shard.first.get_or_insert(start);
             shard.last = Some(start);
-            (self.step)(&mut shard.state, i, &episode);
+            shard.records += records_of(&episode);
+            step(&mut shard.state, i, &episode);
         }
         Ok(shard)
     }
 
     /// Merges shards folded in slot order: the first failing shard's
     /// error, else their states in order once the episodes kept across
-    /// shard boundaries are in order too. A shard whose first episode
-    /// starts before the previous shards' last is folded again from that
-    /// floor, as a serial pass would have seen it: a strict source fails
-    /// on that first episode, a lenient one drops what the serial pass
-    /// drops.
-    fn merge(&self, shards: Vec<Result<FoldedShard<S>, TraceError>>) -> Result<Vec<S>, TraceError> {
+    /// shard boundaries are in order too and their records add up. A shard whose first episode starts before the previous
+    /// shards' last is folded again by `refold` from that floor, as a
+    /// serial pass would have seen it: a strict source fails on that first
+    /// episode, a lenient one drops what the serial pass drops.
+    fn merge<S>(
+        &self,
+        shards: Vec<Result<FoldedShard<S>, TraceError>>,
+        mut refold: impl FnMut(Range<usize>, Option<TimeNs>) -> Result<FoldedShard<S>, TraceError>,
+    ) -> Result<Vec<S>, TraceError> {
         let shards = shards.into_iter().collect::<Result<Vec<_>, _>>()?;
         let mut states = Vec::with_capacity(shards.len());
         let mut floor: Option<TimeNs> = None;
+        let mut records = 0;
         for mut shard in shards {
             if let (Some(previous), Some(first)) = (floor, shard.first) {
                 if first < previous {
-                    shard =
-                        self.shard(&mut DecodeScratch::default(), shard.range, Some(previous))?;
+                    shard = refold(shard.range, Some(previous))?;
                 }
             }
             floor = shard.last.or(floor);
+            records += shard.records;
             states.push(shard.state);
         }
+        self.source.verify_count(self.indices, records)?;
         Ok(states)
     }
 }

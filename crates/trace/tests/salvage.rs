@@ -17,7 +17,7 @@ use lagalyzer_model::prelude::*;
 use lagalyzer_trace::faults::{self, Fault, FaultInjector};
 use lagalyzer_trace::salvage::SalvageReport;
 use lagalyzer_trace::{binary, decode_bytes_salvage, read_bytes_salvage, records_from_trace, text};
-use lagalyzer_trace::{IndexHealth, IndexedTrace, Rollup};
+use lagalyzer_trace::{EpisodeFilter, IndexHealth, IndexedTrace, Rollup};
 use proptest::prelude::*;
 
 /// Strategy for a small pool of method symbols.
@@ -485,6 +485,62 @@ fn resealed_episode_damage_is_reported() {
             let indexed = indexed.expect("a binary trace keeps its index");
             assert_eq!(indexed.health(), &IndexHealth::SalvageScan);
             assert_eq!(indexed.salvage_report(), Some(&reference.report));
+        }
+    }
+}
+
+/// A declared record count one off, resealed under a valid trailer
+/// checksum: the strict open accepts the trace, yet its records do not add
+/// up. The strict reader rejects it, and so does the verified fold of a
+/// strict open; the verified fold of a salvage open reopens it through the
+/// salvage scan and folds again, reporting what the serial salvage
+/// reference reports, as the materializing reference does. A filtered fold
+/// decodes only what it admits and counts nothing.
+#[test]
+fn miscounted_records_fail_the_verified_fold() {
+    let trace = five_episodes();
+    let all = EpisodeFilter::default();
+    let some = EpisodeFilter::new().min_duration(DurationNs::from_millis(75));
+    let ids = |t: &SessionTrace| t.episodes().iter().map(Episode::id).collect::<Vec<_>>();
+    for (version, clean) in v2_and_v3(&encode_binary(&trace)) {
+        for up in [false, true] {
+            let bytes = faults::miscount(&clean, up).unwrap();
+            let context = format!("v{version} up {up}");
+            assert!(binary::read(bytes.as_slice()).is_err(), "{context}");
+            let reference = binary::read_salvage(&bytes).unwrap();
+            assert!(!reference.report.is_clean(), "{context}");
+
+            let strict = IndexedTrace::open(bytes.clone()).unwrap();
+            assert_eq!(strict.health(), &IndexHealth::FooterValid, "{context}");
+            let Err(failed) =
+                strict.fold_verified(|_, source| source.fold(1, &all, || (), |(), _, _| {}))
+            else {
+                panic!("{context}: the strict fold must fail");
+            };
+            assert!(
+                failed.to_string().contains("record count"),
+                "{context}: {failed}"
+            );
+            let filtered = strict.source().fold(1, &some, || 0, |n, _, _| *n += 1);
+            assert!(
+                matches!(filtered.as_deref(), Ok([n]) if *n > 0),
+                "{context}"
+            );
+
+            let salvaged = IndexedTrace::open_salvage(bytes.clone()).unwrap();
+            for jobs in [1, 3] {
+                let (folded, rescanned) = salvaged
+                    .fold_verified(|_, source| {
+                        source.fold(jobs, &all, Vec::new, |ids, _, e| ids.push(e.id()))
+                    })
+                    .unwrap();
+                let rescanned = rescanned.expect("the fold reopens the trace");
+                assert_eq!(rescanned.health(), &IndexHealth::SalvageScan, "{context}");
+                assert_eq!(rescanned.salvage_report(), Some(&reference.report));
+                assert_eq!(folded.concat(), ids(&reference.trace), "{context}");
+                let (decoded, _) = decode_bytes_salvage(bytes.clone(), jobs).unwrap();
+                assert_eq!(decoded.report, reference.report, "{context}");
+            }
         }
     }
 }
