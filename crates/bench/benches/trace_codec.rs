@@ -1,8 +1,10 @@
-//! Trace codec throughput: binary vs text, write vs read.
+//! Trace codec throughput: binary vs text, write vs read, and the
+//! compaction of a packed fleet.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use lagalyzer_sim::{apps, runner};
-use lagalyzer_trace::{binary, text};
+use lagalyzer_trace::corpus::{self, CorpusReader, PackOptions};
+use lagalyzer_trace::{binary, text, IndexedTrace};
 
 fn bench_codecs(c: &mut Criterion) {
     let trace = runner::simulate_session(&apps::crossword_sage(), 0, 42);
@@ -34,6 +36,24 @@ fn bench_codecs(c: &mut Criterion) {
     });
     group.bench_function("text_read", |b| {
         b.iter(|| text::read(&mut txt.as_slice()).unwrap());
+    });
+    // A fleet as `simulate --sessions 4 --compress` packs it, compacted
+    // with compression: every member re-encodes to its stored payload.
+    let compress = PackOptions { compress: true };
+    let fleet: Vec<IndexedTrace> = runner::simulate_corpus(&apps::crossword_sage(), 4, 42)
+        .iter()
+        .map(|session| {
+            let mut bytes = Vec::new();
+            let rollup = lagalyzer_core::rollup::build(session);
+            binary::write_with_rollup(session, &mut bytes, rollup).unwrap();
+            IndexedTrace::open(bytes).unwrap()
+        })
+        .collect();
+    let packed = corpus::pack(&fleet, compress).unwrap();
+    group.throughput(Throughput::Bytes(packed.len() as u64));
+    let packed = CorpusReader::open(packed).unwrap();
+    group.bench_function("compact", |b| {
+        b.iter(|| corpus::compact(&packed, 1, compress).unwrap());
     });
     group.finish();
 

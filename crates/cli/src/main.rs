@@ -193,12 +193,10 @@ const COMMANDS: &[Command] = {
             Flag::new("--deny", "CODE", Text, Repeat),
             Flag::new("--level", "CODE=SEV", Text, Repeat),
             Flag::new("--fix-report", "FILE.json", Text, Optional),
-            Flag::new("--session", "K", Count, Optional),
             switch("--no-cache"),
         ]], about: "run the semantic rule checker on one trace, not a corpus (codes LA001..); \
-             --list-rules prints the full rule table instead. check always decodes, so \
-             --no-cache is always in effect, and it refuses a corpus with or without \
-             --session K" },
+             --list-rules prints the full rule table instead. check never answers from a \
+             rollup, so --no-cache is accepted and changes nothing" },
         Command { name: "hazards", paths: "FILE", run: cmd_hazards, flags: &[INPUT, &[
             FORMAT,
             EXPLAIN,
@@ -222,7 +220,10 @@ const COMMANDS: &[Command] = {
             switch("--ascii"),
             Flag::new("--out", "FILE.svg", Text, Optional),
         ]], about: "render an episode sketch: episode N (default 0), or the first episode of \
-             pattern N, whose episodes --gallery renders side by side" },
+             pattern N, whose episodes --gallery renders side by side. --episode N on an \
+             unfiltered .lgz decodes only that episode when its extent index adds up to the \
+             declared record count (otherwise the whole trace folds, as for --pattern), so \
+             damage inside other episodes under a resealed trailer goes unseen" },
         Command { name: "timeline", paths: "FILE", run: cmd_timeline, flags: &[INPUT, &[
             Flag::new("--out", "FILE.svg", Text, Optional),
         ]], about: "render the whole-session timeline" },
@@ -1655,13 +1656,17 @@ fn cmd_sketch(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failu
     let index = args.get("--episode").unwrap_or(0);
     let input = Input::load(args, args.paths[0])?;
     // Random access: a plain `--episode N` on an unfiltered, strictly
-    // opened indexed input decodes just that episode, not the whole file.
-    // Otherwise the episodes are chosen over the session's summaries and
-    // only they are decoded: the N-th episode the filter admits, or the
-    // first episode of the N-th pattern (what the paper's pattern browser
-    // shows on selection), or all of that pattern's for --gallery.
+    // opened indexed input decodes just that episode, not the whole file,
+    // when its extent index accounts for the declared record count (every
+    // file the writer produces does; a miscounted one takes the verified
+    // fold below, as every other command does). Otherwise the episodes
+    // are chosen over the session's summaries and only they are decoded:
+    // the N-th episode the filter admits, or the first episode of the N-th
+    // pattern (what the paper's pattern browser shows on selection), or
+    // all of that pattern's for --gallery.
     let random_access = rank.is_none() && input.filter.is_unrestricted();
-    let (episodes, index) = match input.source().filter(|s| random_access && !s.is_lenient()) {
+    let random = |s: &SessionSource<'_>| random_access && !s.is_lenient() && s.extents_add_up();
+    let (episodes, index) = match input.source().filter(random) {
         Some(source) if index >= source.len() => {
             return Err(format!("trace has {} episodes, no index {index}", source.len()).into());
         }

@@ -1031,6 +1031,43 @@ fn inflated_footer_counts_decode_under_an_address_space_limit() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A resealed footer whose extents claim more intervals and samples than
+/// the records hold does not add up to the declared record count, so
+/// `sketch --episode N` folds the trace, which verifies, and draws the
+/// honest episode: the clean file's sketch, exit 0.
+#[test]
+fn inflated_footer_counts_sketch_the_honest_episode() {
+    let dir = std::env::temp_dir().join(format!(
+        "lagalyzer-cli-inflated-sketch-{}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (clean, inflated) = (dir.join("clean.lgz"), dir.join("inflated.lgz"));
+    let profile = lagalyzer_sim::apps::by_name("Arabeske").unwrap();
+    let trace = lagalyzer_sim::runner::simulate_session(&profile, 0, 42);
+    let mut bytes = Vec::new();
+    lagalyzer_trace::binary::write(&trace, &mut bytes).unwrap();
+    std::fs::write(&clean, &bytes).unwrap();
+    std::fs::write(
+        &inflated,
+        inflate_footer::inflate_footer_counts(&bytes, 1 << 10),
+    )
+    .unwrap();
+    let sketch = |path: &std::path::Path| {
+        let path = path.to_str().unwrap();
+        lagalyzer()
+            .args(["sketch", path, "--episode", "1", "--ascii"])
+            .output()
+            .unwrap()
+    };
+    let (want, got) = (sketch(&clean), sketch(&inflated));
+    assert_eq!(want.status.code(), Some(0));
+    assert_eq!(got.status.code(), Some(0), "{got:?}");
+    assert!(!want.stdout.is_empty());
+    assert_eq!(got.stdout, want.stdout);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `analyze`, `lint` and `check` on `path` exit 0, 0 and 1 (the LA009
 /// warnings), and print the same under a 2 GB address-space limit.
 #[cfg(target_os = "linux")]

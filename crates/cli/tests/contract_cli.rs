@@ -188,6 +188,7 @@ const COMMANDS: &[(&str, bool, &[&[&str]])] = &[
         &[
             &[],
             &["--format", "json"],
+            &["--no-cache"],
             &["--session", "0", "--no-cache"],
             &["--list-rules"],
             &["--bogus"],
@@ -284,7 +285,9 @@ fn matrix(tag: &str, names: &[&str]) {
                     && input_group
                     && !matches!(command, "stable" | "diff")
                     && flags.contains(&"--salvage");
-                if usage_errors.contains(flags) || salvage_on_corpus {
+                // `check` refuses corpora, so `--session K` never applies.
+                let session_on_check = command == "check" && flags.contains(&"--session");
+                if usage_errors.contains(flags) || salvage_on_corpus || session_on_check {
                     assert_eq!(code, 1, "{label}: {args:?}");
                     assert!(stdout.is_empty(), "{label}: {args:?}");
                 }
@@ -507,6 +510,11 @@ fn flags_a_command_would_ignore_are_usage_errors() {
             vec!["experiments", "--out-dir", exp, "--sessions", "0"],
             "--sessions",
         ),
+        (vec!["check", &clean, "--session", "0"], "--session"),
+        (
+            vec!["check", &corpus, "--session", "0", "--no-cache"],
+            "--session",
+        ),
     ];
     for command in [
         "analyze", "patterns", "outliers", "hazards", "sketch", "timeline", "stable", "diff",
@@ -554,6 +562,7 @@ fn flags_a_command_would_ignore_are_usage_errors() {
             "--fix-report",
             out,
         ],
+        vec!["check", &clean, "--no-cache"],
         vec!["analyze", &clean, "--salvage"],
         vec!["analyze", &text, "--salvage"],
         vec!["stable", &clean, &text, "--salvage"],

@@ -260,27 +260,31 @@ fn lint_exit_contract_on_corpora() {
     assert_eq!(output.status.code(), Some(1), "I/O error exits 1");
 }
 
-/// `check` runs the rules over one trace, so a corpus — with or without
-/// `--session K` — is a usage error (exit 1) naming corpus files, like
-/// `analyze --check`, not an unrecoverable trace (exit 3).
+/// `check` runs the rules over one trace, so a corpus is a usage error
+/// (exit 1) naming corpus files, like `analyze --check`, not an
+/// unrecoverable trace (exit 3); `--session K`, which could only pick a
+/// corpus member, is refused as a flag `check` does not take.
 #[test]
 fn check_on_a_corpus_is_a_usage_error() {
     for fixture in FIXTURES {
         let path = corpus_dir().join(fixture.corpus);
         let path = path.to_str().unwrap();
-        for args in [
-            &["check", path][..],
-            &["check", path, "--session", "0"],
-            &["check", path, "--format", "json"],
-            &["analyze", path, "--check"],
+        for (args, named) in [
+            (&["check", path][..], "not supported on corpus files"),
+            (&["check", path, "--session", "0"], "--session"),
+            (
+                &["check", path, "--format", "json"],
+                "not supported on corpus files",
+            ),
+            (
+                &["analyze", path, "--check"],
+                "not supported on corpus files",
+            ),
         ] {
             let output = lagalyzer(args);
             assert_eq!(output.status.code(), Some(1), "{args:?}");
             let stderr = String::from_utf8(output.stderr).unwrap();
-            assert!(
-                stderr.contains("not supported on corpus files"),
-                "{args:?}: {stderr}"
-            );
+            assert!(stderr.contains(named), "{args:?}: {stderr}");
             assert!(output.stdout.is_empty(), "{args:?}");
         }
     }

@@ -748,7 +748,9 @@ fn every_input_kind_streams_like_the_materialized_path() {
 /// and one lower: unfiltered, every command that folds the whole trace
 /// rejects it without `--salvage` (exit 1, nothing printed) and answers
 /// from the salvage scan with it (exit 2), as `lint` and `check` see it;
-/// a filter decodes only what it admits and counts nothing.
+/// a filter decodes only what it admits and counts nothing. `sketch
+/// --episode N`, whose extent index does not add up to the count, takes
+/// the same verified fold instead of decoding one extent.
 #[test]
 fn miscounted_records_get_one_verdict() {
     let trace = runner::simulate_session(&apps::arabeske(), 0, 42);
@@ -766,6 +768,7 @@ fn miscounted_records_get_one_verdict() {
             vec!["hazards"],
             vec!["timeline"],
             vec!["sketch", "--pattern", "0"],
+            vec!["sketch", "--episode", "1", "--ascii"],
         ] {
             let args = [&command[..1], &[path], &command[1..]].concat();
             let out = lagalyzer(&args);
@@ -773,7 +776,15 @@ fn miscounted_records_get_one_verdict() {
             assert!(out.stdout.is_empty(), "{args:?}");
             let stderr = String::from_utf8_lossy(&out.stderr);
             assert!(stderr.contains("record count"), "{args:?}: {stderr}");
+            // With `--salvage`, each answers from the salvage scan, which
+            // recovers every record.
+            let salvaged = lagalyzer(&[&args[..], &["--salvage"]].concat());
+            assert_eq!(salvaged.status.code(), Some(2), "{args:?}: {salvaged:?}");
         }
+        let sketch = lagalyzer(&["sketch", path, "--episode", "1", "--ascii", "--salvage"]);
+        let episode = &trace.episodes()[1];
+        let want = ascii_sketch(episode, trace.symbols(), 100);
+        assert_eq!(String::from_utf8_lossy(&sketch.stdout), want);
         let lint = lagalyzer(&["lint", path]);
         assert_eq!(lint.status.code(), Some(2), "{lint:?}");
         assert!(String::from_utf8_lossy(&lint.stdout).contains("record count: declared"));

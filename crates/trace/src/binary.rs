@@ -32,8 +32,9 @@ use lagalyzer_model::prelude::*;
 use crate::checksum::{Algorithm, Hasher};
 use crate::error::TraceError;
 use crate::index::EpisodeExtent;
-use crate::record::{records_from_trace, trace_from_records, SessionRecords, TraceRecord};
+use crate::record::{trace_from_records, walk_tree, SessionRecords, TraceRecord, TreeEvent};
 use crate::salvage::{build_session, Assembler, SalvageReport, Salvaged, SkipAt};
+use crate::source::records_of;
 use crate::varint;
 
 /// The legacy footerless format.
@@ -248,7 +249,141 @@ fn write_impl<W: Write>(
     let mut hw = HashingWriter::new(w, algorithm);
     hw.inner.write_all(magic)?;
     write_header(trace.meta(), &mut hw)?;
-    let records = records_from_trace(trace);
+    let short = trace.short_episode_count() > 0;
+    let session_records = trace.symbols().len() + trace.gc_events().len() + usize::from(short);
+    let records = trace
+        .episodes()
+        .iter()
+        .fold(session_records as u64, |sum, episode| {
+            sum + records_of(episode.tree().len(), episode.samples().len())
+        });
+    varint::write_u64(&mut hw, records)?;
+    for (id, name) in trace.symbols().iter() {
+        hw.write_all(&[tag::SYMBOL])?;
+        varint::write_u32(&mut hw, id.as_raw())?;
+        varint::write_str(&mut hw, name)?;
+    }
+    for gc in trace.gc_events() {
+        hw.write_all(&[tag::GC])?;
+        varint::write_u64(&mut hw, gc.start.as_nanos())?;
+        varint::write_u64(&mut hw, gc.end.as_nanos())?;
+        hw.write_all(&[u8::from(gc.major)])?;
+    }
+    if short {
+        hw.write_all(&[tag::SHORT])?;
+        varint::write_u64(&mut hw, trace.short_episode_count())?;
+        varint::write_u64(&mut hw, trace.short_episode_time().as_nanos())?;
+    }
+    let mut extents = Vec::with_capacity(if with_footer {
+        trace.episodes().len()
+    } else {
+        0
+    });
+    for episode in trace.episodes() {
+        let offset = 8 + hw.written();
+        write_episode(episode, &mut hw)?;
+        if with_footer {
+            let len = 8 + hw.written() - offset;
+            extents.push(EpisodeExtent::of_episode(episode, offset, len));
+        }
+    }
+    seal(hw, algorithm, with_footer.then_some(&extents[..]), rollup)
+}
+
+/// Writes one episode's records straight from its interval arena and
+/// flat sample arrays: the begin record, an enter and an exit per interval
+/// in the order [`walk_tree`] visits them, the samples in stored order,
+/// and the end record, [`records_of`] its counts in all. The bytes are
+/// the ones the episode's lowered records encode to.
+pub(crate) fn write_episode<W: Write>(episode: &Episode, w: &mut W) -> Result<(), TraceError> {
+    w.write_all(&[tag::EP_BEGIN])?;
+    varint::write_u32(w, episode.id().as_raw())?;
+    varint::write_u32(w, episode.thread().as_raw())?;
+    walk_tree(episode.tree(), &mut |event| match event {
+        TreeEvent::Enter(interval) => {
+            w.write_all(&[tag::ENTER, interval.kind.tag()])?;
+            match interval.symbol {
+                Some(m) => {
+                    w.write_all(&[1])?;
+                    varint::write_u32(w, m.class.as_raw())?;
+                    varint::write_u32(w, m.method.as_raw())?;
+                }
+                None => w.write_all(&[0])?,
+            }
+            varint::write_u64(w, interval.start.as_nanos())
+        }
+        TreeEvent::Exit(at) => {
+            w.write_all(&[tag::EXIT])?;
+            varint::write_u64(w, at.as_nanos())
+        }
+    })?;
+    for snapshot in episode.samples() {
+        w.write_all(&[tag::SAMPLE])?;
+        varint::write_u64(w, snapshot.time.as_nanos())?;
+        let threads = snapshot.threads();
+        varint::write_u64(w, threads.len() as u64)?;
+        for thread in threads {
+            varint::write_u32(w, thread.thread.as_raw())?;
+            w.write_all(&[thread.state.tag()])?;
+            let stack = thread.stack();
+            varint::write_u64(w, stack.len() as u64)?;
+            for frame in stack {
+                varint::write_u32(w, frame.method.class.as_raw())?;
+                varint::write_u32(w, frame.method.method.as_raw())?;
+                w.write_all(&[u8::from(frame.native)])?;
+            }
+        }
+    }
+    w.write_all(&[tag::EP_END])?;
+    Ok(())
+}
+
+/// Ends a trace whose records are written: the extent footer (when
+/// `extents` is given), the optional rollup section, and the trailer.
+fn seal<W: Write>(
+    mut hw: HashingWriter<W>,
+    algorithm: Algorithm,
+    extents: Option<&[EpisodeExtent]>,
+    rollup: Option<crate::rollup::Rollup>,
+) -> Result<(), TraceError> {
+    if let Some(extents) = extents {
+        let footer = crate::index::encode_footer(extents, algorithm)?;
+        // Through the hasher: the trailer checksum covers the footer.
+        hw.write_all(&footer)?;
+    }
+    if let Some(mut rollup) = rollup {
+        // The content checksum is the trailer hash's running state at the
+        // section boundary. The reader re-derives it as a snapshot of its
+        // own (single) trailer pass, so validating the cache costs no
+        // second pass over the payload; a rollup-unaware rewriter that
+        // recomputes the trailer still cannot keep this snapshot current.
+        rollup.content_checksum = hw.checksum()?;
+        let section = crate::rollup::encode_section(&rollup, algorithm)?;
+        // Also through the hasher: the trailer checksum covers the rollup.
+        hw.write_all(&section)?;
+    }
+    let checksum = hw.checksum()?;
+    hw.inner.write_all(&checksum.to_le_bytes())?;
+    hw.inner.flush()?;
+    Ok(())
+}
+
+/// The writer [`write_impl`] replaced, kept as the reference it is held
+/// to: it lowers the trace to records with [`records_from_trace`], declares
+/// their number, and writes them one by one.
+#[cfg(test)]
+pub(crate) fn write_lowered<W: Write>(
+    trace: &SessionTrace,
+    w: W,
+    with_footer: bool,
+    rollup: Option<crate::rollup::Rollup>,
+) -> Result<(), TraceError> {
+    let magic = if with_footer { MAGIC_V3 } else { MAGIC_V1 };
+    let algorithm = Algorithm::of_trace_version(magic[7]);
+    let mut hw = HashingWriter::new(w, algorithm);
+    hw.inner.write_all(magic)?;
+    write_header(trace.meta(), &mut hw)?;
+    let records = crate::record::records_from_trace(trace);
     varint::write_u64(&mut hw, records.len() as u64)?;
     // The writer emits one EpisodeEnd per episode, in dispatch order, so
     // the k-th end record closes `trace.episodes()[k]` — that pairing
@@ -278,26 +413,7 @@ fn write_impl<W: Write>(
             });
         }
     }
-    if with_footer {
-        let footer = crate::index::encode_footer(&extents, algorithm)?;
-        // Through the hasher: the trailer checksum covers the footer.
-        hw.write_all(&footer)?;
-    }
-    if let Some(mut rollup) = rollup {
-        // The content checksum is the trailer hash's running state at the
-        // section boundary. The reader re-derives it as a snapshot of its
-        // own (single) trailer pass, so validating the cache costs no
-        // second pass over the payload; a rollup-unaware rewriter that
-        // recomputes the trailer still cannot keep this snapshot current.
-        rollup.content_checksum = hw.checksum()?;
-        let section = crate::rollup::encode_section(&rollup, algorithm)?;
-        // Also through the hasher: the trailer checksum covers the rollup.
-        hw.write_all(&section)?;
-    }
-    let checksum = hw.checksum()?;
-    hw.inner.write_all(&checksum.to_le_bytes())?;
-    hw.inner.flush()?;
-    Ok(())
+    seal(hw, algorithm, with_footer.then_some(&extents[..]), rollup)
 }
 
 /// Deserializes a trace from the binary format.
@@ -678,15 +794,10 @@ pub(crate) fn salvage_scan(
                 }
                 if let Some(episode) = assembler.push(SkipAt::Byte(at), record) {
                     let skips_now = assembler.report().skips.len();
+                    let len = cursor.pos as u64 - last_begin;
                     extents.push(EpisodeExtent {
-                        offset: last_begin,
-                        len: cursor.pos as u64 - last_begin,
-                        id: episode.id(),
-                        start: episode.start(),
-                        end: episode.end(),
-                        intervals: episode.tree().len().min(u32::MAX as usize) as u32,
-                        samples: episode.samples().len().min(u32::MAX as usize) as u32,
                         skips: (skips_now - skips_attributed).min(u32::MAX as usize) as u32,
+                        ..EpisodeExtent::of_episode(&episode, last_begin, len)
                     });
                     skips_attributed = skips_now;
                     keep(episode);
@@ -755,6 +866,8 @@ pub(crate) fn read_header<R: Read>(r: &mut R) -> Result<SessionMeta, TraceError>
     })
 }
 
+/// Writes one lowered record; [`write_lowered`]'s encoding.
+#[cfg(test)]
 fn write_record<W: Write>(rec: &TraceRecord, w: &mut W) -> Result<(), TraceError> {
     match rec {
         TraceRecord::Symbol { id, name } => {
@@ -917,7 +1030,11 @@ pub(crate) fn read_record<R: Read>(r: &mut R) -> Result<TraceRecord, TraceError>
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::rollup::Rollup;
+    use crate::test_traces::{build_trace, episode_spec};
     use crate::text;
 
     fn ms(v: u64) -> TimeNs {
@@ -1056,6 +1173,85 @@ mod tests {
             read(&mut buf.as_slice()),
             Err(TraceError::ChecksumMismatch { .. })
         ));
+    }
+
+    /// `trace` with GC events `(start ms, length ms, major)` added.
+    fn with_gc(trace: &SessionTrace, gc: &[(u64, u64, bool)]) -> SessionTrace {
+        let mut b = SessionTraceBuilder::new(trace.meta().clone(), trace.symbols().clone());
+        for episode in trace.episodes() {
+            b.push_episode(episode.clone()).unwrap();
+        }
+        for &(start, len, major) in gc {
+            b.push_gc(GcEvent {
+                start: ms(start),
+                end: ms(start + len),
+                major,
+            });
+        }
+        b.add_short_episodes(trace.short_episode_count(), trace.short_episode_time());
+        b.finish()
+    }
+
+    /// `write`, `write_legacy` and `write_with_rollup` each write the
+    /// bytes the record-lowering reference writes for `trace`.
+    fn writers_match_reference(trace: &SessionTrace) -> Result<(), String> {
+        let rollup = Rollup::placeholder(trace);
+        for (name, with_footer, rollup) in [
+            ("write", true, None),
+            ("write_legacy", false, None),
+            ("write_with_rollup", true, Some(rollup)),
+        ] {
+            let mut got = Vec::new();
+            match (&rollup, with_footer) {
+                (Some(rollup), _) => write_with_rollup(trace, &mut got, rollup.clone()),
+                (None, true) => write(trace, &mut got),
+                (None, false) => write_legacy(trace, &mut got),
+            }
+            .unwrap();
+            let mut want = Vec::new();
+            write_lowered(trace, &mut want, with_footer, rollup).unwrap();
+            if got != want {
+                let at = got.iter().zip(&want).position(|(a, b)| a != b);
+                return Err(format!(
+                    "{name}: {} vs {} bytes, first difference at {at:?}",
+                    got.len(),
+                    want.len()
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Episodes written straight from their arrays give the bytes
+        /// their lowered records give, for every writer.
+        #[test]
+        #[cfg_attr(miri, ignore)]
+        fn writers_match_the_lowering_reference(
+            specs in proptest::collection::vec(episode_spec(), 0..10),
+            short in 0u64..1_000_000,
+            gc in proptest::collection::vec((0u64..20_000, 0u64..50, any::<bool>()), 0..4),
+        ) {
+            let trace = with_gc(&build_trace(&specs, short), &gc);
+            prop_assert_eq!(writers_match_reference(&trace), Ok(()));
+        }
+    }
+
+    /// The same over the simulated seed-42 suite (14 applications × 4
+    /// sessions), which takes seconds in a release build.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "release-mode simulation of the seed-42 suite"
+    )]
+    fn writers_match_the_lowering_reference_on_the_seed_42_suite() {
+        for profile in lagalyzer_sim::apps::standard_suite() {
+            for session in 0..4 {
+                let trace = lagalyzer_sim::runner::simulate_session(&profile, session, 42);
+                let matched = writers_match_reference(&trace);
+                assert_eq!(matched, Ok(()), "{} session {session}", profile.name);
+            }
+        }
     }
 
     #[test]

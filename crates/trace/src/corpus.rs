@@ -51,6 +51,14 @@
 //! byte-identical to opening its original `.lgz` and calling
 //! [`IndexedTrace::par_decode`] — property-tested in
 //! `tests/corpus_store.rs`.
+//!
+//! [`pack`] and [`compact`] write through one streaming writer that takes
+//! a session at a time. [`compact`] folds each session as it decodes and
+//! re-encodes every decoded episode straight into the session's new
+//! payload; a stored LZ section whose payload comes out unchanged is
+//! copied as stored instead of being compressed again. It never holds a
+//! decoded session (except one handed to a rollup builder) and holds one
+//! session's new payload at a time.
 
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -70,7 +78,7 @@ use crate::index::{
 };
 use crate::record::SessionRecords;
 use crate::rollup::{Rollup, RollupHealth};
-use crate::salvage::DamageVerdict;
+use crate::salvage::{DamageVerdict, SalvageReport};
 use crate::source::{RollupRef, SessionSource};
 use crate::varint;
 
@@ -125,50 +133,117 @@ pub struct PackOptions {
     pub compress: bool,
 }
 
-/// Everything the writer needs for one session, already rebased.
-struct PackSession {
-    meta: SessionMeta,
-    records: SessionRecords,
-    health: IndexHealth,
+/// What salvage did to a session before it was packed. Compaction carries
+/// it over, so a compacted corpus still reports its history.
+#[derive(Clone, Copy, Debug, Default)]
+struct Provenance {
+    /// Packed from a salvage-mode open: decoding is lenient, mirroring
+    /// [`IndexedTrace::open_salvage`].
     salvaged: bool,
+    /// Salvage actually skipped bytes or lost episodes.
     damaged: bool,
+    /// Salvage skip regions.
     skips: u64,
+    /// Episodes lost to salvage.
     episodes_lost: u64,
-    extents: Vec<EpisodeExtent>,
-    payload: Vec<u8>,
-    rollup: Option<Rollup>,
 }
 
-impl PackSession {
-    /// Rebases one opened trace: concatenates its episode extents into a
-    /// dense payload (dropping inter-extent bytes — session-level records
-    /// are hoisted, salvage garbage is simply not copied) and rewrites
-    /// the extent offsets to match.
-    fn of_indexed(trace: &IndexedTrace) -> PackSession {
-        let total: u64 = trace.extents().iter().map(|e| e.len).sum();
-        let mut payload = Vec::with_capacity(total as usize);
-        let mut extents = Vec::with_capacity(trace.extents().len());
-        for (i, extent) in trace.extents().iter().enumerate() {
-            let rebased = EpisodeExtent {
-                offset: payload.len() as u64,
-                ..*extent
-            };
-            payload.extend_from_slice(trace.episode_bytes(i));
-            extents.push(rebased);
-        }
-        let report = trace.salvage_report();
-        PackSession {
-            meta: trace.meta().clone(),
-            records: trace.source().records.clone(),
-            health: trace.health().clone(),
+impl Provenance {
+    /// The provenance of a trace opened with `report` (`None` for a strict
+    /// open).
+    fn of_report(report: Option<&SalvageReport>) -> Provenance {
+        Provenance {
             salvaged: report.is_some(),
             damaged: report.is_some_and(|r| !r.is_clean()),
             skips: report.map_or(0, |r| r.skips.len() as u64),
             episodes_lost: report.map_or(0, |r| r.episodes_lost),
-            extents,
-            payload,
-            rollup: trace.rollup().cloned(),
         }
+    }
+}
+
+/// Everything the writer stores for one session: its directory entry
+/// (header, index health, provenance, and the session-level records
+/// hoisted out of the episode stream), its extents over its payload, and
+/// its rollup.
+struct PackSession<'a> {
+    meta: &'a SessionMeta,
+    symbols: &'a SymbolTable,
+    gc_events: &'a [GcEvent],
+    short_count: u64,
+    short_time: DurationNs,
+    health: &'a IndexHealth,
+    provenance: Provenance,
+    extents: &'a [EpisodeExtent],
+    payload: &'a [u8],
+    /// The payload's LZ token stream as the input stores it, written in
+    /// place of compressing the payload again (see
+    /// [`compact_with_rollups`]).
+    kept: Option<&'a [u8]>,
+    rollup: Option<&'a Rollup>,
+}
+
+/// A session's episodes as their records encode: the payload, and one
+/// extent per episode with offsets into it.
+#[derive(Default)]
+struct Encoded {
+    payload: Vec<u8>,
+    extents: Vec<EpisodeExtent>,
+}
+
+impl Encoded {
+    /// Rebases one opened trace: concatenates its episode extents into a
+    /// dense payload (dropping inter-extent bytes — session-level records
+    /// are hoisted, salvage garbage is simply not copied) and rewrites
+    /// the extent offsets to match.
+    fn of_indexed(trace: &IndexedTrace) -> Encoded {
+        let total: u64 = trace.extents().iter().map(|e| e.len).sum();
+        let mut encoded = Encoded {
+            payload: Vec::with_capacity(total as usize),
+            extents: Vec::with_capacity(trace.extents().len()),
+        };
+        for (i, extent) in trace.extents().iter().enumerate() {
+            encoded.extents.push(EpisodeExtent {
+                offset: encoded.payload.len() as u64,
+                ..*extent
+            });
+            encoded.payload.extend_from_slice(trace.episode_bytes(i));
+        }
+        encoded
+    }
+
+    /// Encodes decoded episodes, in order.
+    fn of_episodes<'e>(episodes: impl IntoIterator<Item = &'e Episode>) -> Encoded {
+        let mut encoded = Encoded::default();
+        for episode in episodes {
+            encoded.push(episode);
+        }
+        encoded
+    }
+
+    /// Encodes a decoded episode after the ones already here; its extent
+    /// comes from the episode itself.
+    fn push(&mut self, episode: &Episode) {
+        let offset = self.payload.len() as u64;
+        crate::binary::write_episode(episode, &mut self.payload).expect("a Vec write cannot fail");
+        let len = self.payload.len() as u64 - offset;
+        self.extents
+            .push(EpisodeExtent::of_episode(episode, offset, len));
+    }
+
+    /// Joins shards encoded in order into one payload.
+    fn concat(shards: Vec<Encoded>) -> Encoded {
+        let mut shards = shards.into_iter();
+        let mut encoded = shards.next().unwrap_or_default();
+        for next in shards {
+            let base = encoded.payload.len() as u64;
+            encoded.payload.extend_from_slice(&next.payload);
+            let rebased = next.extents.into_iter().map(|e| EpisodeExtent {
+                offset: base + e.offset,
+                ..e
+            });
+            encoded.extents.extend(rebased);
+        }
+        encoded
     }
 }
 
@@ -204,26 +279,42 @@ pub fn pack_with_rollups(
     options: PackOptions,
 ) -> Result<Vec<u8>, TraceError> {
     built.resize(traces.len(), None);
-    let sessions: Vec<PackSession> = traces
-        .iter()
-        .zip(built)
-        .map(|(trace, extra)| {
-            let mut session = PackSession::of_indexed(trace);
-            if session.rollup.is_none() {
-                session.rollup = extra;
-            }
-            session
-        })
-        .collect();
-    pack_sessions(&sessions, options)
+    let mut writer = CorpusWriter::new(options);
+    for (trace, extra) in traces.iter().zip(&built) {
+        let rebased = Encoded::of_indexed(trace);
+        writer.add(&PackSession {
+            meta: trace.meta(),
+            symbols: trace.symbols(),
+            gc_events: trace.gc_events(),
+            short_count: trace.short_episode_count(),
+            short_time: trace.short_episode_time(),
+            health: trace.health(),
+            provenance: Provenance::of_report(trace.salvage_report()),
+            extents: &rebased.extents,
+            payload: &rebased.payload,
+            kept: None,
+            rollup: trace.rollup().or(extra.as_ref()),
+        })?;
+    }
+    writer.finish()
 }
 
 /// Re-packs an already-open corpus, dropping every byte salvage had to
-/// step over: each session is decoded and canonically re-encoded, so
-/// payloads contain exactly the surviving episodes' records and the
-/// global string pool is re-deduplicated from the surviving sessions.
-/// Provenance (salvaged/damaged flags, skip and lost counts) is carried
-/// over so a compacted corpus still reports its history.
+/// step over. Each session is folded as it decodes, with the checks and
+/// the ordering rule of every decode (a salvaged session drops what its
+/// lenient decode drops), and each decoded episode is re-encoded into the
+/// session's new payload, so payloads contain exactly the surviving
+/// episodes' records and the global string pool is re-deduplicated from
+/// the surviving sessions. Provenance (salvaged/damaged flags, skip and
+/// lost counts) is carried over so a compacted corpus still reports its
+/// history.
+///
+/// With `compress`, a session whose re-encoded payload equals its stored
+/// LZ section's decompressed bytes keeps that section's stored tokens
+/// instead of compressing the payload again: the compressor is
+/// deterministic, so for every corpus this codebase wrote the result is
+/// the bytes compression would give. Every other payload is compressed
+/// when that makes it smaller, and stored raw otherwise.
 ///
 /// Compacting an already-compact corpus is byte-identical (idempotent):
 /// re-encoding canonical payloads is a fixed point.
@@ -242,8 +333,12 @@ pub fn compact(
 /// Like [`compact`], but rebuilds missing rollup caches: sessions whose
 /// original entry carried a valid rollup keep it (summaries are semantic,
 /// so canonical re-encoding does not invalidate them; the content
-/// checksum is recomputed at write time), and sessions without one are
-/// handed to `build` (when provided) along with their decoded trace.
+/// checksum is recomputed at write time), and each session without one is
+/// decoded alone and handed to `build` (when provided) as a trace.
+///
+/// Compaction holds the opened corpus, the output, and one session's
+/// re-encoded payload at a time (plus, for `build`, that session's decoded
+/// trace).
 ///
 /// # Errors
 ///
@@ -254,28 +349,104 @@ pub fn compact_with_rollups(
     options: PackOptions,
     build: Option<&dyn Fn(&SessionTrace) -> Rollup>,
 ) -> Result<Vec<u8>, TraceError> {
+    let mut writer = CorpusWriter::new(options);
+    for view in reader.sessions() {
+        let source = view.source();
+        let carried = view.rollup();
+        let (encoded, built) = match (carried, build) {
+            (None, Some(build)) => {
+                let trace = source.decode(jobs)?;
+                (Encoded::of_episodes(trace.episodes()), Some(build(&trace)))
+            }
+            _ => {
+                let shards = source.fold(
+                    jobs,
+                    &EpisodeFilter::default(),
+                    Encoded::default,
+                    |encoded, _, episode| encoded.push(episode),
+                )?;
+                (Encoded::concat(shards), None)
+            }
+        };
+        // What a decoded trace re-encoded and reopened holds: GC events
+        // sorted by start, and no short-episode time without a count (the
+        // writer emits no short-episode record then).
+        let mut gc_events = source.gc_events().to_vec();
+        gc_events.sort_by_key(|gc| gc.start);
+        let short_count = source.short_episode_count();
+        let short_time = if short_count == 0 {
+            DurationNs::ZERO
+        } else {
+            source.short_episode_time()
+        };
+        let entry = reader.entry(view.index());
+        let kept = match &entry.payload {
+            Payload::Decompressed(raw)
+                if options.compress
+                    && entry.stored.len() < raw.len()
+                    && encoded.payload == *raw =>
+            {
+                Some(&reader.bytes[entry.stored.clone()])
+            }
+            _ => None,
+        };
+        writer.add(&PackSession {
+            meta: source.meta(),
+            symbols: source.symbols(),
+            gc_events: &gc_events,
+            short_count,
+            short_time,
+            health: &IndexHealth::FooterValid,
+            provenance: entry.provenance,
+            extents: &encoded.extents,
+            payload: &encoded.payload,
+            kept,
+            rollup: carried.or(built.as_ref()),
+        })?;
+    }
+    writer.finish()
+}
+
+/// The compaction [`compact_with_rollups`] replaced, kept as the
+/// reference it is held to: it decodes the whole corpus at once,
+/// re-encodes each session as a `.lgz` with the record-lowering writer,
+/// reopens that file and packs what the open found, compressing every
+/// payload again.
+#[cfg(test)]
+fn compact_reference(
+    reader: &CorpusReader,
+    jobs: usize,
+    options: PackOptions,
+    build: Option<&dyn Fn(&SessionTrace) -> Rollup>,
+) -> Result<Vec<u8>, TraceError> {
     let decoded = reader.par_decode(jobs)?;
-    let mut sessions = Vec::with_capacity(decoded.len());
+    let mut writer = CorpusWriter::new(options);
     for (i, trace) in decoded.iter().enumerate() {
         let mut buf = Vec::new();
-        crate::binary::write(trace, &mut buf)?;
+        crate::binary::write_lowered(trace, &mut buf, true, None)?;
         let indexed = IndexedTrace::open(buf)?;
-        let mut session = PackSession::of_indexed(&indexed);
-        // The re-encoded bytes are clean; the history is the original's.
-        let entry = reader.entry(i);
-        session.health = IndexHealth::FooterValid;
-        session.salvaged = entry.salvaged;
-        session.damaged = entry.damaged;
-        session.skips = entry.skips;
-        session.episodes_lost = entry.episodes_lost;
-        session.rollup = reader
+        let rebased = Encoded::of_indexed(&indexed);
+        let rollup = reader
             .validated_rollup(i)
             .0
             .clone()
             .or_else(|| build.map(|build| build(trace)));
-        sessions.push(session);
+        writer.add(&PackSession {
+            meta: indexed.meta(),
+            symbols: indexed.symbols(),
+            gc_events: indexed.gc_events(),
+            short_count: indexed.short_episode_count(),
+            short_time: indexed.short_episode_time(),
+            // The re-encoded bytes are clean; the history is the original's.
+            health: &IndexHealth::FooterValid,
+            provenance: reader.entry(i).provenance,
+            extents: &rebased.extents,
+            payload: &rebased.payload,
+            kept: None,
+            rollup: rollup.as_ref(),
+        })?;
     }
-    pack_sessions(&sessions, options)
+    writer.finish()
 }
 
 fn health_tag(health: &IndexHealth) -> (u8, &str) {
@@ -300,134 +471,177 @@ fn health_of_tag(tag: u8, reason: String) -> Result<IndexHealth, TraceError> {
     }
 }
 
-fn pack_sessions(sessions: &[PackSession], options: PackOptions) -> Result<Vec<u8>, TraceError> {
-    let algorithm = Algorithm::of_corpus_version(CORPUS_MAGIC[7]);
-    // Corpus-global interning: one deduplicated pool, one remap each.
-    let mut global = SymbolTable::new();
-    let mut remaps: Vec<Vec<u32>> = Vec::with_capacity(sessions.len());
-    for session in sessions {
-        let mut remap = Vec::with_capacity(session.records.symbols.len());
-        for (_, name) in session.records.symbols.iter() {
-            remap.push(global.intern(name).as_raw());
+/// A corpus being written one session at a time: each added session
+/// extends the string pool and the directory, section index and extent
+/// regions, and its sections go to the data region, so no session is
+/// held once it is added. [`finish`](CorpusWriter::finish) lays the
+/// regions out behind the header.
+struct CorpusWriter {
+    options: PackOptions,
+    algorithm: Algorithm,
+    /// Corpus-global interning: one deduplicated pool; each session's
+    /// directory entry holds its remap into it.
+    global: SymbolTable,
+    sessions: usize,
+    directory: Vec<u8>,
+    section_count: u64,
+    sections: Vec<u8>,
+    extents: Vec<u8>,
+    data: Vec<u8>,
+    any_compressed: bool,
+}
+
+impl CorpusWriter {
+    fn new(options: PackOptions) -> CorpusWriter {
+        CorpusWriter {
+            options,
+            algorithm: Algorithm::of_corpus_version(CORPUS_MAGIC[7]),
+            global: SymbolTable::new(),
+            sessions: 0,
+            directory: Vec::new(),
+            section_count: 0,
+            sections: Vec::new(),
+            extents: Vec::new(),
+            data: Vec::new(),
+            any_compressed: false,
         }
-        remaps.push(remap);
     }
 
-    let mut strings = Vec::new();
-    varint::write_u64(&mut strings, global.len() as u64)?;
-    for (_, name) in global.iter() {
-        varint::write_str(&mut strings, name)?;
-    }
-
-    let mut directory = Vec::new();
-    for (session, remap) in sessions.iter().zip(&remaps) {
-        write_header(&session.meta, &mut directory)?;
-        let (tag, reason) = health_tag(&session.health);
+    /// Adds the next session.
+    fn add(&mut self, session: &PackSession<'_>) -> Result<(), TraceError> {
+        let directory = &mut self.directory;
+        write_header(session.meta, directory)?;
+        let (tag, reason) = health_tag(session.health);
         directory.push(tag);
-        varint::write_str(&mut directory, reason)?;
-        directory.push(u8::from(session.salvaged) | (u8::from(session.damaged) << 1));
-        varint::write_u64(&mut directory, session.skips)?;
-        varint::write_u64(&mut directory, session.episodes_lost)?;
-        varint::write_u64(&mut directory, remap.len() as u64)?;
-        for &global_id in remap {
-            varint::write_u32(&mut directory, global_id)?;
+        varint::write_str(directory, reason)?;
+        let provenance = session.provenance;
+        directory.push(u8::from(provenance.salvaged) | (u8::from(provenance.damaged) << 1));
+        varint::write_u64(directory, provenance.skips)?;
+        varint::write_u64(directory, provenance.episodes_lost)?;
+        varint::write_u64(directory, session.symbols.len() as u64)?;
+        for (_, name) in session.symbols.iter() {
+            varint::write_u32(directory, self.global.intern(name).as_raw())?;
         }
-        let records = &session.records;
-        varint::write_u64(&mut directory, records.gc_events.len() as u64)?;
-        for gc in &records.gc_events {
-            varint::write_u64(&mut directory, gc.start.as_nanos())?;
-            varint::write_u64(&mut directory, gc.end.as_nanos())?;
+        varint::write_u64(directory, session.gc_events.len() as u64)?;
+        for gc in session.gc_events {
+            varint::write_u64(directory, gc.start.as_nanos())?;
+            varint::write_u64(directory, gc.end.as_nanos())?;
             directory.push(u8::from(gc.major));
         }
-        varint::write_u64(&mut directory, records.short_count)?;
-        varint::write_u64(&mut directory, records.short_time.as_nanos())?;
-    }
+        varint::write_u64(directory, session.short_count)?;
+        varint::write_u64(directory, session.short_time.as_nanos())?;
 
-    let mut data = Vec::new();
-    let mut sections = Vec::new();
-    let mut any_compressed = false;
-    // Incompressible inputs are stored raw — never pay stored_len >
-    // raw_len. Returns (flags, offset, stored_len) for the index record.
-    let mut store = |data: &mut Vec<u8>, bytes: &[u8]| -> (u8, u64, u64) {
-        let offset = data.len() as u64;
-        if options.compress {
-            let compressed = lz::compress(bytes);
-            if compressed.len() < bytes.len() {
-                data.extend_from_slice(&compressed);
-                any_compressed = true;
-                return (SECTION_FLAG_LZ, offset, compressed.len() as u64);
-            }
-        }
-        data.extend_from_slice(bytes);
-        (0, offset, bytes.len() as u64)
-    };
-    let section_count = sessions.len() + sessions.iter().filter(|s| s.rollup.is_some()).count();
-    varint::write_u64(&mut sections, section_count as u64)?;
-    for (i, session) in sessions.iter().enumerate() {
-        let (flags, offset, stored_len) = store(&mut data, &session.payload);
-        sections.push(SECTION_PAYLOAD);
-        varint::write_u64(&mut sections, i as u64)?;
-        sections.push(flags);
-        varint::write_u64(&mut sections, offset)?;
-        varint::write_u64(&mut sections, stored_len)?;
-        varint::write_u64(&mut sections, session.payload.len() as u64)?;
-        if let Some(rollup) = &session.rollup {
+        let payload = session.payload;
+        let stored = match session.kept {
+            Some(tokens) => self.append(SECTION_FLAG_LZ, tokens),
+            None => self.store(payload),
+        };
+        self.section(SECTION_PAYLOAD, stored, payload.len())?;
+        if let Some(rollup) = session.rollup {
             // The payload is exactly the concatenation of the extent
             // spans, so the content checksum is the hash of the whole
             // payload region; recompute it so a supplied rollup is
             // stamped against the bytes actually written.
             let mut rollup = rollup.clone();
-            rollup.content_checksum = algorithm.hash(&session.payload);
+            rollup.content_checksum = self.algorithm.hash(payload);
             let raw = rollup.encode_payload()?;
-            let (flags, offset, stored_len) = store(&mut data, &raw);
-            sections.push(SECTION_ROLLUP);
-            varint::write_u64(&mut sections, i as u64)?;
-            sections.push(flags);
-            varint::write_u64(&mut sections, offset)?;
-            varint::write_u64(&mut sections, stored_len)?;
-            varint::write_u64(&mut sections, raw.len() as u64)?;
+            let stored = self.store(&raw);
+            self.section(SECTION_ROLLUP, stored, raw.len())?;
         }
+        encode_extents_into(session.extents, &mut self.extents)?;
+        self.sessions += 1;
+        Ok(())
     }
 
-    let mut extents = Vec::new();
-    for session in sessions {
-        encode_extents_into(&session.extents, &mut extents)?;
+    /// Stores `bytes` in the data region, LZ-compressed when the options
+    /// ask for it and that makes them smaller (incompressible inputs are
+    /// stored raw — never pay stored_len > raw_len). Returns the section's
+    /// flags, offset and stored length.
+    fn store(&mut self, bytes: &[u8]) -> (u8, u64, u64) {
+        if self.options.compress {
+            let compressed = lz::compress(bytes);
+            if compressed.len() < bytes.len() {
+                return self.append(SECTION_FLAG_LZ, &compressed);
+            }
+        }
+        self.append(0, bytes)
     }
 
-    let strings_off = HEADER_LEN as u64;
-    let sessions_off = strings_off + strings.len() as u64;
-    let sections_off = sessions_off + directory.len() as u64;
-    let extents_off = sections_off + sections.len() as u64;
-    let data_off = extents_off + extents.len() as u64;
+    /// Appends a section's stored bytes to the data region.
+    fn append(&mut self, flags: u8, stored: &[u8]) -> (u8, u64, u64) {
+        let offset = self.data.len() as u64;
+        self.data.extend_from_slice(stored);
+        self.any_compressed |= flags & SECTION_FLAG_LZ != 0;
+        (flags, offset, stored.len() as u64)
+    }
 
-    let mut out = Vec::with_capacity(HEADER_LEN + data_off as usize + data.len() + 8);
-    out.extend_from_slice(CORPUS_MAGIC);
-    out.extend_from_slice(
-        &(if any_compressed {
+    /// Records a section of the session being added in the section index.
+    fn section(
+        &mut self,
+        kind: u8,
+        (flags, offset, stored_len): (u8, u64, u64),
+        raw_len: usize,
+    ) -> Result<(), TraceError> {
+        self.sections.push(kind);
+        varint::write_u64(&mut self.sections, self.sessions as u64)?;
+        self.sections.push(flags);
+        varint::write_u64(&mut self.sections, offset)?;
+        varint::write_u64(&mut self.sections, stored_len)?;
+        varint::write_u64(&mut self.sections, raw_len as u64)?;
+        self.section_count += 1;
+        Ok(())
+    }
+
+    /// The corpus file: header, string pool, directory, section index,
+    /// extents, data and trailer.
+    fn finish(self) -> Result<Vec<u8>, TraceError> {
+        let mut strings = Vec::new();
+        varint::write_u64(&mut strings, self.global.len() as u64)?;
+        for (_, name) in self.global.iter() {
+            varint::write_str(&mut strings, name)?;
+        }
+        let mut sections = Vec::with_capacity(self.sections.len() + 10);
+        varint::write_u64(&mut sections, self.section_count)?;
+        sections.extend_from_slice(&self.sections);
+
+        let strings_off = HEADER_LEN as u64;
+        let sessions_off = strings_off + strings.len() as u64;
+        let sections_off = sessions_off + self.directory.len() as u64;
+        let extents_off = sections_off + sections.len() as u64;
+        let data_off = extents_off + self.extents.len() as u64;
+
+        let mut out = Vec::with_capacity(data_off as usize);
+        out.extend_from_slice(CORPUS_MAGIC);
+        let flags = if self.any_compressed {
             FLAG_COMPRESSED
         } else {
             0u32
-        })
-        .to_le_bytes(),
-    );
-    out.extend_from_slice(&(sessions.len() as u32).to_le_bytes());
-    for off in [
-        strings_off,
-        sessions_off,
-        sections_off,
-        extents_off,
-        data_off,
-    ] {
-        out.extend_from_slice(&off.to_le_bytes());
+        };
+        out.extend_from_slice(&flags.to_le_bytes());
+        out.extend_from_slice(&(self.sessions as u32).to_le_bytes());
+        for off in [
+            strings_off,
+            sessions_off,
+            sections_off,
+            extents_off,
+            data_off,
+        ] {
+            out.extend_from_slice(&off.to_le_bytes());
+        }
+        out.extend_from_slice(&strings);
+        out.extend_from_slice(&self.directory);
+        out.extend_from_slice(&sections);
+        out.extend_from_slice(&self.extents);
+        // The data region is the bulk of the file: slide it up behind the
+        // other regions in its own buffer rather than copying it.
+        let front = out;
+        let mut out = self.data;
+        out.reserve_exact(front.len() + 8);
+        out.splice(0..0, front);
+        let checksum = self.algorithm.hash(&out[8..]);
+        out.extend_from_slice(&checksum.to_le_bytes());
+        Ok(out)
     }
-    out.extend_from_slice(&strings);
-    out.extend_from_slice(&directory);
-    out.extend_from_slice(&sections);
-    out.extend_from_slice(&extents);
-    out.extend_from_slice(&data);
-    let checksum = algorithm.hash(&out[8..]);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    Ok(out)
 }
 
 /// Where a session's (possibly decompressed) payload lives.
@@ -444,11 +658,10 @@ struct SessionEntry {
     meta: SessionMeta,
     records: SessionRecords,
     health: IndexHealth,
-    salvaged: bool,
-    damaged: bool,
-    skips: u64,
-    episodes_lost: u64,
+    provenance: Provenance,
     compressed: bool,
+    /// The payload section's stored bytes in the corpus.
+    stored: Range<usize>,
     extents: Vec<EpisodeExtent>,
     payload: Payload,
     /// The session's rollup section, located (not read) at open.
@@ -601,11 +814,9 @@ impl CorpusReader {
                 meta: dir.meta,
                 records: dir.records,
                 health: dir.health,
-                salvaged: dir.salvaged,
-                damaged: dir.damaged,
-                skips: dir.skips,
-                episodes_lost: dir.episodes_lost,
+                provenance: dir.provenance,
                 compressed: section.compressed,
+                stored: start..start + section.stored_len as usize,
                 extents,
                 payload,
                 rollup_section,
@@ -677,7 +888,7 @@ impl CorpusReader {
     /// (sessions in a corpus are never `Unrecoverable` — pack refuses
     /// inputs that do not open).
     pub fn damage_verdict(&self) -> DamageVerdict {
-        if self.sessions.iter().any(|s| s.damaged) {
+        if self.sessions.iter().any(|s| s.provenance.damaged) {
             DamageVerdict::Damaged
         } else {
             DamageVerdict::Clean
@@ -807,7 +1018,7 @@ impl<'a> SessionView<'a> {
             records: &entry.records,
             extents: &entry.extents,
             payload: self.reader.payload_bytes(self.index),
-            lenient: entry.salvaged,
+            lenient: entry.provenance.salvaged,
             rollup: RollupRef::Corpus(*self),
             declared: None,
         }
@@ -826,22 +1037,22 @@ impl<'a> SessionView<'a> {
     /// `true` when the session was packed from a salvage-mode open
     /// (decoding is lenient, mirroring [`IndexedTrace::open_salvage`]).
     pub fn is_salvaged(&self) -> bool {
-        self.reader.entry(self.index).salvaged
+        self.reader.entry(self.index).provenance.salvaged
     }
 
     /// `true` when salvage actually skipped bytes or lost episodes.
     pub fn is_damaged(&self) -> bool {
-        self.reader.entry(self.index).damaged
+        self.reader.entry(self.index).provenance.damaged
     }
 
     /// Salvage skip regions recorded when the session was packed.
     pub fn skips(&self) -> u64 {
-        self.reader.entry(self.index).skips
+        self.reader.entry(self.index).provenance.skips
     }
 
     /// Episodes lost to salvage when the session was packed.
     pub fn episodes_lost(&self) -> u64 {
-        self.reader.entry(self.index).episodes_lost
+        self.reader.entry(self.index).provenance.episodes_lost
     }
 
     /// `true` when the session's payload section is LZ-compressed.
@@ -918,10 +1129,7 @@ struct DirEntry {
     meta: SessionMeta,
     records: SessionRecords,
     health: IndexHealth,
-    salvaged: bool,
-    damaged: bool,
-    skips: u64,
-    episodes_lost: u64,
+    provenance: Provenance,
 }
 
 fn read_strings(region: &[u8]) -> Result<SymbolTable, TraceError> {
@@ -981,10 +1189,12 @@ fn read_directory(
                 format!("unknown provenance flags {flags:#x}"),
             ));
         }
-        let salvaged = flags & 1 != 0;
-        let damaged = flags & 2 != 0;
-        let skips = varint::read_u64(&mut r)?;
-        let episodes_lost = varint::read_u64(&mut r)?;
+        let provenance = Provenance {
+            salvaged: flags & 1 != 0,
+            damaged: flags & 2 != 0,
+            skips: varint::read_u64(&mut r)?,
+            episodes_lost: varint::read_u64(&mut r)?,
+        };
         let remap_len = varint::read_u64(&mut r)?;
         if remap_len > MAX_STRINGS {
             return Err(TraceError::corrupt(
@@ -1070,10 +1280,7 @@ fn read_directory(
                 short_time,
             },
             health,
-            salvaged,
-            damaged,
-            skips,
-            episodes_lost,
+            provenance,
         });
     }
     if !r.is_empty() {
@@ -1252,11 +1459,281 @@ fn split_byte<'a>(r: &'a [u8], context: &'static str) -> Result<(u8, &'a [u8]), 
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::faults::{self, FaultInjector};
+    use crate::test_traces::{build_trace, episode_spec};
 
     /// The committed four-session golden corpus: three clean sessions
     /// with raw rollup sections and one salvaged session without one.
     const GOLDEN: &[u8] = include_bytes!("../../cli/tests/corpus/corpus.lgzc");
+
+    /// The committed v2 corpus fixture.
+    const GOLDEN_V2: &[u8] = include_bytes!("../../cli/tests/corpus/corpus-v2.lgzc");
+
+    /// The build closure the compaction tests hand over: a rollup drawn
+    /// from the trace it is given.
+    fn placeholder(trace: &SessionTrace) -> Rollup {
+        Rollup::placeholder(trace)
+    }
+
+    /// Compacts `reader` with every option, job count and closure, and
+    /// holds each result to the materializing reference's: equal bytes,
+    /// or errors with equal text.
+    fn compaction_matches_reference(reader: &CorpusReader) -> Result<(), String> {
+        for compress in [false, true] {
+            for jobs in [1, 3] {
+                for build in [None, Some(&placeholder as &dyn Fn(&SessionTrace) -> Rollup)] {
+                    let options = PackOptions { compress };
+                    let got = compact_with_rollups(reader, jobs, options, build);
+                    let want = compact_reference(reader, jobs, options, build);
+                    let context =
+                        format!("compress {compress} jobs {jobs} build {}", build.is_some());
+                    match (got, want) {
+                        (Ok(got), Ok(want)) if got == want => {}
+                        (Err(got), Err(want)) if got.to_string() == want.to_string() => {}
+                        (got, want) => {
+                            let show = |r: Result<Vec<u8>, TraceError>| {
+                                r.map_or_else(|e| e.to_string(), |b| format!("{} bytes", b.len()))
+                            };
+                            return Err(format!("{context}: {} vs {}", show(got), show(want)));
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Payload section `i` of a corpus: whether it is LZ, and its stored
+    /// bytes.
+    fn payload_section(bytes: &[u8], i: usize) -> (bool, Vec<u8>) {
+        let reader = CorpusReader::open(bytes.to_vec()).unwrap();
+        let entry = reader.entry(i);
+        (
+            entry.compressed,
+            reader.bytes[entry.stored.clone()].to_vec(),
+        )
+    }
+
+    /// A generated member, written and opened as `kind` says: 0 with a
+    /// rollup, 1 without, 2 as a legacy v1 trace, 3 fault-injected and
+    /// opened as `pack --salvage` opens it, 4 with one byte of an episode
+    /// flipped under a resealed trailer and opened strictly. `None` when
+    /// the damage leaves nothing to open.
+    fn member(trace: &SessionTrace, kind: u8, seed: u64) -> Option<IndexedTrace> {
+        let mut bytes = Vec::new();
+        match kind {
+            0 => crate::binary::write_with_rollup(trace, &mut bytes, Rollup::placeholder(trace)),
+            2 => crate::binary::write_legacy(trace, &mut bytes),
+            _ => crate::binary::write(trace, &mut bytes),
+        }
+        .unwrap();
+        match kind {
+            3 => IndexedTrace::open_salvage(FaultInjector::new(seed).inject(&bytes).0).ok(),
+            4 => {
+                let extents = IndexedTrace::open(bytes.clone())
+                    .unwrap()
+                    .extents()
+                    .to_vec();
+                let extent = extents.get(seed as usize % extents.len().max(1))?;
+                let at = extent.offset + (seed >> 32) % extent.len;
+                bytes[at as usize] ^= 1 << (seed >> 8 & 7);
+                faults::reseal(&mut bytes, None);
+                IndexedTrace::open(bytes).ok()
+            }
+            _ => IndexedTrace::open(bytes).ok(),
+        }
+    }
+
+    proptest! {
+        /// Compaction folds each session and keeps unchanged LZ sections,
+        /// yet writes the bytes (or fails with the error) of the
+        /// materializing reference, over corpora mixing members with and
+        /// without rollups, legacy-v1, salvaged fault-injected and
+        /// strictly opened damaged members, raw and LZ sections.
+        #[test]
+        #[cfg_attr(miri, ignore)]
+        fn compaction_matches_its_materializing_reference(
+            members in proptest::collection::vec(
+                (proptest::collection::vec(episode_spec(), 0..8), 0u8..5, any::<u64>()),
+                1..5,
+            ),
+            packed_lz in any::<bool>(),
+        ) {
+            // One strictly opened damaged member at most: which of two
+            // failures comes first depends on the shard layout.
+            let mut damaged = 0;
+            let opened: Vec<IndexedTrace> = members
+                .iter()
+                .filter_map(|(specs, kind, seed)| {
+                    damaged += usize::from(*kind == 4);
+                    let kind = if *kind == 4 && damaged > 1 { 1 } else { *kind };
+                    member(&build_trace(specs, seed % 1000), kind, *seed)
+                })
+                .collect();
+            let packed = pack(&opened, PackOptions { compress: packed_lz }).unwrap();
+            let reader = CorpusReader::open(packed).unwrap();
+            prop_assert_eq!(compaction_matches_reference(&reader), Ok(()));
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn golden_corpora_compact_like_the_reference() {
+        for bytes in [GOLDEN, GOLDEN_V2] {
+            let reader = CorpusReader::open(bytes.to_vec()).unwrap();
+            assert_eq!(compaction_matches_reference(&reader), Ok(()));
+        }
+        for (name, bytes) in corpora() {
+            let reader = CorpusReader::open(bytes).unwrap();
+            assert_eq!(compaction_matches_reference(&reader), Ok(()), "{name}");
+        }
+    }
+
+    /// `tokens` with its leading literal run split in two: another token
+    /// stream for the same bytes.
+    fn split_first_literal(tokens: &[u8]) -> Vec<u8> {
+        let mut pos = 0;
+        let token = varint::read_u64_at(tokens, &mut pos, tokens.len()).unwrap();
+        let n = (token >> 1) as usize;
+        assert!(
+            token & 1 == 0 && n >= 2,
+            "a stream starts with a literal run"
+        );
+        let mut out = Vec::new();
+        varint::write_u64(&mut out, 1 << 1).unwrap();
+        out.push(tokens[pos]);
+        varint::write_u64(&mut out, ((n - 1) as u64) << 1).unwrap();
+        out.extend_from_slice(&tokens[pos + 1..]);
+        out
+    }
+
+    #[test]
+    fn an_unchanged_lz_section_is_kept_as_stored() {
+        // A one-session corpus whose LZ section holds tokens the
+        // compressor would not write for its payload.
+        let golden = CorpusReader::open(GOLDEN.to_vec()).unwrap();
+        let mut bytes = Vec::new();
+        crate::binary::write(&golden.session(0).decode(1).unwrap(), &mut bytes).unwrap();
+        let trace = IndexedTrace::open(bytes).unwrap();
+        let rebased = Encoded::of_indexed(&trace);
+        let tokens = split_first_literal(&lz::compress(&rebased.payload));
+        assert_ne!(tokens, lz::compress(&rebased.payload));
+        assert!(tokens.len() < rebased.payload.len());
+        let mut writer = CorpusWriter::new(PackOptions { compress: true });
+        writer
+            .add(&PackSession {
+                meta: trace.meta(),
+                symbols: trace.symbols(),
+                gc_events: trace.gc_events(),
+                short_count: trace.short_episode_count(),
+                short_time: trace.short_episode_time(),
+                health: trace.health(),
+                provenance: Provenance::default(),
+                extents: &rebased.extents,
+                payload: &rebased.payload,
+                kept: Some(&tokens),
+                rollup: None,
+            })
+            .unwrap();
+        let input = writer.finish().unwrap();
+        assert_eq!(payload_section(&input, 0), (true, tokens.clone()));
+        // Compacted with compression, the section is copied byte for byte.
+        let reader = CorpusReader::open(input).unwrap();
+        let compacted = compact(&reader, 1, PackOptions { compress: true }).unwrap();
+        assert_eq!(payload_section(&compacted, 0), (true, tokens));
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn a_salvaged_member_is_compressed_again_only_when_its_payload_changes() {
+        // The golden salvaged member's extents carry skips, yet its payload
+        // re-encodes unchanged: compaction drops the skips and keeps the
+        // stored LZ section.
+        let (_, lz) = corpora().pop().unwrap();
+        let golden = CorpusReader::open(GOLDEN.to_vec()).unwrap();
+        let skipped = golden
+            .session(3)
+            .source()
+            .extents()
+            .iter()
+            .any(|e| e.skips > 0);
+        assert!(golden.session(3).is_salvaged() && skipped);
+        let repacked = compact_with_rollups(
+            &CorpusReader::open(lz.clone()).unwrap(),
+            1,
+            PackOptions { compress: true },
+            Some(&placeholder),
+        )
+        .unwrap();
+        assert!(payload_section(&lz, 3).0);
+        assert_eq!(payload_section(&repacked, 3), payload_section(&lz, 3));
+        let repacked = CorpusReader::open(repacked).unwrap();
+        assert!(repacked
+            .session(3)
+            .source()
+            .extents()
+            .iter()
+            .all(|e| e.skips == 0));
+        assert!(repacked.session(3).is_salvaged());
+
+        // A salvaged member whose episodes re-encode to other bytes (a
+        // flipped sample time the decode puts back in order) is
+        // compressed again.
+        let mut bytes = Vec::new();
+        crate::binary::write(&golden.session(0).decode(1).unwrap(), &mut bytes).unwrap();
+        let (opened, stale, fresh) = (0..200)
+            .find_map(|seed| {
+                let damaged = FaultInjector::new(seed).inject(&bytes).0;
+                let opened = IndexedTrace::open_salvage(damaged).ok()?;
+                let stale = Encoded::of_indexed(&opened).payload;
+                let fresh = Encoded::of_episodes(opened.par_decode(1).ok()?.episodes()).payload;
+                (fresh != stale).then_some((opened, stale, fresh))
+            })
+            .expect("a seeded fault the decode repairs");
+        let input = pack(&[opened], PackOptions { compress: true }).unwrap();
+        assert_eq!(payload_section(&input, 0), (true, lz::compress(&stale)));
+        let reader = CorpusReader::open(input).unwrap();
+        let compacted = compact(&reader, 1, PackOptions { compress: true }).unwrap();
+        assert_eq!(payload_section(&compacted, 0), (true, lz::compress(&fresh)));
+        assert!(CorpusReader::open(compacted)
+            .unwrap()
+            .session(0)
+            .is_salvaged());
+    }
+
+    #[test]
+    fn an_lz_corpus_compacted_without_compress_is_stored_raw() {
+        let (_, lz) = corpora().pop().unwrap();
+        let compacted =
+            compact(&CorpusReader::open(lz).unwrap(), 1, PackOptions::default()).unwrap();
+        let reader = CorpusReader::open(compacted.clone()).unwrap();
+        assert_eq!(&compacted[8..12], &0u32.to_le_bytes());
+        for i in 0..reader.len() {
+            assert!(!reader.session(i).is_compressed());
+            let rollup = reader.entry(i).rollup_section.as_ref();
+            assert!(rollup.map_or(true, |section| !section.compressed));
+        }
+    }
+
+    #[test]
+    fn a_raw_member_compacted_with_compress_is_compressed() {
+        let golden = CorpusReader::open(GOLDEN.to_vec()).unwrap();
+        assert!(golden.sessions().all(|view| !view.is_compressed()));
+        let compacted = compact(&golden, 1, PackOptions { compress: true }).unwrap();
+        for i in 0..golden.len() {
+            let payload = CorpusReader::open(compacted.clone())
+                .unwrap()
+                .payload_bytes(i)
+                .to_vec();
+            assert_eq!(
+                payload_section(&compacted, i),
+                (true, lz::compress(&payload))
+            );
+        }
+    }
 
     /// The golden corpus (v1, FNV-1a), and the same sessions compacted
     /// into a v2 corpus with LZ sections (the rollups carried over).

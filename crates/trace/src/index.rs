@@ -112,6 +112,22 @@ pub struct EpisodeExtent {
 }
 
 impl EpisodeExtent {
+    /// The extent of `episode`, whose records span `len` bytes at
+    /// `offset`: its id, start, end and counts come from the episode
+    /// itself, with no skips.
+    pub(crate) fn of_episode(episode: &Episode, offset: u64, len: u64) -> EpisodeExtent {
+        EpisodeExtent {
+            offset,
+            len,
+            id: episode.id(),
+            start: episode.start(),
+            end: episode.end(),
+            intervals: episode.tree().len().min(u32::MAX as usize) as u32,
+            samples: episode.samples().len().min(u32::MAX as usize) as u32,
+            skips: 0,
+        }
+    }
+
     /// The episode duration derivable from the indexed timestamps.
     pub fn duration(&self) -> DurationNs {
         self.end.saturating_since(self.start)

@@ -11,10 +11,13 @@
 //! * a human-readable, line-based **text** codec ([`text`]).
 //!
 //! Both codecs round-trip a [`lagalyzer_model::SessionTrace`] exactly. A
-//! trace is lowered to a flat stream of [`record::TraceRecord`]s (the same
-//! events LiLa's instrumentation emits: interval enters/exits, stack
-//! samples, GC brackets, short-episode counts) and reassembled through the
-//! model builders, so decoding re-validates every structural invariant.
+//! trace is a flat stream of [`record::TraceRecord`]s (the same events
+//! LiLa's instrumentation emits: interval enters/exits, stack samples, GC
+//! brackets, short-episode counts), reassembled through the model
+//! builders, so decoding re-validates every structural invariant. The
+//! text writer lowers a trace to that stream ([`records_from_trace`]);
+//! the binary writer encodes the same records straight from each
+//! episode's interval arena and sample arrays.
 //!
 //! The [`filter`] module implements the *tracer-side* episode filter: LiLa
 //! drops episodes shorter than 3 ms to limit overhead, so LagAlyzer only
@@ -78,6 +81,12 @@ pub mod salvage;
 pub mod source;
 pub mod text;
 mod varint;
+
+/// The round-trip properties' trace strategies, which the writer's unit
+/// tests share.
+#[cfg(test)]
+#[path = "../tests/support/traces.rs"]
+mod test_traces;
 
 pub use auto::read_bytes;
 pub use corpus::{is_corpus, CorpusReader, PackOptions, SessionView};

@@ -90,19 +90,49 @@ pub fn records_from_trace(trace: &SessionTrace) -> Vec<TraceRecord> {
 
 /// Emits enter/exit events for a tree in chronological order.
 fn emit_tree_events(tree: &IntervalTree, out: &mut Vec<TraceRecord>) {
-    fn recurse(tree: &IntervalTree, id: NodeId, out: &mut Vec<TraceRecord>) {
-        let interval = tree.interval(id);
-        out.push(TraceRecord::Enter {
-            kind: interval.kind,
-            symbol: interval.symbol,
-            at: interval.start,
+    let lowered = walk_tree(tree, &mut |event| {
+        out.push(match event {
+            TreeEvent::Enter(interval) => TraceRecord::Enter {
+                kind: interval.kind,
+                symbol: interval.symbol,
+                at: interval.start,
+            },
+            TreeEvent::Exit(at) => TraceRecord::Exit { at },
         });
+        Ok::<(), std::convert::Infallible>(())
+    });
+    lowered.unwrap_or_else(|never| match never {});
+}
+
+/// One enter or exit event of an interval tree's record stream.
+pub(crate) enum TreeEvent<'a> {
+    /// The interval is entered at its start.
+    Enter(&'a Interval),
+    /// The innermost open interval is exited at this time.
+    Exit(TimeNs),
+}
+
+/// Walks a tree's intervals in the order the records carry them: each
+/// interval is entered, its children (in start order) are walked, and it
+/// is exited. Both the record lowering and the binary episode writer
+/// walk trees through here; `visit`'s first error stops the walk.
+pub(crate) fn walk_tree<E>(
+    tree: &IntervalTree,
+    visit: &mut impl FnMut(TreeEvent<'_>) -> Result<(), E>,
+) -> Result<(), E> {
+    fn recurse<E>(
+        tree: &IntervalTree,
+        id: NodeId,
+        visit: &mut impl FnMut(TreeEvent<'_>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let interval = tree.interval(id);
+        visit(TreeEvent::Enter(interval))?;
         for &child in tree.children(id) {
-            recurse(tree, child, out);
+            recurse(tree, child, visit)?;
         }
-        out.push(TraceRecord::Exit { at: interval.end });
+        visit(TreeEvent::Exit(interval.end))
     }
-    recurse(tree, tree.root(), out);
+    recurse(tree, tree.root(), visit)
 }
 
 /// Reassembles a session trace from a record stream and header metadata.

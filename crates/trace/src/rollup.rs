@@ -163,6 +163,28 @@ pub struct Rollup {
 }
 
 impl Rollup {
+    /// A rollup the readers trust for `trace`'s episodes, one summary per
+    /// episode drawn from its tree and duration; the tests write it where
+    /// an analysis would write a real one.
+    #[cfg(test)]
+    pub(crate) fn placeholder(trace: &lagalyzer_model::SessionTrace) -> Rollup {
+        let summary = |episode: &lagalyzer_model::Episode| EpisodeSummary {
+            structureless: episode.tree().len() == 1,
+            has_gc: false,
+            shape: 0,
+            tree_size: episode.tree().len() as u64,
+            tree_depth: episode.tree().max_depth(),
+            breakdown: [0, 0, 0, 0, 0, 0, episode.duration().as_nanos()],
+        };
+        Rollup {
+            content_checksum: 0,
+            shapes: vec![b"D".to_vec()],
+            summaries: trace.episodes().iter().map(summary).collect(),
+            grids: Vec::new(),
+            shape_histograms: vec![[1; SHAPE_HIST_BUCKETS]],
+        }
+    }
+
     /// The log2-ms histogram bucket a duration falls into.
     pub fn hist_bucket(duration_ns: u64) -> usize {
         let ms = duration_ns / 1_000_000;

@@ -62,10 +62,12 @@ pub struct SessionSource<'a> {
     pub(crate) declared: Option<(u64, u64)>,
 }
 
-/// The records the writer emits for one episode: a begin, an enter and
-/// an exit per interval, the samples, and an end.
-fn records_of(episode: &Episode) -> u64 {
-    2 + 2 * episode.tree().len() as u64 + episode.samples().len() as u64
+/// The records the writer emits for one episode of `intervals` intervals
+/// and `samples` samples: a begin, an enter and an exit per interval, the
+/// samples, and an end. The writer declares its record count by this
+/// rule, and a verified fold checks the declared count by it.
+pub(crate) fn records_of(intervals: usize, samples: usize) -> u64 {
+    2 + 2 * intervals as u64 + samples as u64
 }
 
 /// Where a [`SessionSource`] finds its rollup.
@@ -229,9 +231,28 @@ impl<'a> SessionSource<'a> {
         .into_iter()
         .collect::<Result<Vec<EpisodeFragment>, TraceError>>()?;
         let trace = self.assemble(fragments)?;
-        let records = trace.episodes().iter().map(records_of).sum();
+        let records = trace
+            .episodes()
+            .iter()
+            .map(|e| records_of(e.tree().len(), e.samples().len()))
+            .sum();
         self.verify_count(indices.as_deref(), records)?;
         Ok(trace)
+    }
+
+    /// `false` when a footer-indexed `.lgz`'s extent index cannot account
+    /// for its declared record count: the records outside the extents plus
+    /// 2 + 2·intervals + samples per extent add up to another number.
+    /// Counted from the index alone, with no decode. Every trace the writer
+    /// produces adds up, and so does every source whose count a record scan
+    /// checked.
+    pub fn extents_add_up(&self) -> bool {
+        self.declared.map_or(true, |(declared, gaps)| {
+            let counted = self.extents.iter().fold(gaps, |sum, e| {
+                sum.saturating_add(records_of(e.intervals as usize, e.samples as usize))
+            });
+            counted == declared
+        })
     }
 
     /// Fails when a strict decode of every extent of a footer-indexed
@@ -485,7 +506,7 @@ impl ShardedFold<'_, '_> {
             }
             shard.first.get_or_insert(start);
             shard.last = Some(start);
-            shard.records += records_of(&episode);
+            shard.records += records_of(episode.tree().len(), episode.samples().len());
             step(&mut shard.state, i, &episode);
         }
         Ok(shard)
