@@ -15,7 +15,7 @@
 mod args;
 
 use std::fs;
-use std::io::{BufWriter, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::OnceLock;
@@ -97,10 +97,16 @@ fn main() -> ExitCode {
     match ran.and_then(|code| flushed.map(|()| code).map_err(Failure::from)) {
         Ok(code) => code,
         Err(failure) => {
-            eprintln!("error: {}", failure.msg);
+            to_stderr(format_args!("error: {}\n", failure.msg));
             ExitCode::from(failure.code)
         }
     }
+}
+
+/// Writes to stderr, dropping a failed write: a closed stderr never
+/// panics, and the exit code stays the command's.
+fn to_stderr(message: std::fmt::Arguments<'_>) {
+    let _ = std::io::stderr().write_fmt(message);
 }
 
 /// Finds the command `args` names, checks the rest of `args` against it
@@ -228,7 +234,8 @@ const COMMANDS: &[Command] = {
             Flag::new("--out", "FILE.svg", Text, Optional),
         ]], about: "render the whole-session timeline" },
         Command { name: "stable", paths: "FILE...", run: cmd_stable, flags: &[INPUT],
-            about: "stable slow patterns across several traces" },
+            about: "stable slow patterns across several traces; a whole corpus counts as one \
+             trace per member" },
         Command { name: "diff", paths: "BASELINE CANDIDATE", run: cmd_diff, flags: &[INPUT],
             about: "pattern-level regression report" },
         Command { name: "experiments", paths: "", run: cmd_experiments, flags: &[&[
@@ -244,12 +251,13 @@ const COMMANDS: &[Command] = {
 
 /// The notes `help` prints after the commands.
 const NOTES: &str = "\
-FILE may come anywhere among the options. A .lgzc corpus FILE takes
---session K to select one member session; no other input takes it.
-A flag a command would ignore is refused. An unknown flag, a repeated
-flag (bar --allow, --deny and --level), a bad or out-of-range value, or
-a missing or extra path is a usage error. `<command> --help` prints one
-command's entry.
+FILE may come anywhere among the options. --session K selects member
+session K of a .lgzc corpus FILE (of every corpus FILE, for stable and
+diff) and is refused when no FILE is a corpus. A flag a command would
+ignore is refused. An unknown flag, a repeated flag (bar --allow,
+--deny and --level), a bad or out-of-range value, or a missing or
+extra path is a usage error. `<command> --help` prints one command's
+entry.
 
 --jobs N shards trace decoding and analysis work across N worker
 threads (0 or omitted: all cores; 1: serial). Results are
@@ -520,9 +528,18 @@ fn jobs(args: &Args<'_>) -> usize {
     lagalyzer_core::parallel::resolve_jobs(args.get("--jobs"))
 }
 
-/// Reads a trace input from disk — the one place any subcommand does.
+/// Reads a trace input from disk — the one place any subcommand reads a
+/// whole input.
 fn read_input(path: &str) -> Result<Vec<u8>, Failure> {
     fs::read(path).map_err(|e| format!("cannot read {path}: {e}").into())
+}
+
+/// `true` when the file at `path` starts with the corpus signature; a
+/// file that cannot be read is left for its load to report.
+fn is_corpus_file(path: &str) -> bool {
+    let mut head = [0; 8];
+    let read = fs::File::open(path).and_then(|mut file| file.read_exact(&mut head));
+    read.is_ok() && corpus::is_corpus(&head)
 }
 
 /// What salvage found in one input, whichever codec or container
@@ -557,10 +574,10 @@ impl Damage {
     /// inputs stay silent.
     fn note(&self, label: &str) {
         if self.verdict != DamageVerdict::Clean {
-            eprintln!(
-                "salvage: {label}: recovered {} episode(s), lost {}, {} skip(s)",
+            to_stderr(format_args!(
+                "salvage: {label}: recovered {} episode(s), lost {}, {} skip(s)\n",
                 self.recovered, self.episodes_lost, self.skips
-            );
+            ));
         }
     }
 }
@@ -600,12 +617,18 @@ struct Input {
 impl Input {
     /// Reads and opens the input file at `path`.
     fn load(args: &Args<'_>, path: &str) -> Result<Input, Failure> {
-        Input::open(args, path, read_input(path)?)
+        Input::open(args, path, read_input(path)?, args.get("--session"))
     }
 
     /// Classifies and opens the bytes read from `path`, applying
-    /// `--salvage` and `--session K`.
-    fn open(args: &Args<'_>, path: &str, bytes: Vec<u8>) -> Result<Input, Failure> {
+    /// `--salvage`; `session` selects a corpus member and is refused on any
+    /// other input.
+    fn open(
+        args: &Args<'_>,
+        path: &str,
+        bytes: Vec<u8>,
+        session: Option<usize>,
+    ) -> Result<Input, Failure> {
         let salvage = args.switch("--salvage");
         let failed = |e: TraceError| -> Failure {
             if salvage {
@@ -622,7 +645,6 @@ impl Input {
             }
             let reader = CorpusReader::open(bytes)
                 .map_err(|e| Failure::unrecoverable(format!("cannot load {path}: {e}")))?;
-            let session = args.get::<usize>("--session");
             let damage = match session {
                 Some(k) if k >= reader.len() => {
                     return Err(
@@ -647,7 +669,7 @@ impl Input {
             };
             (Opened::Corpus(reader), damage, session)
         } else {
-            if args.switch("--session") {
+            if session.is_some() {
                 return Err(format!("--session K needs a .lgzc corpus; {path} is not one").into());
             }
             let (opened, damage) = if bytes.starts_with(binary::MAGIC_PREFIX) {
@@ -896,10 +918,10 @@ impl Input {
     ) -> Result<T, Failure> {
         if let Some(warm) = self.source().and_then(|source| self.warm(source)) {
             if let Some(found) = answer(warm.summaries()) {
-                eprintln!(
-                    "rollup: cache hit ({} episode summaries, {how})",
+                to_stderr(format_args!(
+                    "rollup: cache hit ({} episode summaries, {how})\n",
                     warm.rollup().summaries.len()
-                );
+                ));
                 return Ok(found);
             }
         }
@@ -930,19 +952,27 @@ impl Input {
 }
 
 /// Mines every input's patterns through [`Input::answer`], one input at a
-/// time and in order; the exit code is the worst input's.
-fn mine_inputs(args: &Args<'_>) -> Result<(Vec<PatternSet>, ExitCode), Failure> {
-    let mut code = 0;
-    let sets = args
-        .paths
-        .iter()
-        .map(|path| {
-            let input = Input::load(args, path)?;
-            let patterns = input.patterns()?;
-            code = code.max(input.damage().verdict.exit_code());
-            Ok(patterns)
-        })
-        .collect::<Result<_, Failure>>()?;
+/// time and in order; the exit code is the worst input's. `--session K`
+/// selects member K of every corpus input, and is refused when no input
+/// is a corpus. With `members`, a whole corpus counts as one input per
+/// member, each mined as [`corpus_patterns`] mines it; otherwise it has
+/// to select one.
+fn mine_inputs(args: &Args<'_>, members: bool) -> Result<(Vec<PatternSet>, ExitCode), Failure> {
+    let session = args.get::<usize>("--session");
+    if session.is_some() && !args.paths.iter().any(|path| is_corpus_file(path)) {
+        return Err("--session K needs a .lgzc corpus among the inputs".into());
+    }
+    let (mut sets, mut code) = (Vec::with_capacity(args.paths.len()), 0);
+    for &path in &args.paths {
+        let bytes = read_input(path)?;
+        let session = session.filter(|_| corpus::is_corpus(&bytes));
+        let input = Input::open(args, path, bytes, session)?;
+        match input.corpus_wide().filter(|_| members) {
+            Some(reader) => sets.extend(corpus_patterns(&input, reader)?.1),
+            None => sets.push(input.patterns()?),
+        }
+        code = code.max(input.damage().verdict.exit_code());
+    }
     Ok((sets, ExitCode::from(code)))
 }
 
@@ -953,7 +983,7 @@ fn run_check(path: &str, bytes: &[u8]) -> Result<CheckOutcome, Failure> {
     let report = check_bytes(bytes.to_vec(), &mut RuleSet::standard())
         .map_err(|e| Failure::unrecoverable(format!("cannot check {path}: {e}")))?;
     if report.errors() > 0 {
-        eprint!("{}", report.render_text(path));
+        to_stderr(format_args!("{}", report.render_text(path)));
         return Err(Failure {
             msg: format!(
                 "check found {} error(s) in {path}; refusing analysis",
@@ -963,11 +993,11 @@ fn run_check(path: &str, bytes: &[u8]) -> Result<CheckOutcome, Failure> {
         });
     }
     if !report.is_clean() {
-        eprintln!(
-            "check: {path}: {} warning(s), {} note(s); analyzing anyway",
+        to_stderr(format_args!(
+            "check: {path}: {} warning(s), {} note(s); analyzing anyway\n",
             report.warnings(),
             report.notes()
-        );
+        ));
     }
     Ok(CheckOutcome {
         errors: report.errors() as u64,
@@ -987,7 +1017,7 @@ fn cmd_analyze(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Fail
     } else {
         None
     };
-    let input = Input::open(args, path, bytes)?;
+    let input = Input::open(args, path, bytes, args.get("--session"))?;
     if let Some(reader) = input.corpus_wide() {
         if args.switch("--histogram") {
             return Err("--histogram needs one session; select it with --session K".into());
@@ -1063,15 +1093,15 @@ fn cmd_analyze(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Fail
     Ok(input.exit_code())
 }
 
-/// Per-member `(episodes, perceptible)` counts, the merged cross-session
-/// patterns and the filtered-out total of a whole corpus.
-type CorpusPatterns = (Vec<(usize, usize)>, MultiPatternSet, u64);
+/// Per-member `(episodes, perceptible)` counts and pattern sets, and the
+/// filtered-out total of a whole corpus.
+type CorpusPatterns = (Vec<(usize, usize)>, Vec<PatternSet>, u64);
 
-/// A whole corpus's per-member `(episodes, perceptible)` counts, merged
-/// cross-session pattern table and filtered-out total, computed over the
-/// members' summaries one member at a time: each member's read from its
-/// own valid rollup when it carries one, else folded from the member as
-/// it decodes (mining reads no lag breakdowns).
+/// A whole corpus's per-member `(episodes, perceptible)` counts and
+/// pattern sets, and its filtered-out total, computed over the members'
+/// summaries one member at a time: each member's read from its own valid
+/// rollup when it carries one, else folded from the member as it decodes
+/// (mining reads no lag breakdowns).
 fn corpus_patterns(input: &Input, reader: &CorpusReader) -> Result<CorpusPatterns, Failure> {
     let (jobs, threshold) = (input.jobs, input.config.perceptible_threshold);
     let mine = |s: &Summaries<'_>| {
@@ -1101,17 +1131,17 @@ fn corpus_patterns(input: &Input, reader: &CorpusReader) -> Result<CorpusPattern
         } else {
             "the rest folded"
         };
-        eprintln!(
-            "rollup: cache hit ({warm} of {} sessions, {how})",
+        to_stderr(format_args!(
+            "rollup: cache hit ({warm} of {} sessions, {how})\n",
             reader.len()
-        );
+        ));
     }
-    let (counts, sets): (_, Vec<PatternSet>) = members.into_iter().unzip();
+    let (counts, sets) = members.into_iter().unzip();
     let excluded = reader
         .sessions()
         .map(|view| view.source().excluded_by(&input.filter) as u64)
         .sum();
-    Ok((counts, MultiPatternSet::merge(&sets), excluded))
+    Ok((counts, sets, excluded))
 }
 
 /// Corpus-wide `analyze`: one row per member session plus the merged
@@ -1123,7 +1153,8 @@ fn analyze_corpus(
     reader: &CorpusReader,
     stdout: &mut dyn Write,
 ) -> Result<ExitCode, Failure> {
-    let (counts, multi, excluded) = corpus_patterns(input, reader)?;
+    let (counts, sets, excluded) = corpus_patterns(input, reader)?;
+    let multi = MultiPatternSet::merge(&sets);
     let episodes: usize = counts.iter().map(|c| c.0).sum();
     let perceptible: usize = counts.iter().map(|c| c.1).sum();
     let damaged = reader.sessions().filter(SessionView::is_damaged).count();
@@ -1222,7 +1253,7 @@ fn cmd_patterns(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Fai
         if let Some(sort) = args.text("--sort").filter(|&sort| sort != "count") {
             return Err(format!("--sort {sort} needs one session (--session K)").into());
         }
-        let (_, multi, _) = corpus_patterns(&input, reader)?;
+        let multi = MultiPatternSet::merge(&corpus_patterns(&input, reader)?.1);
         writeln!(
             stdout,
             "{} sessions, {} merged patterns ({} recurring in every session)",
@@ -1748,7 +1779,7 @@ fn cmd_timeline(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Fai
 }
 
 fn cmd_stable(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
-    let (sets, code) = mine_inputs(args)?;
+    let (sets, code) = mine_inputs(args, true)?;
     let multi = MultiPatternSet::merge(&sets);
     writeln!(
         stdout,
@@ -1779,7 +1810,7 @@ fn cmd_stable(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failu
 }
 
 fn cmd_diff(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
-    let (sets, code) = mine_inputs(args)?;
+    let (sets, code) = mine_inputs(args, false)?;
     let [baseline, candidate] = sets.as_slice() else {
         unreachable!("diff takes two paths");
     };
@@ -1830,10 +1861,10 @@ fn cmd_experiments(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, 
     let jobs = jobs(args);
     fs::create_dir_all(&out_dir).map_err(|e| format!("cannot create {out_dir:?}: {e}"))?;
 
-    eprintln!(
-        "simulating {} apps x {sessions} sessions on {jobs} worker(s) ...",
+    to_stderr(format_args!(
+        "simulating {} apps x {sessions} sessions on {jobs} worker(s) ...\n",
         apps::standard_suite().len()
-    );
+    ));
     let study = Study::run_with_jobs(&apps::standard_suite(), sessions, seed, jobs);
 
     let table = table3::render(&study);

@@ -4,7 +4,8 @@
 //! `--jobs` 1 and 3,
 //! with default, extreme and unknown flags, and with stdout left open or
 //! closed early, exits within {0, 1, 2, 3}, never panics, and prints the
-//! same bytes at any `--jobs`. Every input the flag tables reject is a
+//! same bytes at any `--jobs`; with stderr closed it exits with the same
+//! code and prints the same stdout. Every input the flag tables reject is a
 //! usage error (exit 1) that prints nothing. The `help` text is locked in
 //! `tests/corpus/EXPECTED_HELP.txt`; after an intentional change to a
 //! command table or the help notes, regenerate it with
@@ -265,6 +266,40 @@ fn run_with_stdout_closed(args: &[&str]) {
     assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
 }
 
+/// The write end of a pipe whose read end is already closed: the stdin of
+/// a process that has exited.
+fn closed_pipe() -> Stdio {
+    let mut reader = Command::new(env!("CARGO_BIN_EXE_lagalyzer"))
+        .arg("apps")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::null())
+        .spawn()
+        .unwrap();
+    let write_end = reader.stdin.take().unwrap();
+    reader.wait().unwrap();
+    Stdio::from(write_end)
+}
+
+/// Runs `args` with stderr a pipe closed before the command starts: every
+/// note and error line it writes there fails, and the command must still
+/// exit with `code` and print `stdout`, as it does with stderr open.
+fn run_with_stderr_closed(args: &[&str], code: i32, stdout: &[u8]) {
+    let output = Command::new(env!("CARGO_BIN_EXE_lagalyzer"))
+        .args(args)
+        .stderr(closed_pipe())
+        .output()
+        .unwrap();
+    assert_eq!(
+        output.status.code(),
+        Some(code),
+        "{args:?} with stderr closed"
+    );
+    assert!(
+        output.stdout == stdout,
+        "{args:?} with stderr closed: stdout differs"
+    );
+}
+
 /// The matrix for the commands in `names`.
 fn matrix(tag: &str, names: &[&str]) {
     let dir = scratch_dir(tag);
@@ -293,6 +328,7 @@ fn matrix(tag: &str, names: &[&str]) {
                 }
                 if flags.is_empty() {
                     run_with_stdout_closed(&args);
+                    run_with_stderr_closed(&args, code, &stdout);
                 }
             }
         }
@@ -373,9 +409,39 @@ fn matrix_commands_without_an_input() {
         ),
     ];
     for (args, jobs, want) in cases {
-        let (code, _, _) = run_across_jobs(&args, jobs, &out);
+        let (code, stdout, _) = run_across_jobs(&args, jobs, &out);
         assert_eq!(Some(code), want, "{args:?}");
         run_with_stdout_closed(&args);
+        run_with_stderr_closed(&args, code, &stdout);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Commands that write notes or an error line to stderr keep their exit
+/// code and stdout when stderr is closed; each of these panicked (exit
+/// 101) on the write before.
+#[test]
+fn a_closed_stderr_keeps_the_exit_code_and_stdout() {
+    let dir = scratch_dir("stderr");
+    let missing = dir.join("missing.lgz");
+    let (gc, slow, corpus, salvaged) = (
+        fixture("tests/corpus/gc-storm-v3.lgz"),
+        fixture("tests/corpus/slow-io-v3.lgz"),
+        fixture("tests/corpus/corpus-v2.lgzc"),
+        fixture("tests/corpus/salvaged-lock-contention-v3.lgz"),
+    );
+    for (args, code) in [
+        (vec!["analyze", &gc], 0),
+        (vec!["analyze", missing.to_str().unwrap()], 1),
+        (vec!["patterns", &corpus], 2),
+        (vec!["analyze", &salvaged, "--salvage"], 2),
+        (vec!["stable", &gc, &slow], 0),
+        (vec!["stable", &gc, &slow, &clean()], 0),
+    ] {
+        let open = lagalyzer(&args);
+        assert_eq!(open.status.code(), Some(code), "{args:?}");
+        assert!(!open.stderr.is_empty(), "{args:?} writes to stderr");
+        run_with_stderr_closed(&args, code, &open.stdout);
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -519,10 +585,12 @@ fn flags_a_command_would_ignore_are_usage_errors() {
     for command in [
         "analyze", "patterns", "outliers", "hazards", "sketch", "timeline", "stable", "diff",
     ] {
+        // `stable` and `diff` refuse `--session K` when no input is a
+        // corpus.
         for input in [clean.as_str(), text.as_str()] {
             let mut args = vec![command, input, "--session", "0"];
             if matches!(command, "stable" | "diff") {
-                args.insert(2, &corpus);
+                args.insert(2, &clean);
             }
             runs.push((args, "--session"));
         }
@@ -567,6 +635,10 @@ fn flags_a_command_would_ignore_are_usage_errors() {
         vec!["analyze", &text, "--salvage"],
         vec!["stable", &clean, &text, "--salvage"],
         vec!["diff", &clean, &clean, "--salvage"],
+        vec!["stable", &clean, &corpus, "--session", "0"],
+        vec!["stable", &text, &corpus, "--session", "0"],
+        vec!["diff", &clean, &corpus, "--session", "0"],
+        vec!["diff", &text, &corpus, "--session", "0"],
     ] {
         let code = lagalyzer(&args).status.code();
         assert!(matches!(code, Some(0 | 2)), "{args:?}: {code:?}");

@@ -19,8 +19,13 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-use lagalyzer_trace::corpus::{self, PackOptions};
+use lagalyzer_core::{AnalysisConfig, AnalysisSession, MultiPatternSet, PatternSet, SessionDiff};
+use lagalyzer_trace::corpus::{self, CorpusReader, PackOptions};
 use lagalyzer_trace::IndexedTrace;
+
+#[path = "support/reports.rs"]
+mod reports;
+use reports::{diff_text, stable_text};
 
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -429,6 +434,88 @@ fn members_answer_warm(fixture: &Fixture) {
             );
         }
     }
+}
+
+/// The members of the corpus at `path`, each decoded through the library.
+fn decoded_members(path: &str) -> Vec<AnalysisSession> {
+    let reader = CorpusReader::open(std::fs::read(path).unwrap()).unwrap();
+    reader
+        .sessions()
+        .map(|view| {
+            let trace = view.source().decode(1).unwrap();
+            AnalysisSession::new(trace, AnalysisConfig::default())
+        })
+        .collect()
+}
+
+/// The `.lgz` at `path`, decoded through the library.
+fn decoded_file(path: &str) -> AnalysisSession {
+    let trace = IndexedTrace::open(std::fs::read(path).unwrap())
+        .unwrap()
+        .par_decode(1)
+        .unwrap();
+    AnalysisSession::new(trace, AnalysisConfig::default())
+}
+
+/// `stable` takes a whole corpus as one trace per member: it prints the
+/// library's `MultiPatternSet::merge` over the members' pattern sets,
+/// warm or cold and at any `--jobs`, and exits 2 because member 3 is
+/// damaged. Beside a `.lgz`, `--session K` selects member K.
+#[test]
+fn stable_takes_a_corpus_as_one_trace_per_member() {
+    let corpus_path = corpus_dir().join(V2.corpus);
+    let corpus_path = corpus_path.to_str().unwrap();
+    let sets: Vec<PatternSet> = decoded_members(corpus_path)
+        .iter()
+        .map(AnalysisSession::mine_patterns)
+        .collect();
+    let whole = stable_text(&MultiPatternSet::merge(&sets));
+    for cache in [&[][..], &["--no-cache"]] {
+        for jobs in ["1", "3"] {
+            let args = [&["stable", corpus_path, "--jobs", jobs][..], cache].concat();
+            let output = lagalyzer(&args);
+            assert_eq!(output.status.code(), Some(2), "{args:?}");
+            assert_eq!(String::from_utf8(output.stdout).unwrap(), whole, "{args:?}");
+        }
+    }
+    let gc_path = corpus_dir().join(V2.clean[0]);
+    let gc_path = gc_path.to_str().unwrap();
+    let gc = decoded_file(gc_path).mine_patterns();
+    for (k, set) in sets.iter().enumerate() {
+        let k_arg = k.to_string();
+        let args = ["stable", corpus_path, gc_path, "--session", &k_arg];
+        let output = lagalyzer(&args);
+        let want = stable_text(&MultiPatternSet::merge(&[set.clone(), gc.clone()]));
+        let code = if k == 3 { 2 } else { 0 };
+        assert_eq!(output.status.code(), Some(code), "{args:?}");
+        assert_eq!(String::from_utf8(output.stdout).unwrap(), want, "{args:?}");
+    }
+}
+
+/// `diff` of a corpus member against a `.lgz`: `--session K` selects
+/// member K, and the report is the library's `SessionDiff` of that
+/// member's trace against the `.lgz`. A whole corpus still has to select
+/// a member.
+#[test]
+fn diff_takes_a_corpus_member_beside_a_trace() {
+    let corpus_path = corpus_dir().join(V2.corpus);
+    let corpus_path = corpus_path.to_str().unwrap();
+    let gc_path = corpus_dir().join(V2.clean[0]);
+    let gc_path = gc_path.to_str().unwrap();
+    let gc = decoded_file(gc_path);
+    for (k, member) in decoded_members(corpus_path).iter().enumerate() {
+        let k_arg = k.to_string();
+        let args = ["diff", corpus_path, gc_path, "--session", &k_arg];
+        let output = lagalyzer(&args);
+        let code = if k == 3 { 2 } else { 0 };
+        assert_eq!(output.status.code(), Some(code), "{args:?}");
+        let want = diff_text(&SessionDiff::between(member, &gc));
+        assert_eq!(String::from_utf8(output.stdout).unwrap(), want, "{args:?}");
+    }
+    let whole = lagalyzer(&["diff", corpus_path, gc_path]);
+    assert_eq!(whole.status.code(), Some(1));
+    assert!(whole.stdout.is_empty());
+    assert!(String::from_utf8_lossy(&whole.stderr).contains("--session K"));
 }
 
 /// `pack` through the binary, then corpus-wide `analyze` at several job

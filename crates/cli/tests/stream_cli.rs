@@ -43,6 +43,10 @@ use lagalyzer_viz::sketch::{render_pattern_gallery, SketchOptions};
 use lagalyzer_viz::timeline::{render_timeline, TimelineOptions};
 use proptest::prelude::*;
 
+#[path = "support/reports.rs"]
+mod reports;
+use reports::{diff_text, stable_text};
+
 /// Temp scratch dir keyed by pid so parallel test binaries never collide.
 fn scratch_dir() -> PathBuf {
     let dir = std::env::temp_dir().join(format!("lagalyzer-stream-cli-{}", std::process::id()));
@@ -481,69 +485,6 @@ fn check_checker(input: &Input) {
     }
 }
 
-/// The `stable` and `diff` report, rendered as the CLI prints it.
-fn stable_text(multi: &MultiPatternSet) -> String {
-    let mut out = format!(
-        "{} traces, {} merged patterns ({} recurring in every trace)\n\
-         stable slow patterns (perceptible wherever they occur):\n",
-        multi.sessions(),
-        multi.len(),
-        multi.recurring().count()
-    );
-    let problems = multi.stable_problems();
-    for (i, p) in problems.iter().take(15).enumerate() {
-        let sig: String = p.signature().as_str().chars().take(70).collect();
-        out.push_str(&format!(
-            "  {i:>2}. {:>4} episodes / {:>3} perceptible, total {} — {sig}\n",
-            p.total_episodes(),
-            p.total_perceptible(),
-            p.total_lag(),
-        ));
-    }
-    if problems.is_empty() {
-        out.push_str("  (none)\n");
-    }
-    out
-}
-
-/// The `diff` report, rendered as the CLI prints it.
-fn diff_text(diff: &SessionDiff) -> String {
-    const TOLERANCE: f64 = 0.20;
-    let trim = |sig: &ShapeSignature| -> String { sig.as_str().chars().take(64).collect() };
-    let mut out = format!("{}\n", diff.summary(TOLERANCE));
-    let sections = [
-        (
-            "regressions (mean lag, perceptible count)",
-            diff.regressions(TOLERANCE),
-        ),
-        ("improvements", diff.improvements(TOLERANCE)),
-    ];
-    for (title, deltas) in sections {
-        if !deltas.is_empty() {
-            out.push_str(&format!("\n{title}:\n"));
-        }
-        for d in deltas.iter().take(10) {
-            out.push_str(&format!(
-                "  {} -> {}  ({} -> {} perceptible)  {}\n",
-                d.baseline_mean,
-                d.candidate_mean,
-                d.baseline_perceptible,
-                d.candidate_perceptible,
-                trim(&d.signature)
-            ));
-        }
-    }
-    for (title, patterns) in [("new", &diff.appeared), ("disappeared", &diff.disappeared)] {
-        if !patterns.is_empty() {
-            out.push_str(&format!("\n{title} patterns (episodes, perceptible):\n"));
-        }
-        for (sig, eps, perc) in patterns.iter().take(10) {
-            out.push_str(&format!("  {eps:>5} {perc:>4}  {}\n", trim(sig)));
-        }
-    }
-    out
-}
-
 /// The second input of `stable` and `diff` next to `input`, read with
 /// the same flags: for the corpus kinds a corpus whose member 1 (the one
 /// `--session 1` selects) is `other`, else a `.lgz` of `other`; both carry
@@ -626,7 +567,7 @@ fn expected_corpus_hazards(input: &Input, filter: &EpisodeFilter) -> Vec<(Vec<St
     let reader = CorpusReader::open(input.bytes.clone()).unwrap();
     let traces: Vec<SessionTrace> = reader
         .sessions()
-        .map(|view| view.decode_filtered(1, filter).unwrap())
+        .map(|view| view.source().decode_filtered(1, filter).unwrap())
         .collect();
     let mut symbols = reader.global_symbols().clone();
     let report = HazardReport::analyze_corpus(&traces, &mut symbols, 1, &HazardConfig::default());

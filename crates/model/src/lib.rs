@@ -61,7 +61,7 @@ pub use sample::{
     SampleSnapshot, Samples, SnapshotIter, SnapshotView, StackFrame, ThreadIter, ThreadSample,
     ThreadState, ThreadView,
 };
-pub use session::{EpisodeFragment, GcEvent, SessionMeta, SessionTrace, SessionTraceBuilder};
+pub use session::{GcEvent, SessionMeta, SessionTrace, SessionTraceBuilder};
 pub use symbols::{CodeOrigin, MethodRef, OriginClassifier, SymbolTable};
 pub use time::{DurationNs, TimeNs};
 pub use tree::{IntervalTree, IntervalTreeBuilder, PreOrder};
@@ -83,9 +83,7 @@ pub mod prelude {
     pub use crate::sample::{
         SampleSnapshot, Samples, SnapshotView, StackFrame, ThreadSample, ThreadState, ThreadView,
     };
-    pub use crate::session::{
-        EpisodeFragment, GcEvent, SessionMeta, SessionTrace, SessionTraceBuilder,
-    };
+    pub use crate::session::{GcEvent, SessionMeta, SessionTrace, SessionTraceBuilder};
     pub use crate::symbols::{CodeOrigin, MethodRef, OriginClassifier, SymbolTable};
     pub use crate::time::{DurationNs, TimeNs};
     pub use crate::tree::{IntervalTree, IntervalTreeBuilder};

@@ -115,95 +115,9 @@ impl SessionTrace {
     }
 }
 
-/// An ordered run of episodes assembled by one decode worker, merged
-/// into a [`SessionTraceBuilder`] wholesale.
-///
-/// The parallel decode path shards a session's episodes into contiguous
-/// ranges; each worker decodes its range into a fragment of its own,
-/// enforcing dispatch ordering *locally* as it pushes. Because each
-/// fragment is internally non-decreasing, the final merge only has to
-/// compare fragment boundaries and can move every episode in one bulk
-/// append ([`SessionTraceBuilder::append_fragment`]) instead of re-running
-/// the per-episode order check a second time on one thread. The union of
-/// the local checks and the boundary checks is exactly the set of
-/// adjacent-pair comparisons the serial builder performs, so accepted and
-/// rejected inputs are identical to pushing every episode serially.
-#[derive(Debug, Default)]
-pub struct EpisodeFragment {
-    episodes: Vec<Episode>,
-}
-
-impl EpisodeFragment {
-    /// An empty fragment.
-    pub fn new() -> EpisodeFragment {
-        EpisodeFragment::default()
-    }
-
-    /// An empty fragment with room for `n` episodes.
-    pub fn with_capacity(n: usize) -> EpisodeFragment {
-        EpisodeFragment {
-            episodes: Vec::with_capacity(n),
-        }
-    }
-
-    /// Appends an episode, enforcing dispatch ordering within the
-    /// fragment.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the episode starts before the previously pushed one.
-    pub fn push(&mut self, episode: Episode) -> Result<(), ModelError> {
-        if let Some(last) = self.episodes.last() {
-            if episode.start() < last.start() {
-                return Err(ModelError::EpisodeOrder {
-                    previous: last.start(),
-                    at: episode.start(),
-                });
-            }
-        }
-        self.episodes.push(episode);
-        Ok(())
-    }
-
-    /// Appends an episode if it keeps the fragment ordered, dropping it
-    /// otherwise; returns whether it was kept. This mirrors the salvage
-    /// decoder's defensive per-episode drop.
-    pub fn push_lenient(&mut self, episode: Episode) -> bool {
-        self.push(episode).is_ok()
-    }
-
-    /// Number of episodes in the fragment.
-    pub fn len(&self) -> usize {
-        self.episodes.len()
-    }
-
-    /// `true` when the fragment holds no episodes.
-    pub fn is_empty(&self) -> bool {
-        self.episodes.is_empty()
-    }
-
-    /// Dispatch time of the fragment's first episode.
-    pub fn first_start(&self) -> Option<TimeNs> {
-        self.episodes.first().map(Episode::start)
-    }
-
-    /// Dispatch time of the fragment's last episode.
-    pub fn last_start(&self) -> Option<TimeNs> {
-        self.episodes.last().map(Episode::start)
-    }
-
-    /// The episodes, in push order.
-    pub fn episodes(&self) -> &[Episode] {
-        &self.episodes
-    }
-
-    /// Consumes the fragment, yielding its episodes.
-    pub fn into_episodes(self) -> Vec<Episode> {
-        self.episodes
-    }
-}
-
-/// Builder assembling a [`SessionTrace`], validating episode ordering.
+/// Builder assembling a [`SessionTrace`];
+/// [`push_episode`](SessionTraceBuilder::push_episode) validates episode
+/// ordering.
 #[derive(Debug)]
 pub struct SessionTraceBuilder {
     meta: SessionMeta,
@@ -250,63 +164,23 @@ impl SessionTraceBuilder {
         Ok(())
     }
 
-    /// Reserves room for `additional` more episodes, so a sharded merge
-    /// can size the final vector once up front.
-    pub fn reserve_episodes(&mut self, additional: usize) {
-        self.episodes.reserve(additional);
-    }
-
-    /// Bulk-appends a worker-built [`EpisodeFragment`].
+    /// Moves runs of decoded episodes into the trace, reserving their total
+    /// once and then moving each run in one `Vec::append`.
     ///
-    /// The fragment enforced ordering internally as it was filled, so only
-    /// the boundary — the builder's last episode against the fragment's
-    /// first — needs checking here; the episodes then move in one
-    /// `Vec::append`. Appending fragments in shard order accepts exactly
-    /// the inputs [`push_episode`](Self::push_episode) would accept one
-    /// episode at a time.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the fragment's first episode starts before the builder's
-    /// last one. The builder is unchanged on error.
-    pub fn append_fragment(&mut self, fragment: EpisodeFragment) -> Result<(), ModelError> {
-        if let (Some(last), Some(first)) = (self.episodes.last(), fragment.first_start()) {
-            if first < last.start() {
-                return Err(ModelError::EpisodeOrder {
-                    previous: last.start(),
-                    at: first,
-                });
-            }
+    /// Unlike [`push_episode`](Self::push_episode), this does not check
+    /// the order (debug builds assert it): the runs must already be in
+    /// dispatch order, each starting no earlier than the episodes before
+    /// it. A sharded decode enforces that as it decodes, so its merge does
+    /// not compare the episodes a second time.
+    pub fn append_ordered(&mut self, runs: Vec<Vec<Episode>>) {
+        self.episodes.reserve(runs.iter().map(Vec::len).sum());
+        for mut run in runs {
+            self.episodes.append(&mut run);
         }
-        let mut episodes = fragment.into_episodes();
-        self.episodes.append(&mut episodes);
-        Ok(())
-    }
-
-    /// Bulk-appends a fragment, dropping the prefix of episodes that start
-    /// before the builder's last episode; returns how many were dropped.
-    ///
-    /// Because the fragment is internally non-decreasing, every episode
-    /// after the first in-order one is in order too, so a prefix drop at
-    /// the boundary reproduces exactly the per-episode drops a lenient
-    /// serial loop (`let _ = push_episode(..)`) would make. Used by the
-    /// salvage decode path, which tolerates out-of-order extents.
-    pub fn append_fragment_lenient(&mut self, fragment: EpisodeFragment) -> usize {
-        let floor = match self.episodes.last() {
-            Some(last) => last.start(),
-            None => {
-                let len = fragment.len();
-                let mut episodes = fragment.into_episodes();
-                self.episodes.append(&mut episodes);
-                debug_assert_eq!(len, self.episodes.len());
-                return 0;
-            }
-        };
-        let mut episodes = fragment.into_episodes();
-        let keep_from = episodes.partition_point(|e| e.start() < floor);
-        episodes.drain(..keep_from);
-        self.episodes.append(&mut episodes);
-        keep_from
+        debug_assert!(self
+            .episodes
+            .windows(2)
+            .all(|w| w[0].start() <= w[1].start()));
     }
 
     /// Records that `n` more episodes with `total` combined duration were
@@ -391,91 +265,6 @@ mod tests {
         b.push_episode(episode(0, 100, 200)).unwrap();
         let err = b.push_episode(episode(1, 50, 80)).unwrap_err();
         assert!(matches!(err, ModelError::EpisodeOrder { .. }));
-    }
-
-    #[test]
-    fn fragment_enforces_internal_order() {
-        let mut f = EpisodeFragment::with_capacity(2);
-        f.push(episode(0, 100, 200)).unwrap();
-        let err = f.push(episode(1, 50, 80)).unwrap_err();
-        assert!(matches!(err, ModelError::EpisodeOrder { .. }));
-        assert!(!f.push_lenient(episode(2, 50, 80)));
-        assert!(f.push_lenient(episode(3, 100, 300)));
-        assert_eq!(f.len(), 2);
-        assert_eq!(f.first_start(), Some(ms(100)));
-        assert_eq!(f.last_start(), Some(ms(100)));
-    }
-
-    #[test]
-    fn append_fragment_matches_serial_pushes() {
-        // Split one episode sequence into fragments and merge; the result
-        // must equal pushing every episode through one builder.
-        let episodes: Vec<Episode> = (0..10)
-            .map(|i| episode(i, 10 * u64::from(i), 1000))
-            .collect();
-        let mut serial = SessionTraceBuilder::new(meta(), SymbolTable::new());
-        for e in &episodes {
-            serial.push_episode(e.clone()).unwrap();
-        }
-        let mut merged = SessionTraceBuilder::new(meta(), SymbolTable::new());
-        merged.reserve_episodes(episodes.len());
-        for chunk in episodes.chunks(3) {
-            let mut f = EpisodeFragment::with_capacity(chunk.len());
-            for e in chunk {
-                f.push(e.clone()).unwrap();
-            }
-            merged.append_fragment(f).unwrap();
-        }
-        assert_eq!(serial.finish().episodes(), merged.finish().episodes());
-    }
-
-    #[test]
-    fn append_fragment_rejects_boundary_violation() {
-        let mut b = SessionTraceBuilder::new(meta(), SymbolTable::new());
-        b.push_episode(episode(0, 100, 200)).unwrap();
-        let mut f = EpisodeFragment::new();
-        f.push(episode(1, 50, 80)).unwrap();
-        f.push(episode(2, 150, 250)).unwrap();
-        let err = b.append_fragment(f).unwrap_err();
-        assert!(matches!(err, ModelError::EpisodeOrder { .. }));
-        // The builder is unchanged on error.
-        assert_eq!(b.finish().episodes().len(), 1);
-    }
-
-    #[test]
-    fn append_fragment_lenient_drops_same_prefix_as_serial_loop() {
-        // Fragment [50, 150, 250] against a builder ending at 100: the
-        // serial lenient loop drops only the 50 (150 and 250 then clear
-        // the new floor), and so must the prefix drop.
-        let mut serial = SessionTraceBuilder::new(meta(), SymbolTable::new());
-        serial.push_episode(episode(0, 100, 200)).unwrap();
-        let frag_eps = [
-            episode(1, 50, 80),
-            episode(2, 150, 250),
-            episode(3, 250, 300),
-        ];
-        for e in &frag_eps {
-            let _ = serial.push_episode(e.clone());
-        }
-        let mut merged = SessionTraceBuilder::new(meta(), SymbolTable::new());
-        merged.push_episode(episode(0, 100, 200)).unwrap();
-        let mut f = EpisodeFragment::new();
-        for e in &frag_eps {
-            f.push(e.clone()).unwrap();
-        }
-        assert_eq!(merged.append_fragment_lenient(f), 1);
-        assert_eq!(serial.finish().episodes(), merged.finish().episodes());
-    }
-
-    #[test]
-    fn append_fragment_lenient_into_empty_builder_keeps_all() {
-        let mut b = SessionTraceBuilder::new(meta(), SymbolTable::new());
-        let mut f = EpisodeFragment::new();
-        f.push(episode(0, 10, 20)).unwrap();
-        f.push(episode(1, 30, 40)).unwrap();
-        assert_eq!(b.append_fragment_lenient(f), 0);
-        assert_eq!(b.append_fragment_lenient(EpisodeFragment::new()), 0);
-        assert_eq!(b.finish().episodes().len(), 2);
     }
 
     #[test]

@@ -65,8 +65,7 @@ use std::sync::OnceLock;
 
 use lagalyzer_model::parallel::map_shards_init;
 use lagalyzer_model::{
-    DurationNs, Episode, EpisodeFragment, GcEvent, SessionMeta, SessionTrace, SymbolId,
-    SymbolTable, TimeNs,
+    DurationNs, Episode, GcEvent, SessionMeta, SessionTrace, SymbolId, SymbolTable, TimeNs,
 };
 
 use crate::binary::{read_header, write_header};
@@ -79,7 +78,7 @@ use crate::index::{
 use crate::record::SessionRecords;
 use crate::rollup::{Rollup, RollupHealth};
 use crate::salvage::{DamageVerdict, SalvageReport};
-use crate::source::{RollupRef, SessionSource};
+use crate::source::{DecodedRun, RollupRef, SessionSource};
 use crate::varint;
 
 /// The version-independent corpus signature (byte 8 is the version).
@@ -941,63 +940,67 @@ impl CorpusReader {
         (session, slot - self.slot_base[session])
     }
 
-    /// Decodes every session by fanning `(session, extent-batch)` work
-    /// items over `jobs` worker threads — one flattened slot space, so a
-    /// short session never strands a worker. Each session's fragments are
-    /// assembled through its [`SessionSource`], so results are
-    /// byte-identical to decoding each session separately, for any job
-    /// count.
+    /// Decodes every session by fanning `(session, extent run)` work items
+    /// over `jobs` worker threads: one flattened slot space, so a short
+    /// session never strands a worker. Each run is one shard of its
+    /// session's [`SessionSource::decode`], and each session's runs merge
+    /// through that decode's merge, so results are byte-identical to
+    /// decoding each session separately, for any job count.
     ///
     /// # Errors
     ///
-    /// Propagates the first (in corpus order) extent decode failure of a
-    /// non-salvaged session.
+    /// Propagates the first (in corpus order) failing run's decode or
+    /// ordering failure, then the first session's ordering failure between
+    /// runs. Only a non-salvaged session fails on order.
     pub fn par_decode(&self, jobs: usize) -> Result<Vec<SessionTrace>, TraceError> {
         let sources: Vec<SessionSource<'_>> = self.sessions().map(|v| v.source()).collect();
-        let shards = map_shards_init(
+        let runs = map_shards_init(
             self.total_episodes(),
             jobs,
             DecodeScratch::default,
             |scratch, slots| self.decode_slots(&sources, slots, scratch),
         );
-        let mut fragments: Vec<Vec<EpisodeFragment>> = sources.iter().map(|_| Vec::new()).collect();
-        for shard in shards {
-            for (session, fragment) in shard? {
-                fragments[session].push(fragment);
-            }
-        }
-        sources
-            .iter()
-            .zip(fragments)
-            .map(|(source, fragments)| source.assemble(fragments))
-            .collect()
+        self.merge_runs(&sources, runs)
     }
 
-    /// Decodes one shard of flat slots into per-session fragments (a new
-    /// fragment starts whenever the slot walk crosses a session
-    /// boundary).
+    /// Decodes one shard of flat slots into one run per session it covers.
     fn decode_slots(
         &self,
         sources: &[SessionSource<'_>],
         slots: Range<usize>,
         scratch: &mut DecodeScratch,
-    ) -> Result<Vec<(usize, EpisodeFragment)>, TraceError> {
-        let mut out: Vec<(usize, EpisodeFragment)> = Vec::new();
-        let end = slots.end;
-        for slot in slots {
+    ) -> Result<Vec<(usize, DecodedRun)>, TraceError> {
+        let mut runs = Vec::new();
+        let mut slot = slots.start;
+        while slot < slots.end {
             let (session, i) = self.locate(slot);
-            let source = &sources[session];
-            let episode = source.decode_with(i, scratch)?;
-            if out.last().map(|(s, _)| *s) != Some(session) {
-                let remaining = self.slot_base[session + 1].min(end) - slot;
-                out.push((session, EpisodeFragment::with_capacity(remaining)));
-            }
-            source.push(
-                &mut out.last_mut().expect("fragment just ensured").1,
-                episode,
-            )?;
+            let end = self.slot_base[session + 1].min(slots.end);
+            let run = sources[session].decode_run(scratch, i..i + end - slot)?;
+            runs.push((session, run));
+            slot = end;
         }
-        Ok(out)
+        Ok(runs)
+    }
+
+    /// Hands each session its runs, in slot order, and merges them into
+    /// its trace. The first failing shard of flat slots fails the decode
+    /// before any session merges.
+    fn merge_runs(
+        &self,
+        sources: &[SessionSource<'_>],
+        shards: Vec<Result<Vec<(usize, DecodedRun)>, TraceError>>,
+    ) -> Result<Vec<SessionTrace>, TraceError> {
+        let mut runs: Vec<Vec<DecodedRun>> = sources.iter().map(|_| Vec::new()).collect();
+        for shard in shards {
+            for (session, run) in shard? {
+                runs[session].push(run);
+            }
+        }
+        sources
+            .iter()
+            .zip(runs)
+            .map(|(source, runs)| source.collect_runs(runs))
+            .collect()
     }
 }
 
@@ -1075,44 +1078,6 @@ impl<'a> SessionView<'a> {
         } else {
             DamageVerdict::Clean
         }
-    }
-
-    /// Randomly accesses episode `i` — O(1) via the corpus extent index.
-    ///
-    /// # Errors
-    ///
-    /// Fails when `i` is out of range or the extent's bytes do not
-    /// decode.
-    pub fn decode_episode(&self, i: usize) -> Result<Episode, TraceError> {
-        self.source().decode_episode(i)
-    }
-
-    /// Decodes this session alone, fanning its extents over `jobs`
-    /// workers — byte-identical to `IndexedTrace::par_decode` on the
-    /// session's original file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first extent decode failure (non-salvaged
-    /// sessions).
-    pub fn decode(&self, jobs: usize) -> Result<SessionTrace, TraceError> {
-        self.source().decode(jobs)
-    }
-
-    /// Like [`decode`](SessionView::decode), but only decodes episodes
-    /// the filter admits — the filter rides the corpus extent index, so
-    /// excluded episodes' bytes are never parsed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first extent decode failure (non-salvaged
-    /// sessions).
-    pub fn decode_filtered(
-        &self,
-        jobs: usize,
-        filter: &EpisodeFilter,
-    ) -> Result<SessionTrace, TraceError> {
-        self.source().decode_filtered(jobs, filter)
     }
 }
 
@@ -1616,7 +1581,7 @@ mod tests {
         // compressor would not write for its payload.
         let golden = CorpusReader::open(GOLDEN.to_vec()).unwrap();
         let mut bytes = Vec::new();
-        crate::binary::write(&golden.session(0).decode(1).unwrap(), &mut bytes).unwrap();
+        crate::binary::write(&golden.session(0).source().decode(1).unwrap(), &mut bytes).unwrap();
         let trace = IndexedTrace::open(bytes).unwrap();
         let rebased = Encoded::of_indexed(&trace);
         let tokens = split_first_literal(&lz::compress(&rebased.payload));
@@ -1683,7 +1648,7 @@ mod tests {
         // flipped sample time the decode puts back in order) is
         // compressed again.
         let mut bytes = Vec::new();
-        crate::binary::write(&golden.session(0).decode(1).unwrap(), &mut bytes).unwrap();
+        crate::binary::write(&golden.session(0).source().decode(1).unwrap(), &mut bytes).unwrap();
         let (opened, stale, fresh) = (0..200)
             .find_map(|seed| {
                 let damaged = FaultInjector::new(seed).inject(&bytes).0;
@@ -1750,9 +1715,9 @@ mod tests {
             let reader = CorpusReader::open(bytes).unwrap();
             reader.par_decode(2).unwrap();
             for view in reader.sessions() {
-                view.decode(1).unwrap();
-                view.decode_episode(0).unwrap();
                 let source = view.source();
+                source.decode(1).unwrap();
+                source.decode_episode(0).unwrap();
                 assert_eq!(source.len(), source.extents().len());
                 assert!(!source.meta().application.is_empty());
                 source.excluded_by(&EpisodeFilter::default());
@@ -1826,6 +1791,69 @@ mod tests {
                 let view = reader.session(session);
                 assert_eq!(view.rollup_health(), &health, "{name} session {session}");
                 assert_eq!(view.source().rollup(), None, "{name} session {session}");
+            }
+        }
+    }
+
+    /// `par_decode` of a corpus with one strict and one salvaged member,
+    /// each with its extent table permuted, keeps in every member exactly
+    /// what the serial rule keeps, and fails with an ordering error when
+    /// the strict member is out of order: at `--jobs` 1–4, with the serial
+    /// error text at 1, and over flat slot runs cut by hand through the
+    /// run and merge functions, so the cross-run merge and the lenient
+    /// refold run whatever the machine's parallelism.
+    #[test]
+    fn par_decode_keeps_what_the_serial_rule_keeps_in_every_member() {
+        use crate::source::tests::{assert_same, orders, parts, serial, split, trace, Parts};
+        let (strict_n, lenient_n) = (40, 36);
+        let open = |n: usize, salvage: bool| {
+            let mut bytes = Vec::new();
+            crate::binary::write(&trace(n as u32), &mut bytes).unwrap();
+            let opened = if salvage {
+                IndexedTrace::open_salvage(bytes)
+            } else {
+                IndexedTrace::open(bytes)
+            };
+            opened.unwrap()
+        };
+        let members = [open(strict_n, false), open(lenient_n, true)];
+        let packed = pack(&members, PackOptions::default()).unwrap();
+        let decoded = |traces: Result<Vec<SessionTrace>, TraceError>| {
+            traces.map(|traces| traces.iter().map(parts).collect::<Vec<_>>())
+        };
+        let in_order: Vec<usize> = (0..strict_n).collect();
+        for (order, lenient_order) in orders(strict_n).iter().zip(orders(lenient_n)) {
+            // With the strict member in order, the salvaged member's
+            // result is what par_decode returns.
+            for strict_order in [order, &in_order] {
+                let mut reader = CorpusReader::open(packed.clone()).unwrap();
+                let permuted = [strict_order, &lenient_order];
+                for (entry, order) in reader.sessions.iter_mut().zip(permuted) {
+                    entry.extents = order.iter().map(|&i| entry.extents[i]).collect();
+                }
+                let sources: Vec<SessionSource<'_>> =
+                    reader.sessions().map(|v| v.source()).collect();
+                assert!(!sources[0].is_lenient() && sources[1].is_lenient());
+                let reference: Result<Vec<Parts>, TraceError> = sources
+                    .iter()
+                    .map(|source| serial(source, &EpisodeFilter::default()).map(|t| parts(&t)))
+                    .collect();
+                let orders = format!("orders {strict_order:?} and {lenient_order:?}");
+                for jobs in 1..=4 {
+                    let got = decoded(reader.par_decode(jobs));
+                    let context = format!("{orders} jobs {jobs}");
+                    assert_same(got, reference.as_ref(), jobs == 1, &context);
+                }
+                for layout in 0..8 {
+                    let mut scratch = DecodeScratch::default();
+                    let runs = split(reader.total_episodes(), layout)
+                        .into_iter()
+                        .map(|slots| reader.decode_slots(&sources, slots, &mut scratch))
+                        .collect();
+                    let got = decoded(reader.merge_runs(&sources, runs));
+                    let context = format!("{orders} layout {layout}");
+                    assert_same(got, reference.as_ref(), false, &context);
+                }
             }
         }
     }

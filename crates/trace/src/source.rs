@@ -6,19 +6,22 @@
 //! offsets point into, and the session-level records hoisted out of the
 //! episode stream (symbol table, GC events, short-episode counters).
 //! A [`SessionSource`] borrows exactly those parts, plus the salvaged
-//! (lenient) flag and the rollup, and holds the only
-//! implementation of filtered, subset and single-episode decode and of
-//! assembling decoded fragments into a [`SessionTrace`]. That is what makes
-//! a corpus session decode byte-identical to its original file.
+//! (lenient) flag and the rollup, and holds the only implementation of
+//! filtered, subset and single-episode decode. That is what makes a
+//! corpus session decode byte-identical to its original file.
 //!
-//! [`SessionSource::fold`] is the streaming twin of
-//! [`SessionSource::decode_filtered`]: the same extents, checks and
-//! ordering rule, but each decoded episode is lent to a consumer and
-//! dropped instead of being kept in a trace, so an analysis that is a fold
-//! over episodes never holds more than one decoded episode per worker.
-//! Both fail where [`binary::read`] would: on an episode that does not
-//! decode or comes out of order and, when they admit every extent of a
-//! footer-indexed `.lgz`, on a record count other than the declared one.
+//! Every decode of a session's admitted extents is one sharded fold,
+//! [`SessionSource::fold`]: workers decode contiguous shards, and the
+//! shard loop and its merge are the one place that applies the ordering
+//! rule, drops what a lenient session drops, and checks the declared
+//! record count. A fold lends each decoded episode to a consumer and
+//! drops it, so an analysis that is a fold over episodes never holds more
+//! than one decoded episode per worker; [`SessionSource::decode_filtered`]
+//! is the same fold with a step that keeps each episode, and its merge
+//! moves each shard's episodes into the trace at once. Both fail where
+//! [`binary::read`] would: on an episode that does not decode or comes
+//! out of order and, when they admit every extent of a footer-indexed
+//! `.lgz`, on a record count other than the declared one.
 //!
 //! [`binary::read`]: crate::binary::read
 //!
@@ -29,8 +32,8 @@ use std::ops::Range;
 
 use lagalyzer_model::parallel::map_shards_init;
 use lagalyzer_model::{
-    DurationNs, Episode, EpisodeFragment, GcEvent, ModelError, SessionMeta, SessionTrace,
-    SessionTraceBuilder, SymbolTable, TimeNs,
+    DurationNs, Episode, GcEvent, ModelError, SessionMeta, SessionTrace, SessionTraceBuilder,
+    SymbolTable, TimeNs,
 };
 
 use crate::error::TraceError;
@@ -195,7 +198,7 @@ impl<'a> SessionSource<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates the first extent decode failure.
+    /// As [`decode_filtered`](Self::decode_filtered).
     pub fn decode(&self, jobs: usize) -> Result<SessionTrace, TraceError> {
         self.decode_filtered(jobs, &EpisodeFilter::default())
     }
@@ -204,40 +207,58 @@ impl<'a> SessionSource<'a> {
     /// workers; excluded episodes' bytes are never parsed. Session-level
     /// state (GC events, short-episode counts) is always preserved.
     ///
-    /// Each worker keeps one decode scratch alive across its shard and
-    /// fills an ordered `EpisodeFragment`; fragments are merged in shard
-    /// order, so the result is identical to the serial reader's for any
-    /// job count.
+    /// This is [`fold`](Self::fold) with a step that keeps each episode:
+    /// every worker decodes its shards into owned runs under the fold's
+    /// ordering rule, and the fold's merge moves each run into the trace in
+    /// one `Vec::append`, so the result is the serial reader's for any job
+    /// count.
     ///
     /// # Errors
     ///
-    /// Propagates the first (in episode order) extent decode failure, then
-    /// a record count other than the declared one.
+    /// As [`fold`](Self::fold).
     pub fn decode_filtered(
         &self,
         jobs: usize,
         filter: &EpisodeFilter,
     ) -> Result<SessionTrace, TraceError> {
         let indices = self.admitted(filter);
-        let slots = indices.as_ref().map_or(self.extents.len(), Vec::len);
-        let fragments = map_shards_init(slots, jobs, DecodeScratch::default, |scratch, range| {
-            let mut fragment = EpisodeFragment::with_capacity(range.len());
-            for slot in range {
-                let i = indices.as_ref().map_or(slot, |ix| ix[slot]);
-                self.push(&mut fragment, self.decode_with(i, scratch)?)?;
-            }
-            Ok(fragment)
-        })
-        .into_iter()
-        .collect::<Result<Vec<EpisodeFragment>, TraceError>>()?;
-        let trace = self.assemble(fragments)?;
-        let records = trace
-            .episodes()
-            .iter()
-            .map(|e| records_of(e.tree().len(), e.samples().len()))
-            .sum();
-        self.verify_count(indices.as_deref(), records)?;
-        Ok(trace)
+        let fold = ShardedFold {
+            source: self,
+            indices: indices.as_deref(),
+        };
+        let runs = map_shards_init(
+            fold.slots(),
+            jobs,
+            DecodeScratch::default,
+            |scratch, range| fold.run(scratch, range, None),
+        );
+        fold.collect(runs.into_iter().collect::<Result<_, _>>()?)
+    }
+
+    /// Decodes the extents at positions `range` into one owned run: a
+    /// shard of [`decode`](Self::decode), for a caller that cuts the
+    /// shards itself and hands them to [`collect_runs`](Self::collect_runs).
+    pub(crate) fn decode_run(
+        &self,
+        scratch: &mut DecodeScratch,
+        range: Range<usize>,
+    ) -> Result<DecodedRun, TraceError> {
+        ShardedFold::every(self).run(scratch, range, None)
+    }
+
+    /// Merges runs of [`decode_run`](Self::decode_run) that cover every
+    /// extent in order into the session's trace, as [`decode`](Self::decode)
+    /// merges its own.
+    pub(crate) fn collect_runs(&self, runs: Vec<DecodedRun>) -> Result<SessionTrace, TraceError> {
+        ShardedFold::every(self).collect(runs)
+    }
+
+    /// The trace of runs the ordering rule already kept, in episode order,
+    /// and the session-level records.
+    fn trace_of(&self, runs: Vec<Vec<Episode>>) -> SessionTrace {
+        let mut b = SessionTraceBuilder::new(self.meta.clone(), self.records.symbols.clone());
+        b.append_ordered(runs);
+        self.records.finish(b)
     }
 
     /// `false` when a footer-indexed `.lgz`'s extent index cannot account
@@ -279,22 +300,21 @@ impl<'a> SessionSource<'a> {
     /// by `init`; the states come back in shard order, for the caller to
     /// merge in that order.
     ///
-    /// The episodes `step` sees are exactly the ones
-    /// [`decode_filtered`](Self::decode_filtered) would keep, in the same
-    /// order, for any `jobs`: every extent check is the same, and so is the
-    /// ordering rule. A strict session fails on an episode that starts
-    /// before the one kept ahead of it; a lenient (salvaged) session drops
-    /// it. A shard whose first kept episode starts before the previous
-    /// shards' last one is folded again from a fresh state with that
-    /// floor, so a strict session fails on it and a lenient one drops the
-    /// same episodes a serial pass would.
+    /// The episodes `step` sees are the ones a serial pass keeps, in the
+    /// same order, for any `jobs`: each admitted extent decoded in index
+    /// order, where a strict session fails on an episode that starts
+    /// before the one kept ahead of it and a lenient (salvaged) session
+    /// drops it. A shard whose first kept episode starts before the
+    /// previous shards' last one is folded again from a fresh state with
+    /// that floor, so a strict session fails on it and a lenient one drops
+    /// the same episodes a serial pass would.
     ///
     /// # Errors
     ///
     /// Propagates the first failing shard's first decode or ordering
-    /// failure, then the first ordering failure between shards, then a
-    /// record count other than the declared one, as
-    /// [`decode_filtered`](Self::decode_filtered) does.
+    /// failure, then the first ordering failure between shards, then, when
+    /// a strict fold admits every extent of a footer-indexed `.lgz`, a
+    /// record count other than the declared one.
     pub fn fold<S, I, F>(
         &self,
         jobs: usize,
@@ -312,15 +332,17 @@ impl<'a> SessionSource<'a> {
             source: self,
             indices: indices.as_deref(),
         };
+        let lend = |state: &mut S, i, episode: Episode| step(state, i, &episode);
         let shards = map_shards_init(
             fold.slots(),
             jobs,
             DecodeScratch::default,
-            |scratch, range| fold.shard(scratch, range, None, init(), &step),
+            |scratch, range| fold.shard(scratch, range, None, init(), lend),
         );
-        fold.merge(shards, |range, floor| {
-            fold.shard(&mut DecodeScratch::default(), range, floor, init(), &step)
-        })
+        fold.merge(
+            shards.into_iter().collect::<Result<_, _>>()?,
+            |range, floor| fold.shard(&mut DecodeScratch::default(), range, floor, init(), lend),
+        )
     }
 
     /// [`fold`](Self::fold) on the calling thread, in one pass into one
@@ -341,27 +363,24 @@ impl<'a> SessionSource<'a> {
             indices: indices.as_deref(),
         };
         let range = 0..fold.slots();
-        let shard = fold.shard(&mut DecodeScratch::default(), range, None, state, &mut step)?;
+        let lend = |state: &mut S, i, episode: Episode| step(state, i, &episode);
+        let shard = fold.shard(&mut DecodeScratch::default(), range, None, state, lend)?;
         self.verify_count(fold.indices, shard.records)?;
         Ok(shard.state)
     }
 
-    /// [`fold`](Self::fold) over the shard ranges `split` cuts the
-    /// admitted slots into, folded in order on the calling thread: the
-    /// merge and the lenient refold for any shard layout, whatever the
-    /// machine's parallelism.
+    /// The shards of a fold over the ranges `split` cuts the admitted
+    /// slots into, each handed its episodes by value, folded in order on
+    /// the calling thread and merged: the merge and the lenient refold for
+    /// any shard layout, whatever the machine's parallelism.
     #[cfg(test)]
-    fn fold_split<S, I, F>(
+    fn fold_split<S>(
         &self,
         filter: &EpisodeFilter,
         split: impl FnOnce(usize) -> Vec<Range<usize>>,
-        init: I,
-        step: F,
-    ) -> Result<Vec<S>, TraceError>
-    where
-        I: Fn() -> S,
-        F: Fn(&mut S, usize, &Episode),
-    {
+        init: impl Fn() -> S,
+        step: impl Fn(&mut S, usize, Episode),
+    ) -> Result<Vec<S>, TraceError> {
         let indices = self.admitted(filter);
         let fold = ShardedFold {
             source: self,
@@ -371,7 +390,7 @@ impl<'a> SessionSource<'a> {
         let shards = split(fold.slots())
             .into_iter()
             .map(|range| fold.shard(&mut scratch, range, None, init(), &step))
-            .collect();
+            .collect::<Result<_, _>>()?;
         fold.merge(shards, |range, floor| {
             fold.shard(&mut scratch, range, floor, init(), &step)
         })
@@ -410,39 +429,6 @@ impl<'a> SessionSource<'a> {
         }
         Ok(out)
     }
-
-    /// Appends a decoded episode to a worker's fragment; a lenient session
-    /// drops an out-of-order episode, a strict one fails on it.
-    pub(crate) fn push(
-        &self,
-        fragment: &mut EpisodeFragment,
-        episode: Episode,
-    ) -> Result<(), TraceError> {
-        if self.lenient {
-            fragment.push_lenient(episode);
-        } else {
-            fragment.push(episode)?;
-        }
-        Ok(())
-    }
-
-    /// Assembles decoded fragments (in episode order) and the session-level
-    /// records into the finished trace.
-    pub(crate) fn assemble(
-        &self,
-        fragments: Vec<EpisodeFragment>,
-    ) -> Result<SessionTrace, TraceError> {
-        let mut b = SessionTraceBuilder::new(self.meta.clone(), self.records.symbols.clone());
-        b.reserve_episodes(fragments.iter().map(EpisodeFragment::len).sum());
-        for fragment in fragments {
-            if self.lenient {
-                b.append_fragment_lenient(fragment);
-            } else {
-                b.append_fragment(fragment)?;
-            }
-        }
-        Ok(self.records.finish(b))
-    }
 }
 
 /// One [`SessionSource::fold`] in progress: the extents it decodes.
@@ -456,7 +442,7 @@ struct ShardedFold<'f, 'a> {
 /// slots it covered, the starts of the first and last episodes it kept
 /// (the last is the floor a lenient refold starts from), and their
 /// records.
-struct FoldedShard<S> {
+pub(crate) struct FoldedShard<S> {
     state: S,
     range: Range<usize>,
     first: Option<TimeNs>,
@@ -464,24 +450,35 @@ struct FoldedShard<S> {
     records: u64,
 }
 
-impl ShardedFold<'_, '_> {
+/// One shard of a materializing decode: the episodes it kept, by value.
+pub(crate) type DecodedRun = FoldedShard<Vec<Episode>>;
+
+impl<'f, 'a> ShardedFold<'f, 'a> {
+    /// A fold that admits every extent of `source`.
+    fn every(source: &'f SessionSource<'a>) -> Self {
+        ShardedFold {
+            source,
+            indices: None,
+        }
+    }
+
     /// The number of admitted extents.
     fn slots(&self) -> usize {
         self.indices
             .map_or(self.source.extents.len(), <[usize]>::len)
     }
 
-    /// Folds the slots in `range` into `state`, each decoded episode
-    /// dropped after `step`. Episodes must not start before the one kept
-    /// ahead of them, the first before `floor`: a strict source fails, a
-    /// lenient one drops them.
+    /// Folds the slots in `range` into `state`, handing each decoded
+    /// episode to `step` by value. Episodes must not start before the one
+    /// kept ahead of them, the first before `floor`: a strict source
+    /// fails, a lenient one drops them.
     fn shard<S>(
         &self,
         scratch: &mut DecodeScratch,
         range: Range<usize>,
         floor: Option<TimeNs>,
         state: S,
-        mut step: impl FnMut(&mut S, usize, &Episode),
+        mut step: impl FnMut(&mut S, usize, Episode),
     ) -> Result<FoldedShard<S>, TraceError> {
         let mut shard = FoldedShard {
             state,
@@ -507,23 +504,45 @@ impl ShardedFold<'_, '_> {
             shard.first.get_or_insert(start);
             shard.last = Some(start);
             shard.records += records_of(episode.tree().len(), episode.samples().len());
-            step(&mut shard.state, i, &episode);
+            step(&mut shard.state, i, episode);
         }
         Ok(shard)
     }
 
-    /// Merges shards folded in slot order: the first failing shard's
-    /// error, else their states in order once the episodes kept across
-    /// shard boundaries are in order too and their records add up. A shard whose first episode starts before the previous
-    /// shards' last is folded again by `refold` from that floor, as a
-    /// serial pass would have seen it: a strict source fails on that first
-    /// episode, a lenient one drops what the serial pass drops.
+    /// The shard of a materializing decode over `range`: its kept
+    /// episodes, moved into a run.
+    fn run(
+        &self,
+        scratch: &mut DecodeScratch,
+        range: Range<usize>,
+        floor: Option<TimeNs>,
+    ) -> Result<DecodedRun, TraceError> {
+        let run = Vec::with_capacity(range.len());
+        self.shard(scratch, range, floor, run, |run, _, episode| {
+            run.push(episode);
+        })
+    }
+
+    /// Merges a materializing decode's runs as [`merge`](Self::merge)
+    /// does, and moves them into the session's trace.
+    fn collect(&self, runs: Vec<DecodedRun>) -> Result<SessionTrace, TraceError> {
+        let runs = self.merge(runs, |range, floor| {
+            self.run(&mut DecodeScratch::default(), range, floor)
+        })?;
+        Ok(self.source.trace_of(runs))
+    }
+
+    /// Merges shards folded in slot order: their states in order, once the
+    /// episodes kept across shard boundaries are in order too and their
+    /// records add up. A shard whose first episode starts before the
+    /// previous shards' last is folded again by `refold` from that floor,
+    /// as a serial pass would have seen it: a strict source fails on that
+    /// first episode, a lenient one drops what the serial pass drops.
     fn merge<S>(
         &self,
-        shards: Vec<Result<FoldedShard<S>, TraceError>>,
+        shards: Vec<FoldedShard<S>>,
         mut refold: impl FnMut(Range<usize>, Option<TimeNs>) -> Result<FoldedShard<S>, TraceError>,
     ) -> Result<Vec<S>, TraceError> {
-        let shards = shards.into_iter().collect::<Result<Vec<_>, _>>()?;
         let mut states = Vec::with_capacity(shards.len());
         let mut floor: Option<TimeNs> = None;
         let mut records = 0;
@@ -543,16 +562,18 @@ impl ShardedFold<'_, '_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use std::cell::Cell;
+    use std::fmt::Debug;
 
     use super::*;
     use crate::binary;
     use crate::IndexedTrace;
     use lagalyzer_model::prelude::*;
 
-    /// A session of `n` episodes of varied lengths, in dispatch order.
-    fn trace(n: u32) -> SessionTrace {
+    /// A session of `n` episodes of varied lengths, in dispatch order,
+    /// with GC events and short-episode counters.
+    pub(crate) fn trace(n: u32) -> SessionTrace {
         let meta = SessionMeta {
             application: "FoldApp".into(),
             session: SessionId::from_raw(0),
@@ -573,14 +594,22 @@ mod tests {
                 .build()
                 .unwrap();
             b.push_episode(episode).unwrap();
+            if i % 7 == 3 {
+                b.push_gc(GcEvent {
+                    start: TimeNs::from_millis(at + 1),
+                    end: TimeNs::from_millis(at + 3),
+                    major: i % 2 == 0,
+                });
+            }
             at += len + 3;
         }
+        b.add_short_episodes(u64::from(n) * 3, DurationNs::from_millis(u64::from(n)));
         b.finish()
     }
 
     /// Extent orders that put episodes out of dispatch order at, across
     /// and within shard boundaries.
-    fn orders(n: usize) -> Vec<Vec<usize>> {
+    pub(crate) fn orders(n: usize) -> Vec<Vec<usize>> {
         let mut orders = vec![
             (0..n).collect::<Vec<_>>(),
             (0..n).rev().collect(),
@@ -606,7 +635,7 @@ mod tests {
     /// Cuts `slots` into contiguous shards: `layout` 0–4 are even splits
     /// into 1–5 shards, and the rest put a single-slot shard first, last
     /// or both.
-    fn split(slots: usize, layout: usize) -> Vec<Range<usize>> {
+    pub(crate) fn split(slots: usize, layout: usize) -> Vec<Range<usize>> {
         if slots == 0 {
             return Vec::new();
         }
@@ -623,16 +652,69 @@ mod tests {
         bounds.windows(2).map(|w| w[0]..w[1]).collect()
     }
 
-    /// The fold lends exactly the episodes `decode_filtered` keeps, in
-    /// order, and fails where it fails with the same error, on strict and
-    /// lenient sources whose extents are out of order, for every job
-    /// count and with or without a filter. The merge and the lenient
-    /// refold are also run over shard layouts cut by hand, whatever the
-    /// machine's parallelism: a lenient fold keeps what a serial decode
-    /// keeps, and a strict one fails exactly when it does, with an
-    /// ordering error (which one depends on the layout, as on `--jobs`).
+    /// The serial rule every sharded decode is held to: each admitted
+    /// extent decoded in index order and pushed through
+    /// [`SessionTraceBuilder::push_episode`]; a lenient source ignores the
+    /// order error.
+    pub(crate) fn serial(
+        source: &SessionSource<'_>,
+        filter: &EpisodeFilter,
+    ) -> Result<SessionTrace, TraceError> {
+        let mut b = SessionTraceBuilder::new(source.meta().clone(), source.symbols().clone());
+        for (i, extent) in source.extents().iter().enumerate() {
+            if filter.admits_extent(extent) {
+                match b.push_episode(source.decode_episode(i)?) {
+                    Err(_) if source.is_lenient() => {}
+                    pushed => pushed?,
+                }
+            }
+        }
+        Ok(source.records.finish(b))
+    }
+
+    /// What a decoded trace holds, bar its symbols: metadata, episodes,
+    /// GC events and the short-episode counters.
+    pub(crate) type Parts = (SessionMeta, Vec<Episode>, Vec<GcEvent>, u64, DurationNs);
+
+    pub(crate) fn parts(trace: &SessionTrace) -> Parts {
+        (
+            trace.meta().clone(),
+            trace.episodes().to_vec(),
+            trace.gc_events().to_vec(),
+            trace.short_episode_count(),
+            trace.short_episode_time(),
+        )
+    }
+
+    /// Holds a sharded result to the serial one: the same value, or both
+    /// failing, with the same error text when `exact` and otherwise with
+    /// some ordering error.
+    pub(crate) fn assert_same<T: PartialEq + Debug>(
+        got: Result<T, TraceError>,
+        want: Result<&T, &TraceError>,
+        exact: bool,
+        context: &str,
+    ) {
+        match (got, want) {
+            (Ok(got), Ok(want)) => assert_eq!(&got, want, "{context}"),
+            (Err(got), Err(want)) if exact => {
+                assert_eq!(got.to_string(), want.to_string(), "{context}");
+            }
+            (Err(TraceError::Model(ModelError::EpisodeOrder { .. })), Err(_)) => {}
+            (got, want) => panic!("{context}: {got:?} vs {want:?}"),
+        }
+    }
+
+    /// `decode_filtered` keeps, and the fold lends, exactly the episodes
+    /// the serial rule keeps, on strict and lenient sources whose extents
+    /// are out of order, for every job count and with or without a
+    /// filter: whole traces are equal, and at `--jobs 1` so are the error
+    /// texts. The merge and the lenient refold are also run over shard
+    /// layouts cut by hand, whatever the machine's parallelism. A strict
+    /// source fails exactly when the serial rule does, with an ordering
+    /// error (which one depends on the layout, as on `--jobs`).
     #[test]
-    fn fold_keeps_what_decode_keeps_under_the_ordering_rule() {
+    fn fold_and_decode_keep_what_the_serial_rule_keeps() {
         let n = 40;
         let mut bytes = Vec::new();
         binary::write(&trace(n as u32), &mut bytes).unwrap();
@@ -641,7 +723,6 @@ mod tests {
             EpisodeFilter::new(),
             EpisodeFilter::new().min_duration(DurationNs::from_millis(12)),
         ];
-        let ids = |t: SessionTrace| t.episodes().iter().map(Episode::id).collect::<Vec<_>>();
         let (inits, shards, mut refolds) = (Cell::new(0), Cell::new(0), 0);
         for order in orders(n) {
             let extents: Vec<EpisodeExtent> = order.iter().map(|&i| indexed.extents()[i]).collect();
@@ -650,24 +731,21 @@ mod tests {
                 source.extents = &extents;
                 source.lenient = lenient;
                 for filter in &filters {
+                    let reference = serial(&source, filter).map(|t| parts(&t));
+                    let ids = serial(&source, filter)
+                        .map(|t| t.episodes().iter().map(Episode::id).collect::<Vec<_>>());
                     for jobs in 1..=4 {
-                        let reference = source.decode_filtered(jobs, filter).map(ids);
+                        let context = format!("order {order:?} lenient {lenient} jobs {jobs}");
+                        let decoded = source.decode_filtered(jobs, filter).map(|t| parts(&t));
+                        assert_same(decoded, reference.as_ref(), jobs == 1, &context);
                         let folded = source
                             .fold(jobs, filter, Vec::new, |ids, _, e| ids.push(e.id()))
                             .map(|shards| shards.concat());
-                        let context = format!("order {order:?} lenient {lenient} jobs {jobs}");
-                        match (reference, folded) {
-                            (Ok(want), Ok(got)) => assert_eq!(got, want, "{context}"),
-                            (Err(want), Err(got)) => {
-                                assert_eq!(got.to_string(), want.to_string(), "{context}");
-                            }
-                            (want, got) => panic!("{context}: {want:?} vs {got:?}"),
-                        }
+                        assert_same(folded, ids.as_ref(), jobs == 1, &context);
                     }
-                    let serial = source.decode_filtered(1, filter).map(ids);
                     for layout in 0..8 {
                         inits.set(0);
-                        let folded = source
+                        let decoded = source
                             .fold_split(
                                 filter,
                                 |slots| {
@@ -679,18 +757,14 @@ mod tests {
                                     inits.set(inits.get() + 1);
                                     Vec::new()
                                 },
-                                |ids, _, e| ids.push(e.id()),
+                                |run, _, e| run.push(e),
                             )
-                            .map(|states| states.concat());
-                        let context = format!("order {order:?} lenient {lenient} layout {layout}");
-                        match (&serial, folded) {
-                            (Ok(want), Ok(got)) => {
-                                assert_eq!(&got, want, "{context}");
-                                refolds += inits.get() - shards.get();
-                            }
-                            (Err(_), Err(TraceError::Model(ModelError::EpisodeOrder { .. }))) => {}
-                            (want, got) => panic!("{context}: {want:?} vs {got:?}"),
+                            .map(|runs| parts(&source.trace_of(runs)));
+                        if decoded.is_ok() {
+                            refolds += inits.get() - shards.get();
                         }
+                        let context = format!("order {order:?} lenient {lenient} layout {layout}");
+                        assert_same(decoded, reference.as_ref(), false, &context);
                     }
                 }
             }

@@ -15,6 +15,9 @@ use lagalyzer_trace::{
 };
 use proptest::prelude::*;
 
+#[path = "support/cases.rs"]
+mod cases;
+
 /// A session of one episode per duration (in ms): a dispatch with one
 /// listener child and one stack sample.
 fn session(durations: &[u64]) -> SessionTrace {
@@ -205,15 +208,8 @@ fn rollup_over_rewritten_episodes_stays_stale_under_a_resealed_trailer() {
     }
 }
 
-fn cases() -> u32 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64)
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases()))]
+    #![proptest_config(ProptestConfig::with_cases(cases::or_env(64)))]
 
     /// Flipping any bits inside one aligned 8-byte word of a v3 trace's
     /// checksummed region (everything between the magic and the trailer)

@@ -11,6 +11,9 @@ use lagalyzer_trace::faults::FaultInjector;
 use lagalyzer_trace::{binary, EpisodeFilter, IndexedTrace};
 use proptest::prelude::*;
 
+#[path = "support/cases.rs"]
+mod cases;
+
 /// Shared symbol pool — every session draws from it, so a packed corpus
 /// must deduplicate these strings down to one copy each.
 fn symbol_pool() -> Vec<(&'static str, &'static str)> {
@@ -200,16 +203,16 @@ fn check_corpus_matches_files(files: &[Vec<u8>], salvage: bool, options: PackOpt
     }
     // Per-session decode and O(1) random access agree too.
     for (i, file_side) in expected.iter().enumerate() {
-        let view = reader.session(i);
-        assert_same_trace(&view.decode(2).unwrap(), file_side);
+        let source = reader.session(i).source();
+        assert_same_trace(&source.decode(2).unwrap(), file_side);
         for (j, episode) in file_side.episodes().iter().enumerate() {
-            assert_eq!(&view.decode_episode(j).unwrap(), episode);
+            assert_eq!(&source.decode_episode(j).unwrap(), episode);
         }
     }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(cases::or_env(24)))]
 
     /// Clean v2 inputs: corpus decode == per-file decode, raw and
     /// compressed, at any job count.
@@ -279,7 +282,7 @@ proptest! {
         let filter = EpisodeFilter::new().min_duration(DurationNs::from_millis(min_ms));
         for (i, trace) in opened.iter().enumerate() {
             let expected = trace.par_decode_filtered(2, &filter).unwrap();
-            let got = reader.session(i).decode_filtered(2, &filter).unwrap();
+            let got = reader.session(i).source().decode_filtered(2, &filter).unwrap();
             assert_same_trace(&got, &expected);
         }
     }

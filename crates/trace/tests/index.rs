@@ -12,6 +12,9 @@ use lagalyzer_trace::{
 };
 use proptest::prelude::*;
 
+#[path = "support/cases.rs"]
+mod cases;
+
 fn symbol_pool() -> Vec<(&'static str, &'static str)> {
     vec![
         ("javax.swing.JFrame", "paint"),
@@ -424,7 +427,7 @@ fn empty_trace_round_trips_with_empty_index() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(cases::or_env(48)))]
 
     /// The tentpole property: indexed parallel decode is byte-identical to
     /// the serial reader at every job count, on clean traces.

@@ -4,12 +4,14 @@
 use lagalyzer_trace::{binary, text};
 use proptest::prelude::*;
 
+#[path = "support/cases.rs"]
+mod cases;
 #[path = "support/traces.rs"]
 mod traces;
 use traces::{build_trace, episode_spec};
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(cases::or_env(64)))]
 
     /// Binary round trip preserves the full model.
     #[test]
