@@ -1,13 +1,12 @@
 //! Serial vs sharded lock-graph construction over one simulated session.
 //!
-//! The hazard analyzer's hot loop is [`LockGraph::build_with_jobs`]:
-//! every episode's blocked/waiting samples are lifted into contended
-//! waits and merged into the session-wide graph. This bench measures the
-//! serial build against the sharded one (episodes fanned over
-//! `available_jobs()` workers, shard graphs merged in order) on a
-//! session big enough that wait extraction dominates. The two graphs are
-//! asserted equal before timing, so the measured delta is pure
-//! scheduling.
+//! The hazard analyzer's hot loop is the [`LockGraphs`] fold: every
+//! episode's blocked/waiting samples are lifted into contended waits and
+//! merged into the session-wide graph. This bench measures the serial
+//! fold against the sharded one (episodes fanned over `available_jobs()`
+//! workers, shard graphs merged in order) on a session big enough that
+//! wait extraction dominates. The two graphs are asserted equal before
+//! timing, so the measured delta is pure scheduling.
 //!
 //! Results land in `BENCH_hazards.json`; `bench-verify check` validates
 //! the structure (no performance gate — merge cost makes the speedup
@@ -16,8 +15,13 @@
 use criterion::{criterion_group, Criterion};
 use lagalyzer_bench::benchjson;
 use lagalyzer_core::parallel::available_jobs;
-use lagalyzer_model::{LockGraph, SessionTrace};
+use lagalyzer_model::{fold_episodes, LockGraph, LockGraphs, Scope, SessionTrace};
 use lagalyzer_sim::{apps, runner};
+
+/// `trace`'s lock graph, folded over `jobs` workers.
+fn build(trace: &SessionTrace, jobs: usize) -> LockGraph {
+    fold_episodes(&LockGraphs, Scope::of_trace(trace), trace.episodes(), jobs).0
+}
 
 /// Session shape: jEdit's profile scaled up, with a fast sampler so the
 /// contended episodes carry realistically many blocked samples.
@@ -38,17 +42,17 @@ fn bench_hazard_scan(c: &mut Criterion) {
     let trace = session();
     let jobs = available_jobs();
     assert_eq!(
-        LockGraph::build_with_jobs(trace.episodes(), 1),
-        LockGraph::build_with_jobs(trace.episodes(), jobs),
+        build(&trace, 1),
+        build(&trace, jobs),
         "sharded lock-graph construction must be order-identical"
     );
     let mut group = c.benchmark_group("hazard_scan");
     group.sample_size(10);
     group.bench_function("lockgraph_build_serial", |b| {
-        b.iter(|| LockGraph::build_with_jobs(trace.episodes(), 1));
+        b.iter(|| build(&trace, 1));
     });
     group.bench_function("lockgraph_build_sharded", |b| {
-        b.iter(|| LockGraph::build_with_jobs(trace.episodes(), jobs));
+        b.iter(|| build(&trace, jobs));
     });
     group.finish();
 }
@@ -59,18 +63,15 @@ fn emit_hazards_json() {
     let trace = session();
     let jobs = available_jobs();
 
-    let graph = LockGraph::build_with_jobs(trace.episodes(), jobs);
-    assert_eq!(graph, LockGraph::build_with_jobs(trace.episodes(), 1));
+    let graph = build(&trace, jobs);
+    assert_eq!(graph, build(&trace, 1));
     let episodes = trace.episodes().len();
     let waits = graph.waits().len();
     let locks = graph.lock_count();
     let held_edges = graph.edge_count();
 
-    let serial_ns =
-        benchjson::time_best_ns(budget, || LockGraph::build_with_jobs(trace.episodes(), 1));
-    let sharded_ns = benchjson::time_best_ns(budget, || {
-        LockGraph::build_with_jobs(trace.episodes(), jobs)
-    });
+    let serial_ns = benchjson::time_best_ns(budget, || build(&trace, 1));
+    let sharded_ns = benchjson::time_best_ns(budget, || build(&trace, jobs));
 
     eprintln!(
         "hazard scan: {episodes} episodes, {waits} waits, {locks} locks\n  \

@@ -37,8 +37,10 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use lagalyzer_model::lockgraph::{ContendedWait, LockGraph};
-use lagalyzer_model::{json_string, EpisodeId, MethodRef, SessionTrace, SymbolTable, WaitKind};
+use lagalyzer_model::lockgraph::{ContendedWait, LockGraph, LockGraphs};
+use lagalyzer_model::{
+    fold_episodes, json_string, EpisodeId, MethodRef, Scope, SessionTrace, SymbolTable, WaitKind,
+};
 use lagalyzer_trace::EpisodeExtent;
 
 use crate::diag::{
@@ -461,23 +463,18 @@ pub struct HazardReport {
 }
 
 impl HazardReport {
-    /// Analyzes one session: builds the lock graph sharded over `jobs`
-    /// workers and runs every hazard pass. `extents`, when aligned with
-    /// the decoded episodes, provides byte-span provenance.
+    /// Analyzes one session: folds the lock graph ([`LockGraphs`]) over
+    /// `jobs` workers and runs every hazard pass. `extents`, when aligned
+    /// with the decoded episodes, provides byte-span provenance.
     pub fn analyze(
         trace: &SessionTrace,
         extents: Option<&[EpisodeExtent]>,
         jobs: usize,
         config: &HazardConfig,
     ) -> HazardReport {
-        let graph = LockGraph::build_with_jobs(trace.episodes(), jobs);
-        HazardReport::of_graph(
-            &graph,
-            trace.episodes().len(),
-            trace.symbols(),
-            extents,
-            config,
-        )
+        let scope = Scope::of_trace(trace);
+        let (graph, episodes) = fold_episodes(&LockGraphs, scope, trace.episodes(), jobs);
+        HazardReport::of_graph(&graph, episodes, trace.symbols(), extents, config)
     }
 
     /// Runs every hazard pass over one session's lock graph, folded from
@@ -526,7 +523,7 @@ impl HazardReport {
     }
 
     /// Analyzes a corpus of decoded sessions: each session's lock graph is
-    /// built (sharded over `jobs`) and the graphs go through
+    /// folded (over `jobs` workers) and the graphs go through
     /// [`HazardReport::of_corpus`]. The reference for a corpus folded
     /// member by member.
     pub fn analyze_corpus(
@@ -536,8 +533,9 @@ impl HazardReport {
         config: &HazardConfig,
     ) -> HazardReport {
         let members = traces.iter().map(|trace| {
-            let graph = LockGraph::build_with_jobs(trace.episodes(), jobs);
-            (graph, trace.episodes().len(), trace.symbols())
+            let scope = Scope::of_trace(trace);
+            let (graph, episodes) = fold_episodes(&LockGraphs, scope, trace.episodes(), jobs);
+            (graph, episodes, trace.symbols())
         });
         HazardReport::of_corpus(members, symbols, config)
     }

@@ -23,11 +23,12 @@ use std::sync::OnceLock;
 use args::{switch, Args, Command, Flag, Kind, Need};
 
 use lagalyzer_check::{check_bytes, Diagnostic, HazardConfig, HazardReport, RuleSet, Severity};
+use lagalyzer_core::analysis::Scope;
 use lagalyzer_core::browser::SortBy;
 use lagalyzer_core::prelude::*;
-use lagalyzer_core::rollup::{Folded, RollupBuilder};
+use lagalyzer_core::rollup::RollupBuilder;
 use lagalyzer_model::{
-    json_string, DurationNs, Episode, EpisodeId, LockGraph, SessionTrace, SymbolTable, TimeNs,
+    json_string, DurationNs, Episode, EpisodeId, LockGraphs, SessionTrace, SymbolTable, TimeNs,
 };
 use lagalyzer_report::{figures, table3, Study};
 use lagalyzer_sim::{apps, runner};
@@ -38,7 +39,7 @@ use lagalyzer_trace::{
 };
 use lagalyzer_viz::ascii::ascii_sketch;
 use lagalyzer_viz::sketch::{render_pattern_gallery, render_sketch, SketchOptions};
-use lagalyzer_viz::timeline::{render_timeline, Timeline, TimelineOptions, TimelineRow};
+use lagalyzer_viz::timeline::{render_timeline, Timeline, TimelineOptions, TimelineRows};
 
 /// Exit code for a trace that was damaged but salvageable.
 const EXIT_SALVAGED: u8 = 2;
@@ -441,17 +442,15 @@ fn cmd_pack(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failure
     // Clean inputs without a persisted rollup get one folded at pack time
     // (decode once now, answer warm forever); salvaged inputs stay cold
     // since the warm path refuses damaged sessions anyway.
-    let jobs = jobs(args);
+    let (jobs, builder) = (jobs(args), RollupBuilder::default());
     let built: Vec<Option<lagalyzer_trace::Rollup>> = opened
         .iter()
         .map(|t| {
             if t.rollup().is_some() || t.salvage_report().is_some() {
                 return None;
             }
-            RollupBuilder::new(t.meta(), t.symbols())
-                .fold(&t.source(), jobs, &EpisodeFilter::default())
-                .ok()
-                .map(|folded| folded.rollup)
+            let folded = t.source().fold(jobs, &EpisodeFilter::default(), &builder);
+            folded.ok().map(|folded| folded.rollup)
         })
         .collect();
     let packed = corpus::pack_with_rollups(&opened, built, options).map_err(|e| e.to_string())?;
@@ -601,7 +600,7 @@ struct Input {
     path: String,
     opened: Opened,
     /// A `--salvage` binary input reopened through the salvage scan by
-    /// its verified fold (see [`Input::with_source`]); it then stands in
+    /// its verified fold (see [`Input::run`]); it then stands in
     /// for the open everywhere.
     rescanned: OnceLock<IndexedTrace>,
     /// The `--session K` member of a corpus input.
@@ -770,92 +769,54 @@ impl Input {
         self.cache.then(warm).flatten()
     }
 
-    /// Runs a fold of the input's one indexed session, and returns its
-    /// result and the source it came from. A `.lgz` folds through
-    /// [`IndexedTrace::fold_verified`]: a `--salvage` input whose trusted
-    /// extents fail the fold (damage resealed under a trailer checksum that
-    /// still verifies, or records that do not add up to the declared count)
-    /// is reopened through the salvage scan and folded again, as `lint`
-    /// does; clean inputs never get there, so they keep the warm path and
-    /// skip-decode filtering. A whole corpus has to pick a member with
-    /// `--session K`.
-    fn with_source<T>(
-        &self,
-        fold: impl Fn(&SessionSource<'_>) -> Result<T, TraceError>,
-    ) -> Result<(T, SessionSource<'_>), Failure> {
+    /// The streamed cold path: `analysis` run over the episodes the filter
+    /// admits, each lent with its position (extent position, or index
+    /// into a text trace) and never kept, and how many episodes the filter
+    /// excluded. A text trace, whose episodes are already decoded, feeds
+    /// them in order into one shard. An indexed session folds over
+    /// `--jobs` workers (see [`SessionSource::fold`]); a `.lgz` folds
+    /// through [`IndexedTrace::fold_verified`], so a `--salvage` input
+    /// whose trusted extents fail the fold (damage resealed under a
+    /// trailer checksum that still verifies, or records that do not add up
+    /// to the declared count) is reopened through the salvage scan and
+    /// folded again, as `lint` does; clean inputs never get there, so they
+    /// keep the warm path and skip-decode filtering. A whole corpus has to
+    /// pick a member with `--session K`.
+    fn run<A: Analysis>(&self, analysis: &A) -> Result<(A::Output, u64), Failure> {
+        if let Opened::Text(trace) = &self.opened {
+            let scope = Scope::of_trace(trace);
+            let mut shard = analysis.shard(scope);
+            let mut excluded = 0;
+            for (position, episode) in trace.episodes().iter().enumerate() {
+                if self.filter.admits_episode(episode) {
+                    analysis.push(scope, &mut shard, position, episode);
+                } else {
+                    excluded += 1;
+                }
+            }
+            return Ok((analysis.finish(scope, vec![shard]), excluded));
+        }
         let source = self.source().ok_or_else(|| {
             let (path, sessions) = (&self.path, self.corpus_wide().map_or(0, CorpusReader::len));
             format!("{path} is a corpus of {sessions} sessions; select one with --session K")
         })?;
         let failed = |e: TraceError| format!("cannot load {}: {e}", self.path);
-        let folded = match &self.opened {
+        let fold = |source: SessionSource<'_>| source.fold(self.jobs, &self.filter, analysis);
+        let output = match &self.opened {
             Opened::Binary(indexed) if self.rescanned.get().is_none() => {
-                let (folded, rescanned) = indexed
-                    .fold_verified(|_, source| fold(&source))
+                let (output, rescanned) = indexed
+                    .fold_verified(|_, source| fold(source))
                     .map_err(failed)?;
                 if let Some(scanned) = rescanned {
                     self.rescanned.get_or_init(|| scanned);
                     self.damage().note(&self.path);
                 }
-                folded
+                output
             }
-            _ => fold(&source).map_err(failed)?,
+            _ => fold(source).map_err(failed)?,
         };
-        Ok((folded, self.source().expect("a folded input has a source")))
-    }
-
-    /// The streamed cold path: the episodes the filter admits, lent one at
-    /// a time to `step` with their positions (extent positions, or indices
-    /// into a text trace) and never kept. An indexed session folds over
-    /// `--jobs` workers (see [`SessionSource::fold`]); a text trace, whose
-    /// episodes are already decoded, feeds them in order. Returns the
-    /// shard states in episode order and how many episodes the filter
-    /// excluded.
-    fn fold<S: Send>(
-        &self,
-        init: impl Fn() -> S + Sync,
-        step: impl Fn(&mut S, usize, &Episode) + Sync,
-    ) -> Result<(Vec<S>, u64), Failure> {
-        if let Opened::Text(trace) = &self.opened {
-            let mut state = init();
-            let mut excluded = 0;
-            for (position, episode) in trace.episodes().iter().enumerate() {
-                if self.filter.admits_episode(episode) {
-                    step(&mut state, position, episode);
-                } else {
-                    excluded += 1;
-                }
-            }
-            return Ok((vec![state], excluded));
-        }
-        let (states, source) =
-            self.with_source(|source| source.fold(self.jobs, &self.filter, &init, &step))?;
-        Ok((states, source.excluded_by(&self.filter) as u64))
-    }
-
-    /// The session folded into an in-memory rollup as it is decoded, and
-    /// the facts it is analyzed under. `breakdowns: false` leaves the lag
-    /// breakdowns out, for answers that read none.
-    fn fold_rollup(&self, breakdowns: bool) -> Result<(Folded, SessionFacts<'_>), Failure> {
-        let (folded, excluded) = if let Opened::Text(trace) = &self.opened {
-            let builder = RollupBuilder::new(trace.meta(), trace.symbols()).breakdowns(breakdowns);
-            let (shards, excluded) =
-                self.fold(|| builder.shard(), |shard, i, e| builder.push(shard, i, e))?;
-            (builder.finish(shards), excluded)
-        } else {
-            // The builder resolves I/O classes in the symbol table of the
-            // source it folds, which a salvage rescan replaces.
-            let (folded, source) = self.with_source(|source| {
-                RollupBuilder::new(source.meta(), source.symbols())
-                    .breakdowns(breakdowns)
-                    .fold(source, self.jobs, &self.filter)
-            })?;
-            (folded, source.excluded_by(&self.filter) as u64)
-        };
-        let mut facts = self.facts().expect("a folded input is one session");
-        (facts.excluded, facts.salvaged) =
-            (excluded, self.damage().verdict != DamageVerdict::Clean);
-        Ok((folded, facts))
+        let source = self.source().expect("a folded input has a source");
+        Ok((output, source.excluded_by(&self.filter) as u64))
     }
 
     /// Re-decodes just the episodes at extent `positions`, touching no
@@ -925,7 +886,10 @@ impl Input {
                 return Ok(found);
             }
         }
-        let (folded, facts) = self.fold_rollup(breakdowns)?;
+        let (folded, excluded) = self.run(&RollupBuilder::default().breakdowns(breakdowns))?;
+        let mut facts = self.facts().expect("a folded input is one session");
+        (facts.excluded, facts.salvaged) =
+            (excluded, self.damage().verdict != DamageVerdict::Clean);
         let rows = RollupRows::Folded(&folded.rows);
         answer(&Summaries::of_rollup(facts, &folded.rollup, rows))
             .ok_or_else(|| format!("cannot analyze {}", self.path).into())
@@ -1104,6 +1068,7 @@ type CorpusPatterns = (Vec<(usize, usize)>, Vec<PatternSet>, u64);
 /// (mining reads no lag breakdowns).
 fn corpus_patterns(input: &Input, reader: &CorpusReader) -> Result<CorpusPatterns, Failure> {
     let (jobs, threshold) = (input.jobs, input.config.perceptible_threshold);
+    let builder = RollupBuilder::default().breakdowns(false);
     let mine = |s: &Summaries<'_>| {
         let perceptible = s.episodes().iter().filter(|e| e.duration >= threshold);
         let counts = (s.episodes().len(), perceptible.count());
@@ -1117,9 +1082,8 @@ fn corpus_patterns(input: &Input, reader: &CorpusReader) -> Result<CorpusPattern
             members.push(mine(session.summaries()));
             continue;
         }
-        let folded = RollupBuilder::new(source.meta(), source.symbols())
-            .breakdowns(false)
-            .fold(&source, jobs, &input.filter)
+        let folded = source
+            .fold(jobs, &input.filter, &builder)
             .map_err(|e| format!("cannot load {}: {e}", input.path))?;
         let facts = SessionFacts::of_source(&source, input.config);
         let rows = RollupRows::Folded(&folded.rows);
@@ -1364,8 +1328,7 @@ fn cmd_lint(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failure
     let report = if bytes.starts_with(binary::MAGIC_PREFIX) {
         let (jobs, all) = (jobs(args), EpisodeFilter::default());
         IndexedTrace::open_salvage(bytes).and_then(|opened| {
-            let (_, rescanned) =
-                opened.fold_verified(|_, source| source.fold(jobs, &all, || (), |(), _, _| {}))?;
+            let (_, rescanned) = opened.fold_verified(|_, source| source.fold(jobs, &all, &()))?;
             let indexed = rescanned.as_ref().unwrap_or(&opened);
             Ok(indexed.salvage_report().cloned().unwrap_or_default())
         })
@@ -1497,10 +1460,9 @@ fn cmd_hazards(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Fail
                 .sessions()
                 .map(|view| {
                     let source = view.source();
-                    let shards = source
-                        .fold(input.jobs, &input.filter, GraphShard::default, add_to_graph)
+                    let (graph, episodes) = source
+                        .fold(input.jobs, &input.filter, &LockGraphs)
                         .map_err(|e| format!("cannot load {}: {e}", input.path))?;
-                    let (graph, episodes) = merge_graphs(shards);
                     Ok((graph, episodes, source.symbols()))
                 })
                 .collect::<Result<Vec<_>, Failure>>()?;
@@ -1508,7 +1470,7 @@ fn cmd_hazards(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Fail
             HazardReport::of_corpus(members, &mut symbols, &config)
         }
         None => {
-            let (graph, episodes) = merge_graphs(input.fold(GraphShard::default, add_to_graph)?.0);
+            let ((graph, episodes), _) = input.run(&LockGraphs)?;
             // Only a `.lgz` trace's extents carry byte spans in the file.
             let symbols = input.symbols().expect("a single session has symbols");
             HazardReport::of_graph(&graph, episodes, symbols, input.file_extents(), &config)
@@ -1524,24 +1486,6 @@ fn cmd_hazards(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Fail
         explain_hazard(&input, symbols, finding, stdout)?;
     }
     Ok(input.exit_code())
-}
-
-/// One fold shard of a session's lock graph, with its episode count.
-type GraphShard = (LockGraph, usize);
-
-fn add_to_graph((graph, episodes): &mut GraphShard, _: usize, episode: &Episode) {
-    graph.add_episode(episode);
-    *episodes += 1;
-}
-
-/// Merges a session's lock-graph shards, in episode order.
-fn merge_graphs(shards: Vec<GraphShard>) -> GraphShard {
-    let mut merged = GraphShard::default();
-    for (graph, episodes) in shards {
-        merged.0.merge(graph);
-        merged.1 += episodes;
-    }
-    merged
 }
 
 /// Deep-dive for one hazard finding: the episode's contended waits and an
@@ -1766,12 +1710,10 @@ fn write_svg(
 fn cmd_timeline(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failure> {
     let input = Input::load(args, args.paths[0])?;
     // One row per admitted episode, folded as the episodes decode.
-    let (shards, _) = input.fold(Vec::new, |rows, _, episode| {
-        rows.push(TimelineRow::of_episode(episode));
-    })?;
+    let (rows, _) = input.run(&TimelineRows)?;
     let timeline = Timeline {
         facts: input.facts().expect("a folded input is one session"),
-        rows: shards.concat(),
+        rows,
     };
     let svg = render_timeline(timeline, &TimelineOptions::default());
     write_svg(args, &svg, "timeline", stdout)?;

@@ -282,8 +282,8 @@ fn assert_folds_like_build(source: &SessionSource<'_>, filter: &EpisodeFilter) {
     };
     let built = rollup::build(&decoded);
     for jobs in [1, 3] {
-        let folded = RollupBuilder::new(source.meta(), source.symbols())
-            .fold(source, jobs, filter)
+        let folded = source
+            .fold(jobs, filter, &RollupBuilder::default())
             .unwrap();
         assert_eq!(folded.rollup, built, "folded rollup at --jobs {jobs}");
         let ids: Vec<_> = folded.rows.iter().map(|r| r.id).collect();

@@ -4,14 +4,14 @@
 //! Figs 3–8 is the average over the four sessions recorded for that
 //! application; this module implements exactly that averaging.
 
-use lagalyzer_model::{CodeOrigin, DurationNs, IntervalKind, OriginClassifier, ThreadState};
+use lagalyzer_model::{
+    Analysis, CodeOrigin, DurationNs, Episode, IntervalKind, OriginClassifier, Scope, ThreadState,
+};
 
 use crate::causes::CauseStats;
 use crate::concurrency::ConcurrencyStats;
 use crate::location::LocationStats;
 use crate::occurrence::OccurrenceBreakdown;
-use crate::parallel;
-use crate::session::AnalysisSession;
 use crate::stats::SessionStats;
 use crate::trigger::{Trigger, TriggerBreakdown};
 
@@ -169,14 +169,13 @@ impl ConcurrencyAccum {
 
 /// The mergeable accumulator behind a session's Fig 5–8 characterization
 /// (triggers, locations, causes, concurrency — each over all episodes and
-/// over perceptible episodes).
+/// over perceptible episodes), as [`Characterize`] folds it.
 ///
 /// Every field is an exact tally (episode counts, sample counts,
 /// nanosecond sums), normalized to floating point only in the finalizers.
-/// Two tables built from disjoint episode shards therefore
-/// [`merge`](CharacterizationTable::merge) without loss, and
-/// [`characterize_with_jobs`] produces results byte-identical to the
-/// serial single-pass analyses ([`TriggerBreakdown::of_all`],
+/// Tables folded from disjoint episode shards therefore merge without
+/// loss, and a fold of [`Characterize`] gives results byte-identical to
+/// the serial single-pass analyses ([`TriggerBreakdown::of_all`],
 /// [`LocationStats::of_all`], [`CauseStats::of_all`],
 /// [`crate::concurrency::concurrency_stats`], and their perceptible
 /// variants) for any job count.
@@ -196,76 +195,97 @@ pub struct CharacterizationTable {
     salvaged: bool,
 }
 
-impl CharacterizationTable {
-    /// Tallies one shard of `session`'s episodes into a fresh table.
-    pub fn scan(
-        session: &AnalysisSession,
-        range: std::ops::Range<usize>,
-        classifier: &OriginClassifier,
-    ) -> CharacterizationTable {
-        let symbols = session.trace().symbols();
-        let threshold = session.perceptible_threshold();
-        let mut t = CharacterizationTable {
-            salvaged: session.is_salvaged(),
+/// A session's Figs 5–8 characterization as an [`Analysis`]: each episode
+/// tallied into a [`CharacterizationTable`], perceptible at `threshold`
+/// and its samples' top frames classified by `classifier`, and the shard
+/// tables merged. The merged table is marked `salvaged` when the session
+/// came from a damaged file.
+#[derive(Clone, Copy, Debug)]
+pub struct Characterize<'a> {
+    /// Classifies a sample's top frame as library or application code.
+    pub classifier: &'a OriginClassifier,
+    /// The perceptibility threshold.
+    pub threshold: DurationNs,
+    /// Whether the session was salvaged from a damaged file.
+    pub salvaged: bool,
+}
+
+impl Analysis for Characterize<'_> {
+    type Shard = CharacterizationTable;
+    type Output = CharacterizationTable;
+
+    fn shard(&self, _: Scope<'_>) -> CharacterizationTable {
+        CharacterizationTable {
+            salvaged: self.salvaged,
             ..CharacterizationTable::default()
-        };
-        for episode in &session.episodes()[range] {
-            let perceptible = episode.is_perceptible(threshold);
-            t.episodes += 1;
-            t.perceptible_episodes += u64::from(perceptible);
-
-            let trigger_slot = |b: &mut TriggerBreakdown| match Trigger::of_episode(episode) {
-                Trigger::Input => b.input += 1,
-                Trigger::Output => b.output += 1,
-                Trigger::Asynchronous => b.asynchronous += 1,
-                Trigger::Unspecified => b.unspecified += 1,
-            };
-            trigger_slot(&mut t.trigger_all);
-
-            let mut location = LocationAccum {
-                total_time: episode.duration(),
-                gc_time: episode.tree().outermost_kind_time(IntervalKind::Gc),
-                native_time: episode.tree().outermost_kind_time(IntervalKind::Native),
-                ..LocationAccum::default()
-            };
-            let mut causes = [0u64; 4];
-            let mut concurrency = ConcurrencyAccum::default();
-            for snap in episode.samples() {
-                concurrency.samples += 1;
-                concurrency.runnable += snap.runnable_count() as u64;
-                if let Some(ts) = snap.thread(episode.thread()) {
-                    match ts.top_origin(symbols, classifier) {
-                        CodeOrigin::RuntimeLibrary => location.lib_samples += 1,
-                        CodeOrigin::Application => location.app_samples += 1,
-                    }
-                    causes[match ts.state {
-                        ThreadState::Blocked => 0,
-                        ThreadState::Waiting => 1,
-                        ThreadState::Sleeping => 2,
-                        ThreadState::Runnable => 3,
-                    }] += 1;
-                }
-            }
-            t.location_all.merge(&location);
-            for (slot, n) in t.causes_all.iter_mut().zip(causes) {
-                *slot += n;
-            }
-            t.concurrency_all.merge(&concurrency);
-            if perceptible {
-                trigger_slot(&mut t.trigger_perceptible);
-                t.location_perceptible.merge(&location);
-                for (slot, n) in t.causes_perceptible.iter_mut().zip(causes) {
-                    *slot += n;
-                }
-                t.concurrency_perceptible.merge(&concurrency);
-            }
         }
-        t
     }
 
+    fn push(&self, session: Scope<'_>, t: &mut CharacterizationTable, _: usize, episode: &Episode) {
+        let perceptible = episode.is_perceptible(self.threshold);
+        t.episodes += 1;
+        t.perceptible_episodes += u64::from(perceptible);
+
+        let trigger_slot = |b: &mut TriggerBreakdown| match Trigger::of_episode(episode) {
+            Trigger::Input => b.input += 1,
+            Trigger::Output => b.output += 1,
+            Trigger::Asynchronous => b.asynchronous += 1,
+            Trigger::Unspecified => b.unspecified += 1,
+        };
+        trigger_slot(&mut t.trigger_all);
+
+        let mut location = LocationAccum {
+            total_time: episode.duration(),
+            gc_time: episode.tree().outermost_kind_time(IntervalKind::Gc),
+            native_time: episode.tree().outermost_kind_time(IntervalKind::Native),
+            ..LocationAccum::default()
+        };
+        let mut causes = [0u64; 4];
+        let mut concurrency = ConcurrencyAccum::default();
+        for snap in episode.samples() {
+            concurrency.samples += 1;
+            concurrency.runnable += snap.runnable_count() as u64;
+            if let Some(ts) = snap.thread(episode.thread()) {
+                match ts.top_origin(session.symbols, self.classifier) {
+                    CodeOrigin::RuntimeLibrary => location.lib_samples += 1,
+                    CodeOrigin::Application => location.app_samples += 1,
+                }
+                causes[match ts.state {
+                    ThreadState::Blocked => 0,
+                    ThreadState::Waiting => 1,
+                    ThreadState::Sleeping => 2,
+                    ThreadState::Runnable => 3,
+                }] += 1;
+            }
+        }
+        t.location_all.merge(&location);
+        for (slot, n) in t.causes_all.iter_mut().zip(causes) {
+            *slot += n;
+        }
+        t.concurrency_all.merge(&concurrency);
+        if perceptible {
+            trigger_slot(&mut t.trigger_perceptible);
+            t.location_perceptible.merge(&location);
+            for (slot, n) in t.causes_perceptible.iter_mut().zip(causes) {
+                *slot += n;
+            }
+            t.concurrency_perceptible.merge(&concurrency);
+        }
+    }
+
+    fn finish(&self, session: Scope<'_>, shards: Vec<CharacterizationTable>) -> Self::Output {
+        let mut merged = self.shard(session);
+        for shard in &shards {
+            merged.merge(shard);
+        }
+        merged
+    }
+}
+
+impl CharacterizationTable {
     /// Folds another shard's tallies into this table (exact and
     /// order-independent).
-    pub fn merge(&mut self, other: &CharacterizationTable) {
+    fn merge(&mut self, other: &CharacterizationTable) {
         for (a, b) in [
             (&mut self.trigger_all, &other.trigger_all),
             (&mut self.trigger_perceptible, &other.trigger_perceptible),
@@ -359,24 +379,6 @@ fn finalize_causes(counts: &[u64; 4]) -> CauseStats {
         sleeping: counts[2] as f64 / total,
         runnable: counts[3] as f64 / total,
     }
-}
-
-/// Characterizes one session (Figs 5–8) on up to `jobs` worker threads by
-/// sharding its episodes; byte-identical to the serial analyses for any
-/// job count (see [`CharacterizationTable`]).
-pub fn characterize_with_jobs(
-    session: &AnalysisSession,
-    classifier: &OriginClassifier,
-    jobs: usize,
-) -> CharacterizationTable {
-    let shards = parallel::map_shards(session.episodes().len(), jobs, |range| {
-        CharacterizationTable::scan(session, range, classifier)
-    });
-    let mut merged = CharacterizationTable::default();
-    for shard in &shards {
-        merged.merge(shard);
-    }
-    merged
 }
 
 /// Element-wise sum of trigger breakdowns.
@@ -486,7 +488,8 @@ fn sample_curve(curve: &[(f64, f64)], x: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lagalyzer_model::DurationNs;
+    use crate::session::AnalysisSession;
+    use lagalyzer_model::{fold_episodes, DurationNs};
 
     fn row(traced: u64, perceptible: u64) -> SessionStats {
         SessionStats {
@@ -606,6 +609,18 @@ mod tests {
         assert!((k.perceptible - 0.9).abs() < 1e-12);
     }
 
+    /// The characterization of `session` under `classifier`.
+    fn characterize<'a>(
+        session: &AnalysisSession,
+        classifier: &'a OriginClassifier,
+    ) -> Characterize<'a> {
+        Characterize {
+            classifier,
+            threshold: session.perceptible_threshold(),
+            salvaged: session.is_salvaged(),
+        }
+    }
+
     #[test]
     fn characterization_table_matches_serial_analyses_exactly() {
         use crate::session::AnalysisConfig;
@@ -615,8 +630,12 @@ mod tests {
             AnalysisConfig::default(),
         );
         let classifier = OriginClassifier::java_default();
+        let (analysis, scope) = (
+            characterize(&session, &classifier),
+            Scope::of_trace(session.trace()),
+        );
         for jobs in [1usize, 2, 7] {
-            let table = characterize_with_jobs(&session, &classifier, jobs);
+            let table = fold_episodes(&analysis, scope, session.episodes(), jobs);
             // Exact (not approximate) equality: the parallel pipeline must
             // be byte-identical to the serial analyses.
             assert_eq!(table.trigger_all(), TriggerBreakdown::of_all(&session));
@@ -658,19 +677,20 @@ mod tests {
             AnalysisConfig::default(),
         );
         let classifier = OriginClassifier::java_default();
-        let n = session.episodes().len();
-        let whole = CharacterizationTable::scan(&session, 0..n, &classifier);
-        let mut pieces = CharacterizationTable::scan(&session, 0..n / 3, &classifier);
-        pieces.merge(&CharacterizationTable::scan(
-            &session,
-            n / 3..2 * n / 3,
-            &classifier,
-        ));
-        pieces.merge(&CharacterizationTable::scan(
-            &session,
-            2 * n / 3..n,
-            &classifier,
-        ));
+        let (analysis, scope) = (
+            characterize(&session, &classifier),
+            Scope::of_trace(session.trace()),
+        );
+        let (episodes, n) = (session.episodes(), session.episodes().len());
+        let whole = fold_episodes(&analysis, scope, episodes, 1);
+        let shards = [0..n / 3, n / 3..2 * n / 3, 2 * n / 3..n].map(|range| {
+            let mut shard = analysis.shard(scope);
+            for i in range {
+                analysis.push(scope, &mut shard, i, &episodes[i]);
+            }
+            shard
+        });
+        let pieces = analysis.finish(scope, shards.into());
         assert_eq!(pieces.trigger_all(), whole.trigger_all());
         assert_eq!(pieces.location_all(), whole.location_all());
         assert_eq!(pieces.causes_perceptible(), whole.causes_perceptible());

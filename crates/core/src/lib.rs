@@ -45,7 +45,8 @@
 //!   lives in `lagalyzer_trace::rollup`);
 //! * [`warm`] — zero-decode warm analysis: summaries read from persisted
 //!   rollups, run through the same analysis code as the cold path;
-//! * [`analysis`] — the extension trait for custom analyses.
+//! * [`analysis`] — the fold trait every analysis of a session's episodes
+//!   implements, built-in or custom, and its in-memory driver.
 //!
 //! # Example
 //!
@@ -86,7 +87,7 @@ pub mod summary;
 pub mod trigger;
 pub mod warm;
 
-pub use aggregate::{characterize_with_jobs, AppAggregate, CharacterizationTable};
+pub use aggregate::{AppAggregate, CharacterizationTable, Characterize};
 pub use analysis::Analysis;
 pub use browser::PatternBrowser;
 pub use causes::CauseStats;
@@ -111,7 +112,7 @@ pub use warm::WarmSession;
 
 /// Convenient glob import for downstream users.
 pub mod prelude {
-    pub use crate::aggregate::{characterize_with_jobs, AppAggregate, CharacterizationTable};
+    pub use crate::aggregate::{AppAggregate, CharacterizationTable, Characterize};
     pub use crate::analysis::Analysis;
     pub use crate::browser::PatternBrowser;
     pub use crate::causes::CauseStats;

@@ -5,28 +5,31 @@
 //! persisted as an optional section next to the episode payloads. A
 //! [`RollupBuilder`] is the one place those are computed — summaries and
 //! their shapes in first-use order (through the [`Summarizer`]), lag
-//! breakdowns, band grids and per-shape histograms. It folds episodes one
-//! at a time into [`RollupShard`]s, as [`SessionSource::fold`] lends them,
-//! and merges the shards in order into the rollup a serial pass would
-//! build, for any number of shards.
+//! breakdowns, band grids and per-shape histograms. It is an [`Analysis`]:
+//! it folds episodes one at a time into [`RollupShard`]s, as
+//! [`SessionSource::fold`] lends them, and merges the shards in order into
+//! the rollup a serial pass would build, for any number of shards.
 //!
 //! The cold analysis path folds a session into an in-memory rollup and
 //! reads it through the constructor the warm path reads a persisted one
 //! with (see [`crate::summary::Summaries::of_rollup`]), and `pack` folds
 //! the rollups it persists, so warm and cold answers are byte-identical.
-//! [`build`] feeds a decoded trace through the same builder.
+//! [`build`] runs the same builder over a decoded trace.
+//!
+//! [`SessionSource::fold`]: lagalyzer_trace::SessionSource::fold
 //!
 //! The builder does **not** stamp the content checksum: the writer that
 //! persists the rollup computes it over the episode record bytes it
 //! actually emits (see `lagalyzer_trace::binary::write_with_rollup` and
 //! the corpus packers), which is the only place those bytes are known.
 
-use lagalyzer_model::{DurationNs, Episode, EpisodeId, SessionMeta, SessionTrace, SymbolTable};
-use lagalyzer_trace::index::{DurationBand, EpisodeFilter};
+use lagalyzer_model::{
+    fold_episodes, Analysis, DurationNs, Episode, EpisodeId, Scope, SessionTrace,
+};
+use lagalyzer_trace::index::DurationBand;
 use lagalyzer_trace::rollup::{
     BandGrid, EpisodeSummary, Rollup, GRID_BANDS, GRID_GRANULARITIES, SHAPE_HIST_BUCKETS,
 };
-use lagalyzer_trace::{SessionSource, TraceError};
 
 use crate::outliers::{IoClasses, LagBreakdown};
 use crate::summary::Summarizer;
@@ -34,25 +37,22 @@ use crate::summary::Summarizer;
 /// Computes the full rollup of `trace` (checksum left zero; the persisting
 /// writer stamps it).
 pub fn build(trace: &SessionTrace) -> Rollup {
-    let builder = RollupBuilder::new(trace.meta(), trace.symbols());
-    let mut shard = builder.shard();
-    for (position, episode) in trace.episodes().iter().enumerate() {
-        builder.push(&mut shard, position, episode);
-    }
-    builder.finish(vec![shard]).rollup
+    let scope = Scope::of_trace(trace);
+    fold_episodes(&RollupBuilder::default(), scope, trace.episodes(), 1).rollup
 }
 
-/// Folds one session's decoded episodes into its rollup.
+/// Folds one session's decoded episodes into its rollup: the [`Analysis`]
+/// whose output is a [`Folded`] rollup. Lag breakdowns resolve I/O
+/// classes in the folded session's symbol table, and the grids' time
+/// buckets cut its end-to-end span.
 #[derive(Clone, Copy, Debug)]
-pub struct RollupBuilder<'a> {
-    symbols: &'a SymbolTable,
-    /// The session's end-to-end span, which the grids' time buckets cut.
-    span: u64,
+pub struct RollupBuilder {
     breakdowns: bool,
 }
 
 /// One shard's share of a rollup fold. Its summaries index the shard's
-/// own shape table until [`RollupBuilder::finish`] merges the shards.
+/// own shape table until the builder's [`Analysis::finish`] merges the
+/// shards.
 #[derive(Clone, Debug)]
 pub struct RollupShard {
     summarizer: Summarizer,
@@ -85,27 +85,29 @@ pub struct Folded {
     pub rows: Vec<Row>,
 }
 
-impl<'a> RollupBuilder<'a> {
-    /// A builder for a session with `meta` and `symbols`.
-    pub fn new(meta: &SessionMeta, symbols: &'a SymbolTable) -> RollupBuilder<'a> {
-        RollupBuilder {
-            symbols,
-            span: meta.end_to_end.as_nanos(),
-            breakdowns: true,
-        }
+/// A builder that computes lag breakdowns.
+impl Default for RollupBuilder {
+    fn default() -> RollupBuilder {
+        RollupBuilder { breakdowns: true }
     }
+}
 
+impl RollupBuilder {
     /// Whether to compute lag breakdowns (the default). Without them every
     /// breakdown stays zero, for an analysis that reads none (pattern
     /// mining); such a rollup must not be persisted.
     #[must_use]
-    pub fn breakdowns(mut self, on: bool) -> RollupBuilder<'a> {
+    pub fn breakdowns(mut self, on: bool) -> RollupBuilder {
         self.breakdowns = on;
         self
     }
+}
 
-    /// An empty shard.
-    pub fn shard(&self) -> RollupShard {
+impl Analysis for RollupBuilder {
+    type Shard = RollupShard;
+    type Output = Folded;
+
+    fn shard(&self, _: Scope<'_>) -> RollupShard {
         RollupShard {
             summarizer: Summarizer::new(),
             io: IoClasses::default(),
@@ -116,8 +118,13 @@ impl<'a> RollupBuilder<'a> {
         }
     }
 
-    /// Folds `episode`, found at `position`, into `shard`.
-    pub fn push(&self, shard: &mut RollupShard, position: usize, episode: &Episode) {
+    fn push(
+        &self,
+        session: Scope<'_>,
+        shard: &mut RollupShard,
+        position: usize,
+        episode: &Episode,
+    ) {
         let summary = shard.summarizer.summarize(episode);
         let shape = summary.shape as usize;
         if shape == shard.shape_histograms.len() {
@@ -125,12 +132,13 @@ impl<'a> RollupBuilder<'a> {
         }
         shard.shape_histograms[shape][Rollup::hist_bucket(summary.duration.as_nanos())] += 1;
         let band = DurationBand::of(summary.duration) as usize;
+        let span = session.meta.end_to_end.as_nanos();
         for grid in &mut shard.grids {
-            let bucket = Rollup::time_bucket(episode.start().as_nanos(), self.span, grid.buckets);
+            let bucket = Rollup::time_bucket(episode.start().as_nanos(), span, grid.buckets);
             grid.counts[band * grid.buckets as usize + bucket] += 1;
         }
         let breakdown = if self.breakdowns {
-            LagBreakdown::of_episode_memo(episode, self.symbols, &mut shard.io).to_array()
+            LagBreakdown::of_episode_memo(episode, session.symbols, &mut shard.io).to_array()
         } else {
             [0; 7]
         };
@@ -152,9 +160,9 @@ impl<'a> RollupBuilder<'a> {
     /// Merges shards, in episode order, into the session's rollup. Each
     /// shard's shapes are re-interned in its own first-use order, which
     /// puts the merged table in first-use order over all the episodes.
-    pub fn finish(&self, shards: Vec<RollupShard>) -> Folded {
+    fn finish(&self, session: Scope<'_>, shards: Vec<RollupShard>) -> Folded {
         let mut shards = shards.into_iter();
-        let mut acc = shards.next().unwrap_or_else(|| self.shard());
+        let mut acc = shards.next().unwrap_or_else(|| self.shard(session));
         for shard in shards {
             let remap = acc.summarizer.absorb(&shard.summarizer);
             for (local, histogram) in shard.shape_histograms.iter().enumerate() {
@@ -188,27 +196,6 @@ impl<'a> RollupBuilder<'a> {
             },
             rows: acc.rows,
         }
-    }
-
-    /// Folds the episodes of `source` the filter admits over `jobs`
-    /// workers (see [`SessionSource::fold`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the fold's decode and ordering failures.
-    pub fn fold(
-        &self,
-        source: &SessionSource<'_>,
-        jobs: usize,
-        filter: &EpisodeFilter,
-    ) -> Result<Folded, TraceError> {
-        let shards = source.fold(
-            jobs,
-            filter,
-            || self.shard(),
-            |shard, position, episode| self.push(shard, position, episode),
-        )?;
-        Ok(self.finish(shards))
     }
 }
 

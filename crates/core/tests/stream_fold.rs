@@ -1,7 +1,7 @@
 //! The streamed rollup fold against the materialized references.
 //!
-//! `RollupBuilder::fold` summarizes each episode as `SessionSource::fold`
-//! decodes it and keeps none of them. It must build, field for field, the
+//! `RollupBuilder`, run by `SessionSource::fold`, summarizes each episode
+//! as it decodes and keeps none of them. It must build, field for field, the
 //! rollup `rollup::build` builds from the decoded (equally filtered)
 //! trace, at any job count and on salvaged sessions; shards cut by hand
 //! must merge into that rollup too, whatever the machine's parallelism;
@@ -9,6 +9,7 @@
 //! must mine what the decoded session mines. The lag breakdown's one-pass scan is held to the
 //! two-walk definition it replaced.
 
+use lagalyzer_core::analysis::Scope;
 use lagalyzer_core::prelude::*;
 use lagalyzer_core::rollup::{self, RollupBuilder, RollupShard};
 use lagalyzer_model::{DurationNs, Episode, IntervalKind, SessionTrace, ThreadState, TimeNs};
@@ -17,6 +18,10 @@ use lagalyzer_sim::{apps, runner};
 use lagalyzer_trace::faults::FaultInjector;
 use lagalyzer_trace::{binary, EpisodeFilter, IndexedTrace};
 use proptest::prelude::*;
+
+#[path = "support/layouts.rs"]
+mod layouts;
+use layouts::layouts;
 
 fn encode(trace: &SessionTrace) -> Vec<u8> {
     let mut bytes = Vec::new();
@@ -40,8 +45,8 @@ fn filters() -> Vec<EpisodeFilter> {
 fn assert_fold_matches(indexed: &IndexedTrace, filter: &EpisodeFilter, jobs: usize) {
     let source = indexed.source();
     let decoded = source.decode_filtered(1, filter).unwrap();
-    let folded = RollupBuilder::new(source.meta(), source.symbols())
-        .fold(&source, jobs, filter)
+    let folded = source
+        .fold(jobs, filter, &RollupBuilder::default())
         .unwrap();
     assert_eq!(folded.rollup, rollup::build(&decoded), "jobs {jobs}");
     assert_eq!(folded.rows.len(), decoded.episodes().len());
@@ -81,29 +86,7 @@ fn folded_rollups_match_built_ones_on_the_ground_truths() {
     }
 }
 
-/// Shard layouts over `n` episodes, each as its cut points: even splits
-/// into two to five shards, and cuts placed just before and just after the
-/// first use of some shape (`first_uses`, ascending positions), so a shape
-/// first seen in one shard recurs in later ones and a shard can open on a
-/// shape an earlier one introduced.
-fn layouts(n: usize, first_uses: &[usize]) -> Vec<Vec<usize>> {
-    let mut layouts: Vec<Vec<usize>> = (2..=5)
-        .map(|k| (1..k).map(|j| j * n / k).collect())
-        .collect();
-    let late = &first_uses[first_uses.len() / 2..];
-    layouts.push(late.iter().take(3).copied().collect());
-    layouts.push(late.iter().take(4).map(|&p| p + 1).collect());
-    layouts
-        .into_iter()
-        .map(|mut cuts| {
-            cuts.retain(|&c| 0 < c && c < n);
-            cuts.dedup();
-            cuts
-        })
-        .collect()
-}
-
-/// `RollupBuilder::finish` merges shards cut by hand exactly as a serial
+/// `RollupBuilder`'s `finish` merges shards cut by hand exactly as a serial
 /// build, independent of the machine's parallelism: the episodes pushed
 /// into two to five shards, with shape first uses straddling the
 /// boundaries, give `rollup::build`'s rollup and rows in episode order.
@@ -122,14 +105,15 @@ fn hand_cut_shards_merge_into_the_serial_rollup() {
                 first_uses.push(position);
             }
         }
-        let builder = RollupBuilder::new(trace.meta(), trace.symbols());
+        let (builder, scope) = (RollupBuilder::default(), Scope::of_trace(trace));
         for cuts in layouts(episodes.len(), &first_uses) {
-            let mut shards: Vec<RollupShard> = (0..=cuts.len()).map(|_| builder.shard()).collect();
+            let mut shards: Vec<RollupShard> =
+                (0..=cuts.len()).map(|_| builder.shard(scope)).collect();
             for (position, episode) in episodes.iter().enumerate() {
                 let shard = cuts.partition_point(|&c| c <= position);
-                builder.push(&mut shards[shard], position, episode);
+                builder.push(scope, &mut shards[shard], position, episode);
             }
-            let folded = builder.finish(shards);
+            let folded = builder.finish(scope, shards);
             let context = format!("{} cut at {cuts:?}", trace.meta().application);
             assert_eq!(folded.rollup, serial, "{context}");
             assert_eq!(folded.rows.len(), episodes.len(), "{context}");
@@ -161,12 +145,9 @@ fn a_fold_without_breakdowns_differs_only_in_them() {
     let indexed = IndexedTrace::open(encode(&trace)).unwrap();
     let source = indexed.source();
     let filter = EpisodeFilter::new();
-    let full = RollupBuilder::new(source.meta(), source.symbols())
-        .fold(&source, 3, &filter)
-        .unwrap();
-    let mut bare = RollupBuilder::new(source.meta(), source.symbols())
-        .breakdowns(false)
-        .fold(&source, 3, &filter)
+    let full = source.fold(3, &filter, &RollupBuilder::default()).unwrap();
+    let mut bare = source
+        .fold(3, &filter, &RollupBuilder::default().breakdowns(false))
         .unwrap();
     assert!(bare.rollup.summaries.iter().all(|s| s.breakdown == [0; 7]));
     for (bare, full) in bare.rollup.summaries.iter_mut().zip(&full.rollup.summaries) {

@@ -37,6 +37,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod analysis;
 pub mod episode;
 pub mod error;
 pub mod ids;
@@ -51,12 +52,13 @@ pub mod time;
 pub mod tree;
 pub mod waitgraph;
 
+pub use analysis::{fold_episodes, Analysis, Scope};
 pub use episode::{Episode, EpisodeBuilder};
 pub use error::ModelError;
 pub use ids::{EpisodeId, NodeId, SessionId, SymbolId, ThreadId};
 pub use interval::{Interval, IntervalKind};
 pub use json::json_string;
-pub use lockgraph::{ContendedWait, HolderSight, LockGraph, WaitKind};
+pub use lockgraph::{ContendedWait, HolderSight, LockGraph, LockGraphs, WaitKind};
 pub use sample::{
     SampleSnapshot, Samples, SnapshotIter, SnapshotView, StackFrame, ThreadIter, ThreadSample,
     ThreadState, ThreadView,

@@ -22,17 +22,17 @@
 //! Downstream rules therefore treat edge evidence as probabilistic and
 //! gate findings on sample counts; see DESIGN.md for the limits.
 //!
-//! Construction is shardable: [`LockGraph::build_with_jobs`] fans
-//! per-episode extraction over [`crate::parallel::map_shards`] and merges
-//! the shard graphs in shard order, so the result is byte-identical to
-//! the serial build for any worker count.
+//! Construction is a fold: [`LockGraphs`] is the [`Analysis`] that folds
+//! each episode's waits into a shard graph and merges the shard graphs in
+//! shard order, so either fold driver gives the serial
+//! [`LockGraph::build`] for any worker count.
 
 use std::collections::BTreeMap;
 
+use crate::analysis::{Analysis, Scope};
 use crate::episode::Episode;
 use crate::ids::{EpisodeId, ThreadId};
 use crate::interval::IntervalKind;
-use crate::parallel::map_shards;
 use crate::sample::ThreadState;
 use crate::symbols::MethodRef;
 
@@ -156,6 +156,36 @@ pub struct LockGraph {
     waits: Vec<ContendedWait>,
 }
 
+/// A session's lock graph as an [`Analysis`]: each episode's contended
+/// waits folded in by [`LockGraph::add_episode`], shard graphs
+/// [`LockGraph::merge`]d in order, together with the number of episodes
+/// folded.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct LockGraphs;
+
+impl Analysis for LockGraphs {
+    type Shard = (LockGraph, usize);
+    type Output = (LockGraph, usize);
+
+    fn shard(&self, _: Scope<'_>) -> (LockGraph, usize) {
+        (LockGraph::new(), 0)
+    }
+
+    fn push(&self, _: Scope<'_>, shard: &mut (LockGraph, usize), _: usize, episode: &Episode) {
+        shard.0.add_episode(episode);
+        shard.1 += 1;
+    }
+
+    fn finish(&self, session: Scope<'_>, shards: Vec<(LockGraph, usize)>) -> (LockGraph, usize) {
+        let mut merged = self.shard(session);
+        for (graph, episodes) in shards {
+            merged.0.merge(graph);
+            merged.1 += episodes;
+        }
+        merged
+    }
+}
+
 impl LockGraph {
     /// An empty graph.
     pub fn new() -> LockGraph {
@@ -164,24 +194,11 @@ impl LockGraph {
 
     /// Builds the graph serially over `episodes`.
     pub fn build(episodes: &[Episode]) -> LockGraph {
-        LockGraph::build_with_jobs(episodes, 1)
-    }
-
-    /// Builds the graph by sharding per-episode extraction over `jobs`
-    /// workers; byte-identical to [`LockGraph::build`] for any count.
-    pub fn build_with_jobs(episodes: &[Episode], jobs: usize) -> LockGraph {
-        let shards = map_shards(episodes.len(), jobs, |range| {
-            let mut g = LockGraph::new();
-            for episode in &episodes[range] {
-                g.add_episode(episode);
-            }
-            g
-        });
-        let mut out = LockGraph::new();
-        for shard in shards {
-            out.merge(shard);
+        let mut graph = LockGraph::new();
+        for episode in episodes {
+            graph.add_episode(episode);
         }
-        out
+        graph
     }
 
     /// Extracts `episode`'s contended waits and folds them in.
@@ -873,9 +890,21 @@ mod tests {
                 )
             })
             .collect();
+        let meta = crate::session::SessionMeta {
+            application: "A".into(),
+            session: crate::ids::SessionId::from_raw(0),
+            gui_thread: tid(0),
+            end_to_end: crate::time::DurationNs::from_secs(1),
+            filter_threshold: crate::time::DurationNs::TRACE_FILTER_DEFAULT,
+        };
+        let scope = Scope {
+            meta: &meta,
+            symbols: &symbols,
+        };
         let serial = LockGraph::build(&episodes);
-        for jobs in [2, 3, 5, 8] {
-            assert_eq!(LockGraph::build_with_jobs(&episodes, jobs), serial);
+        for jobs in [1, 2, 3, 5, 8] {
+            let folded = crate::analysis::fold_episodes(&LockGraphs, scope, &episodes, jobs);
+            assert_eq!(folded, (serial.clone(), episodes.len()));
         }
         assert_eq!(serial.waits().len(), 17);
         assert_eq!(serial.cycles().len(), 1);

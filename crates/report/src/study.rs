@@ -2,8 +2,9 @@
 
 use lagalyzer_core::aggregate::{
     mean_causes, mean_concurrency, mean_coverage_curves, mean_locations, sum_occurrences,
-    sum_triggers, AppAggregate, AveragedStats, CharacterizationTable,
+    sum_triggers, AppAggregate, AveragedStats, CharacterizationTable, Characterize,
 };
+use lagalyzer_core::analysis::{fold_episodes, Scope};
 use lagalyzer_core::occurrence::OccurrenceBreakdown;
 use lagalyzer_core::parallel::map_shards;
 use lagalyzer_core::patterns::PatternSet;
@@ -133,10 +134,15 @@ pub fn aggregate_sessions_with_jobs(
                 SessionBundle {
                     row: SessionStats::compute_from(&summaries, &patterns, 1),
                     patterns,
-                    characterization: CharacterizationTable::scan(
-                        s,
-                        0..s.episodes().len(),
-                        classifier,
+                    characterization: fold_episodes(
+                        &Characterize {
+                            classifier,
+                            threshold: s.perceptible_threshold(),
+                            salvaged: s.is_salvaged(),
+                        },
+                        Scope::of_trace(s.trace()),
+                        s.episodes(),
+                        1,
                     ),
                 }
             })

@@ -65,7 +65,8 @@ use std::sync::OnceLock;
 
 use lagalyzer_model::parallel::map_shards_init;
 use lagalyzer_model::{
-    DurationNs, Episode, GcEvent, SessionMeta, SessionTrace, SymbolId, SymbolTable, TimeNs,
+    fold_episodes, Analysis, DurationNs, Episode, GcEvent, Scope, SessionMeta, SessionTrace,
+    SymbolId, SymbolTable, TimeNs,
 };
 
 use crate::binary::{read_header, write_header};
@@ -209,28 +210,32 @@ impl Encoded {
         }
         encoded
     }
+}
 
-    /// Encodes decoded episodes, in order.
-    fn of_episodes<'e>(episodes: impl IntoIterator<Item = &'e Episode>) -> Encoded {
-        let mut encoded = Encoded::default();
-        for episode in episodes {
-            encoded.push(episode);
-        }
-        encoded
+/// Re-encodes decoded episodes, in order, into one payload: each after
+/// the ones already in its shard, with the extent the episode itself
+/// gives, and the shards joined in order.
+struct Encode;
+
+impl Analysis for Encode {
+    type Shard = Encoded;
+    type Output = Encoded;
+
+    fn shard(&self, _: Scope<'_>) -> Encoded {
+        Encoded::default()
     }
 
-    /// Encodes a decoded episode after the ones already here; its extent
-    /// comes from the episode itself.
-    fn push(&mut self, episode: &Episode) {
-        let offset = self.payload.len() as u64;
-        crate::binary::write_episode(episode, &mut self.payload).expect("a Vec write cannot fail");
-        let len = self.payload.len() as u64 - offset;
-        self.extents
+    fn push(&self, _: Scope<'_>, encoded: &mut Encoded, _: usize, episode: &Episode) {
+        let offset = encoded.payload.len() as u64;
+        crate::binary::write_episode(episode, &mut encoded.payload)
+            .expect("a Vec write cannot fail");
+        let len = encoded.payload.len() as u64 - offset;
+        encoded
+            .extents
             .push(EpisodeExtent::of_episode(episode, offset, len));
     }
 
-    /// Joins shards encoded in order into one payload.
-    fn concat(shards: Vec<Encoded>) -> Encoded {
+    fn finish(&self, _: Scope<'_>, shards: Vec<Encoded>) -> Encoded {
         let mut shards = shards.into_iter();
         let mut encoded = shards.next().unwrap_or_default();
         for next in shards {
@@ -355,17 +360,10 @@ pub fn compact_with_rollups(
         let (encoded, built) = match (carried, build) {
             (None, Some(build)) => {
                 let trace = source.decode(jobs)?;
-                (Encoded::of_episodes(trace.episodes()), Some(build(&trace)))
+                let encoded = fold_episodes(&Encode, Scope::of_trace(&trace), trace.episodes(), 1);
+                (encoded, Some(build(&trace)))
             }
-            _ => {
-                let shards = source.fold(
-                    jobs,
-                    &EpisodeFilter::default(),
-                    Encoded::default,
-                    |encoded, _, episode| encoded.push(episode),
-                )?;
-                (Encoded::concat(shards), None)
-            }
+            _ => (source.fold(jobs, &EpisodeFilter::default(), &Encode)?, None),
         };
         // What a decoded trace re-encoded and reopened holds: GC events
         // sorted by start, and no short-episode time without a count (the
@@ -1654,7 +1652,8 @@ mod tests {
                 let damaged = FaultInjector::new(seed).inject(&bytes).0;
                 let opened = IndexedTrace::open_salvage(damaged).ok()?;
                 let stale = Encoded::of_indexed(&opened).payload;
-                let fresh = Encoded::of_episodes(opened.par_decode(1).ok()?.episodes()).payload;
+                let fresh = opened.source().fold(1, &EpisodeFilter::default(), &Encode);
+                let fresh = fresh.ok()?.payload;
                 (fresh != stale).then_some((opened, stale, fresh))
             })
             .expect("a seeded fault the decode repairs");

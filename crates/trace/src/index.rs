@@ -1112,13 +1112,14 @@ impl IndexedTrace {
 
     /// Decodes exactly the extents named by `indices`, in the given order
     /// (see [`SessionSource::decode_subset`]); after
-    /// [`open_salvage`](IndexedTrace::open_salvage) undecodable extents
-    /// are skipped.
+    /// [`open_salvage`](IndexedTrace::open_salvage) extents in the index
+    /// whose bytes do not decode are skipped.
     ///
     /// # Errors
     ///
-    /// On a clean trace, propagates the first decode failure (including
-    /// out-of-range indices).
+    /// On any open, an index past the extent table (`no episode N in the
+    /// index`); on a strict open, also the first extent that does not
+    /// decode.
     pub fn par_decode_subset(
         &self,
         jobs: usize,

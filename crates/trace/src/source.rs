@@ -14,11 +14,11 @@
 //! [`SessionSource::fold`]: workers decode contiguous shards, and the
 //! shard loop and its merge are the one place that applies the ordering
 //! rule, drops what a lenient session drops, and checks the declared
-//! record count. A fold lends each decoded episode to a consumer and
-//! drops it, so an analysis that is a fold over episodes never holds more
-//! than one decoded episode per worker; [`SessionSource::decode_filtered`]
-//! is the same fold with a step that keeps each episode, and its merge
-//! moves each shard's episodes into the trace at once. Both fail where
+//! record count. A fold lends each decoded episode to an [`Analysis`] and
+//! drops it, so an analysis never holds more than one decoded episode per
+//! worker; [`SessionSource::decode_filtered`] is the same shard loop with
+//! a step that keeps each episode, and its merge moves each shard's
+//! episodes into the trace at once. Both fail where
 //! [`binary::read`] would: on an episode that does not decode or comes
 //! out of order and, when they admit every extent of a footer-indexed
 //! `.lgz`, on a record count other than the declared one.
@@ -32,8 +32,8 @@ use std::ops::Range;
 
 use lagalyzer_model::parallel::map_shards_init;
 use lagalyzer_model::{
-    DurationNs, Episode, GcEvent, ModelError, SessionMeta, SessionTrace, SessionTraceBuilder,
-    SymbolTable, TimeNs,
+    Analysis, DurationNs, Episode, GcEvent, ModelError, Scope, SessionMeta, SessionTrace,
+    SessionTraceBuilder, SymbolTable, TimeNs,
 };
 
 use crate::error::TraceError;
@@ -92,6 +92,14 @@ impl<'a> SessionSource<'a> {
     /// The session's symbol table.
     pub fn symbols(&self) -> &'a SymbolTable {
         &self.records.symbols
+    }
+
+    /// The session as an [`Analysis`] sees it.
+    pub fn scope(&self) -> Scope<'a> {
+        Scope {
+            meta: self.meta,
+            symbols: &self.records.symbols,
+        }
     }
 
     /// The extent index, one entry per episode in dispatch order.
@@ -293,14 +301,14 @@ impl<'a> SessionSource<'a> {
         }
     }
 
-    /// Streams the episodes the filter admits through `step` without
+    /// Runs `analysis` over the episodes the filter admits without
     /// keeping them: each worker decodes an extent into its scratch, lends
-    /// the episode to `step` together with its extent position, and drops
-    /// it. Every worker folds contiguous ascending shards into states made
-    /// by `init`; the states come back in shard order, for the caller to
-    /// merge in that order.
+    /// the episode to [`Analysis::push`] together with its extent
+    /// position, and drops it. Every worker folds contiguous ascending
+    /// shards, and [`Analysis::finish`] merges them in shard order. Each
+    /// call sees this source's [`scope`](Self::scope).
     ///
-    /// The episodes `step` sees are the ones a serial pass keeps, in the
+    /// The episodes `analysis` sees are the ones a serial pass keeps, in the
     /// same order, for any `jobs`: each admitted extent decoded in index
     /// order, where a strict session fails on an episode that starts
     /// before the one kept ahead of it and a lenient (salvaged) session
@@ -315,38 +323,38 @@ impl<'a> SessionSource<'a> {
     /// failure, then the first ordering failure between shards, then, when
     /// a strict fold admits every extent of a footer-indexed `.lgz`, a
     /// record count other than the declared one.
-    pub fn fold<S, I, F>(
+    pub fn fold<A: Analysis>(
         &self,
         jobs: usize,
         filter: &EpisodeFilter,
-        init: I,
-        step: F,
-    ) -> Result<Vec<S>, TraceError>
-    where
-        S: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize, &Episode) + Sync,
-    {
+        analysis: &A,
+    ) -> Result<A::Output, TraceError> {
+        let scope = self.scope();
         let indices = self.admitted(filter);
         let fold = ShardedFold {
             source: self,
             indices: indices.as_deref(),
         };
-        let lend = |state: &mut S, i, episode: Episode| step(state, i, &episode);
+        let init = || analysis.shard(scope);
+        let lend = |shard: &mut A::Shard, i, episode: Episode| {
+            analysis.push(scope, shard, i, &episode);
+        };
         let shards = map_shards_init(
             fold.slots(),
             jobs,
             DecodeScratch::default,
             |scratch, range| fold.shard(scratch, range, None, init(), lend),
         );
-        fold.merge(
+        let shards = fold.merge(
             shards.into_iter().collect::<Result<_, _>>()?,
             |range, floor| fold.shard(&mut DecodeScratch::default(), range, floor, init(), lend),
-        )
+        )?;
+        Ok(analysis.finish(scope, shards))
     }
 
     /// [`fold`](Self::fold) on the calling thread, in one pass into one
-    /// `state`: for a consumer that must see every episode in order.
+    /// `state` stepped by a closure: for a consumer that must see every
+    /// episode in order and holds `&mut` state across them.
     ///
     /// # Errors
     ///
@@ -400,13 +408,15 @@ impl<'a> SessionSource<'a> {
     /// never touching any other episode's bytes — the skip-decode path an
     /// analysis uses to revisit a handful of flagged episodes.
     ///
-    /// On a lenient (salvaged) session, extents whose bytes no longer
-    /// decode are skipped, so the result may be shorter than `indices`.
+    /// On a lenient (salvaged) session, extents in the index whose bytes
+    /// no longer decode are skipped, so the result may be shorter than
+    /// `indices`.
     ///
     /// # Errors
     ///
-    /// On a strict session, propagates the first decode failure
-    /// (including out-of-range indices).
+    /// On any session, an index past the extent table (`no episode N in
+    /// the index`); on a strict session, also the first extent that does
+    /// not decode. Either way the first failing shard's first failure.
     pub fn decode_subset(
         &self,
         jobs: usize,
@@ -417,7 +427,7 @@ impl<'a> SessionSource<'a> {
             for slot in r {
                 match self.decode_with(indices[slot], scratch) {
                     Ok(episode) => episodes.push(episode),
-                    Err(_) if self.lenient => {}
+                    Err(_) if self.lenient && indices[slot] < self.extents.len() => {}
                     Err(e) => return Err(e),
                 }
             }
@@ -672,6 +682,26 @@ pub(crate) mod tests {
         Ok(source.records.finish(b))
     }
 
+    /// Collects the ids of the episodes a fold lends, in order.
+    struct Ids;
+
+    impl Analysis for Ids {
+        type Shard = Vec<EpisodeId>;
+        type Output = Vec<EpisodeId>;
+
+        fn shard(&self, _: Scope<'_>) -> Vec<EpisodeId> {
+            Vec::new()
+        }
+
+        fn push(&self, _: Scope<'_>, ids: &mut Vec<EpisodeId>, _: usize, episode: &Episode) {
+            ids.push(episode.id());
+        }
+
+        fn finish(&self, _: Scope<'_>, shards: Vec<Vec<EpisodeId>>) -> Vec<EpisodeId> {
+            shards.concat()
+        }
+    }
+
     /// What a decoded trace holds, bar its symbols: metadata, episodes,
     /// GC events and the short-episode counters.
     pub(crate) type Parts = (SessionMeta, Vec<Episode>, Vec<GcEvent>, u64, DurationNs);
@@ -738,9 +768,7 @@ pub(crate) mod tests {
                         let context = format!("order {order:?} lenient {lenient} jobs {jobs}");
                         let decoded = source.decode_filtered(jobs, filter).map(|t| parts(&t));
                         assert_same(decoded, reference.as_ref(), jobs == 1, &context);
-                        let folded = source
-                            .fold(jobs, filter, Vec::new, |ids, _, e| ids.push(e.id()))
-                            .map(|shards| shards.concat());
+                        let folded = source.fold(jobs, filter, &Ids);
                         assert_same(folded, ids.as_ref(), jobs == 1, &context);
                     }
                     for layout in 0..8 {

@@ -273,21 +273,36 @@ fn par_decode_subset_matches_full_decode_at_every_job_count() {
     assert!(indexed.par_decode_subset(2, &[99]).is_err());
 }
 
+/// An episode whose id no longer matches its extent, under a resealed
+/// trailer that both opens accept without decoding it: a subset decode
+/// skips it on the salvage open and fails on the strict one, and an index
+/// past the extent table fails on both.
 #[test]
 fn par_decode_subset_skips_undecodable_extents_on_salvage() {
     let trace = fixed_trace(6);
-    let bytes = encode(&trace);
-    // Flip a byte inside an episode's record region to break one extent,
-    // then salvage-open: the subset decode must skip it, not fail.
+    let mut bytes = encode(&trace);
+    let damaged = 2;
+    let extent = IndexedTrace::open(bytes.clone()).unwrap().extents()[damaged];
+    // The first byte of the episode begin's id, just past its tag.
+    bytes[extent.offset as usize + 1] ^= 0x40;
+    let bytes = reseal(&bytes);
+    let strict = IndexedTrace::open(bytes.clone()).unwrap();
     let salvaged = IndexedTrace::open_salvage(bytes).unwrap();
     let all: Vec<usize> = (0..salvaged.len()).collect();
-    let episodes = salvaged.par_decode_subset(2, &all).unwrap();
-    assert_eq!(episodes.len(), trace.episodes().len());
-    // Same call on a clean open matches too.
-    assert!(salvaged
-        .par_decode_subset(2, &[salvaged.len() + 3])
-        .unwrap()
-        .is_empty());
+    assert!(strict.par_decode_subset(2, &all).is_err());
+    let mut survivors = trace.episodes().to_vec();
+    survivors.remove(damaged);
+    assert_eq!(salvaged.par_decode_subset(2, &all).unwrap(), survivors);
+    let past = salvaged.len() + 3;
+    for opened in [&strict, &salvaged] {
+        let error = opened.par_decode_subset(2, &[0, past]).unwrap_err();
+        assert!(
+            error
+                .to_string()
+                .contains(&format!("no episode {past} in the index")),
+            "{error}"
+        );
+    }
 }
 
 #[test]

@@ -14,6 +14,7 @@
 //!    recovered episode is byte-identical to the uncorrupted original.
 
 use lagalyzer_model::prelude::*;
+use lagalyzer_model::{Analysis, Scope};
 use lagalyzer_trace::faults::{self, Fault, FaultInjector};
 use lagalyzer_trace::salvage::SalvageReport;
 use lagalyzer_trace::{binary, decode_bytes_salvage, read_bytes_salvage, records_from_trace, text};
@@ -489,6 +490,26 @@ fn resealed_episode_damage_is_reported() {
     }
 }
 
+/// Collects the ids of the episodes a fold lends, in order.
+struct Ids;
+
+impl Analysis for Ids {
+    type Shard = Vec<EpisodeId>;
+    type Output = Vec<EpisodeId>;
+
+    fn shard(&self, _: Scope<'_>) -> Vec<EpisodeId> {
+        Vec::new()
+    }
+
+    fn push(&self, _: Scope<'_>, ids: &mut Vec<EpisodeId>, _: usize, episode: &Episode) {
+        ids.push(episode.id());
+    }
+
+    fn finish(&self, _: Scope<'_>, shards: Vec<Vec<EpisodeId>>) -> Vec<EpisodeId> {
+        shards.concat()
+    }
+}
+
 /// A declared record count one off, resealed under a valid trailer
 /// checksum: the strict open accepts the trace, yet its records do not add
 /// up. The strict reader rejects it, and so does the verified fold of a
@@ -512,32 +533,25 @@ fn miscounted_records_fail_the_verified_fold() {
 
             let strict = IndexedTrace::open(bytes.clone()).unwrap();
             assert_eq!(strict.health(), &IndexHealth::FooterValid, "{context}");
-            let Err(failed) =
-                strict.fold_verified(|_, source| source.fold(1, &all, || (), |(), _, _| {}))
-            else {
+            let Err(failed) = strict.fold_verified(|_, source| source.fold(1, &all, &())) else {
                 panic!("{context}: the strict fold must fail");
             };
             assert!(
                 failed.to_string().contains("record count"),
                 "{context}: {failed}"
             );
-            let filtered = strict.source().fold(1, &some, || 0, |n, _, _| *n += 1);
-            assert!(
-                matches!(filtered.as_deref(), Ok([n]) if *n > 0),
-                "{context}"
-            );
+            let filtered = strict.source().fold(1, &some, &Ids);
+            assert!(matches!(filtered, Ok(ids) if !ids.is_empty()), "{context}");
 
             let salvaged = IndexedTrace::open_salvage(bytes.clone()).unwrap();
             for jobs in [1, 3] {
                 let (folded, rescanned) = salvaged
-                    .fold_verified(|_, source| {
-                        source.fold(jobs, &all, Vec::new, |ids, _, e| ids.push(e.id()))
-                    })
+                    .fold_verified(|_, source| source.fold(jobs, &all, &Ids))
                     .unwrap();
                 let rescanned = rescanned.expect("the fold reopens the trace");
                 assert_eq!(rescanned.health(), &IndexHealth::SalvageScan, "{context}");
                 assert_eq!(rescanned.salvage_report(), Some(&reference.report));
-                assert_eq!(folded.concat(), ids(&reference.trace), "{context}");
+                assert_eq!(folded, ids(&reference.trace), "{context}");
                 let (decoded, _) = decode_bytes_salvage(bytes.clone(), jobs).unwrap();
                 assert_eq!(decoded.report, reference.report, "{context}");
             }

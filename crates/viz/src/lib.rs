@@ -36,4 +36,4 @@ pub mod timeline;
 
 pub use ascii::ascii_sketch;
 pub use sketch::{render_sketch, SketchOptions};
-pub use timeline::{render_timeline, Timeline, TimelineOptions, TimelineRow};
+pub use timeline::{render_timeline, Timeline, TimelineOptions, TimelineRow, TimelineRows};

@@ -8,9 +8,11 @@
 //! before drilling into a single episode's sketch.
 //!
 //! A [`Timeline`] needs one [`TimelineRow`] per episode and the session's
-//! facts, never the episodes themselves, so a caller can fold the rows as
-//! the episodes decode. A decoded [`AnalysisSession`] converts into one.
+//! facts, never the episodes themselves, so a caller can fold the rows
+//! ([`TimelineRows`]) as the episodes decode. A decoded
+//! [`AnalysisSession`] converts into one.
 
+use lagalyzer_core::analysis::{fold_episodes, Analysis, Scope};
 use lagalyzer_core::session::AnalysisSession;
 use lagalyzer_core::summary::SessionFacts;
 use lagalyzer_core::trigger::Trigger;
@@ -68,6 +70,28 @@ impl TimelineRow {
     }
 }
 
+/// The timeline rows of a session's episodes, in order, as an
+/// [`Analysis`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct TimelineRows;
+
+impl Analysis for TimelineRows {
+    type Shard = Vec<TimelineRow>;
+    type Output = Vec<TimelineRow>;
+
+    fn shard(&self, _: Scope<'_>) -> Vec<TimelineRow> {
+        Vec::new()
+    }
+
+    fn push(&self, _: Scope<'_>, rows: &mut Vec<TimelineRow>, _: usize, episode: &Episode) {
+        rows.push(TimelineRow::of_episode(episode));
+    }
+
+    fn finish(&self, _: Scope<'_>, shards: Vec<Vec<TimelineRow>>) -> Vec<TimelineRow> {
+        shards.concat()
+    }
+}
+
 /// A session as the timeline draws it: one row per traced episode, in
 /// dispatch order, and the session's metadata, GC events, short-episode
 /// count and perceptibility threshold.
@@ -83,11 +107,12 @@ impl<'a> From<&'a AnalysisSession> for Timeline<'a> {
     fn from(session: &'a AnalysisSession) -> Timeline<'a> {
         Timeline {
             facts: SessionFacts::of_trace(session.trace(), *session.config()),
-            rows: session
-                .episodes()
-                .iter()
-                .map(TimelineRow::of_episode)
-                .collect(),
+            rows: fold_episodes(
+                &TimelineRows,
+                Scope::of_trace(session.trace()),
+                session.episodes(),
+                1,
+            ),
         }
     }
 }
