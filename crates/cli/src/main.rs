@@ -60,6 +60,18 @@ impl Failure {
             code: EXIT_UNRECOVERABLE,
         }
     }
+
+    /// A decode of `path` that failed: unrecoverable when a corpus
+    /// member's payload section does not decompress, which leaves none of
+    /// the member's episodes readable, and a plain error otherwise.
+    fn of_decode(path: &str, e: &TraceError) -> Failure {
+        let msg = format!("cannot load {path}: {e}");
+        if matches!(e, TraceError::UnreadablePayload(_)) {
+            Failure::unrecoverable(msg)
+        } else {
+            msg.into()
+        }
+    }
 }
 
 impl From<String> for Failure {
@@ -486,8 +498,12 @@ fn cmd_compact(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Fail
     // Sessions keep their valid rollups through compaction; sessions
     // without one get theirs built from the re-encoded payload.
     let build = |trace: &SessionTrace| lagalyzer_core::rollup::build(trace);
-    let compacted = corpus::compact_with_rollups(&reader, jobs, options, Some(&build))
-        .map_err(|e| e.to_string())?;
+    let failed = |e: TraceError| match e {
+        TraceError::UnreadablePayload(_) => Failure::of_decode(path, &e),
+        e => Failure::from(e.to_string()),
+    };
+    let compacted =
+        corpus::compact_with_rollups(&reader, jobs, options, Some(&build)).map_err(failed)?;
     let after = compacted.len();
     fs::write(out, compacted).map_err(|e| format!("cannot write {out}: {e}"))?;
     writeln!(
@@ -800,7 +816,7 @@ impl Input {
             let (path, sessions) = (&self.path, self.corpus_wide().map_or(0, CorpusReader::len));
             format!("{path} is a corpus of {sessions} sessions; select one with --session K")
         })?;
-        let failed = |e: TraceError| format!("cannot load {}: {e}", self.path);
+        let failed = |e: TraceError| Failure::of_decode(&self.path, &e);
         let fold = |source: SessionSource<'_>| source.fold(self.jobs, &self.filter, analysis);
         let output = match &self.opened {
             Opened::Binary(indexed) if self.rescanned.get().is_none() => {
@@ -1084,7 +1100,7 @@ fn corpus_patterns(input: &Input, reader: &CorpusReader) -> Result<CorpusPattern
         }
         let folded = source
             .fold(jobs, &input.filter, &builder)
-            .map_err(|e| format!("cannot load {}: {e}", input.path))?;
+            .map_err(|e| Failure::of_decode(&input.path, &e))?;
         let facts = SessionFacts::of_source(&source, input.config);
         let rows = RollupRows::Folded(&folded.rows);
         members.push(mine(&Summaries::of_rollup(facts, &folded.rollup, rows)));
@@ -1267,8 +1283,12 @@ fn cmd_lint(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failure
     if corpus::is_corpus(&bytes) {
         // Corpus: one index-health line per member session, then the
         // aggregate verdict. Exit codes follow the same 0/2/3 contract
-        // as single traces (1 is reserved for usage/I-O errors).
-        return match CorpusReader::open(bytes) {
+        // as single traces (1 is reserved for usage/I-O errors); a payload
+        // section that does not decompress is unrecoverable, like a corpus
+        // that does not open.
+        let opened =
+            CorpusReader::open(bytes).and_then(|reader| reader.verify_payloads().map(|()| reader));
+        return match opened {
             Err(e) => {
                 writeln!(stdout, "unrecoverable: {e}")?;
                 Ok(ExitCode::from(DamageVerdict::Unrecoverable.exit_code()))
@@ -1462,7 +1482,7 @@ fn cmd_hazards(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Fail
                     let source = view.source();
                     let (graph, episodes) = source
                         .fold(input.jobs, &input.filter, &LockGraphs)
-                        .map_err(|e| format!("cannot load {}: {e}", input.path))?;
+                        .map_err(|e| Failure::of_decode(&input.path, &e))?;
                     Ok((graph, episodes, source.symbols()))
                 })
                 .collect::<Result<Vec<_>, Failure>>()?;
@@ -1648,7 +1668,7 @@ fn cmd_sketch(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Failu
         Some(source) => {
             let episode = source
                 .decode_episode(index)
-                .map_err(|e| format!("cannot load {}: {e}", input.path))?;
+                .map_err(|e| Failure::of_decode(&input.path, &e))?;
             (vec![episode], index)
         }
         None => input.answer("decoded only the sketched episodes", false, |s| {

@@ -21,7 +21,7 @@ use std::process::{Command, Output};
 
 use lagalyzer_core::{AnalysisConfig, AnalysisSession, MultiPatternSet, PatternSet, SessionDiff};
 use lagalyzer_trace::corpus::{self, CorpusReader, PackOptions};
-use lagalyzer_trace::IndexedTrace;
+use lagalyzer_trace::{faults, IndexedTrace};
 
 #[path = "support/reports.rs"]
 mod reports;
@@ -263,6 +263,128 @@ fn lint_exit_contract_on_corpora() {
 
     let output = lagalyzer(&["lint", dir.join("no-such.lgzc").to_str().unwrap()]);
     assert_eq!(output.status.code(), Some(1), "I/O error exits 1");
+}
+
+/// A corpus whose member 1 has an LZ payload section that does not
+/// decompress, under a resealed trailer: it opens, so `lint` checks every
+/// payload and reports the corpus unrecoverable as before, every command
+/// that reads member 1 exits 3 with the decompression error, and the
+/// intact members answer as in the undamaged corpus.
+#[test]
+fn a_payload_that_does_not_decompress_fails_only_its_member() {
+    let opened: Vec<IndexedTrace> = V2
+        .clean
+        .iter()
+        .map(|name| IndexedTrace::open(std::fs::read(corpus_dir().join(name)).unwrap()).unwrap())
+        .collect();
+    let intact = corpus::pack(&opened, PackOptions { compress: true }).unwrap();
+    let damaged = faults::break_lz_payload(&intact, 1).unwrap();
+    let want = CorpusReader::open(damaged.clone())
+        .unwrap()
+        .session(1)
+        .source()
+        .decode(1)
+        .unwrap_err()
+        .to_string();
+    // The same file name in two directories, so outputs that name the
+    // file compare equal.
+    let dirs = [
+        scratch_dir().join("lz-intact"),
+        scratch_dir().join("lz-damaged"),
+    ];
+    for (dir, bytes) in dirs.iter().zip([intact, damaged]) {
+        std::fs::create_dir_all(dir).unwrap();
+        std::fs::write(dir.join("members.lgzc"), bytes).unwrap();
+    }
+    let run = |dir: &PathBuf, args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_lagalyzer"))
+            .args(args)
+            .current_dir(dir)
+            .output()
+            .expect("binary runs")
+    };
+    let lint = run(&dirs[1], &["lint", "members.lgzc"]);
+    assert_eq!(lint.status.code(), Some(3));
+    assert_eq!(
+        String::from_utf8(lint.stdout).unwrap(),
+        format!("unrecoverable: {want}\n")
+    );
+    assert!(lint.stderr.is_empty());
+
+    let failure = format!("error: cannot load members.lgzc: {want}\n");
+    for args in [
+        &["analyze", "members.lgzc"][..],
+        &["analyze", "members.lgzc", "--format", "json", "--jobs", "3"],
+        &["patterns", "members.lgzc"],
+        &["hazards", "members.lgzc"],
+        &["stable", "members.lgzc"],
+        &["analyze", "members.lgzc", "--session", "1"],
+        &["patterns", "members.lgzc", "--session", "1", "--no-cache"],
+        &["outliers", "members.lgzc", "--session", "1"],
+        &["hazards", "members.lgzc", "--session", "1", "--jobs", "3"],
+        &[
+            "sketch",
+            "members.lgzc",
+            "--session",
+            "1",
+            "--episode",
+            "3",
+            "--ascii",
+        ],
+        &["timeline", "members.lgzc", "--session", "1"],
+        &["diff", "members.lgzc", "members.lgzc", "--session", "1"],
+        &["compact", "members.lgzc", "--out", "compacted.lgzc"],
+    ] {
+        let output = run(&dirs[1], args);
+        assert_eq!(output.status.code(), Some(3), "{args:?}");
+        assert!(output.stdout.is_empty(), "{args:?}");
+        assert_eq!(
+            String::from_utf8(output.stderr).unwrap(),
+            failure,
+            "{args:?}"
+        );
+    }
+
+    for session in ["0", "2"] {
+        for args in [
+            &["analyze", "members.lgzc", "--session", session][..],
+            &[
+                "analyze",
+                "members.lgzc",
+                "--session",
+                session,
+                "--no-cache",
+                "--jobs",
+                "3",
+            ],
+            &["patterns", "members.lgzc", "--session", session],
+            &[
+                "outliers",
+                "members.lgzc",
+                "--session",
+                session,
+                "--no-cache",
+            ],
+            &["hazards", "members.lgzc", "--session", session],
+            &[
+                "sketch",
+                "members.lgzc",
+                "--session",
+                session,
+                "--episode",
+                "3",
+                "--ascii",
+            ],
+            &["timeline", "members.lgzc", "--session", session],
+            &["diff", "members.lgzc", "members.lgzc", "--session", session],
+        ] {
+            let (want, got) = (run(&dirs[0], args), run(&dirs[1], args));
+            assert_eq!(got.status.code(), want.status.code(), "{args:?}");
+            assert_eq!(got.stdout, want.stdout, "{args:?}");
+            assert_eq!(got.stderr, want.stderr, "{args:?}");
+            assert!(!got.stdout.is_empty(), "{args:?}");
+        }
+    }
 }
 
 /// `check` runs the rules over one trace, so a corpus is a usage error

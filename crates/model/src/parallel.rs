@@ -10,11 +10,13 @@
 //! merged result is *byte-identical* to the serial one regardless of the
 //! number of workers or shards.
 //!
-//! The worker pool is built on `std::thread::scope` and `std::sync::mpsc`
-//! only, so the pipeline works without any external dependency. Shards are
-//! claimed from an atomic counter, which load-balances uneven shards;
-//! results are tagged with their shard index and re-ordered before they
-//! are merged, which is what keeps the pipeline deterministic.
+//! The worker pool is built on `std::thread::scope` only, so the pipeline
+//! works without any external dependency. Shards are claimed from an
+//! atomic counter, which load-balances uneven shards; each result is
+//! stored in its shard's slot, so the results come back in shard order
+//! whichever worker ran each shard, which is what keeps the pipeline
+//! deterministic. The threads are spawned by one non-generic function,
+//! compiled once however many result types the pool serves.
 //!
 //! The module lives in `lagalyzer-model` (the bottom of the crate graph)
 //! so that both the trace codecs and the analyses can fan work out over
@@ -34,7 +36,7 @@
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::Mutex;
 
 /// Shards per worker: more shards than workers lets the atomic claim
 /// counter balance uneven per-shard work without affecting the merged
@@ -98,6 +100,13 @@ fn shard_count(len: usize, jobs: usize) -> usize {
     }
 }
 
+/// The shards [`map_shards`] and [`map_shards_init`] cut `0..len` into
+/// when asked for `jobs` workers, in order: one range for one effective
+/// worker, else several per worker.
+pub fn shard_plan(len: usize, jobs: usize) -> Vec<Range<usize>> {
+    shard_ranges(len, shard_count(len, effective_jobs(jobs)))
+}
+
 /// Runs `f` over contiguous ascending shards of `0..len` on a pool of at
 /// most `jobs` worker threads and returns the shard results *in shard
 /// order* (ascending by range start), ready for an in-order merge.
@@ -135,38 +144,44 @@ where
     F: Fn(&mut S, Range<usize>) -> R + Sync,
 {
     let jobs = effective_jobs(jobs);
-    let ranges = shard_ranges(len, shard_count(len, jobs));
+    let ranges = shard_plan(len, jobs);
     if jobs <= 1 || ranges.len() <= 1 {
         let mut state = init();
         return ranges.into_iter().map(|r| f(&mut state, r)).collect();
     }
-    let workers = jobs.min(ranges.len());
+    // A slot's lock is held only to store its result, which cannot
+    // panic, so no lock is ever poisoned.
+    const UNPOISONED: &str = "a slot's lock is held only to store a result";
     let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, R)>();
-    let mut out: Vec<Option<R>> = std::iter::repeat_with(|| None).take(ranges.len()).collect();
+    let slots: Vec<Mutex<Option<R>>> = ranges.iter().map(|_| Mutex::new(None)).collect();
+    let worker = || {
+        let mut state = init();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(range) = ranges.get(i) else { break };
+            let result = f(&mut state, range.clone());
+            *slots[i].lock().expect(UNPOISONED) = Some(result);
+        }
+    };
+    run_workers(jobs.min(ranges.len()), &worker);
+    slots
+        .into_iter()
+        .map(|slot| {
+            let result = slot.into_inner().expect(UNPOISONED);
+            result.expect("every shard is claimed and run exactly once")
+        })
+        .collect()
+}
+
+/// Runs `worker` on `workers` scoped threads and returns once every one
+/// has finished, re-raising a worker's panic: the pool's only thread
+/// code, and not generic, so it is compiled once for every caller.
+fn run_workers(workers: usize, worker: &(dyn Fn() + Sync)) {
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            let tx = tx.clone();
-            let (next, ranges, init, f) = (&next, &ranges, &init, &f);
-            scope.spawn(move || {
-                let mut state = init();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(range) = ranges.get(i) else { break };
-                    if tx.send((i, f(&mut state, range.clone()))).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(tx);
-        for (i, r) in rx {
-            out[i] = Some(r);
+            scope.spawn(worker);
         }
     });
-    out.into_iter()
-        .map(|r| r.expect("every claimed shard sends exactly one result"))
-        .collect()
 }
 
 #[cfg(test)]

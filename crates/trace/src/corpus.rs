@@ -52,15 +52,25 @@
 //! [`IndexedTrace::par_decode`] — property-tested in
 //! `tests/corpus_store.rs`.
 //!
+//! [`CorpusReader::open`] only locates the payload sections. A decode that
+//! reads a member with an LZ section decompresses it on the worker that
+//! decodes it, into that worker's one payload buffer, which the member's
+//! later extents reuse and the next member's decompression overwrites: a
+//! decode holds at most one decompressed member per worker, and a caller
+//! that reads one member decompresses only that one.
+//!
 //! [`pack`] and [`compact`] write through one streaming writer that takes
 //! a session at a time. [`compact`] folds each session as it decodes and
 //! re-encodes every decoded episode straight into the session's new
 //! payload; a stored LZ section whose payload comes out unchanged is
 //! copied as stored instead of being compressed again. It never holds a
 //! decoded session (except one handed to a rollup builder) and holds one
-//! session's new payload at a time.
+//! session's decompressed payload and one session's new payload at a
+//! time.
 
 use std::ops::Range;
+#[cfg(test)]
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use lagalyzer_model::parallel::map_shards_init;
@@ -79,7 +89,7 @@ use crate::index::{
 use crate::record::SessionRecords;
 use crate::rollup::{Rollup, RollupHealth};
 use crate::salvage::{DamageVerdict, SalvageReport};
-use crate::source::{DecodedRun, RollupRef, SessionSource};
+use crate::source::{DecodedRun, Payload, RollupRef, SessionSource};
 use crate::varint;
 
 /// The version-independent corpus signature (byte 8 is the version).
@@ -341,12 +351,15 @@ pub fn compact(
 /// decoded alone and handed to `build` (when provided) as a trace.
 ///
 /// Compaction holds the opened corpus, the output, and one session's
-/// re-encoded payload at a time (plus, for `build`, that session's decoded
-/// trace).
+/// decompressed and re-encoded payloads at a time (plus, for `build`, that
+/// session's decoded trace). Each LZ section is decompressed once: the
+/// rollup check, the fold and the comparison that keeps the stored tokens
+/// all read that one copy.
 ///
 /// # Errors
 ///
-/// Same failure modes as [`compact`].
+/// Same failure modes as [`compact`], and a payload section that does not
+/// decompress.
 pub fn compact_with_rollups(
     reader: &CorpusReader,
     jobs: usize,
@@ -354,9 +367,17 @@ pub fn compact_with_rollups(
     build: Option<&dyn Fn(&SessionTrace) -> Rollup>,
 ) -> Result<Vec<u8>, TraceError> {
     let mut writer = CorpusWriter::new(options);
+    let mut buffer = Vec::new();
     for view in reader.sessions() {
-        let source = view.source();
-        let carried = view.rollup();
+        let payload = reader.payload_into(view.index(), &mut buffer)?;
+        let source = SessionSource {
+            payload: Payload::Bytes(payload),
+            ..view.source()
+        };
+        let carried = reader
+            .validated_rollup(view.index(), Some(payload))
+            .0
+            .as_ref();
         let (encoded, built) = match (carried, build) {
             (None, Some(build)) => {
                 let trace = source.decode(jobs)?;
@@ -377,16 +398,11 @@ pub fn compact_with_rollups(
             source.short_episode_time()
         };
         let entry = reader.entry(view.index());
-        let kept = match &entry.payload {
-            Payload::Decompressed(raw)
-                if options.compress
-                    && entry.stored.len() < raw.len()
-                    && encoded.payload == *raw =>
-            {
-                Some(&reader.bytes[entry.stored.clone()])
-            }
-            _ => None,
-        };
+        let kept = (entry.compressed
+            && options.compress
+            && entry.stored.len() < payload.len()
+            && encoded.payload == payload)
+            .then(|| &reader.bytes[entry.stored.clone()]);
         writer.add(&PackSession {
             meta: source.meta(),
             symbols: source.symbols(),
@@ -424,7 +440,7 @@ fn compact_reference(
         let indexed = IndexedTrace::open(buf)?;
         let rebased = Encoded::of_indexed(&indexed);
         let rollup = reader
-            .validated_rollup(i)
+            .validated_rollup(i, None)
             .0
             .clone()
             .or_else(|| build.map(|build| build(trace)));
@@ -641,12 +657,127 @@ impl CorpusWriter {
     }
 }
 
-/// Where a session's (possibly decompressed) payload lives.
-enum Payload {
-    /// Raw section: a range into the corpus bytes (zero-copy).
-    Raw(Range<usize>),
-    /// LZ section: decompressed once at open time.
-    Decompressed(Vec<u8>),
+/// A corpus member's LZ payload section, located at open: each decode
+/// that reads the member decompresses it into its worker's
+/// [`PayloadBuffer`].
+#[derive(Clone, Copy)]
+pub(crate) struct LzSection<'a> {
+    stored: &'a [u8],
+    raw_len: usize,
+    /// The reader's tally, and which member this is.
+    #[cfg(test)]
+    probe: (&'a LzProbe, usize),
+}
+
+impl LzSection<'_> {
+    /// `true` when `other` is this section: the same stored bytes with
+    /// the same raw length, so the same decompressed payload.
+    fn is(&self, other: &LzSection<'_>) -> bool {
+        std::ptr::eq(self.stored, other.stored) && self.raw_len == other.raw_len
+    }
+
+    /// Decompresses the section into `buffer`, replacing its contents.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::UnreadablePayload`] wrapping the decompression
+    /// failure.
+    fn decompress_into(&self, buffer: &mut Vec<u8>) -> Result<(), TraceError> {
+        #[cfg(test)]
+        self.probe.0.decompressed[self.probe.1].fetch_add(1, Ordering::Relaxed);
+        lz::decompress_into(self.stored, self.raw_len, buffer)
+            .map_err(|e| TraceError::UnreadablePayload(Box::new(e)))
+    }
+}
+
+/// A worker's payload buffer: the decompressed bytes of the LZ section it
+/// read last, kept for that member's next extent and overwritten, in the
+/// same allocation, by the next member's.
+#[derive(Default)]
+pub(crate) struct PayloadBuffer<'a> {
+    /// The section whose decompressed bytes `bytes` holds.
+    held: Option<LzSection<'a>>,
+    bytes: Vec<u8>,
+}
+
+impl<'a> PayloadBuffer<'a> {
+    /// `section`'s decompressed bytes, decompressing it unless the buffer
+    /// holds them already.
+    ///
+    /// # Errors
+    ///
+    /// The section does not decompress; the buffer then holds nothing.
+    pub(crate) fn bytes_of(&mut self, section: LzSection<'a>) -> Result<&[u8], TraceError> {
+        if !self.held.is_some_and(|held| held.is(&section)) {
+            self.hold(None);
+            section.decompress_into(&mut self.bytes)?;
+            self.hold(Some(section));
+        }
+        Ok(&self.bytes)
+    }
+
+    /// Records which section the buffer holds.
+    fn hold(&mut self, section: Option<LzSection<'a>>) {
+        #[cfg(test)]
+        LzProbe::track(self.held, section);
+        self.held = section;
+    }
+}
+
+#[cfg(test)]
+impl Drop for PayloadBuffer<'_> {
+    fn drop(&mut self) {
+        self.hold(None);
+    }
+}
+
+/// A reader's tally of LZ payload decompressions, for the tests: per
+/// member, and how many worker buffers hold a decompressed member now and
+/// at most.
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct LzProbe {
+    decompressed: Vec<AtomicUsize>,
+    held: AtomicUsize,
+    peak: AtomicUsize,
+}
+
+#[cfg(test)]
+impl LzProbe {
+    fn new(members: usize) -> LzProbe {
+        LzProbe {
+            decompressed: (0..members).map(|_| AtomicUsize::new(0)).collect(),
+            ..LzProbe::default()
+        }
+    }
+
+    /// Counts a buffer that starts or stops holding a member.
+    fn track(before: Option<LzSection<'_>>, after: Option<LzSection<'_>>) {
+        match (before, after) {
+            (None, Some(section)) => {
+                let probe = section.probe.0;
+                let held = probe.held.fetch_add(1, Ordering::SeqCst) + 1;
+                probe.peak.fetch_max(held, Ordering::SeqCst);
+            }
+            (Some(section), None) => {
+                section.probe.0.held.fetch_sub(1, Ordering::SeqCst);
+            }
+            _ => {}
+        }
+    }
+
+    /// Decompressions of each member so far.
+    pub(crate) fn decompressed(&self) -> Vec<usize> {
+        let count = |n: &AtomicUsize| n.load(Ordering::SeqCst);
+        self.decompressed.iter().map(count).collect()
+    }
+
+    /// Buffers holding a member now, and the most at once since the last
+    /// call.
+    pub(crate) fn held(&self) -> (usize, usize) {
+        let held = self.held.load(Ordering::SeqCst);
+        (held, self.peak.swap(held, Ordering::SeqCst))
+    }
 }
 
 /// One session's directory entry, materialized at open time except for
@@ -659,8 +790,10 @@ struct SessionEntry {
     compressed: bool,
     /// The payload section's stored bytes in the corpus.
     stored: Range<usize>,
+    /// The payload's length once decompressed (a raw section's stored
+    /// length).
+    raw_len: usize,
     extents: Vec<EpisodeExtent>,
-    payload: Payload,
     /// The session's rollup section, located (not read) at open.
     rollup_section: Option<Section>,
     /// The validated rollup and its health, set at most once by
@@ -670,10 +803,12 @@ struct SessionEntry {
 
 /// A corpus opened for indexed, zero-copy access.
 ///
-/// Owns the corpus bytes; raw payload sections are borrowed in place,
-/// and compressed ones are still decompressed once at open. A session's
-/// rollup section is only located at open: it is decompressed, decoded
-/// and checked against the payload on first use, by
+/// Owns the corpus bytes; raw payload sections are borrowed in place.
+/// Payload and rollup sections are only located at open. A compressed
+/// payload is decompressed by each decode that reads its member, on the
+/// worker that decodes it and into that worker's one reused buffer, and
+/// is not kept once the decode returns. A rollup section is decompressed,
+/// decoded and checked against its member's payload on first use, by
 /// [`SessionView::rollup_health`], [`SessionSource::rollup`] or
 /// [`compact_with_rollups`], so a caller that only decodes never pays
 /// for it. Sessions decode through [`SessionSource`] like
@@ -691,6 +826,8 @@ pub struct CorpusReader {
     /// Flattened episode addressing: `slot_base[i]` is the first global
     /// slot of session `i` (one past-the-end sentinel at the back).
     slot_base: Vec<usize>,
+    #[cfg(test)]
+    probe: LzProbe,
 }
 
 /// A borrowed view of one session inside a [`CorpusReader`].
@@ -704,13 +841,17 @@ impl CorpusReader {
     /// Opens a corpus from an owned byte buffer (the mmap-free zero-copy
     /// open: raw payload sections are never copied out of `bytes`),
     /// verifying the trailer checksum with the hash the version byte
-    /// selects, materializing the directory and decompressing the payload
-    /// sections. Rollup sections are left for first use.
+    /// selects and materializing the directory and the extent index.
+    /// Payload and rollup sections are located, not read: an LZ payload
+    /// is decompressed by the decodes that read its member.
     ///
     /// # Errors
     ///
     /// Fails on bad magic, an unsupported version, a checksum mismatch,
-    /// or a malformed directory/section/extent region.
+    /// or a malformed directory/section/extent region. An LZ payload
+    /// section that does not decompress (possible only under a resealed
+    /// trailer) fails every decode of its member instead; see
+    /// [`CorpusReader::verify_payloads`].
     pub fn open(bytes: Vec<u8>) -> Result<CorpusReader, TraceError> {
         if bytes.len() < HEADER_LEN + 8 {
             return Err(TraceError::corrupt("corpus header", "input too short"));
@@ -794,19 +935,13 @@ impl CorpusReader {
             directory.into_iter().zip(&sections).zip(rollup_sections)
         {
             let extents = decode_extents(extents_bytes, &mut pos, extents_end, section.raw_len)?;
+            if !section.compressed && section.stored_len != section.raw_len {
+                return Err(TraceError::corrupt(
+                    "section index",
+                    "raw section with stored_len != raw_len",
+                ));
+            }
             let start = (data_off + section.offset) as usize;
-            let stored = &bytes[start..start + section.stored_len as usize];
-            let payload = if section.compressed {
-                Payload::Decompressed(lz::decompress(stored, section.raw_len as usize)?)
-            } else {
-                if section.stored_len != section.raw_len {
-                    return Err(TraceError::corrupt(
-                        "section index",
-                        "raw section with stored_len != raw_len",
-                    ));
-                }
-                Payload::Raw(start..start + section.raw_len as usize)
-            };
             sessions.push(SessionEntry {
                 meta: dir.meta,
                 records: dir.records,
@@ -814,8 +949,8 @@ impl CorpusReader {
                 provenance: dir.provenance,
                 compressed: section.compressed,
                 stored: start..start + section.stored_len as usize,
+                raw_len: section.raw_len as usize,
                 extents,
-                payload,
                 rollup_section,
                 rollup: OnceLock::new(),
             });
@@ -837,6 +972,8 @@ impl CorpusReader {
             bytes,
             algorithm,
             global,
+            #[cfg(test)]
+            probe: LzProbe::new(sessions.len()),
             sessions,
             data_off,
             slot_base,
@@ -896,30 +1033,82 @@ impl CorpusReader {
         &self.sessions[i]
     }
 
-    fn payload_bytes(&self, i: usize) -> &[u8] {
-        match &self.sessions[i].payload {
-            Payload::Raw(range) => &self.bytes[range.clone()],
-            Payload::Decompressed(buf) => buf,
+    /// Where session `i`'s payload section is stored in the corpus bytes,
+    /// and its raw length, when it is LZ-compressed.
+    pub(crate) fn lz_payload_section(&self, i: usize) -> Option<(Range<usize>, usize)> {
+        let entry = self.sessions.get(i)?;
+        entry
+            .compressed
+            .then(|| (entry.stored.clone(), entry.raw_len))
+    }
+
+    /// Session `i`'s payload: a raw section in place, or an LZ section
+    /// decompressed into `buffer`.
+    fn payload_into<'b>(
+        &'b self,
+        i: usize,
+        buffer: &'b mut Vec<u8>,
+    ) -> Result<&'b [u8], TraceError> {
+        match self.session(i).payload() {
+            Payload::Bytes(bytes) => Ok(bytes),
+            Payload::Lz(section) => {
+                section.decompress_into(buffer)?;
+                Ok(buffer)
+            }
         }
     }
 
+    /// Decompresses every LZ payload section in turn, into one buffer,
+    /// and checks each member's rollup against its payload while it is
+    /// there: every byte a decode or a rollup check would read, without
+    /// decoding an episode. `lagalyzer lint` runs it, since
+    /// [`open`](CorpusReader::open) does not decompress.
+    ///
+    /// # Errors
+    ///
+    /// Fails on the first member, in corpus order, whose payload section
+    /// does not decompress ([`TraceError::UnreadablePayload`]).
+    pub fn verify_payloads(&self) -> Result<(), TraceError> {
+        let mut buffer = Vec::new();
+        for i in 0..self.sessions.len() {
+            let payload = self.payload_into(i, &mut buffer)?;
+            self.validated_rollup(i, Some(payload));
+        }
+        Ok(())
+    }
+
     /// Session `i`'s rollup and its health: checked on the first call,
-    /// and the result kept for every later one.
-    fn validated_rollup(&self, i: usize) -> &(Option<Rollup>, RollupHealth) {
-        self.sessions[i].rollup.get_or_init(|| self.check_rollup(i))
+    /// against `payload` when the caller holds the session's payload
+    /// already, and the result kept for every later one.
+    fn validated_rollup(
+        &self,
+        i: usize,
+        payload: Option<&[u8]>,
+    ) -> &(Option<Rollup>, RollupHealth) {
+        self.sessions[i]
+            .rollup
+            .get_or_init(|| self.check_rollup(i, payload))
     }
 
     /// Decodes session `i`'s rollup section and checks it against the
-    /// session payload.
-    fn check_rollup(&self, i: usize) -> (Option<Rollup>, RollupHealth) {
+    /// session payload: `payload` when given, else the payload
+    /// decompressed into a buffer dropped after the check.
+    fn check_rollup(&self, i: usize, payload: Option<&[u8]>) -> (Option<Rollup>, RollupHealth) {
         let entry = &self.sessions[i];
+        let content_hash = || {
+            let mut buffer = Vec::new();
+            let payload = match payload {
+                Some(payload) => payload,
+                None => self.payload_into(i, &mut buffer)?,
+            };
+            Ok(self.algorithm.hash(payload))
+        };
         open_rollup(
             &self.bytes,
             self.data_off,
             entry.rollup_section.as_ref(),
-            self.algorithm,
-            self.payload_bytes(i),
-            &entry.extents,
+            entry.extents.len(),
+            content_hash,
         )
     }
 
@@ -943,13 +1132,16 @@ impl CorpusReader {
     /// session never strands a worker. Each run is one shard of its
     /// session's [`SessionSource::decode`], and each session's runs merge
     /// through that decode's merge, so results are byte-identical to
-    /// decoding each session separately, for any job count.
+    /// decoding each session separately, for any job count. Each worker
+    /// decompresses the LZ members it reaches into its one payload buffer,
+    /// so at most one decompressed member per worker is held at once.
     ///
     /// # Errors
     ///
-    /// Propagates the first (in corpus order) failing run's decode or
-    /// ordering failure, then the first session's ordering failure between
-    /// runs. Only a non-salvaged session fails on order.
+    /// Propagates the first (in corpus order) failing run's decode,
+    /// decompression or ordering failure, then the first session's
+    /// ordering failure between runs. Only a non-salvaged session fails on
+    /// order.
     pub fn par_decode(&self, jobs: usize) -> Result<Vec<SessionTrace>, TraceError> {
         let sources: Vec<SessionSource<'_>> = self.sessions().map(|v| v.source()).collect();
         let runs = map_shards_init(
@@ -962,11 +1154,11 @@ impl CorpusReader {
     }
 
     /// Decodes one shard of flat slots into one run per session it covers.
-    fn decode_slots(
+    fn decode_slots<'a>(
         &self,
-        sources: &[SessionSource<'_>],
+        sources: &[SessionSource<'a>],
         slots: Range<usize>,
-        scratch: &mut DecodeScratch,
+        scratch: &mut DecodeScratch<'a>,
     ) -> Result<Vec<(usize, DecodedRun)>, TraceError> {
         let mut runs = Vec::new();
         let mut slot = slots.start;
@@ -1018,16 +1210,32 @@ impl<'a> SessionView<'a> {
             meta: &entry.meta,
             records: &entry.records,
             extents: &entry.extents,
-            payload: self.reader.payload_bytes(self.index),
+            payload: self.payload(),
             lenient: entry.provenance.salvaged,
             rollup: RollupRef::Corpus(*self),
             declared: None,
         }
     }
 
+    /// The session's payload section: its bytes in place when raw, or
+    /// the LZ section a decode decompresses.
+    fn payload(&self) -> Payload<'a> {
+        let entry = self.reader.entry(self.index);
+        let stored = &self.reader.bytes[entry.stored.clone()];
+        if !entry.compressed {
+            return Payload::Bytes(stored);
+        }
+        Payload::Lz(LzSection {
+            stored,
+            raw_len: entry.raw_len,
+            #[cfg(test)]
+            probe: (&self.reader.probe, self.index),
+        })
+    }
+
     /// The session's validated rollup, validating it on first use.
     pub(crate) fn rollup(&self) -> Option<&'a Rollup> {
-        self.reader.validated_rollup(self.index).0.as_ref()
+        self.reader.validated_rollup(self.index, None).0.as_ref()
     }
 
     /// How the session's extent index was obtained when it was packed.
@@ -1064,9 +1272,11 @@ impl<'a> SessionView<'a> {
     /// Diagnostic health of the session's rollup section (see
     /// `lagalyzer lint`). The section is decompressed, decoded and
     /// checked against the payload on the first call for this session
-    /// (by this or by [`SessionSource::rollup`]), not at open.
+    /// (by this, by [`SessionSource::rollup`] or by
+    /// [`CorpusReader::verify_payloads`]), not at open; a payload that
+    /// does not decompress leaves it stale.
     pub fn rollup_health(&self) -> &'a RollupHealth {
-        &self.reader.validated_rollup(self.index).1
+        &self.reader.validated_rollup(self.index, None).1
     }
 
     /// The session's damage verdict.
@@ -1360,16 +1570,16 @@ fn read_sections(
 }
 
 /// Decodes and validates one session's optional rollup section against
-/// the `algorithm` hash of its payload. Never fails: a malformed or stale
-/// cache degrades to `(None, Stale)` and the warm path silently
-/// recomputes.
+/// `content_hash`, the hash of its payload, which is called only once the
+/// section decodes. Never fails: a malformed or stale cache, or a payload
+/// that does not decompress, degrades to `(None, Stale)` and the warm path
+/// silently recomputes.
 fn open_rollup(
     bytes: &[u8],
     data_off: u64,
     section: Option<&Section>,
-    algorithm: Algorithm,
-    payload_bytes: &[u8],
-    extents: &[EpisodeExtent],
+    extent_count: usize,
+    content_hash: impl FnOnce() -> Result<u64, TraceError>,
 ) -> (Option<Rollup>, RollupHealth) {
     let Some(section) = section else {
         return (None, RollupHealth::Absent);
@@ -1407,8 +1617,11 @@ fn open_rollup(
         Ok(_) => return stale("trailing bytes after the rollup payload".into()),
         Err(err) => return stale(format!("payload does not decode: {err}")),
     };
-    let expected = algorithm.hash(payload_bytes);
-    match crate::rollup::validate(rollup, expected, extents.len()) {
+    let expected = match content_hash() {
+        Ok(hash) => hash,
+        Err(err) => return stale(format!("payload does not decompress: {err}")),
+    };
+    match crate::rollup::validate(rollup, expected, extent_count) {
         Some(rollup) => (Some(rollup), RollupHealth::Valid { section_bytes }),
         None => stale("content checksum mismatch".into()),
     }
@@ -1443,16 +1656,26 @@ mod tests {
 
     /// Compacts `reader` with every option, job count and closure, and
     /// holds each result to the materializing reference's: equal bytes,
-    /// or errors with equal text.
+    /// or errors with equal text. A compaction that succeeds decompresses
+    /// each LZ member exactly once.
     fn compaction_matches_reference(reader: &CorpusReader) -> Result<(), String> {
+        let once: Vec<usize> = reader
+            .sessions()
+            .map(|view| usize::from(view.is_compressed()))
+            .collect();
         for compress in [false, true] {
             for jobs in [1, 3] {
                 for build in [None, Some(&placeholder as &dyn Fn(&SessionTrace) -> Rollup)] {
                     let options = PackOptions { compress };
+                    let before = reader.probe.decompressed();
                     let got = compact_with_rollups(reader, jobs, options, build);
+                    let decompressed = since(&before, reader);
                     let want = compact_reference(reader, jobs, options, build);
                     let context =
                         format!("compress {compress} jobs {jobs} build {}", build.is_some());
+                    if got.is_ok() && decompressed != once {
+                        return Err(format!("{context}: decompressed {decompressed:?}"));
+                    }
                     match (got, want) {
                         (Ok(got), Ok(want)) if got == want => {}
                         (Err(got), Err(want)) if got.to_string() == want.to_string() => {}
@@ -1467,6 +1690,15 @@ mod tests {
             }
         }
         Ok(())
+    }
+
+    /// Each member's decompressions since `before` was taken.
+    fn since(before: &[usize], reader: &CorpusReader) -> Vec<usize> {
+        let now = reader.probe.decompressed();
+        now.iter()
+            .zip(before)
+            .map(|(now, then)| now - then)
+            .collect()
     }
 
     /// Payload section `i` of a corpus: whether it is LZ, and its stored
@@ -1688,10 +1920,8 @@ mod tests {
         assert!(golden.sessions().all(|view| !view.is_compressed()));
         let compacted = compact(&golden, 1, PackOptions { compress: true }).unwrap();
         for i in 0..golden.len() {
-            let payload = CorpusReader::open(compacted.clone())
-                .unwrap()
-                .payload_bytes(i)
-                .to_vec();
+            let reader = CorpusReader::open(compacted.clone()).unwrap();
+            let payload = reader.payload_into(i, &mut Vec::new()).unwrap().to_vec();
             assert_eq!(
                 payload_section(&compacted, i),
                 (true, lz::compress(&payload))
@@ -1706,6 +1936,211 @@ mod tests {
         let packed = compact(&reader, 1, PackOptions { compress: true }).unwrap();
         assert_eq!((GOLDEN[7], packed[7]), (1, 2));
         vec![("raw", GOLDEN.to_vec()), ("lz", packed)]
+    }
+
+    /// The golden corpus compacted with LZ sections, every member carrying
+    /// a rollup (the salvaged member a placeholder).
+    fn lz_with_rollups() -> Vec<u8> {
+        let reader = CorpusReader::open(GOLDEN.to_vec()).unwrap();
+        let options = PackOptions { compress: true };
+        let packed = compact_with_rollups(&reader, 1, options, Some(&placeholder)).unwrap();
+        let reader = CorpusReader::open(packed.clone()).unwrap();
+        assert!(reader.sessions().all(|view| view.is_compressed()));
+        let valid =
+            |view: SessionView<'_>| matches!(view.rollup_health(), RollupHealth::Valid { .. });
+        assert!(reader.sessions().all(valid));
+        packed
+    }
+
+    /// Open decompresses nothing; a decode decompresses only the members
+    /// it reads, each at most once per shard of worker scratch that reaches
+    /// it, and holds at most one decompressed member per worker; a
+    /// compaction decompresses each member once, and `verify_payloads`
+    /// once for every read a decode or rollup check would make.
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn payloads_decompress_on_first_decode_one_per_worker() {
+        use crate::source::tests::split;
+        use lagalyzer_model::parallel::shard_plan;
+        let bytes = lz_with_rollups();
+        let open = || CorpusReader::open(bytes.clone()).unwrap();
+        let members = open().len();
+        let only = |k: usize, n: usize| -> Vec<usize> {
+            (0..members).map(|i| if i == k { n } else { 0 }).collect()
+        };
+        // The shards of `plan` that cover some of member `k`'s slots.
+        let covering = |reader: &CorpusReader, plan: &[Range<usize>], k: usize| {
+            let (first, end) = (reader.slot_base[k], reader.slot_base[k + 1]);
+            let covers = |shard: &&Range<usize>| shard.start < end && first < shard.end;
+            plan.iter().filter(covers).count()
+        };
+
+        let reader = open();
+        for view in reader.sessions() {
+            let source = view.source();
+            source.excluded_by(&EpisodeFilter::default());
+            assert!(!source.is_empty() && !source.meta().application.is_empty());
+        }
+        assert_eq!(reader.probe.decompressed(), vec![0; members], "open");
+
+        for k in 0..members {
+            let reader = open();
+            let source = reader.session(k).source();
+            source.decode(1).unwrap();
+            assert_eq!(reader.probe.decompressed(), only(k, 1), "decode of {k}");
+            assert_eq!(reader.probe.held(), (0, 1), "decode of {k}");
+            // One scratch serves both extents of the subset.
+            source.decode_subset(1, &[1, 0]).unwrap();
+            source.decode_episode(0).unwrap();
+            assert_eq!(reader.probe.decompressed(), only(k, 3), "{k}");
+            for jobs in 1..=4 {
+                let before = reader.probe.decompressed();
+                source.fold(jobs, &EpisodeFilter::default(), &()).unwrap();
+                let plan = shard_plan(source.len(), jobs);
+                let n = since(&before, &reader)[k];
+                assert!((1..=plan.len()).contains(&n), "fold of {k} at {jobs}: {n}");
+                assert!(reader.probe.held().1 <= jobs);
+            }
+            // The rollup check hashes the payload: once, then kept.
+            let reader = open();
+            reader.session(k).rollup_health();
+            reader.session(k).source().rollup();
+            assert_eq!(reader.probe.decompressed(), only(k, 1), "rollup of {k}");
+        }
+
+        for jobs in 1..=4 {
+            let reader = open();
+            reader.par_decode(jobs).unwrap();
+            let (held, peak) = reader.probe.held();
+            assert_eq!(held, 0, "jobs {jobs}");
+            assert!(
+                (1..=jobs).contains(&peak),
+                "jobs {jobs}: {peak} held at once"
+            );
+            let plan = shard_plan(reader.total_episodes(), jobs);
+            for (k, &n) in reader.probe.decompressed().iter().enumerate() {
+                let most = covering(&reader, &plan, k);
+                assert!(
+                    (1..=most).contains(&n),
+                    "jobs {jobs} member {k}: {n} of {most}"
+                );
+            }
+        }
+
+        // Shards cut by hand: one scratch across them all, as one worker
+        // claims them, decompresses each member once; a scratch per shard
+        // decompresses it once per shard that covers it.
+        let reader = open();
+        let sources: Vec<SessionSource<'_>> = reader.sessions().map(|v| v.source()).collect();
+        for layout in 0..8 {
+            let shards = split(reader.total_episodes(), layout);
+            let before = reader.probe.decompressed();
+            let mut scratch = DecodeScratch::default();
+            for slots in &shards {
+                reader
+                    .decode_slots(&sources, slots.clone(), &mut scratch)
+                    .unwrap();
+            }
+            drop(scratch);
+            assert_eq!(since(&before, &reader), vec![1; members], "layout {layout}");
+            let before = reader.probe.decompressed();
+            for slots in &shards {
+                let scratch = &mut DecodeScratch::default();
+                reader
+                    .decode_slots(&sources, slots.clone(), scratch)
+                    .unwrap();
+            }
+            let per_shard: Vec<usize> = (0..members)
+                .map(|k| covering(&reader, &shards, k))
+                .collect();
+            assert_eq!(since(&before, &reader), per_shard, "layout {layout}");
+            assert_eq!(reader.probe.held(), (0, 1), "layout {layout}");
+        }
+
+        for build in [None, Some(&placeholder as &dyn Fn(&SessionTrace) -> Rollup)] {
+            let reader = open();
+            compact_with_rollups(&reader, 3, PackOptions { compress: true }, build).unwrap();
+            assert_eq!(reader.probe.decompressed(), vec![1; members]);
+            // Again, with every rollup already validated.
+            compact_with_rollups(&reader, 3, PackOptions::default(), build).unwrap();
+            assert_eq!(reader.probe.decompressed(), vec![2; members]);
+        }
+
+        let reader = open();
+        reader.verify_payloads().unwrap();
+        assert_eq!(reader.rollups_validated(), members);
+        for view in reader.sessions() {
+            view.rollup_health();
+        }
+        assert_eq!(reader.probe.decompressed(), vec![1; members]);
+        assert_eq!(reader.probe.held(), (0, 0));
+    }
+
+    /// An LZ payload section that does not decompress, under a resealed
+    /// trailer, no longer fails the open: every decode of its member fails
+    /// with the decompression error (a salvaged member's as a strict
+    /// one's), its rollup is stale, and every other member decodes as in
+    /// the undamaged corpus.
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn a_payload_that_does_not_decompress_fails_every_decode_of_its_member() {
+        use crate::source::tests::parts;
+        let bytes = lz_with_rollups();
+        let intact = CorpusReader::open(bytes.clone()).unwrap();
+        let all = EpisodeFilter::default();
+        for k in [0, 3] {
+            let damaged = faults::break_lz_payload(&bytes, k).unwrap();
+            let reader = CorpusReader::open(damaged.clone()).unwrap();
+            let view = reader.session(k);
+            assert_eq!(view.is_salvaged(), k == 3);
+            let (stored, raw_len) = reader.lz_payload_section(k).unwrap();
+            let want = lz::decompress(&damaged[stored], raw_len)
+                .unwrap_err()
+                .to_string();
+            let fails = |what: &str, result: Result<(), TraceError>| match result {
+                Err(e @ TraceError::UnreadablePayload(_)) if e.to_string() == want => {}
+                other => panic!("member {k} {what}: {other:?}, want {want}"),
+            };
+            let source = view.source();
+            let indices: Vec<usize> = (0..source.len()).rev().collect();
+            for jobs in 1..=4 {
+                fails("par_decode", reader.par_decode(jobs).map(drop));
+                fails("decode", source.decode(jobs).map(drop));
+                let short = EpisodeFilter::new().min_duration(DurationNs::from_millis(1));
+                fails(
+                    "decode_filtered",
+                    source.decode_filtered(jobs, &short).map(drop),
+                );
+                fails("fold", source.fold(jobs, &all, &()));
+                fails(
+                    "decode_subset",
+                    source.decode_subset(jobs, &indices).map(drop),
+                );
+            }
+            for i in 0..source.len() {
+                fails("decode_episode", source.decode_episode(i).map(drop));
+            }
+            for compress in [false, true] {
+                fails(
+                    "compact",
+                    compact(&reader, 1, PackOptions { compress }).map(drop),
+                );
+            }
+            fails("verify_payloads", reader.verify_payloads());
+            assert!(
+                matches!(view.rollup_health(), RollupHealth::Stale { reason, .. }
+                    if reason.contains(&want)),
+                "member {k}: {}",
+                view.rollup_health()
+            );
+            assert_eq!(view.source().rollup(), None);
+            for other in (0..reader.len()).filter(|&i| i != k) {
+                let (got, want) = (reader.session(other), intact.session(other));
+                assert_eq!(got.rollup_health(), want.rollup_health());
+                let decoded = got.source().decode(2).unwrap();
+                assert_eq!(parts(&decoded), parts(&want.source().decode(2).unwrap()));
+            }
+        }
     }
 
     #[test]
@@ -1741,7 +2176,7 @@ mod tests {
             );
             let mut valid = 0;
             for view in reader.sessions() {
-                let (rollup, health) = reader.check_rollup(view.index());
+                let (rollup, health) = reader.check_rollup(view.index(), None);
                 // Either accessor may come first; both see one result.
                 if view.index() % 2 == 0 {
                     assert_eq!(view.source().rollup(), rollup.as_ref(), "{name}");
@@ -1781,7 +2216,7 @@ mod tests {
                 crate::faults::reseal(&mut damaged, None);
                 let reader = CorpusReader::open(damaged).unwrap();
                 assert_eq!(reader.rollups_validated(), 0, "{name}");
-                let (rollup, health) = reader.check_rollup(session);
+                let (rollup, health) = reader.check_rollup(session, None);
                 assert!(rollup.is_none(), "{name} session {session}");
                 assert!(
                     matches!(health, RollupHealth::Stale { .. }),
@@ -1965,14 +2400,34 @@ pub(crate) mod lz {
     ///
     /// # Errors
     ///
-    /// Fails on malformed tokens, out-of-window distances, or a stream
-    /// that produces more or fewer than `raw_len` bytes.
+    /// As [`decompress_into`].
     pub fn decompress(input: &[u8], raw_len: usize) -> Result<Vec<u8>, TraceError> {
+        let mut out = Vec::new();
+        decompress_into(input, raw_len, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`decompress`] into `out`, replacing its contents and keeping its
+    /// allocation: a buffer reused across sections reallocates only for
+    /// a section larger than any before. At most [`INITIAL_CAP`] bytes are
+    /// set up before tokens fill them, as for a new buffer.
+    ///
+    /// # Errors
+    ///
+    /// Fails on malformed tokens, out-of-window distances, or a stream
+    /// that produces more or fewer than `raw_len` bytes; `out` then holds
+    /// no meaningful bytes.
+    pub fn decompress_into(
+        input: &[u8],
+        raw_len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), TraceError> {
         let end = input.len();
         let mut pos = 0usize;
         // `out[..len]` is the output so far; at least SLACK bytes of
         // scratch follow it, which short copies overwrite freely.
-        let mut out = vec![0u8; raw_len.min(INITIAL_CAP) + SLACK];
+        out.clear();
+        out.resize(raw_len.min(INITIAL_CAP) + SLACK, 0);
         let mut len = 0usize;
         while len < raw_len {
             let token = read_varint(input, &mut pos)?;
@@ -1990,7 +2445,7 @@ pub(crate) mod lz {
                         "literal run overruns the stored bytes",
                     ));
                 }
-                make_room(&mut out, len, n, raw_len);
+                make_room(out, len, n, raw_len);
                 if n <= SLACK && end - pos >= SLACK {
                     out[len..len + SLACK].copy_from_slice(&input[pos..pos + SLACK]);
                 } else {
@@ -2011,7 +2466,7 @@ pub(crate) mod lz {
                         "match distance outside the produced output",
                     ));
                 }
-                make_room(&mut out, len, n, raw_len);
+                make_room(out, len, n, raw_len);
                 let start = len - distance;
                 if distance < n {
                     // Overlapping: each byte may be one this match wrote.
@@ -2038,7 +2493,7 @@ pub(crate) mod lz {
             ));
         }
         out.truncate(len);
-        Ok(out)
+        Ok(())
     }
 
     #[cfg(test)]

@@ -34,6 +34,11 @@ pub enum TraceError {
         /// Checksum computed over the payload.
         computed: u64,
     },
+    /// A corpus member's LZ payload section does not decompress, so none
+    /// of the member's episodes can be read: unlike damage inside one
+    /// episode, which a lenient decode steps over, it fails every decode
+    /// of the member. Displays as the decompression failure it wraps.
+    UnreadablePayload(Box<TraceError>),
 }
 
 impl TraceError {
@@ -61,6 +66,7 @@ impl fmt::Display for TraceError {
                 f,
                 "trace checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
             ),
+            TraceError::UnreadablePayload(e) => e.fmt(f),
         }
     }
 }

@@ -9,8 +9,10 @@
 //! Damage that a tool wrote back under fresh checksums is modelled by
 //! [`reseal`], which recomputes the trailer (and a section's own checksum)
 //! over whatever the bytes now hold, with the hash the file's version
-//! byte selects ([`crate::checksum`]), and by [`miscount`], a declared
-//! record count off by one under a resealed trailer; [`with_version`]
+//! byte selects ([`crate::checksum`]), by [`miscount`], a declared
+//! record count off by one under a resealed trailer, and by
+//! [`break_lz_payload`], a corpus member's LZ payload section that no
+//! longer decompresses under a resealed trailer; [`with_version`]
 //! re-stamps a clean trace as format v2 or v3, so every resealed-damage
 //! test runs on both hashes.
 //!
@@ -26,6 +28,7 @@
 //! applying the logged `Fault` value directly.
 
 use crate::checksum::Algorithm;
+use crate::corpus::{lz, CorpusReader};
 use crate::varint;
 
 /// One way of damaging a byte stream. Produced by [`FaultInjector`],
@@ -239,6 +242,27 @@ pub fn reseal(bytes: &mut [u8], section_end: Option<usize>) {
     }
     let sum = algorithm.hash(&bytes[8..n - 8]);
     bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// Flips one byte of corpus member `session`'s LZ payload section, the
+/// first byte whose flip leaves a section that does not decompress, and
+/// reseals the corpus trailer: the corpus still opens, and every decode of
+/// that member fails. `None` when `bytes` is not a corpus that opens, has
+/// no member `session`, or stores that member's payload raw.
+pub fn break_lz_payload(bytes: &[u8], session: usize) -> Option<Vec<u8>> {
+    let reader = CorpusReader::open(bytes.to_vec()).ok()?;
+    let (stored, raw_len) = reader.lz_payload_section(session)?;
+    let mut damaged = bytes.to_vec();
+    stored.clone().find(|&at| {
+        damaged[at] ^= 0x40;
+        let broken = lz::decompress(&damaged[stored.clone()], raw_len).is_err();
+        if !broken {
+            damaged[at] ^= 0x40;
+        }
+        broken
+    })?;
+    reseal(&mut damaged, None);
+    Some(damaged)
 }
 
 /// Rewrites the declared record count of a well-formed binary trace one

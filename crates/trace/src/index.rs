@@ -36,11 +36,12 @@ use lagalyzer_model::{
 
 use crate::binary::{is_known_version, read_header, read_record, tag, MAGIC_PREFIX, MAX_RECORDS};
 use crate::checksum::Algorithm;
+use crate::corpus::PayloadBuffer;
 use crate::error::TraceError;
 use crate::record::SessionRecords;
 use crate::rollup::RollupHealth;
 use crate::salvage::SalvageReport;
-use crate::source::{RollupRef, SessionSource};
+use crate::source::{Payload, RollupRef, SessionSource};
 use crate::varint;
 
 /// Footer signature; the last byte is the footer format version.
@@ -1054,7 +1055,8 @@ impl IndexedTrace {
     /// Panics when `i` is out of range (extent byte ranges themselves are
     /// validated at open time).
     pub fn episode_bytes(&self, i: usize) -> &[u8] {
-        self.source().episode_bytes(i)
+        let e = &self.extents[i];
+        &self.bytes[e.offset as usize..(e.offset + e.len) as usize]
     }
 
     /// This trace as a [`SessionSource`], the single decode path shared
@@ -1064,7 +1066,7 @@ impl IndexedTrace {
             meta: &self.meta,
             records: &self.records,
             extents: &self.extents,
-            payload: &self.bytes,
+            payload: Payload::Bytes(&self.bytes),
             lenient: self.salvage.is_some(),
             rollup: RollupRef::Opened(self.rollup.as_ref()),
             declared: self.declared,
@@ -1129,29 +1131,13 @@ impl IndexedTrace {
     }
 }
 
-/// Strictly decodes one episode from its extent's byte span, reusing the
-/// per-worker `scratch` — the inner loop of every [`SessionSource`]
-/// decode.
-///
-/// On error the scratch is reset, so a reused builder can never leak a
-/// failed episode's partial state into the next decode.
-pub(crate) fn decode_extent(
+/// Strictly decodes one episode from its extent's byte span into the
+/// worker's reusable tree and sample arrays (see [`DecodeScratch`]).
+fn decode_extent(
     span: &[u8],
     extent: &EpisodeExtent,
-    scratch: &mut DecodeScratch,
-) -> Result<Episode, TraceError> {
-    let result = decode_extent_inner(span, extent, scratch);
-    if result.is_err() {
-        scratch.tree.reset();
-        scratch.samples.clear();
-    }
-    result
-}
-
-fn decode_extent_inner(
-    span: &[u8],
-    extent: &EpisodeExtent,
-    scratch: &mut DecodeScratch,
+    tree: &mut IntervalTreeBuilder,
+    samples: &mut Samples,
 ) -> Result<Episode, TraceError> {
     {
         const MAX_VEC: u64 = 1 << 24;
@@ -1182,7 +1168,6 @@ fn decode_extent_inner(
         // Nodes and samples go into the worker's reusable arrays, which
         // grow with the records actually read; the extent's interval and
         // sample counts are never trusted to size them.
-        let DecodeScratch { tree, samples } = scratch;
         loop {
             if pos >= end {
                 return Err(TraceError::corrupt(
@@ -1285,11 +1270,41 @@ fn decode_extent_inner(
 /// ([`IntervalTreeBuilder::finish_reset`], [`Episode::from_buffer`]). So
 /// after the largest episode so far a decode allocates only the copies —
 /// at most six per episode, fewer without samples — and never more than
-/// the records it read.
+/// the records it read. A corpus member's LZ payload is decompressed into
+/// the scratch's one payload buffer, which the member's later extents
+/// reuse and the next member's decompression overwrites.
 #[derive(Default)]
-pub(crate) struct DecodeScratch {
+pub(crate) struct DecodeScratch<'a> {
     tree: IntervalTreeBuilder,
     samples: Samples,
+    payload: PayloadBuffer<'a>,
+}
+
+impl<'a> DecodeScratch<'a> {
+    /// Strictly decodes one episode from its extent of `payload` — the
+    /// inner loop of every [`SessionSource`] decode. An LZ payload is
+    /// decompressed first, unless the payload buffer holds it already.
+    ///
+    /// On error the tree and sample arrays are reset, so a reused builder
+    /// can never leak a failed episode's partial state into the next
+    /// decode.
+    pub(crate) fn decode(
+        &mut self,
+        payload: Payload<'a>,
+        extent: &EpisodeExtent,
+    ) -> Result<Episode, TraceError> {
+        let bytes = match payload {
+            Payload::Bytes(bytes) => bytes,
+            Payload::Lz(section) => self.payload.bytes_of(section)?,
+        };
+        let span = &bytes[extent.offset as usize..(extent.offset + extent.len) as usize];
+        let result = decode_extent(span, extent, &mut self.tree, &mut self.samples);
+        if result.is_err() {
+            self.tree.reset();
+            self.samples.clear();
+        }
+        result
+    }
 }
 
 /// Cheap index-health probe for diagnostics (`lagalyzer lint`): reports

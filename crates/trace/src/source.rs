@@ -2,9 +2,11 @@
 //!
 //! Whether a session lives in a `.lgz` file ([`IndexedTrace`]) or inside
 //! a `.lgzc` corpus ([`SessionView`]), decoding it takes the same parts:
-//! the header metadata, the extent index, the payload bytes the extent
-//! offsets point into, and the session-level records hoisted out of the
-//! episode stream (symbol table, GC events, short-episode counters).
+//! the header metadata, the extent index, the payload the extent offsets
+//! point into, and the session-level records hoisted out of the episode
+//! stream (symbol table, GC events, short-episode counters). A corpus
+//! member's LZ payload is decompressed by each decode that reads it, on
+//! the worker that decodes it, into that worker's reused buffer.
 //! A [`SessionSource`] borrows exactly those parts, plus the salvaged
 //! (lenient) flag and the rollup, and holds the only implementation of
 //! filtered, subset and single-episode decode. That is what makes a
@@ -36,8 +38,9 @@ use lagalyzer_model::{
     SessionTraceBuilder, SymbolTable, TimeNs,
 };
 
+use crate::corpus::LzSection;
 use crate::error::TraceError;
-use crate::index::{decode_extent, DecodeScratch, EpisodeExtent, EpisodeFilter};
+use crate::index::{DecodeScratch, EpisodeExtent, EpisodeFilter};
 use crate::record::SessionRecords;
 use crate::rollup::Rollup;
 use crate::SessionView;
@@ -54,9 +57,9 @@ pub struct SessionSource<'a> {
     pub(crate) meta: &'a SessionMeta,
     pub(crate) records: &'a SessionRecords,
     pub(crate) extents: &'a [EpisodeExtent],
-    /// The bytes the extent offsets index: the whole file for a `.lgz`,
-    /// the (decompressed) payload section for a corpus session.
-    pub(crate) payload: &'a [u8],
+    /// What the extent offsets index: the whole file for a `.lgz`, the
+    /// payload section for a corpus session.
+    pub(crate) payload: Payload<'a>,
     pub(crate) lenient: bool,
     pub(crate) rollup: RollupRef<'a>,
     /// A footer-indexed `.lgz`'s declared record count, and the records
@@ -71,6 +74,16 @@ pub struct SessionSource<'a> {
 /// rule, and a verified fold checks the declared count by it.
 pub(crate) fn records_of(intervals: usize, samples: usize) -> u64 {
     2 + 2 * intervals as u64 + samples as u64
+}
+
+/// The bytes a [`SessionSource`]'s extent offsets index.
+#[derive(Clone, Copy)]
+pub(crate) enum Payload<'a> {
+    /// In place: a `.lgz` file, or a corpus member's raw payload section.
+    Bytes(&'a [u8]),
+    /// A corpus member's LZ payload section, decompressed by each decode
+    /// that reads it into its worker's buffer (see [`DecodeScratch`]).
+    Lz(LzSection<'a>),
 }
 
 /// Where a [`SessionSource`] finds its rollup.
@@ -158,37 +171,30 @@ impl<'a> SessionSource<'a> {
             .count()
     }
 
-    /// Borrows episode `i`'s record bytes zero-copy.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i` is out of range.
-    pub fn episode_bytes(&self, i: usize) -> &'a [u8] {
-        let e = &self.extents[i];
-        &self.payload[e.offset as usize..(e.offset + e.len) as usize]
-    }
-
-    /// Randomly accesses episode `i`: strictly decodes just its extent.
+    /// Randomly accesses episode `i`: strictly decodes just its extent (a
+    /// corpus member's LZ payload is decompressed for it).
     ///
     /// # Errors
     ///
-    /// Fails when `i` is out of range or the extent's bytes do not decode
-    /// to a well-formed episode.
+    /// Fails when `i` is out of range, the member's payload does not
+    /// decompress, or the extent's bytes do not decode to a well-formed
+    /// episode.
     pub fn decode_episode(&self, i: usize) -> Result<Episode, TraceError> {
         self.decode_with(i, &mut DecodeScratch::default())
     }
 
-    /// Decodes episode `i` reusing per-worker `scratch`.
+    /// Decodes episode `i` reusing per-worker `scratch`, whose payload
+    /// buffer keeps this member's decompressed LZ payload for the next
+    /// call.
     pub(crate) fn decode_with(
         &self,
         i: usize,
-        scratch: &mut DecodeScratch,
+        scratch: &mut DecodeScratch<'a>,
     ) -> Result<Episode, TraceError> {
         let extent = self.extents.get(i).ok_or_else(|| {
             TraceError::corrupt("episode extent", format!("no episode {i} in the index"))
         })?;
-        let span = &self.payload[extent.offset as usize..(extent.offset + extent.len) as usize];
-        decode_extent(span, extent, scratch)
+        scratch.decode(self.payload, extent)
     }
 
     /// The extent positions the filter admits, ascending; `None` when it
@@ -248,7 +254,7 @@ impl<'a> SessionSource<'a> {
     /// shards itself and hands them to [`collect_runs`](Self::collect_runs).
     pub(crate) fn decode_run(
         &self,
-        scratch: &mut DecodeScratch,
+        scratch: &mut DecodeScratch<'a>,
         range: Range<usize>,
     ) -> Result<DecodedRun, TraceError> {
         ShardedFold::every(self).run(scratch, range, None)
@@ -415,8 +421,9 @@ impl<'a> SessionSource<'a> {
     /// # Errors
     ///
     /// On any session, an index past the extent table (`no episode N in
-    /// the index`); on a strict session, also the first extent that does
-    /// not decode. Either way the first failing shard's first failure.
+    /// the index`) or a payload that does not decompress; on a strict
+    /// session, also the first extent that does not decode. Either way the
+    /// first failing shard's first failure.
     pub fn decode_subset(
         &self,
         jobs: usize,
@@ -427,6 +434,10 @@ impl<'a> SessionSource<'a> {
             for slot in r {
                 match self.decode_with(indices[slot], scratch) {
                     Ok(episode) => episodes.push(episode),
+                    // No extent's own damage: none of the member reads.
+                    Err(TraceError::UnreadablePayload(e)) => {
+                        return Err(TraceError::UnreadablePayload(e))
+                    }
                     Err(_) if self.lenient && indices[slot] < self.extents.len() => {}
                     Err(e) => return Err(e),
                 }
@@ -484,7 +495,7 @@ impl<'f, 'a> ShardedFold<'f, 'a> {
     /// fails, a lenient one drops them.
     fn shard<S>(
         &self,
-        scratch: &mut DecodeScratch,
+        scratch: &mut DecodeScratch<'a>,
         range: Range<usize>,
         floor: Option<TimeNs>,
         state: S,
@@ -523,7 +534,7 @@ impl<'f, 'a> ShardedFold<'f, 'a> {
     /// episodes, moved into a run.
     fn run(
         &self,
-        scratch: &mut DecodeScratch,
+        scratch: &mut DecodeScratch<'a>,
         range: Range<usize>,
         floor: Option<TimeNs>,
     ) -> Result<DecodedRun, TraceError> {

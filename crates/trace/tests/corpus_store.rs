@@ -2,10 +2,13 @@
 //! and decoding them out of the corpus must be byte-identical (at the
 //! model level) to decoding the N original files separately — for clean
 //! v2 inputs, legacy v1 inputs, and fault-injected salvaged inputs, at
-//! any job count, compressed or raw. `compact` must be idempotent, and
-//! the global string pool must hold each symbol exactly once.
+//! any job count, compressed or raw, and a compressed corpus, whose
+//! payloads decompress into each decoding worker's buffer, must fold and
+//! decode like the same sessions packed raw. `compact` must be idempotent,
+//! and the global string pool must hold each symbol exactly once.
 
 use lagalyzer_model::prelude::*;
+use lagalyzer_model::{Analysis, Scope};
 use lagalyzer_trace::corpus::{self, CorpusReader, PackOptions};
 use lagalyzer_trace::faults::FaultInjector;
 use lagalyzer_trace::{binary, EpisodeFilter, IndexedTrace};
@@ -175,9 +178,35 @@ fn assert_same_trace(corpus_side: &SessionTrace, file_side: &SessionTrace) {
     );
 }
 
+/// Collects every episode a fold lends, with its position, in order.
+struct Collect;
+
+impl Analysis for Collect {
+    type Shard = Vec<(usize, Episode)>;
+    type Output = Vec<(usize, Episode)>;
+
+    fn shard(&self, _: Scope<'_>) -> Self::Shard {
+        Vec::new()
+    }
+
+    fn push(&self, _: Scope<'_>, shard: &mut Self::Shard, position: usize, episode: &Episode) {
+        shard.push((position, episode.clone()));
+    }
+
+    fn finish(&self, _: Scope<'_>, shards: Vec<Self::Shard>) -> Self::Output {
+        shards.concat()
+    }
+}
+
+/// A decode's value, or its error's text.
+fn outcome<T>(result: Result<T, lagalyzer_trace::TraceError>) -> Result<T, String> {
+    result.map_err(|e| e.to_string())
+}
+
 /// Packs the given encoded files (strict or salvage open per the mask)
 /// and checks corpus decodes against per-file decodes at several job
-/// counts.
+/// counts; a compressed corpus's members also fold and decode like the
+/// same corpus packed raw.
 fn check_corpus_matches_files(files: &[Vec<u8>], salvage: bool, options: PackOptions) {
     let opened: Vec<IndexedTrace> = files
         .iter()
@@ -207,6 +236,31 @@ fn check_corpus_matches_files(files: &[Vec<u8>], salvage: bool, options: PackOpt
         assert_same_trace(&source.decode(2).unwrap(), file_side);
         for (j, episode) in file_side.episodes().iter().enumerate() {
             assert_eq!(&source.decode_episode(j).unwrap(), episode);
+        }
+    }
+    if options.compress {
+        let raw = corpus::pack(&opened, PackOptions::default()).unwrap();
+        let raw = CorpusReader::open(raw).unwrap();
+        let all = EpisodeFilter::default();
+        for (lz, raw) in reader.sessions().zip(raw.sessions()) {
+            let (lz, raw) = (lz.source(), raw.source());
+            let subset: Vec<usize> = (0..raw.len()).rev().chain(0..raw.len()).collect();
+            for jobs in 1..=4 {
+                assert_eq!(
+                    outcome(lz.fold(jobs, &all, &Collect)),
+                    outcome(raw.fold(jobs, &all, &Collect))
+                );
+                assert_eq!(
+                    outcome(lz.decode_subset(jobs, &subset)),
+                    outcome(raw.decode_subset(jobs, &subset))
+                );
+            }
+            for i in 0..raw.len() {
+                assert_eq!(
+                    outcome(lz.decode_episode(i)),
+                    outcome(raw.decode_episode(i))
+                );
+            }
         }
     }
 }
