@@ -1081,14 +1081,16 @@ type CorpusPatterns = (Vec<(usize, usize)>, Vec<PatternSet>, u64);
 /// pattern sets, and its filtered-out total, computed over the members'
 /// summaries one member at a time: each member's read from its own valid
 /// rollup when it carries one, else folded from the member as it decodes
-/// (mining reads no lag breakdowns).
+/// (mining reads no lag breakdowns). A member's few thousand summaries
+/// are mined on the calling thread: sharding them costs more than it
+/// saves.
 fn corpus_patterns(input: &Input, reader: &CorpusReader) -> Result<CorpusPatterns, Failure> {
     let (jobs, threshold) = (input.jobs, input.config.perceptible_threshold);
     let builder = RollupBuilder::default().breakdowns(false);
     let mine = |s: &Summaries<'_>| {
         let perceptible = s.episodes().iter().filter(|e| e.duration >= threshold);
         let counts = (s.episodes().len(), perceptible.count());
-        (counts, s.mine_patterns_with_jobs(jobs))
+        (counts, s.mine_patterns_with_jobs(1))
     };
     let (mut members, mut warm) = (Vec::with_capacity(reader.len()), 0);
     for view in reader.sessions() {
@@ -1470,22 +1472,19 @@ fn cmd_hazards(args: &Args<'_>, stdout: &mut dyn Write) -> Result<ExitCode, Fail
     // Each session's lock graph is folded as its episodes decode.
     let report = match input.corpus_wide() {
         Some(reader) => {
-            // Corpus: each member's graph, re-interned through the
-            // corpus-wide symbol table, then the cross-session merge
-            // (LA025).
+            // Corpus: every member's graph from one fold of the whole
+            // corpus, each re-interned through the corpus-wide symbol
+            // table, then the cross-session merge (LA025).
             if args.switch("--explain") {
                 return Err("--explain works on single traces, not corpora".into());
             }
-            let members = reader
-                .sessions()
-                .map(|view| {
-                    let source = view.source();
-                    let (graph, episodes) = source
-                        .fold(input.jobs, &input.filter, &LockGraphs)
-                        .map_err(|e| Failure::of_decode(&input.path, &e))?;
-                    Ok((graph, episodes, source.symbols()))
-                })
-                .collect::<Result<Vec<_>, Failure>>()?;
+            let graphs = reader
+                .fold(input.jobs, &input.filter, &LockGraphs)
+                .map_err(|e| Failure::of_decode(&input.path, &e))?;
+            let members = graphs
+                .into_iter()
+                .zip(reader.sessions())
+                .map(|((graph, episodes), view)| (graph, episodes, view.source().symbols()));
             let mut symbols = reader.global_symbols().clone();
             HazardReport::of_corpus(members, &mut symbols, &config)
         }

@@ -177,7 +177,8 @@ impl Analysis for LockGraphs {
     }
 
     fn finish(&self, session: Scope<'_>, shards: Vec<(LockGraph, usize)>) -> (LockGraph, usize) {
-        let mut merged = self.shard(session);
+        let mut shards = shards.into_iter();
+        let mut merged = shards.next().unwrap_or_else(|| self.shard(session));
         for (graph, episodes) in shards {
             merged.0.merge(graph);
             merged.1 += episodes;

@@ -50,7 +50,11 @@
 //! [`SessionSource`], decoding a session out of a corpus is
 //! byte-identical to opening its original `.lgz` and calling
 //! [`IndexedTrace::par_decode`] — property-tested in
-//! `tests/corpus_store.rs`.
+//! `tests/corpus_store.rs`. A whole corpus folds in one pass:
+//! [`CorpusReader::fold`] and [`CorpusReader::par_decode`] run the sharded
+//! fold every session decode runs over every member's extents as one flat
+//! slot space, each member's result is its own [`SessionSource::fold`]'s,
+//! and the first member that fails decides the error.
 //!
 //! [`CorpusReader::open`] only locates the payload sections. A decode that
 //! reads a member with an LZ section decompresses it on the worker that
@@ -73,7 +77,6 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use lagalyzer_model::parallel::map_shards_init;
 use lagalyzer_model::{
     fold_episodes, Analysis, DurationNs, Episode, GcEvent, Scope, SessionMeta, SessionTrace,
     SymbolId, SymbolTable, TimeNs,
@@ -83,13 +86,12 @@ use crate::binary::{read_header, write_header};
 use crate::checksum::Algorithm;
 use crate::error::TraceError;
 use crate::index::{
-    decode_extents, encode_extents_into, DecodeScratch, EpisodeExtent, EpisodeFilter, IndexHealth,
-    IndexedTrace,
+    decode_extents, encode_extents_into, EpisodeExtent, EpisodeFilter, IndexHealth, IndexedTrace,
 };
 use crate::record::SessionRecords;
 use crate::rollup::{Rollup, RollupHealth};
 use crate::salvage::{DamageVerdict, SalvageReport};
-use crate::source::{DecodedRun, Payload, RollupRef, SessionSource};
+use crate::source::{Payload, RollupRef, SessionSource, ShardedFold};
 use crate::varint;
 
 /// The version-independent corpus signature (byte 8 is the version).
@@ -823,9 +825,6 @@ pub struct CorpusReader {
     sessions: Vec<SessionEntry>,
     /// Where the data region starts; section offsets are relative to it.
     data_off: u64,
-    /// Flattened episode addressing: `slot_base[i]` is the first global
-    /// slot of session `i` (one past-the-end sentinel at the back).
-    slot_base: Vec<usize>,
     #[cfg(test)]
     probe: LzProbe,
 }
@@ -961,13 +960,6 @@ impl CorpusReader {
                 "trailing bytes after the last session's extents",
             ));
         }
-        let mut slot_base = Vec::with_capacity(sessions.len() + 1);
-        let mut total = 0usize;
-        for entry in &sessions {
-            slot_base.push(total);
-            total += entry.extents.len();
-        }
-        slot_base.push(total);
         Ok(CorpusReader {
             bytes,
             algorithm,
@@ -976,7 +968,6 @@ impl CorpusReader {
             probe: LzProbe::new(sessions.len()),
             sessions,
             data_off,
-            slot_base,
         })
     }
 
@@ -992,7 +983,7 @@ impl CorpusReader {
 
     /// Episodes across all sessions (the corpus extent index's size).
     pub fn total_episodes(&self) -> usize {
-        *self.slot_base.last().expect("sentinel")
+        self.sessions.iter().map(|entry| entry.extents.len()).sum()
     }
 
     /// The corpus-wide deduplicated symbol table.
@@ -1121,76 +1112,48 @@ impl CorpusReader {
             .count()
     }
 
-    /// Maps a flat slot to `(session, extent index)`.
-    fn locate(&self, slot: usize) -> (usize, usize) {
-        let session = self.slot_base.partition_point(|&base| base <= slot) - 1;
-        (session, slot - self.slot_base[session])
-    }
-
-    /// Decodes every session by fanning `(session, extent run)` work items
-    /// over `jobs` worker threads: one flattened slot space, so a short
-    /// session never strands a worker. Each run is one shard of its
-    /// session's [`SessionSource::decode`], and each session's runs merge
-    /// through that decode's merge, so results are byte-identical to
-    /// decoding each session separately, for any job count. Each worker
-    /// decompresses the LZ members it reaches into its one payload buffer,
-    /// so at most one decompressed member per worker is held at once.
+    /// Decodes every session over `jobs` workers in one pass over the flat
+    /// slot space [`fold`](CorpusReader::fold) folds, keeping each
+    /// episode: byte-identical to decoding each session on its own, for
+    /// any job count.
     ///
     /// # Errors
     ///
-    /// Propagates the first (in corpus order) failing run's decode,
-    /// decompression or ordering failure, then the first session's
-    /// ordering failure between runs. Only a non-salvaged session fails on
-    /// order.
+    /// As [`fold`](CorpusReader::fold). Only a non-salvaged member fails
+    /// on order.
     pub fn par_decode(&self, jobs: usize) -> Result<Vec<SessionTrace>, TraceError> {
-        let sources: Vec<SessionSource<'_>> = self.sessions().map(|v| v.source()).collect();
-        let runs = map_shards_init(
-            self.total_episodes(),
-            jobs,
-            DecodeScratch::default,
-            |scratch, slots| self.decode_slots(&sources, slots, scratch),
-        );
-        self.merge_runs(&sources, runs)
+        let sources = self.sources();
+        ShardedFold::new(&sources, &EpisodeFilter::default()).decode(jobs)
     }
 
-    /// Decodes one shard of flat slots into one run per session it covers.
-    fn decode_slots<'a>(
+    /// Runs `analysis` over the episodes the filter admits in every
+    /// session in one pass: one output per session, in corpus order, each
+    /// what that session's [`SessionSource::fold`] returns. The members'
+    /// admitted extents are one flat slot space cut into shards over
+    /// `jobs` workers, so a short member never strands a worker; a shard
+    /// is cut at member boundaries, each piece starting from
+    /// [`Analysis::shard`] with its member's scope. Each worker keeps the
+    /// last LZ member it decompressed, so at most `jobs` are held at once.
+    ///
+    /// # Errors
+    ///
+    /// The first member that fails decides: on the first decode,
+    /// decompression or ordering failure any shard met in it (shards in
+    /// slot order), else on an ordering failure between its shards. At one
+    /// job that is the first failing member's own fold error.
+    pub fn fold<A: Analysis>(
         &self,
-        sources: &[SessionSource<'a>],
-        slots: Range<usize>,
-        scratch: &mut DecodeScratch<'a>,
-    ) -> Result<Vec<(usize, DecodedRun)>, TraceError> {
-        let mut runs = Vec::new();
-        let mut slot = slots.start;
-        while slot < slots.end {
-            let (session, i) = self.locate(slot);
-            let end = self.slot_base[session + 1].min(slots.end);
-            let run = sources[session].decode_run(scratch, i..i + end - slot)?;
-            runs.push((session, run));
-            slot = end;
-        }
-        Ok(runs)
+        jobs: usize,
+        filter: &EpisodeFilter,
+        analysis: &A,
+    ) -> Result<Vec<A::Output>, TraceError> {
+        let sources = self.sources();
+        ShardedFold::new(&sources, filter).analyze(jobs, analysis)
     }
 
-    /// Hands each session its runs, in slot order, and merges them into
-    /// its trace. The first failing shard of flat slots fails the decode
-    /// before any session merges.
-    fn merge_runs(
-        &self,
-        sources: &[SessionSource<'_>],
-        shards: Vec<Result<Vec<(usize, DecodedRun)>, TraceError>>,
-    ) -> Result<Vec<SessionTrace>, TraceError> {
-        let mut runs: Vec<Vec<DecodedRun>> = sources.iter().map(|_| Vec::new()).collect();
-        for shard in shards {
-            for (session, run) in shard? {
-                runs[session].push(run);
-            }
-        }
-        sources
-            .iter()
-            .zip(runs)
-            .map(|(source, runs)| source.collect_runs(runs))
-            .collect()
+    /// Every session as a [`SessionSource`], in order.
+    fn sources(&self) -> Vec<SessionSource<'_>> {
+        self.sessions().map(|view| view.source()).collect()
     }
 }
 
@@ -1635,10 +1598,12 @@ fn split_byte<'a>(r: &'a [u8], context: &'static str) -> Result<(u8, &'a [u8]), 
 
 #[cfg(test)]
 mod tests {
+    use lagalyzer_model::EpisodeId;
     use proptest::prelude::*;
 
     use super::*;
     use crate::faults::{self, FaultInjector};
+    use crate::source::tests::{parts, Parts};
     use crate::test_traces::{build_trace, episode_spec};
 
     /// The committed four-session golden corpus: three clean sessions
@@ -1964,13 +1929,15 @@ mod tests {
         use lagalyzer_model::parallel::shard_plan;
         let bytes = lz_with_rollups();
         let open = || CorpusReader::open(bytes.clone()).unwrap();
+        let all = EpisodeFilter::default();
         let members = open().len();
         let only = |k: usize, n: usize| -> Vec<usize> {
             (0..members).map(|i| if i == k { n } else { 0 }).collect()
         };
-        // The shards of `plan` that cover some of member `k`'s slots.
+        // The shards of `plan` that cover some of member `k`'s flat slots.
         let covering = |reader: &CorpusReader, plan: &[Range<usize>], k: usize| {
-            let (first, end) = (reader.slot_base[k], reader.slot_base[k + 1]);
+            let first: usize = (0..k).map(|i| reader.session(i).source().len()).sum();
+            let end = first + reader.session(k).source().len();
             let covers = |shard: &&Range<usize>| shard.start < end && first < shard.end;
             plan.iter().filter(covers).count()
         };
@@ -1978,7 +1945,7 @@ mod tests {
         let reader = open();
         for view in reader.sessions() {
             let source = view.source();
-            source.excluded_by(&EpisodeFilter::default());
+            source.excluded_by(&all);
             assert!(!source.is_empty() && !source.meta().application.is_empty());
         }
         assert_eq!(reader.probe.decompressed(), vec![0; members], "open");
@@ -1995,7 +1962,7 @@ mod tests {
             assert_eq!(reader.probe.decompressed(), only(k, 3), "{k}");
             for jobs in 1..=4 {
                 let before = reader.probe.decompressed();
-                source.fold(jobs, &EpisodeFilter::default(), &()).unwrap();
+                source.fold(jobs, &all, &()).unwrap();
                 let plan = shard_plan(source.len(), jobs);
                 let n = since(&before, &reader)[k];
                 assert!((1..=plan.len()).contains(&n), "fold of {k} at {jobs}: {n}");
@@ -2009,21 +1976,25 @@ mod tests {
         }
 
         for jobs in 1..=4 {
-            let reader = open();
-            reader.par_decode(jobs).unwrap();
-            let (held, peak) = reader.probe.held();
-            assert_eq!(held, 0, "jobs {jobs}");
-            assert!(
-                (1..=jobs).contains(&peak),
-                "jobs {jobs}: {peak} held at once"
-            );
-            let plan = shard_plan(reader.total_episodes(), jobs);
-            for (k, &n) in reader.probe.decompressed().iter().enumerate() {
-                let most = covering(&reader, &plan, k);
-                assert!(
-                    (1..=most).contains(&n),
-                    "jobs {jobs} member {k}: {n} of {most}"
-                );
+            for corpus_fold in [false, true] {
+                let reader = open();
+                if corpus_fold {
+                    reader.fold(jobs, &all, &()).unwrap();
+                } else {
+                    reader.par_decode(jobs).unwrap();
+                }
+                let context = format!("jobs {jobs} corpus fold {corpus_fold}");
+                let (held, peak) = reader.probe.held();
+                assert_eq!(held, 0, "{context}");
+                assert!((1..=jobs).contains(&peak), "{context}: {peak} held at once");
+                let plan = shard_plan(reader.total_episodes(), jobs);
+                for (k, &n) in reader.probe.decompressed().iter().enumerate() {
+                    let most = covering(&reader, &plan, k);
+                    assert!(
+                        (1..=most).contains(&n),
+                        "{context} member {k}: {n} of {most}"
+                    );
+                }
             }
         }
 
@@ -2031,30 +2002,22 @@ mod tests {
         // claims them, decompresses each member once; a scratch per shard
         // decompresses it once per shard that covers it.
         let reader = open();
-        let sources: Vec<SessionSource<'_>> = reader.sessions().map(|v| v.source()).collect();
+        let sources = reader.sources();
+        let fold = ShardedFold::new(&sources, &all);
         for layout in 0..8 {
             let shards = split(reader.total_episodes(), layout);
-            let before = reader.probe.decompressed();
-            let mut scratch = DecodeScratch::default();
-            for slots in &shards {
-                reader
-                    .decode_slots(&sources, slots.clone(), &mut scratch)
-                    .unwrap();
-            }
-            drop(scratch);
-            assert_eq!(since(&before, &reader), vec![1; members], "layout {layout}");
-            let before = reader.probe.decompressed();
-            for slots in &shards {
-                let scratch = &mut DecodeScratch::default();
-                reader
-                    .decode_slots(&sources, slots.clone(), scratch)
-                    .unwrap();
-            }
             let per_shard: Vec<usize> = (0..members)
                 .map(|k| covering(&reader, &shards, k))
                 .collect();
-            assert_eq!(since(&before, &reader), per_shard, "layout {layout}");
-            assert_eq!(reader.probe.held(), (0, 1), "layout {layout}");
+            for (one_worker, want) in [(true, vec![1; members]), (false, per_shard)] {
+                let before = reader.probe.decompressed();
+                let folded =
+                    fold.fold_split(&shards, one_worker, |_, _| (), |_, _, _| (), |_, _| ());
+                folded.unwrap();
+                let context = format!("layout {layout} one worker {one_worker}");
+                assert_eq!(since(&before, &reader), want, "{context}");
+                assert_eq!(reader.probe.held(), (0, 1), "{context}");
+            }
         }
 
         for build in [None, Some(&placeholder as &dyn Fn(&SessionTrace) -> Rollup)] {
@@ -2084,7 +2047,6 @@ mod tests {
     #[test]
     #[cfg_attr(miri, ignore)]
     fn a_payload_that_does_not_decompress_fails_every_decode_of_its_member() {
-        use crate::source::tests::parts;
         let bytes = lz_with_rollups();
         let intact = CorpusReader::open(bytes.clone()).unwrap();
         let all = EpisodeFilter::default();
@@ -2105,6 +2067,7 @@ mod tests {
             let indices: Vec<usize> = (0..source.len()).rev().collect();
             for jobs in 1..=4 {
                 fails("par_decode", reader.par_decode(jobs).map(drop));
+                fails("corpus fold", reader.fold(jobs, &all, &()).map(drop));
                 fails("decode", source.decode(jobs).map(drop));
                 let short = EpisodeFilter::new().min_duration(DurationNs::from_millis(1));
                 fails(
@@ -2229,17 +2192,60 @@ mod tests {
         }
     }
 
-    /// `par_decode` of a corpus with one strict and one salvaged member,
-    /// each with its extent table permuted, keeps in every member exactly
-    /// what the serial rule keeps, and fails with an ordering error when
-    /// the strict member is out of order: at `--jobs` 1–4, with the serial
-    /// error text at 1, and over flat slot runs cut by hand through the
-    /// run and merge functions, so the cross-run merge and the lenient
-    /// refold run whatever the machine's parallelism.
+    /// The whole traces `sources` decode to, folded as one flat slot space
+    /// cut into `shards` through the sharded fold's test hook, with one
+    /// scratch for every shard or one per shard.
+    fn fold_flat(
+        sources: &[SessionSource<'_>],
+        shards: &[Range<usize>],
+        one_worker: bool,
+    ) -> Result<Vec<Parts>, TraceError> {
+        let fold = ShardedFold::new(sources, &EpisodeFilter::default());
+        fold.fold_split(
+            shards,
+            one_worker,
+            |_, slots| Vec::with_capacity(slots),
+            |run, _, episode| run.push(episode),
+            |source, runs| parts(&source.trace_of(runs)),
+        )
+    }
+
+    /// The one error rule: each member folded alone over `shards` cut to
+    /// its own slots, in order, the first member that fails deciding.
+    fn by_member(
+        sources: &[SessionSource<'_>],
+        shards: &[Range<usize>],
+    ) -> Result<Vec<Parts>, TraceError> {
+        let mut first = 0;
+        (0..sources.len())
+            .map(|k| {
+                let end = first + sources[k].len();
+                let own: Vec<Range<usize>> = shards
+                    .iter()
+                    .map(|r| r.start.clamp(first, end) - first..r.end.clamp(first, end) - first)
+                    .filter(|r| !r.is_empty())
+                    .collect();
+                first = end;
+                fold_flat(&sources[k..=k], &own, true).map(|mut one| one.remove(0))
+            })
+            .collect()
+    }
+
+    /// A corpus of a strict, a salvaged and a strict member, each with its
+    /// extent table permuted. Over flat shards cut as at `--jobs` 1–4 and
+    /// by hand (so the cross-shard merge and the lenient refold run
+    /// whatever the machine's parallelism), the sharded fold's test hook
+    /// decodes, member by member, the whole traces each member decoded
+    /// alone over the same shards decodes, or fails with the first failing
+    /// member's error text. So does `par_decode` at `--jobs` 1–4, and
+    /// `fold` of a test-local `Ids` analysis gives their ids. Those are
+    /// the whole traces the serial rule keeps, and it fails where they
+    /// fail, with its error text at `--jobs 1`.
     #[test]
     fn par_decode_keeps_what_the_serial_rule_keeps_in_every_member() {
-        use crate::source::tests::{assert_same, orders, parts, serial, split, trace, Parts};
-        let (strict_n, lenient_n) = (40, 36);
+        use crate::source::tests::{assert_same, orders, serial, split, trace, Ids};
+        use lagalyzer_model::parallel::shard_plan;
+        let lens = [40, 36, 30];
         let open = |n: usize, salvage: bool| {
             let mut bytes = Vec::new();
             crate::binary::write(&trace(n as u32), &mut bytes).unwrap();
@@ -2250,43 +2256,48 @@ mod tests {
             };
             opened.unwrap()
         };
-        let members = [open(strict_n, false), open(lenient_n, true)];
+        let members =
+            [(0, false), (1, true), (2, false)].map(|(k, lenient)| open(lens[k], lenient));
         let packed = pack(&members, PackOptions::default()).unwrap();
-        let decoded = |traces: Result<Vec<SessionTrace>, TraceError>| {
-            traces.map(|traces| traces.iter().map(parts).collect::<Vec<_>>())
+        let all = EpisodeFilter::default();
+        let ids = |members: &Vec<Parts>| -> Vec<Vec<EpisodeId>> {
+            let ids = |(_, episodes, ..): &Parts| -> Vec<EpisodeId> {
+                episodes.iter().map(Episode::id).collect()
+            };
+            members.iter().map(ids).collect()
         };
-        let in_order: Vec<usize> = (0..strict_n).collect();
-        for (order, lenient_order) in orders(strict_n).iter().zip(orders(lenient_n)) {
-            // With the strict member in order, the salvaged member's
-            // result is what par_decode returns.
-            for strict_order in [order, &in_order] {
+        let in_order: Vec<usize> = (0..lens[0]).collect();
+        let (lenient, last) = (orders(lens[1]), orders(lens[2]));
+        for (j, order) in orders(lens[0]).iter().enumerate() {
+            // With the first member in order, a later member decides.
+            for first in [order, &in_order] {
                 let mut reader = CorpusReader::open(packed.clone()).unwrap();
-                let permuted = [strict_order, &lenient_order];
+                let permuted = [first, &lenient[j], &last[(j + 5) % last.len()]];
                 for (entry, order) in reader.sessions.iter_mut().zip(permuted) {
                     entry.extents = order.iter().map(|&i| entry.extents[i]).collect();
                 }
-                let sources: Vec<SessionSource<'_>> =
-                    reader.sessions().map(|v| v.source()).collect();
+                let sources = reader.sources();
                 assert!(!sources[0].is_lenient() && sources[1].is_lenient());
                 let reference: Result<Vec<Parts>, TraceError> = sources
                     .iter()
-                    .map(|source| serial(source, &EpisodeFilter::default()).map(|t| parts(&t)))
+                    .map(|s| serial(s, &all).map(|t| parts(&t)))
                     .collect();
-                let orders = format!("orders {strict_order:?} and {lenient_order:?}");
-                for jobs in 1..=4 {
-                    let got = decoded(reader.par_decode(jobs));
-                    let context = format!("{orders} jobs {jobs}");
-                    assert_same(got, reference.as_ref(), jobs == 1, &context);
-                }
-                for layout in 0..8 {
-                    let mut scratch = DecodeScratch::default();
-                    let runs = split(reader.total_episodes(), layout)
-                        .into_iter()
-                        .map(|slots| reader.decode_slots(&sources, slots, &mut scratch))
-                        .collect();
-                    let got = decoded(reader.merge_runs(&sources, runs));
-                    let context = format!("{orders} layout {layout}");
-                    assert_same(got, reference.as_ref(), false, &context);
+                let total = reader.total_episodes();
+                let jobs = (1..=4).map(|jobs| shard_plan(total, jobs));
+                let plans = jobs.chain((0..8).map(|layout| split(total, layout)));
+                for (n, shards) in plans.enumerate() {
+                    let context = format!("orders {permuted:?} shards {shards:?}");
+                    let want = by_member(&sources, &shards);
+                    let same = |got| assert_same(got, want.as_ref(), true, &context);
+                    same(fold_flat(&sources, &shards, n % 2 == 0));
+                    if n < 4 {
+                        let decoded = reader.par_decode(n + 1);
+                        same(decoded.map(|t| t.iter().map(parts).collect()));
+                        let want = want.as_ref().map(ids);
+                        let folded = reader.fold(n + 1, &all, &Ids);
+                        assert_same(folded, want.as_ref().map_err(|e| *e), true, &context);
+                    }
+                    assert_same(want, reference.as_ref(), n == 0, &context);
                 }
             }
         }

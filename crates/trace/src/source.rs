@@ -12,20 +12,24 @@
 //! filtered, subset and single-episode decode. That is what makes a
 //! corpus session decode byte-identical to its original file.
 //!
-//! Every decode of a session's admitted extents is one sharded fold,
-//! [`SessionSource::fold`]: workers decode contiguous shards, and the
-//! shard loop and its merge are the one place that applies the ordering
+//! Every decode of admitted extents is one sharded fold, over one session
+//! ([`SessionSource::fold`]) or every member of a corpus
+//! ([`CorpusReader::fold`]): workers decode contiguous shards of the
+//! sources' admitted extents as one flat slot space, and the shard loop
+//! and its per-source merge are the one place that applies the ordering
 //! rule, drops what a lenient session drops, and checks the declared
 //! record count. A fold lends each decoded episode to an [`Analysis`] and
 //! drops it, so an analysis never holds more than one decoded episode per
-//! worker; [`SessionSource::decode_filtered`] is the same shard loop with
-//! a step that keeps each episode, and its merge moves each shard's
-//! episodes into the trace at once. Both fail where
-//! [`binary::read`] would: on an episode that does not decode or comes
-//! out of order and, when they admit every extent of a footer-indexed
-//! `.lgz`, on a record count other than the declared one.
+//! worker; [`SessionSource::decode_filtered`] and
+//! [`CorpusReader::par_decode`] are the same fold with a step that keeps
+//! each episode, and its merge moves each shard's episodes into the trace
+//! at once. All fail where [`binary::read`] would: on an episode that does
+//! not decode or comes out of order and, when they admit every extent of
+//! a footer-indexed `.lgz`, on a record count other than the declared one.
 //!
 //! [`binary::read`]: crate::binary::read
+//! [`CorpusReader::fold`]: crate::CorpusReader::fold
+//! [`CorpusReader::par_decode`]: crate::CorpusReader::par_decode
 //!
 //! [`IndexedTrace`]: crate::IndexedTrace
 //! [`SessionView`]: crate::SessionView
@@ -197,17 +201,6 @@ impl<'a> SessionSource<'a> {
         scratch.decode(self.payload, extent)
     }
 
-    /// The extent positions the filter admits, ascending; `None` when it
-    /// admits every one (the unrestricted fast path shards the extent
-    /// table directly instead of materializing an index vector).
-    fn admitted(&self, filter: &EpisodeFilter) -> Option<Vec<usize>> {
-        (!filter.is_unrestricted()).then(|| {
-            (0..self.extents.len())
-                .filter(|&i| filter.admits_extent(&self.extents[i]))
-                .collect()
-        })
-    }
-
     /// Decodes the whole session over `jobs` workers.
     ///
     /// # Errors
@@ -235,41 +228,13 @@ impl<'a> SessionSource<'a> {
         jobs: usize,
         filter: &EpisodeFilter,
     ) -> Result<SessionTrace, TraceError> {
-        let indices = self.admitted(filter);
-        let fold = ShardedFold {
-            source: self,
-            indices: indices.as_deref(),
-        };
-        let runs = map_shards_init(
-            fold.slots(),
-            jobs,
-            DecodeScratch::default,
-            |scratch, range| fold.run(scratch, range, None),
-        );
-        fold.collect(runs.into_iter().collect::<Result<_, _>>()?)
-    }
-
-    /// Decodes the extents at positions `range` into one owned run: a
-    /// shard of [`decode`](Self::decode), for a caller that cuts the
-    /// shards itself and hands them to [`collect_runs`](Self::collect_runs).
-    pub(crate) fn decode_run(
-        &self,
-        scratch: &mut DecodeScratch<'a>,
-        range: Range<usize>,
-    ) -> Result<DecodedRun, TraceError> {
-        ShardedFold::every(self).run(scratch, range, None)
-    }
-
-    /// Merges runs of [`decode_run`](Self::decode_run) that cover every
-    /// extent in order into the session's trace, as [`decode`](Self::decode)
-    /// merges its own.
-    pub(crate) fn collect_runs(&self, runs: Vec<DecodedRun>) -> Result<SessionTrace, TraceError> {
-        ShardedFold::every(self).collect(runs)
+        let mut traces = ShardedFold::new(std::slice::from_ref(self), filter).decode(jobs)?;
+        Ok(traces.pop().expect("one trace per source"))
     }
 
     /// The trace of runs the ordering rule already kept, in episode order,
     /// and the session-level records.
-    fn trace_of(&self, runs: Vec<Vec<Episode>>) -> SessionTrace {
+    pub(crate) fn trace_of(&self, runs: Vec<Vec<Episode>>) -> SessionTrace {
         let mut b = SessionTraceBuilder::new(self.meta.clone(), self.records.symbols.clone());
         b.append_ordered(runs);
         self.records.finish(b)
@@ -335,27 +300,9 @@ impl<'a> SessionSource<'a> {
         filter: &EpisodeFilter,
         analysis: &A,
     ) -> Result<A::Output, TraceError> {
-        let scope = self.scope();
-        let indices = self.admitted(filter);
-        let fold = ShardedFold {
-            source: self,
-            indices: indices.as_deref(),
-        };
-        let init = || analysis.shard(scope);
-        let lend = |shard: &mut A::Shard, i, episode: Episode| {
-            analysis.push(scope, shard, i, &episode);
-        };
-        let shards = map_shards_init(
-            fold.slots(),
-            jobs,
-            DecodeScratch::default,
-            |scratch, range| fold.shard(scratch, range, None, init(), lend),
-        );
-        let shards = fold.merge(
-            shards.into_iter().collect::<Result<_, _>>()?,
-            |range, floor| fold.shard(&mut DecodeScratch::default(), range, floor, init(), lend),
-        )?;
-        Ok(analysis.finish(scope, shards))
+        let fold = ShardedFold::new(std::slice::from_ref(self), filter);
+        let mut outputs = fold.analyze(jobs, analysis)?;
+        Ok(outputs.pop().expect("one output per source"))
     }
 
     /// [`fold`](Self::fold) on the calling thread, in one pass into one
@@ -371,43 +318,12 @@ impl<'a> SessionSource<'a> {
         state: S,
         mut step: impl FnMut(&mut S, usize, &Episode),
     ) -> Result<S, TraceError> {
-        let indices = self.admitted(filter);
-        let fold = ShardedFold {
-            source: self,
-            indices: indices.as_deref(),
-        };
-        let range = 0..fold.slots();
+        let fold = ShardedFold::new(std::slice::from_ref(self), filter);
+        let scratch = &mut DecodeScratch::default();
         let lend = |state: &mut S, i, episode: Episode| step(state, i, &episode);
-        let shard = fold.shard(&mut DecodeScratch::default(), range, None, state, lend)?;
-        self.verify_count(fold.indices, shard.records)?;
+        let shard = fold.shard(0, scratch, 0..fold.slots(), None, state, lend)?;
+        self.verify_count(fold.admitted[0].as_deref(), shard.records)?;
         Ok(shard.state)
-    }
-
-    /// The shards of a fold over the ranges `split` cuts the admitted
-    /// slots into, each handed its episodes by value, folded in order on
-    /// the calling thread and merged: the merge and the lenient refold for
-    /// any shard layout, whatever the machine's parallelism.
-    #[cfg(test)]
-    fn fold_split<S>(
-        &self,
-        filter: &EpisodeFilter,
-        split: impl FnOnce(usize) -> Vec<Range<usize>>,
-        init: impl Fn() -> S,
-        step: impl Fn(&mut S, usize, Episode),
-    ) -> Result<Vec<S>, TraceError> {
-        let indices = self.admitted(filter);
-        let fold = ShardedFold {
-            source: self,
-            indices: indices.as_deref(),
-        };
-        let mut scratch = DecodeScratch::default();
-        let shards = split(fold.slots())
-            .into_iter()
-            .map(|range| fold.shard(&mut scratch, range, None, init(), &step))
-            .collect::<Result<_, _>>()?;
-        fold.merge(shards, |range, floor| {
-            fold.shard(&mut scratch, range, floor, init(), &step)
-        })
     }
 
     /// Decodes exactly the extents named by `indices`, in the given order,
@@ -452,18 +368,25 @@ impl<'a> SessionSource<'a> {
     }
 }
 
-/// One [`SessionSource::fold`] in progress: the extents it decodes.
-struct ShardedFold<'f, 'a> {
-    source: &'f SessionSource<'a>,
-    /// The admitted extent positions; `None` when every one is admitted.
-    indices: Option<&'f [usize]>,
+/// The one sharded fold (see the module doc): the sources' admitted slots
+/// as one flat space cut into shards over the workers, so a short session
+/// never strands a worker, and each worker keeps one [`DecodeScratch`]
+/// across every source it reaches.
+pub(crate) struct ShardedFold<'f, 'a> {
+    sources: &'f [SessionSource<'a>],
+    /// Each source's admitted extent positions, ascending; `None` when the
+    /// filter admits every one (the unrestricted fast path shards the
+    /// extent table directly instead of materializing an index vector).
+    admitted: Vec<Option<Vec<usize>>>,
+    /// Source `k`'s first flat slot, and after the last source the total.
+    base: Vec<usize>,
 }
 
-/// One shard of a [`SessionSource::fold`]: the consumer's state, the
-/// slots it covered, the starts of the first and last episodes it kept
+/// One source's piece of a shard: the consumer's state, the slots of that
+/// source it covered, the starts of the first and last episodes it kept
 /// (the last is the floor a lenient refold starts from), and their
 /// records.
-pub(crate) struct FoldedShard<S> {
+struct FoldedShard<S> {
     state: S,
     range: Range<usize>,
     first: Option<TimeNs>,
@@ -471,36 +394,151 @@ pub(crate) struct FoldedShard<S> {
     records: u64,
 }
 
-/// One shard of a materializing decode: the episodes it kept, by value.
-pub(crate) type DecodedRun = FoldedShard<Vec<Episode>>;
+/// What one shard of flat slots folded: a piece per source it covered,
+/// in order, each with its source, the last a failure if one stopped it.
+type Cut<S> = Vec<(usize, Result<FoldedShard<S>, TraceError>)>;
 
 impl<'f, 'a> ShardedFold<'f, 'a> {
-    /// A fold that admits every extent of `source`.
-    fn every(source: &'f SessionSource<'a>) -> Self {
+    /// The fold of the episodes `filter` admits in each of `sources`.
+    pub(crate) fn new(sources: &'f [SessionSource<'a>], filter: &EpisodeFilter) -> Self {
+        let admitted: Vec<_> = sources
+            .iter()
+            .map(|source| {
+                let admits = |&i: &usize| filter.admits_extent(&source.extents[i]);
+                (!filter.is_unrestricted()).then(|| (0..source.len()).filter(admits).collect())
+            })
+            .collect();
+        let mut base = vec![0];
+        for (source, admitted) in sources.iter().zip(&admitted) {
+            let slots = admitted.as_ref().map_or(source.len(), Vec::len);
+            base.push(base[base.len() - 1] + slots);
+        }
         ShardedFold {
-            source,
-            indices: None,
+            sources,
+            admitted,
+            base,
         }
     }
 
-    /// The number of admitted extents.
+    /// The number of admitted slots, across every source.
     fn slots(&self) -> usize {
-        self.indices
-            .map_or(self.source.extents.len(), <[usize]>::len)
+        self.base[self.sources.len()]
     }
 
-    /// Folds the slots in `range` into `state`, handing each decoded
-    /// episode to `step` by value. Episodes must not start before the one
-    /// kept ahead of them, the first before `floor`: a strict source
-    /// fails, a lenient one drops them.
+    /// Folds `analysis` over every source, each call seeing its source's
+    /// [`scope`](SessionSource::scope): one output per source, in order.
+    pub(crate) fn analyze<A: Analysis>(
+        &self,
+        jobs: usize,
+        analysis: &A,
+    ) -> Result<Vec<A::Output>, TraceError> {
+        self.fold(
+            jobs,
+            |source, _| (source.scope(), analysis.shard(source.scope())),
+            |(scope, shard), i, episode| analysis.push(*scope, shard, i, &episode),
+            |source, shards| {
+                let shards = shards.into_iter().map(|(_, shard)| shard).collect();
+                analysis.finish(source.scope(), shards)
+            },
+        )
+    }
+
+    /// Decodes every source into its trace: each piece keeps its episodes
+    /// by value, and the merge moves them into the trace.
+    pub(crate) fn decode(&self, jobs: usize) -> Result<Vec<SessionTrace>, TraceError> {
+        self.fold(
+            jobs,
+            |_, slots| Vec::with_capacity(slots),
+            |run, _, episode| run.push(episode),
+            SessionSource::trace_of,
+        )
+    }
+
+    /// Folds the flat slots over `jobs` workers: each piece starts from
+    /// `init` (given its source and its number of slots) and `step` hands
+    /// it each episode it keeps; `finish` turns a source's states into its
+    /// output. It fails as [`merge`](Self::merge) does.
+    fn fold<S: Send, T>(
+        &self,
+        jobs: usize,
+        init: impl Fn(&SessionSource<'a>, usize) -> S + Sync,
+        step: impl Fn(&mut S, usize, Episode) + Sync,
+        finish: impl FnMut(&SessionSource<'a>, Vec<S>) -> T,
+    ) -> Result<Vec<T>, TraceError> {
+        let cuts = map_shards_init(
+            self.slots(),
+            jobs,
+            DecodeScratch::default,
+            |scratch, slots| self.cut(scratch, slots, &init, &step),
+        );
+        self.merge(cuts, &init, &step, finish)
+    }
+
+    /// [`fold`](Self::fold) over the given flat `shards`, folded in order
+    /// on the calling thread: the merge and the lenient refold for any
+    /// shard layout, whatever the machine's parallelism. With `one_worker`,
+    /// one scratch serves every shard, as when one worker claims them all;
+    /// otherwise each shard has its own.
+    #[cfg(test)]
+    pub(crate) fn fold_split<S, T>(
+        &self,
+        shards: &[Range<usize>],
+        one_worker: bool,
+        init: impl Fn(&SessionSource<'a>, usize) -> S,
+        step: impl Fn(&mut S, usize, Episode),
+        finish: impl FnMut(&SessionSource<'a>, Vec<S>) -> T,
+    ) -> Result<Vec<T>, TraceError> {
+        let mut scratch = DecodeScratch::default();
+        let cuts = shards
+            .iter()
+            .map(|slots| {
+                if one_worker {
+                    self.cut(&mut scratch, slots.clone(), &init, &step)
+                } else {
+                    self.cut(&mut DecodeScratch::default(), slots.clone(), &init, &step)
+                }
+            })
+            .collect();
+        drop(scratch);
+        self.merge(cuts, &init, &step, finish)
+    }
+
+    /// Folds one shard's flat `slots` with the worker's `scratch`, cut at
+    /// source boundaries into one piece per source they cover. The shard
+    /// stops at its first failure.
+    fn cut<S>(
+        &self,
+        scratch: &mut DecodeScratch<'a>,
+        slots: Range<usize>,
+        init: &impl Fn(&SessionSource<'a>, usize) -> S,
+        step: &impl Fn(&mut S, usize, Episode),
+    ) -> Cut<S> {
+        let mut cut: Cut<S> = Vec::new();
+        let mut slot = slots.start;
+        while slot < slots.end && cut.last().map_or(true, |(_, piece)| piece.is_ok()) {
+            let k = self.base.partition_point(|&base| base <= slot) - 1;
+            let range = slot - self.base[k]..slots.end.min(self.base[k + 1]) - self.base[k];
+            slot += range.len();
+            let state = init(&self.sources[k], range.len());
+            cut.push((k, self.shard(k, scratch, range, None, state, step)));
+        }
+        cut
+    }
+
+    /// Folds source `k`'s slots in `range` into `state`, handing each
+    /// decoded episode to `step` by value. Episodes must not start before
+    /// the one kept ahead of them, the first before `floor`: a strict
+    /// source fails, a lenient one drops them.
     fn shard<S>(
         &self,
+        k: usize,
         scratch: &mut DecodeScratch<'a>,
         range: Range<usize>,
         floor: Option<TimeNs>,
         state: S,
         mut step: impl FnMut(&mut S, usize, Episode),
     ) -> Result<FoldedShard<S>, TraceError> {
+        let (source, indices) = (&self.sources[k], self.admitted[k].as_deref());
         let mut shard = FoldedShard {
             state,
             range: range.clone(),
@@ -509,11 +547,11 @@ impl<'f, 'a> ShardedFold<'f, 'a> {
             records: 0,
         };
         for slot in range {
-            let i = self.indices.map_or(slot, |ix| ix[slot]);
-            let episode = self.source.decode_with(i, scratch)?;
+            let i = indices.map_or(slot, |ix| ix[slot]);
+            let episode = source.decode_with(i, scratch)?;
             let start = episode.start();
             if let Some(previous) = shard.last.filter(|&last| start < last) {
-                if self.source.lenient {
+                if source.lenient {
                     continue;
                 }
                 return Err(ModelError::EpisodeOrder {
@@ -530,55 +568,54 @@ impl<'f, 'a> ShardedFold<'f, 'a> {
         Ok(shard)
     }
 
-    /// The shard of a materializing decode over `range`: its kept
-    /// episodes, moved into a run.
-    fn run(
+    /// Merges the cuts, given in slot order, source by source into
+    /// `finish` (a source no shard reached gets no states); the first
+    /// source that fails decides the error. A source fails on the first
+    /// failure a shard met in it, else its pieces merge in order once their
+    /// records add up: a piece whose first episode starts before the
+    /// previous pieces' last is folded again from that floor, as a serial
+    /// pass would see it, so a strict source fails on that episode and a
+    /// lenient one drops what the serial pass drops. A cut stops at its
+    /// failure, so cuts meet failures in source order, and the sources
+    /// ahead of the first failure have all their pieces.
+    fn merge<S, T>(
         &self,
-        scratch: &mut DecodeScratch<'a>,
-        range: Range<usize>,
-        floor: Option<TimeNs>,
-    ) -> Result<DecodedRun, TraceError> {
-        let run = Vec::with_capacity(range.len());
-        self.shard(scratch, range, floor, run, |run, _, episode| {
-            run.push(episode);
-        })
-    }
-
-    /// Merges a materializing decode's runs as [`merge`](Self::merge)
-    /// does, and moves them into the session's trace.
-    fn collect(&self, runs: Vec<DecodedRun>) -> Result<SessionTrace, TraceError> {
-        let runs = self.merge(runs, |range, floor| {
-            self.run(&mut DecodeScratch::default(), range, floor)
-        })?;
-        Ok(self.source.trace_of(runs))
-    }
-
-    /// Merges shards folded in slot order: their states in order, once the
-    /// episodes kept across shard boundaries are in order too and their
-    /// records add up. A shard whose first episode starts before the
-    /// previous shards' last is folded again by `refold` from that floor,
-    /// as a serial pass would have seen it: a strict source fails on that
-    /// first episode, a lenient one drops what the serial pass drops.
-    fn merge<S>(
-        &self,
-        shards: Vec<FoldedShard<S>>,
-        mut refold: impl FnMut(Range<usize>, Option<TimeNs>) -> Result<FoldedShard<S>, TraceError>,
-    ) -> Result<Vec<S>, TraceError> {
-        let mut states = Vec::with_capacity(shards.len());
-        let mut floor: Option<TimeNs> = None;
-        let mut records = 0;
-        for mut shard in shards {
-            if let (Some(previous), Some(first)) = (floor, shard.first) {
-                if first < previous {
-                    shard = refold(shard.range, Some(previous))?;
-                }
+        cuts: Vec<Cut<S>>,
+        init: &impl Fn(&SessionSource<'a>, usize) -> S,
+        step: &impl Fn(&mut S, usize, Episode),
+        mut finish: impl FnMut(&SessionSource<'a>, Vec<S>) -> T,
+    ) -> Result<Vec<T>, TraceError> {
+        let mut pieces: Vec<Vec<FoldedShard<S>>> =
+            self.sources.iter().map(|_| Vec::new()).collect();
+        let mut failure = None;
+        for (k, piece) in cuts.into_iter().flatten() {
+            match piece {
+                Ok(piece) => pieces[k].push(piece),
+                Err(e) => failure = failure.or(Some((k, e))),
             }
-            floor = shard.last.or(floor);
-            records += shard.records;
-            states.push(shard.state);
         }
-        self.source.verify_count(self.indices, records)?;
-        Ok(states)
+        let failed = failure.as_ref().map_or(self.sources.len(), |(k, _)| *k);
+        let mut outputs = Vec::with_capacity(failed);
+        for (k, pieces) in pieces.into_iter().enumerate().take(failed) {
+            let source = &self.sources[k];
+            let mut states = Vec::with_capacity(pieces.len());
+            let (mut floor, mut records) = (None, 0);
+            for mut piece in pieces {
+                if let (Some(previous), Some(first)) = (floor, piece.first) {
+                    if first < previous {
+                        let state = init(source, piece.range.len());
+                        let scratch = &mut DecodeScratch::default();
+                        piece = self.shard(k, scratch, piece.range, Some(previous), state, step)?;
+                    }
+                }
+                floor = piece.last.or(floor);
+                records += piece.records;
+                states.push(piece.state);
+            }
+            source.verify_count(self.admitted[k].as_deref(), records)?;
+            outputs.push(finish(source, states));
+        }
+        failure.map_or(Ok(outputs), |(_, e)| Err(e))
     }
 }
 
@@ -694,7 +731,7 @@ pub(crate) mod tests {
     }
 
     /// Collects the ids of the episodes a fold lends, in order.
-    struct Ids;
+    pub(crate) struct Ids;
 
     impl Analysis for Ids {
         type Shard = Vec<EpisodeId>;
@@ -764,7 +801,7 @@ pub(crate) mod tests {
             EpisodeFilter::new(),
             EpisodeFilter::new().min_duration(DurationNs::from_millis(12)),
         ];
-        let (inits, shards, mut refolds) = (Cell::new(0), Cell::new(0), 0);
+        let (inits, mut refolds) = (Cell::new(0), 0);
         for order in orders(n) {
             let extents: Vec<EpisodeExtent> = order.iter().map(|&i| indexed.extents()[i]).collect();
             for lenient in [false, true] {
@@ -782,25 +819,25 @@ pub(crate) mod tests {
                         let folded = source.fold(jobs, filter, &Ids);
                         assert_same(folded, ids.as_ref(), jobs == 1, &context);
                     }
+                    let fold = ShardedFold::new(std::slice::from_ref(&source), filter);
                     for layout in 0..8 {
                         inits.set(0);
-                        let decoded = source
+                        let shards = split(fold.slots(), layout);
+                        let init = |_: &_, _| {
+                            inits.set(inits.get() + 1);
+                            Vec::new()
+                        };
+                        let decoded = fold
                             .fold_split(
-                                filter,
-                                |slots| {
-                                    let ranges = split(slots, layout);
-                                    shards.set(ranges.len());
-                                    ranges
-                                },
-                                || {
-                                    inits.set(inits.get() + 1);
-                                    Vec::new()
-                                },
+                                &shards,
+                                true,
+                                init,
                                 |run, _, e| run.push(e),
+                                |_, runs| runs,
                             )
-                            .map(|runs| parts(&source.trace_of(runs)));
+                            .map(|mut runs| parts(&source.trace_of(runs.remove(0))));
                         if decoded.is_ok() {
-                            refolds += inits.get() - shards.get();
+                            refolds += inits.get() - shards.len();
                         }
                         let context = format!("order {order:?} lenient {lenient} layout {layout}");
                         assert_same(decoded, reference.as_ref(), false, &context);
