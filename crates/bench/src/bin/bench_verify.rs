@@ -1,43 +1,41 @@
 //! `bench-verify` — validates the machine-readable bench artifacts.
 //!
-//! The benches emit `BENCH_ingest.json`, `BENCH_mining.json`, and
-//! `BENCH_corpus.json` (see `lagalyzer_bench::benchjson`); this binary
-//! is the CI gate over them. Three subcommands:
+//! The benches emit `BENCH_ingest.json`, `BENCH_mining.json`,
+//! `BENCH_corpus.json`, `BENCH_warm.json` and `BENCH_hazards.json` (see
+//! `lagalyzer_bench::benchjson`); this binary is the CI gate over them.
+//! One table, [`ARTIFACTS`], says for each artifact which top-level
+//! sections it holds, which fields each section requires, and which gate
+//! applies. Two subcommands read it:
 //!
-//! * `check FILE...` — structural validation: the file parses, is a
-//!   non-empty JSON object, contains no `zz_`/placeholder keys anywhere,
-//!   the file's required sections are present, and every speedup field
-//!   is a finite number greater than zero.
-//! * `gate FILE --min-ingest-speedup X` — `check` plus the performance
-//!   gate on the ingest numbers: decode speedups must be monotone
-//!   non-regressing along the jobs axis, and the widest row must clear
-//!   the threshold. The threshold only applies where the hardware can
-//!   express it: when the widest row's `effective_jobs` is below 4 the
-//!   parallel section degenerates to the single-worker schedule, and the
-//!   gate instead requires the single-core algorithmic floor
-//!   ([`SINGLE_CORE_FLOOR`]) so a 1-core runner still verifies that
-//!   indexed decode beats the serial reader.
-//! * `gate FILE --min-corpus-speedup X` — for the corpus artifact: the
-//!   end-to-end (load + mine) corpus-vs-separate-files speedup must be
-//!   *strictly above* the threshold, so `--min-corpus-speedup 1.0`
-//!   enforces that corpus-wide mining actually beats N separate file
-//!   loads rather than merely tying them.
-//! * `gate FILE --min-warm-speedup X` — for the warm-analysis artifact:
-//!   the rollup-backed warm `analyze` must be strictly more than X times
-//!   faster than the cold full-decode pipeline on the same trace, so the
-//!   persisted cache keeps paying for its section bytes.
-//! * `drift SMOKE COMMITTED` — compares the *section names* of a CI
-//!   smoke artifact against the committed full-budget file, so a bench
-//!   that silently stops emitting (or starts emitting a new, unreviewed
-//!   section) fails the build even though smoke timings themselves are
-//!   too noisy to gate on.
+//! * `check FILE...` — the file parses, is a non-empty JSON object and
+//!   holds no `zz_`/placeholder key at any depth. If its name matches an
+//!   entry, it holds exactly that entry's sections: a listed section the
+//!   bench did not emit fails, and so does an emitted section nobody
+//!   listed. Every required field is there: a non-empty string, a finite
+//!   number above zero, a nested object, or a non-empty array of rows. A
+//!   speedup across job counts that ran on one worker is labelled
+//!   single-core cost and sharding overhead, not parallel speedup, on the
+//!   file's line.
+//! * `gate FILE --min-speedup X` — `check` plus the entry's gate. For the
+//!   ingest artifact, decode speedups must be monotone non-regressing
+//!   along the jobs axis, and the widest row must clear X. X only applies
+//!   where the hardware can express it: when the widest row's
+//!   `effective_jobs` is below 4 the parallel section degenerates to the
+//!   single-worker schedule, and the gate instead requires the
+//!   single-core algorithmic floor ([`SINGLE_CORE_FLOOR`]), so a 1-core
+//!   runner still verifies that indexed decode beats the serial reader.
+//!   For the corpus and warm-analysis artifacts, the speedup the entry
+//!   names must be *strictly above* X, so `--min-speedup 1.0` on the
+//!   corpus artifact enforces that corpus-wide mining beats N separate
+//!   file loads rather than tying them.
 //!
 //! Exit status: 0 on success, 1 on a failed validation, 2 on usage or
-//! I/O errors. No serde in the tree — the parser below is a minimal
-//! recursive-descent JSON reader sufficient for our own artifacts.
+//! I/O errors. Documents are read with [`lagalyzer_model::json`].
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
+
+use lagalyzer_model::json::{self, Json};
 
 /// Decode speedup every host must reach at its widest row, even with a
 /// single effective worker: the indexed path skips the checksum pass,
@@ -45,8 +43,8 @@ use std::process::ExitCode;
 /// which beats the serial reader without any parallelism at all.
 const SINGLE_CORE_FLOOR: f64 = 1.15;
 
-/// Effective worker count from which the full `--min-ingest-speedup`
-/// threshold applies.
+/// Effective worker count from which the full `--min-speedup` threshold
+/// applies to the ingest rows.
 const PARALLEL_GATE_MIN_WORKERS: f64 = 4.0;
 
 /// Relative tolerance for the monotone-speedup check: one step down the
@@ -54,258 +52,206 @@ const PARALLEL_GATE_MIN_WORKERS: f64 = 4.0;
 /// regression (absorbs timer noise between separately measured rows).
 const MONOTONE_TOLERANCE: f64 = 0.95;
 
-// ---------------------------------------------------------------------
-// Minimal JSON value + recursive-descent parser (no serde in the tree).
-// ---------------------------------------------------------------------
-
-#[derive(Clone, Debug, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
+/// What one field of an artifact must hold.
+enum Kind {
+    /// A non-empty string.
+    Str,
+    /// A finite number above zero.
+    Num,
+    /// A finite number above zero: a speedup across job counts, measured
+    /// on as many workers as the named field records (in the same row,
+    /// else in the section). At one worker it shows single-core cost and
+    /// sharding overhead, not parallel speedup, and `check` says so.
+    Speedup(&'static str),
+    /// A nested object of fields.
+    Obj(&'static [Field]),
+    /// A non-empty array of rows of fields.
+    Rows(&'static [Field]),
 }
 
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
+/// A required key and what it holds.
+type Field = (&'static str, Kind);
 
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
+/// The rule `gate FILE --min-speedup X` holds an artifact to.
+enum Gate {
+    /// The decode rows at this path pass [`gate_rows`].
+    JobsAxis(&'static str),
+    /// The number at this path is strictly above X: a tie fails.
+    Above(&'static str),
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// One artifact: the file names it covers, every top-level section it
+/// holds with that section's fields, and its gate.
+struct Artifact {
+    /// Matched against the file name; entries are tried in table order.
+    name: &'static str,
+    sections: &'static [(&'static str, &'static [Field])],
+    gate: Option<Gate>,
 }
 
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Parser<'a> {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
+use Kind::{Num, Obj, Rows, Speedup, Str};
 
-    fn fail(&self, what: &str) -> String {
-        format!("{what} at byte {}", self.pos)
-    }
+const CORPUS_PAIR: &[Field] = &[
+    ("separate_files_ns_per_iter", Num),
+    ("corpus_ns_per_iter", Num),
+    ("speedup", Num),
+];
 
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if b.is_ascii_whitespace() {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
+/// Every artifact. `hazard` and `corpus` come before `ingest`, so that
+/// `corpus_ingest.json` never falls into the trace-ingest rules.
+const ARTIFACTS: &[Artifact] = &[
+    Artifact {
+        name: "hazard",
+        sections: &[(
+            "hazard_scan",
+            &[
+                ("corpus", Str),
+                ("episodes", Num),
+                ("available_jobs", Num),
+                ("waits", Num),
+                ("locks", Num),
+                (
+                    "build",
+                    Obj(&[
+                        ("serial_ns_per_iter", Num),
+                        ("sharded_ns_per_iter", Num),
+                        ("speedup", Speedup("available_jobs")),
+                    ]),
+                ),
+            ],
+        )],
+        // Shard-merge cost makes the build speedup hardware-dependent.
+        gate: None,
+    },
+    Artifact {
+        name: "corpus",
+        sections: &[(
+            "corpus_ingest",
+            &[
+                ("corpus", Str),
+                ("sessions", Num),
+                ("episodes", Num),
+                ("available_jobs", Num),
+                ("separate_bytes", Num),
+                ("corpus_bytes", Num),
+                ("load_only", Obj(CORPUS_PAIR)),
+                ("load_and_mine", Obj(CORPUS_PAIR)),
+            ],
+        )],
+        gate: Some(Gate::Above("corpus_ingest.load_and_mine.speedup")),
+    },
+    Artifact {
+        name: "warm",
+        sections: &[(
+            "analysis_warm",
+            &[
+                ("corpus", Str),
+                ("episodes", Num),
+                ("available_jobs", Num),
+                ("trace_bytes", Num),
+                ("trace_bytes_with_rollup", Num),
+                (
+                    "analyze",
+                    Obj(&[
+                        ("cold_ns_per_iter", Num),
+                        ("warm_ns_per_iter", Num),
+                        ("speedup", Num),
+                    ]),
+                ),
+            ],
+        )],
+        gate: Some(Gate::Above("analysis_warm.analyze.speedup")),
+    },
+    Artifact {
+        name: "ingest",
+        sections: &[(
+            "trace_ingest",
+            &[
+                ("corpus", Str),
+                ("episodes", Num),
+                ("trace_bytes", Num),
+                ("available_jobs", Num),
+                ("serial_read_ns_per_iter", Num),
+                (
+                    "indexed_decode_by_jobs",
+                    Rows(&[
+                        ("jobs", Num),
+                        ("effective_jobs", Num),
+                        ("ns_per_iter", Num),
+                        ("speedup_vs_serial", Speedup("effective_jobs")),
+                    ]),
+                ),
+                (
+                    "filtered_analysis",
+                    Obj(&[
+                        ("filter", Str),
+                        ("full_decode_ns_per_iter", Num),
+                        ("skip_decode_ns_per_iter", Num),
+                        ("speedup", Num),
+                    ]),
+                ),
+            ],
+        )],
+        gate: Some(Gate::JobsAxis("trace_ingest.indexed_decode_by_jobs")),
+    },
+    Artifact {
+        name: "mining",
+        sections: &[
+            (
+                "parallel_pipeline",
+                &[
+                    ("corpus", Str),
+                    ("episodes", Num),
+                    ("reference_serial_ns_per_iter", Num),
+                    // The rows record no worker count, so their speedups
+                    // carry no one-worker label.
+                    (
+                        "mining_by_jobs",
+                        Rows(&[
+                            ("jobs", Num),
+                            ("ns_per_iter", Num),
+                            ("speedup_vs_reference", Num),
+                        ]),
+                    ),
+                ],
+            ),
+            (
+                "pattern_mining",
+                &[
+                    (
+                        "apps",
+                        Rows(&[
+                            ("app", Str),
+                            ("episodes", Num),
+                            ("before_ns_per_iter", Num),
+                            ("after_ns_per_iter", Num),
+                            ("speedup", Num),
+                        ]),
+                    ),
+                    ("total", Obj(&[("speedup", Num)])),
+                ],
+            ),
+        ],
+        gate: None,
+    },
+];
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.fail(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn parse_document(text: &'a str) -> Result<Json, String> {
-        let mut p = Parser::new(text);
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.fail("trailing input after JSON value"));
-        }
-        Ok(v)
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            _ => Err(self.fail("expected a JSON value")),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.fail(&format!("expected '{word}'")))
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.fail("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.fail("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(b) = self.peek() else {
-                return Err(self.fail("unterminated string"));
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(self.fail("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.fail("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs don't occur in our own
-                            // artifacts; map lone surrogates to the
-                            // replacement character instead of failing.
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(self.fail("unknown escape")),
-                    }
-                }
-                _ => {
-                    // Re-decode the UTF-8 sequence starting here.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    let chunk = self
-                        .bytes
-                        .get(start..start + len)
-                        .and_then(|c| std::str::from_utf8(c).ok())
-                        .ok_or_else(|| self.fail("invalid UTF-8 in string"))?;
-                    out.push_str(chunk);
-                    self.pos = start + len;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.fail("bad number"))
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
+/// The table entry a path's file name matches, if any.
+fn artifact(path: &str) -> Option<&'static Artifact> {
+    let name = path.rsplit('/').next().unwrap_or(path);
+    ARTIFACTS.iter().find(|a| name.contains(a.name))
 }
 
 // ---------------------------------------------------------------------
 // Validation
 // ---------------------------------------------------------------------
 
-/// Collects human-readable failures for one file.
+/// What `check` found in one file: failures, and notes on how to read
+/// its numbers.
 #[derive(Default)]
 struct Findings {
     problems: Vec<String>,
+    notes: Vec<String>,
 }
 
 impl Findings {
@@ -344,223 +290,67 @@ fn check_no_placeholders(value: &Json, path: &str, out: &mut Findings) {
     }
 }
 
-/// A field that must exist and be a finite number strictly above `min`.
-fn require_num(obj: &Json, key: &str, min: f64, path: &str, out: &mut Findings) -> Option<f64> {
-    match obj.get(key).and_then(Json::as_num) {
-        Some(n) if n.is_finite() && n > min => Some(n),
-        Some(n) => {
-            out.push(format!("`{path}.{key}` = {n} (must be > {min} and finite)"));
-            None
-        }
-        None => {
-            out.push(format!("`{path}.{key}` missing or not a number"));
-            None
-        }
-    }
+/// A finite number above zero, if `value` is one.
+fn positive(value: Option<&Json>) -> Option<f64> {
+    value
+        .and_then(Json::as_num)
+        .filter(|n| n.is_finite() && *n > 0.0)
 }
 
-fn require_str(obj: &Json, key: &str, path: &str, out: &mut Findings) {
-    match obj.get(key) {
-        Some(Json::Str(s)) if !s.is_empty() => {}
-        _ => out.push(format!("`{path}.{key}` missing or not a non-empty string")),
-    }
+/// The value at a dotted path from the document root.
+fn lookup<'a>(doc: &'a Json, path: &str) -> Option<&'a Json> {
+    path.split('.').try_fold(doc, |value, key| value.get(key))
 }
 
-/// One decode-scaling row as validated out of `indexed_decode_by_jobs`.
-struct DecodeRow {
-    jobs: f64,
-    effective_jobs: f64,
-    speedup: f64,
-}
-
-/// Validates the `trace_ingest` section; returns the decode rows for the
-/// `gate` subcommand.
-fn check_ingest(doc: &Json, out: &mut Findings) -> Vec<DecodeRow> {
-    let Some(section) = doc.get("trace_ingest") else {
-        out.push("required section `trace_ingest` is missing".into());
-        return Vec::new();
-    };
-    let path = "trace_ingest";
-    require_str(section, "corpus", path, out);
-    require_num(section, "episodes", 0.0, path, out);
-    require_num(section, "trace_bytes", 0.0, path, out);
-    require_num(section, "available_jobs", 0.0, path, out);
-    require_num(section, "serial_read_ns_per_iter", 0.0, path, out);
-
-    let mut rows = Vec::new();
-    match section.get("indexed_decode_by_jobs").and_then(Json::as_arr) {
-        Some([]) | None => {
-            out.push("`trace_ingest.indexed_decode_by_jobs` missing or empty".into());
-        }
-        Some(items) => {
-            for (i, row) in items.iter().enumerate() {
-                let row_path = format!("{path}.indexed_decode_by_jobs[{i}]");
-                let jobs = require_num(row, "jobs", 0.0, &row_path, out);
-                let effective = require_num(row, "effective_jobs", 0.0, &row_path, out);
-                require_num(row, "ns_per_iter", 0.0, &row_path, out);
-                let speedup = require_num(row, "speedup_vs_serial", 0.0, &row_path, out);
-                if let (Some(jobs), Some(effective_jobs), Some(speedup)) =
-                    (jobs, effective, speedup)
-                {
-                    rows.push(DecodeRow {
-                        jobs,
-                        effective_jobs,
-                        speedup,
-                    });
+/// Checks `obj` (at `path`, inside the top-level `section`) against
+/// `fields`, recursing into nested objects and rows.
+fn walk(fields: &[Field], obj: &Json, path: &str, section: (&str, &Json), out: &mut Findings) {
+    for (key, kind) in fields {
+        let here = format!("{path}.{key}");
+        let value = obj.get(key);
+        match kind {
+            Str => {
+                if value.and_then(Json::as_str).map_or(true, str::is_empty) {
+                    out.push(format!("`{here}` missing or not a non-empty string"));
                 }
             }
-        }
-    }
-
-    match section.get("filtered_analysis") {
-        Some(fa) => {
-            let fa_path = format!("{path}.filtered_analysis");
-            require_str(fa, "filter", &fa_path, out);
-            require_num(fa, "full_decode_ns_per_iter", 0.0, &fa_path, out);
-            require_num(fa, "skip_decode_ns_per_iter", 0.0, &fa_path, out);
-            require_num(fa, "speedup", 0.0, &fa_path, out);
-        }
-        None => out.push("`trace_ingest.filtered_analysis` is missing".into()),
-    }
-    rows
-}
-
-/// Validates the `pattern_mining` section of the mining artifact.
-fn check_mining(doc: &Json, out: &mut Findings) {
-    let Some(section) = doc.get("pattern_mining") else {
-        out.push("required section `pattern_mining` is missing".into());
-        return;
-    };
-    let path = "pattern_mining";
-    match section.get("apps").and_then(Json::as_arr) {
-        Some([]) | None => out.push("`pattern_mining.apps` missing or empty".into()),
-        Some(apps) => {
-            for (i, app) in apps.iter().enumerate() {
-                let app_path = format!("{path}.apps[{i}]");
-                require_str(app, "app", &app_path, out);
-                require_num(app, "episodes", 0.0, &app_path, out);
-                require_num(app, "before_ns_per_iter", 0.0, &app_path, out);
-                require_num(app, "after_ns_per_iter", 0.0, &app_path, out);
-                require_num(app, "speedup", 0.0, &app_path, out);
-            }
-        }
-    }
-    match section.get("total") {
-        Some(total) => {
-            require_num(total, "speedup", 0.0, &format!("{path}.total"), out);
-        }
-        None => out.push("`pattern_mining.total` is missing".into()),
-    }
-}
-
-/// Validates the `hazard_scan` section of the hazards artifact. No gate
-/// rides on it — shard-merge cost makes the build speedup
-/// hardware-dependent — so only structure is enforced.
-fn check_hazards(doc: &Json, out: &mut Findings) {
-    let Some(section) = doc.get("hazard_scan") else {
-        out.push("required section `hazard_scan` is missing".into());
-        return;
-    };
-    let path = "hazard_scan";
-    require_str(section, "corpus", path, out);
-    require_num(section, "episodes", 0.0, path, out);
-    require_num(section, "available_jobs", 0.0, path, out);
-    require_num(section, "waits", 0.0, path, out);
-    require_num(section, "locks", 0.0, path, out);
-    match section.get("build") {
-        Some(pair) => {
-            let pair_path = format!("{path}.build");
-            require_num(pair, "serial_ns_per_iter", 0.0, &pair_path, out);
-            require_num(pair, "sharded_ns_per_iter", 0.0, &pair_path, out);
-            require_num(pair, "speedup", 0.0, &pair_path, out);
-        }
-        None => out.push(format!("`{path}.build` is missing")),
-    }
-}
-
-/// Validates the `analysis_warm` section of the warm-analysis artifact
-/// and returns the warm-over-cold speedup for the `gate` subcommand.
-fn check_warm(doc: &Json, out: &mut Findings) -> Option<f64> {
-    let Some(section) = doc.get("analysis_warm") else {
-        out.push("required section `analysis_warm` is missing".into());
-        return None;
-    };
-    let path = "analysis_warm";
-    require_str(section, "corpus", path, out);
-    require_num(section, "episodes", 0.0, path, out);
-    require_num(section, "available_jobs", 0.0, path, out);
-    require_num(section, "trace_bytes", 0.0, path, out);
-    require_num(section, "trace_bytes_with_rollup", 0.0, path, out);
-    match section.get("analyze") {
-        Some(pair) => {
-            let pair_path = format!("{path}.analyze");
-            require_num(pair, "cold_ns_per_iter", 0.0, &pair_path, out);
-            require_num(pair, "warm_ns_per_iter", 0.0, &pair_path, out);
-            require_num(pair, "speedup", 0.0, &pair_path, out)
-        }
-        None => {
-            out.push(format!("`{path}.analyze` is missing"));
-            None
-        }
-    }
-}
-
-/// Validates the `corpus_ingest` section of the corpus artifact and
-/// returns the end-to-end speedup for the `gate` subcommand.
-fn check_corpus(doc: &Json, out: &mut Findings) -> Option<f64> {
-    let Some(section) = doc.get("corpus_ingest") else {
-        out.push("required section `corpus_ingest` is missing".into());
-        return None;
-    };
-    let path = "corpus_ingest";
-    require_str(section, "corpus", path, out);
-    require_num(section, "sessions", 0.0, path, out);
-    require_num(section, "episodes", 0.0, path, out);
-    require_num(section, "available_jobs", 0.0, path, out);
-    require_num(section, "separate_bytes", 0.0, path, out);
-    require_num(section, "corpus_bytes", 0.0, path, out);
-    let mut end_to_end = None;
-    for key in ["load_only", "load_and_mine"] {
-        match section.get(key) {
-            Some(pair) => {
-                let pair_path = format!("{path}.{key}");
-                require_num(pair, "separate_files_ns_per_iter", 0.0, &pair_path, out);
-                require_num(pair, "corpus_ns_per_iter", 0.0, &pair_path, out);
-                let speedup = require_num(pair, "speedup", 0.0, &pair_path, out);
-                if key == "load_and_mine" {
-                    end_to_end = speedup;
+            Num | Speedup(_) => match value.and_then(Json::as_num) {
+                Some(n) if n.is_finite() && n > 0.0 => {
+                    if let Speedup(workers) = kind {
+                        let count = [(path, obj), section]
+                            .into_iter()
+                            .find_map(|(at, o)| Some((positive(o.get(workers))?, at)));
+                        if let Some((_, at)) = count.filter(|&(count, _)| count == 1.0) {
+                            out.notes.push(format!(
+                                "`{here}` {n:.3}x ran on 1 worker (`{at}.{workers}`): \
+                                 single-core cost and sharding overhead, not parallel speedup"
+                            ));
+                        }
+                    }
                 }
-            }
-            None => out.push(format!("`{path}.{key}` is missing")),
+                Some(n) => out.push(format!("`{here}` = {n} (must be > 0 and finite)")),
+                None => out.push(format!("`{here}` missing or not a number")),
+            },
+            Obj(inner) => match value {
+                Some(v) => walk(inner, v, &here, section, out),
+                None => out.push(format!("`{here}` is missing")),
+            },
+            Rows(row) => match value.and_then(Json::as_arr) {
+                Some([]) | None => out.push(format!("`{here}` missing or empty")),
+                Some(items) => {
+                    for (i, item) in items.iter().enumerate() {
+                        walk(row, item, &format!("{here}[{i}]"), section, out);
+                    }
+                }
+            },
         }
-    }
-    end_to_end
-}
-
-/// Which artifact a path holds, by file name. `corpus` is matched before
-/// `ingest` so that corpus-flavoured names never fall into the
-/// trace-ingest rules.
-fn artifact_kind(path: &str) -> Option<&'static str> {
-    let name = path.rsplit('/').next().unwrap_or(path);
-    if name.contains("hazard") {
-        Some("hazards")
-    } else if name.contains("corpus") {
-        Some("corpus")
-    } else if name.contains("warm") {
-        Some("warm")
-    } else if name.contains("ingest") {
-        Some("ingest")
-    } else if name.contains("mining") {
-        Some("mining")
-    } else {
-        None
     }
 }
 
 fn load(path: &str) -> Result<Json, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("{path}: cannot read file: {e}"))?;
-    let doc = Parser::parse_document(&text).map_err(|e| format!("{path}: parse error: {e}"))?;
+    let doc = json::parse(&text).map_err(|e| format!("{path}: parse error: {e}"))?;
     match &doc {
         Json::Obj(fields) if !fields.is_empty() => Ok(doc),
         Json::Obj(_) => Err(format!("{path}: top-level object is empty")),
@@ -568,46 +358,41 @@ fn load(path: &str) -> Result<Json, String> {
     }
 }
 
-/// Everything `check` learned about one file: the problems found, plus
-/// the numbers the `gate` subcommand gates on (each present only for
-/// the artifact kind that carries them).
-struct Checked {
-    findings: Findings,
-    decode_rows: Vec<DecodeRow>,
-    corpus_speedup: Option<f64>,
-    warm_speedup: Option<f64>,
-}
-
-/// The `check` validation for one already-parsed file.
-fn check_doc(path: &str, doc: &Json) -> Checked {
+/// The `check` validation for one already-parsed file: placeholder keys
+/// anywhere, then the sections of the table entry its name matches.
+fn check_doc(path: &str, doc: &Json) -> Findings {
     let mut findings = Findings::default();
     check_no_placeholders(doc, "", &mut findings);
-    let mut decode_rows = Vec::new();
-    let mut corpus_speedup = None;
-    let mut warm_speedup = None;
-    match artifact_kind(path) {
-        Some("ingest") => decode_rows = check_ingest(doc, &mut findings),
-        Some("mining") => check_mining(doc, &mut findings),
-        Some("corpus") => corpus_speedup = check_corpus(doc, &mut findings),
-        Some("warm") => warm_speedup = check_warm(doc, &mut findings),
-        Some("hazards") => check_hazards(doc, &mut findings),
-        _ => {}
+    let Some(entry) = artifact(path) else {
+        return findings;
+    };
+    for &(name, fields) in entry.sections {
+        match doc.get(name) {
+            Some(section) => walk(fields, section, name, (name, section), &mut findings),
+            None => findings.push(format!("required section `{name}` is missing")),
+        }
     }
-    Checked {
-        findings,
-        decode_rows,
-        corpus_speedup,
-        warm_speedup,
+    if let Json::Obj(sections) = doc {
+        for (name, _) in sections {
+            if !entry.sections.iter().any(|(listed, _)| listed == name) {
+                findings.push(format!(
+                    "unreviewed section `{name}`: the `{}` artifact does not list it",
+                    entry.name
+                ));
+            }
+        }
     }
+    findings
 }
 
 fn report(path: &str, findings: &Findings) -> bool {
+    let notes: String = findings.notes.iter().map(|n| format!("; {n}")).collect();
     if findings.problems.is_empty() {
-        eprintln!("bench-verify: {path}: ok");
+        eprintln!("bench-verify: {path}: ok{notes}");
         true
     } else {
         let mut msg = format!(
-            "bench-verify: {path}: {} problem(s)\n",
+            "bench-verify: {path}: {} problem(s){notes}\n",
             findings.problems.len()
         );
         for p in &findings.problems {
@@ -618,6 +403,14 @@ fn report(path: &str, findings: &Findings) -> bool {
     }
 }
 
+fn exit_code(ok: bool) -> ExitCode {
+    if ok {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
+    }
+}
+
 fn cmd_check(paths: &[String]) -> Result<ExitCode, String> {
     if paths.is_empty() {
         return Err("check: at least one FILE required".into());
@@ -625,13 +418,30 @@ fn cmd_check(paths: &[String]) -> Result<ExitCode, String> {
     let mut ok = true;
     for path in paths {
         let doc = load(path)?;
-        ok &= report(path, &check_doc(path, &doc).findings);
+        ok &= report(path, &check_doc(path, &doc));
     }
-    Ok(if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    })
+    Ok(exit_code(ok))
+}
+
+/// One decode-scaling row of the ingest artifact.
+struct DecodeRow {
+    jobs: f64,
+    effective_jobs: f64,
+    speedup: f64,
+}
+
+/// The rows at `path` whose three numbers `check` accepts.
+fn decode_rows(doc: &Json, path: &str) -> Vec<DecodeRow> {
+    let rows = lookup(doc, path).and_then(Json::as_arr).unwrap_or_default();
+    rows.iter()
+        .filter_map(|row| {
+            Some(DecodeRow {
+                jobs: positive(row.get("jobs"))?,
+                effective_jobs: positive(row.get("effective_jobs"))?,
+                speedup: positive(row.get("speedup_vs_serial"))?,
+            })
+        })
+        .collect()
 }
 
 /// The `gate` performance rules over validated decode rows.
@@ -678,131 +488,59 @@ fn gate_rows(rows: &[DecodeRow], min_speedup: f64, out: &mut Findings) {
     }
 }
 
-/// The `gate` rule for the corpus artifact: strictly above threshold,
-/// so a tie with the per-file path does not pass (see module docs).
-fn gate_corpus(speedup: Option<f64>, min_speedup: f64, out: &mut Findings) {
-    match speedup {
-        Some(s) if s > min_speedup => {}
-        Some(s) => out.push(format!(
-            "corpus load+mine speedup {s:.3}x is not above the gate {min_speedup}x"
-        )),
-        None => out.push("no corpus speedup to gate on".into()),
+/// Holds `doc` to `gate` at threshold `min_speedup`.
+fn apply_gate(gate: &Gate, doc: &Json, min_speedup: f64, out: &mut Findings) {
+    match *gate {
+        Gate::JobsAxis(path) => gate_rows(&decode_rows(doc, path), min_speedup, out),
+        Gate::Above(path) => match positive(lookup(doc, path)) {
+            Some(s) if s > min_speedup => {}
+            Some(s) => out.push(format!(
+                "`{path}` {s:.3}x is not above the gate {min_speedup}x"
+            )),
+            None => out.push(format!("no `{path}` to gate on")),
+        },
     }
 }
 
-/// The `gate` rule for the warm-analysis artifact: the warm path must be
-/// strictly more than `min_speedup` times faster than the cold decode.
-fn gate_warm(speedup: Option<f64>, min_speedup: f64, out: &mut Findings) {
-    match speedup {
-        Some(s) if s > min_speedup => {}
-        Some(s) => out.push(format!(
-            "warm analyze speedup {s:.3}x is not above the gate {min_speedup}x"
-        )),
-        None => out.push("no warm-analysis speedup to gate on".into()),
-    }
-}
-
-fn cmd_gate(paths: &[String]) -> Result<ExitCode, String> {
+fn cmd_gate(args: &[String]) -> Result<ExitCode, String> {
     let mut file = None;
-    let mut min_ingest = None;
-    let mut min_corpus = None;
-    let mut min_warm = None;
-    let mut iter = paths.iter();
+    let mut min_speedup = None;
+    let mut iter = args.iter();
     while let Some(arg) = iter.next() {
-        if arg == "--min-ingest-speedup"
-            || arg == "--min-corpus-speedup"
-            || arg == "--min-warm-speedup"
-        {
-            let v = iter.next().ok_or(format!("gate: {arg} needs a value"))?;
+        if arg == "--min-speedup" {
+            let v = iter.next().ok_or("gate: --min-speedup needs a value")?;
             let parsed = v
                 .parse::<f64>()
-                .map_err(|_| format!("gate: bad speedup `{v}`"))?;
-            match arg.as_str() {
-                "--min-ingest-speedup" => min_ingest = Some(parsed),
-                "--min-corpus-speedup" => min_corpus = Some(parsed),
-                _ => min_warm = Some(parsed),
+                .ok()
+                .filter(|x| x.is_finite() && *x > 0.0)
+                .ok_or(format!("gate: bad speedup `{v}`"))?;
+            if min_speedup.replace(parsed).is_some() {
+                return Err("gate: --min-speedup given twice".into());
             }
         } else if file.is_none() {
-            file = Some(arg.clone());
+            file = Some(arg.as_str());
         } else {
             return Err(format!("gate: unexpected argument `{arg}`"));
         }
     }
     let file = file.ok_or("gate: FILE required")?;
-    let doc = load(&file)?;
-    let mut checked = check_doc(&file, &doc);
-    match artifact_kind(&file) {
-        Some("ingest") => {
-            let min = min_ingest.ok_or("gate: --min-ingest-speedup required")?;
-            gate_rows(&checked.decode_rows, min, &mut checked.findings);
-        }
-        Some("corpus") => {
-            let min = min_corpus.ok_or("gate: --min-corpus-speedup required")?;
-            gate_corpus(checked.corpus_speedup, min, &mut checked.findings);
-        }
-        Some("warm") => {
-            let min = min_warm.ok_or("gate: --min-warm-speedup required")?;
-            gate_warm(checked.warm_speedup, min, &mut checked.findings);
-        }
-        _ => return Err(format!("gate: `{file}` is not a gateable artifact")),
-    }
-    Ok(if report(&file, &checked.findings) {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    })
+    let gate = artifact(file)
+        .and_then(|entry| entry.gate.as_ref())
+        .ok_or(format!("gate: `{file}` is not a gateable artifact"))?;
+    let min_speedup = min_speedup.ok_or("gate: --min-speedup required")?;
+    let doc = load(file)?;
+    let mut findings = check_doc(file, &doc);
+    apply_gate(gate, &doc, min_speedup, &mut findings);
+    Ok(exit_code(report(file, &findings)))
 }
 
-fn section_names(doc: &Json) -> Vec<String> {
-    match doc {
-        Json::Obj(fields) => fields.iter().map(|(k, _)| k.clone()).collect(),
-        _ => Vec::new(),
-    }
-}
-
-fn cmd_drift(paths: &[String]) -> Result<ExitCode, String> {
-    let [smoke, committed] = paths else {
-        return Err("drift: exactly two files required (SMOKE COMMITTED)".into());
-    };
-    let smoke_doc = load(smoke)?;
-    let committed_doc = load(committed)?;
-    let mut smoke_names = section_names(&smoke_doc);
-    let mut committed_names = section_names(&committed_doc);
-    smoke_names.sort();
-    committed_names.sort();
-    let mut findings = Findings::default();
-    for name in &committed_names {
-        if !smoke_names.contains(name) {
-            findings.push(format!(
-                "section `{name}` is in {committed} but the smoke run did not emit it"
-            ));
-        }
-    }
-    for name in &smoke_names {
-        if !committed_names.contains(name) {
-            findings.push(format!(
-                "smoke run emitted section `{name}` that {committed} does not have — \
-                 refresh the committed artifact"
-            ));
-        }
-    }
-    Ok(if report(&format!("{smoke} vs {committed}"), &findings) {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    })
-}
-
-const USAGE: &str = "usage: bench-verify <check FILE...|gate FILE \
-     (--min-ingest-speedup X|--min-corpus-speedup X|--min-warm-speedup X)|\
-     drift SMOKE COMMITTED>";
+const USAGE: &str = "usage: bench-verify <check FILE...|gate FILE --min-speedup X>";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.split_first() {
         Some((cmd, rest)) if cmd == "check" => cmd_check(rest),
         Some((cmd, rest)) if cmd == "gate" => cmd_gate(rest),
-        Some((cmd, rest)) if cmd == "drift" => cmd_drift(rest),
         _ => Err(USAGE.into()),
     };
     match result {
@@ -819,30 +557,28 @@ mod tests {
     use super::*;
 
     fn parse(text: &str) -> Json {
-        Parser::parse_document(text).unwrap()
+        json::parse(text).unwrap()
     }
 
-    #[test]
-    fn parser_round_trips_shapes() {
-        let doc = parse(r#"{"a": 1.5, "b": [true, null, "x\ny"], "c": {"d": -2e3}, "e": ""}"#);
-        assert_eq!(doc.get("a").unwrap().as_num(), Some(1.5));
-        let b = doc.get("b").unwrap().as_arr().unwrap();
-        assert_eq!(b[0], Json::Bool(true));
-        assert_eq!(b[1], Json::Null);
-        assert_eq!(b[2], Json::Str("x\ny".into()));
-        assert_eq!(
-            doc.get("c").unwrap().get("d").unwrap().as_num(),
-            Some(-2000.0)
-        );
-        assert_eq!(doc.get("e").unwrap(), &Json::Str(String::new()));
+    fn found(path: &str, text: &str) -> Vec<String> {
+        check_doc(path, &parse(text)).problems
     }
 
-    #[test]
-    fn parser_rejects_garbage() {
-        assert!(Parser::parse_document("{").is_err());
-        assert!(Parser::parse_document("[1, 2").is_err());
-        assert!(Parser::parse_document("{\"a\": 1} extra").is_err());
-        assert!(Parser::parse_document("nul").is_err());
+    fn has(problems: &[String], needle: &str) -> bool {
+        problems.iter().any(|p| p.contains(needle))
+    }
+
+    /// `check` plus the gate of `path`'s entry at `min_speedup`.
+    fn gated(path: &str, text: &str, min_speedup: f64) -> Vec<String> {
+        let doc = parse(text);
+        let mut findings = check_doc(path, &doc);
+        let gate = artifact(path).and_then(|a| a.gate.as_ref()).unwrap();
+        apply_gate(gate, &doc, min_speedup, &mut findings);
+        findings.problems
+    }
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|&a| a.to_owned()).collect()
     }
 
     fn ingest_doc(rows: &str) -> String {
@@ -867,47 +603,67 @@ mod tests {
 
     #[test]
     fn check_accepts_complete_ingest() {
-        let text = ingest_doc(&[row(1, 1, 1.4), row(8, 8, 3.1)].join(","));
-        let doc = Parser::parse_document(&text).unwrap();
-        let checked = check_doc("BENCH_ingest.json", &doc);
-        assert!(
-            checked.findings.problems.is_empty(),
-            "{:?}",
-            checked.findings.problems
-        );
-        assert_eq!(checked.decode_rows.len(), 2);
+        let doc = parse(&ingest_doc(&[row(1, 2, 1.4), row(8, 8, 3.1)].join(",")));
+        let findings = check_doc("BENCH_ingest.json", &doc);
+        assert!(findings.problems.is_empty(), "{:?}", findings.problems);
+        assert!(findings.notes.is_empty(), "{:?}", findings.notes);
+        let rows = decode_rows(&doc, "trace_ingest.indexed_decode_by_jobs");
+        assert_eq!(rows.len(), 2);
     }
 
     #[test]
     fn check_rejects_placeholder_keys_anywhere() {
-        let doc = parse(r#"{"trace_ingest": {"zz_placeholder": 1}, "zz_x": 2}"#);
-        let findings = check_doc("BENCH_ingest.json", &doc).findings;
-        assert!(findings
-            .problems
-            .iter()
-            .any(|p| p.contains("placeholder key `.zz_x`")));
-        assert!(findings
-            .problems
-            .iter()
-            .any(|p| p.contains("trace_ingest.zz_placeholder")));
+        let problems = found(
+            "BENCH_ingest.json",
+            r#"{"trace_ingest": {"zz_placeholder": 1}, "zz_x": 2}"#,
+        );
+        assert!(has(&problems, "placeholder key `.zz_x`"));
+        assert!(has(&problems, "trace_ingest.zz_placeholder"));
+        // A file no entry matches gets the placeholder scan alone.
+        assert_eq!(
+            found("notes.json", r#"{"a": {"todo": 1}, "b": 2}"#),
+            ["placeholder key `.a.todo`"]
+        );
     }
 
     #[test]
     fn check_rejects_missing_sections_and_bad_numbers() {
-        let doc = parse(r#"{"something_else": {}}"#);
-        let findings = check_doc("BENCH_ingest.json", &doc).findings;
-        assert!(findings
-            .problems
-            .iter()
-            .any(|p| p.contains("`trace_ingest` is missing")));
+        let problems = found("BENCH_ingest.json", r#"{"something_else": {}}"#);
+        assert!(has(&problems, "required section `trace_ingest` is missing"));
 
-        let text = ingest_doc(&row(8, 8, 0.0));
-        let doc = Parser::parse_document(&text).unwrap();
-        let findings = check_doc("BENCH_ingest.json", &doc).findings;
-        assert!(findings
-            .problems
-            .iter()
-            .any(|p| p.contains("speedup_vs_serial")));
+        let problems = found("BENCH_ingest.json", &ingest_doc(&row(8, 8, 0.0)));
+        assert!(has(
+            &problems,
+            "`trace_ingest.indexed_decode_by_jobs[0].speedup_vs_serial` = 0 (must be > 0 and \
+             finite)"
+        ));
+        let problems = found("BENCH_ingest.json", &ingest_doc(""));
+        assert!(has(
+            &problems,
+            "`trace_ingest.indexed_decode_by_jobs` missing or empty"
+        ));
+    }
+
+    /// The two cases the old `drift` subcommand caught, now caught by
+    /// `check` alone: a listed section the bench did not emit, and an
+    /// emitted section nobody listed.
+    #[test]
+    fn check_rejects_missing_and_unlisted_sections() {
+        let problems = found("target/experiments/BENCH_mining.json", &pattern_mining());
+        assert_eq!(
+            problems,
+            ["required section `parallel_pipeline` is missing"]
+        );
+
+        let text = format!(
+            r#"{{"analysis_warm": {}, "warm_extra": {{"speedup": 2.0}}}}"#,
+            warm_section(3.75)
+        );
+        let problems = found("BENCH_warm.json", &text);
+        assert_eq!(
+            problems,
+            ["unreviewed section `warm_extra`: the `warm` artifact does not list it"]
+        );
     }
 
     fn corpus_doc(load_speedup: f64, mine_speedup: f64) -> String {
@@ -925,279 +681,273 @@ mod tests {
     }
 
     #[test]
-    fn check_accepts_complete_corpus_and_extracts_speedup() {
-        let doc = Parser::parse_document(&corpus_doc(1.3, 1.12)).unwrap();
-        let checked = check_doc("BENCH_corpus.json", &doc);
-        assert!(
-            checked.findings.problems.is_empty(),
-            "{:?}",
-            checked.findings.problems
+    fn check_accepts_complete_corpus_and_gates_its_end_to_end_speedup() {
+        let text = corpus_doc(1.3, 1.12);
+        let problems = found("BENCH_corpus.json", &text);
+        assert!(problems.is_empty(), "{problems:?}");
+        assert!(gated("BENCH_corpus.json", &text, 1.11).is_empty());
+        assert_eq!(
+            gated("BENCH_corpus.json", &text, 1.12),
+            ["`corpus_ingest.load_and_mine.speedup` 1.120x is not above the gate 1.12x"]
         );
-        assert_eq!(checked.corpus_speedup, Some(1.12));
     }
 
     #[test]
     fn check_rejects_incomplete_corpus() {
-        let doc = parse(r#"{"something_else": {}}"#);
-        let findings = check_doc("BENCH_corpus.json", &doc).findings;
-        assert!(findings
-            .problems
-            .iter()
-            .any(|p| p.contains("`corpus_ingest` is missing")));
+        let problems = found("BENCH_corpus.json", r#"{"something_else": {}}"#);
+        assert!(has(&problems, "`corpus_ingest` is missing"));
 
-        let doc = parse(r#"{"corpus_ingest": {"corpus": "x", "load_only": {}}}"#);
-        let findings = check_doc("BENCH_corpus.json", &doc).findings;
-        assert!(findings
-            .problems
-            .iter()
-            .any(|p| p.contains("load_and_mine` is missing")));
-        assert!(findings
-            .problems
-            .iter()
-            .any(|p| p.contains("load_only.speedup")));
+        let problems = found(
+            "BENCH_corpus.json",
+            r#"{"corpus_ingest": {"corpus": "x", "load_only": {}}}"#,
+        );
+        assert!(has(&problems, "load_and_mine` is missing"));
+        assert!(has(&problems, "load_only.speedup"));
     }
 
     #[test]
     fn corpus_gate_requires_strictly_above_threshold() {
-        let mut findings = Findings::default();
-        gate_corpus(Some(1.08), 1.0, &mut findings);
-        assert!(findings.problems.is_empty(), "{:?}", findings.problems);
+        assert!(gated("BENCH_corpus.json", &corpus_doc(1.3, 1.08), 1.0).is_empty());
 
         // A tie is not a win: exactly 1.0x fails the default gate.
-        let mut findings = Findings::default();
-        gate_corpus(Some(1.0), 1.0, &mut findings);
-        assert!(findings.problems.iter().any(|p| p.contains("not above")));
+        let problems = gated("BENCH_corpus.json", &corpus_doc(1.3, 1.0), 1.0);
+        assert!(has(&problems, "not above"));
 
-        let mut findings = Findings::default();
-        gate_corpus(None, 1.0, &mut findings);
-        assert!(findings
-            .problems
-            .iter()
-            .any(|p| p.contains("no corpus speedup")));
+        let problems = gated("BENCH_corpus.json", r#"{"other": {}}"#, 1.0);
+        assert!(has(
+            &problems,
+            "no `corpus_ingest.load_and_mine.speedup` to gate on"
+        ));
     }
 
     #[test]
     fn corpus_names_never_fall_into_ingest_rules() {
-        assert_eq!(artifact_kind("BENCH_corpus.json"), Some("corpus"));
-        assert_eq!(
-            artifact_kind("target/smoke/BENCH_corpus.json"),
-            Some("corpus")
-        );
-        assert_eq!(artifact_kind("corpus_ingest.json"), Some("corpus"));
-        assert_eq!(artifact_kind("BENCH_ingest.json"), Some("ingest"));
-        assert_eq!(artifact_kind("BENCH_mining.json"), Some("mining"));
-        assert_eq!(artifact_kind("BENCH_warm.json"), Some("warm"));
-        assert_eq!(artifact_kind("target/smoke/BENCH_warm.json"), Some("warm"));
-        assert_eq!(artifact_kind("BENCH_hazards.json"), Some("hazards"));
-        assert_eq!(
-            artifact_kind("target/smoke/BENCH_hazards.json"),
-            Some("hazards")
-        );
-        assert_eq!(artifact_kind("notes.json"), None);
+        let name = |path| artifact(path).map(|a| a.name);
+        assert_eq!(name("BENCH_corpus.json"), Some("corpus"));
+        assert_eq!(name("target/smoke/BENCH_corpus.json"), Some("corpus"));
+        assert_eq!(name("corpus_ingest.json"), Some("corpus"));
+        assert_eq!(name("BENCH_ingest.json"), Some("ingest"));
+        assert_eq!(name("BENCH_mining.json"), Some("mining"));
+        assert_eq!(name("BENCH_warm.json"), Some("warm"));
+        assert_eq!(name("target/smoke/BENCH_warm.json"), Some("warm"));
+        assert_eq!(name("BENCH_hazards.json"), Some("hazard"));
+        assert_eq!(name("target/smoke/BENCH_hazards.json"), Some("hazard"));
+        assert_eq!(name("notes.json"), None);
     }
 
-    #[test]
-    fn check_validates_hazards_structure() {
-        let doc = parse(
-            r#"{"hazard_scan": {
-                "corpus": "jEdit-hazards", "episodes": 1200, "budget_ms": 500,
-                "available_jobs": 4, "waits": 900, "locks": 5, "held_edges": 7,
-                "build": {"serial_ns_per_iter": 9000000.0,
-                    "sharded_ns_per_iter": 3000000.0, "speedup": 3.0}
-            }}"#,
-        );
-        let checked = check_doc("BENCH_hazards.json", &doc);
-        assert!(
-            checked.findings.problems.is_empty(),
-            "{:?}",
-            checked.findings.problems
-        );
-
-        let findings = check_doc("BENCH_hazards.json", &parse(r#"{"other": {}}"#)).findings;
-        assert!(findings
-            .problems
-            .iter()
-            .any(|p| p.contains("`hazard_scan` is missing")));
-
-        let doc = parse(r#"{"hazard_scan": {"corpus": "x"}}"#);
-        let findings = check_doc("BENCH_hazards.json", &doc).findings;
-        assert!(findings
-            .problems
-            .iter()
-            .any(|p| p.contains("build` is missing")));
-        assert!(findings.problems.iter().any(|p| p.contains("waits")));
-    }
-
-    fn warm_doc(speedup: f64) -> String {
+    fn hazards_doc(available_jobs: u32) -> String {
         format!(
-            r#"{{"analysis_warm": {{
-                "corpus": "jEdit-warm", "episodes": 1200, "budget_ms": 500,
-                "available_jobs": 1, "trace_bytes": 1583639,
-                "trace_bytes_with_rollup": 1645885,
-                "analyze": {{"cold_ns_per_iter": 12000000.0,
-                    "warm_ns_per_iter": 3200000.0, "speedup": {speedup}}}
+            r#"{{"hazard_scan": {{
+                "corpus": "jEdit-hazards", "episodes": 1200, "budget_ms": 500,
+                "available_jobs": {available_jobs}, "waits": 900, "locks": 5,
+                "held_edges": 7,
+                "build": {{"serial_ns_per_iter": 9000000.0,
+                    "sharded_ns_per_iter": 3000000.0, "speedup": 3.0}}
             }}}}"#
         )
     }
 
     #[test]
-    fn check_accepts_complete_warm_and_extracts_speedup() {
-        let doc = Parser::parse_document(&warm_doc(3.75)).unwrap();
-        let checked = check_doc("BENCH_warm.json", &doc);
-        assert!(
-            checked.findings.problems.is_empty(),
-            "{:?}",
-            checked.findings.problems
+    fn check_validates_hazards_structure() {
+        let findings = check_doc("BENCH_hazards.json", &parse(&hazards_doc(4)));
+        assert!(findings.problems.is_empty(), "{:?}", findings.problems);
+        assert!(findings.notes.is_empty(), "{:?}", findings.notes);
+
+        let problems = found("BENCH_hazards.json", r#"{"other": {}}"#);
+        assert!(has(&problems, "`hazard_scan` is missing"));
+
+        let problems = found("BENCH_hazards.json", r#"{"hazard_scan": {"corpus": "x"}}"#);
+        assert!(has(&problems, "build` is missing"));
+        assert!(has(&problems, "waits"));
+    }
+
+    /// A jobs speedup that had one worker is labelled, found through the
+    /// worker field its table row names: the section's for the hazards
+    /// build, the row's own for an ingest row.
+    #[test]
+    fn one_worker_speedups_are_labelled_sharding_overhead() {
+        let findings = check_doc("BENCH_hazards.json", &parse(&hazards_doc(1)));
+        assert!(findings.problems.is_empty(), "{:?}", findings.problems);
+        assert_eq!(
+            findings.notes,
+            ["`hazard_scan.build.speedup` 3.000x ran on 1 worker \
+              (`hazard_scan.available_jobs`): single-core cost and sharding overhead, not \
+              parallel speedup"]
         );
-        assert_eq!(checked.warm_speedup, Some(3.75));
+
+        let text = ingest_doc(&[row(1, 1, 1.4), row(8, 8, 3.1)].join(","));
+        let findings = check_doc("BENCH_ingest.json", &parse(&text));
+        assert!(findings.problems.is_empty(), "{:?}", findings.problems);
+        assert_eq!(findings.notes.len(), 1, "{:?}", findings.notes);
+        assert!(findings.notes[0].starts_with(
+            "`trace_ingest.indexed_decode_by_jobs[0].speedup_vs_serial` 1.400x ran on 1 \
+             worker (`trace_ingest.indexed_decode_by_jobs[0].effective_jobs`)"
+        ));
+    }
+
+    fn warm_section(speedup: f64) -> String {
+        format!(
+            r#"{{
+                "corpus": "jEdit-warm", "episodes": 1200, "budget_ms": 500,
+                "available_jobs": 1, "trace_bytes": 1583639,
+                "trace_bytes_with_rollup": 1645885,
+                "analyze": {{"cold_ns_per_iter": 12000000.0,
+                    "warm_ns_per_iter": 3200000.0, "speedup": {speedup}}}
+            }}"#
+        )
+    }
+
+    fn warm_doc(speedup: f64) -> String {
+        format!(r#"{{"analysis_warm": {}}}"#, warm_section(speedup))
+    }
+
+    #[test]
+    fn check_accepts_complete_warm_and_gates_its_speedup() {
+        let problems = found("BENCH_warm.json", &warm_doc(3.75));
+        assert!(problems.is_empty(), "{problems:?}");
+        assert!(gated("BENCH_warm.json", &warm_doc(3.75), 3.74).is_empty());
+        assert!(has(
+            &gated("BENCH_warm.json", &warm_doc(3.75), 3.75),
+            "not above"
+        ));
     }
 
     #[test]
     fn check_rejects_incomplete_warm() {
-        let doc = parse(r#"{"something_else": {}}"#);
-        let findings = check_doc("BENCH_warm.json", &doc).findings;
-        assert!(findings
-            .problems
-            .iter()
-            .any(|p| p.contains("`analysis_warm` is missing")));
+        let problems = found("BENCH_warm.json", r#"{"something_else": {}}"#);
+        assert!(has(&problems, "`analysis_warm` is missing"));
 
-        let doc = parse(r#"{"analysis_warm": {"corpus": "x"}}"#);
-        let findings = check_doc("BENCH_warm.json", &doc).findings;
-        assert!(findings
-            .problems
-            .iter()
-            .any(|p| p.contains("analyze` is missing")));
-        assert!(findings
-            .problems
-            .iter()
-            .any(|p| p.contains("trace_bytes_with_rollup")));
+        let problems = found("BENCH_warm.json", r#"{"analysis_warm": {"corpus": "x"}}"#);
+        assert!(has(&problems, "analyze` is missing"));
+        assert!(has(&problems, "trace_bytes_with_rollup"));
     }
 
     #[test]
     fn warm_gate_requires_strictly_above_threshold() {
-        let mut findings = Findings::default();
-        gate_warm(Some(3.6), 3.0, &mut findings);
-        assert!(findings.problems.is_empty(), "{:?}", findings.problems);
+        assert!(gated("BENCH_warm.json", &warm_doc(3.6), 3.0).is_empty());
 
-        let mut findings = Findings::default();
-        gate_warm(Some(3.0), 3.0, &mut findings);
-        assert!(findings.problems.iter().any(|p| p.contains("not above")));
+        let problems = gated("BENCH_warm.json", &warm_doc(3.0), 3.0);
+        assert!(has(&problems, "not above"));
 
+        let problems = gated("BENCH_warm.json", r#"{"other": {}}"#, 3.0);
+        assert!(has(
+            &problems,
+            "no `analysis_warm.analyze.speedup` to gate on"
+        ));
+    }
+
+    fn decode_row(jobs: f64, effective_jobs: f64, speedup: f64) -> DecodeRow {
+        DecodeRow {
+            jobs,
+            effective_jobs,
+            speedup,
+        }
+    }
+
+    fn gate_problems(rows: &[DecodeRow]) -> Vec<String> {
         let mut findings = Findings::default();
-        gate_warm(None, 3.0, &mut findings);
-        assert!(findings
-            .problems
-            .iter()
-            .any(|p| p.contains("no warm-analysis speedup")));
+        gate_rows(rows, 2.5, &mut findings);
+        findings.problems
     }
 
     #[test]
     fn gate_applies_threshold_with_enough_workers() {
-        let rows = vec![
-            DecodeRow {
-                jobs: 1.0,
-                effective_jobs: 1.0,
-                speedup: 1.4,
-            },
-            DecodeRow {
-                jobs: 8.0,
-                effective_jobs: 8.0,
-                speedup: 2.0,
-            },
-        ];
-        let mut findings = Findings::default();
-        gate_rows(&rows, 2.5, &mut findings);
-        assert!(findings
-            .problems
-            .iter()
-            .any(|p| p.contains("below the gate")));
+        let rows = [decode_row(1.0, 1.0, 1.4), decode_row(8.0, 8.0, 2.0)];
+        assert!(has(&gate_problems(&rows), "below the gate"));
 
-        let rows = vec![
-            DecodeRow {
-                jobs: 1.0,
-                effective_jobs: 1.0,
-                speedup: 1.4,
-            },
-            DecodeRow {
-                jobs: 8.0,
-                effective_jobs: 8.0,
-                speedup: 2.6,
-            },
-        ];
-        let mut findings = Findings::default();
-        gate_rows(&rows, 2.5, &mut findings);
-        assert!(findings.problems.is_empty(), "{:?}", findings.problems);
+        let rows = [decode_row(1.0, 1.0, 1.4), decode_row(8.0, 8.0, 2.6)];
+        let problems = gate_problems(&rows);
+        assert!(problems.is_empty(), "{problems:?}");
+
+        // The same rules through the ingest entry's gate.
+        let text = ingest_doc(&[row(1, 1, 1.4), row(8, 8, 2.0)].join(","));
+        assert!(has(
+            &gated("BENCH_ingest.json", &text, 2.5),
+            "below the gate"
+        ));
     }
 
     #[test]
     fn gate_holds_single_core_floor_without_parallelism() {
-        let rows = vec![
-            DecodeRow {
-                jobs: 1.0,
-                effective_jobs: 1.0,
-                speedup: 1.5,
-            },
-            DecodeRow {
-                jobs: 8.0,
-                effective_jobs: 1.0,
-                speedup: 1.5,
-            },
-        ];
-        let mut findings = Findings::default();
-        gate_rows(&rows, 2.5, &mut findings);
-        assert!(findings.problems.is_empty(), "{:?}", findings.problems);
+        let rows = [decode_row(1.0, 1.0, 1.5), decode_row(8.0, 1.0, 1.5)];
+        let problems = gate_problems(&rows);
+        assert!(problems.is_empty(), "{problems:?}");
 
-        let rows = vec![DecodeRow {
-            jobs: 8.0,
-            effective_jobs: 1.0,
-            speedup: 1.0,
-        }];
-        let mut findings = Findings::default();
-        gate_rows(&rows, 2.5, &mut findings);
-        assert!(findings
-            .problems
-            .iter()
-            .any(|p| p.contains("single-core floor")));
+        let rows = [decode_row(8.0, 1.0, 1.0)];
+        assert!(has(&gate_problems(&rows), "single-core floor"));
     }
 
     #[test]
     fn gate_rejects_regressions_along_the_jobs_axis() {
-        let rows = vec![
-            DecodeRow {
-                jobs: 1.0,
-                effective_jobs: 1.0,
-                speedup: 2.0,
-            },
-            DecodeRow {
-                jobs: 2.0,
-                effective_jobs: 2.0,
-                speedup: 1.2,
-            },
-            DecodeRow {
-                jobs: 8.0,
-                effective_jobs: 8.0,
-                speedup: 2.6,
-            },
+        let rows = [
+            decode_row(1.0, 1.0, 2.0),
+            decode_row(2.0, 2.0, 1.2),
+            decode_row(8.0, 8.0, 2.6),
         ];
-        let mut findings = Findings::default();
-        gate_rows(&rows, 2.5, &mut findings);
-        assert!(findings.problems.iter().any(|p| p.contains("regresses")));
+        assert!(has(&gate_problems(&rows), "regresses"));
+    }
+
+    /// `gate` on an artifact without a gate, or without a valid
+    /// `--min-speedup`, is a usage error (exit 2), before any file is read.
+    #[test]
+    fn gate_refuses_ungated_artifacts_and_bad_thresholds() {
+        for list in [
+            &["BENCH_hazards.json", "--min-speedup", "1.0"][..],
+            &["BENCH_mining.json", "--min-speedup", "1.0"],
+            &["notes.json", "--min-speedup", "1.0"],
+            &["BENCH_corpus.json"],
+            &["BENCH_corpus.json", "--min-speedup"],
+            &["BENCH_corpus.json", "--min-speedup", "fast"],
+            &["BENCH_corpus.json", "--min-speedup", "NaN"],
+            &["BENCH_corpus.json", "--min-speedup", "-1"],
+            &[
+                "BENCH_corpus.json",
+                "--min-speedup",
+                "1",
+                "--min-speedup",
+                "2",
+            ],
+            &["BENCH_corpus.json", "--threshold", "1.0"],
+            &["--min-speedup", "1.0"],
+        ] {
+            assert!(cmd_gate(&args(list)).is_err(), "{list:?}");
+        }
+        assert!(cmd_check(&[]).is_err());
+    }
+
+    fn pattern_mining() -> String {
+        r#"{"pattern_mining": {
+            "apps": [{"app": "Jmol", "episodes": 100, "before_ns_per_iter": 10.0,
+                      "after_ns_per_iter": 5.0, "speedup": 2.0}],
+            "total": {"speedup": 2.0}
+        }}"#
+        .into()
     }
 
     #[test]
-    fn mining_checks_apps_and_total() {
-        let doc = parse(
-            r#"{"pattern_mining": {
-                "apps": [{"app": "Jmol", "episodes": 100, "before_ns_per_iter": 10.0,
-                          "after_ns_per_iter": 5.0, "speedup": 2.0}],
-                "total": {"speedup": 2.0}
-            }}"#,
-        );
-        let findings = check_doc("BENCH_mining.json", &doc).findings;
-        assert!(findings.problems.is_empty(), "{:?}", findings.problems);
+    fn mining_checks_both_sections() {
+        let text = r#"{"parallel_pipeline": {
+                "corpus": "Euclide-3x", "episodes": 29000, "budget_ms": 1500,
+                "reference_serial_ns_per_iter": 13226963.1,
+                "mining_by_jobs": [{"jobs": 1, "ns_per_iter": 3902160.0,
+                                    "speedup_vs_reference": 3.390}]
+            },"#;
+        let full = format!("{text}{}", &pattern_mining()[1..]);
+        let problems = found("BENCH_mining.json", &full);
+        assert!(problems.is_empty(), "{problems:?}");
 
-        let doc = parse(r#"{"pattern_mining": {"apps": [], "total": {}}}"#);
-        let findings = check_doc("BENCH_mining.json", &doc).findings;
-        assert!(!findings.problems.is_empty());
+        let problems = found(
+            "BENCH_mining.json",
+            r#"{"pattern_mining": {"apps": [], "total": {}}, "parallel_pipeline": {}}"#,
+        );
+        assert!(has(&problems, "`pattern_mining.apps` missing or empty"));
+        assert!(has(
+            &problems,
+            "`pattern_mining.total.speedup` missing or not a number"
+        ));
+        assert!(has(
+            &problems,
+            "`parallel_pipeline.mining_by_jobs` missing or empty"
+        ));
     }
 }

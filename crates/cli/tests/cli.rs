@@ -2,6 +2,7 @@
 
 use std::process::Command;
 
+use lagalyzer_model::json::{self, Json};
 use lagalyzer_trace::faults;
 
 #[cfg(target_os = "linux")]
@@ -717,9 +718,14 @@ fn check_json_format_and_fix_report() {
     let dir = std::env::temp_dir().join(format!("lagalyzer-cli-check-js-{}", std::process::id()));
     let (clean, damaged) = clean_and_damaged(&dir);
 
-    let json = run_ok(&["check", clean.to_str().unwrap(), "--format", "json"]);
-    assert!(json.starts_with("{\"file\":"), "not JSON: {json}");
-    assert!(json.contains("\"verdict\":\"clean\""));
+    let stdout = run_ok(&["check", clean.to_str().unwrap(), "--format", "json"]);
+    let report = json::parse(&stdout).unwrap_or_else(|e| panic!("not JSON ({e}): {stdout}"));
+    assert_eq!(
+        report.get("file").and_then(Json::as_str),
+        clean.to_str(),
+        "{stdout}"
+    );
+    assert_eq!(report.get("verdict").and_then(Json::as_str), Some("clean"));
 
     let report_path = dir.join("fix-report.json");
     let output = lagalyzer()
@@ -734,8 +740,16 @@ fn check_json_format_and_fix_report() {
     assert_eq!(output.status.code(), Some(2));
     let written = std::fs::read_to_string(&report_path).unwrap();
     assert!(written.ends_with('\n'));
-    assert!(written.contains("\"verdict\":\"errors\""));
-    assert!(written.contains("\"code\":\"LA012\""));
+    let report = json::parse(&written).unwrap_or_else(|e| panic!("not JSON ({e}): {written}"));
+    assert_eq!(report.get("verdict").and_then(Json::as_str), Some("errors"));
+    let codes: Vec<&str> = report
+        .get("diagnostics")
+        .and_then(Json::as_arr)
+        .unwrap_or_default()
+        .iter()
+        .filter_map(|d| d.get("code").and_then(Json::as_str))
+        .collect();
+    assert!(codes.contains(&"LA012"), "{written}");
 
     // The stdout text report and the machine report coexist.
     assert!(String::from_utf8_lossy(&output.stdout).contains("error[LA012]"));

@@ -5,8 +5,10 @@
 //! with default, extreme and unknown flags, and with stdout left open or
 //! closed early, exits within {0, 1, 2, 3}, never panics, and prints the
 //! same bytes at any `--jobs`; with stderr closed it exits with the same
-//! code and prints the same stdout. Every input the flag tables reject is a
-//! usage error (exit 1) that prints nothing. The `help` text is locked in
+//! code and prints the same stdout. Every `--format json` answer parses
+//! back through `lagalyzer_model::json` as one object per line. Every
+//! input the flag tables reject is a usage error (exit 1) that prints
+//! nothing. The `help` text is locked in
 //! `tests/corpus/EXPECTED_HELP.txt`; after an intentional change to a
 //! command table or the help notes, regenerate it with
 //!
@@ -18,6 +20,7 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 
+use lagalyzer_model::json::{self, Json};
 use lagalyzer_trace::faults::{self, FaultInjector};
 use lagalyzer_trace::IndexedTrace;
 use proptest::prelude::*;
@@ -217,7 +220,9 @@ fn argv<'a>(command: &'a str, input: &'a str, clean: &'a str, out: &'a str) -> V
 type Run = (i32, Vec<u8>, Option<Vec<u8>>);
 
 /// Runs `args`, writing to `out` if it writes at all, and checks the
-/// contract: an exit within {0, 1, 2, 3} and no panic.
+/// contract: an exit within {0, 1, 2, 3} and no panic. A `--format json`
+/// run that answers (exit 0 or 2) prints one JSON object per non-empty
+/// line.
 fn run_checked(args: &[&str], out: &Path) -> Run {
     let _ = std::fs::remove_file(out);
     let output = lagalyzer(args);
@@ -228,6 +233,16 @@ fn run_checked(args: &[&str], out: &Path) -> Run {
         "{args:?}: exit {code:?}, stderr: {stderr}"
     );
     assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    if args.windows(2).any(|w| w == ["--format", "json"]) && matches!(code, Some(0 | 2)) {
+        let stdout = std::str::from_utf8(&output.stdout).expect("JSON output is UTF-8");
+        for line in stdout.lines().filter(|l| !l.is_empty()) {
+            let parsed = json::parse(line);
+            assert!(
+                matches!(parsed, Ok(Json::Obj(_))),
+                "{args:?}: not one JSON object ({parsed:?}): {line}"
+            );
+        }
+    }
     (code.unwrap(), output.stdout, std::fs::read(out).ok())
 }
 

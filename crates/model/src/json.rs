@@ -1,5 +1,9 @@
 //! The one JSON string escaper every `--format json` output and bench
-//! artifact writes through.
+//! artifact writes through, and the one reader that parses them back.
+//!
+//! No serde in the tree: [`parse`] is a minimal recursive-descent reader
+//! for the documents this workspace writes, so tests and `bench-verify`
+//! can read every output without a dependency.
 
 /// Renders `s` as a quoted JSON string literal: `"` and `\` are
 /// backslash-escaped, `\n`, `\r` and `\t` use their short escapes, and
@@ -22,9 +26,262 @@ pub fn json_string(s: &str) -> String {
     out
 }
 
+/// A parsed JSON value. Objects keep their fields in document order.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Json {
+    /// `null`.
+    Null,
+    /// `true` or `false`.
+    Bool(bool),
+    /// A number, read as `f64`.
+    Num(f64),
+    /// A string, with its escapes decoded.
+    Str(String),
+    /// An array.
+    Arr(Vec<Json>),
+    /// An object's `(key, value)` fields, in document order.
+    Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// The value of the first field named `key`, if this is an object
+    /// that has one.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The number, if this is one.
+    pub fn as_num(&self) -> Option<f64> {
+        match self {
+            Json::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The string, if this is one.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The items, if this is an array.
+    pub fn as_arr(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+}
+
+/// Parses `text` as exactly one JSON value, surrounded by optional
+/// whitespace. An error names what was expected and its byte offset.
+/// A `\u` escape of a surrogate, which the writers here never emit,
+/// decodes to U+FFFD, so a surrogate pair becomes two of them.
+pub fn parse(text: &str) -> Result<Json, String> {
+    let mut p = Parser {
+        bytes: text.as_bytes(),
+        pos: 0,
+    };
+    p.skip_ws();
+    let v = p.value()?;
+    p.skip_ws();
+    if p.pos != p.bytes.len() {
+        return Err(p.fail("trailing input after JSON value"));
+    }
+    Ok(v)
+}
+
+struct Parser<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Parser<'_> {
+    fn fail(&self, what: &str) -> String {
+        format!("{what} at byte {}", self.pos)
+    }
+
+    fn skip_ws(&mut self) {
+        while let Some(b) = self.bytes.get(self.pos) {
+            if b.is_ascii_whitespace() {
+                self.pos += 1;
+            } else {
+                break;
+            }
+        }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn eat(&mut self, b: u8) -> Result<(), String> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.fail(&format!("expected '{}'", b as char)))
+        }
+    }
+
+    fn value(&mut self) -> Result<Json, String> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'{') => self.object(),
+            Some(b'[') => self.array(),
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
+            _ => Err(self.fail("expected a JSON value")),
+        }
+    }
+
+    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
+        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(value)
+        } else {
+            Err(self.fail(&format!("expected '{word}'")))
+        }
+    }
+
+    fn object(&mut self) -> Result<Json, String> {
+        self.eat(b'{')?;
+        let mut fields = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Json::Obj(fields));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.eat(b':')?;
+            let value = self.value()?;
+            fields.push((key, value));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Json::Obj(fields));
+                }
+                _ => return Err(self.fail("expected ',' or '}'")),
+            }
+        }
+    }
+
+    fn array(&mut self) -> Result<Json, String> {
+        self.eat(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Json::Arr(items));
+        }
+        loop {
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Json::Arr(items));
+                }
+                _ => return Err(self.fail("expected ',' or ']'")),
+            }
+        }
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.eat(b'"')?;
+        let mut out = String::new();
+        loop {
+            let Some(b) = self.peek() else {
+                return Err(self.fail("unterminated string"));
+            };
+            self.pos += 1;
+            match b {
+                b'"' => return Ok(out),
+                b'\\' => {
+                    let Some(esc) = self.peek() else {
+                        return Err(self.fail("unterminated escape"));
+                    };
+                    self.pos += 1;
+                    match esc {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'b' => out.push('\u{8}'),
+                        b'f' => out.push('\u{c}'),
+                        b'n' => out.push('\n'),
+                        b'r' => out.push('\r'),
+                        b't' => out.push('\t'),
+                        b'u' => {
+                            let hex = self
+                                .bytes
+                                .get(self.pos..self.pos + 4)
+                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .ok_or_else(|| self.fail("bad \\u escape"))?;
+                            self.pos += 4;
+                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
+                        }
+                        _ => return Err(self.fail("unknown escape")),
+                    }
+                }
+                _ => {
+                    // Re-decode the UTF-8 sequence starting here.
+                    let start = self.pos - 1;
+                    let len = match b {
+                        0x00..=0x7f => 1,
+                        0xc0..=0xdf => 2,
+                        0xe0..=0xef => 3,
+                        _ => 4,
+                    };
+                    let chunk = self
+                        .bytes
+                        .get(start..start + len)
+                        .and_then(|c| std::str::from_utf8(c).ok())
+                        .ok_or_else(|| self.fail("invalid UTF-8 in string"))?;
+                    out.push_str(chunk);
+                    self.pos = start + len;
+                }
+            }
+        }
+    }
+
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        while let Some(b) = self.peek() {
+            if b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-') {
+                self.pos += 1;
+            } else {
+                break;
+            }
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
+        text.parse::<f64>()
+            .map(Json::Num)
+            .map_err(|_| self.fail("bad number"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
-    use super::json_string;
+    use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn escapes_quotes_backslashes_and_control_characters() {
@@ -33,5 +290,49 @@ mod tests {
             "\"a\\\"b\\\\c\\nd\\re\\tf\\u0001g\""
         );
         assert_eq!(json_string("plain"), "\"plain\"");
+    }
+
+    #[test]
+    fn parser_round_trips_shapes() {
+        let doc =
+            parse(r#"{"a": 1.5, "b": [true, null, "x\ny"], "c": {"d": -2e3}, "e": ""}"#).unwrap();
+        assert_eq!(doc.get("a").unwrap().as_num(), Some(1.5));
+        let b = doc.get("b").unwrap().as_arr().unwrap();
+        assert_eq!(b[0], Json::Bool(true));
+        assert_eq!(b[1], Json::Null);
+        assert_eq!(b[2].as_str(), Some("x\ny"));
+        assert_eq!(
+            doc.get("c").unwrap().get("d").unwrap().as_num(),
+            Some(-2000.0)
+        );
+        assert_eq!(doc.get("e").unwrap(), &Json::Str(String::new()));
+        assert_eq!(parse(r#""\ud800""#).unwrap().as_str(), Some("\u{fffd}"));
+    }
+
+    #[test]
+    fn parser_rejects_garbage() {
+        assert!(parse("{").is_err());
+        assert!(parse("[1, 2").is_err());
+        assert_eq!(
+            parse("{\"a\": 1} extra").unwrap_err(),
+            "trailing input after JSON value at byte 9"
+        );
+        assert_eq!(parse("nul").unwrap_err(), "expected 'null' at byte 0");
+    }
+
+    /// Any string: control characters, ASCII, and the rest of Unicode.
+    fn any_string() -> impl Strategy<Value = String> {
+        proptest::collection::vec(
+            prop_oneof![0u32..0x20, 0x20u32..0x80, 0x80u32..0x11_0000],
+            0..40,
+        )
+        .prop_map(|codes| codes.into_iter().filter_map(char::from_u32).collect())
+    }
+
+    proptest! {
+        #[test]
+        fn parse_reads_back_what_json_string_writes(s in any_string()) {
+            prop_assert_eq!(parse(&json_string(&s)), Ok(Json::Str(s)));
+        }
     }
 }

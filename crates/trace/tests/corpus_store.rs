@@ -207,7 +207,7 @@ fn outcome<T>(result: Result<T, lagalyzer_trace::TraceError>) -> Result<T, Strin
 /// and checks corpus decodes against per-file decodes at several job
 /// counts; a compressed corpus's members also fold and decode like the
 /// same corpus packed raw.
-fn check_corpus_matches_files(files: &[Vec<u8>], salvage: bool, options: PackOptions) {
+fn assert_corpus_matches_files(files: &[Vec<u8>], salvage: bool, options: PackOptions) {
     let opened: Vec<IndexedTrace> = files
         .iter()
         .map(|bytes| {
@@ -273,8 +273,8 @@ proptest! {
     #[test]
     fn pack_matches_individual_decodes(specs in session_specs()) {
         let files = encode_all(&specs, 0);
-        check_corpus_matches_files(&files, false, PackOptions::default());
-        check_corpus_matches_files(&files, false, PackOptions { compress: true });
+        assert_corpus_matches_files(&files, false, PackOptions::default());
+        assert_corpus_matches_files(&files, false, PackOptions { compress: true });
     }
 
     /// Legacy v1 inputs (no extent footer: index built by scan) pack and
@@ -282,7 +282,7 @@ proptest! {
     #[test]
     fn legacy_v1_inputs_pack_identically(specs in session_specs(), mask in any::<u32>()) {
         let files = encode_all(&specs, mask);
-        check_corpus_matches_files(&files, false, PackOptions::default());
+        assert_corpus_matches_files(&files, false, PackOptions::default());
     }
 
     /// Fault-injected inputs opened in salvage mode: whatever the
@@ -296,8 +296,8 @@ proptest! {
         // mode; unrecoverable inputs are pack's caller's problem.
         if IndexedTrace::open_salvage(damaged.clone()).is_ok() {
             files[0] = damaged;
-            check_corpus_matches_files(&files, true, PackOptions::default());
-            check_corpus_matches_files(&files, true, PackOptions { compress: true });
+            assert_corpus_matches_files(&files, true, PackOptions::default());
+            assert_corpus_matches_files(&files, true, PackOptions { compress: true });
         }
     }
 
